@@ -406,8 +406,24 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
     )
 
 
+class _Checks:
+    """A frozen dataclass report whose fields are all pass/fail flags.  Its
+    instance dict holds exactly those fields, in declaration order, which
+    is the order `coopattest verify` prints them in."""
+
+    @property
+    def passed(self) -> bool:
+        return all(vars(self).values())
+
+    def checks(self) -> dict[str, bool]:
+        return dict(vars(self))
+
+    def failing(self) -> list[str]:
+        return [name for name, ok in vars(self).items() if not ok]
+
+
 @dataclass(frozen=True)
-class MatchReport:
+class MatchReport(_Checks):
     """Outcome of comparing a plain/blinded pair, one flag per check."""
 
     plain_signature: bool
@@ -418,25 +434,6 @@ class MatchReport:
     digest_match: bool
     window_match: bool
     legal_rep_match: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks().values())
-
-    def checks(self) -> dict[str, bool]:
-        return {
-            "plain_signature": self.plain_signature,
-            "blinded_signature": self.blinded_signature,
-            "plain_id": self.plain_id,
-            "blinded_id": self.blinded_id,
-            "attributes_match": self.attributes_match,
-            "digest_match": self.digest_match,
-            "window_match": self.window_match,
-            "legal_rep_match": self.legal_rep_match,
-        }
-
-    def failing(self) -> list[str]:
-        return [name for name, ok in self.checks().items() if not ok]
 
 
 def _id_consistent(att: PlainAttestation | BlindedAttestation) -> bool:
@@ -499,7 +496,7 @@ def countersign(
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Checks):
     """Outcome of checking a countersigned attestation at a given tick."""
 
     issuer_signature: bool
@@ -507,22 +504,6 @@ class VerificationReport:
     blinded_id: bool
     not_expired: bool
     subject_blinded: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks().values())
-
-    def checks(self) -> dict[str, bool]:
-        return {
-            "issuer_signature": self.issuer_signature,
-            "notary_signature": self.notary_signature,
-            "blinded_id": self.blinded_id,
-            "not_expired": self.not_expired,
-            "subject_blinded": self.subject_blinded,
-        }
-
-    def failing(self) -> list[str]:
-        return [name for name, ok in self.checks().items() if not ok]
 
     @property
     def expired_only(self) -> bool:

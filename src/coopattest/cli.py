@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="attestation id, hex")
     p.add_argument("--jurisdiction", required=True)
     p.add_argument("--purpose", required=True, choices=["travel-rule", "dsn-dispute"])
-    p.add_argument("--now", type=int, default=0)
+    p.add_argument("--now", required=True, type=int)
     p.set_defaults(func=cmd_disclose)
 
     p = sub.add_parser("simulate", help="run a scenario config and write its event log")

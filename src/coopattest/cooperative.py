@@ -183,7 +183,7 @@ class Cooperative:
 
     def _raw_field(self, data: dict, name: str, types) -> object:
         value = data.get(name)
-        if not isinstance(value, types) or isinstance(value, bool):
+        if not isinstance(value, types) or isinstance(value, bool) or value == "":
             raise InsufficientData(f"personal data field {name!r} missing or unusable")
         return value
 

@@ -13,13 +13,14 @@ golden regression files.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import crypto
 from .attestation import CounterSignedAttestation, attestation_to_map
 from .canonical import canonical_parse, canonical_serialize
-from .cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
+from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
@@ -27,14 +28,6 @@ from .events import send_message
 from .ledger import Ledger
 from .notary import JurisdictionPolicy, Notary
 from .travel_rule import Exchange, TransferRequest
-
-ACTIONS = (
-    "issue", "register", "transfer", "post", "revoke",
-    "recover", "inject-bot-post", "tamper", "port",
-)
-
-SUBSTITUTE_MODES = ("absent", "handle")
-
 
 # --- event log -----------------------------------------------------------------
 
@@ -94,6 +87,12 @@ class EventLog:
 
 # --- config ---------------------------------------------------------------------
 
+# The actor sections, each with what a reference to one of its entries is called.
+_ACTORS = {"notaries": "notary", "cooperatives": "cooperative",
+           "exchanges": "exchange", "providers": "provider"}
+_SECTIONS = (*_ACTORS, "script")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: bytes
@@ -105,32 +104,21 @@ class ScenarioConfig:
     script: tuple[dict, ...] = ()
 
     def to_map(self) -> dict:
-        return {
-            "seed": self.seed,
-            "tick_limit": self.tick_limit,
-            "cooperatives": [dict(c) for c in self.cooperatives],
-            "notaries": [dict(n) for n in self.notaries],
-            "exchanges": [dict(e) for e in self.exchanges],
-            "providers": [dict(p) for p in self.providers],
-            "script": [dict(a) for a in self.script],
-        }
+        sections = {key: [dict(entry) for entry in getattr(self, key)] for key in _SECTIONS}
+        return {"seed": self.seed, "tick_limit": self.tick_limit, **sections}
 
     @classmethod
     def from_map(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise DecodeError("scenario config must be a map")
-        try:
-            return cls(
-                seed=raw["seed"],
-                tick_limit=raw["tick_limit"],
-                cooperatives=tuple(raw.get("cooperatives", [])),
-                notaries=tuple(raw.get("notaries", [])),
-                exchanges=tuple(raw.get("exchanges", [])),
-                providers=tuple(raw.get("providers", [])),
-                script=tuple(raw.get("script", [])),
-            )
-        except KeyError as exc:
-            raise DecodeError(f"scenario config missing field {exc}") from None
+        for key in ("seed", "tick_limit"):
+            if key not in raw:
+                raise DecodeError(f"scenario config missing field {key!r}")
+        sections = {key: raw.get(key, []) for key in _SECTIONS}
+        for key, value in sections.items():
+            if not isinstance(value, list):
+                raise DecodeError(f"scenario config field {key!r} must be a list")
+        return cls(raw["seed"], raw["tick_limit"], **{k: tuple(v) for k, v in sections.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
@@ -140,282 +128,272 @@ class ScenarioConfig:
         Path(path).write_bytes(canonical_serialize(self.to_map()))
 
 
-# --- validation -----------------------------------------------------------------
+# --- config schema ------------------------------------------------------------------
+#
+# One table holds every field a config may carry: each actor section and,
+# under "script", each action.  A field gives its kind (a check, and the
+# problem reported when the check fails), its default if it is optional,
+# and what its value must name.  validate_config walks the table,
+# _build_actors reads its defaults, and Scenario dispatches exactly the
+# actions it lists.
 
-class _Validator:
-    def __init__(self, config: ScenarioConfig) -> None:
-        self.config = config
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    check: Callable[[object], bool]
+    problem: str
+    default: object = _REQUIRED
+    ref: str | None = None   # what the value must name; see _Walk.resolve
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
+
+def _kind(check: Callable[[object], bool], problem: str):
+    """A field constructor for one kind: kind(default=..., ref=...)."""
+    return lambda default=_REQUIRED, ref=None: _Field(check, problem, default, ref)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_text = _kind(lambda v: type(v) is str and v != "", "must be a non-empty string")
+_count = _kind(lambda v: type(v) is int and v > 0, "must be a positive integer")
+_flag = _kind(lambda v: type(v) is bool, "must be a boolean")
+_body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0,
+              "must be non-empty text or bytes")
+_handle = _kind(lambda v: isinstance(v, str) and v.startswith("@"), "must begin with '@'")
+_mode = _kind(lambda v: v in ("absent", "handle"), "must be 'absent' or 'handle'")
+_map = _kind(lambda v: isinstance(v, dict), "must be a map")
+_entries = _kind(lambda v: isinstance(v, list), "must be a list")
+_codes = _kind(_is_strings, "must be a list of jurisdiction codes")
+_rules = _kind(_is_strings, "must be a list of derivation rule names")
+_some_rules = _kind(lambda v: _is_strings(v) and len(v) > 0,
+                    "must be a non-empty list of rule names")
+_follower_lists = _kind(lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
+                        "must map handles to lists of provider names")
+
+SCHEMA: dict[str, dict[str, _Field]] = {
+    "notaries": {"name": _text(), "jurisdiction": _text(), "compatible": _codes(default=())},
+    "cooperatives": {"name": _text(), "legal_rep": _text(ref="notary"),
+                     "queries": _rules(default=DEFAULT_QUERIES),
+                     "year_ticks": _count(default=DEFAULT_YEAR_TICKS),
+                     "members": _entries(default=())},
+    "members": {"member_id": _text(), "legal_identity": _text(), "personal_data": _map(),
+                "handle": _handle(default=None)},
+    "exchanges": {"name": _text(), "jurisdiction": _text(), "threshold": _count()},
+    "providers": {"name": _text(), "jurisdiction": _text(),
+                  "followers": _follower_lists(default={}, ref="provider"),
+                  "prefer_local_port": _flag(default=False)},
+    # Every action also carries "at", its tick, and "action", its key here.
+    "script": {
+        "issue": {"coop": _text(ref="cooperative"), "member": _text(),
+                  "queries": _some_rules(), "mode": _mode(), "ttl": _count(),
+                  "label": _text(ref="new label")},
+        # _check_register decides which of these a register needs.
+        "register": {"exchange": _text(None, "exchange"), "account": _text(None),
+                     "name": _text(None), "provider": _text(None, "provider"),
+                     "handle": _text(None), "attestation": _text(None, "issued label")},
+        "transfer": {"origin": _text(ref="exchange"),
+                     "beneficiary_exchange": _text(ref="exchange"), "transfer_id": _text(),
+                     "originator_account": _text(), "beneficiary_account": _text(),
+                     "asset": _text(), "amount": _count()},
+        "post": {"provider": _text(ref="provider"), "handle": _text(), "body": _body()},
+        "revoke": {"coop": _text(ref="cooperative"), "attestation": _text(ref="issued label")},
+        "recover": {"provider": _text(ref="provider"), "handle": _text(),
+                    "attestation": _text(ref="issued label")},
+        "inject-bot-post": {"provider": _text(ref="provider"), "author": _text(),
+                            "origin": _text(), "body": _body()},
+        "tamper": {"exchange": _text(ref="exchange"), "account": _text()},
+        "port": {"provider": _text(ref="provider"), "origin": _text(ref="provider"),
+                 "handle": _text()},
+    },
+}
+
+
+def _rows(fields: dict[str, _Field]) -> tuple:
+    """The walker's flat form of a section or action, built once."""
+    return tuple((key, f.check, f.problem, f.required, f.ref)
+                 for key, f in fields.items())
+
+
+_SECTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA.items() if name != "script"}
+_ACTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA["script"].items()}
+
+
+def _setting(section: str, entry: dict, key: str):
+    """The entry's value for an optional field, or the table's default."""
+    return entry.get(key, SCHEMA[section][key].default)
+
+
+# --- validation ---------------------------------------------------------------------
+
+class _Walk:
+    """One pass over a config against the table, collecting problems."""
+
+    def __init__(self) -> None:
         self.problems: list[str] = []
-        self.coops: dict[str, dict] = {}
-        self.notaries: dict[str, dict] = {}
-        self.exchanges: dict[str, dict] = {}
-        self.providers: dict[str, dict] = {}
-        self.members: dict[str, dict[str, dict]] = {}
+        self.names: dict[str, dict[str, dict]] = {ref: {} for ref in _ACTORS.values()}
+        self.members: dict[int, dict[str, dict]] = {}  # id of a coop entry -> its members by id
+        self.labels: set[str] = set()
+        # Where each reference is found.  A new label never is: resolve records it.
+        self.known = {**self.names, "issued label": self.labels, "new label": ()}
 
     def problem(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def run(self) -> list[str]:
-        config = self.config
-        if not isinstance(config.seed, bytes) or not config.seed:
-            self.problem("seed", "must be a non-empty byte-string")
-        if not isinstance(config.tick_limit, int) or config.tick_limit < 0:
-            self.problem("tick_limit", "must be a non-negative integer")
-        self._collect_actors()
-        self._check_script()
-        return self.problems
+    def fields(self, rows: tuple, entry, section: str, index: int) -> bool:
+        """Check entry *index* of *section*; True if it is a map whose fields
+        all pass.  A path is spelled out only for a problem."""
+        if not isinstance(entry, dict):
+            self.problem(f"{section}[{index}]", "must be a map")
+            return False
+        before = len(self.problems)
+        get, known = entry.get, self.known
+        for key, check, problem, required, ref in rows:
+            value = get(key, _REQUIRED)
+            if value is _REQUIRED:
+                if required:
+                    self.problem(f"{section}[{index}].{key}", problem)
+            elif not check(value):
+                self.problem(f"{section}[{index}].{key}", problem)
+            elif ref is not None and (type(value) is not str or value not in known[ref]):
+                self.resolve(ref, value, f"{section}[{index}].{key}")
+        return len(self.problems) == before
 
-    def _collect(self, section: str, entries: tuple[dict, ...], target: dict) -> None:
-        for i, entry in enumerate(entries):
-            path = f"{section}[{i}]"
-            if not isinstance(entry, dict):
-                self.problem(path, "must be a map")
-                continue
-            name = entry.get("name")
-            if not isinstance(name, str) or not name:
-                self.problem(f"{path}.name", "must be a non-empty string")
-                continue
-            if name in target:
-                self.problem(f"{path}.name", f"duplicate name {name!r}")
-                continue
-            target[name] = entry
+    def resolve(self, ref: str, value, path: str) -> None:
+        if ref == "new label":
+            if value in self.labels:
+                self.problem(path, f"duplicate label {value!r}")
+            self.labels.add(value)
+        elif ref == "issued label":
+            self.problem(path, f"label {value!r} not issued earlier in the script")
+        else:   # an actor name, or follower lists of them
+            names = [value] if isinstance(value, str) else chain.from_iterable(value.values())
+            for name in names:
+                if name not in self.names[ref]:
+                    self.problem(path, f"unknown {ref} {name!r}")
 
-    def _collect_actors(self) -> None:
-        self._collect("notaries", self.config.notaries, self.notaries)
-        self._collect("cooperatives", self.config.cooperatives, self.coops)
-        self._collect("exchanges", self.config.exchanges, self.exchanges)
-        self._collect("providers", self.config.providers, self.providers)
+    def actors(self, config: ScenarioConfig) -> None:
+        # Names first: an entry may name any other, later ones included.
+        for section, ref in _ACTORS.items():
+            for i, entry in enumerate(getattr(config, section)):
+                name = entry.get("name") if isinstance(entry, dict) else None
+                if isinstance(name, str) and name in self.names[ref]:
+                    self.problem(f"{section}[{i}].name", f"duplicate name {name!r}")
+                elif isinstance(name, str) and name:
+                    self.names[ref][name] = entry
+        for section in _ACTORS:
+            for i, entry in enumerate(getattr(config, section)):
+                if self.fields(_SECTION_ROWS[section], entry, section, i) \
+                        and section in _CROSS_CHECKS:
+                    _CROSS_CHECKS[section](self, f"{section}[{i}]", entry)
+        # Members, whatever else is wrong with their cooperative, so that an
+        # issue names a member that is really missing.
+        rows = _SECTION_ROWS["members"]
+        for i, coop in enumerate(config.cooperatives):
+            members = _setting("cooperatives", coop, "members") if isinstance(coop, dict) else ()
+            by_id = self.members[id(coop)] = {}
+            section = f"cooperatives[{i}].members"
+            for j, member in enumerate(members if isinstance(members, list) else ()):
+                self.fields(rows, member, section, j)
+                member_id = member.get("member_id") if isinstance(member, dict) else None
+                if isinstance(member_id, str) and member_id in by_id:
+                    self.problem(f"{section}[{j}].member_id", f"duplicate member {member_id!r}")
+                elif isinstance(member_id, str):
+                    by_id[member_id] = member
 
-        for i, entry in enumerate(self.config.notaries):
-            path = f"notaries[{i}]"
-            if not isinstance(entry.get("jurisdiction"), str):
-                self.problem(f"{path}.jurisdiction", "must be a string")
-            compatible = entry.get("compatible", [])
-            if not isinstance(compatible, list) or not all(isinstance(c, str) for c in compatible):
-                self.problem(f"{path}.compatible", "must be a list of jurisdiction codes")
-
-        for i, entry in enumerate(self.config.cooperatives):
-            path = f"cooperatives[{i}]"
-            name = entry.get("name")
-            legal_rep = entry.get("legal_rep")
-            if legal_rep not in self.notaries:
-                self.problem(f"{path}.legal_rep", f"unknown notary {legal_rep!r}")
-            queries = entry.get("queries", list(DEFAULT_QUERIES))
-            if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
-                self.problem(f"{path}.queries", "must be a list of derivation rule names")
-            year_ticks = entry.get("year_ticks", 365)
-            if not isinstance(year_ticks, int) or year_ticks <= 0:
-                self.problem(f"{path}.year_ticks", "must be a positive integer")
-            members = entry.get("members", [])
-            if not isinstance(members, list):
-                self.problem(f"{path}.members", "must be a list")
-                members = []
-            if isinstance(name, str):
-                self.members[name] = {}
-            for j, member in enumerate(members):
-                member_path = f"{path}.members[{j}]"
-                if not isinstance(member, dict):
-                    self.problem(member_path, "must be a map")
-                    continue
-                member_id = member.get("member_id")
-                if not isinstance(member_id, str) or not member_id:
-                    self.problem(f"{member_path}.member_id", "must be a non-empty string")
-                    continue
-                if not isinstance(member.get("legal_identity"), str) or not member["legal_identity"]:
-                    self.problem(f"{member_path}.legal_identity", "must be a non-empty string")
-                if not isinstance(member.get("personal_data", {}), dict):
-                    self.problem(f"{member_path}.personal_data", "must be a map")
-                handle = member.get("handle")
-                if handle is not None and (not isinstance(handle, str) or not handle.startswith("@")):
-                    self.problem(f"{member_path}.handle", "must begin with '@'")
-                if isinstance(name, str):
-                    if member_id in self.members[name]:
-                        self.problem(f"{member_path}.member_id", f"duplicate member {member_id!r}")
-                    self.members[name][member_id] = member
-
-        for i, entry in enumerate(self.config.exchanges):
-            path = f"exchanges[{i}]"
-            if not isinstance(entry.get("jurisdiction"), str):
-                self.problem(f"{path}.jurisdiction", "must be a string")
-            threshold = entry.get("threshold")
-            if not isinstance(threshold, int) or threshold <= 0:
-                self.problem(f"{path}.threshold", "must be a positive integer")
-
-        for i, entry in enumerate(self.config.providers):
-            path = f"providers[{i}]"
-            if not isinstance(entry.get("jurisdiction"), str):
-                self.problem(f"{path}.jurisdiction", "must be a string")
-            followers = entry.get("followers", {})
-            if not isinstance(followers, dict):
-                self.problem(f"{path}.followers", "must map handles to provider lists")
-                followers = {}
-            for handle, targets in followers.items():
-                if not isinstance(targets, list):
-                    self.problem(f"{path}.followers[{handle}]", "must be a list of provider names")
-                    continue
-                for target in targets:
-                    if target not in self.providers:
-                        self.problem(f"{path}.followers[{handle}]",
-                                     f"unknown provider {target!r}")
-            if not isinstance(entry.get("prefer_local_port", False), bool):
-                self.problem(f"{path}.prefer_local_port", "must be a boolean")
-
-    def _check_script(self) -> None:
-        labels: set[str] = set()
-        last_tick = None
-        for i, action in enumerate(self.config.script):
-            path = f"script[{i}]"
+    def script(self, script, tick_limit: int | None) -> None:
+        last_tick = 0
+        fields, actions, cross_checks = self.fields, _ACTION_ROWS, _CROSS_CHECKS
+        for i, action in enumerate(script):
             if not isinstance(action, dict):
-                self.problem(path, "must be a map")
+                self.problem(f"script[{i}]", "must be a map")
                 continue
             tick = action.get("at")
-            if not isinstance(tick, int) or tick < 0:
-                self.problem(f"{path}.at", "must be a non-negative integer")
+            if type(tick) is not int or tick < 0:
+                self.problem(f"script[{i}].at", "must be a non-negative integer")
+            elif tick < last_tick:
+                self.problem(f"script[{i}].at",
+                             f"ticks must be non-decreasing ({tick} < {last_tick})")
             else:
-                if last_tick is not None and tick < last_tick:
-                    self.problem(f"{path}.at", f"ticks must be non-decreasing ({tick} < {last_tick})")
-                if tick > self.config.tick_limit:
-                    self.problem(f"{path}.at", f"tick {tick} exceeds tick_limit {self.config.tick_limit}")
-                last_tick = max(tick, last_tick) if last_tick is not None else tick
+                last_tick = tick
+                if tick_limit is not None and tick > tick_limit:
+                    self.problem(f"script[{i}].at", f"tick {tick} exceeds tick_limit {tick_limit}")
             kind = action.get("action")
-            if kind not in ACTIONS:
-                self.problem(f"{path}.action", f"unknown action {kind!r}")
-                continue
-            getattr(self, "_check_" + kind.replace("-", "_"))(path, action, labels)
+            rows = actions.get(kind) if isinstance(kind, str) else None
+            if rows is None:
+                self.problem(f"script[{i}].action", f"unknown action {kind!r}")
+            elif fields(rows, action, "script", i) and kind in cross_checks:
+                cross_checks[kind](self, f"script[{i}]", action)
 
-    def _require_str(self, path: str, action: dict, key: str) -> str | None:
-        value = action.get(key)
-        if not isinstance(value, str) or not value:
-            self.problem(f"{path}.{key}", "must be a non-empty string")
-            return None
-        return value
 
-    def _require_label(self, path: str, action: dict, labels: set[str]) -> None:
-        label = self._require_str(path, action, "attestation")
-        if label is not None and label not in labels:
-            self.problem(f"{path}.attestation", f"label {label!r} not issued earlier in the script")
+# Rules that span fields.  Each runs only once the entry's or action's
+# own fields have passed, so it may rely on their kinds.
 
-    def _check_issue(self, path: str, action: dict, labels: set[str]) -> None:
-        coop_name = self._require_str(path, action, "coop")
-        if coop_name is not None and coop_name not in self.coops:
-            self.problem(f"{path}.coop", f"unknown cooperative {coop_name!r}")
-            coop_name = None
-        member_id = self._require_str(path, action, "member")
-        member = None
-        if coop_name is not None and member_id is not None:
-            member = self.members.get(coop_name, {}).get(member_id)
-            if member is None:
-                self.problem(f"{path}.member", f"unknown member {member_id!r}")
-        queries = action.get("queries")
-        if not isinstance(queries, list) or not queries or not all(isinstance(q, str) for q in queries):
-            self.problem(f"{path}.queries", "must be a non-empty list of rule names")
-        elif coop_name is not None:
-            registered = self.coops[coop_name].get("queries", list(DEFAULT_QUERIES))
-            for q in queries:
-                if q not in registered:
-                    self.problem(f"{path}.queries", f"rule {q!r} not registered at {coop_name!r}")
-        mode = action.get("mode")
-        if mode not in SUBSTITUTE_MODES:
-            self.problem(f"{path}.mode", "must be 'absent' or 'handle'")
-        elif mode == "handle" and member is not None and not member.get("handle"):
-            self.problem(f"{path}.mode", f"member {member_id!r} has no handle")
-        ttl = action.get("ttl")
-        if not isinstance(ttl, int) or ttl <= 0:
-            self.problem(f"{path}.ttl", "must be a positive integer")
-        label = self._require_str(path, action, "label")
-        if label is not None:
-            if label in labels:
-                self.problem(f"{path}.label", f"duplicate label {label!r}")
-            labels.add(label)
+def _check_provider(walk: _Walk, path: str, provider: dict) -> None:
+    followers = _setting("providers", provider, "followers")
+    if any(provider["name"] in targets for targets in followers.values()):
+        walk.problem(f"{path}.followers", "a provider cannot forward to itself")
 
-    def _check_register(self, path: str, action: dict, labels: set[str]) -> None:
-        has_exchange = "exchange" in action
-        has_provider = "provider" in action
-        if has_exchange == has_provider:
-            self.problem(path, "register needs exactly one of 'exchange' or 'provider'")
-            return
-        if has_provider:
-            provider = self._require_str(path, action, "provider")
-            if provider is not None and provider not in self.providers:
-                self.problem(f"{path}.provider", f"unknown provider {provider!r}")
-            self._require_str(path, action, "handle")
-            self._require_label(path, action, labels)
-            return
-        exchange = self._require_str(path, action, "exchange")
-        if exchange is not None and exchange not in self.exchanges:
-            self.problem(f"{path}.exchange", f"unknown exchange {exchange!r}")
-        self._require_str(path, action, "account")
-        if "name" in action:
-            self._require_str(path, action, "name")
-        else:
-            self._require_label(path, action, labels)
 
-    def _check_transfer(self, path: str, action: dict, labels: set[str]) -> None:
-        origin = self._require_str(path, action, "origin")
-        if origin is not None and origin not in self.exchanges:
-            self.problem(f"{path}.origin", f"unknown exchange {origin!r}")
-        beneficiary = self._require_str(path, action, "beneficiary_exchange")
-        if beneficiary is not None and beneficiary not in self.exchanges:
-            self.problem(f"{path}.beneficiary_exchange", f"unknown exchange {beneficiary!r}")
-        for key in ("transfer_id", "originator_account", "beneficiary_account", "asset"):
-            self._require_str(path, action, key)
-        amount = action.get("amount")
-        if not isinstance(amount, int) or amount <= 0:
-            self.problem(f"{path}.amount", "must be a positive integer")
+def _check_issue(walk: _Walk, path: str, action: dict) -> None:
+    coop_name, member_id = action["coop"], action["member"]
+    coop = walk.names["cooperative"][coop_name]
+    member = walk.members[id(coop)].get(member_id)
+    if member is None:
+        walk.problem(f"{path}.member", f"unknown member {member_id!r}")
+    elif action["mode"] == "handle" and not member.get("handle"):
+        walk.problem(f"{path}.mode", f"member {member_id!r} has no handle")
+    registered = _setting("cooperatives", coop, "queries")
+    if isinstance(registered, (list, tuple)):   # else the cooperative's problem says why
+        for q in action["queries"]:
+            if q not in registered:
+                walk.problem(f"{path}.queries", f"rule {q!r} not registered at {coop_name!r}")
 
-    def _check_post(self, path: str, action: dict, labels: set[str]) -> None:
-        provider = self._require_str(path, action, "provider")
-        if provider is not None and provider not in self.providers:
-            self.problem(f"{path}.provider", f"unknown provider {provider!r}")
-        self._require_str(path, action, "handle")
-        self._check_body(path, action)
 
-    def _check_body(self, path: str, action: dict) -> None:
-        body = action.get("body")
-        if not isinstance(body, (str, bytes)) or not body:
-            self.problem(f"{path}.body", "must be non-empty text or bytes")
+def _check_register(walk: _Walk, path: str, action: dict) -> None:
+    if ("exchange" in action) == ("provider" in action):
+        walk.problem(path, "register needs exactly one of 'exchange' or 'provider'")
+        return
+    needed = ["handle", "attestation"] if "provider" in action else ["account"]
+    if "exchange" in action and "name" not in action:
+        needed.append("attestation")
+    for key in needed:
+        if key not in action:
+            walk.problem(f"{path}.{key}", SCHEMA["script"]["register"][key].problem)
 
-    def _check_inject_bot_post(self, path: str, action: dict, labels: set[str]) -> None:
-        provider = self._require_str(path, action, "provider")
-        if provider is not None and provider not in self.providers:
-            self.problem(f"{path}.provider", f"unknown provider {provider!r}")
-        self._require_str(path, action, "author")
-        self._require_str(path, action, "origin")
-        self._check_body(path, action)
 
-    def _check_revoke(self, path: str, action: dict, labels: set[str]) -> None:
-        coop = self._require_str(path, action, "coop")
-        if coop is not None and coop not in self.coops:
-            self.problem(f"{path}.coop", f"unknown cooperative {coop!r}")
-        self._require_label(path, action, labels)
+def _check_transfer(walk: _Walk, path: str, action: dict) -> None:
+    if action["origin"] == action["beneficiary_exchange"]:
+        walk.problem(f"{path}.beneficiary_exchange", "transfer from an exchange to itself")
 
-    def _check_recover(self, path: str, action: dict, labels: set[str]) -> None:
-        provider = self._require_str(path, action, "provider")
-        if provider is not None and provider not in self.providers:
-            self.problem(f"{path}.provider", f"unknown provider {provider!r}")
-        self._require_str(path, action, "handle")
-        self._require_label(path, action, labels)
 
-    def _check_tamper(self, path: str, action: dict, labels: set[str]) -> None:
-        exchange = self._require_str(path, action, "exchange")
-        if exchange is not None and exchange not in self.exchanges:
-            self.problem(f"{path}.exchange", f"unknown exchange {exchange!r}")
-        self._require_str(path, action, "account")
+def _check_port(walk: _Walk, path: str, action: dict) -> None:
+    if action["provider"] == action["origin"]:
+        walk.problem(f"{path}.origin", "porting from a provider onto itself")
 
-    def _check_port(self, path: str, action: dict, labels: set[str]) -> None:
-        for key in ("provider", "origin"):
-            name = self._require_str(path, action, key)
-            if name is not None and name not in self.providers:
-                self.problem(f"{path}.{key}", f"unknown provider {name!r}")
-        if action.get("provider") == action.get("origin"):
-            self.problem(f"{path}.origin", "porting from a provider onto itself")
-        self._require_str(path, action, "handle")
+
+_CROSS_CHECKS = {"providers": _check_provider, "issue": _check_issue,
+                 "register": _check_register, "transfer": _check_transfer, "port": _check_port}
 
 
 def validate_config(config: ScenarioConfig) -> list[str]:
     """Empty list iff run_scenario's preconditions hold; each problem names
     the offending field path."""
-    return _Validator(config).run()
+    walk = _Walk()
+    if not isinstance(config.seed, bytes) or not config.seed:
+        walk.problem("seed", "must be a non-empty byte-string")
+    tick_limit = config.tick_limit
+    if type(tick_limit) is not int or tick_limit < 0:
+        walk.problem("tick_limit", "must be a non-negative integer")
+        tick_limit = None
+    walk.actors(config)
+    walk.script(config.script, tick_limit)
+    return walk.problems
 
 
 # --- execution ---------------------------------------------------------------------
@@ -490,7 +468,8 @@ class Scenario:
             keypair = self._actor_key("notary", entry["name"])
             notary = Notary(
                 entry["name"], keypair,
-                JurisdictionPolicy(entry["jurisdiction"], frozenset(entry.get("compatible", []))),
+                JurisdictionPolicy(entry["jurisdiction"],
+                                   frozenset(_setting("notaries", entry, "compatible"))),
             )
             self.keys.add(keypair.public_key)
             self._bind(notary)
@@ -502,11 +481,11 @@ class Scenario:
             keypair = self._actor_key("coop", entry["name"])
             coop = Cooperative(
                 entry["name"], keypair, entry["legal_rep"],
-                queries=tuple(entry.get("queries", DEFAULT_QUERIES)),
-                year_ticks=entry.get("year_ticks", 365),
+                queries=tuple(_setting("cooperatives", entry, "queries")),
+                year_ticks=_setting("cooperatives", entry, "year_ticks"),
                 nonce_seed=self.config.seed + b"/nonce/" + entry["name"].encode(),
             )
-            for member_raw in entry.get("members", []):
+            for member_raw in _setting("cooperatives", entry, "members"):
                 coop.register_member(MemberRecord.from_map(member_raw))
             self.keys.add(keypair.public_key)
             self._bind(coop)
@@ -540,8 +519,9 @@ class Scenario:
                 entry["name"], entry["jurisdiction"], keypair,
                 keys=self.keys, notaries=self.notaries,
                 ledger_registry=self.ledgers,
-                followers={h: tuple(t) for h, t in entry.get("followers", {}).items()},
-                prefer_local_port=entry.get("prefer_local_port", False),
+                followers={h: tuple(t) for h, t in
+                           _setting("providers", entry, "followers").items()},
+                prefer_local_port=_setting("providers", entry, "prefer_local_port"),
             )
             self._bind(provider)
             self.providers[entry["name"]] = provider
@@ -566,7 +546,7 @@ class Scenario:
             self.log.append(Event(self.now, "scheduler", "action",
                                   {"index": i, **action}))
             try:
-                self._dispatch(action)
+                self._handlers[action["action"]](self, action)
             except ScriptActionFailed:
                 raise
             except CoopAttestError as exc:
@@ -576,11 +556,6 @@ class Scenario:
             ok = provider.ledger.verify_chain()
             self.log.append(Event(self.now, name, "chain-verified", {"ok": ok}))
         return self.log
-
-    def _dispatch(self, action: dict) -> None:
-        kind = action["action"]
-        handler = getattr(self, "_do_" + kind.replace("-", "_"))
-        handler(action)
 
     @staticmethod
     def _body_bytes(action: dict) -> bytes:
@@ -710,6 +685,11 @@ class Scenario:
             raise ScriptActionFailed(self.now, action,
                                      f"handle {action['handle']!r} not onboarded at origin")
         local.port_attestation(action["origin"], account.attestation_ptr)
+
+
+# One handler per action in the table; a missing one fails at import.
+Scenario._handlers = {kind: getattr(Scenario, "_do_" + kind.replace("-", "_"))
+                      for kind in SCHEMA["script"]}
 
 
 def run_scenario(config: ScenarioConfig) -> EventLog:

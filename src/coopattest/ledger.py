@@ -207,10 +207,6 @@ class Ledger:
             raise OutOfBounds(f"index {ptr.index} outside ledger of length {len(self._records)}")
         return self._records[ptr.index]
 
-    def find_by_post_digest(self, d: Digest) -> list[RecordPointer]:
-        """All post records whose digest equals *d*, in ascending index order."""
-        return [RecordPointer(self.ledger_id, i) for i in self._post_index.get(d, [])]
-
     def post_matches(self, d: Digest) -> list[LedgerRecord]:
         """The matching post records themselves; one indexed search, including
         its hit entries, like any transparency-log query."""

@@ -67,14 +67,12 @@ class DisclosureResponse:
     ``subject`` and ``attributes`` are present exactly when the request was
     honored; ``attributes`` carries the attested claims so a travel-rule
     consumer can pull the residence attribute out of the same response that
-    named the member.  ``travel_record`` is a slot the beneficiary side may
-    fill after assembly; the notary itself never populates it.
+    named the member.
     """
 
     outcome: str
     subject: str | None = None
     attributes: tuple[AttributeClaim, ...] | None = None
-    travel_record: object | None = None
 
     def __post_init__(self) -> None:
         if (self.subject is not None) != (self.outcome == OUTCOME_DISCLOSED):

@@ -84,7 +84,11 @@ class TestIssueCountersignVerify:
                     "--notary-key", workdir / "notary.key", "--now", 50])
         out = capsys.readouterr().out
         assert code == 0
-        assert "overall: pass" in out
+        # One line per check, in the report's field order.
+        assert out.splitlines()[-6:] == [
+            "issuer_signature: pass", "notary_signature: pass", "blinded_id: pass",
+            "not_expired: pass", "subject_blinded: pass", "overall: pass",
+        ]
 
     def test_verify_fails_after_expiry(self, workdir, capsys):
         issue_and_countersign(workdir, now=10, ttl=90)
@@ -184,6 +188,14 @@ class TestLifecycle:
         state = canonical_parse((workdir / "notary.state").read_bytes())
         assert len(state["audit"]) == 2
 
+    def test_disclose_requires_now(self, workdir, capsys):
+        att_id = self._issued_id(workdir, capsys)
+        before = (workdir / "notary.state").read_bytes()
+        assert run(["disclose", "--notary", workdir / "notary.state", "--id", att_id,
+                    "--jurisdiction", "US", "--purpose", "travel-rule"]) == 2
+        assert "--now" in capsys.readouterr().err
+        assert (workdir / "notary.state").read_bytes() == before
+
 
 class TestSimulateValidate:
     def test_simulate_bundled_scenario(self, tmp_path, capsys):
@@ -210,6 +222,14 @@ class TestSimulateValidate:
         bad = tmp_path / "bad.scn"
         bad.write_bytes(canonical_serialize(raw))
         assert run(["simulate", "--config", bad, "--out", tmp_path / "x.log"]) == 2
+
+    def test_non_list_script_exit_2(self, tmp_path, capsys):
+        raw = canonical_parse(bundled_scenario_path("travel_rule_basic").read_bytes())
+        raw["script"] = {"at": 1}
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(canonical_serialize(raw))
+        assert run(["validate", "--config", bad]) == 2
+        assert "'script' must be a list" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.scn",

@@ -106,6 +106,10 @@ class TestDerivation:
         coop.register_member(MemberRecord("bob", "bob-legal-0002", {"residence": "DE"}))
         with pytest.raises(InsufficientData):
             coop.derive_attribute("bob", "age-over-18", 0)
+        # An empty text field is as unusable as a missing one.
+        coop.register_member(MemberRecord("carol", "carol-legal-0003", {"residence": ""}))
+        with pytest.raises(InsufficientData):
+            coop.derive_attribute("carol", "residence-country", 0)
 
     def test_unknown_query(self):
         coop = make_coop()

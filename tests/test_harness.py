@@ -1,11 +1,19 @@
 """Scenario validation, execution, determinism, and golden-log regression."""
 
+import copy
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from coopattest.errors import ConfigInvalid, ScriptActionFailed
+from coopattest import cli
+from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.errors import ConfigInvalid, DecodeError, ScriptActionFailed
 from coopattest.harness import (
+    SCHEMA,
     EventLog,
     ScenarioConfig,
     bundled_scenario_names,
@@ -15,6 +23,11 @@ from coopattest.harness import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+README = Path(__file__).parent.parent / "README.md"
+
+TRANSFER = {"at": 3, "action": "transfer", "origin": "E1", "beneficiary_exchange": "E2",
+            "transfer_id": "t1", "originator_account": "acct-a",
+            "beneficiary_account": "acct-b", "asset": "BTC", "amount": 5}
 
 
 def minimal_config(**overrides):
@@ -45,6 +58,12 @@ def minimal_config(**overrides):
     }
     raw.update(overrides)
     return ScenarioConfig.from_map(raw)
+
+
+def minimal_plus(*actions, **overrides):
+    """minimal_config() with *actions* appended to its script."""
+    script = minimal_config().to_map()["script"] + [dict(a) for a in actions]
+    return minimal_config(script=script, **overrides)
 
 
 class TestValidateConfig:
@@ -112,6 +131,94 @@ class TestValidateConfig:
             {"name": "P1", "jurisdiction": "US", "followers": {"@alice": ["P9"]}},
         ])
         assert any("unknown provider 'P9'" in p for p in validate_config(config))
+
+    @pytest.mark.parametrize("path, problem", [
+        (("tick_limit",), "tick_limit: must be a non-negative integer"),
+        (("script", 0, "at"), "script[0].at: must be a non-negative integer"),
+        (("script", 0, "ttl"), "script[0].ttl: must be a positive integer"),
+        (("script", 2, "amount"), "script[2].amount: must be a positive integer"),
+        (("exchanges", 0, "threshold"), "exchanges[0].threshold: must be a positive integer"),
+        (("cooperatives", 0, "year_ticks"),
+         "cooperatives[0].year_ticks: must be a positive integer"),
+    ])
+    def test_integer_field_rejects_bool(self, path, problem):
+        raw = minimal_plus(TRANSFER).to_map()
+        assert validate_config(ScenarioConfig.from_map(raw)) == []
+        mutate(raw, path, True)
+        assert problem in validate_config(ScenarioConfig.from_map(raw))
+
+    @pytest.mark.parametrize("section", ["notaries", "cooperatives", "exchanges", "script"])
+    def test_non_map_entry_is_a_problem(self, section):
+        raw = minimal_config().to_map()
+        raw[section][0] = 7
+        assert f"{section}[0]: must be a map" in validate_config(ScenarioConfig.from_map(raw))
+
+    @pytest.mark.parametrize("section", ["cooperatives", "script"])
+    @pytest.mark.parametrize("value", [7, {"a": 1}, "text"])
+    def test_non_list_section_is_a_decode_error(self, section, value):
+        raw = minimal_config().to_map()
+        raw[section] = value
+        with pytest.raises(DecodeError, match=section):
+            ScenarioConfig.from_map(raw)
+
+    def test_personal_data_required(self):
+        config = minimal_config()
+        config.cooperatives[0]["members"][0].pop("personal_data")
+        assert validate_config(config) == [
+            "cooperatives[0].members[0].personal_data: must be a map"]
+
+    def test_provider_forwarding_to_itself(self):
+        config = minimal_config(providers=[
+            {"name": "P1", "jurisdiction": "US", "followers": {"@alice": ["P2", "P1"]}},
+            {"name": "P2", "jurisdiction": "US"},
+        ])
+        assert validate_config(config) == [
+            "providers[0].followers: a provider cannot forward to itself"]
+
+    def test_transfer_to_its_own_exchange(self):
+        config = minimal_plus(dict(TRANSFER, beneficiary_exchange="E1"))
+        assert validate_config(config) == [
+            "script[2].beneficiary_exchange: transfer from an exchange to itself"]
+
+    @pytest.mark.parametrize("register, missing", [
+        ({"exchange": "E1", "account": "x"}, "attestation"),
+        ({"exchange": "E1", "name": "Bob"}, "account"),
+        ({"provider": "P1", "attestation": "a1"}, "handle"),
+        ({"exchange": "E1", "provider": "P1", "account": "x", "attestation": "a1"}, None),
+    ])
+    def test_register_needs_its_target_fields(self, register, missing):
+        config = minimal_plus({"at": 3, "action": "register", **register},
+                              providers=[{"name": "P1", "jurisdiction": "US"}])
+        expected = (f"script[2].{missing}: must be a non-empty string" if missing else
+                    "script[2]: register needs exactly one of 'exchange' or 'provider'")
+        assert validate_config(config) == [expected]
+
+
+class TestSchemaReference:
+    """The README's scenario reference names exactly the table's entries and
+    fields, split the same way into required and optional."""
+
+    @staticmethod
+    def readme_rows() -> dict:
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Scenario reference", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[0].startswith("`"):
+                continue
+            names = [re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", c)) for c in cells]
+            rows[names[0][0]] = (set(names[1]), set(names[2]))
+        return rows
+
+    def test_readme_matches_table(self):
+        entries = {**{k: v for k, v in SCHEMA.items() if k != "script"}, **SCHEMA["script"]}
+        expected = {
+            name: ({k for k, f in fields.items() if f.required},
+                   {k for k, f in fields.items() if not f.required})
+            for name, fields in entries.items()
+        }
+        assert self.readme_rows() == expected
 
 
 class TestRunScenario:
@@ -188,6 +295,111 @@ class TestRunScenario:
                     if e.kind == "ledger-read" and e.actor == "P3"
                     and e.payload["ledger"] == "P1"]
         assert p3_reads == []
+
+
+def mutate(raw, path, value):
+    """Set the value at *path* in a config map; None drops it instead."""
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+
+
+def children(node):
+    """(key, child) pairs of a map or list; none for a scalar."""
+    if isinstance(node, dict):
+        return node.items()
+    if isinstance(node, list):
+        return enumerate(node)
+    return ()
+
+
+def positions(node, prefix=()):
+    """Every path into a config map: its fields and list entries, nested."""
+    for key, child in children(node):
+        yield prefix + (key,)
+        yield from positions(child, prefix + (key,))
+
+
+def texts(node):
+    """Every text value in a config map, so mutations can reuse real names."""
+    if isinstance(node, str):
+        yield node
+    for _, child in children(node):
+        yield from texts(child)
+
+
+BASES = {"minimal": canonical_serialize(minimal_config().to_map())}
+BASES.update((name, bundled_scenario_path(name).read_bytes()) for name in bundled_scenario_names())
+
+OTHER_VALUES = st.one_of(
+    st.integers(-2, 3), st.booleans(), st.text(max_size=3), st.binary(max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled or minimal config with one or two fields dropped or
+    replaced by a value of any kind, a whole entry included.  Names and
+    small integers taken from the config keep many mutants valid, so the
+    run is reached too."""
+    raw = canonical_parse(BASES[draw(st.sampled_from(sorted(BASES)))])
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(positions(raw))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        names = st.sampled_from(sorted(set(texts(raw))) or [""])
+        mutate(raw, path, draw(st.none() | names | st.integers(0, 3) | OTHER_VALUES))
+    return raw
+
+
+def probe(path, value, base="minimal"):
+    raw = canonical_parse(BASES[base])
+    mutate(raw, path, value)
+    return raw
+
+
+class TestValidateRunContract:
+    """A config that validates clean never fails to run because of its
+    shape, and the CLI answers every config with an exit code."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=mutated_configs())
+    @example(raw=probe(("notaries", 0), 5))
+    @example(raw=probe(("cooperatives", 0), "coop1"))
+    @example(raw=probe(("exchanges", 0), ["E1"]))
+    @example(raw=probe(("script",), 3))
+    @example(raw=probe(("cooperatives",), {"name": "coop1"}))
+    @example(raw=probe(("cooperatives", 0, "members", 0, "personal_data"), None))
+    @example(raw=probe(("script", 0, "ttl"), True))
+    @example(raw=probe(("providers", 0, "followers", "@s0", 0), "P1", "dsn_bot_flood"))
+    @example(raw=probe(("script", 3, "beneficiary_exchange"), "E1", "travel_rule_basic"))
+    @example(raw=probe(("cooperatives", 0, "members", 0, "personal_data", "residence"), "",
+                       "travel_rule_disclosure"))
+    def test_contract(self, raw):
+        try:
+            config = ScenarioConfig.from_map(copy.deepcopy(raw))
+            problems = validate_config(config)
+        except DecodeError:
+            problems = None
+        if problems == []:
+            try:
+                run_scenario(config)
+            except ScriptActionFailed:
+                pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.scn"
+            path.write_bytes(canonical_serialize(raw))
+            assert cli.main(["validate", "--config", str(path)]) == (0 if problems == [] else 2)
+            code = cli.main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "log")])
+            assert code in ((0, 1) if problems == [] else (2,))
 
 
 class TestEventLog:

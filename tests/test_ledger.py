@@ -109,17 +109,15 @@ class TestFindByPostDigest:
 
     def test_single_match(self, writer, sample_csa):
         ledger = self._with_posts(writer, sample_csa, [b"hello"])
-        assert ledger.find_by_post_digest(crypto.digest(b"hello")) == [RecordPointer("B1", 1)]
+        assert [r.index for r in ledger.post_matches(crypto.digest(b"hello"))] == [1]
 
     def test_no_match(self, writer, sample_csa):
         ledger = self._with_posts(writer, sample_csa, [b"hello"])
-        assert ledger.find_by_post_digest(crypto.digest(b"absent")) == []
+        assert ledger.post_matches(crypto.digest(b"absent")) == []
 
     def test_duplicate_bodies_in_index_order(self, writer, sample_csa):
         ledger = self._with_posts(writer, sample_csa, [b"dup", b"other", b"dup"])
-        assert ledger.find_by_post_digest(crypto.digest(b"dup")) == [
-            RecordPointer("B1", 1), RecordPointer("B1", 3),
-        ]
+        assert [r.index for r in ledger.post_matches(crypto.digest(b"dup"))] == [1, 3]
 
     def test_lookup_completeness(self, writer, sample_csa):
         import random
@@ -127,7 +125,7 @@ class TestFindByPostDigest:
         bodies = [rng.randbytes(rng.randint(1, 30)) for _ in range(50)]
         ledger = self._with_posts(writer, sample_csa, bodies)
         for i, body in enumerate(bodies):
-            assert RecordPointer("B1", i + 1) in ledger.find_by_post_digest(crypto.digest(body))
+            assert i + 1 in [r.index for r in ledger.post_matches(crypto.digest(body))]
 
     def test_post_matches_returns_records(self, writer, sample_csa):
         ledger = self._with_posts(writer, sample_csa, [b"hello"])
@@ -183,7 +181,7 @@ class TestPersistence:
         loaded = Ledger.load("B1", writer.public_key, path)
         assert loaded.records == ledger.records
         assert loaded.verify_chain()
-        assert loaded.find_by_post_digest(crypto.digest(b"hello")) == [RecordPointer("B1", 1)]
+        assert [r.index for r in loaded.post_matches(crypto.digest(b"hello"))] == [1]
 
     def test_tampered_file_fails_chain(self, tmp_path, writer, sample_csa):
         ledger = make_ledger(writer)
