@@ -23,10 +23,11 @@ by brute-forcing candidate plain attestations against ``plain_digest``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import crypto
-from .canonical import canonical_parse, canonical_serialize
+from .canonical import canonical_parse, canonical_serialize, require
 from .crypto import Digest, KeyPair, Signature
 from .errors import (
     DecodeError,
@@ -49,6 +50,57 @@ KIND_BLINDED = "blinded"
 KIND_COUNTERSIGNED = "countersigned"
 
 
+# --- per-artifact memos -----------------------------------------------------------
+
+class _Artifact:
+    """Work derived from a frozen artifact's fields, done once per object.
+
+    Results live in the instance dict, which the dataclass's eq, hash and
+    repr never read and ``dataclasses.replace`` never copies: a changed
+    artifact is a new object and starts with no memos.  Each subclass
+    names its signature's domain tag (``_TAG``), the signature itself
+    (``_signature``) and the bytes it covers (``_signed_bytes``).
+    """
+
+    @cached_property
+    def _canonical_bytes(self) -> bytes:
+        return canonical_serialize(attestation_to_map(self))
+
+    def _signature_verifies(self, public_key: bytes) -> bool:
+        """True iff the artifact's own signature verifies under *public_key*.
+
+        A success is remembered under the exact key bytes; a failure is
+        never remembered.  The message and the signature are fixed by the
+        frozen artifact and Ed25519 verification is deterministic in its
+        inputs (RFC 8032, section 5.1.7), so a remembered success is the
+        verdict a new check would give.
+        """
+        verified = self.__dict__.get("_verified_keys", ())
+        exact = type(public_key) is bytes
+        if exact and public_key in verified:
+            return True
+        ok = crypto.verify(public_key, self._TAG, self._signed_bytes, self._signature)
+        if ok and exact:
+            self.__dict__["_verified_keys"] = verified + (public_key,)
+        return ok
+
+
+class _IssuerSigned(_Artifact):
+    """The memos of a plain or blinded attestation."""
+
+    @property
+    def _signature(self) -> Signature:
+        return self.issuer_signature
+
+    @cached_property
+    def _signed_bytes(self) -> bytes:
+        return canonical_serialize(_body_map(self))
+
+    @cached_property
+    def _id_consistent(self) -> bool:
+        return self.attestation_id == _seal_id(_body_map(self), self.issuer_signature)
+
+
 # --- domain types -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -68,7 +120,11 @@ class AttributeClaim:
 
     @classmethod
     def from_map(cls, raw: dict) -> "AttributeClaim":
-        return cls(name=raw["name"], value=raw["value"], method=raw["method"])
+        return cls(
+            name=require(raw, "name", str, "attribute claim"),
+            value=require(raw, "value", str, "attribute claim"),
+            method=require(raw, "method", str, "attribute claim"),
+        )
 
 
 @dataclass(frozen=True)
@@ -103,11 +159,14 @@ class SubjectRef:
 
     @classmethod
     def from_map(cls, raw: dict) -> "SubjectRef":
-        return cls(mode=raw["mode"], value=raw["value"])
+        return cls(mode=require(raw, "mode", str, "subject"),
+                   value=require(raw, "value", str, "subject"))
 
 
 @dataclass(frozen=True)
-class PlainAttestation:
+class PlainAttestation(_IssuerSigned):
+    _TAG = crypto.TAG_PLAIN
+
     attestation_id: Digest
     subject: SubjectRef
     attributes: tuple[AttributeClaim, ...]
@@ -129,7 +188,9 @@ class PlainAttestation:
 
 
 @dataclass(frozen=True)
-class BlindedAttestation:
+class BlindedAttestation(_IssuerSigned):
+    _TAG = crypto.TAG_BLINDED
+
     attestation_id: Digest
     subject: SubjectRef
     attributes: tuple[AttributeClaim, ...]
@@ -149,7 +210,9 @@ class BlindedAttestation:
 
 
 @dataclass(frozen=True)
-class CounterSignedAttestation:
+class CounterSignedAttestation(_Artifact):
+    _TAG = crypto.TAG_COUNTER
+
     blinded: BlindedAttestation
     notary_id: str
     notary_key_id: Digest
@@ -159,6 +222,15 @@ class CounterSignedAttestation:
     def __post_init__(self) -> None:
         if not self.notary_id:
             raise EmptyNotaryId("countersignature must name its legal point of contact")
+
+    @property
+    def _signature(self) -> Signature:
+        return self.notary_signature
+
+    @cached_property
+    def _signed_bytes(self) -> bytes:
+        return countersign_bytes(self.blinded, self.notary_id, self.notary_key_id,
+                                 self.countersigned_at)
 
 
 # --- canonical maps -------------------------------------------------------------
@@ -223,7 +295,7 @@ def _body_map(att: PlainAttestation | BlindedAttestation) -> dict:
 
 def signing_bytes(att: PlainAttestation | BlindedAttestation) -> bytes:
     """The bytes the issuer signature covers: everything but id and signature."""
-    return canonical_serialize(_body_map(att))
+    return att._signed_bytes
 
 
 def _seal_id(body: dict, signature: Signature) -> Digest:
@@ -264,17 +336,13 @@ def attestation_to_map(att) -> dict:
 
 def canonical_bytes(att) -> bytes:
     """Complete canonical serialization, id included; also the file format."""
-    return canonical_serialize(attestation_to_map(att))
+    if not isinstance(att, _Artifact):
+        raise TypeError(f"not an attestation: {type(att).__name__}")
+    return att._canonical_bytes
 
 
 def _require(raw: dict, field: str, types) -> object:
-    try:
-        value = raw[field]
-    except (KeyError, TypeError):
-        raise DecodeError(f"attestation missing field {field!r}") from None
-    if not isinstance(value, types):
-        raise DecodeError(f"attestation field {field!r} has wrong type")
-    return value
+    return require(raw, field, types, "attestation")
 
 
 def attestation_from_map(raw: dict):
@@ -365,8 +433,9 @@ def build_plain(
         subject, attributes, issuer.key_id, legal_rep_id,
         issued_at, expires_at, nonce, crypto.HASH_ALG,
     )
-    signature = crypto.sign(issuer, crypto.TAG_PLAIN, canonical_serialize(body))
-    return PlainAttestation(
+    message = canonical_serialize(body)
+    signature = crypto.sign(issuer, crypto.TAG_PLAIN, message)
+    return _signed_over(message, PlainAttestation(
         attestation_id=_seal_id(body, signature),
         subject=subject,
         attributes=attributes,
@@ -377,7 +446,7 @@ def build_plain(
         nonce=nonce,
         hash_alg=crypto.HASH_ALG,
         issuer_signature=signature,
-    )
+    ))
 
 
 def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> BlindedAttestation:
@@ -391,8 +460,9 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
         substitute, plain.attributes, plain_digest, plain.issuer_key_id,
         plain.legal_rep_id, plain.issued_at, plain.expires_at, plain.hash_alg,
     )
-    signature = crypto.sign(issuer, crypto.TAG_BLINDED, canonical_serialize(body))
-    return BlindedAttestation(
+    message = canonical_serialize(body)
+    signature = crypto.sign(issuer, crypto.TAG_BLINDED, message)
+    return _signed_over(message, BlindedAttestation(
         attestation_id=_seal_id(body, signature),
         subject=substitute,
         attributes=plain.attributes,
@@ -403,7 +473,14 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
         expires_at=plain.expires_at,
         hash_alg=plain.hash_alg,
         issuer_signature=signature,
-    )
+    ))
+
+
+def _signed_over(message: bytes, att):
+    """*att*, holding the bytes its signature was just made over, so that
+    its first check does not serialize them again."""
+    att.__dict__["_signed_bytes"] = message
+    return att
 
 
 class _Checks:
@@ -436,10 +513,6 @@ class MatchReport(_Checks):
     legal_rep_match: bool
 
 
-def _id_consistent(att: PlainAttestation | BlindedAttestation) -> bool:
-    return att.attestation_id == _seal_id(_body_map(att), att.issuer_signature)
-
-
 def verify_pair(plain: PlainAttestation, blinded: BlindedAttestation,
                 issuer_public_key: bytes) -> MatchReport:
     """Check that *blinded* is the faithful blinding of *plain*.
@@ -448,14 +521,10 @@ def verify_pair(plain: PlainAttestation, blinded: BlindedAttestation,
     match means.
     """
     return MatchReport(
-        plain_signature=crypto.verify(
-            issuer_public_key, crypto.TAG_PLAIN, signing_bytes(plain), plain.issuer_signature
-        ),
-        blinded_signature=crypto.verify(
-            issuer_public_key, crypto.TAG_BLINDED, signing_bytes(blinded), blinded.issuer_signature
-        ),
-        plain_id=_id_consistent(plain),
-        blinded_id=_id_consistent(blinded),
+        plain_signature=plain._signature_verifies(issuer_public_key),
+        blinded_signature=blinded._signature_verifies(issuer_public_key),
+        plain_id=plain._id_consistent,
+        blinded_id=blinded._id_consistent,
         attributes_match=plain.attributes == blinded.attributes,
         digest_match=blinded.plain_digest == crypto.digest(canonical_bytes(plain)),
         window_match=(plain.issued_at == blinded.issued_at
@@ -479,20 +548,17 @@ def countersign(
     if not notary_id:
         raise EmptyNotaryId("countersignature must name its legal point of contact")
     if issuer_public_key is not None:
-        ok = crypto.verify(
-            issuer_public_key, crypto.TAG_BLINDED, signing_bytes(blinded), blinded.issuer_signature
-        )
-        if not ok or not _id_consistent(blinded):
+        if not blinded._signature_verifies(issuer_public_key) or not blinded._id_consistent:
             raise InvalidBlinded("blinded attestation does not verify under its issuer key")
     message = countersign_bytes(blinded, notary_id, notary.key_id, at)
     signature = crypto.sign(notary, crypto.TAG_COUNTER, message)
-    return CounterSignedAttestation(
+    return _signed_over(message, CounterSignedAttestation(
         blinded=blinded,
         notary_id=notary_id,
         notary_key_id=notary.key_id,
         countersigned_at=at,
         notary_signature=signature,
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -517,15 +583,10 @@ def verify_countersigned(
     now: int,
 ) -> VerificationReport:
     blinded = csa.blinded
-    message = countersign_bytes(blinded, csa.notary_id, csa.notary_key_id, csa.countersigned_at)
     return VerificationReport(
-        issuer_signature=crypto.verify(
-            issuer_public_key, crypto.TAG_BLINDED, signing_bytes(blinded), blinded.issuer_signature
-        ),
-        notary_signature=crypto.verify(
-            notary_public_key, crypto.TAG_COUNTER, message, csa.notary_signature
-        ),
-        blinded_id=_id_consistent(blinded),
+        issuer_signature=blinded._signature_verifies(issuer_public_key),
+        notary_signature=csa._signature_verifies(notary_public_key),
+        blinded_id=blinded._id_consistent,
         not_expired=now < blinded.expires_at,
         subject_blinded=blinded.subject.mode != MODE_LEGAL_IDENTITY,
     )

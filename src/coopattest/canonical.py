@@ -25,6 +25,7 @@ whitespace between tokens, which lets config files be hand-formatted.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from .errors import DecodeError, UnsupportedValue
@@ -36,65 +37,102 @@ _DIGITS = frozenset(b"0123456789")
 
 # --- encoding ---------------------------------------------------------------
 
+# Characters that text must escape: the quote, the backslash, and C0 controls.
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPES = {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def canonical_serialize(value: Any) -> bytes:
     """Serialize *value* to canonical bytes.
 
     Raises UnsupportedValue for anything outside the canonical domain
-    (floats, None, non-string map keys, arbitrary objects).
+    (floats, None, non-string map keys, text with lone surrogates,
+    arbitrary objects).
     """
-    parts: list[str] = []
-    _emit(value, parts)
-    return "".join(parts).encode("utf-8")
+    try:
+        return _encode(value).encode("utf-8")
+    except UnicodeEncodeError:
+        raise UnsupportedValue("text must not contain lone surrogates") from None
 
 
-def _emit(value: Any, out: list[str]) -> None:
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        _emit_text(value, out)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append("0x")
-        out.append(bytes(value).hex())
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise UnsupportedValue(f"map keys must be text, got {type(key).__name__}")
-        out.append("{")
-        for i, key in enumerate(sorted(value, key=lambda k: k.encode("utf-8"))):
-            if i:
-                out.append(",")
-            _emit_text(key, out)
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
-    else:
-        raise UnsupportedValue(f"cannot canonically serialize {type(value).__name__}")
+def _encode(value: Any) -> str:
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        return _encode_subclass(value)
+    return encoder(value)
 
 
-def _emit_text(text: str, out: list[str]) -> None:
-    out.append('"')
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
+def _encode_text(text: str) -> str:
+    if _NEEDS_ESCAPE.search(text) is None:
+        return '"' + text + '"'
+    return '"' + _NEEDS_ESCAPE.sub(_escape, text) + '"'
+
+
+def _escape(match: re.Match) -> str:
+    return _ESCAPES[match.group()]
+
+
+def _encode_list(value: list | tuple) -> str:
+    return "[" + ",".join([_encode(item) for item in value]) + "]"
+
+
+def _encode_map(value: dict) -> str:
+    for key in value:
+        if not isinstance(key, str):
+            raise UnsupportedValue(f"map keys must be text, got {type(key).__name__}")
+    # Code-point order is UTF-8 byte order for every encodable string; keys
+    # with lone surrogates sort somewhere and are rejected at encode time.
+    return "{" + ",".join([_encode_text(key) + ":" + _encode(value[key])
+                           for key in sorted(value)]) + "}"
+
+
+def _encode_bytes(value: bytes | bytearray) -> str:
+    return "0x" + value.hex()
+
+
+_ENCODERS = {
+    str: _encode_text,
+    dict: _encode_map,
+    int: int.__repr__,
+    list: _encode_list,
+    tuple: _encode_list,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    bool: lambda value: "true" if value else "false",
+}
+
+
+def _encode_subclass(value: Any) -> str:
+    """Subclasses of the domain's types encode as their base value."""
+    if isinstance(value, str):
+        return _encode_text(str.__str__(value))
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (bytes, bytearray)):
+        return _encode_bytes(value)
+    if isinstance(value, (list, tuple)):
+        return _encode_list(value)
+    if isinstance(value, dict):
+        return _encode_map(value)
+    raise UnsupportedValue(f"cannot canonically serialize {type(value).__name__}")
 
 
 # --- decoding ---------------------------------------------------------------
+
+def require(raw: Any, field: str, types, record: str) -> Any:
+    """``raw[field]`` of a decoded *record* map, checked to be of *types*.
+
+    ``true`` and ``false`` are not integers here, although Python's bool
+    subclasses int.  Raises DecodeError naming the record and field.
+    """
+    try:
+        value = raw[field]
+    except (KeyError, TypeError):
+        raise DecodeError(f"{record} missing field {field!r}") from None
+    if not isinstance(value, types) or (type(value) is bool and types is int):
+        raise DecodeError(f"{record} field {field!r} has wrong type")
+    return value
+
 
 def canonical_parse(data: bytes) -> Any:
     """Parse canonical bytes back into a value.

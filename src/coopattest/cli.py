@@ -80,6 +80,8 @@ def cmd_issue(args) -> int:
     queries = [q.strip() for q in args.attrs.split(",") if q.strip()]
     if not queries:
         raise UsageError("--attrs must name at least one derivation rule")
+    if args.ttl <= 0:
+        raise UsageError("--ttl must be positive")
     plain, blinded = coop.issue_blinded(args.member, queries, args.mode, args.now, args.ttl)
     key_seed = canonical_parse(Path(args.coop).read_bytes())["key_seed"]
     coop.save_state(args.coop, key_seed)

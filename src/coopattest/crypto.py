@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -22,6 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .canonical import require
 from .errors import EmptySeed, UnknownDomainTag
 
 HASH_ALG = "sha-256"
@@ -82,9 +84,9 @@ class Signature:
     @classmethod
     def from_map(cls, raw: dict) -> "Signature":
         return cls(
-            data=raw["bytes"],
-            signer_key_id=Digest(raw["signer_key_id"]),
-            domain_tag=raw["domain_tag"],
+            data=require(raw, "bytes", bytes, "signature"),
+            signer_key_id=Digest(require(raw, "signer_key_id", bytes, "signature")),
+            domain_tag=require(raw, "domain_tag", str, "signature"),
         )
 
 
@@ -105,6 +107,22 @@ def _check_tag(domain_tag: str) -> None:
 
 # --- signature schemes --------------------------------------------------------
 
+# Key objects are built once per key's bytes: loading a private key costs
+# more than the signature it makes.  A key object is a pure function of
+# its bytes, so reusing one cannot change a signature or a verdict.
+_KEY_OBJECTS = 4096
+
+
+@lru_cache(maxsize=_KEY_OBJECTS)
+def _private_key(secret_key: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(secret_key)
+
+
+@lru_cache(maxsize=_KEY_OBJECTS)
+def _public_key(public_key: bytes) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(public_key)
+
+
 class Ed25519Scheme:
     """Production scheme: deterministic Ed25519 over the framed message."""
 
@@ -114,16 +132,15 @@ class Ed25519Scheme:
         if not seed:
             raise EmptySeed("keygen seed must be non-empty")
         secret = hashlib.sha256(_KEYGEN_CONTEXT + seed).digest()
-        private = Ed25519PrivateKey.from_private_bytes(secret)
-        public = private.public_key().public_bytes_raw()
+        public = _private_key(secret).public_key().public_bytes_raw()
         return KeyPair(public_key=public, secret_key=secret, key_id=digest(public))
 
     def raw_sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+        return _private_key(secret_key).sign(message)
 
     def raw_verify(self, public_key: bytes, message: bytes, sig: bytes) -> bool:
         try:
-            Ed25519PublicKey.from_public_bytes(public_key).verify(sig, message)
+            _public_key(public_key).verify(sig, message)
             return True
         except (InvalidSignature, ValueError):
             return False

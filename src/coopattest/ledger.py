@@ -15,6 +15,7 @@ pointer to the attestation record vouching for the author.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
@@ -110,6 +111,12 @@ class LedgerRecord:
             "writer_signature": self.writer_signature.to_map(),
         }
 
+    # Frozen, so the digest its successor chains to is computed once and
+    # kept in the instance dict, which eq, hash and repr never read.
+    @cached_property
+    def _digest(self) -> Digest:
+        return crypto.digest(record_bytes(self))
+
     @classmethod
     def from_map(cls, raw: dict) -> "LedgerRecord":
         try:
@@ -186,7 +193,7 @@ class Ledger:
                     f"{payload.attestation_ptr} is not an attestation record"
                 )
         index = len(self._records)
-        prev = ZERO_DIGEST if index == 0 else crypto.digest(record_bytes(self._records[-1]))
+        prev = ZERO_DIGEST if index == 0 else self._records[-1]._digest
         signature = crypto.sign(writer, crypto.TAG_LEDGER, record_signing_bytes(index, prev, payload))
         record = LedgerRecord(
             index=index,
@@ -228,7 +235,7 @@ class Ledger:
             if not crypto.verify(self.writer_public_key, crypto.TAG_LEDGER, message,
                                  record.writer_signature):
                 return False
-            prev = crypto.digest(record_bytes(record))
+            prev = record._digest
         return True
 
     # --- persistence ---------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopattest import crypto
+from coopattest.canonical import canonical_parse, canonical_serialize
 from coopattest.attestation import (
     AttributeClaim,
     CounterSignedAttestation,
@@ -243,6 +244,31 @@ class TestSerialization:
         data = canonical_bytes(plain).replace(b'"issued_at":10', b'"issued_at":"10"')
         with pytest.raises(DecodeError):
             attestation_from_bytes(data)
+
+    @pytest.mark.parametrize("path, value", [
+        (("notary_signature", "bytes"), 7),
+        (("notary_signature", "domain_tag"), b"coop-attest/counter/v1"),
+        (("notary_signature", "signer_key_id"), "00" * 32),
+        (("blinded", "issuer_signature", "bytes"), "sig"),
+        (("blinded", "issuer_signature", "domain_tag"), ["coop-attest/blinded/v1"]),
+        (("blinded", "subject", "mode"), 1),
+        (("blinded", "subject", "value"), b"@sender"),
+        (("blinded", "attributes", 0, "name"), 18),
+        (("blinded", "attributes", 0, "value"), True),
+        (("blinded", "attributes", 0, "method"), b"pds-rule"),
+        (("blinded", "issued_at"), True),
+        (("blinded", "expires_at"), True),
+        (("countersigned_at",), False),
+    ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else None)
+    def test_parse_rejects_wrongly_typed_fields(self, issuer, notary_key, path, value):
+        blinded = blind(make_plain(issuer), SubjectRef.handle("@sender"), issuer)
+        raw = canonical_parse(canonical_bytes(countersign(blinded, notary_key, "notary-1", 0)))
+        target = raw
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(DecodeError):
+            attestation_from_bytes(canonical_serialize(raw))
 
     def test_mutation_suite(self, issuer, notary_key):
         """Single-byte mutations never yield a verifying countersigned artifact."""

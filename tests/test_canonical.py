@@ -123,3 +123,116 @@ def test_parser_tolerates_whitespace_between_tokens():
 
 def test_whitespace_inside_text_is_significant():
     assert canonical_parse(b'" a "') == " a "
+
+
+# --- the encoder against the per-character reference ---------------------------
+
+def reference_serialize(value) -> bytes:
+    """The encoder as first written: one Python step per character, keys
+    sorted by their UTF-8 bytes.  Kept here only, as the oracle for the
+    encoder in ``canonical``."""
+    parts: list[str] = []
+    _reference_emit(value, parts)
+    return "".join(parts).encode("utf-8")
+
+
+def _reference_emit(value, out):
+    if isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, str):
+        _reference_text(value, out)
+    elif isinstance(value, (bytes, bytearray)):
+        out.append("0x")
+        out.append(bytes(value).hex())
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _reference_emit(item, out)
+        out.append("]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value, key=lambda k: k.encode("utf-8"))):
+            if i:
+                out.append(",")
+            _reference_text(key, out)
+            out.append(":")
+            _reference_emit(value[key], out)
+        out.append("}")
+    else:
+        raise TypeError(type(value).__name__)
+
+
+def _reference_text(text, out):
+    out.append('"')
+    for ch in text:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+
+
+# Characters where escaping or ordering could go wrong: the escaped set, its
+# neighbours, and code points whose UTF-16 order differs from their UTF-8
+# (= code-point) order: U+E000..U+FFFF sort above surrogate pairs in UTF-16.
+_EDGE_CHARS = ('"\\\x00\x01\x1f\x20\x7f\x80\xe9\u07ff\u0800\ud7ff\ue000\uffff'
+               '\U00010000\U0001f600\U0010ffff')
+text_values = st.one_of(st.text(max_size=12), st.text(alphabet=_EDGE_CHARS, max_size=12))
+domain_values = st.recursive(
+    st.one_of(st.booleans(), st.integers(), text_values, st.binary(max_size=12),
+              st.binary(max_size=12).map(bytearray)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(text_values, children, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+@given(domain_values)
+@settings(max_examples=200)
+def test_encoder_matches_reference(value):
+    assert canonical_serialize(value) == reference_serialize(value)
+
+
+def test_key_order_is_utf8_not_utf16():
+    keys = ["\uffff", "\U00010000", "", "a", '"', "\\", "\x00"]
+    value = dict.fromkeys(keys, 0)
+    data = canonical_serialize(value)
+    assert data == reference_serialize(value)
+    assert data.index("\uffff".encode()) < data.index("\U00010000".encode())
+
+
+@pytest.mark.parametrize("bad", [
+    "\ud800",
+    "ok\udfffok",
+    ["x", "\udc00"],
+    {"\ud800": 1},
+    {"a": {"b\udbff": True}},
+    {"\ud800": 1, "\U00010000": 2},
+])
+def test_lone_surrogates_are_unsupported(bad):
+    with pytest.raises(UnsupportedValue):
+        canonical_serialize(bad)
+
+
+def test_subclasses_encode_as_their_base_value():
+    import enum
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    value = {Name("k"): [Level.HIGH, Name('a"b')]}
+    assert canonical_serialize(value) == b'{"k":[3,"a\\"b"]}'

@@ -113,6 +113,34 @@ class TestIssueCountersignVerify:
         assert code == 1
         assert "fail" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, value", [
+        ("bytes", 7),
+        ("signer_key_id", "not-bytes"),
+        ("domain_tag", b"coop-attest/counter/v1"),
+    ])
+    def test_verify_wrongly_typed_signature_exit_2(self, workdir, capsys, field, value):
+        issue_and_countersign(workdir)
+        write_keys(workdir)
+        raw = canonical_parse((workdir / "a.csa.att").read_bytes())
+        raw["notary_signature"][field] = value
+        (workdir / "a.csa.att").write_bytes(canonical_serialize(raw))
+        code = run(["verify", "--csa", workdir / "a.csa.att",
+                    "--issuer-key", workdir / "coop.key",
+                    "--notary-key", workdir / "notary.key", "--now", 50])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("ttl", [0, -5])
+    def test_issue_non_positive_ttl_exit_2(self, workdir, capsys, ttl):
+        code = run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18", "--mode", "absent",
+                    "--now", 10, "--ttl", ttl,
+                    "--out-plain", workdir / "x.plain.att",
+                    "--out-blinded", workdir / "x.blinded.att"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --ttl must be positive\n"
+        assert not (workdir / "x.plain.att").exists()
+
     def test_countersign_rejects_mismatched_pair(self, workdir, capsys):
         issue_and_countersign(workdir)
         # Issue a second pair and cross the files.

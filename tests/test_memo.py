@@ -1,0 +1,156 @@
+"""Per-artifact memos: bytes and successful signature checks are worked out
+once per frozen object, and no memo can change a verdict."""
+
+import dataclasses
+
+import pytest
+
+from coopattest import crypto
+from coopattest.attestation import (
+    SubjectRef,
+    blind,
+    canonical_bytes,
+    countersign,
+    signing_bytes,
+    verify_countersigned,
+    verify_pair,
+)
+from coopattest.harness import ScenarioConfig, bundled_scenario_path, run_scenario
+from coopattest.ledger import AttestationRecord, Ledger, PostRecord, record_bytes
+
+from conftest import make_plain
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Every crypto.verify call's inputs, in order."""
+    calls = []
+    real = crypto.verify
+
+    def counting(public_key, domain_tag, message, sig, scheme=crypto.ED25519):
+        calls.append((public_key, domain_tag, message, sig))
+        return real(public_key, domain_tag, message, sig, scheme)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return calls
+
+
+@pytest.fixture
+def csa(issuer, notary_key):
+    blinded = blind(make_plain(issuer), SubjectRef.handle("@sender"), issuer)
+    return countersign(blinded, notary_key, "notary-1", 11)
+
+
+class TestBytes:
+    def test_memoised_bytes_equal_a_fresh_serialization(self, issuer, csa):
+        plain = make_plain(issuer)
+        for artifact in (plain, csa.blinded, csa):
+            # Read twice: the second read is the memo.
+            assert canonical_bytes(artifact) is canonical_bytes(artifact)
+            assert canonical_bytes(dataclasses.replace(artifact)) == canonical_bytes(artifact)
+        assert signing_bytes(plain) == signing_bytes(dataclasses.replace(plain))
+
+    def test_memos_are_not_fields(self, csa):
+        canonical_bytes(csa)
+        copy = dataclasses.replace(csa)
+        assert copy == csa and hash(copy) == hash(csa) and repr(copy) == repr(csa)
+        assert "_canonical_bytes" not in vars(copy)
+
+    def test_record_digest_memo(self, csa):
+        writer = crypto.keygen(b"provider")
+        ledger = Ledger("l1", writer.public_key)
+        ptr = ledger.append(writer, AttestationRecord(csa))
+        ledger.append(writer, PostRecord(crypto.digest(b"post"), ptr, 3))
+        first, second = ledger.records
+        assert second.prev_digest is first._digest
+        assert first._digest == crypto.digest(record_bytes(first))
+        assert ledger.verify_chain()
+        # A changed record is a new object: its digest is worked out afresh
+        # and the chain no longer reaches it.
+        forged = dataclasses.replace(first, payload=PostRecord(crypto.digest(b"x"), ptr, 1))
+        assert forged._digest != first._digest
+        tampered = Ledger.from_records("l1", writer.public_key, [forged, second])
+        assert not tampered.verify_chain()
+
+
+class TestSignatureMemo:
+    def test_repeat_check_reuses_success(self, issuer, notary_key, csa, verify_calls):
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        assert len(verify_calls) == 2
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        assert len(verify_calls) == 2
+
+    def test_witnessing_fills_the_blinded_memo(self, issuer, notary_key, verify_calls):
+        plain = make_plain(issuer)
+        blinded = blind(plain, SubjectRef.absent(), issuer)
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        # The pair check verified each issuer signature; only the notary's is new.
+        assert [c[1] for c in verify_calls] == [
+            crypto.TAG_PLAIN, crypto.TAG_BLINDED, crypto.TAG_COUNTER]
+
+    @pytest.mark.parametrize("tamper", [
+        lambda c: dataclasses.replace(c, countersigned_at=c.countersigned_at + 1),
+        lambda c: dataclasses.replace(c, notary_id="notary-2"),
+        lambda c: dataclasses.replace(
+            c, blinded=dataclasses.replace(c.blinded, legal_rep_id="evil")),
+        lambda c: dataclasses.replace(
+            c, blinded=dataclasses.replace(c.blinded, expires_at=5000)),
+    ])
+    def test_tampered_copy_fails_after_success(self, issuer, notary_key, csa, tamper):
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        forged = tamper(csa)
+        report = verify_countersigned(forged, issuer.public_key, notary_key.public_key, 20)
+        assert not report.passed
+        assert not report.notary_signature
+        # The untouched original still verifies.
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+
+    def test_tampered_plain_fails_pair_after_success(self, issuer):
+        plain = make_plain(issuer)
+        blinded = blind(plain, SubjectRef.absent(), issuer)
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        forged = dataclasses.replace(plain, legal_rep_id="notary-2")
+        report = verify_pair(forged, blinded, issuer.public_key)
+        assert not report.plain_signature and not report.plain_id
+
+    def test_failure_is_not_memoised(self, issuer, notary_key, csa, verify_calls):
+        stranger = crypto.keygen(b"stranger")
+        for _ in range(2):
+            report = verify_countersigned(csa, stranger.public_key, notary_key.public_key, 20)
+            assert not report.issuer_signature and report.notary_signature
+        # The failing issuer check ran both times; the notary check once.
+        assert [c[0] for c in verify_calls] == [
+            stranger.public_key, notary_key.public_key, stranger.public_key]
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+
+    def test_success_under_one_key_is_not_success_under_another(self, issuer, notary_key, csa):
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        report = verify_countersigned(csa, notary_key.public_key, issuer.public_key, 20)
+        assert not report.issuer_signature and not report.notary_signature
+
+    def test_key_of_another_type_is_not_memoised(self, issuer, notary_key, csa, verify_calls):
+        class KeyBytes(bytes):
+            pass
+
+        key = KeyBytes(issuer.public_key)
+        for _ in range(2):
+            assert verify_countersigned(csa, key, notary_key.public_key, 20).issuer_signature
+        assert [type(c[0]) for c in verify_calls].count(KeyBytes) == 2
+
+
+class TestRunLevel:
+    def test_runs_in_one_process_repeat_their_own_checks(self, verify_calls):
+        config = ScenarioConfig.load(bundled_scenario_path("dsn_bot_flood"))
+        run_scenario(config)
+        first = len(verify_calls)
+        verify_calls.clear()
+        run_scenario(config)
+        assert first > 0 and len(verify_calls) == first
+
+    @pytest.mark.parametrize("name", ["dsn_bot_flood", "dsn_recovery", "dsn_port"])
+    def test_each_distinct_input_is_verified_once(self, verify_calls, name):
+        run_scenario(ScenarioConfig.load(bundled_scenario_path(name)))
+        assert verify_calls
+        assert len(verify_calls) == len(set(verify_calls))
