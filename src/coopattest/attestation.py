@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Union
 
 from . import crypto
-from .canonical import canonical_parse, canonical_serialize, require
+from .canonical import canonical_parse, canonical_serialize, record_from_map, record_map
 from .crypto import Digest, KeyPair, Signature
 from .errors import (
-    DecodeError,
     EmptyAttributes,
     EmptyNotaryId,
     InvalidBlinded,
@@ -58,13 +58,18 @@ class _Artifact:
     Results live in the instance dict, which the dataclass's eq, hash and
     repr never read and ``dataclasses.replace`` never copies: a changed
     artifact is a new object and starts with no memos.  Each subclass
-    names its signature's domain tag (``_TAG``), the signature itself
-    (``_signature``) and the bytes it covers (``_signed_bytes``).
+    names its signature's domain tag (``_TAG``), the wire keys the
+    signature does not cover (``_UNSIGNED``) and the signature itself
+    (``_signature``).
     """
 
     @cached_property
     def _canonical_bytes(self) -> bytes:
         return canonical_serialize(attestation_to_map(self))
+
+    @cached_property
+    def _signed_bytes(self) -> bytes:
+        return canonical_serialize(record_map(type(self), vars(self), self._UNSIGNED))
 
     def _signature_verifies(self, public_key: bytes) -> bool:
         """True iff the artifact's own signature verifies under *public_key*.
@@ -86,22 +91,27 @@ class _Artifact:
 
 
 class _IssuerSigned(_Artifact):
-    """The memos of a plain or blinded attestation."""
+    """A plain or blinded attestation: the issuer signs every key but the id
+    and the signature, and the id is the digest of every key but itself."""
+
+    _UNSIGNED = ("attestation_id", "issuer_signature")
 
     @property
     def _signature(self) -> Signature:
         return self.issuer_signature
 
     @cached_property
-    def _signed_bytes(self) -> bytes:
-        return canonical_serialize(_body_map(self))
-
-    @cached_property
     def _id_consistent(self) -> bool:
-        return self.attestation_id == _seal_id(_body_map(self), self.issuer_signature)
+        return self.attestation_id == _seal_id(type(self), vars(self))
+
+
+def _seal_id(cls: type, values: dict) -> Digest:
+    return crypto.digest(canonical_serialize(record_map(cls, values, ("attestation_id",))))
 
 
 # --- domain types -------------------------------------------------------------
+# Each record's fields, in order, are its canonical layout (see
+# ``canonical.record_map``); ``_KIND`` is the text written under "kind".
 
 @dataclass(frozen=True)
 class AttributeClaim:
@@ -114,17 +124,6 @@ class AttributeClaim:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("attribute name must be non-empty")
-
-    def to_map(self) -> dict:
-        return {"name": self.name, "value": self.value, "method": self.method}
-
-    @classmethod
-    def from_map(cls, raw: dict) -> "AttributeClaim":
-        return cls(
-            name=require(raw, "name", str, "attribute claim"),
-            value=require(raw, "value", str, "attribute claim"),
-            method=require(raw, "method", str, "attribute claim"),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,17 +153,10 @@ class SubjectRef:
     def handle(cls, handle: str) -> "SubjectRef":
         return cls(MODE_HANDLE, handle)
 
-    def to_map(self) -> dict:
-        return {"mode": self.mode, "value": self.value}
-
-    @classmethod
-    def from_map(cls, raw: dict) -> "SubjectRef":
-        return cls(mode=require(raw, "mode", str, "subject"),
-                   value=require(raw, "value", str, "subject"))
-
 
 @dataclass(frozen=True)
 class PlainAttestation(_IssuerSigned):
+    _KIND = KIND_PLAIN
     _TAG = crypto.TAG_PLAIN
 
     attestation_id: Digest
@@ -189,6 +181,7 @@ class PlainAttestation(_IssuerSigned):
 
 @dataclass(frozen=True)
 class BlindedAttestation(_IssuerSigned):
+    _KIND = KIND_BLINDED
     _TAG = crypto.TAG_BLINDED
 
     attestation_id: Digest
@@ -211,7 +204,12 @@ class BlindedAttestation(_IssuerSigned):
 
 @dataclass(frozen=True)
 class CounterSignedAttestation(_Artifact):
+    """The notary signs the embedded blinded attestation, unmodified, and
+    the envelope fields; not the kind, nor its own signature."""
+
+    _KIND = KIND_COUNTERSIGNED
     _TAG = crypto.TAG_COUNTER
+    _UNSIGNED = ("kind", "notary_signature")
 
     blinded: BlindedAttestation
     notary_id: str
@@ -227,111 +225,33 @@ class CounterSignedAttestation(_Artifact):
     def _signature(self) -> Signature:
         return self.notary_signature
 
-    @cached_property
-    def _signed_bytes(self) -> bytes:
-        return countersign_bytes(self.blinded, self.notary_id, self.notary_key_id,
-                                 self.countersigned_at)
+
+Attestation = Union[PlainAttestation, BlindedAttestation, CounterSignedAttestation]
 
 
 # --- canonical maps -------------------------------------------------------------
-
-def _plain_body_map(
-    subject: SubjectRef,
-    attributes: tuple[AttributeClaim, ...],
-    issuer_key_id: Digest,
-    legal_rep_id: str,
-    issued_at: int,
-    expires_at: int,
-    nonce: bytes,
-    hash_alg: str,
-) -> dict:
-    return {
-        "kind": KIND_PLAIN,
-        "subject": subject.to_map(),
-        "attributes": [a.to_map() for a in attributes],
-        "issuer_key_id": issuer_key_id.value,
-        "legal_rep_id": legal_rep_id,
-        "issued_at": issued_at,
-        "expires_at": expires_at,
-        "nonce": nonce,
-        "hash_alg": hash_alg,
-    }
-
-
-def _blinded_body_map(
-    subject: SubjectRef,
-    attributes: tuple[AttributeClaim, ...],
-    plain_digest: Digest,
-    issuer_key_id: Digest,
-    legal_rep_id: str,
-    issued_at: int,
-    expires_at: int,
-    hash_alg: str,
-) -> dict:
-    return {
-        "kind": KIND_BLINDED,
-        "subject": subject.to_map(),
-        "attributes": [a.to_map() for a in attributes],
-        "plain_digest": plain_digest.value,
-        "issuer_key_id": issuer_key_id.value,
-        "legal_rep_id": legal_rep_id,
-        "issued_at": issued_at,
-        "expires_at": expires_at,
-        "hash_alg": hash_alg,
-    }
-
-
-def _body_map(att: PlainAttestation | BlindedAttestation) -> dict:
-    if isinstance(att, PlainAttestation):
-        return _plain_body_map(
-            att.subject, att.attributes, att.issuer_key_id, att.legal_rep_id,
-            att.issued_at, att.expires_at, att.nonce, att.hash_alg,
-        )
-    return _blinded_body_map(
-        att.subject, att.attributes, att.plain_digest, att.issuer_key_id,
-        att.legal_rep_id, att.issued_at, att.expires_at, att.hash_alg,
-    )
-
 
 def signing_bytes(att: PlainAttestation | BlindedAttestation) -> bytes:
     """The bytes the issuer signature covers: everything but id and signature."""
     return att._signed_bytes
 
 
-def _seal_id(body: dict, signature: Signature) -> Digest:
-    sealed = dict(body)
-    sealed["issuer_signature"] = signature.to_map()
-    return crypto.digest(canonical_serialize(sealed))
-
-
 def countersign_bytes(blinded: BlindedAttestation, notary_id: str,
                       notary_key_id: Digest, countersigned_at: int) -> bytes:
     """The bytes the notary signature covers: the unmodified embedded blinded
     attestation plus the envelope metadata."""
-    return canonical_serialize({
-        "blinded": attestation_to_map(blinded),
-        "notary_id": notary_id,
-        "notary_key_id": notary_key_id.value,
-        "countersigned_at": countersigned_at,
-    })
+    return canonical_serialize(record_map(
+        CounterSignedAttestation,
+        dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary_key_id,
+             countersigned_at=countersigned_at),
+        CounterSignedAttestation._UNSIGNED,
+    ))
 
 
 def attestation_to_map(att) -> dict:
-    if isinstance(att, (PlainAttestation, BlindedAttestation)):
-        full = _body_map(att)
-        full["issuer_signature"] = att.issuer_signature.to_map()
-        full["attestation_id"] = att.attestation_id.value
-        return full
-    if isinstance(att, CounterSignedAttestation):
-        return {
-            "kind": KIND_COUNTERSIGNED,
-            "blinded": attestation_to_map(att.blinded),
-            "notary_id": att.notary_id,
-            "notary_key_id": att.notary_key_id.value,
-            "countersigned_at": att.countersigned_at,
-            "notary_signature": att.notary_signature.to_map(),
-        }
-    raise TypeError(f"not an attestation: {type(att).__name__}")
+    if not isinstance(att, _Artifact):
+        raise TypeError(f"not an attestation: {type(att).__name__}")
+    return record_map(type(att), vars(att))
 
 
 def canonical_bytes(att) -> bytes:
@@ -341,61 +261,11 @@ def canonical_bytes(att) -> bytes:
     return att._canonical_bytes
 
 
-def _require(raw: dict, field: str, types) -> object:
-    return require(raw, field, types, "attestation")
-
-
 def attestation_from_map(raw: dict):
-    """Rebuild an attestation from its canonical map; structural checks only
-    (signatures and digests are the verify operations' business)."""
-    if not isinstance(raw, dict):
-        raise DecodeError("attestation must be a map")
-    kind = _require(raw, "kind", str)
-    try:
-        if kind == KIND_PLAIN:
-            return PlainAttestation(
-                attestation_id=Digest(_require(raw, "attestation_id", bytes)),
-                subject=SubjectRef.from_map(_require(raw, "subject", dict)),
-                attributes=tuple(AttributeClaim.from_map(a) for a in _require(raw, "attributes", list)),
-                issuer_key_id=Digest(_require(raw, "issuer_key_id", bytes)),
-                legal_rep_id=_require(raw, "legal_rep_id", str),
-                issued_at=_require(raw, "issued_at", int),
-                expires_at=_require(raw, "expires_at", int),
-                nonce=_require(raw, "nonce", bytes),
-                hash_alg=_require(raw, "hash_alg", str),
-                issuer_signature=Signature.from_map(_require(raw, "issuer_signature", dict)),
-            )
-        if kind == KIND_BLINDED:
-            return BlindedAttestation(
-                attestation_id=Digest(_require(raw, "attestation_id", bytes)),
-                subject=SubjectRef.from_map(_require(raw, "subject", dict)),
-                attributes=tuple(AttributeClaim.from_map(a) for a in _require(raw, "attributes", list)),
-                plain_digest=Digest(_require(raw, "plain_digest", bytes)),
-                issuer_key_id=Digest(_require(raw, "issuer_key_id", bytes)),
-                legal_rep_id=_require(raw, "legal_rep_id", str),
-                issued_at=_require(raw, "issued_at", int),
-                expires_at=_require(raw, "expires_at", int),
-                hash_alg=_require(raw, "hash_alg", str),
-                issuer_signature=Signature.from_map(_require(raw, "issuer_signature", dict)),
-            )
-        if kind == KIND_COUNTERSIGNED:
-            blinded = attestation_from_map(_require(raw, "blinded", dict))
-            if not isinstance(blinded, BlindedAttestation):
-                raise DecodeError("countersigned envelope must embed a blinded attestation")
-            return CounterSignedAttestation(
-                blinded=blinded,
-                notary_id=_require(raw, "notary_id", str),
-                notary_key_id=Digest(_require(raw, "notary_key_id", bytes)),
-                countersigned_at=_require(raw, "countersigned_at", int),
-                notary_signature=Signature.from_map(_require(raw, "notary_signature", dict)),
-            )
-    except DecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"malformed {kind} attestation: {exc}") from exc
-    except (SubjectModeMismatch, InvalidValidityWindow, EmptyNotaryId) as exc:
-        raise DecodeError(f"invalid {kind} attestation: {exc}") from exc
-    raise DecodeError(f"unknown attestation kind {kind!r}")
+    """Rebuild an attestation, of the class its "kind" names, from its
+    canonical map; structural checks only (signatures and digests are the
+    verify operations' business)."""
+    return record_from_map(Attestation, raw)
 
 
 def attestation_from_bytes(data: bytes):
@@ -429,14 +299,7 @@ def build_plain(
     attributes = tuple(attributes)
     if not attributes:
         raise EmptyAttributes("at least one attribute claim is required")
-    body = _plain_body_map(
-        subject, attributes, issuer.key_id, legal_rep_id,
-        issued_at, expires_at, nonce, crypto.HASH_ALG,
-    )
-    message = canonical_serialize(body)
-    signature = crypto.sign(issuer, crypto.TAG_PLAIN, message)
-    return _signed_over(message, PlainAttestation(
-        attestation_id=_seal_id(body, signature),
+    return _issue(PlainAttestation, issuer, dict(
         subject=subject,
         attributes=attributes,
         issuer_key_id=issuer.key_id,
@@ -445,7 +308,6 @@ def build_plain(
         expires_at=expires_at,
         nonce=nonce,
         hash_alg=crypto.HASH_ALG,
-        issuer_signature=signature,
     ))
 
 
@@ -455,25 +317,25 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
         raise IssuerKeyMismatch("blinding key does not match the plain attestation's issuer")
     if substitute.mode == MODE_LEGAL_IDENTITY:
         raise SubjectModeMismatch("substitute subject must not be a legal identity")
-    plain_digest = crypto.digest(canonical_bytes(plain))
-    body = _blinded_body_map(
-        substitute, plain.attributes, plain_digest, plain.issuer_key_id,
-        plain.legal_rep_id, plain.issued_at, plain.expires_at, plain.hash_alg,
-    )
-    message = canonical_serialize(body)
-    signature = crypto.sign(issuer, crypto.TAG_BLINDED, message)
-    return _signed_over(message, BlindedAttestation(
-        attestation_id=_seal_id(body, signature),
+    return _issue(BlindedAttestation, issuer, dict(
         subject=substitute,
         attributes=plain.attributes,
-        plain_digest=plain_digest,
+        plain_digest=crypto.digest(canonical_bytes(plain)),
         issuer_key_id=plain.issuer_key_id,
         legal_rep_id=plain.legal_rep_id,
         issued_at=plain.issued_at,
         expires_at=plain.expires_at,
         hash_alg=plain.hash_alg,
-        issuer_signature=signature,
     ))
+
+
+def _issue(cls: type, issuer: KeyPair, fields: dict):
+    """The *cls* attestation with the body *fields*, signed by *issuer* and
+    sealed with its id."""
+    message = canonical_serialize(record_map(cls, fields, cls._UNSIGNED))
+    fields["issuer_signature"] = crypto.sign(issuer, cls._TAG, message)
+    fields["attestation_id"] = _seal_id(cls, fields)
+    return _signed_over(message, cls(**fields))
 
 
 def _signed_over(message: bytes, att):
@@ -550,15 +412,11 @@ def countersign(
     if issuer_public_key is not None:
         if not blinded._signature_verifies(issuer_public_key) or not blinded._id_consistent:
             raise InvalidBlinded("blinded attestation does not verify under its issuer key")
-    message = countersign_bytes(blinded, notary_id, notary.key_id, at)
-    signature = crypto.sign(notary, crypto.TAG_COUNTER, message)
-    return _signed_over(message, CounterSignedAttestation(
-        blinded=blinded,
-        notary_id=notary_id,
-        notary_key_id=notary.key_id,
-        countersigned_at=at,
-        notary_signature=signature,
-    ))
+    fields = dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary.key_id,
+                  countersigned_at=at)
+    message = countersign_bytes(**fields)
+    fields["notary_signature"] = crypto.sign(notary, crypto.TAG_COUNTER, message)
+    return _signed_over(message, CounterSignedAttestation(**fields))
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,23 @@ Each type has a distinct lexical form, so the encoding is injective and
 (lowercase hex only, no leading zeros, fixed escape set) so that no two
 distinct byte strings decode to the same value; it is tolerant only of
 whitespace between tokens, which lets config files be hand-formatted.
+
+The record codec below builds the canonical map of a frozen dataclass
+from its field declarations and decodes such maps strictly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
+import os
 import re
-from typing import Any
+import typing
+from pathlib import Path
+from typing import Any, Callable
 
-from .errors import DecodeError, UnsupportedValue
+from .errors import CoopAttestError, DecodeError, UnsupportedValue
 
 _WHITESPACE = frozenset(b" \t\r\n")
 _HEX_DIGITS = frozenset(b"0123456789abcdef")
@@ -117,6 +126,26 @@ def _encode_subclass(value: Any) -> str:
     raise UnsupportedValue(f"cannot canonically serialize {type(value).__name__}")
 
 
+def write_canonical(path: str | Path, value: Any) -> None:
+    """Write *value*'s canonical bytes to *path* atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces *path* in one step, so an interrupted write leaves the
+    previous file whole.
+    """
+    data = canonical_serialize(value)
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 # --- decoding ---------------------------------------------------------------
 
 def require(raw: Any, field: str, types, record: str) -> Any:
@@ -132,6 +161,133 @@ def require(raw: Any, field: str, types, record: str) -> Any:
     if not isinstance(value, types) or (type(value) is bool and types is int):
         raise DecodeError(f"{record} field {field!r} has wrong type")
     return value
+
+
+# --- records -----------------------------------------------------------------
+#
+# A record is a frozen dataclass whose fields, in declaration order, are its
+# wire layout.  A field is written under its own name, or under
+# ``metadata["key"]``, and its annotation picks its codec:
+#
+#   str, int, bytes          the value itself, checked as ``require`` does;
+#   a class with ``_SCALAR`` its one field, a value of type ``_SCALAR``;
+#   a record                 the record's map;
+#   tuple[X, ...]            a list of the maps of X, a record;
+#   a Union of records       the map of the member whose ``_KIND`` it names.
+#
+# A record class with ``_KIND`` also writes that text under "kind".  Each
+# class's encoder and decoder are built once, on first use.
+
+def record_map(cls: type, values: dict, omit: tuple = ()) -> dict:
+    """The canonical map of the *cls* record whose field values are *values*
+    (attribute name -> value; a record's ``vars`` will do), leaving out the
+    wire keys in *omit*."""
+    return _encoder(cls, omit)(values)
+
+
+def record_from_map(tp: Any, raw: Any) -> Any:
+    """The record of type *tp* (a record class or a Union of them) that
+    *raw* is the map of.
+
+    Every key must be present with the declared type and no other key may
+    appear.  Raises DecodeError, also for a value the record's own checks
+    reject.
+    """
+    try:
+        return _decoder(tp)(raw)
+    except DecodeError:
+        raise
+    except (ValueError, CoopAttestError) as exc:
+        raise DecodeError(f"invalid record: {exc}") from exc
+
+
+@functools.cache
+def _fields(cls: type) -> tuple:
+    """(attribute, wire key, encode, wire type, decode) of each field of
+    record *cls*, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name), *_codec(hints[f.name]))
+                 for f in dataclasses.fields(cls))
+
+
+def _codec(tp: Any) -> tuple:
+    """How a field of annotation *tp* is written and read: (encode, the
+    canonical type it is written as, decode); an encode or decode of None
+    passes the value as it is."""
+    if tp in (str, int, bytes):
+        return None, tp, None
+    if hasattr(tp, "_SCALAR"):
+        return operator.attrgetter(dataclasses.fields(tp)[0].name), tp._SCALAR, tp
+    if dataclasses.is_dataclass(tp):
+        encode = _encoder(tp)
+        return (lambda record: encode(record.__dict__)), dict, _decoder(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:
+        by_type = {member: _encoder(member) for member in args}
+        return (lambda record: by_type[type(record)](record.__dict__)), dict, _decoder(tp)
+    if origin is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
+        encode_item, _, decode_item = _codec(args[0])
+        return ((lambda items: [encode_item(item) for item in items]), list,
+                (lambda items: tuple(map(decode_item, items))))
+    raise TypeError(f"no canonical codec for {tp!r}")
+
+
+@functools.cache
+def _encoder(cls: type, omit: tuple = ()) -> Callable[[dict], dict]:
+    """The function that builds the map of a *cls* record from its field
+    values, without the keys in *omit*.  Like the ``__init__`` that
+    ``dataclasses`` writes, it is generated as source, here one dict
+    display, so that a record's map costs what a hand-written one does."""
+    kind = getattr(cls, "_KIND", None)
+    items = [] if kind is None or "kind" in omit else [f'"kind": {kind!r}']
+    namespace = {}
+    for attr, key, encode, _, _ in _fields(cls):
+        if key in omit:
+            continue
+        value = f"values[{attr!r}]"
+        if encode is not None:
+            namespace[f"encode_{attr}"] = encode
+            value = f"encode_{attr}({value})"
+        items.append(f"{key!r}: {value}")
+    exec(f"def encode(values):\n    return {{{', '.join(items)}}}\n", namespace)
+    return namespace["encode"]
+
+
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """The decoder of a record class, or of a Union of them by "kind"."""
+    if typing.get_origin(tp) is typing.Union:
+        by_kind = {member._KIND: _decoder(member) for member in typing.get_args(tp)}
+
+        def decode_union(raw: Any) -> Any:
+            kind = raw.get("kind") if isinstance(raw, dict) else None
+            decode = by_kind.get(kind) if type(kind) is str else None
+            if decode is None:
+                raise DecodeError(f"unknown record kind {kind!r}")
+            return decode(raw)
+
+        return decode_union
+
+    name = tp.__name__
+    kind = getattr(tp, "_KIND", None)
+    steps = tuple((attr, key, types, decode) for attr, key, _, types, decode in _fields(tp))
+    keys = {key for _, key, _, _ in steps} | ({"kind"} if kind is not None else set())
+
+    def decode(raw: Any) -> Any:
+        if not isinstance(raw, dict):
+            raise DecodeError(f"{name} must be a map")
+        if kind is not None and require(raw, "kind", str, name) != kind:
+            raise DecodeError(f"{name} must have kind {kind!r}")
+        values = {}
+        for attr, key, types, convert in steps:
+            value = require(raw, key, types, name)
+            values[attr] = value if convert is None else convert(value)
+        if len(raw) != len(keys):
+            extra = next(key for key in raw if key not in keys)
+            raise DecodeError(f"{name} has unknown field {extra!r}")
+        return tp(**values)
+
+    return decode
 
 
 def canonical_parse(data: bytes) -> Any:

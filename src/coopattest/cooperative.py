@@ -23,13 +23,11 @@ from .attestation import (
     BlindedAttestation,
     PlainAttestation,
     SubjectRef,
-    attestation_from_map,
-    attestation_to_map,
     blind,
     build_plain,
     write_attestation,
 )
-from .canonical import canonical_parse, canonical_serialize
+from .canonical import canonical_parse, record_from_map, record_map, require, write_canonical
 from .crypto import Digest, KeyPair
 from .errors import (
     DecodeError,
@@ -87,10 +85,10 @@ class MemberRecord:
     @classmethod
     def from_map(cls, raw: dict) -> "MemberRecord":
         return cls(
-            member_id=raw["member_id"],
-            legal_identity=raw["legal_identity"],
-            personal_data=dict(raw["personal_data"]),
-            handle=raw.get("handle"),
+            member_id=require(raw, "member_id", str, "member"),
+            legal_identity=require(raw, "legal_identity", str, "member"),
+            personal_data=dict(require(raw, "personal_data", dict, "member")),
+            handle=require(raw, "handle", str, "member") if "handle" in raw else None,
         )
 
 
@@ -113,6 +111,8 @@ class RevocationRegistry:
 
 @dataclass(frozen=True)
 class IssuanceEntry:
+    """One issued pair; its fields are its layout in the state file."""
+
     plain: PlainAttestation
     blinded: BlindedAttestation
 
@@ -307,10 +307,7 @@ class Cooperative:
             "year_ticks": self.year_ticks,
             "income_bands": [[upper, label] for upper, label in self.income_bands],
             "members": [m.to_map() for m in self._members.values()],
-            "issuances": [
-                {"plain": attestation_to_map(e.plain), "blinded": attestation_to_map(e.blinded)}
-                for e in self._issuances
-            ],
+            "issuances": [record_map(IssuanceEntry, vars(e)) for e in self._issuances],
             "revoked": {d.hex(): tick for d, tick in self.revocations.entries.items()},
             "nonce_counter": self._nonce_counter,
         }
@@ -332,13 +329,11 @@ class Cooperative:
             for member_raw in raw.get("members", []):
                 coop.register_member(MemberRecord.from_map(member_raw))
             for pair in raw.get("issuances", []):
-                plain = attestation_from_map(pair["plain"])
-                blinded = attestation_from_map(pair["blinded"])
-                entry = IssuanceEntry(plain=plain, blinded=blinded)
+                entry = record_from_map(IssuanceEntry, pair)
                 index = len(coop._issuances)
                 coop._issuances.append(entry)
-                coop._by_id[plain.attestation_id] = index
-                coop._by_id[blinded.attestation_id] = index
+                coop._by_id[entry.plain.attestation_id] = index
+                coop._by_id[entry.blinded.attestation_id] = index
             for hex_id, tick in raw.get("revoked", {}).items():
                 coop.revocations.mark(Digest.from_hex(hex_id), tick)
             coop._nonce_counter = raw.get("nonce_counter", 0)
@@ -347,7 +342,7 @@ class Cooperative:
             raise DecodeError(f"malformed cooperative state: {exc}") from exc
 
     def save_state(self, path: str | Path, key_seed: bytes) -> None:
-        Path(path).write_bytes(canonical_serialize(self.to_state_map(key_seed)))
+        write_canonical(path, self.to_state_map(key_seed))
 
     @classmethod
     def load_state(cls, path: str | Path) -> "Cooperative":

@@ -14,7 +14,7 @@ records, and a signature for one kind must never verify as another.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -23,7 +23,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import require
 from .errors import EmptySeed, UnknownDomainTag
 
 HASH_ALG = "sha-256"
@@ -42,7 +41,10 @@ _KEYGEN_CONTEXT = b"coop-attest/keygen/v1:"
 
 @dataclass(frozen=True)
 class Digest:
-    """A 32-byte hash value; equality is byte-wise."""
+    """A 32-byte hash value; equality is byte-wise.  Records write it as
+    its bytes."""
+
+    _SCALAR = bytes
 
     value: bytes
 
@@ -70,24 +72,9 @@ class KeyPair:
 
 @dataclass(frozen=True)
 class Signature:
-    data: bytes
+    data: bytes = field(metadata={"key": "bytes"})
     signer_key_id: Digest
     domain_tag: str
-
-    def to_map(self) -> dict:
-        return {
-            "bytes": self.data,
-            "signer_key_id": self.signer_key_id.value,
-            "domain_tag": self.domain_tag,
-        }
-
-    @classmethod
-    def from_map(cls, raw: dict) -> "Signature":
-        return cls(
-            data=require(raw, "bytes", bytes, "signature"),
-            signer_key_id=Digest(require(raw, "signer_key_id", bytes, "signature")),
-            domain_tag=require(raw, "domain_tag", str, "signature"),
-        )
 
 
 def digest(data: bytes) -> Digest:

@@ -87,15 +87,6 @@ class Post:
             "sent_at": self.sent_at,
         }
 
-    @classmethod
-    def from_map(cls, raw: dict) -> "Post":
-        return cls(
-            body=raw["body"],
-            author_handle=raw["author_handle"],
-            origin_provider=raw["origin_provider"],
-            sent_at=raw["sent_at"],
-        )
-
 
 @dataclass(frozen=True)
 class FilterDecision:

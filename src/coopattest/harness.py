@@ -429,9 +429,6 @@ class _Adversary:
 
     name = "adversary"
 
-    def __init__(self) -> None:
-        self._emit = lambda kind, payload: None
-
 
 class Scenario:
     """A fully wired actor set executing one config."""

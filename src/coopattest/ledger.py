@@ -20,96 +20,54 @@ from pathlib import Path
 from typing import Callable, Iterable, Union
 
 from . import crypto
-from .attestation import CounterSignedAttestation, attestation_from_map, attestation_to_map
-from .canonical import canonical_parse, canonical_serialize
+from .attestation import CounterSignedAttestation
+from .canonical import canonical_parse, canonical_serialize, record_from_map, record_map
 from .crypto import Digest, KeyPair, Signature, ZERO_DIGEST
-from .errors import (
-    DanglingAttestationPointer,
-    DecodeError,
-    OutOfBounds,
-    UnregisteredWriter,
-)
+from .errors import DanglingAttestationPointer, OutOfBounds, UnregisteredWriter
 
 PAYLOAD_ATTESTATION = "attestation"
 PAYLOAD_POST = "post"
 
+
+# Each record's fields, in order, are its canonical layout (see
+# ``canonical.record_map``); ``_KIND`` is the text written under "kind".
 
 @dataclass(frozen=True)
 class RecordPointer:
     ledger_id: str
     index: int
 
-    def to_map(self) -> dict:
-        return {"ledger_id": self.ledger_id, "index": self.index}
-
-    @classmethod
-    def from_map(cls, raw: dict) -> "RecordPointer":
-        return cls(ledger_id=raw["ledger_id"], index=raw["index"])
-
 
 @dataclass(frozen=True)
 class AttestationRecord:
-    csa: CounterSignedAttestation
+    _KIND = PAYLOAD_ATTESTATION
 
-    def to_map(self) -> dict:
-        return {"kind": PAYLOAD_ATTESTATION, "csa": attestation_to_map(self.csa)}
+    csa: CounterSignedAttestation
 
 
 @dataclass(frozen=True)
 class PostRecord:
+    _KIND = PAYLOAD_POST
+
     post_digest: Digest
     attestation_ptr: RecordPointer
     posted_at: int
-
-    def to_map(self) -> dict:
-        return {
-            "kind": PAYLOAD_POST,
-            "post_digest": self.post_digest.value,
-            "attestation_ptr": self.attestation_ptr.to_map(),
-            "posted_at": self.posted_at,
-        }
 
 
 Payload = Union[AttestationRecord, PostRecord]
 
 
-def payload_from_map(raw: dict) -> Payload:
-    kind = raw.get("kind")
-    try:
-        if kind == PAYLOAD_ATTESTATION:
-            csa = attestation_from_map(raw["csa"])
-            if not isinstance(csa, CounterSignedAttestation):
-                raise DecodeError("attestation record must embed a countersigned artifact")
-            return AttestationRecord(csa)
-        if kind == PAYLOAD_POST:
-            return PostRecord(
-                post_digest=Digest(raw["post_digest"]),
-                attestation_ptr=RecordPointer.from_map(raw["attestation_ptr"]),
-                posted_at=raw["posted_at"],
-            )
-    except DecodeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"malformed {kind} payload: {exc}") from exc
-    raise DecodeError(f"unknown payload kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class LedgerRecord:
+    """The writer signs every key but its own key id and signature."""
+
+    _UNSIGNED = ("writer_key_id", "writer_signature")
+
     index: int
     prev_digest: Digest
     payload: Payload
     writer_key_id: Digest
     writer_signature: Signature
-
-    def to_map(self) -> dict:
-        return {
-            "index": self.index,
-            "prev_digest": self.prev_digest.value,
-            "payload": self.payload.to_map(),
-            "writer_key_id": self.writer_key_id.value,
-            "writer_signature": self.writer_signature.to_map(),
-        }
 
     # Frozen, so the digest its successor chains to is computed once and
     # kept in the instance dict, which eq, hash and repr never read.
@@ -117,32 +75,16 @@ class LedgerRecord:
     def _digest(self) -> Digest:
         return crypto.digest(record_bytes(self))
 
-    @classmethod
-    def from_map(cls, raw: dict) -> "LedgerRecord":
-        try:
-            return cls(
-                index=raw["index"],
-                prev_digest=Digest(raw["prev_digest"]),
-                payload=payload_from_map(raw["payload"]),
-                writer_key_id=Digest(raw["writer_key_id"]),
-                writer_signature=Signature.from_map(raw["writer_signature"]),
-            )
-        except DecodeError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"malformed ledger record: {exc}") from exc
-
 
 def record_signing_bytes(index: int, prev_digest: Digest, payload: Payload) -> bytes:
-    return canonical_serialize({
-        "index": index,
-        "prev_digest": prev_digest.value,
-        "payload": payload.to_map(),
-    })
+    return canonical_serialize(record_map(
+        LedgerRecord, dict(index=index, prev_digest=prev_digest, payload=payload),
+        LedgerRecord._UNSIGNED,
+    ))
 
 
 def record_bytes(record: LedgerRecord) -> bytes:
-    return canonical_serialize(record.to_map())
+    return canonical_serialize(record_map(LedgerRecord, vars(record)))
 
 
 class Ledger:
@@ -193,15 +135,10 @@ class Ledger:
                     f"{payload.attestation_ptr} is not an attestation record"
                 )
         index = len(self._records)
-        prev = ZERO_DIGEST if index == 0 else self._records[-1]._digest
-        signature = crypto.sign(writer, crypto.TAG_LEDGER, record_signing_bytes(index, prev, payload))
-        record = LedgerRecord(
-            index=index,
-            prev_digest=prev,
-            payload=payload,
-            writer_key_id=writer.key_id,
-            writer_signature=signature,
-        )
+        fields = dict(index=index, payload=payload,
+                      prev_digest=ZERO_DIGEST if index == 0 else self._records[-1]._digest)
+        signature = crypto.sign(writer, crypto.TAG_LEDGER, record_signing_bytes(**fields))
+        record = LedgerRecord(**fields, writer_key_id=writer.key_id, writer_signature=signature)
         self._records.append(record)
         if isinstance(payload, PostRecord):
             self._post_index.setdefault(payload.post_digest, []).append(index)
@@ -260,7 +197,7 @@ class Ledger:
             for line in fh:
                 line = line.strip()
                 if line:
-                    records.append(LedgerRecord.from_map(canonical_parse(line)))
+                    records.append(record_from_map(LedgerRecord, canonical_parse(line)))
         return cls.from_records(ledger_id, writer_public_key, records, resolver=resolver)
 
     @classmethod

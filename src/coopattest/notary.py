@@ -22,13 +22,17 @@ from .attestation import (
     BlindedAttestation,
     CounterSignedAttestation,
     PlainAttestation,
-    attestation_from_map,
-    attestation_to_map,
     countersign,
     verify_pair,
     write_attestation,
 )
-from .canonical import canonical_parse, canonical_serialize
+from .canonical import (
+    canonical_parse,
+    canonical_serialize,
+    record_from_map,
+    record_map,
+    write_canonical,
+)
 from .cooperative import Status
 from .crypto import Digest, KeyPair
 from .errors import DecodeError, ExpiredAtWitnessing, PairMismatch
@@ -54,6 +58,8 @@ class JurisdictionPolicy:
 
 @dataclass(frozen=True)
 class ArchiveEntry:
+    """One witnessed triple; its fields are its layout in the state file."""
+
     plain: PlainAttestation
     blinded: BlindedAttestation
     countersigned: CounterSignedAttestation
@@ -260,15 +266,7 @@ class Notary:
             "jurisdiction": self.policy.notary_jurisdiction,
             "compatible": sorted(self.policy.compatible),
             "issuers": list(self.known_issuers),
-            "archive": [
-                {
-                    "plain": attestation_to_map(e.plain),
-                    "blinded": attestation_to_map(e.blinded),
-                    "countersigned": attestation_to_map(e.countersigned),
-                    "received_at": e.received_at,
-                }
-                for e in self._entries
-            ],
+            "archive": [record_map(ArchiveEntry, vars(e)) for e in self._entries],
             "mirror": {d.hex(): tick for d, tick in self.mirror.items()},
             "audit": list(self.audit_log),
             "rejections": list(self.rejection_log),
@@ -276,6 +274,11 @@ class Notary:
 
     @classmethod
     def from_state_map(cls, raw: dict) -> "Notary":
+        if not isinstance(raw, dict):
+            raise DecodeError("notary state must be a map")
+        issuers = raw.get("issuers", [])
+        if not isinstance(issuers, list) or not all(type(key) is bytes for key in issuers):
+            raise DecodeError("notary state field 'issuers' must be a list of byte-strings")
         try:
             notary = cls(
                 notary_id=raw["notary_id"],
@@ -284,15 +287,10 @@ class Notary:
                     notary_jurisdiction=raw["jurisdiction"],
                     compatible=frozenset(raw.get("compatible", [])),
                 ),
-                known_issuers=list(raw.get("issuers", [])),
+                known_issuers=issuers,
             )
             for entry_raw in raw.get("archive", []):
-                entry = ArchiveEntry(
-                    plain=attestation_from_map(entry_raw["plain"]),
-                    blinded=attestation_from_map(entry_raw["blinded"]),
-                    countersigned=attestation_from_map(entry_raw["countersigned"]),
-                    received_at=entry_raw["received_at"],
-                )
+                entry = record_from_map(ArchiveEntry, entry_raw)
                 index = len(notary._entries)
                 notary._entries.append(entry)
                 notary._by_id[entry.blinded.attestation_id] = index
@@ -306,7 +304,7 @@ class Notary:
             raise DecodeError(f"malformed notary state: {exc}") from exc
 
     def save_state(self, path: str | Path, key_seed: bytes) -> None:
-        Path(path).write_bytes(canonical_serialize(self.to_state_map(key_seed)))
+        write_canonical(path, self.to_state_map(key_seed))
 
     @classmethod
     def load_state(cls, path: str | Path) -> "Notary":

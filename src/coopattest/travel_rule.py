@@ -76,18 +76,6 @@ class TransferRequest:
             "requested_at": self.requested_at,
         }
 
-    @classmethod
-    def from_map(cls, raw: dict) -> "TransferRequest":
-        return cls(
-            transfer_id=raw["transfer_id"],
-            originator_account=raw["originator_account"],
-            beneficiary_account=raw["beneficiary_account"],
-            beneficiary_exchange=raw["beneficiary_exchange"],
-            asset=raw["asset"],
-            amount=raw["amount"],
-            requested_at=raw["requested_at"],
-        )
-
 
 @dataclass(frozen=True)
 class TravelRuleRecord:

@@ -1,7 +1,11 @@
+import copy
+
 import pytest
+from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.attestation import AttributeClaim, SubjectRef, build_plain
+from coopattest.errors import DecodeError
 
 
 @pytest.fixture
@@ -24,3 +28,66 @@ def make_plain(issuer, identity="alice-legal-0001", claims=None, issued_at=10,
     return build_plain(
         SubjectRef.legal(identity), claims, issuer, legal_rep, issued_at, expires_at, nonce
     )
+
+
+# --- strict decoding property ------------------------------------------------------
+
+# One strategy per canonical type; bool is a type of its own, not an integer.
+CANONICAL_TYPES = {
+    bool: st.booleans(),
+    int: st.integers(),
+    str: st.text(max_size=12),
+    bytes: st.one_of(st.binary(max_size=40), st.binary(min_size=32, max_size=32)),
+    list: st.lists(st.one_of(st.integers(), st.dictionaries(st.text(max_size=6), st.text(max_size=6))),
+                   max_size=3),
+    dict: st.dictionaries(st.text(max_size=12), st.integers(), max_size=3),
+}
+
+
+def canonical_type(value) -> type:
+    return bool if type(value) is bool else type(value)
+
+
+def value_paths(value, path=()):
+    """The path of *value* itself and of every map value and list item in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for step, child in items:
+        yield from value_paths(child, path + (step,))
+
+
+def _at(value, path):
+    for step in path:
+        value = value[step]
+    return value
+
+
+def check_strict_decoding(data, originals, decode, encode):
+    """Mutate one of *originals* (canonical maps of real records) once and
+    decode it.  A value of another canonical type or an added key must raise
+    DecodeError; a same-typed value may decode, and then re-encodes to the
+    map it was decoded from.  No other exception is allowed."""
+    original = data.draw(st.sampled_from(originals))
+    assert encode(decode(original)) == original
+    raw = copy.deepcopy(original)
+    how = data.draw(st.sampled_from(("retype", "same type", "add key")))
+    if how == "add key":
+        path = data.draw(st.sampled_from([p for p in value_paths(raw) if isinstance(_at(raw, p), dict)]))
+        target = _at(raw, path)
+        key = data.draw(st.text(max_size=12).filter(lambda k: k not in target))
+        target[key] = data.draw(st.one_of(*CANONICAL_TYPES.values()))
+    else:
+        path = data.draw(st.sampled_from(list(value_paths(raw))))
+        old = canonical_type(_at(raw, path))
+        types = [t for t in CANONICAL_TYPES if (t is old) == (how == "same type")]
+        new = data.draw(st.sampled_from(types).flatmap(CANONICAL_TYPES.get))
+        if path:
+            _at(raw, path[:-1])[path[-1]] = new
+        else:
+            raw = new
+    try:
+        decoded = decode(raw)
+    except DecodeError:
+        return
+    assert how == "same type", f"{how} at {path} was accepted"
+    assert encode(decoded) == raw

@@ -15,6 +15,8 @@ from coopattest.attestation import (
     CounterSignedAttestation,
     SubjectRef,
     attestation_from_bytes,
+    attestation_from_map,
+    attestation_to_map,
     blind,
     build_plain,
     canonical_bytes,
@@ -34,7 +36,19 @@ from coopattest.errors import (
     SubjectModeMismatch,
 )
 
-from conftest import make_claims, make_plain
+from conftest import check_strict_decoding, make_claims, make_plain
+
+
+def _artifact_maps() -> list[dict]:
+    """The maps of a real plain, blinded and countersigned attestation."""
+    issuer, notary = crypto.keygen(b"test-coop"), crypto.keygen(b"test-notary")
+    plain = make_plain(issuer, claims=make_claims(("age-over-18", "true"), ("residence-country", "NL")))
+    blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+    csa = countersign(blinded, notary, "notary-1", 11)
+    return [attestation_to_map(artifact) for artifact in (plain, blinded, csa)]
+
+
+ARTIFACT_MAPS = _artifact_maps()
 
 
 class TestSubjectRef:
@@ -269,6 +283,26 @@ class TestSerialization:
         target[path[-1]] = value
         with pytest.raises(DecodeError):
             attestation_from_bytes(canonical_serialize(raw))
+
+    @pytest.mark.parametrize("kind", ["plain", "blinded", "countersigned"])
+    def test_parse_rejects_unknown_keys(self, issuer, notary_key, kind):
+        plain = make_plain(issuer)
+        blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+        artifact = {"plain": plain, "blinded": blinded,
+                    "countersigned": countersign(blinded, notary_key, "notary-1", 11)}[kind]
+        raw = attestation_to_map(artifact)
+        raw["extra"] = 0
+        with pytest.raises(DecodeError, match="unknown field 'extra'"):
+            attestation_from_map(raw)
+        raw = attestation_to_map(artifact)
+        raw["issuer_signature" if kind != "countersigned" else "notary_signature"]["extra"] = 0
+        with pytest.raises(DecodeError, match="unknown field 'extra'"):
+            attestation_from_map(raw)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_wrongly_typed_maps_rejected(self, data):
+        check_strict_decoding(data, ARTIFACT_MAPS, attestation_from_map, attestation_to_map)
 
     def test_mutation_suite(self, issuer, notary_key):
         """Single-byte mutations never yield a verifying countersigned artifact."""

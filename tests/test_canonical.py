@@ -1,13 +1,32 @@
 """Canonical encoding: determinism, injectivity, and parser strictness."""
 
+import dataclasses
 import hashlib
+import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopattest.attestation import (
+    AttributeClaim,
+    BlindedAttestation,
+    CounterSignedAttestation,
+    PlainAttestation,
+    SubjectRef,
+    attestation_to_map,
+    blind,
+    countersign,
+)
 from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.crypto import Digest, Signature
 from coopattest.errors import DecodeError, UnsupportedValue
+from coopattest.ledger import AttestationRecord, LedgerRecord, PostRecord, RecordPointer
+
+from conftest import make_plain
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Frozen golden: serialized once at implementation time; any change to these
 # bytes is a format break, not a refactor.
@@ -236,3 +255,61 @@ def test_subclasses_encode_as_their_base_value():
 
     value = {Name("k"): [Level.HIGH, Name('a"b')]}
     assert canonical_serialize(value) == b'{"k":[3,"a\\"b"]}'
+
+
+class TestFieldReference:
+    """The README's field reference lists exactly the declared fields of
+    every record class, with their wire types and signature coverage."""
+
+    RECORDS = {
+        PlainAttestation: "plain", BlindedAttestation: "blinded",
+        CounterSignedAttestation: "countersigned", LedgerRecord: "ledger record",
+        SubjectRef: "subject", AttributeClaim: "attribute claim", Signature: "signature",
+        RecordPointer: "record pointer", AttestationRecord: "attestation payload",
+        PostRecord: "post payload",
+    }
+    SCALARS = {str: "text", int: "integer", bytes: "bytes", Digest: "digest"}
+
+    def type_name(self, tp) -> str:
+        if tp in self.SCALARS:
+            return self.SCALARS[tp]
+        if tp in self.RECORDS:
+            return self.RECORDS[tp]
+        if typing.get_origin(tp) is tuple:
+            return "list of " + self.type_name(typing.get_args(tp)[0])
+        return " or ".join(self.type_name(member) for member in typing.get_args(tp))
+
+    def declared_rows(self) -> dict:
+        rows = {}
+        for cls, record in self.RECORDS.items():
+            unsigned = getattr(cls, "_UNSIGNED", None)
+            hints = typing.get_type_hints(cls)
+            fields = [(f.metadata.get("key", f.name), self.type_name(hints[f.name]))
+                      for f in dataclasses.fields(cls)]
+            if hasattr(cls, "_KIND"):
+                fields.insert(0, ("kind", f'"{cls._KIND}"'))
+            for key, type_name in fields:
+                signed = "—" if unsigned is None else "no" if key in unsigned else "yes"
+                rows[record, key] = (type_name, signed)
+        return rows
+
+    @staticmethod
+    def readme_rows() -> dict:
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Field reference", 1)[1].split("\n#", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[1] != "key" and not cells[0].startswith("-"):
+                rows[cells[0], cells[1]] = (cells[2], cells[3])
+        return rows
+
+    def test_readme_matches_declarations(self):
+        assert self.readme_rows() == self.declared_rows()
+
+    def test_declared_keys_are_the_encoded_keys(self, issuer, notary_key):
+        blinded = blind(make_plain(issuer), SubjectRef.handle("@sender"), issuer)
+        csa = countersign(blinded, notary_key, "notary-1", 11)
+        declared = self.declared_rows()
+        for artifact, record in ((blinded, "blinded"), (csa, "countersigned")):
+            assert set(attestation_to_map(artifact)) == {k for r, k in declared if r == record}

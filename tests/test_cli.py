@@ -156,6 +156,32 @@ class TestIssueCountersignVerify:
         assert code == 1
         assert "PairMismatch" in capsys.readouterr().err
 
+    def test_issue_wrongly_typed_member_exit_2(self, workdir, capsys):
+        raw = canonical_parse((workdir / "coop.state").read_bytes())
+        raw["members"][0]["legal_identity"] = 5
+        (workdir / "coop.state").write_bytes(canonical_serialize(raw))
+        code = run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18", "--mode", "absent",
+                    "--now", 10, "--ttl", 90,
+                    "--out-plain", workdir / "x.plain.att",
+                    "--out-blinded", workdir / "x.blinded.att"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "x.plain.att").exists()
+
+    def test_countersign_wrongly_typed_issuers_exit_2(self, workdir, capsys):
+        issue_and_countersign(workdir)
+        raw = canonical_parse((workdir / "notary.state").read_bytes())
+        raw["issuers"] = ["not-a-key"]
+        (workdir / "notary.state").write_bytes(canonical_serialize(raw))
+        code = run(["countersign", "--notary", workdir / "notary.state",
+                    "--plain", workdir / "a.plain.att",
+                    "--blinded", workdir / "a.blinded.att",
+                    "--now", 10, "--out", workdir / "b.csa.att"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "b.csa.att").exists()
+
     def test_issue_unknown_member(self, workdir, capsys):
         code = run(["issue", "--coop", workdir / "coop.state", "--member", "ghost",
                     "--attrs", "age-over-18", "--mode", "absent",

@@ -1,5 +1,7 @@
 """Member registry, attribute derivation, issuance, revocation."""
 
+import os
+
 import pytest
 
 from coopattest import crypto
@@ -7,6 +9,7 @@ from coopattest.attestation import verify_pair
 from coopattest.canonical import canonical_serialize
 from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.errors import (
+    DecodeError,
     DuplicateMember,
     InsufficientData,
     MissingHandle,
@@ -62,6 +65,16 @@ class TestRegistry:
         coop = make_coop()
         assert coop.load_members(path) == 2
         assert coop.member("bob").personal_data == {}
+
+    @pytest.mark.parametrize("field, value", [
+        ("member_id", 7), ("legal_identity", 5), ("legal_identity", b"alice"),
+        ("personal_data", ["residence", "NL"]), ("handle", True),
+    ])
+    def test_wrongly_typed_field_rejected(self, field, value):
+        raw = alice(handle="@alice").to_map()
+        raw[field] = value
+        with pytest.raises(DecodeError, match=field):
+            MemberRecord.from_map(raw)
 
 
 class TestDerivation:
@@ -279,3 +292,19 @@ class TestStatePersistence:
         fresh = Cooperative.load_state(path)
         b = fresh.issue_blinded("alice", ["age-over-18"], "absent", 50, 10)
         assert a[0].attestation_id == b[0].attestation_id  # same counter, same result
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        coop = make_coop()
+        path = tmp_path / "coop.state"
+        coop.save_state(path, b"coop1")
+        before = path.read_bytes()
+        coop.register_member(alice())
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            coop.save_state(path, b"coop1")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["coop.state"]

@@ -1,16 +1,27 @@
 """Hash-chained append-only ledgers: chaining, lookup, tamper detection."""
 
+import copy
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, countersign
+from coopattest.canonical import canonical_parse, canonical_serialize, record_from_map
 from coopattest.crypto import ZERO_DIGEST
-from coopattest.errors import DanglingAttestationPointer, OutOfBounds, UnregisteredWriter
-from coopattest.ledger import AttestationRecord, Ledger, PostRecord, RecordPointer
+from coopattest.errors import DanglingAttestationPointer, DecodeError, OutOfBounds, UnregisteredWriter
+from coopattest.ledger import (
+    AttestationRecord,
+    Ledger,
+    LedgerRecord,
+    PostRecord,
+    RecordPointer,
+    record_bytes,
+)
 
-from conftest import make_plain
+from conftest import check_strict_decoding, make_plain
 
 
 @pytest.fixture
@@ -194,3 +205,66 @@ class TestPersistence:
         path.write_bytes(data)
         loaded = Ledger.load("B1", writer.public_key, path)
         assert not loaded.verify_chain()
+
+
+def _record_maps() -> list[dict]:
+    """The maps of a real attestation record and a real post record."""
+    issuer, notary, writer = (crypto.keygen(seed) for seed in (b"test-coop", b"test-notary", b"provider-1"))
+    blinded = blind(make_plain(issuer), SubjectRef.handle("@sender"), issuer)
+    ledger = make_ledger(writer)
+    att_ptr = ledger.append(writer, AttestationRecord(countersign(blinded, notary, "notary-1", 11)))
+    ledger.append(writer, PostRecord(crypto.digest(b"hello"), att_ptr, 3))
+    return [canonical_parse(record_bytes(record)) for record in ledger.records]
+
+
+RECORD_MAPS = _record_maps()
+
+
+def decode_record(raw) -> LedgerRecord:
+    return record_from_map(LedgerRecord, raw)
+
+
+def encode_record(record: LedgerRecord) -> dict:
+    return canonical_parse(record_bytes(record))
+
+
+class TestStrictDecoding:
+    HOSTILE = [
+        (("payload", "posted_at"), True),
+        (("payload", "posted_at"), "1"),
+        (("index",), True),
+        (("payload", "attestation_ptr", "index"), "0"),
+        (("payload", "attestation_ptr", "ledger_id"), 7),
+        (("payload", "attestation_ptr"), ["B1", 0]),
+        (("payload",), "x"),
+        (("payload", "kind"), "comment"),
+        (("payload", "extra"), 0),
+        (("extra",), 0),
+    ]
+    IDS = [".".join(map(str, path)) + f"={value!r}" for path, value in HOSTILE]
+
+    @staticmethod
+    def hostile(path, value) -> dict:
+        raw = copy.deepcopy(RECORD_MAPS[1])
+        target = raw
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return raw
+
+    @pytest.mark.parametrize("path, value", HOSTILE, ids=IDS)
+    def test_wrongly_typed_record_rejected(self, path, value):
+        with pytest.raises(DecodeError):
+            decode_record(self.hostile(path, value))
+
+    @pytest.mark.parametrize("path, value", HOSTILE, ids=IDS)
+    def test_load_rejects_wrongly_typed_record(self, tmp_path, writer, path, value):
+        lines = [canonical_serialize(RECORD_MAPS[0]), canonical_serialize(self.hostile(path, value))]
+        (tmp_path / "B1.ledger").write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DecodeError):
+            Ledger.load("B1", writer.public_key, tmp_path / "B1.ledger")
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_wrongly_typed_maps_rejected(self, data):
+        check_strict_decoding(data, RECORD_MAPS, decode_record, encode_record)

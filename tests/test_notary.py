@@ -1,12 +1,14 @@
 """Witnessing, archiving, revalidation, and disclosure at the notary."""
 
+import os
+
 import pytest
 
 from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes, countersign_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize
 from coopattest.cooperative import Cooperative, MemberRecord, Status
-from coopattest.errors import ExpiredAtWitnessing, PairMismatch
+from coopattest.errors import DecodeError, ExpiredAtWitnessing, PairMismatch
 from coopattest.notary import (
     OUTCOME_DENIED,
     OUTCOME_DISCLOSED,
@@ -230,6 +232,30 @@ class TestExports:
         assert loaded.respond_revalidation(blinded.attestation_id, 50) is Status.VALID
         assert len(loaded.audit_log) == 1
         assert loaded.keypair == notary.keypair
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, issuer, monkeypatch):
+        notary = make_notary()
+        path = tmp_path / "notary.state"
+        notary.save_state(path, b"test-notary")
+        before = path.read_bytes()
+        plain, blinded = issued_pair(issuer)
+        notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            notary.save_state(path, b"test-notary")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["notary.state"]
+
+    def test_wrongly_typed_issuers_rejected(self):
+        raw = make_notary().to_state_map(b"test-notary")
+        for issuers in (["not-a-key"], b"key", [7]):
+            raw["issuers"] = issuers
+            with pytest.raises(DecodeError, match="issuers"):
+                Notary.from_state_map(raw)
 
 
 def test_envelope_fidelity_through_archive(issuer):
