@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import Any, Union
 
 from . import crypto
 from .canonical import canonical_parse, canonical_serialize, record_from_map, record_map
@@ -69,7 +69,7 @@ class _Artifact:
 
     @cached_property
     def _signed_bytes(self) -> bytes:
-        return canonical_serialize(record_map(type(self), vars(self), self._UNSIGNED))
+        return canonical_serialize(record_map(type(self), self, self._UNSIGNED))
 
     def _signature_verifies(self, public_key: bytes) -> bool:
         """True iff the artifact's own signature verifies under *public_key*.
@@ -102,10 +102,10 @@ class _IssuerSigned(_Artifact):
 
     @cached_property
     def _id_consistent(self) -> bool:
-        return self.attestation_id == _seal_id(type(self), vars(self))
+        return self.attestation_id == _seal_id(type(self), self)
 
 
-def _seal_id(cls: type, values: dict) -> Digest:
+def _seal_id(cls: type, values: Any) -> Digest:
     return crypto.digest(canonical_serialize(record_map(cls, values, ("attestation_id",))))
 
 
@@ -251,7 +251,7 @@ def countersign_bytes(blinded: BlindedAttestation, notary_id: str,
 def attestation_to_map(att) -> dict:
     if not isinstance(att, _Artifact):
         raise TypeError(f"not an attestation: {type(att).__name__}")
-    return record_map(type(att), vars(att))
+    return record_map(type(att), att)
 
 
 def canonical_bytes(att) -> bytes:

@@ -33,6 +33,8 @@ import functools
 import operator
 import os
 import re
+import stat
+import tempfile
 import typing
 from pathlib import Path
 from typing import Any, Callable
@@ -129,21 +131,25 @@ def _encode_subclass(value: Any) -> str:
 def write_canonical(path: str | Path, value: Any) -> None:
     """Write *value*'s canonical bytes to *path* atomically.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces *path* in one step, so an interrupted write leaves the
-    previous file whole.
+    The bytes go to a fresh temporary file beside the file *path* names
+    (through any symlink), which then replaces it in one step, so an
+    interrupted write leaves the previous file whole.  The new file keeps
+    the previous one's permission bits; a file that did not exist is
+    created readable by its owner only, since state files hold key seeds.
     """
     data = canonical_serialize(value)
-    path = Path(path)
-    temp = path.with_name(path.name + ".tmp")
+    target = Path(path).resolve()
+    mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o600
+    fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:
-        with open(temp, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(temp, path)
+        os.replace(temp, target)
     finally:
-        temp.unlink(missing_ok=True)
+        Path(temp).unlink(missing_ok=True)
 
 
 # --- decoding ---------------------------------------------------------------
@@ -178,10 +184,10 @@ def require(raw: Any, field: str, types, record: str) -> Any:
 # A record class with ``_KIND`` also writes that text under "kind".  Each
 # class's encoder and decoder are built once, on first use.
 
-def record_map(cls: type, values: dict, omit: tuple = ()) -> dict:
-    """The canonical map of the *cls* record whose field values are *values*
-    (attribute name -> value; a record's ``vars`` will do), leaving out the
-    wire keys in *omit*."""
+def record_map(cls: type, values: Any, omit: tuple = ()) -> dict:
+    """The canonical map of the *cls* record *values*, or of the record
+    whose field values it maps attribute names to, leaving out the wire
+    keys in *omit*."""
     return _encoder(cls, omit)(values)
 
 
@@ -219,38 +225,36 @@ def _codec(tp: Any) -> tuple:
     if hasattr(tp, "_SCALAR"):
         return operator.attrgetter(dataclasses.fields(tp)[0].name), tp._SCALAR, tp
     if dataclasses.is_dataclass(tp):
-        encode = _encoder(tp)
-        return (lambda record: encode(record.__dict__)), dict, _decoder(tp)
+        return _encoder(tp), dict, _decoder(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union:
         by_type = {member: _encoder(member) for member in args}
-        return (lambda record: by_type[type(record)](record.__dict__)), dict, _decoder(tp)
+        return (lambda record: by_type[type(record)](record)), dict, _decoder(tp)
     if origin is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
         encode_item, _, decode_item = _codec(args[0])
-        return ((lambda items: [encode_item(item) for item in items]), list,
+        return ((lambda items: list(map(encode_item, items))), list,
                 (lambda items: tuple(map(decode_item, items))))
     raise TypeError(f"no canonical codec for {tp!r}")
 
 
 @functools.cache
-def _encoder(cls: type, omit: tuple = ()) -> Callable[[dict], dict]:
-    """The function that builds the map of a *cls* record from its field
-    values, without the keys in *omit*.  Like the ``__init__`` that
-    ``dataclasses`` writes, it is generated as source, here one dict
-    display, so that a record's map costs what a hand-written one does."""
+def _encoder(cls: type, omit: tuple = ()) -> Callable[[Any], dict]:
+    """The function that builds the map of a *cls* record, given the record
+    or a dict of its field values, without the keys in *omit*."""
     kind = getattr(cls, "_KIND", None)
-    items = [] if kind is None or "kind" in omit else [f'"kind": {kind!r}']
-    namespace = {}
-    for attr, key, encode, _, _ in _fields(cls):
-        if key in omit:
-            continue
-        value = f"values[{attr!r}]"
-        if encode is not None:
-            namespace[f"encode_{attr}"] = encode
-            value = f"encode_{attr}({value})"
-        items.append(f"{key!r}: {value}")
-    exec(f"def encode(values):\n    return {{{', '.join(items)}}}\n", namespace)
-    return namespace["encode"]
+    head = {} if kind is None or "kind" in omit else {"kind": kind}
+    steps = tuple((key, attr, encode) for attr, key, encode, _, _ in _fields(cls)
+                  if key not in omit)
+
+    def encode_record(record: Any) -> dict:
+        values = getattr(record, "__dict__", record)
+        out = head.copy()
+        for key, attr, encode in steps:
+            value = values[attr]
+            out[key] = value if encode is None else encode(value)
+        return out
+
+    return encode_record
 
 
 @functools.cache

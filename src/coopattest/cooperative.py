@@ -307,7 +307,7 @@ class Cooperative:
             "year_ticks": self.year_ticks,
             "income_bands": [[upper, label] for upper, label in self.income_bands],
             "members": [m.to_map() for m in self._members.values()],
-            "issuances": [record_map(IssuanceEntry, vars(e)) for e in self._issuances],
+            "issuances": [record_map(IssuanceEntry, e) for e in self._issuances],
             "revoked": {d.hex(): tick for d, tick in self.revocations.entries.items()},
             "nonce_counter": self._nonce_counter,
         }

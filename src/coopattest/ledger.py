@@ -84,7 +84,7 @@ def record_signing_bytes(index: int, prev_digest: Digest, payload: Payload) -> b
 
 
 def record_bytes(record: LedgerRecord) -> bytes:
-    return canonical_serialize(record_map(LedgerRecord, vars(record)))
+    return canonical_serialize(record_map(LedgerRecord, record))
 
 
 class Ledger:

@@ -266,7 +266,7 @@ class Notary:
             "jurisdiction": self.policy.notary_jurisdiction,
             "compatible": sorted(self.policy.compatible),
             "issuers": list(self.known_issuers),
-            "archive": [record_map(ArchiveEntry, vars(e)) for e in self._entries],
+            "archive": [record_map(ArchiveEntry, e) for e in self._entries],
             "mirror": {d.hex(): tick for d, tick in self.mirror.items()},
             "audit": list(self.audit_log),
             "rejections": list(self.rejection_log),

@@ -1,6 +1,7 @@
 """Member registry, attribute derivation, issuance, revocation."""
 
 import os
+import stat
 
 import pytest
 
@@ -308,3 +309,35 @@ class TestStatePersistence:
             coop.save_state(path, b"coop1")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["coop.state"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
+    def test_save_keeps_file_mode(self, tmp_path, mode):
+        path = tmp_path / "coop.state"
+        make_coop().save_state(path, b"coop1")
+        path.chmod(mode)
+        make_coop().save_state(path, b"coop1")
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_new_state_file_is_owner_only(self, tmp_path):
+        path = tmp_path / "coop.state"
+        make_coop().save_state(path, b"coop1")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_save_through_symlink_rewrites_target(self, tmp_path):
+        target = tmp_path / "real.state"
+        make_coop().save_state(target, b"coop1")
+        link = tmp_path / "coop.state"
+        link.symlink_to(target)
+        coop = make_coop()
+        coop.register_member(alice())
+        coop.save_state(link, b"coop1")
+        assert link.is_symlink()
+        assert Cooperative.load_state(target).member("alice").handle == alice().handle
+
+    def test_save_leaves_other_files_alone(self, tmp_path):
+        path = tmp_path / "coop.state"
+        neighbour = tmp_path / "coop.state.tmp"
+        neighbour.write_bytes(b"operator's file")
+        make_coop().save_state(path, b"coop1")
+        assert neighbour.read_bytes() == b"operator's file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coop.state", "coop.state.tmp"]

@@ -1,6 +1,7 @@
 """Witnessing, archiving, revalidation, and disclosure at the notary."""
 
 import os
+import stat
 
 import pytest
 
@@ -249,6 +250,14 @@ class TestExports:
             notary.save_state(path, b"test-notary")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["notary.state"]
+
+    def test_save_keeps_owner_only_mode(self, tmp_path):
+        path = tmp_path / "notary.state"
+        path.write_bytes(b"{}")
+        path.chmod(0o600)
+        make_notary().save_state(path, b"test-notary")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert Notary.load_state(path).keypair == make_notary().keypair
 
     def test_wrongly_typed_issuers_rejected(self):
         raw = make_notary().to_state_map(b"test-notary")
