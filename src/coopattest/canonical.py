@@ -87,13 +87,28 @@ def _encode_list(value: list | tuple) -> str:
     return "[" + ",".join([_encode(item) for item in value]) + "]"
 
 
+def _encode_key(key: str) -> str:
+    return _encode_text(str.__str__(key)) + ":"
+
+
+# The few dozen keys the program uses recur in nearly every map.  The table
+# maps a key's text to its encoding and nothing else, so it cannot change a
+# byte; a key with a lone surrogate is cached too and still fails in
+# canonical_serialize, on every call.  Only exact ``str`` keys go through
+# it, so a subclass's own hashing or equality is never consulted.
+_encode_known_key = functools.lru_cache(maxsize=4096)(_encode_key)
+
+
 def _encode_map(value: dict) -> str:
+    encode_key = _encode_known_key
     for key in value:
-        if not isinstance(key, str):
-            raise UnsupportedValue(f"map keys must be text, got {type(key).__name__}")
+        if type(key) is not str:
+            if not isinstance(key, str):
+                raise UnsupportedValue(f"map keys must be text, got {type(key).__name__}")
+            encode_key = _encode_key
     # Code-point order is UTF-8 byte order for every encodable string; keys
     # with lone surrogates sort somewhere and are rejected at encode time.
-    return "{" + ",".join([_encode_text(key) + ":" + _encode(value[key])
+    return "{" + ",".join([encode_key(key) + _encode(value[key])
                            for key in sorted(value)]) + "}"
 
 
@@ -101,7 +116,18 @@ def _encode_bytes(value: bytes | bytearray) -> str:
     return "0x" + value.hex()
 
 
+class _Fragment:
+    """A value encoded once, spliced into an enclosing value's encoding
+    as it is (``EventLog.to_bytes`` uses it for a body its log repeats)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, value: Any) -> None:
+        self.text = _encode(value)
+
+
 _ENCODERS = {
+    _Fragment: operator.attrgetter("text"),
     str: _encode_text,
     dict: _encode_map,
     int: int.__repr__,

@@ -314,17 +314,35 @@ class Cooperative:
 
     @classmethod
     def from_state_map(cls, raw: dict) -> "Cooperative":
+        if not isinstance(raw, dict):
+            raise DecodeError("cooperative state must be a map")
+
+        def field(name: str, types, default=None):
+            if default is not None and name not in raw:
+                return default
+            return require(raw, name, types, "cooperative state")
+
+        key_seed = field("key_seed", bytes)
+        queries = field("queries", list, DEFAULT_QUERIES)
+        if not all(type(query) is str for query in queries):
+            raise DecodeError("cooperative state field 'queries' must be a list of text")
+        bands = field("income_bands", list, DEFAULT_INCOME_BANDS)
+        if not all(isinstance(band, (list, tuple)) and len(band) == 2
+                   and type(band[0]) is int and type(band[1]) is str for band in bands):
+            raise DecodeError("cooperative state field 'income_bands' must be a list of "
+                              "[integer, text] pairs")
+        revoked = field("revoked", dict, {})
+        if not all(type(tick) is int for tick in revoked.values()):
+            raise DecodeError("cooperative state field 'revoked' must map ids to integer ticks")
         try:
             coop = cls(
-                name=raw["name"],
-                keypair=crypto.keygen(raw["key_seed"]),
-                legal_rep_id=raw["legal_rep"],
-                queries=tuple(raw.get("queries", DEFAULT_QUERIES)),
-                year_ticks=raw.get("year_ticks", DEFAULT_YEAR_TICKS),
-                income_bands=tuple(
-                    (upper, label) for upper, label in raw.get("income_bands", DEFAULT_INCOME_BANDS)
-                ),
-                nonce_seed=raw.get("nonce_seed", raw["key_seed"]),
+                name=field("name", str),
+                keypair=crypto.keygen(key_seed),
+                legal_rep_id=field("legal_rep", str),
+                queries=tuple(queries),
+                year_ticks=field("year_ticks", int, DEFAULT_YEAR_TICKS),
+                income_bands=tuple(map(tuple, bands)),
+                nonce_seed=field("nonce_seed", bytes, key_seed),
             )
             for member_raw in raw.get("members", []):
                 coop.register_member(MemberRecord.from_map(member_raw))
@@ -334,9 +352,9 @@ class Cooperative:
                 coop._issuances.append(entry)
                 coop._by_id[entry.plain.attestation_id] = index
                 coop._by_id[entry.blinded.attestation_id] = index
-            for hex_id, tick in raw.get("revoked", {}).items():
+            for hex_id, tick in revoked.items():
                 coop.revocations.mark(Digest.from_hex(hex_id), tick)
-            coop._nonce_counter = raw.get("nonce_counter", 0)
+            coop._nonce_counter = field("nonce_counter", int, 0)
             return coop
         except (KeyError, TypeError, ValueError) as exc:
             raise DecodeError(f"malformed cooperative state: {exc}") from exc

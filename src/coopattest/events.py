@@ -26,6 +26,10 @@ def send_message(src, dst, channel: str, payload: dict, call: Callable[[], Any])
     are recorded before the handler runs, so handler side effects appear
     after the delivery in the log, the same order a queued transport would
     produce.
+
+    The two events are adjacent in the log and share one body object,
+    *payload* itself; ``EventLog.to_bytes`` relies on that to encode each
+    body once.
     """
     src._emit("send", {"to": dst.name, "channel": channel, "body": payload})
     dst._emit("deliver", {"from": src.name, "channel": channel, "body": payload})

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import crypto
 from .attestation import CounterSignedAttestation, attestation_to_map
-from .canonical import canonical_parse, canonical_serialize
+from .canonical import _Fragment, canonical_parse, canonical_serialize
 from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
@@ -67,7 +67,21 @@ class EventLog:
         return [e for e in self.events if e.kind == kind]
 
     def to_bytes(self) -> bytes:
-        return b"".join(canonical_serialize(e.to_map()) + b"\n" for e in self.events)
+        # A send and its deliver are adjacent and share one body object
+        # (events.send_message), so the body last encoded is kept, by
+        # identity, and spliced into the next event that carries it again.
+        lines = []
+        body = fragment = None
+        for event in self.events:
+            data = event.to_map()
+            payload = event.payload
+            if type(payload) is dict and "body" in payload:
+                if payload["body"] is not body:
+                    body = payload["body"]
+                    fragment = _Fragment(body)
+                data["payload"] = {**payload, "body": fragment}
+            lines.append(canonical_serialize(data) + b"\n")
+        return b"".join(lines)
 
     def write(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())

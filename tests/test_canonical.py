@@ -244,6 +244,41 @@ def test_lone_surrogates_are_unsupported(bad):
         canonical_serialize(bad)
 
 
+def test_keys_needing_escapes_encode_as_the_reference():
+    value = {'a"b': 1, "c\\d": 2, "\x00\x1f": 3, "tab\there": 4}
+    for _ in range(2):
+        assert canonical_serialize(value) == reference_serialize(value)
+
+
+def test_keys_past_the_key_table_bound_still_encode():
+    keys = [f"key-{i}\\" for i in range(5000)]
+    for key in keys + keys[:100]:
+        assert canonical_serialize({key: 0}) == reference_serialize({key: 0})
+
+
+def test_lone_surrogate_key_fails_on_every_encode():
+    for _ in range(2):
+        with pytest.raises(UnsupportedValue):
+            canonical_serialize({"ok\udc80": 1})
+
+
+def test_str_subclass_key_encodes_as_its_base_value():
+    class Key(str):
+        def __str__(self):
+            return "other"
+
+        def __hash__(self):
+            return hash("plain")
+
+        def __eq__(self, other):
+            return True
+
+    assert canonical_serialize({"plain": 1}) == b'{"plain":1}'
+    assert canonical_serialize({Key('k"'): 1}) == b'{"k\\"":1}'
+    assert canonical_serialize({Key("j"): 1}) == b'{"j":1}'
+    assert canonical_serialize({"plain": 1}) == b'{"plain":1}'
+
+
 def test_subclasses_encode_as_their_base_value():
     import enum
 

@@ -169,6 +169,28 @@ class TestIssueCountersignVerify:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "x.plain.att").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("nonce_counter", "1"),
+        ("nonce_counter", True),
+        ("year_ticks", "365"),
+        ("queries", "age-over-18"),
+        ("income_bands", [["30000", "low"]]),
+        ("income_bands", [[30000, 5]]),
+        ("revoked", {"ab" * 32: "5"}),
+    ])
+    def test_issue_wrongly_typed_state_field_exit_2(self, workdir, capsys, field, value):
+        raw = canonical_parse((workdir / "coop.state").read_bytes())
+        raw[field] = value
+        (workdir / "coop.state").write_bytes(canonical_serialize(raw))
+        code = run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18", "--mode", "absent",
+                    "--now", 10, "--ttl", 90,
+                    "--out-plain", workdir / "x.plain.att",
+                    "--out-blinded", workdir / "x.blinded.att"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "x.plain.att").exists()
+
     def test_countersign_wrongly_typed_issuers_exit_2(self, workdir, capsys):
         issue_and_countersign(workdir)
         raw = canonical_parse((workdir / "notary.state").read_bytes())

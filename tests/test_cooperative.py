@@ -1,7 +1,10 @@
 """Member registry, attribute derivation, issuance, revocation."""
 
 import os
+import signal
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -309,6 +312,26 @@ class TestStatePersistence:
             coop.save_state(path, b"coop1")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["coop.state"]
+
+    def test_killed_before_replace_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "coop.state"
+        make_coop().save_state(path, b"coop1")
+        before = path.read_bytes()
+        # The process dies where a crash would hurt most: the new state is
+        # written and synced beside the file, and the rename has not run.
+        child = (
+            "import os, signal, sys\n"
+            "from coopattest.cooperative import Cooperative, MemberRecord\n"
+            "os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "coop = Cooperative.load_state(sys.argv[1])\n"
+            "coop.register_member(MemberRecord('bob', 'bob-legal-0002', {}))\n"
+            "coop.save_state(sys.argv[1], b'coop1')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", child, str(path)],
+                                capture_output=True, timeout=60)
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        assert path.read_bytes() == before
+        assert Cooperative.load_state(path).keypair == make_coop().keypair
 
     @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
     def test_save_keeps_file_mode(self, tmp_path, mode):

@@ -14,6 +14,7 @@ from coopattest.canonical import canonical_parse, canonical_serialize
 from coopattest.errors import ConfigInvalid, DecodeError, ScriptActionFailed
 from coopattest.harness import (
     SCHEMA,
+    Event,
     EventLog,
     ScenarioConfig,
     bundled_scenario_names,
@@ -402,7 +403,38 @@ class TestValidateRunContract:
             assert code in ((0, 1) if problems == [] else (2,))
 
 
+def reference_log_bytes(log):
+    return b"".join(canonical_serialize(e.to_map()) + b"\n" for e in log)
+
+
 class TestEventLog:
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_to_bytes_matches_reference_on_bundled(self, name):
+        log = run_scenario(ScenarioConfig.load(bundled_scenario_path(name)))
+        assert log.to_bytes() == reference_log_bytes(log)
+
+    def test_to_bytes_matches_reference_on_hand_built(self):
+        shared = {"n": 1, "text": 'quote " slash \\ nul \x00 bell \x07 us \x1f'}
+        twin = {"n": 2}
+        log = EventLog([
+            Event(0, "B", "deliver", {"from": "A", "channel": "c", "body": {"n": 0}}),
+            Event(1, "A", "send", {"to": "B", "channel": "c", "body": shared}),
+            Event(1, "B", "deliver", {"from": "A", "channel": "c", "body": shared}),
+            Event(2, "A", "send", {"to": "B", "channel": "c", "body": twin}),
+            Event(2, "B", "deliver", {"from": "A", "channel": "c", "body": dict(twin)}),
+            Event(3, "A", "send", {"to": "B", "channel": "c", "body": {"n": 3}}),
+            Event(4, "A", "action", {"label": "between"}),
+            Event(5, "A", "send", {"to": "B", "channel": "c", "body": shared}),
+            Event(5, "A", "send", {"to": "C", "channel": "c", "body": shared}),
+            Event(6, "A", "send", {"to": "B", "channel": "c", "body": [b"\x01", -7, True]}),
+        ])
+        data = log.to_bytes()
+        assert data == reference_log_bytes(log)
+        assert EventLog.from_bytes(data).events == log.events
+
+    def test_to_bytes_of_empty_log(self):
+        assert EventLog().to_bytes() == b""
+
     def test_bytes_roundtrip(self):
         config = minimal_config()
         log = run_scenario(config)
