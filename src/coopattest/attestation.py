@@ -28,7 +28,15 @@ from pathlib import Path
 from typing import Any, Union
 
 from . import crypto
-from .canonical import canonical_parse, canonical_serialize, record_from_map, record_map
+from .canonical import (
+    Encoded,
+    canonical_parse,
+    canonical_serialize,
+    record_bytes,
+    record_from_map,
+    record_map,
+    record_text,
+)
 from .crypto import Digest, KeyPair, Signature
 from .errors import (
     EmptyAttributes,
@@ -61,15 +69,23 @@ class _Artifact:
     names its signature's domain tag (``_TAG``), the wire keys the
     signature does not cover (``_UNSIGNED``) and the signature itself
     (``_signature``).
+
+    The canonical text is written once; every encoding that holds the
+    artifact (a countersignature's signed bytes, a ledger record, a
+    message body in the event log) splices it in as it is.
     """
 
     @cached_property
+    def _canonical_text(self) -> str:
+        return record_text(type(self), self)
+
+    @cached_property
     def _canonical_bytes(self) -> bytes:
-        return canonical_serialize(attestation_to_map(self))
+        return canonical_serialize(Encoded(self._canonical_text))
 
     @cached_property
     def _signed_bytes(self) -> bytes:
-        return canonical_serialize(record_map(type(self), self, self._UNSIGNED))
+        return record_bytes(type(self), self, self._UNSIGNED)
 
     def _signature_verifies(self, public_key: bytes) -> bool:
         """True iff the artifact's own signature verifies under *public_key*.
@@ -106,7 +122,7 @@ class _IssuerSigned(_Artifact):
 
 
 def _seal_id(cls: type, values: Any) -> Digest:
-    return crypto.digest(canonical_serialize(record_map(cls, values, ("attestation_id",))))
+    return crypto.digest(record_bytes(cls, values, ("attestation_id",)))
 
 
 # --- domain types -------------------------------------------------------------
@@ -240,18 +256,37 @@ def countersign_bytes(blinded: BlindedAttestation, notary_id: str,
                       notary_key_id: Digest, countersigned_at: int) -> bytes:
     """The bytes the notary signature covers: the unmodified embedded blinded
     attestation plus the envelope metadata."""
-    return canonical_serialize(record_map(
+    return record_bytes(
         CounterSignedAttestation,
         dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary_key_id,
              countersigned_at=countersigned_at),
         CounterSignedAttestation._UNSIGNED,
-    ))
+    )
 
 
 def attestation_to_map(att) -> dict:
+    """A fresh canonical map of *att*; changing it changes nothing else."""
     if not isinstance(att, _Artifact):
         raise TypeError(f"not an attestation: {type(att).__name__}")
     return record_map(type(att), att)
+
+
+def message_body(**values) -> tuple[dict, dict]:
+    """The body of a message carrying *values*, as a map and as its wire
+    form, which encodes to the same canonical text.
+
+    An artifact among the values is a fresh map of its own in the body
+    map, and its memoised canonical text in the wire form, so that the
+    event log does not encode it again (see ``events.send_message``).
+    """
+    body, wire = {}, {}
+    for key, value in values.items():
+        if isinstance(value, _Artifact):
+            body[key] = attestation_to_map(value)
+            wire[key] = Encoded(value._canonical_text)
+        else:
+            body[key] = wire[key] = value
+    return body, wire
 
 
 def canonical_bytes(att) -> bytes:
@@ -332,7 +367,7 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
 def _issue(cls: type, issuer: KeyPair, fields: dict):
     """The *cls* attestation with the body *fields*, signed by *issuer* and
     sealed with its id."""
-    message = canonical_serialize(record_map(cls, fields, cls._UNSIGNED))
+    message = record_bytes(cls, fields, cls._UNSIGNED)
     fields["issuer_signature"] = crypto.sign(issuer, cls._TAG, message)
     fields["attestation_id"] = _seal_id(cls, fields)
     return _signed_over(message, cls(**fields))

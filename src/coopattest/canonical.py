@@ -18,12 +18,14 @@ Encoding rules:
 
 Each type has a distinct lexical form, so the encoding is injective and
 ``decode(encode(v)) == v``.  The parser is strict about value lexemes
-(lowercase hex only, no leading zeros, fixed escape set) so that no two
+(lowercase hex only, no leading zeros, ``\\u00xx`` for controls only) and
+about map keys (strictly increasing code-point order), so that no two
 distinct byte strings decode to the same value; it is tolerant only of
 whitespace between tokens, which lets config files be hand-formatted.
 
 The record codec below builds the canonical map of a frozen dataclass
-from its field declarations and decodes such maps strictly.
+from its field declarations, writes its canonical bytes straight from
+the fields, and decodes such maps strictly.
 """
 
 from __future__ import annotations
@@ -60,8 +62,18 @@ def canonical_serialize(value: Any) -> bytes:
     (floats, None, non-string map keys, text with lone surrogates,
     arbitrary objects).
     """
+    return _utf8(_encode(value))
+
+
+def canonical_text(value: Any) -> str:
+    """The text canonical_serialize encodes as UTF-8.  Text with lone
+    surrogates is rejected only at that last step."""
+    return _encode(value)
+
+
+def _utf8(text: str) -> bytes:
     try:
-        return _encode(value).encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError:
         raise UnsupportedValue("text must not contain lone surrogates") from None
 
@@ -116,18 +128,18 @@ def _encode_bytes(value: bytes | bytearray) -> str:
     return "0x" + value.hex()
 
 
-class _Fragment:
-    """A value encoded once, spliced into an enclosing value's encoding
-    as it is (``EventLog.to_bytes`` uses it for a body its log repeats)."""
+class Encoded:
+    """A value's canonical text, encoded once and spliced as it is into
+    the encoding of any value that holds it."""
 
     __slots__ = ("text",)
 
-    def __init__(self, value: Any) -> None:
-        self.text = _encode(value)
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 _ENCODERS = {
-    _Fragment: operator.attrgetter("text"),
+    Encoded: operator.attrgetter("text"),
     str: _encode_text,
     dict: _encode_map,
     int: int.__repr__,
@@ -207,14 +219,28 @@ def require(raw: Any, field: str, types, record: str) -> Any:
 #   tuple[X, ...]            a list of the maps of X, a record;
 #   a Union of records       the map of the member whose ``_KIND`` it names.
 #
-# A record class with ``_KIND`` also writes that text under "kind".  Each
-# class's encoder and decoder are built once, on first use.
+# A record class with ``_KIND`` also writes that text under "kind".  A record
+# class whose instances keep their own canonical text in ``_canonical_text``
+# (the attestation artifacts) is written, inside another record's bytes, as
+# that text.  Each class's encoders and decoder are built once, on first use.
 
 def record_map(cls: type, values: Any, omit: tuple = ()) -> dict:
     """The canonical map of the *cls* record *values*, or of the record
     whose field values it maps attribute names to, leaving out the wire
     keys in *omit*."""
     return _encoder(cls, omit)(values)
+
+
+def record_bytes(cls: type, values: Any, omit: tuple = ()) -> bytes:
+    """The canonical bytes of the map ``record_map`` builds from the same
+    arguments, written straight from the fields: no map is built and no
+    key is sorted."""
+    return _utf8(_writer(cls, omit)(values))
+
+
+def record_text(cls: type, values: Any, omit: tuple = ()) -> str:
+    """The text ``record_bytes`` encodes as UTF-8."""
+    return _writer(cls, omit)(values)
 
 
 def record_from_map(tp: Any, raw: Any) -> Any:
@@ -235,31 +261,42 @@ def record_from_map(tp: Any, raw: Any) -> Any:
 
 @functools.cache
 def _fields(cls: type) -> tuple:
-    """(attribute, wire key, encode, wire type, decode) of each field of
-    record *cls*, in declaration order."""
+    """(attribute, wire key, encode, wire type, decode, write) of each
+    field of record *cls*, in declaration order."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, f.metadata.get("key", f.name), *_codec(hints[f.name]))
                  for f in dataclasses.fields(cls))
 
 
 def _codec(tp: Any) -> tuple:
-    """How a field of annotation *tp* is written and read: (encode, the
-    canonical type it is written as, decode); an encode or decode of None
-    passes the value as it is."""
+    """How a field of annotation *tp* is written and read: (encode to its
+    map value, the canonical type it is written as, decode, write as
+    canonical text); an encode or decode of None passes the value as it
+    is."""
     if tp in (str, int, bytes):
-        return None, tp, None
+        return None, tp, None, _encode
     if hasattr(tp, "_SCALAR"):
-        return operator.attrgetter(dataclasses.fields(tp)[0].name), tp._SCALAR, tp
+        get = operator.attrgetter(dataclasses.fields(tp)[0].name)
+        return get, tp._SCALAR, tp, (lambda value: _encode(get(value)))
     if dataclasses.is_dataclass(tp):
-        return _encoder(tp), dict, _decoder(tp)
+        write = _writer(tp)
+        if hasattr(tp, "_canonical_text"):
+            unspliced = write
+
+            def write(record: Any) -> str:
+                return record._canonical_text if type(record) is tp else unspliced(record)
+
+        return _encoder(tp), dict, _decoder(tp), write
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union:
-        by_type = {member: _encoder(member) for member in args}
-        return (lambda record: by_type[type(record)](record)), dict, _decoder(tp)
+        by_type = {member: _codec(member) for member in args}
+        return ((lambda record: by_type[type(record)][0](record)), dict, _decoder(tp),
+                (lambda record: by_type[type(record)][3](record)))
     if origin is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
-        encode_item, _, decode_item = _codec(args[0])
+        encode_item, _, decode_item, write_item = _codec(args[0])
         return ((lambda items: list(map(encode_item, items))), list,
-                (lambda items: tuple(map(decode_item, items))))
+                (lambda items: tuple(map(decode_item, items))),
+                (lambda items: "[" + ",".join([write_item(item) for item in items]) + "]"))
     raise TypeError(f"no canonical codec for {tp!r}")
 
 
@@ -269,7 +306,7 @@ def _encoder(cls: type, omit: tuple = ()) -> Callable[[Any], dict]:
     or a dict of its field values, without the keys in *omit*."""
     kind = getattr(cls, "_KIND", None)
     head = {} if kind is None or "kind" in omit else {"kind": kind}
-    steps = tuple((key, attr, encode) for attr, key, encode, _, _ in _fields(cls)
+    steps = tuple((key, attr, encode) for attr, key, encode, _, _, _ in _fields(cls)
                   if key not in omit)
 
     def encode_record(record: Any) -> dict:
@@ -281,6 +318,40 @@ def _encoder(cls: type, omit: tuple = ()) -> Callable[[Any], dict]:
         return out
 
     return encode_record
+
+
+@functools.cache
+def _writer(cls: type, omit: tuple = ()) -> Callable[[Any], str]:
+    """The function that writes the canonical text of what ``_encoder(cls,
+    omit)`` maps.  The encoded keys, with the separators and "kind" between
+    them, are laid out once in code-point order; a call writes only the
+    values."""
+    kind = getattr(cls, "_KIND", None)
+    entries = [(key, attr, write) for attr, key, _, _, _, write in _fields(cls)
+               if key not in omit]
+    if kind is not None and "kind" not in omit:
+        entries.append(("kind", None, _encode_text(kind)))
+    steps = []
+    text = "{"
+    for i, (key, attr, write) in enumerate(sorted(entries, key=operator.itemgetter(0))):
+        text += ("," if i else "") + _encode_key(key)
+        if attr is None:
+            text += write
+        else:
+            steps.append((text, attr, write))
+            text = ""
+    tail = text + "}"
+
+    def write_record(record: Any) -> str:
+        values = getattr(record, "__dict__", record)
+        out = []
+        for head, attr, write in steps:
+            out.append(head)
+            out.append(write(values[attr]))
+        out.append(tail)
+        return "".join(out)
+
+    return write_record
 
 
 @functools.cache
@@ -300,7 +371,7 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
 
     name = tp.__name__
     kind = getattr(tp, "_KIND", None)
-    steps = tuple((attr, key, types, decode) for attr, key, _, types, decode in _fields(tp))
+    steps = tuple((attr, key, types, decode) for attr, key, _, types, decode, _ in _fields(tp))
     keys = {key for _, key, _, _ in steps} | ({"kind"} if kind is not None else set())
 
     def decode(raw: Any) -> Any:
@@ -386,11 +457,17 @@ class _Parser:
         if not self.at_end() and self.peek() == ord("}"):
             self.pos += 1
             return result
+        previous = None
         while True:
             self.skip_ws()
+            start = self.pos
             key = self.parse_text()
-            if key in result:
-                raise self.fail(f"duplicate map key {key!r}")
+            # Code-point order is the order the encoder writes; a repeated
+            # key is out of order too.
+            if previous is not None and key <= previous:
+                raise DecodeError(f"map key {key!r} at byte {start} does not come "
+                                  f"after {previous!r} in code-point order")
+            previous = key
             self.skip_ws()
             self.expect(ord(":"))
             result[key] = self.parse_value()
@@ -466,8 +543,9 @@ class _Parser:
                 raise self.fail("\\u escape requires four lowercase hex digits")
             self.pos += 4
             code = int(hex_part, 16)
-            if 0xD800 <= code <= 0xDFFF:
-                raise self.fail("surrogate code point in \\u escape")
+            if code >= 0x20:
+                # The encoder escapes only the C0 controls this way.
+                raise self.fail("\\u escape of a character that is written as itself")
             return chr(code)
         raise self.fail(f"unknown escape \\{chr(byte)!r}")
 

@@ -27,7 +27,15 @@ from .attestation import (
     build_plain,
     write_attestation,
 )
-from .canonical import canonical_parse, record_from_map, record_map, require, write_canonical
+from .canonical import (
+    Encoded,
+    canonical_parse,
+    canonical_text,
+    record_from_map,
+    record_map,
+    require,
+    write_canonical,
+)
 from .crypto import Digest, KeyPair
 from .errors import (
     DecodeError,
@@ -38,6 +46,7 @@ from .errors import (
     UnknownMember,
     UnknownQuery,
 )
+from .events import no_emit
 
 DEFAULT_QUERIES = (
     "age-over-18",
@@ -94,13 +103,27 @@ class MemberRecord:
 
 @dataclass
 class RevocationRegistry:
-    """Append-only map from attestation id to the tick it was revoked at."""
+    """Append-only map from attestation id to the tick it was revoked at;
+    ``entries`` changes only through ``mark``."""
 
     entries: dict[Digest, int] = field(default_factory=dict)
+    # wire_entries's map and its text, built at most once per change.
+    _wire: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def mark(self, attestation_id: Digest, at: int) -> None:
         # A revoked id is never un-revoked and keeps its first tick.
-        self.entries.setdefault(attestation_id, at)
+        if attestation_id not in self.entries:
+            self.entries[attestation_id] = at
+            self._wire = None
+
+    def wire_entries(self) -> tuple[dict[str, int], Encoded]:
+        """The entries as a revocation-sync message carries them, id hex to
+        tick: a fresh map, and the canonical text of such a map."""
+        if self._wire is None:
+            entries = {d.hex(): tick for d, tick in self.entries.items()}
+            self._wire = entries, Encoded(canonical_text(entries))
+        entries, encoded = self._wire
+        return dict(entries), encoded
 
     def revoked_at(self, attestation_id: Digest) -> int | None:
         return self.entries.get(attestation_id)
@@ -143,7 +166,7 @@ class Cooperative:
         self._issuances: list[IssuanceEntry] = []
         self._by_id: dict[Digest, int] = {}
         self.revocations = RevocationRegistry()
-        self._emit = lambda kind, payload: None
+        self._emit = no_emit
 
     @property
     def public_key(self) -> bytes:

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-EmitFn = Callable[[str, dict], Any]
+# emit(kind, payload, wire): *wire* is None, or the wire form of a
+# message's body (see send_message).
+EmitFn = Callable[[str, dict, Any], Any]
 
 
-def no_emit(kind: str, payload: dict) -> None:
+def no_emit(kind: str, payload: dict, wire: Any = None) -> None:
     return None
 
 
-def send_message(src, dst, channel: str, payload: dict, call: Callable[[], Any]) -> Any:
+def send_message(src, dst, channel: str, payload: dict, call: Callable[[], Any],
+                 wire: Any = None) -> Any:
     """Deliver a message from actor *src* to actor *dst* and run the handler.
 
     Both actors expose ``name`` and ``_emit``.  The send and deliver events
@@ -29,8 +32,13 @@ def send_message(src, dst, channel: str, payload: dict, call: Callable[[], Any])
 
     The two events are adjacent in the log and share one body object,
     *payload* itself; ``EventLog.to_bytes`` relies on that to encode each
-    body once.
+    body once.  *wire*, when given, is a value that encodes to the same
+    canonical text as *payload* but holds texts the sender had already
+    encoded, as ``canonical.Encoded`` values (an attestation's memoised
+    text, a revocation registry's snapshot); the log writes the body from
+    it, so those texts are spliced in, not encoded again.  The log keeps
+    *payload*, a plain map, for its readers.
     """
-    src._emit("send", {"to": dst.name, "channel": channel, "body": payload})
-    dst._emit("deliver", {"from": src.name, "channel": channel, "body": payload})
+    src._emit("send", {"to": dst.name, "channel": channel, "body": payload}, wire)
+    dst._emit("deliver", {"from": src.name, "channel": channel, "body": payload}, wire)
     return call()

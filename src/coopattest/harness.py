@@ -12,14 +12,14 @@ golden regression files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from . import crypto
-from .attestation import CounterSignedAttestation, attestation_to_map
-from .canonical import _Fragment, canonical_parse, canonical_serialize
+from .attestation import CounterSignedAttestation, message_body
+from .canonical import Encoded, canonical_parse, canonical_serialize, canonical_text
 from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
@@ -37,6 +37,10 @@ class Event:
     actor: str
     kind: str
     payload: dict
+    # The wire form of a message event's body (events.send_message), which
+    # the log writes in place of encoding payload["body"]; not part of the
+    # event's value.
+    wire: object = field(default=None, compare=False, repr=False)
 
     def to_map(self) -> dict:
         return {"tick": self.tick, "actor": self.actor, "kind": self.kind,
@@ -70,16 +74,18 @@ class EventLog:
         # A send and its deliver are adjacent and share one body object
         # (events.send_message), so the body last encoded is kept, by
         # identity, and spliced into the next event that carries it again.
+        # A body sent with a wire form is written from that form, which
+        # splices the texts its sender had already encoded.
         lines = []
-        body = fragment = None
+        body = encoded = None
         for event in self.events:
             data = event.to_map()
             payload = event.payload
             if type(payload) is dict and "body" in payload:
                 if payload["body"] is not body:
                     body = payload["body"]
-                    fragment = _Fragment(body)
-                data["payload"] = {**payload, "body": fragment}
+                    encoded = Encoded(canonical_text(body if event.wire is None else event.wire))
+                data["payload"] = {**payload, "body": encoded}
             lines.append(canonical_serialize(data) + b"\n")
         return b"".join(lines)
 
@@ -465,8 +471,8 @@ class Scenario:
 
     def _bind(self, actor) -> None:
         name = actor.name
-        actor._emit = lambda kind, payload: self.log.append(
-            Event(tick=self.now, actor=name, kind=kind, payload=payload)
+        actor._emit = lambda kind, payload, wire=None: self.log.append(
+            Event(self.now, name, kind, payload, wire)
         )
 
     def _actor_key(self, role: str, name: str) -> KeyPair:
@@ -580,16 +586,18 @@ class Scenario:
             action["member"], list(action["queries"]), action["mode"],
             self.now, action["ttl"],
         )
-        snapshot = {d.hex(): tick for d, tick in coop.registry_snapshot().items()}
-        send_message(coop, notary, "revocation-sync", {"entries": snapshot},
-                     lambda: notary.sync_revocations(coop.registry_snapshot()))
+        entries, encoded = coop.revocations.wire_entries()
+        send_message(coop, notary, "revocation-sync", {"entries": entries},
+                     lambda: notary.sync_revocations(coop.registry_snapshot()),
+                     {"entries": encoded})
+        body, wire = message_body(plain=plain, blinded=blinded)
         csa = send_message(
-            coop, notary, "witness-request",
-            {"plain": attestation_to_map(plain), "blinded": attestation_to_map(blinded)},
+            coop, notary, "witness-request", body,
             lambda: notary.witness_and_countersign(plain, blinded, coop.public_key, self.now),
+            wire,
         )
-        send_message(notary, coop, "countersigned",
-                     {"attestation": attestation_to_map(csa)}, lambda: None)
+        body, wire = message_body(attestation=csa)
+        send_message(notary, coop, "countersigned", body, lambda: None, wire)
         self.artifacts[action["label"]] = csa
         coop._emit("issued", {
             "label": action["label"],

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Union
 
 from . import crypto
 from .attestation import CounterSignedAttestation
-from .canonical import canonical_parse, canonical_serialize, record_from_map, record_map
+from . import canonical
+from .canonical import canonical_parse, record_from_map
 from .crypto import Digest, KeyPair, Signature, ZERO_DIGEST
 from .errors import DanglingAttestationPointer, OutOfBounds, UnregisteredWriter
 
@@ -76,15 +77,18 @@ class LedgerRecord:
         return crypto.digest(record_bytes(self))
 
 
+# An attestation record's bytes splice the countersigned attestation's
+# memoised canonical text (see ``canonical.record_bytes``).
+
 def record_signing_bytes(index: int, prev_digest: Digest, payload: Payload) -> bytes:
-    return canonical_serialize(record_map(
+    return canonical.record_bytes(
         LedgerRecord, dict(index=index, prev_digest=prev_digest, payload=payload),
         LedgerRecord._UNSIGNED,
-    ))
+    )
 
 
 def record_bytes(record: LedgerRecord) -> bytes:
-    return canonical_serialize(record_map(LedgerRecord, record))
+    return canonical.record_bytes(LedgerRecord, record)
 
 
 class Ledger:

@@ -31,6 +31,7 @@ from .canonical import (
     canonical_serialize,
     record_from_map,
     record_map,
+    require,
     write_canonical,
 )
 from .cooperative import Status
@@ -83,6 +84,12 @@ class DisclosureResponse:
     def __post_init__(self) -> None:
         if (self.subject is not None) != (self.outcome == OUTCOME_DISCLOSED):
             raise ValueError("subject must be present exactly when disclosed")
+
+
+# The entries of the audit and rejection logs, as the notary writes them.
+_AUDIT_LAYOUT = {"at": int, "attestation_id": bytes, "jurisdiction": str,
+                 "purpose": str, "outcome": str}
+_REJECTION_LAYOUT = {"at": int, "attestation_id": bytes, "failing": list}
 
 
 class Notary:
@@ -276,29 +283,56 @@ class Notary:
     def from_state_map(cls, raw: dict) -> "Notary":
         if not isinstance(raw, dict):
             raise DecodeError("notary state must be a map")
-        issuers = raw.get("issuers", [])
-        if not isinstance(issuers, list) or not all(type(key) is bytes for key in issuers):
+
+        def field(name: str, types, default=None):
+            if default is not None and name not in raw:
+                return default
+            return require(raw, name, types, "notary state")
+
+        def entries(name: str, layout: dict) -> list:
+            # A list of maps with exactly the keys of *layout*, each of its type.
+            value = field(name, list, [])
+            for entry in value:
+                if not (isinstance(entry, dict) and entry.keys() == layout.keys()):
+                    raise DecodeError(f"notary state field {name!r} must be a list of "
+                                      f"maps with keys {sorted(layout)}")
+                for key, types in layout.items():
+                    require(entry, key, types, f"notary state {name} entry")
+            return value
+
+        compatible = field("compatible", list, [])
+        if not all(type(code) is str for code in compatible):
+            raise DecodeError("notary state field 'compatible' must be a list of text")
+        issuers = field("issuers", list, [])
+        if not all(type(key) is bytes for key in issuers):
             raise DecodeError("notary state field 'issuers' must be a list of byte-strings")
+        mirror = field("mirror", dict, {})
+        if not all(type(tick) is int for tick in mirror.values()):
+            raise DecodeError("notary state field 'mirror' must map ids to integer ticks")
+        audit = entries("audit", _AUDIT_LAYOUT)
+        rejections = entries("rejections", _REJECTION_LAYOUT)
+        if not all(type(check) is str for entry in rejections for check in entry["failing"]):
+            raise DecodeError("notary state field 'rejections' must list failing checks as text")
         try:
             notary = cls(
-                notary_id=raw["notary_id"],
-                keypair=crypto.keygen(raw["key_seed"]),
+                notary_id=field("notary_id", str),
+                keypair=crypto.keygen(field("key_seed", bytes)),
                 policy=JurisdictionPolicy(
-                    notary_jurisdiction=raw["jurisdiction"],
-                    compatible=frozenset(raw.get("compatible", [])),
+                    notary_jurisdiction=field("jurisdiction", str),
+                    compatible=frozenset(compatible),
                 ),
                 known_issuers=issuers,
             )
-            for entry_raw in raw.get("archive", []):
+            for entry_raw in field("archive", list, []):
                 entry = record_from_map(ArchiveEntry, entry_raw)
                 index = len(notary._entries)
                 notary._entries.append(entry)
                 notary._by_id[entry.blinded.attestation_id] = index
                 notary._by_id[entry.plain.attestation_id] = index
-            for hex_id, tick in raw.get("mirror", {}).items():
+            for hex_id, tick in mirror.items():
                 notary.mirror[Digest.from_hex(hex_id)] = tick
-            notary.audit_log = list(raw.get("audit", []))
-            notary.rejection_log = list(raw.get("rejections", []))
+            notary.audit_log = list(audit)
+            notary.rejection_log = list(rejections)
             return notary
         except (KeyError, TypeError, ValueError) as exc:
             raise DecodeError(f"malformed notary state: {exc}") from exc

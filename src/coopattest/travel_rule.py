@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .attestation import CounterSignedAttestation, attestation_to_map, verify_countersigned
+from .attestation import CounterSignedAttestation, message_body, verify_countersigned
 from .cooperative import Status
 from .crypto import KeyDirectory
 from .errors import (
@@ -254,11 +254,8 @@ class Exchange:
             self, origin, "attestation-request", {"transfer_id": transfer_id},
             lambda: origin.provide_attestation(transfer_id),
         )
-        send_message(
-            origin, self, "attestation-delivery",
-            {"transfer_id": transfer_id, "attestation": attestation_to_map(csa)},
-            lambda: None,
-        )
+        body, wire = message_body(transfer_id=transfer_id, attestation=csa)
+        send_message(origin, self, "attestation-delivery", body, lambda: None, wire)
         self._on_file[transfer_id] = csa
         return csa
 

@@ -19,10 +19,12 @@ from coopattest.attestation import (
     blind,
     countersign,
 )
-from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_map
+from coopattest.cooperative import IssuanceEntry
 from coopattest.crypto import Digest, Signature
 from coopattest.errors import DecodeError, UnsupportedValue
 from coopattest.ledger import AttestationRecord, LedgerRecord, PostRecord, RecordPointer
+from coopattest.notary import ArchiveEntry
 
 from conftest import make_plain
 
@@ -119,6 +121,11 @@ def test_injective(a, b):
         b"0xAB",          # uppercase hex
         b"0xa",           # odd hex length
         b'{"a":1,"a":2}', # duplicate key
+        b'{"b":1,"a":2}', # keys out of order
+        b'{"a":{"d":1,"c":2}}',  # nested keys out of order
+        b'"\\u0041"',     # escape of a character written as itself
+        b'"\\u0022"',
+        b'"\\u005c"',
         b"1 2",           # trailing data
         b'"\\u00AB"',     # uppercase hex in escape
         b'"\\ud800"',     # surrogate
@@ -134,6 +141,14 @@ def test_injective(a, b):
 def test_parser_rejects_non_canonical(bad):
     with pytest.raises(DecodeError):
         canonical_parse(bad)
+
+
+def test_unsorted_key_error_names_the_key_and_its_offset():
+    with pytest.raises(DecodeError, match=r"map key 'a' at byte 7 does not come after 'b'"):
+        canonical_parse(b'{"b":1,"a":2}')
+    # The order is by code point, so a hand-formatted file fails the same way.
+    with pytest.raises(DecodeError, match=r"map key 'Z' at byte 14"):
+        canonical_parse(b'{\n  "a": 1,\n  "Z": 2\n}')
 
 
 def test_parser_tolerates_whitespace_between_tokens():
@@ -348,3 +363,166 @@ class TestFieldReference:
         declared = self.declared_rows()
         for artifact, record in ((blinded, "blinded"), (csa, "countersigned")):
             assert set(attestation_to_map(artifact)) == {k for r, k in declared if r == record}
+
+
+# --- strict parsing: only canonical bytes parse, whitespace aside ----------------
+
+@st.composite
+def maps_with_two_keys_swapped(draw):
+    """The bytes of a canonical map with at least two keys, written with two
+    of its entries swapped, at the top level or inside a list or map."""
+    entries = draw(st.dictionaries(text_values, domain_values, min_size=2, max_size=6))
+    keys = sorted(entries)
+    i, j = draw(st.lists(st.integers(0, len(keys) - 1), min_size=2, max_size=2, unique=True))
+    keys[i], keys[j] = keys[j], keys[i]
+    data = b"{" + b",".join(canonical_serialize(key) + b":" + canonical_serialize(entries[key])
+                            for key in keys) + b"}"
+    return draw(st.sampled_from([data, b"[1," + data + b"]", b'{"outer":' + data + b"}"]))
+
+
+@given(maps_with_two_keys_swapped())
+@settings(max_examples=200)
+def test_swapping_two_keys_makes_parsing_fail(data):
+    with pytest.raises(DecodeError):
+        canonical_parse(data)
+
+
+# Lexemes, canonical or nearly so, to join at random.
+_TOKENS = [b"{", b"}", b"[", b"]", b",", b":", b'""', b'"a"', b'"b"', '"é"'.encode(),
+           b'"\\""', b'"\\\\"', b'"\\u0000"', b'"\\u001f"', b'"\\u0020"', b'"\\u0041"',
+           b'"\\u00e9"', b"0x", b"0xab", b"0xAB", b"0", b"1", b"-1", b"01", b"-0", b"true",
+           b"false"]
+
+
+@st.composite
+def edited_canonical_bytes(draw):
+    """Canonical bytes with a few bytes inserted, deleted or changed."""
+    data = bytearray(canonical_serialize(draw(domain_values)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(("insert", "delete", "change")))
+        byte = draw(st.sampled_from(b'{}[],:"\\0x1-aeftu'))
+        if how == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if how == "delete":
+                del data[at]
+            else:
+                data[at] = byte
+    return bytes(data)
+
+
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=10).map(b"".join),
+                 edited_canonical_bytes(),
+                 domain_values.map(canonical_serialize)))
+@settings(max_examples=500)
+def test_whitespace_free_input_that_parses_is_canonical(raw):
+    data = raw.translate(None, b" \t\r\n")
+    try:
+        value = canonical_parse(data)
+    except DecodeError:
+        return
+    assert canonical_serialize(value) == data
+
+
+# --- record_bytes against the map path --------------------------------------------
+#
+# The map path, ``canonical_serialize(record_map(...))``, is the reference for
+# the record writer: for every record class, and for every set of omitted keys
+# the program writes, both give the same bytes or both raise UnsupportedValue.
+
+# Text with a lone surrogate now and then, which neither path may encode.
+record_texts = st.one_of(text_values, st.text(alphabet="a\ud800", min_size=1, max_size=3))
+digests = st.binary(min_size=32, max_size=32).map(Digest)
+signatures = st.builds(Signature, st.binary(max_size=64), digests, record_texts)
+claims = st.builds(AttributeClaim, record_texts.filter(bool), record_texts, record_texts)
+claim_tuples = st.lists(claims, max_size=3).map(tuple)
+
+
+@st.composite
+def windows(draw):
+    issued_at = draw(st.integers())
+    return issued_at, issued_at + draw(st.integers(min_value=1))
+
+
+@st.composite
+def plain_records(draw):
+    issued_at, expires_at = draw(windows())
+    return PlainAttestation(
+        draw(digests), SubjectRef.legal(draw(record_texts)), draw(claim_tuples), draw(digests),
+        draw(record_texts), issued_at, expires_at, draw(st.binary(min_size=32, max_size=32)),
+        draw(record_texts), draw(signatures))
+
+
+@st.composite
+def blinded_records(draw):
+    issued_at, expires_at = draw(windows())
+    subject = draw(st.one_of(st.just(SubjectRef.absent()),
+                             record_texts.map(lambda text: SubjectRef.handle("@" + text))))
+    return BlindedAttestation(
+        draw(digests), subject, draw(claim_tuples), draw(digests), draw(digests),
+        draw(record_texts), issued_at, expires_at, draw(record_texts), draw(signatures))
+
+
+countersigned_records = st.builds(
+    CounterSignedAttestation, blinded_records(), record_texts.filter(bool), digests,
+    st.integers(), signatures)
+pointers = st.builds(RecordPointer, record_texts, st.integers())
+payloads = st.one_of(st.builds(AttestationRecord, countersigned_records),
+                     st.builds(PostRecord, digests, pointers, st.integers()))
+ledger_records = st.builds(LedgerRecord, st.integers(), digests, payloads, digests, signatures)
+
+RECORD_STRATEGIES = {
+    PlainAttestation: plain_records(), BlindedAttestation: blinded_records(),
+    CounterSignedAttestation: countersigned_records, LedgerRecord: ledger_records,
+    SubjectRef: record_texts.map(SubjectRef.legal), AttributeClaim: claims,
+    Signature: signatures, RecordPointer: pointers,
+    AttestationRecord: st.builds(AttestationRecord, countersigned_records),
+    PostRecord: st.builds(PostRecord, digests, pointers, st.integers()),
+    IssuanceEntry: st.builds(IssuanceEntry, plain_records(), blinded_records()),
+    ArchiveEntry: st.builds(ArchiveEntry, plain_records(), blinded_records(),
+                            countersigned_records, st.integers()),
+}
+# Every (class, omitted keys) pair the program writes with record_bytes.
+WRITTEN = [(cls, ()) for cls in RECORD_STRATEGIES] + [
+    (PlainAttestation, PlainAttestation._UNSIGNED), (PlainAttestation, ("attestation_id",)),
+    (BlindedAttestation, BlindedAttestation._UNSIGNED),
+    (BlindedAttestation, ("attestation_id",)),
+    (CounterSignedAttestation, CounterSignedAttestation._UNSIGNED),
+    (LedgerRecord, LedgerRecord._UNSIGNED),
+]
+
+
+def reference_record_bytes(cls, values, omit):
+    return canonical_serialize(record_map(cls, values, omit))
+
+
+@given(st.sampled_from(WRITTEN).flatmap(lambda written: st.tuples(
+    st.just(written),
+    # A record, or the dict of its field values, as the program passes both.
+    RECORD_STRATEGIES[written[0]].flatmap(lambda record: st.sampled_from([record, vars(record)])))))
+@settings(max_examples=300)
+def test_record_bytes_matches_the_map_path(case):
+    (cls, omit), values = case
+    try:
+        expected = reference_record_bytes(cls, values, omit)
+    except UnsupportedValue:
+        with pytest.raises(UnsupportedValue):
+            record_bytes(cls, values, omit)
+        return
+    # The second call splices the texts the first one memoised on the
+    # attestations inside the record.
+    assert record_bytes(cls, values, omit) == expected
+    assert record_bytes(cls, values, omit) == expected
+
+
+def test_record_bytes_of_the_program_s_own_records(issuer, notary_key):
+    plain = make_plain(issuer)
+    blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+    csa = countersign(blinded, notary_key, "notary-1", 11)
+    record = LedgerRecord(0, Digest(bytes(32)), AttestationRecord(csa), notary_key.key_id,
+                          csa.notary_signature)
+    for cls, omit in WRITTEN:
+        for value in (plain, blinded, csa, record):
+            if type(value) is cls:
+                assert record_bytes(cls, value, omit) == reference_record_bytes(cls, value, omit)

@@ -204,6 +204,39 @@ class TestIssueCountersignVerify:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "b.csa.att").exists()
 
+    AUDIT_ENTRY = {"at": 20, "attestation_id": b"\x01" * 32, "jurisdiction": "US",
+                   "purpose": "travel-rule", "outcome": "disclosed"}
+    REJECTION_ENTRY = {"at": 20, "attestation_id": b"\x01" * 32, "failing": ["plain_id"]}
+
+    @pytest.mark.parametrize("field, value", [
+        ("notary_id", 7),
+        ("jurisdiction", 5),
+        ("compatible", "EU"),
+        ("compatible", ["EU", 7]),
+        ("mirror", ["ab" * 32]),
+        ("mirror", {"not-hex": 5}),
+        ("mirror", {"ab" * 32: "5"}),
+        ("mirror", {"ab" * 32: True}),
+        ("audit", AUDIT_ENTRY),
+        ("audit", [{**AUDIT_ENTRY, "at": "20"}]),
+        ("audit", [{**AUDIT_ENTRY, "extra": 1}]),
+        ("rejections", ["plain_id"]),
+        ("rejections", [{**REJECTION_ENTRY, "failing": "plain_id"}]),
+        ("rejections", [{**REJECTION_ENTRY, "failing": [5]}]),
+    ])
+    def test_disclose_wrongly_typed_notary_state_exit_2(self, workdir, capsys, field, value):
+        issue_and_countersign(workdir)
+        att_id = capsys.readouterr().out.split("issued ", 1)[1].split()[0]
+        raw = canonical_parse((workdir / "notary.state").read_bytes())
+        raw[field] = value
+        (workdir / "notary.state").write_bytes(canonical_serialize(raw))
+        before = (workdir / "notary.state").read_bytes()
+        code = run(["disclose", "--notary", workdir / "notary.state", "--id", att_id,
+                    "--jurisdiction", "EU", "--purpose", "travel-rule", "--now", 20])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (workdir / "notary.state").read_bytes() == before
+
     def test_issue_unknown_member(self, workdir, capsys):
         code = run(["issue", "--coop", workdir / "coop.state", "--member", "ghost",
                     "--attrs", "age-over-18", "--mode", "absent",

@@ -1,7 +1,9 @@
 """Scenario validation, execution, determinism, and golden-log regression."""
 
 import copy
+import importlib.util
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,12 +12,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coopattest import cli
+from coopattest.attestation import attestation_to_map, canonical_bytes, countersign_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.crypto import ZERO_DIGEST
 from coopattest.errors import ConfigInvalid, DecodeError, ScriptActionFailed
+from coopattest.ledger import AttestationRecord, record_signing_bytes
 from coopattest.harness import (
     SCHEMA,
     Event,
     EventLog,
+    Scenario,
     ScenarioConfig,
     bundled_scenario_names,
     bundled_scenario_path,
@@ -25,6 +31,7 @@ from coopattest.harness import (
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 TRANSFER = {"at": 3, "action": "transfer", "origin": "E1", "beneficiary_exchange": "E2",
             "transfer_id": "t1", "originator_account": "acct-a",
@@ -407,11 +414,57 @@ def reference_log_bytes(log):
     return b"".join(canonical_serialize(e.to_map()) + b"\n" for e in log)
 
 
+def tiny_benchmark_workload(name):
+    """The benchmark's generated scenario *name* at its smoke-test size."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while being defined.
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    workload = workloads.generate(name, 7, workloads.TINY_SHAPES[name])
+    return ScenarioConfig.from_map(canonical_parse(canonical_serialize(workload.config)))
+
+
 class TestEventLog:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_to_bytes_matches_reference_on_bundled(self, name):
         log = run_scenario(ScenarioConfig.load(bundled_scenario_path(name)))
         assert log.to_bytes() == reference_log_bytes(log)
+
+    @pytest.mark.parametrize("name", ["dsn_attested", "travel_churn"])
+    def test_to_bytes_matches_reference_on_benchmark_workloads(self, name):
+        log = run_scenario(tiny_benchmark_workload(name))
+        assert log.to_bytes() == reference_log_bytes(log)
+
+    def test_attestation_bodies_are_spliced_from_their_wire_form(self):
+        log = run_scenario(minimal_config())
+        wired = {e.payload["channel"] for e in log if e.wire is not None}
+        assert wired == {"revocation-sync", "witness-request", "countersigned"}
+        # The wire form is not part of an event's value.
+        assert log.events == EventLog.from_bytes(log.to_bytes()).events
+
+    def test_mutating_a_logged_body_changes_no_memo_and_no_other_event(self):
+        scenario = Scenario(minimal_plus(TRANSFER, dict(TRANSFER, at=4, transfer_id="t2")))
+        log = scenario.run()
+        csa = scenario.artifacts["a1"]
+        memo = canonical_bytes(csa)
+        signed = countersign_bytes(csa.blinded, csa.notary_id, csa.notary_key_id,
+                                   csa.countersigned_at)
+        record = record_signing_bytes(0, ZERO_DIGEST, AttestationRecord(csa))
+        first, second = [e.payload["body"] for e in log
+                         if e.kind == "send" and e.payload["channel"] == "attestation-delivery"]
+        untouched = copy.deepcopy(second)
+        first["attestation"]["notary_id"] = "forged"
+        first["attestation"]["blinded"]["attributes"].clear()
+        first["attestation"]["blinded"]["subject"]["mode"] = "legal-identity"
+        assert second == untouched
+        assert canonical_bytes(csa) is memo
+        assert countersign_bytes(csa.blinded, csa.notary_id, csa.notary_key_id,
+                                 csa.countersigned_at) == signed
+        assert record_signing_bytes(0, ZERO_DIGEST, AttestationRecord(csa)) == record
+        assert attestation_to_map(csa) == untouched["attestation"]
 
     def test_to_bytes_matches_reference_on_hand_built(self):
         shared = {"n": 1, "text": 'quote " slash \\ nul \x00 bell \x07 us \x1f'}

@@ -8,15 +8,32 @@ import pytest
 from coopattest import crypto
 from coopattest.attestation import (
     SubjectRef,
+    attestation_to_map,
     blind,
     canonical_bytes,
     countersign,
+    countersign_bytes,
+    message_body,
     signing_bytes,
     verify_countersigned,
     verify_pair,
 )
-from coopattest.harness import ScenarioConfig, bundled_scenario_path, run_scenario
-from coopattest.ledger import AttestationRecord, Ledger, PostRecord, record_bytes
+from coopattest.canonical import canonical_serialize
+from coopattest.cooperative import RevocationRegistry
+from coopattest.harness import (
+    ScenarioConfig,
+    bundled_scenario_names,
+    bundled_scenario_path,
+    run_scenario,
+)
+from coopattest.ledger import (
+    AttestationRecord,
+    Ledger,
+    LedgerRecord,
+    PostRecord,
+    record_bytes,
+    record_signing_bytes,
+)
 
 from conftest import make_plain
 
@@ -33,6 +50,10 @@ def verify_calls(monkeypatch):
 
     monkeypatch.setattr(crypto, "verify", counting)
     return calls
+
+
+def signing_bytes_of(csa):
+    return countersign_bytes(csa.blinded, csa.notary_id, csa.notary_key_id, csa.countersigned_at)
 
 
 @pytest.fixture
@@ -55,6 +76,53 @@ class TestBytes:
         copy = dataclasses.replace(csa)
         assert copy == csa and hash(copy) == hash(csa) and repr(copy) == repr(csa)
         assert "_canonical_bytes" not in vars(copy)
+
+    def test_a_replaced_artifact_starts_with_no_memo(self, issuer, notary_key):
+        plain = make_plain(issuer)
+        blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        memos = {"_canonical_text", "_canonical_bytes", "_signed_bytes", "_verified_keys",
+                 "_id_consistent"}
+        for artifact in (plain, blinded, csa):
+            canonical_bytes(artifact)
+            assert memos & set(vars(artifact))
+            copy = dataclasses.replace(artifact)
+            assert not memos & set(vars(copy))
+            assert canonical_bytes(copy) == canonical_bytes(artifact)
+
+    def test_enclosing_bytes_splice_the_memoised_text(self, csa):
+        assert canonical_bytes(csa) == csa._canonical_text.encode()
+        # A marked memo shows where the enclosing encodings take the text from.
+        marked = dataclasses.replace(csa, blinded=dataclasses.replace(csa.blinded))
+        marked.__dict__["_canonical_text"] = '"csa text"'
+        marked.blinded.__dict__["_canonical_text"] = '"blinded text"'
+        record = LedgerRecord(0, crypto.ZERO_DIGEST, AttestationRecord(marked),
+                              csa.notary_key_id, csa.notary_signature)
+        assert b'"csa":"csa text"' in record_bytes(record)
+        assert b'"blinded":"blinded text"' in signing_bytes_of(marked)
+        _, wire = message_body(attestation=marked)
+        assert canonical_serialize(wire) == b'{"attestation":"csa text"}'
+
+    def test_changing_a_map_of_an_artifact_changes_none_of_its_bytes(self, csa):
+        memo = canonical_bytes(csa)
+        signed = signing_bytes_of(csa)
+        record = record_signing_bytes(0, crypto.ZERO_DIGEST, AttestationRecord(csa))
+        raw = attestation_to_map(csa)
+        raw["notary_id"] = "forged"
+        raw["blinded"]["attributes"].append({"name": "x", "value": "y", "method": "z"})
+        raw["notary_signature"]["bytes"] = b""
+        assert attestation_to_map(csa) != raw
+        assert canonical_bytes(csa) is memo
+        assert signing_bytes_of(csa) == signed
+        assert record_signing_bytes(0, crypto.ZERO_DIGEST, AttestationRecord(csa)) == record
+        body, wire = message_body(attestation=csa, transfer_id="t1")
+        body["attestation"]["countersigned_at"] = -1
+        assert canonical_serialize(wire) != canonical_serialize(body)
+        assert canonical_serialize(wire) == canonical_serialize(
+            {"attestation": attestation_to_map(csa), "transfer_id": "t1"})
+        assert canonical_bytes(csa) is memo
 
     def test_record_digest_memo(self, csa):
         writer = crypto.keygen(b"provider")
@@ -149,8 +217,37 @@ class TestRunLevel:
         run_scenario(config)
         assert first > 0 and len(verify_calls) == first
 
-    @pytest.mark.parametrize("name", ["dsn_bot_flood", "dsn_recovery", "dsn_port"])
+    @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_each_distinct_input_is_verified_once(self, verify_calls, name):
         run_scenario(ScenarioConfig.load(bundled_scenario_path(name)))
         assert verify_calls
         assert len(verify_calls) == len(set(verify_calls))
+
+
+class TestRevocationSnapshot:
+    def test_snapshot_is_rebuilt_only_when_an_entry_is_added(self):
+        registry = RevocationRegistry()
+        entries, encoded = registry.wire_entries()
+        assert entries == {} and encoded.text == "{}"
+        first = crypto.digest(b"first")
+        registry.mark(first, 5)
+        entries, encoded = registry.wire_entries()
+        assert entries == {first.hex(): 5}
+        assert canonical_serialize(encoded) == canonical_serialize(entries)
+        # Marking a revoked id again keeps its first tick and the snapshot.
+        registry.mark(first, 9)
+        again, same = registry.wire_entries()
+        assert same is encoded and again == entries
+        registry.mark(crypto.digest(b"second"), 6)
+        grown, rebuilt = registry.wire_entries()
+        assert rebuilt is not encoded and len(grown) == 2
+        assert canonical_serialize(rebuilt) == canonical_serialize(grown)
+
+    def test_each_snapshot_map_is_fresh(self):
+        registry = RevocationRegistry()
+        registry.mark(crypto.digest(b"first"), 5)
+        entries, encoded = registry.wire_entries()
+        entries["forged"] = 1
+        again, _ = registry.wire_entries()
+        assert "forged" not in again
+        assert canonical_serialize(encoded) == canonical_serialize(again)
