@@ -190,39 +190,28 @@ def write_canonical(path: str | Path, value: Any) -> None:
         Path(temp).unlink(missing_ok=True)
 
 
-# --- decoding ---------------------------------------------------------------
-
-def require(raw: Any, field: str, types, record: str) -> Any:
-    """``raw[field]`` of a decoded *record* map, checked to be of *types*.
-
-    ``true`` and ``false`` are not integers here, although Python's bool
-    subclasses int.  Raises DecodeError naming the record and field.
-    """
-    try:
-        value = raw[field]
-    except (KeyError, TypeError):
-        raise DecodeError(f"{record} missing field {field!r}") from None
-    if not isinstance(value, types) or (type(value) is bool and types is int):
-        raise DecodeError(f"{record} field {field!r} has wrong type")
-    return value
-
-
 # --- records -----------------------------------------------------------------
 #
 # A record is a frozen dataclass whose fields, in declaration order, are its
 # wire layout.  A field is written under its own name, or under
 # ``metadata["key"]``, and its annotation picks its codec:
 #
-#   str, int, bytes          the value itself, checked as ``require`` does;
+#   str, int, bytes, dict    the value itself, of that canonical type;
 #   a class with ``_SCALAR`` its one field, a value of type ``_SCALAR``;
 #   a record                 the record's map;
-#   tuple[X, ...]            a list of the maps of X, a record;
-#   a Union of records       the map of the member whose ``_KIND`` it names.
+#   a Union of records       the map of the member whose ``_KIND`` it names;
+#   tuple[X, ...]            a list of the encodings of X;
+#   tuple[X, Y]              a list of exactly one X and one Y;
+#   frozenset[X]             a list of the X, sorted;
+#   dict[str, X]             a map of text to the encodings of X;
+#   X | None                 X, with the key left out when the value is None.
 #
-# A record class with ``_KIND`` also writes that text under "kind".  A record
-# class whose instances keep their own canonical text in ``_canonical_text``
-# (the attestation artifacts) is written, inside another record's bytes, as
-# that text.  Each class's encoders and decoder are built once, on first use.
+# A field with a default may be missing from a map being decoded, and then
+# takes its default.  A record class with ``_KIND`` also writes that text
+# under "kind".  A record class whose instances keep their own canonical text
+# in ``_canonical_text`` (the attestation artifacts) is written, inside
+# another record's bytes, as that text.  Each class's encoders and decoder
+# are built once, on first use.
 
 def record_map(cls: type, values: Any, omit: tuple = ()) -> dict:
     """The canonical map of the *cls* record *values*, or of the record
@@ -247,9 +236,9 @@ def record_from_map(tp: Any, raw: Any) -> Any:
     """The record of type *tp* (a record class or a Union of them) that
     *raw* is the map of.
 
-    Every key must be present with the declared type and no other key may
-    appear.  Raises DecodeError, also for a value the record's own checks
-    reject.
+    Every key without a default must be present, every key present must
+    have the declared type, and no other key may appear.  Raises
+    DecodeError, also for a value the record's own checks reject.
     """
     try:
         return _decoder(tp)(raw)
@@ -259,21 +248,62 @@ def record_from_map(tp: Any, raw: Any) -> Any:
         raise DecodeError(f"invalid record: {exc}") from exc
 
 
+def read_record(path: str | Path, cls: type, build: Callable[[Any], Any]) -> Any:
+    """``build(record)`` for the *cls* record whose canonical map the file
+    at *path* holds.  Such a file is configuration, so a value that the
+    record or *build* rejects raises DecodeError."""
+    record = record_from_map(cls, canonical_parse(Path(path).read_bytes()))
+    try:
+        return build(record)
+    except (ValueError, CoopAttestError) as exc:
+        raise DecodeError(f"invalid {cls.__name__}: {exc}") from exc
+
+
+class _Field(typing.NamedTuple):
+    attr: str
+    key: str
+    encode: Callable | None  # to its map value; None passes the value as it is
+    wire: type  # the canonical type of its map value
+    decode: Callable | None  # from a map value of that type; None passes it
+    write: Callable[[Any], str]  # to canonical text
+    optional: bool  # X | None: left out when None
+    required: bool  # no default: must be present when decoding
+
+
 @functools.cache
-def _fields(cls: type) -> tuple:
-    """(attribute, wire key, encode, wire type, decode, write) of each
-    field of record *cls*, in declaration order."""
+def _fields(cls: type) -> tuple[_Field, ...]:
+    """The fields of record *cls*, in declaration order."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.metadata.get("key", f.name), *_codec(hints[f.name]))
-                 for f in dataclasses.fields(cls))
+    fields = []
+    for f in dataclasses.fields(cls):
+        tp, key = hints[f.name], f.metadata.get("key", f.name)
+        optional = type(None) in typing.get_args(tp)
+        if optional:
+            (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        encode, wire, decode, write = _codec(tp, f"{cls.__name__} field {key!r}")
+        if optional and encode is not None:
+            encode = functools.partial(_unless_none, encode)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        fields.append(_Field(f.name, key, encode, wire, decode, write, optional, required))
+    return tuple(fields)
 
 
-def _codec(tp: Any) -> tuple:
-    """How a field of annotation *tp* is written and read: (encode to its
+def _unless_none(encode: Callable, value: Any) -> Any:
+    return None if value is None else encode(value)
+
+
+def _is(value: Any, wire: type) -> bool:
+    """True iff *value* is of canonical type *wire*; ``true`` and ``false``
+    are not integers here, although Python's bool subclasses int."""
+    return isinstance(value, wire) and not (type(value) is bool and wire is int)
+
+
+def _codec(tp: Any, where: str) -> tuple:
+    """How a value of annotation *tp* is written and read: (encode to its
     map value, the canonical type it is written as, decode, write as
     canonical text); an encode or decode of None passes the value as it
-    is."""
-    if tp in (str, int, bytes):
+    is.  *where* names the field in errors."""
+    if tp in (str, int, bytes, dict):
         return None, tp, None, _encode
     if hasattr(tp, "_SCALAR"):
         get = operator.attrgetter(dataclasses.fields(tp)[0].name)
@@ -289,15 +319,46 @@ def _codec(tp: Any) -> tuple:
         return _encoder(tp), dict, _decoder(tp), write
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union:
-        by_type = {member: _codec(member) for member in args}
+        by_type = {member: _codec(member, where) for member in args}
         return ((lambda record: by_type[type(record)][0](record)), dict, _decoder(tp),
                 (lambda record: by_type[type(record)][3](record)))
-    if origin is tuple and args[1:] == (Ellipsis,) and dataclasses.is_dataclass(args[0]):
-        encode_item, _, decode_item, write_item = _codec(args[0])
-        return ((lambda items: list(map(encode_item, items))), list,
-                (lambda items: tuple(map(decode_item, items))),
+    if origin is tuple and args[1:] == (Ellipsis,):
+        encode_item, _, _, write_item = _codec(args[0], where)
+        decode_item = _item_decoder(args[0], where)
+        return ((list if encode_item is None else lambda items: list(map(encode_item, items))),
+                list, (lambda items: tuple(map(decode_item, items))),
                 (lambda items: "[" + ",".join([write_item(item) for item in items]) + "]"))
+    if origin is tuple:
+        decoders = [_item_decoder(arg, where) for arg in args]
+
+        def decode_fixed(items: list) -> tuple:
+            if len(items) != len(decoders):
+                raise DecodeError(f"{where} must have {len(decoders)} items")
+            return tuple(decode(item) for decode, item in zip(decoders, items))
+
+        return list, list, decode_fixed, _encode
+    if origin is frozenset:
+        decode_item = _item_decoder(args[0], where)
+        return (sorted, list, (lambda items: frozenset(map(decode_item, items))),
+                (lambda items: _encode(sorted(items))))
+    if origin is dict and args[0] is str:
+        decode_value = _item_decoder(args[1], where)
+        return (dict, dict, (lambda raw: {key: decode_value(value) for key, value in raw.items()}),
+                _encode)
     raise TypeError(f"no canonical codec for {tp!r}")
+
+
+def _item_decoder(tp: Any, where: str) -> Callable[[Any], Any]:
+    """The decoder of an item of annotation *tp* in the container field
+    *where*: it checks the item's canonical type, then decodes it."""
+    _, wire, decode, _ = _codec(tp, where)
+
+    def decode_item(value: Any) -> Any:
+        if not _is(value, wire):
+            raise DecodeError(f"{where} has an item of wrong type")
+        return value if decode is None else decode(value)
+
+    return decode_item
 
 
 @functools.cache
@@ -306,8 +367,9 @@ def _encoder(cls: type, omit: tuple = ()) -> Callable[[Any], dict]:
     or a dict of its field values, without the keys in *omit*."""
     kind = getattr(cls, "_KIND", None)
     head = {} if kind is None or "kind" in omit else {"kind": kind}
-    steps = tuple((key, attr, encode) for attr, key, encode, _, _, _ in _fields(cls)
-                  if key not in omit)
+    fields = [f for f in _fields(cls) if f.key not in omit]
+    steps = tuple((f.key, f.attr, f.encode) for f in fields)
+    optional = tuple(f.key for f in fields if f.optional)
 
     def encode_record(record: Any) -> dict:
         values = getattr(record, "__dict__", record)
@@ -315,6 +377,9 @@ def _encoder(cls: type, omit: tuple = ()) -> Callable[[Any], dict]:
         for key, attr, encode in steps:
             value = values[attr]
             out[key] = value if encode is None else encode(value)
+        for key in optional:
+            if out[key] is None:
+                del out[key]
         return out
 
     return encode_record
@@ -325,10 +390,13 @@ def _writer(cls: type, omit: tuple = ()) -> Callable[[Any], str]:
     """The function that writes the canonical text of what ``_encoder(cls,
     omit)`` maps.  The encoded keys, with the separators and "kind" between
     them, are laid out once in code-point order; a call writes only the
-    values."""
+    values.  A record with an ``X | None`` field has no fixed layout, so
+    its map is built and encoded."""
+    if any(f.optional for f in _fields(cls)):
+        encode_record = _encoder(cls, omit)
+        return lambda record: _encode(encode_record(record))
     kind = getattr(cls, "_KIND", None)
-    entries = [(key, attr, write) for attr, key, _, _, _, write in _fields(cls)
-               if key not in omit]
+    entries = [(f.key, f.attr, f.write) for f in _fields(cls) if f.key not in omit]
     if kind is not None and "kind" not in omit:
         entries.append(("kind", None, _encode_text(kind)))
     steps = []
@@ -371,25 +439,40 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
 
     name = tp.__name__
     kind = getattr(tp, "_KIND", None)
-    steps = tuple((attr, key, types, decode) for attr, key, _, types, decode, _ in _fields(tp))
-    keys = {key for _, key, _, _ in steps} | ({"kind"} if kind is not None else set())
+    steps = tuple((f.attr, f.key, f.wire, f.decode, f.required) for f in _fields(tp))
+    keys = {key for _, key, _, _, _ in steps} | ({"kind"} if kind is not None else set())
 
     def decode(raw: Any) -> Any:
         if not isinstance(raw, dict):
             raise DecodeError(f"{name} must be a map")
-        if kind is not None and require(raw, "kind", str, name) != kind:
+        if kind is not None and _require(raw, "kind", str, name) != kind:
             raise DecodeError(f"{name} must have kind {kind!r}")
         values = {}
-        for attr, key, types, convert in steps:
-            value = require(raw, key, types, name)
+        for attr, key, wire, convert, required in steps:
+            if not required and key not in raw:
+                continue
+            value = _require(raw, key, wire, name)
             values[attr] = value if convert is None else convert(value)
-        if len(raw) != len(keys):
+        if not raw.keys() <= keys:
             extra = next(key for key in raw if key not in keys)
             raise DecodeError(f"{name} has unknown field {extra!r}")
         return tp(**values)
 
     return decode
 
+
+def _require(raw: dict, key: str, wire: type, name: str) -> Any:
+    """``raw[key]`` of a map decoded as record *name*, checked to be of
+    canonical type *wire*."""
+    if key not in raw:
+        raise DecodeError(f"{name} missing field {key!r}")
+    value = raw[key]
+    if not _is(value, wire):
+        raise DecodeError(f"{name} field {key!r} has wrong type")
+    return value
+
+
+# --- parsing ----------------------------------------------------------------
 
 def canonical_parse(data: bytes) -> Any:
     """Parse canonical bytes back into a value.

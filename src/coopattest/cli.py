@@ -83,8 +83,7 @@ def cmd_issue(args) -> int:
     if args.ttl <= 0:
         raise UsageError("--ttl must be positive")
     plain, blinded = coop.issue_blinded(args.member, queries, args.mode, args.now, args.ttl)
-    key_seed = canonical_parse(Path(args.coop).read_bytes())["key_seed"]
-    coop.save_state(args.coop, key_seed)
+    coop.save_state(args.coop)
     write_attestation(args.out_plain, plain)
     write_attestation(args.out_blinded, blinded)
     print(f"issued {blinded.attestation_id.hex()}")
@@ -101,8 +100,7 @@ def cmd_countersign(args) -> int:
               file=sys.stderr)
         return EXIT_FAILURE
     csa = notary.witness_and_countersign(plain, blinded, issuer_key, args.now)
-    key_seed = canonical_parse(Path(args.notary).read_bytes())["key_seed"]
-    notary.save_state(args.notary, key_seed)
+    notary.save_state(args.notary)
     write_attestation(args.out, csa)
     print(f"countersigned {blinded.attestation_id.hex()}")
     return EXIT_OK
@@ -123,8 +121,7 @@ def cmd_revoke(args) -> int:
     coop = Cooperative.load_state(args.coop)
     attestation_id = Digest(_hex_bytes(args.id, "--id"))
     coop.revoke(attestation_id, args.now)
-    key_seed = canonical_parse(Path(args.coop).read_bytes())["key_seed"]
-    coop.save_state(args.coop, key_seed)
+    coop.save_state(args.coop)
     print(f"revoked {args.id} at tick {args.now}")
     return EXIT_OK
 
@@ -142,8 +139,7 @@ def cmd_disclose(args) -> int:
     attestation_id = Digest(_hex_bytes(args.id, "--id"))
     response = notary.respond_disclosure(attestation_id, args.jurisdiction,
                                          args.purpose, args.now)
-    key_seed = canonical_parse(Path(args.notary).read_bytes())["key_seed"]
-    notary.save_state(args.notary, key_seed)
+    notary.save_state(args.notary)
     print(f"outcome: {response.outcome}")
     if response.subject is not None:
         print(f"subject: {response.subject}")

@@ -25,20 +25,10 @@ from .attestation import (
     SubjectRef,
     blind,
     build_plain,
-    write_attestation,
 )
-from .canonical import (
-    Encoded,
-    canonical_parse,
-    canonical_text,
-    record_from_map,
-    record_map,
-    require,
-    write_canonical,
-)
-from .crypto import Digest, KeyPair
+from .canonical import Encoded, canonical_text, read_record, record_map, write_canonical
+from .crypto import Digest
 from .errors import (
-    DecodeError,
     DuplicateMember,
     InsufficientData,
     MissingHandle,
@@ -70,6 +60,8 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class MemberRecord:
+    """One member; its fields are its layout in the state file."""
+
     member_id: str
     legal_identity: str
     personal_data: dict
@@ -80,25 +72,8 @@ class MemberRecord:
             raise ValueError("member_id must be non-empty")
         if not self.legal_identity:
             raise ValueError("legal_identity must be non-empty")
-
-    def to_map(self) -> dict:
-        raw = {
-            "member_id": self.member_id,
-            "legal_identity": self.legal_identity,
-            "personal_data": dict(self.personal_data),
-        }
-        if self.handle is not None:
-            raw["handle"] = self.handle
-        return raw
-
-    @classmethod
-    def from_map(cls, raw: dict) -> "MemberRecord":
-        return cls(
-            member_id=require(raw, "member_id", str, "member"),
-            legal_identity=require(raw, "legal_identity", str, "member"),
-            personal_data=dict(require(raw, "personal_data", dict, "member")),
-            handle=require(raw, "handle", str, "member") if "handle" in raw else None,
-        )
+        if self.handle is not None and not self.handle.startswith("@"):
+            raise ValueError("handle must begin with '@'")
 
 
 @dataclass
@@ -140,13 +115,37 @@ class IssuanceEntry:
     blinded: BlindedAttestation
 
 
+@dataclass(frozen=True)
+class CooperativeState:
+    """The cooperative's state file; its fields are the file's layout.
+    ``revoked`` maps attestation id hex to the tick of revocation, and
+    ``nonce_seed``, when set, replaces ``key_seed`` in nonce derivation."""
+
+    name: str
+    key_seed: bytes
+    legal_rep: str
+    queries: tuple[str, ...] = DEFAULT_QUERIES
+    year_ticks: int = DEFAULT_YEAR_TICKS
+    income_bands: tuple[tuple[int, str], ...] = DEFAULT_INCOME_BANDS
+    members: tuple[MemberRecord, ...] = ()
+    issuances: tuple[IssuanceEntry, ...] = ()
+    revoked: dict[str, int] = field(default_factory=dict)
+    nonce_counter: int = 0
+    nonce_seed: bytes | None = None
+
+    def __post_init__(self) -> None:
+        # A nonce's counter is written in eight bytes.
+        if not 0 <= self.nonce_counter < 2**64:
+            raise ValueError("nonce_counter must be in [0, 2**64)")
+
+
 class Cooperative:
     """Single-threaded state machine; the harness serializes messages to it."""
 
     def __init__(
         self,
         name: str,
-        keypair: KeyPair,
+        key_seed: bytes,
         legal_rep_id: str,
         *,
         queries: tuple[str, ...] = DEFAULT_QUERIES,
@@ -155,12 +154,14 @@ class Cooperative:
         nonce_seed: bytes | None = None,
     ) -> None:
         self.name = name
-        self.keypair = keypair
+        self.key_seed = key_seed
+        self.keypair = crypto.keygen(key_seed)
         self.legal_rep_id = legal_rep_id
         self.queries = tuple(queries)
         self.year_ticks = year_ticks
         self.income_bands = tuple(income_bands)
-        self._nonce_seed = nonce_seed if nonce_seed is not None else keypair.secret_key
+        self.nonce_seed = nonce_seed
+        self._nonce_seed = nonce_seed if nonce_seed is not None else key_seed
         self._nonce_counter = 0
         self._members: dict[str, MemberRecord] = {}
         self._issuances: list[IssuanceEntry] = []
@@ -185,15 +186,6 @@ class Cooperative:
             return self._members[member_id]
         except KeyError:
             raise UnknownMember(member_id) from None
-
-    def load_members(self, path: str | Path) -> int:
-        """Load member records from a canonical fixture file (a list of maps)."""
-        raw = canonical_parse(Path(path).read_bytes())
-        if not isinstance(raw, list):
-            raise DecodeError("member fixture must be a list of records")
-        for item in raw:
-            self.register_member(MemberRecord.from_map(item))
-        return len(raw)
 
     # --- attribute derivation -----------------------------------------------------
 
@@ -268,30 +260,14 @@ class Cooperative:
             self._next_nonce(),
         )
         blinded = blind(plain, substitute, self.keypair)
-        entry = IssuanceEntry(plain=plain, blinded=blinded)
-        index = len(self._issuances)
-        self._issuances.append(entry)
-        self._by_id[plain.attestation_id] = index
-        self._by_id[blinded.attestation_id] = index
+        self._log_issuance(IssuanceEntry(plain=plain, blinded=blinded))
         return plain, blinded
 
-    @property
-    def issuance_log(self) -> tuple[IssuanceEntry, ...]:
-        return tuple(self._issuances)
-
-    def export_issuance_log(self, directory: str | Path) -> list[tuple[str, str]]:
-        """Write each logged pair as two .att files; returns the file names."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        names = []
-        for entry in self._issuances:
-            stem = entry.blinded.attestation_id.hex()[:16]
-            plain_name = f"{stem}.plain.att"
-            blinded_name = f"{stem}.blinded.att"
-            write_attestation(directory / plain_name, entry.plain)
-            write_attestation(directory / blinded_name, entry.blinded)
-            names.append((plain_name, blinded_name))
-        return names
+    def _log_issuance(self, entry: IssuanceEntry) -> None:
+        index = len(self._issuances)
+        self._issuances.append(entry)
+        self._by_id[entry.plain.attestation_id] = index
+        self._by_id[entry.blinded.attestation_id] = index
 
     # --- revocation and revalidation ---------------------------------------------
 
@@ -320,71 +296,33 @@ class Cooperative:
 
     # --- persistence ---------------------------------------------------------------
 
-    def to_state_map(self, key_seed: bytes) -> dict:
-        """Full state as a canonical map; *key_seed* re-derives the key pair."""
-        return {
-            "name": self.name,
-            "key_seed": key_seed,
-            "legal_rep": self.legal_rep_id,
-            "queries": list(self.queries),
-            "year_ticks": self.year_ticks,
-            "income_bands": [[upper, label] for upper, label in self.income_bands],
-            "members": [m.to_map() for m in self._members.values()],
-            "issuances": [record_map(IssuanceEntry, e) for e in self._issuances],
+    def save_state(self, path: str | Path) -> None:
+        """Write the whole state to *path* atomically; load_state reads it."""
+        write_canonical(path, record_map(CooperativeState, {
+            "name": self.name, "key_seed": self.key_seed, "legal_rep": self.legal_rep_id,
+            "queries": self.queries, "year_ticks": self.year_ticks,
+            "income_bands": self.income_bands, "members": self._members.values(),
+            "issuances": self._issuances,
             "revoked": {d.hex(): tick for d, tick in self.revocations.entries.items()},
-            "nonce_counter": self._nonce_counter,
-        }
-
-    @classmethod
-    def from_state_map(cls, raw: dict) -> "Cooperative":
-        if not isinstance(raw, dict):
-            raise DecodeError("cooperative state must be a map")
-
-        def field(name: str, types, default=None):
-            if default is not None and name not in raw:
-                return default
-            return require(raw, name, types, "cooperative state")
-
-        key_seed = field("key_seed", bytes)
-        queries = field("queries", list, DEFAULT_QUERIES)
-        if not all(type(query) is str for query in queries):
-            raise DecodeError("cooperative state field 'queries' must be a list of text")
-        bands = field("income_bands", list, DEFAULT_INCOME_BANDS)
-        if not all(isinstance(band, (list, tuple)) and len(band) == 2
-                   and type(band[0]) is int and type(band[1]) is str for band in bands):
-            raise DecodeError("cooperative state field 'income_bands' must be a list of "
-                              "[integer, text] pairs")
-        revoked = field("revoked", dict, {})
-        if not all(type(tick) is int for tick in revoked.values()):
-            raise DecodeError("cooperative state field 'revoked' must map ids to integer ticks")
-        try:
-            coop = cls(
-                name=field("name", str),
-                keypair=crypto.keygen(key_seed),
-                legal_rep_id=field("legal_rep", str),
-                queries=tuple(queries),
-                year_ticks=field("year_ticks", int, DEFAULT_YEAR_TICKS),
-                income_bands=tuple(map(tuple, bands)),
-                nonce_seed=field("nonce_seed", bytes, key_seed),
-            )
-            for member_raw in raw.get("members", []):
-                coop.register_member(MemberRecord.from_map(member_raw))
-            for pair in raw.get("issuances", []):
-                entry = record_from_map(IssuanceEntry, pair)
-                index = len(coop._issuances)
-                coop._issuances.append(entry)
-                coop._by_id[entry.plain.attestation_id] = index
-                coop._by_id[entry.blinded.attestation_id] = index
-            for hex_id, tick in revoked.items():
-                coop.revocations.mark(Digest.from_hex(hex_id), tick)
-            coop._nonce_counter = field("nonce_counter", int, 0)
-            return coop
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"malformed cooperative state: {exc}") from exc
-
-    def save_state(self, path: str | Path, key_seed: bytes) -> None:
-        write_canonical(path, self.to_state_map(key_seed))
+            "nonce_counter": self._nonce_counter, "nonce_seed": self.nonce_seed,
+        }))
 
     @classmethod
     def load_state(cls, path: str | Path) -> "Cooperative":
-        return cls.from_state_map(canonical_parse(Path(path).read_bytes()))
+        """The cooperative whose state file is *path*.  Raises DecodeError
+        for a file that does not hold a valid state."""
+        return read_record(path, CooperativeState, cls._from_state)
+
+    @classmethod
+    def _from_state(cls, state: CooperativeState) -> "Cooperative":
+        coop = cls(state.name, state.key_seed, state.legal_rep, queries=state.queries,
+                   year_ticks=state.year_ticks, income_bands=state.income_bands,
+                   nonce_seed=state.nonce_seed)
+        for member in state.members:
+            coop.register_member(member)
+        for entry in state.issuances:
+            coop._log_issuance(entry)
+        for hex_id, tick in state.revoked.items():
+            coop.revocations.mark(Digest.from_hex(hex_id), tick)
+        coop._nonce_counter = state.nonce_counter
+        return coop

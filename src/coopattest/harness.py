@@ -144,9 +144,6 @@ class ScenarioConfig:
     def load(cls, path: str | Path) -> "ScenarioConfig":
         return cls.from_map(canonical_parse(Path(path).read_bytes()))
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(canonical_serialize(self.to_map()))
-
 
 # --- config schema ------------------------------------------------------------------
 #
@@ -475,39 +472,40 @@ class Scenario:
             Event(self.now, name, kind, payload, wire)
         )
 
-    def _actor_key(self, role: str, name: str) -> KeyPair:
-        return crypto.keygen(b"%s/%s/%s" % (self.config.seed, role.encode(), name.encode()))
+    def _actor_seed(self, role: str, name: str) -> bytes:
+        return b"%s/%s/%s" % (self.config.seed, role.encode(), name.encode())
 
     def _build_actors(self) -> None:
         config = self.config
         self.notaries: dict[str, Notary] = {}
         for entry in config.notaries:
-            keypair = self._actor_key("notary", entry["name"])
             notary = Notary(
-                entry["name"], keypair,
+                entry["name"], self._actor_seed("notary", entry["name"]),
                 JurisdictionPolicy(entry["jurisdiction"],
                                    frozenset(_setting("notaries", entry, "compatible"))),
             )
-            self.keys.add(keypair.public_key)
+            self.keys.add(notary.public_key)
             self._bind(notary)
             self.notaries[entry["name"]] = notary
 
         self.coops: dict[str, Cooperative] = {}
         self._coop_by_key_id: dict[crypto.Digest, Cooperative] = {}
         for entry in config.cooperatives:
-            keypair = self._actor_key("coop", entry["name"])
             coop = Cooperative(
-                entry["name"], keypair, entry["legal_rep"],
+                entry["name"], self._actor_seed("coop", entry["name"]), entry["legal_rep"],
                 queries=tuple(_setting("cooperatives", entry, "queries")),
                 year_ticks=_setting("cooperatives", entry, "year_ticks"),
                 nonce_seed=self.config.seed + b"/nonce/" + entry["name"].encode(),
             )
-            for member_raw in _setting("cooperatives", entry, "members"):
-                coop.register_member(MemberRecord.from_map(member_raw))
-            self.keys.add(keypair.public_key)
+            # validate_config checked each member entry.
+            for member in _setting("cooperatives", entry, "members"):
+                coop.register_member(MemberRecord(
+                    member["member_id"], member["legal_identity"], member["personal_data"],
+                    member.get("handle")))
+            self.keys.add(coop.public_key)
             self._bind(coop)
             self.coops[entry["name"]] = coop
-            self._coop_by_key_id[keypair.key_id] = coop
+            self._coop_by_key_id[coop.keypair.key_id] = coop
 
         # A notary forwards revalidation queries to whichever of its
         # cooperatives issued the attestation.
@@ -530,7 +528,7 @@ class Scenario:
         self.ledgers: dict[str, Ledger] = {}
         self.providers: dict[str, Provider] = {}
         for entry in config.providers:
-            keypair = self._actor_key("provider", entry["name"])
+            keypair = crypto.keygen(self._actor_seed("provider", entry["name"]))
             self.keys.add(keypair.public_key)
             provider = Provider(
                 entry["name"], entry["jurisdiction"], keypair,

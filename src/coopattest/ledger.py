@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Iterable, Union
 
 from . import crypto
 from .attestation import CounterSignedAttestation
 from . import canonical
-from .canonical import canonical_parse, record_from_map
 from .crypto import Digest, KeyPair, Signature, ZERO_DIGEST
 from .errors import DanglingAttestationPointer, OutOfBounds, UnregisteredWriter
 
@@ -180,29 +178,6 @@ class Ledger:
         return True
 
     # --- persistence ---------------------------------------------------------
-
-    def dump(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            for record in self._records:
-                fh.write(record_bytes(record))
-                fh.write(b"\n")
-
-    @classmethod
-    def load(
-        cls,
-        ledger_id: str,
-        writer_public_key: bytes,
-        path: str | Path,
-        *,
-        resolver: Callable[[str], "Ledger | None"] | None = None,
-    ) -> "Ledger":
-        records = []
-        with open(path, "rb") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(record_from_map(LedgerRecord, canonical_parse(line)))
-        return cls.from_records(ledger_id, writer_public_key, records, resolver=resolver)
 
     @classmethod
     def from_records(

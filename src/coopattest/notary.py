@@ -12,7 +12,7 @@ wired, since the mirror may lag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -24,19 +24,11 @@ from .attestation import (
     PlainAttestation,
     countersign,
     verify_pair,
-    write_attestation,
 )
-from .canonical import (
-    canonical_parse,
-    canonical_serialize,
-    record_from_map,
-    record_map,
-    require,
-    write_canonical,
-)
+from .canonical import read_record, record_map, write_canonical
 from .cooperative import Status
-from .crypto import Digest, KeyPair
-from .errors import DecodeError, ExpiredAtWitnessing, PairMismatch
+from .crypto import Digest
+from .errors import ExpiredAtWitnessing, PairMismatch
 from .events import no_emit
 
 OUTCOME_DISCLOSED = "disclosed"
@@ -86,10 +78,43 @@ class DisclosureResponse:
             raise ValueError("subject must be present exactly when disclosed")
 
 
-# The entries of the audit and rejection logs, as the notary writes them.
-_AUDIT_LAYOUT = {"at": int, "attestation_id": bytes, "jurisdiction": str,
-                 "purpose": str, "outcome": str}
-_REJECTION_LAYOUT = {"at": int, "attestation_id": bytes, "failing": list}
+@dataclass(frozen=True)
+class AuditEntry:
+    """One disclosure request, honored or not; its fields are its layout
+    in the state file."""
+
+    at: int
+    attestation_id: Digest
+    jurisdiction: str
+    purpose: str
+    outcome: str
+
+
+@dataclass(frozen=True)
+class RejectionEntry:
+    """One pair the notary refused to countersign, and the checks it
+    failed; its fields are its layout in the state file."""
+
+    at: int
+    attestation_id: Digest
+    failing: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class NotaryState:
+    """The notary's state file; its fields are the file's layout.
+    ``issuers`` are the public keys of the cooperatives it witnesses for,
+    and ``mirror`` maps attestation id hex to the tick of revocation."""
+
+    notary_id: str
+    key_seed: bytes
+    jurisdiction: str
+    compatible: frozenset[str] = frozenset()
+    issuers: tuple[bytes, ...] = ()
+    archive: tuple[ArchiveEntry, ...] = ()
+    mirror: dict[str, int] = field(default_factory=dict)
+    audit: tuple[AuditEntry, ...] = ()
+    rejections: tuple[RejectionEntry, ...] = ()
 
 
 class Notary:
@@ -98,22 +123,23 @@ class Notary:
     def __init__(
         self,
         notary_id: str,
-        keypair: KeyPair,
+        key_seed: bytes,
         policy: JurisdictionPolicy,
         *,
         revocation_source: Callable[[Digest, int], Status] | None = None,
         known_issuers: list[bytes] | None = None,
     ) -> None:
         self.notary_id = notary_id
-        self.keypair = keypair
+        self.key_seed = key_seed
+        self.keypair = crypto.keygen(key_seed)
         self.policy = policy
         self.revocation_source = revocation_source
         self.known_issuers = list(known_issuers or [])
         self._entries: list[ArchiveEntry] = []
         self._by_id: dict[Digest, int] = {}
         self.mirror: dict[Digest, int] = {}
-        self.audit_log: list[dict] = []
-        self.rejection_log: list[dict] = []
+        self.audit_log: list[AuditEntry] = []
+        self.rejection_log: list[RejectionEntry] = []
         self._emit = no_emit
 
     def resolve_issuer(self, key_id: Digest) -> bytes | None:
@@ -155,27 +181,24 @@ class Notary:
         """
         report = verify_pair(plain, blinded, issuer_public_key)
         if not report.passed:
-            self.rejection_log.append({
-                "at": now,
-                "attestation_id": blinded.attestation_id.value,
-                "failing": report.failing(),
-            })
+            self.rejection_log.append(
+                RejectionEntry(now, blinded.attestation_id, tuple(report.failing())))
             raise PairMismatch(report)
         if now >= blinded.expires_at:
-            self.rejection_log.append({
-                "at": now,
-                "attestation_id": blinded.attestation_id.value,
-                "failing": ["expired-at-witnessing"],
-            })
+            self.rejection_log.append(
+                RejectionEntry(now, blinded.attestation_id, ("expired-at-witnessing",)))
             raise ExpiredAtWitnessing(f"expired at tick {blinded.expires_at}, witnessed at {now}")
         csa = countersign(blinded, self.keypair, self.notary_id, now,
                           issuer_public_key=issuer_public_key)
-        entry = ArchiveEntry(plain=plain, blinded=blinded, countersigned=csa, received_at=now)
+        self._archive(ArchiveEntry(plain=plain, blinded=blinded, countersigned=csa,
+                                   received_at=now))
+        return csa
+
+    def _archive(self, entry: ArchiveEntry) -> None:
         index = len(self._entries)
         self._entries.append(entry)
-        self._by_id[blinded.attestation_id] = index
-        self._by_id[plain.attestation_id] = index
-        return csa
+        self._by_id[entry.blinded.attestation_id] = index
+        self._by_id[entry.plain.attestation_id] = index
 
     # --- revalidation -----------------------------------------------------------
 
@@ -226,120 +249,37 @@ class Notary:
                 subject=entry.plain.subject.value,
                 attributes=entry.plain.attributes,
             )
-        self.audit_log.append({
-            "at": now,
-            "attestation_id": attestation_id.value,
-            "jurisdiction": requester_jurisdiction,
-            "purpose": purpose,
-            "outcome": outcome,
-        })
+        self.audit_log.append(
+            AuditEntry(now, attestation_id, requester_jurisdiction, purpose, outcome))
         return response
-
-    # --- exports ---------------------------------------------------------------
-
-    def export_archive(self, directory: str | Path) -> None:
-        """Write the archive as .att triples plus an index file."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        index_map: dict[str, dict] = {}
-        for entry in self._entries:
-            stem = entry.blinded.attestation_id.hex()[:16]
-            names = {
-                "plain": f"{stem}.plain.att",
-                "blinded": f"{stem}.blinded.att",
-                "countersigned": f"{stem}.countersigned.att",
-            }
-            write_attestation(directory / names["plain"], entry.plain)
-            write_attestation(directory / names["blinded"], entry.blinded)
-            write_attestation(directory / names["countersigned"], entry.countersigned)
-            index_map[entry.blinded.attestation_id.hex()] = {
-                **names,
-                "received_at": entry.received_at,
-            }
-        (directory / "archive.index").write_bytes(canonical_serialize(index_map))
-
-    def export_audit_log(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            for record in self.audit_log:
-                fh.write(canonical_serialize(record))
-                fh.write(b"\n")
 
     # --- persistence -------------------------------------------------------------
 
-    def to_state_map(self, key_seed: bytes) -> dict:
-        return {
-            "notary_id": self.notary_id,
-            "key_seed": key_seed,
+    def save_state(self, path: str | Path) -> None:
+        """Write the whole state to *path* atomically; load_state reads it."""
+        write_canonical(path, record_map(NotaryState, {
+            "notary_id": self.notary_id, "key_seed": self.key_seed,
             "jurisdiction": self.policy.notary_jurisdiction,
-            "compatible": sorted(self.policy.compatible),
-            "issuers": list(self.known_issuers),
-            "archive": [record_map(ArchiveEntry, e) for e in self._entries],
+            "compatible": self.policy.compatible, "issuers": self.known_issuers,
+            "archive": self._entries,
             "mirror": {d.hex(): tick for d, tick in self.mirror.items()},
-            "audit": list(self.audit_log),
-            "rejections": list(self.rejection_log),
-        }
-
-    @classmethod
-    def from_state_map(cls, raw: dict) -> "Notary":
-        if not isinstance(raw, dict):
-            raise DecodeError("notary state must be a map")
-
-        def field(name: str, types, default=None):
-            if default is not None and name not in raw:
-                return default
-            return require(raw, name, types, "notary state")
-
-        def entries(name: str, layout: dict) -> list:
-            # A list of maps with exactly the keys of *layout*, each of its type.
-            value = field(name, list, [])
-            for entry in value:
-                if not (isinstance(entry, dict) and entry.keys() == layout.keys()):
-                    raise DecodeError(f"notary state field {name!r} must be a list of "
-                                      f"maps with keys {sorted(layout)}")
-                for key, types in layout.items():
-                    require(entry, key, types, f"notary state {name} entry")
-            return value
-
-        compatible = field("compatible", list, [])
-        if not all(type(code) is str for code in compatible):
-            raise DecodeError("notary state field 'compatible' must be a list of text")
-        issuers = field("issuers", list, [])
-        if not all(type(key) is bytes for key in issuers):
-            raise DecodeError("notary state field 'issuers' must be a list of byte-strings")
-        mirror = field("mirror", dict, {})
-        if not all(type(tick) is int for tick in mirror.values()):
-            raise DecodeError("notary state field 'mirror' must map ids to integer ticks")
-        audit = entries("audit", _AUDIT_LAYOUT)
-        rejections = entries("rejections", _REJECTION_LAYOUT)
-        if not all(type(check) is str for entry in rejections for check in entry["failing"]):
-            raise DecodeError("notary state field 'rejections' must list failing checks as text")
-        try:
-            notary = cls(
-                notary_id=field("notary_id", str),
-                keypair=crypto.keygen(field("key_seed", bytes)),
-                policy=JurisdictionPolicy(
-                    notary_jurisdiction=field("jurisdiction", str),
-                    compatible=frozenset(compatible),
-                ),
-                known_issuers=issuers,
-            )
-            for entry_raw in field("archive", list, []):
-                entry = record_from_map(ArchiveEntry, entry_raw)
-                index = len(notary._entries)
-                notary._entries.append(entry)
-                notary._by_id[entry.blinded.attestation_id] = index
-                notary._by_id[entry.plain.attestation_id] = index
-            for hex_id, tick in mirror.items():
-                notary.mirror[Digest.from_hex(hex_id)] = tick
-            notary.audit_log = list(audit)
-            notary.rejection_log = list(rejections)
-            return notary
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"malformed notary state: {exc}") from exc
-
-    def save_state(self, path: str | Path, key_seed: bytes) -> None:
-        write_canonical(path, self.to_state_map(key_seed))
+            "audit": self.audit_log, "rejections": self.rejection_log,
+        }))
 
     @classmethod
     def load_state(cls, path: str | Path) -> "Notary":
-        return cls.from_state_map(canonical_parse(Path(path).read_bytes()))
+        """The notary whose state file is *path*.  Raises DecodeError for a
+        file that does not hold a valid state."""
+        return read_record(path, NotaryState, cls._from_state)
+
+    @classmethod
+    def _from_state(cls, state: NotaryState) -> "Notary":
+        notary = cls(state.notary_id, state.key_seed,
+                     JurisdictionPolicy(state.jurisdiction, state.compatible),
+                     known_issuers=list(state.issuers))
+        for entry in state.archive:
+            notary._archive(entry)
+        notary.mirror = {Digest.from_hex(hex_id): tick for hex_id, tick in state.mirror.items()}
+        notary.audit_log = list(state.audit)
+        notary.rejection_log = list(state.rejections)
+        return notary

@@ -62,6 +62,31 @@ def _at(value, path):
     return value
 
 
+@st.composite
+def mutated(draw, original):
+    """A deep copy of *original*, a canonical value, changed once, as
+    ``(how, path, copy)``: the value at some path retyped (``"retype"``) or
+    replaced by one of its own type (``"same type"``), or a key added to
+    some map (``"add key"``)."""
+    raw = copy.deepcopy(original)
+    how = draw(st.sampled_from(("retype", "same type", "add key")))
+    if how == "add key":
+        path = draw(st.sampled_from([p for p in value_paths(raw) if isinstance(_at(raw, p), dict)]))
+        target = _at(raw, path)
+        key = draw(st.text(max_size=12).filter(lambda k: k not in target))
+        target[key] = draw(st.one_of(*CANONICAL_TYPES.values()))
+    else:
+        path = draw(st.sampled_from(list(value_paths(raw))))
+        old = canonical_type(_at(raw, path))
+        types = [t for t in CANONICAL_TYPES if (t is old) == (how == "same type")]
+        new = draw(st.sampled_from(types).flatmap(CANONICAL_TYPES.get))
+        if path:
+            _at(raw, path[:-1])[path[-1]] = new
+        else:
+            raw = new
+    return how, path, raw
+
+
 def check_strict_decoding(data, originals, decode, encode):
     """Mutate one of *originals* (canonical maps of real records) once and
     decode it.  A value of another canonical type or an added key must raise
@@ -69,22 +94,7 @@ def check_strict_decoding(data, originals, decode, encode):
     map it was decoded from.  No other exception is allowed."""
     original = data.draw(st.sampled_from(originals))
     assert encode(decode(original)) == original
-    raw = copy.deepcopy(original)
-    how = data.draw(st.sampled_from(("retype", "same type", "add key")))
-    if how == "add key":
-        path = data.draw(st.sampled_from([p for p in value_paths(raw) if isinstance(_at(raw, p), dict)]))
-        target = _at(raw, path)
-        key = data.draw(st.text(max_size=12).filter(lambda k: k not in target))
-        target[key] = data.draw(st.one_of(*CANONICAL_TYPES.values()))
-    else:
-        path = data.draw(st.sampled_from(list(value_paths(raw))))
-        old = canonical_type(_at(raw, path))
-        types = [t for t in CANONICAL_TYPES if (t is old) == (how == "same type")]
-        new = data.draw(st.sampled_from(types).flatmap(CANONICAL_TYPES.get))
-        if path:
-            _at(raw, path[:-1])[path[-1]] = new
-        else:
-            raw = new
+    how, path, raw = data.draw(mutated(original))
     try:
         decoded = decode(raw)
     except DecodeError:

@@ -161,7 +161,7 @@ def test_criterion_3_revocation_expiry_lattice():
         checked = 0
         for issue_tick in range(0, 21):
             for revoke_tick in [None, *range(0, 21)]:
-                coop = Cooperative("latt", crypto.keygen(b"lattice"), "notary-1")
+                coop = Cooperative("latt", b"lattice", "notary-1")
                 coop.register_member(MemberRecord(
                     "alice", "alice-legal-0001", {"date-of-birth": -9000}
                 ))

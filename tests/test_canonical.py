@@ -19,12 +19,18 @@ from coopattest.attestation import (
     blind,
     countersign,
 )
-from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_map
-from coopattest.cooperative import IssuanceEntry
+from coopattest.canonical import (
+    canonical_parse,
+    canonical_serialize,
+    record_bytes,
+    record_from_map,
+    record_map,
+)
+from coopattest.cooperative import CooperativeState, IssuanceEntry, MemberRecord
 from coopattest.crypto import Digest, Signature
 from coopattest.errors import DecodeError, UnsupportedValue
 from coopattest.ledger import AttestationRecord, LedgerRecord, PostRecord, RecordPointer
-from coopattest.notary import ArchiveEntry
+from coopattest.notary import ArchiveEntry, AuditEntry, NotaryState, RejectionEntry
 
 from conftest import make_plain
 
@@ -317,24 +323,44 @@ class TestFieldReference:
         SubjectRef: "subject", AttributeClaim: "attribute claim", Signature: "signature",
         RecordPointer: "record pointer", AttestationRecord: "attestation payload",
         PostRecord: "post payload",
+        CooperativeState: "cooperative state", MemberRecord: "member",
+        IssuanceEntry: "issuance", NotaryState: "notary state", ArchiveEntry: "archive entry",
+        AuditEntry: "audit entry", RejectionEntry: "rejection entry",
     }
-    SCALARS = {str: "text", int: "integer", bytes: "bytes", Digest: "digest"}
+    SCALARS = {str: "text", int: "integer", bytes: "bytes", Digest: "digest", dict: "map"}
 
     def type_name(self, tp) -> str:
         if tp in self.SCALARS:
             return self.SCALARS[tp]
         if tp in self.RECORDS:
             return self.RECORDS[tp]
-        if typing.get_origin(tp) is tuple:
-            return "list of " + self.type_name(typing.get_args(tp)[0])
-        return " or ".join(self.type_name(member) for member in typing.get_args(tp))
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if type(None) in args:
+            (tp,) = [arg for arg in args if arg is not type(None)]
+            return self.type_name(tp)
+        if origin is tuple and args[1:] == (Ellipsis,):
+            return "list of " + self.type_name(args[0])
+        if origin is tuple:
+            return "[" + ", ".join(map(self.type_name, args)) + "]"
+        if origin is frozenset:
+            return "sorted list of " + self.type_name(args[0])
+        if origin is dict:
+            return f"map of {self.type_name(args[0])} to {self.type_name(args[1])}"
+        return " or ".join(self.type_name(member) for member in args)
+
+    @staticmethod
+    def optional_mark(f, tp) -> str:
+        if f.default is f.default_factory is dataclasses.MISSING:
+            return ""
+        return " (optional, written when set)" if type(None) in typing.get_args(tp) else " (optional)"
 
     def declared_rows(self) -> dict:
         rows = {}
         for cls, record in self.RECORDS.items():
             unsigned = getattr(cls, "_UNSIGNED", None)
             hints = typing.get_type_hints(cls)
-            fields = [(f.metadata.get("key", f.name), self.type_name(hints[f.name]))
+            fields = [(f.metadata.get("key", f.name),
+                       self.type_name(hints[f.name]) + self.optional_mark(f, hints[f.name]))
                       for f in dataclasses.fields(cls)]
             if hasattr(cls, "_KIND"):
                 fields.insert(0, ("kind", f'"{cls._KIND}"'))
@@ -472,6 +498,33 @@ payloads = st.one_of(st.builds(AttestationRecord, countersigned_records),
                      st.builds(PostRecord, digests, pointers, st.integers()))
 ledger_records = st.builds(LedgerRecord, st.integers(), digests, payloads, digests, signatures)
 
+
+def tuples_of(items, max_size=2):
+    return st.lists(items, max_size=max_size).map(tuple)
+
+
+issuances = st.builds(IssuanceEntry, plain_records(), blinded_records())
+archive_entries = st.builds(ArchiveEntry, plain_records(), blinded_records(),
+                            countersigned_records, st.integers())
+members = st.builds(
+    MemberRecord, record_texts.filter(bool), record_texts.filter(bool),
+    st.dictionaries(record_texts, st.one_of(st.integers(), record_texts), max_size=3),
+    st.one_of(st.none(), record_texts.map(lambda text: "@" + text)))
+revocations = st.dictionaries(digests.map(Digest.hex), st.integers(), max_size=2)
+audit_entries = st.builds(AuditEntry, st.integers(), digests, record_texts, record_texts,
+                          record_texts)
+rejection_entries = st.builds(RejectionEntry, st.integers(), digests, tuples_of(record_texts))
+cooperative_states = st.builds(
+    CooperativeState, record_texts, st.binary(max_size=8), record_texts,
+    tuples_of(record_texts, 4), st.integers(), tuples_of(st.tuples(st.integers(), record_texts)),
+    tuples_of(members), tuples_of(issuances, 1), revocations,
+    st.integers(min_value=0, max_value=2**64 - 1), st.one_of(st.none(), st.binary(max_size=8)))
+notary_states = st.builds(
+    NotaryState, record_texts, st.binary(max_size=8), record_texts,
+    st.frozensets(record_texts, max_size=3), tuples_of(st.binary(max_size=8)),
+    tuples_of(archive_entries, 1), revocations, tuples_of(audit_entries),
+    tuples_of(rejection_entries))
+
 RECORD_STRATEGIES = {
     PlainAttestation: plain_records(), BlindedAttestation: blinded_records(),
     CounterSignedAttestation: countersigned_records, LedgerRecord: ledger_records,
@@ -479,9 +532,9 @@ RECORD_STRATEGIES = {
     Signature: signatures, RecordPointer: pointers,
     AttestationRecord: st.builds(AttestationRecord, countersigned_records),
     PostRecord: st.builds(PostRecord, digests, pointers, st.integers()),
-    IssuanceEntry: st.builds(IssuanceEntry, plain_records(), blinded_records()),
-    ArchiveEntry: st.builds(ArchiveEntry, plain_records(), blinded_records(),
-                            countersigned_records, st.integers()),
+    IssuanceEntry: issuances, ArchiveEntry: archive_entries,
+    MemberRecord: members, AuditEntry: audit_entries, RejectionEntry: rejection_entries,
+    CooperativeState: cooperative_states, NotaryState: notary_states,
 }
 # Every (class, omitted keys) pair the program writes with record_bytes.
 WRITTEN = [(cls, ()) for cls in RECORD_STRATEGIES] + [
@@ -514,6 +567,54 @@ def test_record_bytes_matches_the_map_path(case):
     # attestations inside the record.
     assert record_bytes(cls, values, omit) == expected
     assert record_bytes(cls, values, omit) == expected
+
+
+@given(st.sampled_from(list(RECORD_STRATEGIES)).flatmap(
+    lambda cls: st.tuples(st.just(cls), RECORD_STRATEGIES[cls])))
+@settings(max_examples=300)
+def test_records_decode_to_themselves(case):
+    cls, record = case
+    try:
+        data = record_bytes(cls, record)
+    except UnsupportedValue:
+        return
+    assert record_from_map(cls, canonical_parse(data)) == record
+
+
+# --- the field kinds of the state records ------------------------------------------
+
+def test_unset_optional_key_is_left_out():
+    assert "handle" not in record_map(MemberRecord, MemberRecord("bob", "bob-legal-0002", {}))
+    assert record_bytes(MemberRecord, MemberRecord("bob", "bob-legal-0002", {}, "@bob")) == (
+        b'{"handle":"@bob","legal_identity":"bob-legal-0002","member_id":"bob",'
+        b'"personal_data":{}}')
+
+
+def test_missing_optional_keys_take_their_defaults():
+    state = record_from_map(CooperativeState, {"name": "c", "key_seed": b"k", "legal_rep": "n"})
+    assert state == CooperativeState("c", b"k", "n")
+    assert state.nonce_seed is None and state.revoked == {} and state.members == ()
+    assert "nonce_seed" not in record_map(CooperativeState, state)
+
+
+def test_frozenset_is_written_sorted():
+    state = NotaryState("n", b"k", "US", compatible=frozenset({"US", "EU", "AU", "CH"}))
+    assert record_map(NotaryState, state)["compatible"] == ["AU", "CH", "EU", "US"]
+    assert b'"compatible":["AU","CH","EU","US"]' in record_bytes(NotaryState, state)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("income_bands", [[30_000]]),
+    ("income_bands", [[30_000, "low", "x"]]),
+    ("income_bands", [30_000, "low"]),
+    ("queries", ["age-over-18", 5]),
+    ("revoked", {"ab" * 32: True}),
+    ("nonce_seed", "seed"),
+])
+def test_container_items_are_type_checked(field, value):
+    raw = {"name": "c", "key_seed": b"k", "legal_rep": "n", field: value}
+    with pytest.raises(DecodeError, match=field):
+        record_from_map(CooperativeState, raw)
 
 
 def test_record_bytes_of_the_program_s_own_records(issuer, notary_key):

@@ -191,6 +191,46 @@ class TestIssueCountersignVerify:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "x.plain.att").exists()
 
+    def test_issue_keeps_nonce_seed(self, workdir):
+        raw = canonical_parse((workdir / "coop.state").read_bytes())
+        raw["nonce_seed"] = b"operator-nonce-seed"
+        (workdir / "coop.state").write_bytes(canonical_serialize(raw))
+        for _ in range(2):
+            assert run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                        "--attrs", "age-over-18", "--mode", "absent",
+                        "--now", 10, "--ttl", 90,
+                        "--out-plain", workdir / "x.plain.att",
+                        "--out-blinded", workdir / "x.blinded.att"]) == 0
+        state = canonical_parse((workdir / "coop.state").read_bytes())
+        assert state["nonce_seed"] == b"operator-nonce-seed"
+        # The second nonce, issued after a rewrite, still comes from nonce_seed.
+        nonce = canonical_parse((workdir / "x.plain.att").read_bytes())["nonce"]
+        expected = b"coop-attest/nonce/v1:operator-nonce-seed" + (1).to_bytes(8, "big")
+        assert nonce == crypto.digest(expected).value
+
+    @pytest.mark.parametrize("field, value", [
+        ("nonce_counter", -1),
+        ("nonce_counter", 2**64),
+        ("key_seed", b""),
+        ("members", "duplicate"),
+        ("year_tick", 365),
+    ], ids=["negative-counter", "counter-2**64", "empty-key-seed", "duplicate-member",
+            "unknown-key"])
+    def test_issue_invalid_state_exit_2(self, workdir, capsys, field, value):
+        raw = canonical_parse((workdir / "coop.state").read_bytes())
+        raw[field] = raw["members"] * 2 if value == "duplicate" else value
+        (workdir / "coop.state").write_bytes(canonical_serialize(raw))
+        before = (workdir / "coop.state").read_bytes()
+        code = run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18", "--mode", "absent",
+                    "--now", 10, "--ttl", 90,
+                    "--out-plain", workdir / "x.plain.att",
+                    "--out-blinded", workdir / "x.blinded.att"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (workdir / "coop.state").read_bytes() == before
+        assert not (workdir / "x.plain.att").exists()
+
     def test_countersign_wrongly_typed_issuers_exit_2(self, workdir, capsys):
         issue_and_countersign(workdir)
         raw = canonical_parse((workdir / "notary.state").read_bytes())
@@ -225,6 +265,21 @@ class TestIssueCountersignVerify:
         ("rejections", [{**REJECTION_ENTRY, "failing": [5]}]),
     ])
     def test_disclose_wrongly_typed_notary_state_exit_2(self, workdir, capsys, field, value):
+        issue_and_countersign(workdir)
+        att_id = capsys.readouterr().out.split("issued ", 1)[1].split()[0]
+        raw = canonical_parse((workdir / "notary.state").read_bytes())
+        raw[field] = value
+        (workdir / "notary.state").write_bytes(canonical_serialize(raw))
+        before = (workdir / "notary.state").read_bytes()
+        code = run(["disclose", "--notary", workdir / "notary.state", "--id", att_id,
+                    "--jurisdiction", "EU", "--purpose", "travel-rule", "--now", 20])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (workdir / "notary.state").read_bytes() == before
+
+    @pytest.mark.parametrize("field, value", [("key_seed", b""), ("jurisdictions", ["EU"])],
+                             ids=["empty-key-seed", "unknown-key"])
+    def test_disclose_invalid_notary_state_exit_2(self, workdir, capsys, field, value):
         issue_and_countersign(workdir)
         att_id = capsys.readouterr().out.split("issued ", 1)[1].split()[0]
         raw = canonical_parse((workdir / "notary.state").read_bytes())

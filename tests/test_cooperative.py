@@ -10,7 +10,7 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import verify_pair
-from coopattest.canonical import canonical_serialize
+from coopattest.canonical import record_from_map, record_map
 from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.errors import (
     DecodeError,
@@ -25,7 +25,7 @@ from coopattest.errors import (
 
 def make_coop(name="coop1", year_ticks=365):
     return Cooperative(
-        name, crypto.keygen(name.encode()), "notary-1", year_ticks=year_ticks
+        name, name.encode(), "notary-1", year_ticks=year_ticks
     )
 
 
@@ -62,23 +62,15 @@ class TestRegistry:
         with pytest.raises(UnknownMember):
             make_coop().member("ghost")
 
-    def test_fixture_load(self, tmp_path):
-        records = [alice().to_map(), MemberRecord("bob", "bob-legal-0002", {}).to_map()]
-        path = tmp_path / "members.fix"
-        path.write_bytes(canonical_serialize(records))
-        coop = make_coop()
-        assert coop.load_members(path) == 2
-        assert coop.member("bob").personal_data == {}
-
     @pytest.mark.parametrize("field, value", [
         ("member_id", 7), ("legal_identity", 5), ("legal_identity", b"alice"),
         ("personal_data", ["residence", "NL"]), ("handle", True),
     ])
     def test_wrongly_typed_field_rejected(self, field, value):
-        raw = alice(handle="@alice").to_map()
+        raw = record_map(MemberRecord, alice(handle="@alice"))
         raw[field] = value
         with pytest.raises(DecodeError, match=field):
-            MemberRecord.from_map(raw)
+            record_from_map(MemberRecord, raw)
 
 
 class TestDerivation:
@@ -165,24 +157,6 @@ class TestIssuance:
             ids.add(plain.attestation_id)
             ids.add(blinded.attestation_id)
         assert len(ids) == 200
-
-    def test_issuance_log_rederives(self):
-        coop = make_coop()
-        coop.register_member(alice(handle="@sender"))
-        coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-        coop.issue_blinded("alice", ["residence-country"], "handle", 20, 50)
-        for entry in coop.issuance_log:
-            assert verify_pair(entry.plain, entry.blinded, coop.public_key).passed
-
-    def test_export_issuance_log(self, tmp_path):
-        coop = make_coop()
-        coop.register_member(alice())
-        coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-        names = coop.export_issuance_log(tmp_path)
-        assert len(names) == 1
-        for pair in names:
-            for name in pair:
-                assert (tmp_path / name).exists()
 
 
 class TestRevocation:
@@ -285,7 +259,7 @@ class TestStatePersistence:
         plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "handle", 10, 90)
         coop.revoke(blinded.attestation_id, 40)
         path = tmp_path / "coop.state"
-        coop.save_state(path, b"coop1")
+        coop.save_state(path)
         loaded = Cooperative.load_state(path)
         assert loaded.member("alice").handle == "@sender"
         assert loaded.revalidation_status(blinded.attestation_id, 45) is Status.REVOKED
@@ -300,7 +274,7 @@ class TestStatePersistence:
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         coop = make_coop()
         path = tmp_path / "coop.state"
-        coop.save_state(path, b"coop1")
+        coop.save_state(path)
         before = path.read_bytes()
         coop.register_member(alice())
 
@@ -309,13 +283,13 @@ class TestStatePersistence:
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(OSError, match="interrupted"):
-            coop.save_state(path, b"coop1")
+            coop.save_state(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["coop.state"]
 
     def test_killed_before_replace_keeps_previous_file(self, tmp_path):
         path = tmp_path / "coop.state"
-        make_coop().save_state(path, b"coop1")
+        make_coop().save_state(path)
         before = path.read_bytes()
         # The process dies where a crash would hurt most: the new state is
         # written and synced beside the file, and the rename has not run.
@@ -325,7 +299,7 @@ class TestStatePersistence:
             "os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)\n"
             "coop = Cooperative.load_state(sys.argv[1])\n"
             "coop.register_member(MemberRecord('bob', 'bob-legal-0002', {}))\n"
-            "coop.save_state(sys.argv[1], b'coop1')\n"
+            "coop.save_state(sys.argv[1])\n"
         )
         result = subprocess.run([sys.executable, "-c", child, str(path)],
                                 capture_output=True, timeout=60)
@@ -336,24 +310,24 @@ class TestStatePersistence:
     @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
     def test_save_keeps_file_mode(self, tmp_path, mode):
         path = tmp_path / "coop.state"
-        make_coop().save_state(path, b"coop1")
+        make_coop().save_state(path)
         path.chmod(mode)
-        make_coop().save_state(path, b"coop1")
+        make_coop().save_state(path)
         assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_new_state_file_is_owner_only(self, tmp_path):
         path = tmp_path / "coop.state"
-        make_coop().save_state(path, b"coop1")
+        make_coop().save_state(path)
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
     def test_save_through_symlink_rewrites_target(self, tmp_path):
         target = tmp_path / "real.state"
-        make_coop().save_state(target, b"coop1")
+        make_coop().save_state(target)
         link = tmp_path / "coop.state"
         link.symlink_to(target)
         coop = make_coop()
         coop.register_member(alice())
-        coop.save_state(link, b"coop1")
+        coop.save_state(link)
         assert link.is_symlink()
         assert Cooperative.load_state(target).member("alice").handle == alice().handle
 
@@ -361,6 +335,6 @@ class TestStatePersistence:
         path = tmp_path / "coop.state"
         neighbour = tmp_path / "coop.state.tmp"
         neighbour.write_bytes(b"operator's file")
-        make_coop().save_state(path, b"coop1")
+        make_coop().save_state(path)
         assert neighbour.read_bytes() == b"operator's file"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["coop.state", "coop.state.tmp"]

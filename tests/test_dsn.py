@@ -52,9 +52,9 @@ class Stack:
     def __init__(self, provider_names=("P1", "P2", "P3"), followers=None,
                  prefer_local_port=(), jurisdictions=None):
         self.keys = crypto.KeyDirectory()
-        self.coop = Cooperative("coop1", crypto.keygen(b"coop1"), "notary-1")
+        self.coop = Cooperative("coop1", b"coop1", "notary-1")
         self.notary = Notary(
-            "notary-1", crypto.keygen(b"notary-1"),
+            "notary-1", b"notary-1",
             JurisdictionPolicy("US", frozenset({"US", "EU"})),
             revocation_source=self.coop.revalidation_status,
         )

@@ -7,16 +7,18 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes, countersign_bytes
-from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
 from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.errors import DecodeError, ExpiredAtWitnessing, PairMismatch
 from coopattest.notary import (
     OUTCOME_DENIED,
     OUTCOME_DISCLOSED,
     OUTCOME_UNKNOWN,
+    AuditEntry,
     DisclosureResponse,
     JurisdictionPolicy,
     Notary,
+    NotaryState,
 )
 
 from conftest import make_claims, make_plain
@@ -25,7 +27,7 @@ POLICY = JurisdictionPolicy("US", frozenset({"US", "EU"}))
 
 
 def make_notary(**kwargs):
-    return Notary("notary-1", crypto.keygen(b"test-notary"), POLICY, **kwargs)
+    return Notary("notary-1", b"test-notary", POLICY, **kwargs)
 
 
 def issued_pair(issuer, **kwargs):
@@ -113,14 +115,14 @@ class TestRevalidation:
 
     def test_revoked_via_forwarded_query(self, issuer):
         """Mirror is stale; the forwarded query reaches the cooperative."""
-        coop = Cooperative("coop1", crypto.keygen(b"coop1"), "notary-1")
+        coop = Cooperative("coop1", b"coop1", "notary-1")
         notary, att_id = self._witnessed(issuer, coop=coop)
         coop.revoke(att_id, 40)  # after the last mirror sync
         assert att_id not in notary.mirror
         assert notary.respond_revalidation(att_id, 50) is Status.REVOKED
 
     def test_revoked_via_mirror_without_source(self, issuer):
-        coop = Cooperative("coop1", crypto.keygen(b"coop1"), "notary-1")
+        coop = Cooperative("coop1", b"coop1", "notary-1")
         coop.register_member(MemberRecord("alice", "alice-legal-0001",
                                           {"date-of-birth": -9000}))
         plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
@@ -163,7 +165,7 @@ class TestDisclosure:
         notary.respond_disclosure(att_id, "US", "travel-rule", 20)
         notary.respond_disclosure(att_id, "XX", "dsn-dispute", 21)
         notary.respond_disclosure(crypto.digest(b"?"), "EU", "travel-rule", 22)
-        assert [e["outcome"] for e in notary.audit_log] == [
+        assert [e.outcome for e in notary.audit_log] == [
             OUTCOME_DISCLOSED, OUTCOME_DENIED, OUTCOME_UNKNOWN,
         ]
 
@@ -183,7 +185,7 @@ class TestDisclosure:
         assert identity.encode() not in serialized
         # The audit trail never holds the identity either.
         for entry in notary.audit_log:
-            assert identity.encode() not in canonical_serialize(entry)
+            assert identity.encode() not in record_bytes(AuditEntry, entry)
 
     def test_disclosure_soundness_matches_archive(self, issuer):
         notary, att_id = self._ready(issuer)
@@ -198,37 +200,14 @@ class TestDisclosure:
             DisclosureResponse(outcome=OUTCOME_DISCLOSED)
 
 
-class TestExports:
-    def test_archive_export(self, tmp_path, issuer):
-        notary = make_notary()
-        plain, blinded = issued_pair(issuer)
-        notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
-        notary.export_archive(tmp_path)
-        index = canonical_parse((tmp_path / "archive.index").read_bytes())
-        assert blinded.attestation_id.hex() in index
-        entry = index[blinded.attestation_id.hex()]
-        assert entry["received_at"] == 10
-        for kind in ("plain", "blinded", "countersigned"):
-            assert (tmp_path / entry[kind]).exists()
-
-    def test_audit_export_line_delimited(self, tmp_path, issuer):
-        notary = make_notary()
-        plain, blinded = issued_pair(issuer)
-        notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
-        notary.respond_disclosure(blinded.attestation_id, "US", "travel-rule", 20)
-        path = tmp_path / "audit.log"
-        notary.export_audit_log(path)
-        lines = path.read_bytes().splitlines()
-        assert len(lines) == 1
-        assert canonical_parse(lines[0])["outcome"] == OUTCOME_DISCLOSED
-
+class TestStatePersistence:
     def test_state_roundtrip(self, tmp_path, issuer):
         notary = make_notary()
         plain, blinded = issued_pair(issuer)
         notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
         notary.respond_disclosure(blinded.attestation_id, "US", "travel-rule", 20)
         path = tmp_path / "notary.state"
-        notary.save_state(path, b"test-notary")
+        notary.save_state(path)
         loaded = Notary.load_state(path)
         assert loaded.respond_revalidation(blinded.attestation_id, 50) is Status.VALID
         assert len(loaded.audit_log) == 1
@@ -237,7 +216,7 @@ class TestExports:
     def test_failed_replace_keeps_previous_file(self, tmp_path, issuer, monkeypatch):
         notary = make_notary()
         path = tmp_path / "notary.state"
-        notary.save_state(path, b"test-notary")
+        notary.save_state(path)
         before = path.read_bytes()
         plain, blinded = issued_pair(issuer)
         notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
@@ -247,7 +226,7 @@ class TestExports:
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(OSError, match="interrupted"):
-            notary.save_state(path, b"test-notary")
+            notary.save_state(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["notary.state"]
 
@@ -255,16 +234,18 @@ class TestExports:
         path = tmp_path / "notary.state"
         path.write_bytes(b"{}")
         path.chmod(0o600)
-        make_notary().save_state(path, b"test-notary")
+        make_notary().save_state(path)
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         assert Notary.load_state(path).keypair == make_notary().keypair
 
-    def test_wrongly_typed_issuers_rejected(self):
-        raw = make_notary().to_state_map(b"test-notary")
+    def test_wrongly_typed_issuers_rejected(self, tmp_path):
+        path = tmp_path / "notary.state"
+        make_notary().save_state(path)
+        raw = canonical_parse(path.read_bytes())
         for issuers in (["not-a-key"], b"key", [7]):
             raw["issuers"] = issuers
             with pytest.raises(DecodeError, match="issuers"):
-                Notary.from_state_map(raw)
+                record_from_map(NotaryState, raw)
 
 
 def test_envelope_fidelity_through_archive(issuer):

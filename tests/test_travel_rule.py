@@ -41,9 +41,9 @@ class Stack:
 
     def __init__(self, compatible=("US", "EU"), beneficiary_jurisdiction="US"):
         self.keys = crypto.KeyDirectory()
-        self.coop = Cooperative("coop1", crypto.keygen(b"coop1"), "notary-1")
+        self.coop = Cooperative("coop1", b"coop1", "notary-1")
         self.notary = Notary(
-            "notary-1", crypto.keygen(b"notary-1"),
+            "notary-1", b"notary-1",
             JurisdictionPolicy("US", frozenset(compatible)),
             revocation_source=self.coop.revalidation_status,
         )
