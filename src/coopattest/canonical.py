@@ -65,12 +65,6 @@ def canonical_serialize(value: Any) -> bytes:
     return _utf8(_encode(value))
 
 
-def canonical_text(value: Any) -> str:
-    """The text canonical_serialize encodes as UTF-8.  Text with lone
-    surrogates is rejected only at that last step."""
-    return _encode(value)
-
-
 def _utf8(text: str) -> bytes:
     try:
         return text.encode("utf-8")

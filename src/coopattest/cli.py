@@ -28,6 +28,7 @@ from .canonical import canonical_parse, canonical_serialize
 from .cooperative import Cooperative, Status
 from .crypto import Digest, keygen
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
+from .errors import ExpiredAtWitnessing, PairMismatch
 from .harness import ScenarioConfig, run_scenario, validate_config
 from .notary import OUTCOME_DISCLOSED, Notary
 
@@ -99,7 +100,12 @@ def cmd_countersign(args) -> int:
         print(f"issuer key {blinded.issuer_key_id.hex()} not in the notary's directory",
               file=sys.stderr)
         return EXIT_FAILURE
-    csa = notary.witness_and_countersign(plain, blinded, issuer_key, args.now)
+    try:
+        csa = notary.witness_and_countersign(plain, blinded, issuer_key, args.now)
+    except (PairMismatch, ExpiredAtWitnessing):
+        # The refusal is in the notary's rejection log; keep it.
+        notary.save_state(args.notary)
+        raise
     notary.save_state(args.notary)
     write_attestation(args.out, csa)
     print(f"countersigned {blinded.attestation_id.hex()}")

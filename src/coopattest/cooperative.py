@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import crypto
@@ -26,7 +27,7 @@ from .attestation import (
     blind,
     build_plain,
 )
-from .canonical import Encoded, canonical_text, read_record, record_map, write_canonical
+from .canonical import read_record, record_map, write_canonical
 from .crypto import Digest
 from .errors import (
     DuplicateMember,
@@ -82,29 +83,19 @@ class RevocationRegistry:
     ``entries`` changes only through ``mark``."""
 
     entries: dict[Digest, int] = field(default_factory=dict)
-    # wire_entries's map and its text, built at most once per change.
-    _wire: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def mark(self, attestation_id: Digest, at: int) -> None:
         # A revoked id is never un-revoked and keeps its first tick.
-        if attestation_id not in self.entries:
-            self.entries[attestation_id] = at
-            self._wire = None
-
-    def wire_entries(self) -> tuple[dict[str, int], Encoded]:
-        """The entries as a revocation-sync message carries them, id hex to
-        tick: a fresh map, and the canonical text of such a map."""
-        if self._wire is None:
-            entries = {d.hex(): tick for d, tick in self.entries.items()}
-            self._wire = entries, Encoded(canonical_text(entries))
-        entries, encoded = self._wire
-        return dict(entries), encoded
+        self.entries.setdefault(attestation_id, at)
 
     def revoked_at(self, attestation_id: Digest) -> int | None:
         return self.entries.get(attestation_id)
 
-    def snapshot(self) -> dict[Digest, int]:
-        return dict(self.entries)
+    def since(self, count: int) -> dict[Digest, int]:
+        """The entries marked after the first *count*, in marking order: what
+        a mirror that holds the first *count* lacks (a delta, as in RFC 5280
+        section 5.2.4)."""
+        return dict(islice(self.entries.items(), count, None))
 
 
 @dataclass(frozen=True)
@@ -290,9 +281,6 @@ class Cooperative:
         if now >= self._issuances[index].blinded.expires_at:
             return Status.EXPIRED
         return Status.VALID
-
-    def registry_snapshot(self) -> dict[Digest, int]:
-        return self.revocations.snapshot()
 
     # --- persistence ---------------------------------------------------------------
 

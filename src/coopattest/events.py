@@ -4,8 +4,8 @@ Actors are plain single-threaded objects.  When a scenario harness wires
 them up it injects an ``emit`` callable per actor (tagged with the actor
 name and the scheduler's current tick); standalone library use leaves it
 unset and everything stays silent.  Cross-actor traffic goes through
-send_message so every message shows up in the event log exactly once as
-a send and once as a deliver.
+send_message so every message shows up in the event log exactly once,
+as a send.
 """
 
 from __future__ import annotations
@@ -25,20 +25,15 @@ def send_message(src, dst, channel: str, payload: dict, call: Callable[[], Any],
                  wire: Any = None) -> Any:
     """Deliver a message from actor *src* to actor *dst* and run the handler.
 
-    Both actors expose ``name`` and ``_emit``.  The send and deliver events
-    are recorded before the handler runs, so handler side effects appear
-    after the delivery in the log, the same order a queued transport would
-    produce.
+    Both actors expose ``name``; *src* exposes ``_emit``.  The send event is
+    recorded before the handler runs, so handler side effects appear after
+    it in the log, the same order a queued transport would produce.
 
-    The two events are adjacent in the log and share one body object,
-    *payload* itself; ``EventLog.to_bytes`` relies on that to encode each
-    body once.  *wire*, when given, is a value that encodes to the same
-    canonical text as *payload* but holds texts the sender had already
-    encoded, as ``canonical.Encoded`` values (an attestation's memoised
-    text, a revocation registry's snapshot); the log writes the body from
+    *wire*, when given, is a value that encodes to the same canonical text
+    as *payload* but holds the attestation texts the sender had already
+    encoded, as ``canonical.Encoded`` values; the log writes the body from
     it, so those texts are spliced in, not encoded again.  The log keeps
     *payload*, a plain map, for its readers.
     """
     src._emit("send", {"to": dst.name, "channel": channel, "body": payload}, wire)
-    dst._emit("deliver", {"from": src.name, "channel": channel, "body": payload}, wire)
     return call()

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import crypto
 from .attestation import CounterSignedAttestation, message_body
-from .canonical import Encoded, canonical_parse, canonical_serialize, canonical_text
+from .canonical import canonical_parse, canonical_serialize
 from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
@@ -71,21 +71,13 @@ class EventLog:
         return [e for e in self.events if e.kind == kind]
 
     def to_bytes(self) -> bytes:
-        # A send and its deliver are adjacent and share one body object
-        # (events.send_message), so the body last encoded is kept, by
-        # identity, and spliced into the next event that carries it again.
-        # A body sent with a wire form is written from that form, which
-        # splices the texts its sender had already encoded.
+        # A message body sent with a wire form is written from that form,
+        # which splices the attestation texts its sender had already encoded.
         lines = []
-        body = encoded = None
         for event in self.events:
             data = event.to_map()
-            payload = event.payload
-            if type(payload) is dict and "body" in payload:
-                if payload["body"] is not body:
-                    body = payload["body"]
-                    encoded = Encoded(canonical_text(body if event.wire is None else event.wire))
-                data["payload"] = {**payload, "body": encoded}
+            if event.wire is not None:
+                data["payload"] = {**event.payload, "body": event.wire}
             lines.append(canonical_serialize(data) + b"\n")
         return b"".join(lines)
 
@@ -99,10 +91,6 @@ class EventLog:
             if line.strip():
                 events.append(Event.from_map(canonical_parse(line)))
         return cls(events)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EventLog":
-        return cls.from_bytes(Path(path).read_bytes())
 
 
 # --- config ---------------------------------------------------------------------
@@ -459,6 +447,8 @@ class Scenario:
         self.now = 0
         self.keys = KeyDirectory()
         self.artifacts: dict[str, CounterSignedAttestation] = {}
+        # Per cooperative, how many of its revocation entries its notary has.
+        self._synced: dict[str, int] = {}
         self.sender_keys = _SenderKeys(config.seed)
         self.adversary = _Adversary()
         self._bind(self.adversary)
@@ -584,11 +574,15 @@ class Scenario:
             action["member"], list(action["queries"]), action["mode"],
             self.now, action["ttl"],
         )
-        entries, encoded = coop.revocations.wire_entries()
-        send_message(coop, notary, "revocation-sync", {"entries": entries},
-                     lambda: notary.sync_revocations(coop.registry_snapshot()),
-                     {"entries": encoded})
-        body, wire = message_body(plain=plain, blinded=blinded)
+        # Only the entries marked since this cooperative's last sync.
+        new = coop.revocations.since(self._synced.get(coop.name, 0))
+        self._synced[coop.name] = len(coop.revocations.entries)
+        send_message(coop, notary, "revocation-sync",
+                     {"entries": {d.hex(): tick for d, tick in new.items()}},
+                     lambda: notary.sync_revocations(new))
+        # The trace names the plain attestation by its id only; the notary
+        # alone receives the identity-bearing object.
+        body, wire = message_body(plain_id=plain.attestation_id.value, blinded=blinded)
         csa = send_message(
             coop, notary, "witness-request", body,
             lambda: notary.witness_and_countersign(plain, blinded, coop.public_key, self.now),

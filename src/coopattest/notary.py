@@ -203,7 +203,9 @@ class Notary:
     # --- revalidation -----------------------------------------------------------
 
     def sync_revocations(self, snapshot: dict[Digest, int]) -> None:
-        """Merge a registry snapshot from the cooperative; first tick wins."""
+        """Merge revocation entries from the cooperative: *snapshot* holds
+        all of its registry or only the entries new since the last sync.
+        First tick wins."""
         for attestation_id, tick in snapshot.items():
             self.mirror.setdefault(attestation_id, tick)
 

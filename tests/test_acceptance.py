@@ -196,7 +196,7 @@ def test_criterion_4_travel_rule_end_to_end():
         assert decision["outcome"] == "accepted" and decision["reason"] == "below-threshold"
         assert "travel_record" not in decision
         disclosure_kinds = [e for e in basic
-                            if e.kind in ("send", "deliver")
+                            if e.kind == "send"
                             and e.payload.get("channel") == "disclosure-request"]
         assert disclosure_kinds == []
 
@@ -227,15 +227,10 @@ def test_criterion_4_travel_rule_end_to_end():
 
 # --- 5: DSN end-to-end ----------------------------------------------------------------
 
-INTERNAL_CHANNELS = {"witness-request", "countersigned"}
-
-
 def _identity_free_lines(scenario, log, identities):
-    """Every event outside cooperative/notary internal traffic, and every
-    ledger record, must be free of member legal identities."""
+    """Every event, cooperative/notary traffic included, and every ledger
+    record must be free of member legal identities."""
     for event in log:
-        if event.kind in ("send", "deliver") and event.payload.get("channel") in INTERNAL_CHANNELS:
-            continue
         line = canonical_serialize(event.to_map())
         for identity in identities:
             assert identity.encode() not in line, f"{identity} leaked in {event.kind}"

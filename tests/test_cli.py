@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from coopattest import crypto
+from coopattest.attestation import read_attestation
 from coopattest.canonical import canonical_parse, canonical_serialize
 from coopattest.cli import main
 from coopattest.harness import bundled_scenario_path
@@ -155,6 +156,25 @@ class TestIssueCountersignVerify:
                     "--now", 10, "--out", workdir / "bad.att"])
         assert code == 1
         assert "PairMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair, now, failing", [
+        (("a.plain.att", "b.blinded.att"), 10, ["attributes_match", "digest_match"]),
+        (("a.plain.att", "a.blinded.att"), 100, ["expired-at-witnessing"]),
+    ])
+    def test_countersign_refusal_is_saved(self, workdir, capsys, pair, now, failing):
+        issue_and_countersign(workdir)
+        assert run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18", "--mode", "absent", "--now", 10, "--ttl", 90,
+                    "--out-plain", workdir / "b.plain.att",
+                    "--out-blinded", workdir / "b.blinded.att"]) == 0
+        plain, blinded = (workdir / name for name in pair)
+        code = run(["countersign", "--notary", workdir / "notary.state", "--plain", plain,
+                    "--blinded", blinded, "--now", now, "--out", workdir / "bad.att"])
+        assert code == 1
+        rejections = canonical_parse((workdir / "notary.state").read_bytes())["rejections"]
+        assert [(r["at"], r["failing"]) for r in rejections] == [(now, failing)]
+        assert rejections[0]["attestation_id"] == read_attestation(blinded).attestation_id.value
+        assert not (workdir / "bad.att").exists()
 
     def test_issue_wrongly_typed_member_exit_2(self, workdir, capsys):
         raw = canonical_parse((workdir / "coop.state").read_bytes())

@@ -86,7 +86,7 @@ class Stack:
         plain, blinded = self.coop.issue_blinded(
             member_id, ["age-over-18"], "handle", now, ttl
         )
-        self.notary.sync_revocations(self.coop.registry_snapshot())
+        self.notary.sync_revocations(self.coop.revocations.since(0))
         return self.notary.witness_and_countersign(plain, blinded, self.coop.public_key, now)
 
     def onboard(self, handle="@sender", member_id="alice", provider="P1", now=10):

@@ -19,7 +19,6 @@ from coopattest.attestation import (
     verify_pair,
 )
 from coopattest.canonical import canonical_serialize
-from coopattest.cooperative import RevocationRegistry
 from coopattest.harness import (
     ScenarioConfig,
     bundled_scenario_names,
@@ -222,32 +221,3 @@ class TestRunLevel:
         run_scenario(ScenarioConfig.load(bundled_scenario_path(name)))
         assert verify_calls
         assert len(verify_calls) == len(set(verify_calls))
-
-
-class TestRevocationSnapshot:
-    def test_snapshot_is_rebuilt_only_when_an_entry_is_added(self):
-        registry = RevocationRegistry()
-        entries, encoded = registry.wire_entries()
-        assert entries == {} and encoded.text == "{}"
-        first = crypto.digest(b"first")
-        registry.mark(first, 5)
-        entries, encoded = registry.wire_entries()
-        assert entries == {first.hex(): 5}
-        assert canonical_serialize(encoded) == canonical_serialize(entries)
-        # Marking a revoked id again keeps its first tick and the snapshot.
-        registry.mark(first, 9)
-        again, same = registry.wire_entries()
-        assert same is encoded and again == entries
-        registry.mark(crypto.digest(b"second"), 6)
-        grown, rebuilt = registry.wire_entries()
-        assert rebuilt is not encoded and len(grown) == 2
-        assert canonical_serialize(rebuilt) == canonical_serialize(grown)
-
-    def test_each_snapshot_map_is_fresh(self):
-        registry = RevocationRegistry()
-        registry.mark(crypto.digest(b"first"), 5)
-        entries, encoded = registry.wire_entries()
-        entries["forged"] = 1
-        again, _ = registry.wire_entries()
-        assert "forged" not in again
-        assert canonical_serialize(encoded) == canonical_serialize(again)

@@ -4,11 +4,13 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes, countersign_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
-from coopattest.cooperative import Cooperative, MemberRecord, Status
+from coopattest.cooperative import Cooperative, MemberRecord, RevocationRegistry, Status
 from coopattest.errors import DecodeError, ExpiredAtWitnessing, PairMismatch
 from coopattest.notary import (
     OUTCOME_DENIED,
@@ -94,7 +96,7 @@ class TestRevalidation:
             coop.register_member(MemberRecord("alice", "alice-legal-0001",
                                               {"date-of-birth": -9000}))
             plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-            notary.sync_revocations(coop.registry_snapshot())
+            notary.sync_revocations(coop.revocations.since(0))
             notary.witness_and_countersign(plain, blinded, coop.public_key, now=10)
         else:
             plain, blinded = issued_pair(issuer, issued_at=10, expires_at=100)
@@ -129,10 +131,24 @@ class TestRevalidation:
         coop.revoke(blinded.attestation_id, 20)
         notary = make_notary()
         notary.witness_and_countersign(plain, blinded, coop.public_key, now=15)
-        notary.sync_revocations(coop.registry_snapshot())
+        notary.sync_revocations(coop.revocations.since(0))
         assert notary.respond_revalidation(blinded.attestation_id, 30) is Status.REVOKED
         # Revocation ticks in the future of the query are not yet effective.
         assert notary.respond_revalidation(blinded.attestation_id, 19) is Status.VALID
+
+    # A sync (None) between marks of ids 0-5 at ticks 0-50, re-marks included.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 50))),
+                    max_size=30))
+    def test_syncing_only_new_entries_keeps_the_mirror_equal_to_the_registry(self, steps):
+        registry, notary, synced = RevocationRegistry(), make_notary(), 0
+        for step in steps:
+            if step is None:
+                notary.sync_revocations(registry.since(synced))
+                synced = len(registry.entries)
+                assert list(notary.mirror.items()) == list(registry.entries.items())
+            else:
+                registry.mark(crypto.digest(bytes([step[0]])), step[1])
 
 
 class TestDisclosure:

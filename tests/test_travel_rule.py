@@ -65,7 +65,7 @@ class Stack:
     def issue_csa(self, member="alice", queries=("age-over-18", "residence-country"),
                   now=10, ttl=90):
         plain, blinded = self.coop.issue_blinded(member, list(queries), "absent", now, ttl)
-        self.notary.sync_revocations(self.coop.registry_snapshot())
+        self.notary.sync_revocations(self.coop.revocations.since(0))
         return self.notary.witness_and_countersign(plain, blinded, self.coop.public_key, now)
 
     def registered(self, account="acct-alice", now=10):
