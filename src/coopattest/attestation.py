@@ -194,6 +194,13 @@ class PlainAttestation(_IssuerSigned):
         if len(self.nonce) != NONCE_SIZE:
             raise ValueError("nonce must be exactly 32 bytes")
 
+    @cached_property
+    def _digest(self) -> Digest:
+        """The digest of the canonical bytes, which a blinded attestation
+        carries as ``plain_digest``.  Only the digest is kept: blinding and
+        pair checks need nothing else of those bytes."""
+        return crypto.digest(record_bytes(PlainAttestation, self))
+
 
 @dataclass(frozen=True)
 class BlindedAttestation(_IssuerSigned):
@@ -355,7 +362,7 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
     return _issue(BlindedAttestation, issuer, dict(
         subject=substitute,
         attributes=plain.attributes,
-        plain_digest=crypto.digest(canonical_bytes(plain)),
+        plain_digest=plain._digest,
         issuer_key_id=plain.issuer_key_id,
         legal_rep_id=plain.legal_rep_id,
         issued_at=plain.issued_at,
@@ -423,7 +430,7 @@ def verify_pair(plain: PlainAttestation, blinded: BlindedAttestation,
         plain_id=plain._id_consistent,
         blinded_id=blinded._id_consistent,
         attributes_match=plain.attributes == blinded.attributes,
-        digest_match=blinded.plain_digest == crypto.digest(canonical_bytes(plain)),
+        digest_match=blinded.plain_digest == plain._digest,
         window_match=(plain.issued_at == blinded.issued_at
                       and plain.expires_at == blinded.expires_at),
         legal_rep_match=plain.legal_rep_id == blinded.legal_rep_id,

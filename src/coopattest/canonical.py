@@ -21,7 +21,8 @@ Each type has a distinct lexical form, so the encoding is injective and
 (lowercase hex only, no leading zeros, ``\\u00xx`` for controls only) and
 about map keys (strictly increasing code-point order), so that no two
 distinct byte strings decode to the same value; it is tolerant only of
-whitespace between tokens, which lets config files be hand-formatted.
+whitespace between tokens, which lets config files be hand-formatted.  Lists
+and maps may nest at most ``MAX_DEPTH`` deep.
 
 The record codec below builds the canonical map of a frozen dataclass
 from its field declarations, writes its canonical bytes straight from
@@ -42,11 +43,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import CoopAttestError, DecodeError, UnsupportedValue
-
-_WHITESPACE = frozenset(b" \t\r\n")
-_HEX_DIGITS = frozenset(b"0123456789abcdef")
-_DIGITS = frozenset(b"0123456789")
-
 
 # --- encoding ---------------------------------------------------------------
 
@@ -467,194 +463,161 @@ def _require(raw: dict, key: str, wire: type, name: str) -> Any:
 
 
 # --- parsing ----------------------------------------------------------------
+#
+# The parser reads each token with one match of a compiled regex and checks
+# the grammar between tokens by recursive descent, one call per value and one
+# frame per level of nesting.  A map entry whose value is a scalar is a single
+# match: key, colon, value and separator with the whitespace around them.
+# Text with an escape, and any input such a match does not take whole, is
+# read a token at a time, and malformed input fails there.
+
+MAX_DEPTH = 64
+"""How many lists and maps may nest in parsed input: far more than anything
+the program writes (7, in an event-log line or a state file) and far fewer
+than Python's recursion limit, so hostile input fails as a DecodeError."""
+
+_WS = re.compile(rb"[ \t\r\n]*")
+# An escape-free text, a byte-string's hex run, an integer, true, or false:
+# groups text, hex, digits and true, of which false sets none.
+_SCALAR_LEXEME = rb'(?:"([^"\\\x00-\x1f]*)"|0x([0-9a-f]*)|(-?[1-9][0-9]*|0)|(true)|false)'
+_SCALAR = re.compile(_SCALAR_LEXEME)
+# An escape-free map key and its colon, then, if it is a scalar, the value
+# (group 2, then the scalar's groups) and the separator after it.
+_ENTRY = re.compile(rb'"([^"\\\x00-\x1f]*)"[ \t\r\n]*:[ \t\r\n]*(?:('
+                    + _SCALAR_LEXEME + rb')[ \t\r\n]*([,}])[ \t\r\n]*)?')
+_COLON = re.compile(rb"[ \t\r\n]*:[ \t\r\n]*")
+_LIST_SEP = re.compile(rb"[ \t\r\n]*([,\]])[ \t\r\n]*")
+_MAP_SEP = re.compile(rb"[ \t\r\n]*([,}])[ \t\r\n]*")
+_RUN = re.compile(rb'[^"\\\x00-\x1f]*')
+# The encoder escapes the quote, the backslash and the C0 controls only.
+_ESCAPE = re.compile(rb'\\(?:(["\\])|u(00[01][0-9a-f]))')
+
 
 def canonical_parse(data: bytes) -> Any:
     """Parse canonical bytes back into a value.
 
     Inverse of canonical_serialize on its whole output; additionally
     accepts whitespace between tokens.  Raises DecodeError on anything
-    else.
+    else, and on lists and maps nested deeper than MAX_DEPTH.
     """
-    parser = _Parser(data)
-    value = parser.parse_value()
-    parser.skip_ws()
-    if not parser.at_end():
-        raise DecodeError(f"trailing data at byte {parser.pos}")
+    if not isinstance(data, (bytes, bytearray)):
+        raise DecodeError("canonical input must be bytes")
+    data = bytes(data)
+    value, pos = _value(data, _WS.match(data).end(), 0)
+    pos = _WS.match(data, pos).end()
+    if pos != len(data):
+        raise DecodeError(f"trailing data at byte {pos}")
     return value
 
 
-class _Parser:
-    def __init__(self, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            raise DecodeError("canonical input must be bytes")
-        self.data = bytes(data)
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.data)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.data) and self.data[self.pos] in _WHITESPACE:
-            self.pos += 1
-
-    def fail(self, message: str) -> DecodeError:
-        return DecodeError(f"{message} at byte {self.pos}")
-
-    def peek(self) -> int:
-        if self.at_end():
-            raise self.fail("unexpected end of input")
-        return self.data[self.pos]
-
-    def expect(self, byte: int) -> None:
-        if self.at_end() or self.data[self.pos] != byte:
-            raise self.fail(f"expected {chr(byte)!r}")
-        self.pos += 1
-
-    def parse_value(self) -> Any:
-        self.skip_ws()
-        head = self.peek()
-        if head == ord("{"):
-            return self.parse_map()
-        if head == ord("["):
-            return self.parse_list()
-        if head == ord('"'):
-            return self.parse_text()
-        if head == ord("t") or head == ord("f"):
-            return self.parse_bool()
-        if head == ord("0") and self.pos + 1 < len(self.data) and self.data[self.pos + 1] == ord("x"):
-            return self.parse_bytes()
-        if head == ord("-") or head in _DIGITS:
-            return self.parse_int()
-        raise self.fail(f"unexpected byte {chr(head)!r}")
-
-    def parse_map(self) -> dict[str, Any]:
-        self.expect(ord("{"))
-        result: dict[str, Any] = {}
-        self.skip_ws()
-        if not self.at_end() and self.peek() == ord("}"):
-            self.pos += 1
-            return result
-        previous = None
+def _value(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+    """The value that starts at byte *pos*, inside *depth* lists and maps,
+    and the position after it."""
+    m = _SCALAR.match(data, pos)
+    if m is not None:
+        return _scalar(*m.groups(), pos), m.end()
+    head = data[pos:pos + 1]
+    if head == b'"':
+        return _text(data, pos + 1)
+    if head != b"{" and head != b"[":
+        raise DecodeError(f"unexpected {head!r} at byte {pos}" if head
+                          else f"unexpected end of input at byte {pos}")
+    if depth == MAX_DEPTH:
+        raise DecodeError(f"nesting too deep at byte {pos}")
+    depth += 1
+    pos = _WS.match(data, pos + 1).end()
+    if head == b"[":
+        items: list[Any] = []
+        if data[pos:pos + 1] == b"]":
+            return items, pos + 1
         while True:
-            self.skip_ws()
-            start = self.pos
-            key = self.parse_text()
-            # Code-point order is the order the encoder writes; a repeated
-            # key is out of order too.
-            if previous is not None and key <= previous:
-                raise DecodeError(f"map key {key!r} at byte {start} does not come "
-                                  f"after {previous!r} in code-point order")
-            previous = key
-            self.skip_ws()
-            self.expect(ord(":"))
-            result[key] = self.parse_value()
-            self.skip_ws()
-            if self.at_end():
-                raise self.fail("unterminated map")
-            if self.peek() == ord(","):
-                self.pos += 1
-                continue
-            self.expect(ord("}"))
-            return result
+            item, pos = _value(data, pos, depth)
+            items.append(item)
+            m = _LIST_SEP.match(data, pos)
+            if m is None:
+                raise DecodeError(f"expected ',' or ']' at byte {pos}")
+            pos = m.end()
+            if m.group(1) == b"]":
+                return items, pos
+    result: dict[str, Any] = {}
+    if data[pos:pos + 1] == b"}":
+        return result, pos + 1
+    previous = None
+    while True:
+        start = pos
+        m = _ENTRY.match(data, pos)
+        if m is None:
+            if data[pos:pos + 1] != b'"':
+                raise DecodeError(f"expected a map key at byte {pos}")
+            key, pos = _text(data, pos + 1)
+            colon = _COLON.match(data, pos)
+            if colon is None:
+                raise DecodeError(f"expected ':' at byte {pos}")
+            pos, sep = colon.end(), None
+        else:
+            raw, _, text, hex_run, digits, true, sep = m.groups()
+            try:
+                key = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                key = _decode_utf8(raw, pos + 1)  # raises, naming the byte
+            pos = m.end()
+        # Code-point order is the order the encoder writes; a repeated key
+        # is out of order too.
+        if previous is not None and key <= previous:
+            raise DecodeError(f"map key {key!r} at byte {start} does not come "
+                              f"after {previous!r} in code-point order")
+        previous = key
+        if sep is None:
+            result[key], pos = _value(data, pos, depth)
+            m = _MAP_SEP.match(data, pos)
+            if m is None:
+                raise DecodeError(f"expected ',' or '}}' at byte {pos}")
+            pos, sep = m.end(), m.group(1)
+        else:
+            result[key] = _scalar(text, hex_run, digits, true, m.start(2))
+        if sep == b"}":
+            return result, pos
 
-    def parse_list(self) -> list[Any]:
-        self.expect(ord("["))
-        result: list[Any] = []
-        self.skip_ws()
-        if not self.at_end() and self.peek() == ord("]"):
-            self.pos += 1
-            return result
-        while True:
-            result.append(self.parse_value())
-            self.skip_ws()
-            if self.at_end():
-                raise self.fail("unterminated list")
-            if self.peek() == ord(","):
-                self.pos += 1
-                continue
-            self.expect(ord("]"))
-            return result
 
-    def parse_text(self) -> str:
-        self.expect(ord('"'))
-        chunks: list[str] = []
-        start = self.pos
-        while True:
-            if self.at_end():
-                raise self.fail("unterminated text")
-            byte = self.data[self.pos]
-            if byte == ord('"'):
-                chunks.append(self._decode_utf8(start, self.pos))
-                self.pos += 1
-                return "".join(chunks)
-            if byte == ord("\\"):
-                chunks.append(self._decode_utf8(start, self.pos))
-                self.pos += 1
-                chunks.append(self._parse_escape())
-                start = self.pos
-            elif byte < 0x20:
-                raise self.fail("raw control character in text")
-            else:
-                self.pos += 1
-
-    def _decode_utf8(self, start: int, end: int) -> str:
+def _scalar(text: bytes | None, hex_run: bytes | None, digits: bytes | None,
+            true: bytes | None, at: int) -> Any:
+    """The value of the scalar lexeme at byte *at*, from its regex groups."""
+    if text is not None:
+        return _decode_utf8(text, at + 1)
+    if digits is not None:
         try:
-            return self.data[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"invalid UTF-8 in text at byte {start}: {exc}") from None
+            return int(digits)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            raise DecodeError(f"integer too long at byte {at}") from None
+    if hex_run is not None:
+        if len(hex_run) % 2:
+            raise DecodeError(f"odd-length hex in byte-string at byte {at}")
+        return bytes.fromhex(hex_run.decode("ascii"))
+    return true is not None
 
-    def _parse_escape(self) -> str:
-        if self.at_end():
-            raise self.fail("unterminated escape")
-        byte = self.data[self.pos]
-        self.pos += 1
-        if byte == ord("\\"):
-            return "\\"
-        if byte == ord('"'):
-            return '"'
-        if byte == ord("u"):
-            if self.pos + 4 > len(self.data):
-                raise self.fail("truncated \\u escape")
-            hex_part = self.data[self.pos : self.pos + 4]
-            if any(b not in _HEX_DIGITS for b in hex_part):
-                raise self.fail("\\u escape requires four lowercase hex digits")
-            self.pos += 4
-            code = int(hex_part, 16)
-            if code >= 0x20:
-                # The encoder escapes only the C0 controls this way.
-                raise self.fail("\\u escape of a character that is written as itself")
-            return chr(code)
-        raise self.fail(f"unknown escape \\{chr(byte)!r}")
 
-    def parse_bool(self) -> bool:
-        for literal, value in ((b"true", True), (b"false", False)):
-            if self.data.startswith(literal, self.pos):
-                self.pos += len(literal)
-                return value
-        raise self.fail("malformed boolean literal")
+def _decode_utf8(raw: bytes, at: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"invalid UTF-8 in text at byte {at}: {exc}") from None
 
-    def parse_bytes(self) -> bytes:
-        self.pos += 2  # consume "0x"
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] in _HEX_DIGITS:
-            self.pos += 1
-        hex_part = self.data[start : self.pos]
-        if len(hex_part) % 2 != 0:
-            raise self.fail("odd-length hex in byte-string")
-        return bytes.fromhex(hex_part.decode("ascii"))
 
-    def parse_int(self) -> int:
-        start = self.pos
-        if self.peek() == ord("-"):
-            self.pos += 1
-        digit_start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] in _DIGITS:
-            self.pos += 1
-        digits = self.data[digit_start : self.pos]
-        if not digits:
-            raise self.fail("missing digits in integer")
-        if len(digits) > 1 and digits[0] == ord("0"):
-            raise self.fail("leading zeros in integer")
-        if digits == b"0" and self.data[start] == ord("-"):
-            raise self.fail("negative zero")
-        return int(self.data[start : self.pos])
+def _text(data: bytes, pos: int) -> tuple[str, int]:
+    """The text whose opening quote is just before byte *pos*, escapes and
+    all, and the position after its closing quote."""
+    chunks = []
+    while True:
+        end = _RUN.match(data, pos).end()
+        chunks.append(_decode_utf8(data[pos:end], pos))
+        head = data[end:end + 1]
+        if head == b'"':
+            return "".join(chunks), end + 1
+        if head != b"\\":
+            raise DecodeError(f"raw control character in text at byte {end}" if head
+                              else f"unterminated text at byte {end}")
+        m = _ESCAPE.match(data, end)
+        if m is None:
+            raise DecodeError(f"malformed escape at byte {end}")
+        chunks.append(m.group(1).decode() if m.lastindex == 1 else chr(int(m.group(2), 16)))
+        pos = m.end()

@@ -31,6 +31,10 @@ from .travel_rule import Exchange, TransferRequest
 
 # --- event log -----------------------------------------------------------------
 
+# The keys of an event's map, each with its canonical type.
+_EVENT_FIELDS = {"tick": int, "actor": str, "kind": str, "payload": dict}
+
+
 @dataclass(frozen=True)
 class Event:
     tick: int
@@ -48,8 +52,19 @@ class Event:
 
     @classmethod
     def from_map(cls, raw: dict) -> "Event":
-        return cls(tick=raw["tick"], actor=raw["actor"], kind=raw["kind"],
-                   payload=raw["payload"])
+        """The event whose map *raw* is: exactly a tick (an integer, not
+        true or false), an actor and a kind (text) and a payload (a map)."""
+        if not isinstance(raw, dict):
+            raise DecodeError("event must be a map")
+        for key, wire in _EVENT_FIELDS.items():
+            if key not in raw:
+                raise DecodeError(f"event missing field {key!r}")
+            if not isinstance(raw[key], wire) or type(raw[key]) is bool:
+                raise DecodeError(f"event field {key!r} has wrong type")
+        if len(raw) != len(_EVENT_FIELDS):
+            extra = next(key for key in raw if key not in _EVENT_FIELDS)
+            raise DecodeError(f"event has unknown field {extra!r}")
+        return cls(**raw)
 
 
 class EventLog:
@@ -86,10 +101,16 @@ class EventLog:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
+        """The log whose lines *data* holds.  Blank lines are skipped; any
+        other line that is not an event raises DecodeError naming its
+        number, counted from 1."""
         events = []
-        for line in data.splitlines():
+        for number, line in enumerate(data.splitlines(), 1):
             if line.strip():
-                events.append(Event.from_map(canonical_parse(line)))
+                try:
+                    events.append(Event.from_map(canonical_parse(line)))
+                except DecodeError as exc:
+                    raise DecodeError(f"event-log line {number}: {exc}") from None
         return cls(events)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import sys
 import typing
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from coopattest.attestation import (
     countersign,
 )
 from coopattest.canonical import (
+    MAX_DEPTH,
     canonical_parse,
     canonical_serialize,
     record_bytes,
@@ -449,6 +451,348 @@ def test_whitespace_free_input_that_parses_is_canonical(raw):
     except DecodeError:
         return
     assert canonical_serialize(value) == data
+
+
+# --- the parser against the per-byte reference --------------------------------
+
+def reference_parse(data):
+    """The parser as it was before it scanned whole tokens: one Python step
+    per byte.  Kept here only, as the oracle for the parser in ``canonical``.
+    It has no nesting bound, so it agrees with that parser on input nested
+    no deeper than MAX_DEPTH."""
+    parser = _ReferenceParser(data)
+    value = parser.parse_value()
+    parser.skip_ws()
+    if not parser.at_end():
+        raise DecodeError(f"trailing data at byte {parser.pos}")
+    return value
+
+
+class _ReferenceParser:
+    WHITESPACE = frozenset(b" \t\r\n")
+    HEX_DIGITS = frozenset(b"0123456789abcdef")
+    DIGITS = frozenset(b"0123456789")
+
+    def __init__(self, data):
+        if not isinstance(data, (bytes, bytearray)):
+            raise DecodeError("canonical input must be bytes")
+        self.data = bytes(data)
+        self.pos = 0
+
+    def at_end(self):
+        return self.pos >= len(self.data)
+
+    def skip_ws(self):
+        while self.pos < len(self.data) and self.data[self.pos] in self.WHITESPACE:
+            self.pos += 1
+
+    def fail(self, message):
+        return DecodeError(f"{message} at byte {self.pos}")
+
+    def peek(self):
+        if self.at_end():
+            raise self.fail("unexpected end of input")
+        return self.data[self.pos]
+
+    def expect(self, byte):
+        if self.at_end() or self.data[self.pos] != byte:
+            raise self.fail(f"expected {chr(byte)!r}")
+        self.pos += 1
+
+    def parse_value(self):
+        self.skip_ws()
+        head = self.peek()
+        if head == ord("{"):
+            return self.parse_map()
+        if head == ord("["):
+            return self.parse_list()
+        if head == ord('"'):
+            return self.parse_text()
+        if head == ord("t") or head == ord("f"):
+            return self.parse_bool()
+        if head == ord("0") and self.pos + 1 < len(self.data) and self.data[self.pos + 1] == ord("x"):
+            return self.parse_bytes()
+        if head == ord("-") or head in self.DIGITS:
+            return self.parse_int()
+        raise self.fail(f"unexpected byte {chr(head)!r}")
+
+    def parse_map(self):
+        self.expect(ord("{"))
+        result = {}
+        self.skip_ws()
+        if not self.at_end() and self.peek() == ord("}"):
+            self.pos += 1
+            return result
+        previous = None
+        while True:
+            self.skip_ws()
+            start = self.pos
+            key = self.parse_text()
+            if previous is not None and key <= previous:
+                raise DecodeError(f"map key {key!r} at byte {start} does not come "
+                                  f"after {previous!r} in code-point order")
+            previous = key
+            self.skip_ws()
+            self.expect(ord(":"))
+            result[key] = self.parse_value()
+            self.skip_ws()
+            if self.at_end():
+                raise self.fail("unterminated map")
+            if self.peek() == ord(","):
+                self.pos += 1
+                continue
+            self.expect(ord("}"))
+            return result
+
+    def parse_list(self):
+        self.expect(ord("["))
+        result = []
+        self.skip_ws()
+        if not self.at_end() and self.peek() == ord("]"):
+            self.pos += 1
+            return result
+        while True:
+            result.append(self.parse_value())
+            self.skip_ws()
+            if self.at_end():
+                raise self.fail("unterminated list")
+            if self.peek() == ord(","):
+                self.pos += 1
+                continue
+            self.expect(ord("]"))
+            return result
+
+    def parse_text(self):
+        self.expect(ord('"'))
+        chunks = []
+        start = self.pos
+        while True:
+            if self.at_end():
+                raise self.fail("unterminated text")
+            byte = self.data[self.pos]
+            if byte == ord('"'):
+                chunks.append(self._decode_utf8(start, self.pos))
+                self.pos += 1
+                return "".join(chunks)
+            if byte == ord("\\"):
+                chunks.append(self._decode_utf8(start, self.pos))
+                self.pos += 1
+                chunks.append(self._parse_escape())
+                start = self.pos
+            elif byte < 0x20:
+                raise self.fail("raw control character in text")
+            else:
+                self.pos += 1
+
+    def _decode_utf8(self, start, end):
+        try:
+            return self.data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"invalid UTF-8 in text at byte {start}: {exc}") from None
+
+    def _parse_escape(self):
+        if self.at_end():
+            raise self.fail("unterminated escape")
+        byte = self.data[self.pos]
+        self.pos += 1
+        if byte == ord("\\"):
+            return "\\"
+        if byte == ord('"'):
+            return '"'
+        if byte == ord("u"):
+            if self.pos + 4 > len(self.data):
+                raise self.fail("truncated \\u escape")
+            hex_part = self.data[self.pos : self.pos + 4]
+            if any(b not in self.HEX_DIGITS for b in hex_part):
+                raise self.fail("\\u escape requires four lowercase hex digits")
+            self.pos += 4
+            code = int(hex_part, 16)
+            if code >= 0x20:
+                raise self.fail("\\u escape of a character that is written as itself")
+            return chr(code)
+        raise self.fail(f"unknown escape \\{chr(byte)!r}")
+
+    def parse_bool(self):
+        for literal, value in ((b"true", True), (b"false", False)):
+            if self.data.startswith(literal, self.pos):
+                self.pos += len(literal)
+                return value
+        raise self.fail("malformed boolean literal")
+
+    def parse_bytes(self):
+        self.pos += 2  # consume "0x"
+        start = self.pos
+        while self.pos < len(self.data) and self.data[self.pos] in self.HEX_DIGITS:
+            self.pos += 1
+        hex_part = self.data[start : self.pos]
+        if len(hex_part) % 2 != 0:
+            raise self.fail("odd-length hex in byte-string")
+        return bytes.fromhex(hex_part.decode("ascii"))
+
+    def parse_int(self):
+        start = self.pos
+        if self.peek() == ord("-"):
+            self.pos += 1
+        digit_start = self.pos
+        while self.pos < len(self.data) and self.data[self.pos] in self.DIGITS:
+            self.pos += 1
+        digits = self.data[digit_start : self.pos]
+        if not digits:
+            raise self.fail("missing digits in integer")
+        if len(digits) > 1 and digits[0] == ord("0"):
+            raise self.fail("leading zeros in integer")
+        if digits == b"0" and self.data[start] == ord("-"):
+            raise self.fail("negative zero")
+        return int(self.data[start : self.pos])
+
+
+def strictly_equal(a, b):
+    """Equal values of equal types all the way down: ``true`` is not 1, and
+    two maps hold their keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(strictly_equal, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(strictly_equal(a[key], b[key]) for key in a)
+    return a == b
+
+
+def parse_outcome(parse, data):
+    """What *parse* makes of *data*: its value, or DecodeError."""
+    try:
+        return parse(data)
+    except DecodeError:
+        return DecodeError
+
+
+_WHITESPACE_RUNS = st.text(alphabet=" \t\r\n", max_size=3).map(str.encode)
+
+
+@st.composite
+def padded_canonical_bytes(draw):
+    """The canonical bytes of a value with whitespace drawn around each of
+    its tokens: text, whitespace included, stays as it is."""
+    def ws():
+        return draw(_WHITESPACE_RUNS)
+
+    def write(value):
+        if isinstance(value, dict):
+            parts = [ws() + canonical_serialize(key) + ws() + b":" + ws() + write(value[key])
+                     + ws() for key in sorted(value)]
+            return b"{" + (b",".join(parts) or ws()) + b"}"
+        if isinstance(value, (list, tuple)):
+            return b"[" + (b",".join(ws() + write(item) + ws() for item in value) or ws()) + b"]"
+        return canonical_serialize(value)
+
+    return ws() + write(draw(domain_values)) + ws()
+
+
+@given(st.one_of(domain_values.map(canonical_serialize), padded_canonical_bytes()))
+@settings(max_examples=300)
+def test_parser_matches_reference_on_canonical_input(data):
+    value = canonical_parse(data)
+    assert strictly_equal(value, reference_parse(data))
+    assert canonical_parse(canonical_serialize(value)) == value
+
+
+# Bytes to put in, each a token's first or last byte, whitespace, a raw
+# control, or a byte of a multi-byte or invalid UTF-8 sequence.
+_EDIT_BYTES = b'{}[],:"\\0x1-aeftu \n\x01\xc3\xa9\xed\xff'
+
+
+@st.composite
+def edited(draw, base):
+    """Bytes of *base* with a few bytes inserted, deleted or changed."""
+    data = bytearray(draw(base))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(("insert", "delete", "change")))
+        byte = draw(st.sampled_from(_EDIT_BYTES))
+        if how == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if how == "delete":
+                del data[at]
+            else:
+                data[at] = byte
+    return bytes(data)
+
+
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from(_TOKENS + [b" ", b"\n"]), max_size=12).map(b"".join),
+                 edited(domain_values.map(canonical_serialize)),
+                 edited(padded_canonical_bytes())))
+@settings(max_examples=500)
+def test_parser_agrees_with_reference_on_any_input(data):
+    assert strictly_equal(parse_outcome(canonical_parse, data), parse_outcome(reference_parse, data))
+
+
+def _nested(depth, inner=b"1"):
+    """*depth* lists, alternating with single-entry maps, around *inner*."""
+    data = inner
+    for level in range(depth):
+        data = b"[" + data + b"]" if level % 2 else b'{"k":' + data + b"}"
+    return data
+
+
+def _depth(value):
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return 1 + max(map(_depth, children), default=0) if isinstance(value, (dict, list)) else 0
+
+
+def test_nesting_up_to_the_bound_parses():
+    for data in (b"[" * MAX_DEPTH + b"]" * MAX_DEPTH, _nested(MAX_DEPTH)):
+        value = canonical_parse(data)
+        assert _depth(value) == MAX_DEPTH
+        assert canonical_serialize(value) == data
+
+
+@pytest.mark.parametrize("data, at", [
+    (b"[" * (MAX_DEPTH + 1) + b"]" * (MAX_DEPTH + 1), MAX_DEPTH),
+    (_nested(MAX_DEPTH + 1), _nested(MAX_DEPTH + 1).index(b'{"k":1')),
+    (b"[" * 100_000, MAX_DEPTH),
+    (b" [" * 100_000, 2 * MAX_DEPTH + 1),
+])
+def test_nesting_past_the_bound_is_a_decode_error(data, at):
+    # The error names the first list or map too many.
+    with pytest.raises(DecodeError, match=rf"nesting too deep at byte {at}$"):
+        canonical_parse(data)
+
+
+# Python's limit on the decimal digits int() converts, or 0 where it has none.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="this interpreter converts any number of digits")
+def test_integer_past_the_digit_limit_is_a_decode_error():
+    with pytest.raises(DecodeError, match="integer too long"):
+        canonical_parse(b"[" + b"9" * (INT_DIGIT_LIMIT + 1) + b"]")
+
+
+# Every canonical file the repository holds: the golden event logs, v2 and v1,
+# the golden state files and the bundled scenarios.
+_ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_FILES = sorted([*_ROOT.glob("tests/goldens/*.log"), *_ROOT.glob("tests/goldens/v1/*.log"),
+                          *_ROOT.glob("tests/goldens/*.state"),
+                          *_ROOT.glob("src/coopattest/scenarios/*.scn")])
+
+
+def test_committed_files_are_all_there():
+    suffixes = [path.suffix for path in COMMITTED_FILES]
+    assert (suffixes.count(".log"), suffixes.count(".state"), suffixes.count(".scn")) == (16, 2, 8)
+
+
+@pytest.mark.parametrize("path", COMMITTED_FILES, ids=lambda path: str(path.relative_to(_ROOT)))
+def test_committed_file_parses_and_reserializes_line_by_line(path):
+    for line in path.read_bytes().splitlines():
+        assert canonical_serialize(canonical_parse(line)) == line
+
+
+def test_bound_is_far_from_the_program_s_depth_and_the_recursion_limit():
+    deepest = max(_depth(canonical_parse(line)) for path in COMMITTED_FILES
+                  for line in path.read_bytes().splitlines())
+    assert deepest * 4 <= MAX_DEPTH <= sys.getrecursionlimit() // 8
 
 
 # --- record_bytes against the map path --------------------------------------------

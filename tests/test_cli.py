@@ -7,7 +7,7 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import read_attestation
-from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.canonical import MAX_DEPTH, canonical_parse, canonical_serialize
 from coopattest.cli import main
 from coopattest.harness import bundled_scenario_path
 
@@ -421,6 +421,30 @@ class TestSimulateValidate:
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
+
+
+# Python's limit on the decimal digits int() converts, or 0 where it has none.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("data, error", [
+    (b"[" * 100_000, f"nesting too deep at byte {MAX_DEPTH}"),
+    pytest.param(b"[" + b"9" * (INT_DIGIT_LIMIT + 1) + b"]", "integer too long at byte 1",
+                 marks=pytest.mark.skipif(not INT_DIGIT_LIMIT,
+                                          reason="this interpreter converts any number of digits")),
+])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "{path}", "--out", "{out}"],
+    ["status", "--coop", "{path}", "--id", "00" * 32, "--now", "1"],
+])
+def test_hostile_file_exits_2_without_a_traceback(tmp_path, command, data, error):
+    path = tmp_path / "hostile"
+    path.write_bytes(data)
+    args = [arg.format(path=path, out=tmp_path / "x.log") for arg in command]
+    result = subprocess.run([sys.executable, "-m", "coopattest.cli", *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {error}\n"
 
 
 def test_console_entry_point(tmp_path):

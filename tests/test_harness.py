@@ -496,6 +496,29 @@ class TestEventLog:
         log.write(path)
         assert EventLog.from_bytes(path.read_bytes()).events == log.events
 
+    @pytest.mark.parametrize("line, problem", [
+        (b"5", "event must be a map"),
+        (b'{"actor":"A","kind":"k","payload":{}}', "missing field 'tick'"),
+        (b'{"actor":"A","kind":"k","payload":{},"tick":"x"}', "field 'tick' has wrong type"),
+        (b'{"actor":1,"kind":2,"payload":3,"tick":"x"}', "field 'tick' has wrong type"),
+        (b'{"actor":"A","kind":"k","payload":{},"tick":true}', "field 'tick' has wrong type"),
+        (b'{"actor":"A","kind":2,"payload":{},"tick":1}', "field 'kind' has wrong type"),
+        (b'{"actor":"A","kind":"k","payload":[],"tick":1}', "field 'payload' has wrong type"),
+        (b'{"actor":"A","kind":"k","payload":{},"tick":1,"wire":0}', "unknown field 'wire'"),
+        (b'{"actor":"A",', "expected a map key at byte 13"),
+    ])
+    def test_a_line_that_is_not_an_event_is_a_decode_error(self, line, problem):
+        good = b'{"actor":"A","kind":"k","payload":{},"tick":1}\n'
+        assert EventLog.from_bytes(good).events == [Event(1, "A", "k", {})]
+        with pytest.raises(DecodeError, match=rf"^event-log line 3: .*{re.escape(problem)}"):
+            EventLog.from_bytes(good + b"\n" + line + b"\n" + good)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.log")) + sorted(GOLDEN_DIR.glob("v1/*.log")),
+                             ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_every_golden_loads(self, path):
+        data = path.read_bytes()
+        assert EventLog.from_bytes(data).to_bytes() == data
+
 
 def v1_to_v2(data: bytes) -> bytes:
     """An event log of the first format in the current one: no deliver

@@ -91,6 +91,21 @@ class TestBytes:
             assert not memos & set(vars(copy))
             assert canonical_bytes(copy) == canonical_bytes(artifact)
 
+    def test_plain_keeps_its_digest_not_its_bytes(self, issuer, monkeypatch):
+        plain = make_plain(issuer)
+        hashed = []
+        real = crypto.digest
+        monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or real(data))
+        blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        assert "_canonical_bytes" not in vars(plain) and "_canonical_text" not in vars(plain)
+        # The bytes a .att file holds, hashed once for the blinding and the checks.
+        data = canonical_serialize(attestation_to_map(plain))
+        assert hashed.count(data) == 1
+        assert blinded.plain_digest == real(data)
+        assert canonical_bytes(plain) == data
+
     def test_enclosing_bytes_splice_the_memoised_text(self, csa):
         assert canonical_bytes(csa) == csa._canonical_text.encode()
         # A marked memo shows where the enclosing encodings take the text from.
