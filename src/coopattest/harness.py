@@ -101,12 +101,12 @@ class EventLog:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
-        """The log whose lines *data* holds.  Blank lines are skipped; any
-        other line that is not an event raises DecodeError naming its
-        number, counted from 1."""
+        """The log whose lines *data* holds.  Lines of nothing but canonical
+        whitespace are skipped; any other line that is not an event raises
+        DecodeError naming its number, counted from 1."""
         events = []
         for number, line in enumerate(data.splitlines(), 1):
-            if line.strip():
+            if line.strip(b" \t\r\n"):
                 try:
                     events.append(Event.from_map(canonical_parse(line)))
                 except DecodeError as exc:

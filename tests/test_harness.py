@@ -506,6 +506,7 @@ class TestEventLog:
         (b'{"actor":"A","kind":"k","payload":[],"tick":1}', "field 'payload' has wrong type"),
         (b'{"actor":"A","kind":"k","payload":{},"tick":1,"wire":0}', "unknown field 'wire'"),
         (b'{"actor":"A",', "expected a map key at byte 13"),
+        (b"\x0c", "unexpected b'\\x0c' at byte 0"),
     ])
     def test_a_line_that_is_not_an_event_is_a_decode_error(self, line, problem):
         good = b'{"actor":"A","kind":"k","payload":{},"tick":1}\n'
