@@ -29,12 +29,10 @@ from typing import Any, Union
 
 from . import crypto
 from .canonical import (
-    Encoded,
     canonical_parse,
     canonical_serialize,
     record_bytes,
     record_from_map,
-    record_map,
     record_text,
 )
 from .crypto import Digest, KeyPair, Signature
@@ -72,7 +70,8 @@ class _Artifact:
 
     The canonical text is written once; every encoding that holds the
     artifact (a countersignature's signed bytes, a ledger record, a
-    message body in the event log) splices it in as it is.
+    message body in the event log) splices it in as it is, since
+    ``canonical_serialize`` encodes an artifact as its text.
     """
 
     @cached_property
@@ -81,7 +80,7 @@ class _Artifact:
 
     @cached_property
     def _canonical_bytes(self) -> bytes:
-        return canonical_serialize(Encoded(self._canonical_text))
+        return canonical_serialize(self)
 
     @cached_property
     def _signed_bytes(self) -> bytes:
@@ -126,8 +125,8 @@ def _seal_id(cls: type, values: Any) -> Digest:
 
 
 # --- domain types -------------------------------------------------------------
-# Each record's fields, in order, are its canonical layout (see
-# ``canonical.record_map``); ``_KIND`` is the text written under "kind".
+# Each record's fields, in order, are its canonical layout (see the record
+# codec in ``canonical``); ``_KIND`` is the text written under "kind".
 
 @dataclass(frozen=True)
 class AttributeClaim:
@@ -252,7 +251,7 @@ class CounterSignedAttestation(_Artifact):
 Attestation = Union[PlainAttestation, BlindedAttestation, CounterSignedAttestation]
 
 
-# --- canonical maps -------------------------------------------------------------
+# --- canonical bytes ------------------------------------------------------------
 
 def signing_bytes(att: PlainAttestation | BlindedAttestation) -> bytes:
     """The bytes the issuer signature covers: everything but id and signature."""
@@ -269,31 +268,6 @@ def countersign_bytes(blinded: BlindedAttestation, notary_id: str,
              countersigned_at=countersigned_at),
         CounterSignedAttestation._UNSIGNED,
     )
-
-
-def attestation_to_map(att) -> dict:
-    """A fresh canonical map of *att*; changing it changes nothing else."""
-    if not isinstance(att, _Artifact):
-        raise TypeError(f"not an attestation: {type(att).__name__}")
-    return record_map(type(att), att)
-
-
-def message_body(**values) -> tuple[dict, dict]:
-    """The body of a message carrying *values*, as a map and as its wire
-    form, which encodes to the same canonical text.
-
-    An artifact among the values is a fresh map of its own in the body
-    map, and its memoised canonical text in the wire form, so that the
-    event log does not encode it again (see ``events.send_message``).
-    """
-    body, wire = {}, {}
-    for key, value in values.items():
-        if isinstance(value, _Artifact):
-            body[key] = attestation_to_map(value)
-            wire[key] = Encoded(value._canonical_text)
-        else:
-            body[key] = wire[key] = value
-    return body, wire
 
 
 def canonical_bytes(att) -> bytes:

@@ -24,9 +24,8 @@ distinct byte strings decode to the same value; it is tolerant only of
 whitespace between tokens, which lets config files be hand-formatted.  Lists
 and maps may nest at most ``MAX_DEPTH`` deep.
 
-The record codec below builds the canonical map of a frozen dataclass
-from its field declarations, writes its canonical bytes straight from
-the fields, and decodes such maps strictly.
+The record codec below writes the canonical bytes of a frozen dataclass
+straight from its field declarations, and decodes such maps strictly.
 """
 
 from __future__ import annotations
@@ -118,18 +117,7 @@ def _encode_bytes(value: bytes | bytearray) -> str:
     return "0x" + value.hex()
 
 
-class Encoded:
-    """A value's canonical text, encoded once and spliced as it is into
-    the encoding of any value that holds it."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-
 _ENCODERS = {
-    Encoded: operator.attrgetter("text"),
     str: _encode_text,
     dict: _encode_map,
     int: int.__repr__,
@@ -142,7 +130,11 @@ _ENCODERS = {
 
 
 def _encode_subclass(value: Any) -> str:
-    """Subclasses of the domain's types encode as their base value."""
+    """A record that keeps its own canonical text (an attestation artifact)
+    encodes as that text, and subclasses of the domain's types as their
+    base value."""
+    if hasattr(type(value), "_canonical_text"):
+        return value._canonical_text
     if isinstance(value, str):
         return _encode_text(str.__str__(value))
     if isinstance(value, int):
@@ -156,16 +148,16 @@ def _encode_subclass(value: Any) -> str:
     raise UnsupportedValue(f"cannot canonically serialize {type(value).__name__}")
 
 
-def write_canonical(path: str | Path, value: Any) -> None:
-    """Write *value*'s canonical bytes to *path* atomically.
+def write_canonical(path: str | Path, data: bytes) -> None:
+    """Write the canonical bytes *data* to *path* atomically.
 
     The bytes go to a fresh temporary file beside the file *path* names
     (through any symlink), which then replaces it in one step, so an
     interrupted write leaves the previous file whole.  The new file keeps
     the previous one's permission bits; a file that did not exist is
-    created readable by its owner only, since state files hold key seeds.
+    created readable by its owner only, since state and key files hold
+    key seeds.
     """
-    data = canonical_serialize(value)
     target = Path(path).resolve()
     mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o600
     fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
@@ -198,22 +190,16 @@ def write_canonical(path: str | Path, value: Any) -> None:
 #
 # A field with a default may be missing from a map being decoded, and then
 # takes its default.  A record class with ``_KIND`` also writes that text
-# under "kind".  A record class whose instances keep their own canonical text
-# in ``_canonical_text`` (the attestation artifacts) is written, inside
-# another record's bytes, as that text.  Each class's encoders and decoder
-# are built once, on first use.
-
-def record_map(cls: type, values: Any, omit: tuple = ()) -> dict:
-    """The canonical map of the *cls* record *values*, or of the record
-    whose field values it maps attribute names to, leaving out the wire
-    keys in *omit*."""
-    return _encoder(cls, omit)(values)
-
+# under "kind".  A record whose class keeps its own canonical text in
+# ``_canonical_text`` (the attestation artifacts) is written as that text,
+# inside another record's bytes and by canonical_serialize alike.  Each
+# class's writer and decoder are built once, on first use.
 
 def record_bytes(cls: type, values: Any, omit: tuple = ()) -> bytes:
-    """The canonical bytes of the map ``record_map`` builds from the same
-    arguments, written straight from the fields: no map is built and no
-    key is sorted."""
+    """The canonical bytes of the *cls* record *values*, or of the record
+    whose field values it maps attribute names to, leaving out the wire
+    keys in *omit*.  They are written straight from the fields: no map is
+    built and no key is sorted."""
     return _utf8(_writer(cls, omit)(values))
 
 
@@ -252,7 +238,6 @@ def read_record(path: str | Path, cls: type, build: Callable[[Any], Any]) -> Any
 class _Field(typing.NamedTuple):
     attr: str
     key: str
-    encode: Callable | None  # to its map value; None passes the value as it is
     wire: type  # the canonical type of its map value
     decode: Callable | None  # from a map value of that type; None passes it
     write: Callable[[Any], str]  # to canonical text
@@ -270,16 +255,10 @@ def _fields(cls: type) -> tuple[_Field, ...]:
         optional = type(None) in typing.get_args(tp)
         if optional:
             (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
-        encode, wire, decode, write = _codec(tp, f"{cls.__name__} field {key!r}")
-        if optional and encode is not None:
-            encode = functools.partial(_unless_none, encode)
+        wire, decode, write = _codec(tp, f"{cls.__name__} field {key!r}")
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        fields.append(_Field(f.name, key, encode, wire, decode, write, optional, required))
+        fields.append(_Field(f.name, key, wire, decode, write, optional, required))
     return tuple(fields)
-
-
-def _unless_none(encode: Callable, value: Any) -> Any:
-    return None if value is None else encode(value)
 
 
 def _is(value: Any, wire: type) -> bool:
@@ -289,34 +268,24 @@ def _is(value: Any, wire: type) -> bool:
 
 
 def _codec(tp: Any, where: str) -> tuple:
-    """How a value of annotation *tp* is written and read: (encode to its
-    map value, the canonical type it is written as, decode, write as
-    canonical text); an encode or decode of None passes the value as it
-    is.  *where* names the field in errors."""
+    """How a value of annotation *tp* is written and read: (the canonical
+    type it is written as, decode, write as canonical text); a decode of
+    None passes the value as it is.  *where* names the field in errors."""
     if tp in (str, int, bytes, dict):
-        return None, tp, None, _encode
+        return tp, None, _encode
     if hasattr(tp, "_SCALAR"):
         get = operator.attrgetter(dataclasses.fields(tp)[0].name)
-        return get, tp._SCALAR, tp, (lambda value: _encode(get(value)))
+        return tp._SCALAR, tp, (lambda value: _encode(get(value)))
     if dataclasses.is_dataclass(tp):
-        write = _writer(tp)
-        if hasattr(tp, "_canonical_text"):
-            unspliced = write
-
-            def write(record: Any) -> str:
-                return record._canonical_text if type(record) is tp else unspliced(record)
-
-        return _encoder(tp), dict, _decoder(tp), write
+        return dict, _decoder(tp), (_encode if hasattr(tp, "_canonical_text") else _writer(tp))
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union:
-        by_type = {member: _codec(member, where) for member in args}
-        return ((lambda record: by_type[type(record)][0](record)), dict, _decoder(tp),
-                (lambda record: by_type[type(record)][3](record)))
+        by_type = {member: _codec(member, where)[2] for member in args}
+        return dict, _decoder(tp), (lambda record: by_type[type(record)](record))
     if origin is tuple and args[1:] == (Ellipsis,):
-        encode_item, _, _, write_item = _codec(args[0], where)
+        write_item = _codec(args[0], where)[2]
         decode_item = _item_decoder(args[0], where)
-        return ((list if encode_item is None else lambda items: list(map(encode_item, items))),
-                list, (lambda items: tuple(map(decode_item, items))),
+        return (list, (lambda items: tuple(map(decode_item, items))),
                 (lambda items: "[" + ",".join([write_item(item) for item in items]) + "]"))
     if origin is tuple:
         decoders = [_item_decoder(arg, where) for arg in args]
@@ -326,14 +295,14 @@ def _codec(tp: Any, where: str) -> tuple:
                 raise DecodeError(f"{where} must have {len(decoders)} items")
             return tuple(decode(item) for decode, item in zip(decoders, items))
 
-        return list, list, decode_fixed, _encode
+        return list, decode_fixed, _encode
     if origin is frozenset:
         decode_item = _item_decoder(args[0], where)
-        return (sorted, list, (lambda items: frozenset(map(decode_item, items))),
+        return (list, (lambda items: frozenset(map(decode_item, items))),
                 (lambda items: _encode(sorted(items))))
     if origin is dict and args[0] is str:
         decode_value = _item_decoder(args[1], where)
-        return (dict, dict, (lambda raw: {key: decode_value(value) for key, value in raw.items()}),
+        return (dict, (lambda raw: {key: decode_value(value) for key, value in raw.items()}),
                 _encode)
     raise TypeError(f"no canonical codec for {tp!r}")
 
@@ -341,7 +310,7 @@ def _codec(tp: Any, where: str) -> tuple:
 def _item_decoder(tp: Any, where: str) -> Callable[[Any], Any]:
     """The decoder of an item of annotation *tp* in the container field
     *where*: it checks the item's canonical type, then decodes it."""
-    _, wire, decode, _ = _codec(tp, where)
+    wire, decode, _ = _codec(tp, where)
 
     def decode_item(value: Any) -> Any:
         if not _is(value, wire):
@@ -352,62 +321,33 @@ def _item_decoder(tp: Any, where: str) -> Callable[[Any], Any]:
 
 
 @functools.cache
-def _encoder(cls: type, omit: tuple = ()) -> Callable[[Any], dict]:
-    """The function that builds the map of a *cls* record, given the record
-    or a dict of its field values, without the keys in *omit*."""
-    kind = getattr(cls, "_KIND", None)
-    head = {} if kind is None or "kind" in omit else {"kind": kind}
-    fields = [f for f in _fields(cls) if f.key not in omit]
-    steps = tuple((f.key, f.attr, f.encode) for f in fields)
-    optional = tuple(f.key for f in fields if f.optional)
-
-    def encode_record(record: Any) -> dict:
-        values = getattr(record, "__dict__", record)
-        out = head.copy()
-        for key, attr, encode in steps:
-            value = values[attr]
-            out[key] = value if encode is None else encode(value)
-        for key in optional:
-            if out[key] is None:
-                del out[key]
-        return out
-
-    return encode_record
-
-
-@functools.cache
 def _writer(cls: type, omit: tuple = ()) -> Callable[[Any], str]:
-    """The function that writes the canonical text of what ``_encoder(cls,
-    omit)`` maps.  The encoded keys, with the separators and "kind" between
-    them, are laid out once in code-point order; a call writes only the
-    values.  A record with an ``X | None`` field has no fixed layout, so
-    its map is built and encoded."""
-    if any(f.optional for f in _fields(cls)):
-        encode_record = _encoder(cls, omit)
-        return lambda record: _encode(encode_record(record))
+    """The function that writes the canonical text of a *cls* record, given
+    the record or a dict of its field values, without the keys in *omit*.
+    The encoded keys, and "kind" with its value, are laid out once in
+    code-point order; a call writes only the values, and no entry for an
+    ``X | None`` field whose value is None."""
     kind = getattr(cls, "_KIND", None)
-    entries = [(f.key, f.attr, f.write) for f in _fields(cls) if f.key not in omit]
+    entries = [(f.key, f.attr, f.write, f.optional) for f in _fields(cls) if f.key not in omit]
     if kind is not None and "kind" not in omit:
-        entries.append(("kind", None, _encode_text(kind)))
-    steps = []
-    text = "{"
-    for i, (key, attr, write) in enumerate(sorted(entries, key=operator.itemgetter(0))):
-        text += ("," if i else "") + _encode_key(key)
-        if attr is None:
-            text += write
-        else:
-            steps.append((text, attr, write))
-            text = ""
-    tail = text + "}"
+        entries.append(("kind", None, _encode_key("kind") + _encode_text(kind), False))
+    # (encoded key, attribute, writer, optional); an attribute of None marks
+    # the constant "kind" entry, whose "writer" is its whole text.
+    steps = [(_encode_key(key), attr, write, optional)
+             for key, attr, write, optional in sorted(entries, key=operator.itemgetter(0))]
 
     def write_record(record: Any) -> str:
         values = getattr(record, "__dict__", record)
         out = []
-        for head, attr, write in steps:
-            out.append(head)
-            out.append(write(values[attr]))
-        out.append(tail)
-        return "".join(out)
+        for key, attr, write, optional in steps:
+            if attr is None:
+                out.append(write)
+                continue
+            value = values[attr]
+            if optional and value is None:
+                continue
+            out.append(key + write(value))
+        return "{" + ",".join(out) + "}"
 
     return write_record
 

@@ -7,7 +7,7 @@ as both configuration and persistent state: issue, countersign, revoke,
 and disclose write their effects back.
 
 Exit codes: 0 success, 1 verification or decision failure, 2 usage or
-config error.
+config error, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .attestation import (
     verify_countersigned,
     write_attestation,
 )
-from .canonical import canonical_parse, canonical_serialize
+from .canonical import canonical_parse, canonical_serialize, write_canonical
 from .cooperative import Cooperative, Status
 from .crypto import Digest, keygen
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
@@ -67,7 +67,7 @@ def _load_attestation(path: str, expected_type, what: str):
 def cmd_keygen(args) -> int:
     seed = _hex_bytes(args.seed, "--seed")
     pair = keygen(seed)
-    Path(args.out).write_bytes(canonical_serialize({
+    write_canonical(args.out, canonical_serialize({
         "key_id": pair.key_id.value,
         "public_key": pair.public_key,
         "secret_key": pair.secret_key,
@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, DecodeError, ConfigInvalid, FileNotFoundError) as exc:
+    except (UsageError, DecodeError, ConfigInvalid, OSError) as exc:
         if isinstance(exc, ConfigInvalid):
             for problem in exc.problems:
                 print(problem, file=sys.stderr)

@@ -27,7 +27,7 @@ from .attestation import (
     blind,
     build_plain,
 )
-from .canonical import read_record, record_map, write_canonical
+from .canonical import read_record, record_bytes, write_canonical
 from .crypto import Digest
 from .errors import (
     DuplicateMember,
@@ -286,7 +286,7 @@ class Cooperative:
 
     def save_state(self, path: str | Path) -> None:
         """Write the whole state to *path* atomically; load_state reads it."""
-        write_canonical(path, record_map(CooperativeState, {
+        write_canonical(path, record_bytes(CooperativeState, {
             "name": self.name, "key_seed": self.key_seed, "legal_rep": self.legal_rep_id,
             "queries": self.queries, "year_ticks": self.year_ticks,
             "income_bands": self.income_bands, "members": self._members.values(),

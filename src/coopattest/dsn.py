@@ -45,7 +45,13 @@ from .errors import (
 )
 from .events import no_emit, send_message
 from .ledger import AttestationRecord, Ledger, LedgerRecord, PostRecord, RecordPointer
-from .notary import PURPOSE_DSN_DISPUTE, DisclosureResponse, Notary
+from .notary import (
+    PURPOSE_DSN_DISPUTE,
+    DisclosureResponse,
+    Notary,
+    request_disclosure,
+    revalidate,
+)
 
 OUTCOME_DELIVER = "deliver"
 OUTCOME_DROP = "drop"
@@ -300,14 +306,7 @@ class Provider:
         notary = self.notaries.get(csa.notary_id)
         if notary is None:
             return 4, REASON_INVALID
-        attestation_id = csa.blinded.attestation_id
-        status = send_message(
-            self, notary, "revalidation", {"attestation_id": attestation_id.value},
-            lambda: notary.respond_revalidation(attestation_id, now),
-        )
-        send_message(notary, self, "revalidation-status",
-                     {"attestation_id": attestation_id.value, "status": status.value},
-                     lambda: None)
+        status = revalidate(self, notary, csa.blinded.attestation_id, now)
         if status is Status.VALID:
             return 6, REASON_ATTESTED
         if status is Status.REVOKED:
@@ -358,19 +357,8 @@ class Provider:
         notary = self.notaries.get(csa.notary_id)
         if notary is None:
             raise Untraceable(f"legal contact {csa.notary_id!r} is not reachable")
-        attestation_id = csa.blinded.attestation_id
-        response = send_message(
-            self, notary, "disclosure-request",
-            {"attestation_id": attestation_id.value,
-             "jurisdiction": self.jurisdiction, "purpose": PURPOSE_DSN_DISPUTE},
-            lambda: notary.respond_disclosure(
-                attestation_id, self.jurisdiction, PURPOSE_DSN_DISPUTE, now
-            ),
-        )
-        send_message(notary, self, "disclosure-response",
-                     {"attestation_id": attestation_id.value, "outcome": response.outcome},
-                     lambda: None)
-        return response
+        return request_disclosure(self, notary, csa.blinded.attestation_id,
+                                  PURPOSE_DSN_DISPUTE, now)
 
     # --- recovery ---------------------------------------------------------------
 

@@ -12,13 +12,13 @@ golden regression files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from . import crypto
-from .attestation import CounterSignedAttestation, message_body
+from .attestation import CounterSignedAttestation
 from .canonical import canonical_parse, canonical_serialize
 from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
@@ -37,14 +37,15 @@ _EVENT_FIELDS = {"tick": int, "actor": str, "kind": str, "payload": dict}
 
 @dataclass(frozen=True)
 class Event:
+    """One line of the log.  A message body built in this process holds the
+    attestation artifacts it carries, and the log writes each as its
+    canonical text; a body read back from the log holds their maps, which
+    ``attestation.attestation_from_map`` turns into equal artifacts."""
+
     tick: int
     actor: str
     kind: str
     payload: dict
-    # The wire form of a message event's body (events.send_message), which
-    # the log writes in place of encoding payload["body"]; not part of the
-    # event's value.
-    wire: object = field(default=None, compare=False, repr=False)
 
     def to_map(self) -> dict:
         return {"tick": self.tick, "actor": self.actor, "kind": self.kind,
@@ -86,15 +87,7 @@ class EventLog:
         return [e for e in self.events if e.kind == kind]
 
     def to_bytes(self) -> bytes:
-        # A message body sent with a wire form is written from that form,
-        # which splices the attestation texts its sender had already encoded.
-        lines = []
-        for event in self.events:
-            data = event.to_map()
-            if event.wire is not None:
-                data["payload"] = {**event.payload, "body": event.wire}
-            lines.append(canonical_serialize(data) + b"\n")
-        return b"".join(lines)
+        return b"".join([canonical_serialize(event.to_map()) + b"\n" for event in self.events])
 
     def write(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -479,8 +472,8 @@ class Scenario:
 
     def _bind(self, actor) -> None:
         name = actor.name
-        actor._emit = lambda kind, payload, wire=None: self.log.append(
-            Event(self.now, name, kind, payload, wire)
+        actor._emit = lambda kind, payload: self.log.append(
+            Event(self.now, name, kind, payload)
         )
 
     def _actor_seed(self, role: str, name: str) -> bytes:
@@ -603,14 +596,12 @@ class Scenario:
                      lambda: notary.sync_revocations(new))
         # The trace names the plain attestation by its id only; the notary
         # alone receives the identity-bearing object.
-        body, wire = message_body(plain_id=plain.attestation_id.value, blinded=blinded)
         csa = send_message(
-            coop, notary, "witness-request", body,
+            coop, notary, "witness-request",
+            {"plain_id": plain.attestation_id.value, "blinded": blinded},
             lambda: notary.witness_and_countersign(plain, blinded, coop.public_key, self.now),
-            wire,
         )
-        body, wire = message_body(attestation=csa)
-        send_message(notary, coop, "countersigned", body, lambda: None, wire)
+        send_message(notary, coop, "countersigned", {"attestation": csa}, lambda: None)
         self.artifacts[action["label"]] = csa
         coop._emit("issued", {
             "label": action["label"],

@@ -28,8 +28,8 @@ PAYLOAD_ATTESTATION = "attestation"
 PAYLOAD_POST = "post"
 
 
-# Each record's fields, in order, are its canonical layout (see
-# ``canonical.record_map``); ``_KIND`` is the text written under "kind".
+# Each record's fields, in order, are its canonical layout (see the record
+# codec in ``canonical``); ``_KIND`` is the text written under "kind".
 
 @dataclass(frozen=True)
 class RecordPointer:

@@ -25,11 +25,11 @@ from .attestation import (
     countersign,
     verify_pair,
 )
-from .canonical import read_record, record_map, write_canonical
+from .canonical import read_record, record_bytes, write_canonical
 from .cooperative import Status
 from .crypto import Digest
 from .errors import ExpiredAtWitnessing, PairMismatch
-from .events import no_emit
+from .events import no_emit, send_message
 
 OUTCOME_DISCLOSED = "disclosed"
 OUTCOME_DENIED = "denied-jurisdiction"
@@ -259,7 +259,7 @@ class Notary:
 
     def save_state(self, path: str | Path) -> None:
         """Write the whole state to *path* atomically; load_state reads it."""
-        write_canonical(path, record_map(NotaryState, {
+        write_canonical(path, record_bytes(NotaryState, {
             "notary_id": self.notary_id, "key_seed": self.key_seed,
             "jurisdiction": self.policy.notary_jurisdiction,
             "compatible": self.policy.compatible, "issuers": self.known_issuers,
@@ -285,3 +285,37 @@ class Notary:
         notary.audit_log = list(state.audit)
         notary.rejection_log = list(state.rejections)
         return notary
+
+
+# --- a consumer's round trips -----------------------------------------------------
+#
+# An exchange or a provider asks the notary named in a countersigned
+# attestation about it: a request and the notary's reply, both sends.
+
+def revalidate(requester, notary: Notary, attestation_id: Digest, now: int) -> Status:
+    """The notary's status of *attestation_id* at tick *now*."""
+    status = send_message(
+        requester, notary, "revalidation", {"attestation_id": attestation_id.value},
+        lambda: notary.respond_revalidation(attestation_id, now),
+    )
+    send_message(notary, requester, "revalidation-status",
+                 {"attestation_id": attestation_id.value, "status": status.value},
+                 lambda: None)
+    return status
+
+
+def request_disclosure(requester, notary: Notary, attestation_id: Digest, purpose: str,
+                       now: int) -> DisclosureResponse:
+    """The notary's answer to *requester*, from its ``jurisdiction``, asking
+    for the identity behind *attestation_id* for *purpose*."""
+    jurisdiction = requester.jurisdiction
+    response = send_message(
+        requester, notary, "disclosure-request",
+        {"attestation_id": attestation_id.value, "jurisdiction": jurisdiction,
+         "purpose": purpose},
+        lambda: notary.respond_disclosure(attestation_id, jurisdiction, purpose, now),
+    )
+    send_message(notary, requester, "disclosure-response",
+                 {"attestation_id": attestation_id.value, "outcome": response.outcome},
+                 lambda: None)
+    return response

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .attestation import CounterSignedAttestation, message_body, verify_countersigned
+from .attestation import CounterSignedAttestation, verify_countersigned
 from .cooperative import Status
 from .crypto import KeyDirectory
 from .errors import (
@@ -40,6 +40,8 @@ from .notary import (
     PURPOSE_TRAVEL_RULE,
     DisclosureResponse,
     Notary,
+    request_disclosure,
+    revalidate,
 )
 
 ACCEPTED = "accepted"
@@ -254,8 +256,8 @@ class Exchange:
             self, origin, "attestation-request", {"transfer_id": transfer_id},
             lambda: origin.provide_attestation(transfer_id),
         )
-        body, wire = message_body(transfer_id=transfer_id, attestation=csa)
-        send_message(origin, self, "attestation-delivery", body, lambda: None, wire)
+        send_message(origin, self, "attestation-delivery",
+                     {"transfer_id": transfer_id, "attestation": csa}, lambda: None)
         self._on_file[transfer_id] = csa
         return csa
 
@@ -290,30 +292,14 @@ class Exchange:
         if notary is None:
             return TransferDecision(REJECTED, "unknown-notary")
         attestation_id = csa.blinded.attestation_id
-        status = send_message(
-            self, notary, "revalidation", {"attestation_id": attestation_id.value},
-            lambda: notary.respond_revalidation(attestation_id, now),
-        )
-        send_message(notary, self, "revalidation-status",
-                     {"attestation_id": attestation_id.value, "status": status.value},
-                     lambda: None)
+        status = revalidate(self, notary, attestation_id, now)
         if status is not Status.VALID:
             return TransferDecision(REJECTED, status.value)
 
         if req.amount < self.disclosure_threshold:
             return TransferDecision(ACCEPTED, "below-threshold")
 
-        disclosure = send_message(
-            self, notary, "disclosure-request",
-            {"attestation_id": attestation_id.value,
-             "jurisdiction": self.jurisdiction, "purpose": PURPOSE_TRAVEL_RULE},
-            lambda: notary.respond_disclosure(
-                attestation_id, self.jurisdiction, PURPOSE_TRAVEL_RULE, now
-            ),
-        )
-        send_message(notary, self, "disclosure-response",
-                     {"attestation_id": attestation_id.value, "outcome": disclosure.outcome},
-                     lambda: None)
+        disclosure = request_disclosure(self, notary, attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome == OUTCOME_DENIED:
             return TransferDecision(HELD, "denied-jurisdiction")
         if disclosure.outcome != OUTCOME_DISCLOSED:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import strategies as st
@@ -28,6 +29,39 @@ def make_plain(issuer, identity="alice-legal-0001", claims=None, issued_at=10,
     return build_plain(
         SubjectRef.legal(identity), claims, issuer, legal_rep, issued_at, expires_at, nonce
     )
+
+
+# --- the record maps, built apart from the record writer -----------------------------
+
+def reference_map(cls, values, omit=()):
+    """The canonical map of the *cls* record *values* (the record, or a dict
+    of its field values), without the keys in *omit*.  It is built from the
+    field declarations and the values alone, never from ``canonical``'s
+    writer or an artifact's own text, so it is the reference that writer
+    is checked against."""
+    values = getattr(values, "__dict__", values)
+    raw = {"kind": cls._KIND} if hasattr(cls, "_KIND") else {}
+    for f in dataclasses.fields(cls):
+        value = values[f.name]
+        if value is not None:
+            raw[f.metadata.get("key", f.name)] = reference_value(value)
+    return {key: value for key, value in raw.items() if key not in omit}
+
+
+def reference_value(value):
+    """*value* with every record in it replaced by its reference map, a
+    class with ``_SCALAR`` by its one field, and a set by a sorted list."""
+    if dataclasses.is_dataclass(value):
+        if hasattr(value, "_SCALAR"):
+            return getattr(value, dataclasses.fields(value)[0].name)
+        return reference_map(type(value), value)
+    if isinstance(value, dict):
+        return {key: reference_value(item) for key, item in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(map(reference_value, value))
+    if isinstance(value, (list, tuple)):
+        return list(map(reference_value, value))
+    return value
 
 
 # --- strict decoding property ------------------------------------------------------

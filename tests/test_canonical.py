@@ -16,8 +16,8 @@ from coopattest.attestation import (
     CounterSignedAttestation,
     PlainAttestation,
     SubjectRef,
-    attestation_to_map,
     blind,
+    canonical_bytes,
     countersign,
 )
 from coopattest.canonical import (
@@ -26,15 +26,14 @@ from coopattest.canonical import (
     canonical_serialize,
     record_bytes,
     record_from_map,
-    record_map,
 )
 from coopattest.cooperative import CooperativeState, IssuanceEntry, MemberRecord
-from coopattest.crypto import Digest, Signature
+from coopattest.crypto import Digest, Signature, keygen
 from coopattest.errors import DecodeError, UnsupportedValue
 from coopattest.ledger import AttestationRecord, LedgerRecord, PostRecord, RecordPointer
 from coopattest.notary import ArchiveEntry, AuditEntry, NotaryState, RejectionEntry
 
-from conftest import make_plain
+from conftest import make_plain, reference_map, reference_value
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -315,6 +314,25 @@ def test_subclasses_encode_as_their_base_value():
     assert canonical_serialize(value) == b'{"k":[3,"a\\"b"]}'
 
 
+def test_an_attestation_encodes_as_its_own_text(issuer, notary_key):
+    blinded = blind(make_plain(issuer), SubjectRef.handle("@sender"), issuer)
+    csa = countersign(blinded, notary_key, "notary-1", 11)
+    body = {"attestation": csa, "blinded": [blinded], "n": 1}
+    assert canonical_serialize(csa) == canonical_bytes(csa) == csa._canonical_text.encode()
+    assert canonical_serialize(body) == canonical_serialize(reference_value(body))
+
+
+@pytest.mark.parametrize("value", [
+    keygen(b"seed"),
+    RecordPointer("L1", 0),
+    Digest(bytes(32)),
+    {"pointers": [RecordPointer("L1", 0)]},
+], ids=["KeyPair", "record", "scalar record", "record in a map"])
+def test_objects_other_than_attestations_are_unsupported(value):
+    with pytest.raises(UnsupportedValue):
+        canonical_serialize(value)
+
+
 class TestFieldReference:
     """The README's field reference lists exactly the declared fields of
     every record class, with their wire types and signature coverage."""
@@ -390,7 +408,8 @@ class TestFieldReference:
         csa = countersign(blinded, notary_key, "notary-1", 11)
         declared = self.declared_rows()
         for artifact, record in ((blinded, "blinded"), (csa, "countersigned")):
-            assert set(attestation_to_map(artifact)) == {k for r, k in declared if r == record}
+            assert set(canonical_parse(canonical_serialize(artifact))) == {
+                k for r, k in declared if r == record}
 
 
 # --- strict parsing: only canonical bytes parse, whitespace aside ----------------
@@ -800,9 +819,11 @@ def test_bound_is_far_from_the_program_s_depth_and_the_recursion_limit():
 
 # --- record_bytes against the map path --------------------------------------------
 #
-# The map path, ``canonical_serialize(record_map(...))``, is the reference for
-# the record writer: for every record class, and for every set of omitted keys
-# the program writes, both give the same bytes or both raise UnsupportedValue.
+# The map path, ``canonical_serialize(reference_map(...))``, is the reference
+# for the record writer: for every record class, and for every set of omitted
+# keys the program writes, both give the same bytes or both raise
+# UnsupportedValue.  ``reference_map`` (in conftest) builds the map from the
+# field declarations, not through the writer.
 
 # Text with a lone surrogate now and then, which neither path may encode.
 record_texts = st.one_of(text_values, st.text(alphabet="a\ud800", min_size=1, max_size=3))
@@ -894,7 +915,7 @@ WRITTEN = [(cls, ()) for cls in RECORD_STRATEGIES] + [
 
 
 def reference_record_bytes(cls, values, omit):
-    return canonical_serialize(record_map(cls, values, omit))
+    return canonical_serialize(reference_map(cls, values, omit))
 
 
 @given(st.sampled_from(WRITTEN).flatmap(lambda written: st.tuples(
@@ -931,7 +952,8 @@ def test_records_decode_to_themselves(case):
 # --- the field kinds of the state records ------------------------------------------
 
 def test_unset_optional_key_is_left_out():
-    assert "handle" not in record_map(MemberRecord, MemberRecord("bob", "bob-legal-0002", {}))
+    assert record_bytes(MemberRecord, MemberRecord("bob", "bob-legal-0002", {})) == (
+        b'{"legal_identity":"bob-legal-0002","member_id":"bob","personal_data":{}}')
     assert record_bytes(MemberRecord, MemberRecord("bob", "bob-legal-0002", {}, "@bob")) == (
         b'{"handle":"@bob","legal_identity":"bob-legal-0002","member_id":"bob",'
         b'"personal_data":{}}')
@@ -941,12 +963,12 @@ def test_missing_optional_keys_take_their_defaults():
     state = record_from_map(CooperativeState, {"name": "c", "key_seed": b"k", "legal_rep": "n"})
     assert state == CooperativeState("c", b"k", "n")
     assert state.nonce_seed is None and state.revoked == {} and state.members == ()
-    assert "nonce_seed" not in record_map(CooperativeState, state)
+    assert "nonce_seed" not in canonical_parse(record_bytes(CooperativeState, state))
 
 
 def test_frozenset_is_written_sorted():
     state = NotaryState("n", b"k", "US", compatible=frozenset({"US", "EU", "AU", "CH"}))
-    assert record_map(NotaryState, state)["compatible"] == ["AU", "CH", "EU", "US"]
+    assert canonical_parse(record_bytes(NotaryState, state))["compatible"] == ["AU", "CH", "EU", "US"]
     assert b'"compatible":["AU","CH","EU","US"]' in record_bytes(NotaryState, state)
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI flows: issue, countersign, verify, revoke, disclose, simulate."""
 
+import os
+import stat
 import subprocess
 import sys
 
@@ -68,6 +70,21 @@ class TestKeygen:
         raw = canonical_parse((tmp_path / "k.key").read_bytes())
         assert raw["key_id"] == crypto.digest(raw["public_key"]).value
         assert "key_id" in capsys.readouterr().out
+
+    def test_key_file_is_created_private_and_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "k.key"
+        umask = os.umask(0o022)
+        try:
+            assert run(["keygen", "--seed", "00ff", "--out", path]) == 0
+        finally:
+            os.umask(umask)
+        # It holds the secret key.
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        path.chmod(0o640)
+        assert run(["keygen", "--seed", "01ff", "--out", path]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert canonical_parse(path.read_bytes())["secret_key"] == crypto.keygen(b"\x01\xff").secret_key
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_hex_is_usage_error(self, tmp_path):
         assert run(["keygen", "--seed", "zz", "--out", tmp_path / "k.key"]) == 2
@@ -421,6 +438,49 @@ class TestSimulateValidate:
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
+
+
+def file_commands(w):
+    """Each command that reads or writes a file, with arguments it runs on."""
+    return {
+        "keygen": ["--seed", "00ff", "--out", w / "k.key"],
+        "issue": ["--coop", w / "coop.state", "--member", "alice", "--attrs", "age-over-18",
+                  "--mode", "absent", "--now", 10, "--ttl", 90,
+                  "--out-plain", w / "x.plain.att", "--out-blinded", w / "x.blinded.att"],
+        "countersign": ["--notary", w / "notary.state", "--plain", w / "a.plain.att",
+                        "--blinded", w / "a.blinded.att", "--now", 10, "--out", w / "x.csa.att"],
+        "verify": ["--csa", w / "a.csa.att", "--issuer-key", w / "coop.key",
+                   "--notary-key", w / "notary.key", "--now", 50],
+        "revoke": ["--coop", w / "coop.state", "--id", "00" * 32, "--now", 60],
+        "status": ["--coop", w / "coop.state", "--id", "00" * 32, "--now", 60],
+        "disclose": ["--notary", w / "notary.state", "--id", "00" * 32, "--jurisdiction", "US",
+                     "--purpose", "travel-rule", "--now", 60],
+        "simulate": ["--config", bundled_scenario_path("travel_rule_basic"), "--out", w / "x.log"],
+        "validate": ["--config", bundled_scenario_path("travel_rule_basic")],
+    }
+
+
+@pytest.mark.parametrize("command, option", [
+    ("keygen", "--out"), ("issue", "--coop"), ("issue", "--out-plain"),
+    ("issue", "--out-blinded"), ("countersign", "--notary"), ("countersign", "--plain"),
+    ("countersign", "--blinded"), ("countersign", "--out"), ("verify", "--csa"),
+    ("verify", "--issuer-key"), ("verify", "--notary-key"), ("revoke", "--coop"),
+    ("status", "--coop"), ("disclose", "--notary"), ("simulate", "--config"),
+    ("simulate", "--out"), ("validate", "--config"),
+])
+def test_a_directory_path_exits_2_with_one_error_line(workdir, capsys, command, option):
+    issue_and_countersign(workdir)
+    write_keys(workdir)
+    directory = workdir / "a-directory"
+    directory.mkdir()
+    args = file_commands(workdir)[command]
+    assert option in args
+    args[args.index(option) + 1] = directory
+    capsys.readouterr()
+    assert run([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(directory) in err
 
 
 # Python's limit on the decimal digits int() converts, or 0 where it has none.

@@ -10,7 +10,7 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import verify_pair
-from coopattest.canonical import record_from_map, record_map
+from coopattest.canonical import canonical_parse, record_bytes, record_from_map
 from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.errors import (
     DecodeError,
@@ -67,7 +67,7 @@ class TestRegistry:
         ("personal_data", ["residence", "NL"]), ("handle", True),
     ])
     def test_wrongly_typed_field_rejected(self, field, value):
-        raw = record_map(MemberRecord, alice(handle="@alice"))
+        raw = canonical_parse(record_bytes(MemberRecord, alice(handle="@alice")))
         raw[field] = value
         with pytest.raises(DecodeError, match=field):
             record_from_map(MemberRecord, raw)

@@ -40,7 +40,7 @@ class Capture:
 
     def bind(self, actor):
         name = actor.name
-        actor._emit = lambda kind, payload, wire=None: self.events.append((name, kind, payload))
+        actor._emit = lambda kind, payload: self.events.append((name, kind, payload))
 
     def of_kind(self, kind):
         return [e for e in self.events if e[1] == kind]
