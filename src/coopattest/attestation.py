@@ -34,6 +34,7 @@ from .canonical import (
     record_bytes,
     record_from_map,
     record_text,
+    write_canonical,
 )
 from .crypto import Digest, KeyPair, Signature
 from .errors import (
@@ -253,11 +254,6 @@ Attestation = Union[PlainAttestation, BlindedAttestation, CounterSignedAttestati
 
 # --- canonical bytes ------------------------------------------------------------
 
-def signing_bytes(att: PlainAttestation | BlindedAttestation) -> bytes:
-    """The bytes the issuer signature covers: everything but id and signature."""
-    return att._signed_bytes
-
-
 def countersign_bytes(blinded: BlindedAttestation, notary_id: str,
                       notary_key_id: Digest, countersigned_at: int) -> bytes:
     """The bytes the notary signature covers: the unmodified embedded blinded
@@ -289,7 +285,9 @@ def attestation_from_bytes(data: bytes):
 
 
 def write_attestation(path: str | Path, att) -> None:
-    Path(path).write_bytes(canonical_bytes(att))
+    """Write *att* to *path* like a state file, atomically and a new file
+    private to its owner: a plain attestation names the member."""
+    write_canonical(path, canonical_bytes(att))
 
 
 def read_attestation(path: str | Path):

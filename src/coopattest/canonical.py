@@ -156,7 +156,7 @@ def write_canonical(path: str | Path, data: bytes) -> None:
     interrupted write leaves the previous file whole.  The new file keeps
     the previous one's permission bits; a file that did not exist is
     created readable by its owner only, since state and key files hold
-    key seeds.
+    key seeds, and plain attestations and event logs legal identities.
     """
     target = Path(path).resolve()
     mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o600
@@ -178,15 +178,15 @@ def write_canonical(path: str | Path, data: bytes) -> None:
 # wire layout.  A field is written under its own name, or under
 # ``metadata["key"]``, and its annotation picks its codec:
 #
-#   str, int, bytes, dict    the value itself, of that canonical type;
-#   a class with ``_SCALAR`` its one field, a value of type ``_SCALAR``;
-#   a record                 the record's map;
-#   a Union of records       the map of the member whose ``_KIND`` it names;
-#   tuple[X, ...]            a list of the encodings of X;
-#   tuple[X, Y]              a list of exactly one X and one Y;
-#   frozenset[X]             a list of the X, sorted;
-#   dict[str, X]             a map of text to the encodings of X;
-#   X | None                 X, with the key left out when the value is None.
+#   str, int, bool, bytes, dict  the value itself, of that canonical type;
+#   a class with ``_SCALAR``     its one field, a value of type ``_SCALAR``;
+#   a record                     the record's map;
+#   a Union of records           the map of the member whose ``_KIND`` it names;
+#   tuple[X, ...]                a list of the encodings of X;
+#   tuple[X, Y]                  a list of exactly one X and one Y;
+#   frozenset[X]                 a list of the X, sorted;
+#   dict[str, X]                 a map of text to the encodings of X;
+#   X | None                     X, with the key left out when the value is None.
 #
 # A field with a default may be missing from a map being decoded, and then
 # takes its default.  A record class with ``_KIND`` also writes that text
@@ -271,7 +271,7 @@ def _codec(tp: Any, where: str) -> tuple:
     """How a value of annotation *tp* is written and read: (the canonical
     type it is written as, decode, write as canonical text); a decode of
     None passes the value as it is.  *where* names the field in errors."""
-    if tp in (str, int, bytes, dict):
+    if tp in (str, int, bool, bytes, dict):
         return tp, None, _encode
     if hasattr(tp, "_SCALAR"):
         get = operator.attrgetter(dataclasses.fields(tp)[0].name)

@@ -84,9 +84,10 @@ def cmd_issue(args) -> int:
     if args.ttl <= 0:
         raise UsageError("--ttl must be positive")
     plain, blinded = coop.issue_blinded(args.member, queries, args.mode, args.now, args.ttl)
-    coop.save_state(args.coop)
+    # The state file last: a failed write of an output leaves it as it was.
     write_attestation(args.out_plain, plain)
     write_attestation(args.out_blinded, blinded)
+    coop.save_state(args.coop)
     print(f"issued {blinded.attestation_id.hex()}")
     return EXIT_OK
 
@@ -106,8 +107,8 @@ def cmd_countersign(args) -> int:
         # The refusal is in the notary's rejection log; keep it.
         notary.save_state(args.notary)
         raise
-    notary.save_state(args.notary)
     write_attestation(args.out, csa)
+    notary.save_state(args.notary)
     print(f"countersigned {blinded.attestation_id.hex()}")
     return EXIT_OK
 

@@ -2,9 +2,8 @@
 
 One hash function (SHA-256) backs the whole artifact; every serialized
 record names it in a ``hash_alg`` field so formats stay self-describing.
-Signatures go through a pluggable scheme: the production scheme is
-Ed25519 (deterministic by construction, so scenarios replay bit-exactly)
-and a trivially forgeable null scheme exists purely for negative tests.
+Signatures are Ed25519, deterministic by construction, so scenarios
+replay bit-exactly.
 
 Every signature is bound to a domain tag.  The same key may sign plain
 attestations, blinded attestations, countersignatures, and ledger
@@ -92,7 +91,7 @@ def _check_tag(domain_tag: str) -> None:
         raise UnknownDomainTag(domain_tag)
 
 
-# --- signature schemes --------------------------------------------------------
+# --- Ed25519 -------------------------------------------------------------------
 
 # Key objects are built once per key's bytes: loading a private key costs
 # more than the signature it makes.  A key object is a pure function of
@@ -110,70 +109,25 @@ def _public_key(public_key: bytes) -> Ed25519PublicKey:
     return Ed25519PublicKey.from_public_bytes(public_key)
 
 
-class Ed25519Scheme:
-    """Production scheme: deterministic Ed25519 over the framed message."""
+# --- operations ----------------------------------------------------------------
 
-    name = "ed25519"
-
-    def keygen(self, seed: bytes) -> KeyPair:
-        if not seed:
-            raise EmptySeed("keygen seed must be non-empty")
-        secret = hashlib.sha256(_KEYGEN_CONTEXT + seed).digest()
-        public = _private_key(secret).public_key().public_bytes_raw()
-        return KeyPair(public_key=public, secret_key=secret, key_id=digest(public))
-
-    def raw_sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return _private_key(secret_key).sign(message)
-
-    def raw_verify(self, public_key: bytes, message: bytes, sig: bytes) -> bool:
-        try:
-            _public_key(public_key).verify(sig, message)
-            return True
-        except (InvalidSignature, ValueError):
-            return False
+def keygen(seed: bytes) -> KeyPair:
+    """Deterministic Ed25519 key pair: the same seed always yields the same keys."""
+    if not seed:
+        raise EmptySeed("keygen seed must be non-empty")
+    secret = hashlib.sha256(_KEYGEN_CONTEXT + seed).digest()
+    public = _private_key(secret).public_key().public_bytes_raw()
+    return KeyPair(public_key=public, secret_key=secret, key_id=digest(public))
 
 
-class NullScheme:
-    """Forgeable stand-in: the "signature" is just the message digest.
-
-    Anyone can produce it without the secret key, which is exactly what
-    negative tests need to show that protocol guarantees rest on the
-    signature scheme and not on format plumbing.
-    """
-
-    name = "null"
-
-    def keygen(self, seed: bytes) -> KeyPair:
-        if not seed:
-            raise EmptySeed("keygen seed must be non-empty")
-        public = b"null:" + hashlib.sha256(seed).digest()
-        return KeyPair(public_key=public, secret_key=public, key_id=digest(public))
-
-    def raw_sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return hashlib.sha256(message).digest()
-
-    def raw_verify(self, public_key: bytes, message: bytes, sig: bytes) -> bool:
-        return sig == hashlib.sha256(message).digest()
-
-
-ED25519 = Ed25519Scheme()
-NULL_SCHEME = NullScheme()
-
-
-# --- module-level operations ---------------------------------------------------
-
-def keygen(seed: bytes, scheme=ED25519) -> KeyPair:
-    """Deterministic key pair: the same seed always yields the same keys."""
-    return scheme.keygen(seed)
-
-
-def sign(key: KeyPair, domain_tag: str, message: bytes, scheme=ED25519) -> Signature:
+def sign(key: KeyPair, domain_tag: str, message: bytes) -> Signature:
+    """Ed25519 signature of *message* framed with *domain_tag*."""
     _check_tag(domain_tag)
-    raw = scheme.raw_sign(key.secret_key, _framed(domain_tag, message))
+    raw = _private_key(key.secret_key).sign(_framed(domain_tag, message))
     return Signature(data=raw, signer_key_id=key.key_id, domain_tag=domain_tag)
 
 
-def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature, scheme=ED25519) -> bool:
+def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature) -> bool:
     """True iff *sig* was produced over *message* under *domain_tag* by the
     holder of *public_key*.  Tag or key mismatches report False; only an
     unregistered tag raises."""
@@ -182,7 +136,11 @@ def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature, s
         return False
     if sig.signer_key_id != digest(public_key):
         return False
-    return scheme.raw_verify(public_key, _framed(domain_tag, message), sig.data)
+    try:
+        _public_key(public_key).verify(sig.data, _framed(domain_tag, message))
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 class KeyDirectory:

@@ -85,14 +85,6 @@ class Post:
         if not self.body:
             raise ValueError("post body must be non-empty")
 
-    def to_map(self) -> dict:
-        return {
-            "body": self.body,
-            "author_handle": self.author_handle,
-            "origin_provider": self.origin_provider,
-            "sent_at": self.sent_at,
-        }
-
 
 @dataclass(frozen=True)
 class FilterDecision:
@@ -217,7 +209,7 @@ class Provider:
         })
         for target in self.followers.get(handle, ()):
             peer = self.peers[target]
-            send_message(self, peer, "post", post.to_map(),
+            send_message(self, peer, "post", vars(post),
                          lambda p=peer: p.receive_post(post, now))
         return ptr
 
@@ -230,8 +222,7 @@ class Provider:
             "author_handle": post.author_handle,
             "origin_provider": post.origin_provider,
             "post_digest": crypto.digest(post.body).value,
-            "outcome": decision.outcome,
-            "reason": decision.reason,
+            **vars(decision),
         })
         return decision
 

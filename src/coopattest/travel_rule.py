@@ -67,17 +67,6 @@ class TransferRequest:
         if not self.originator_account or not self.beneficiary_account:
             raise ValueError("accounts must be non-empty")
 
-    def to_map(self) -> dict:
-        return {
-            "transfer_id": self.transfer_id,
-            "originator_account": self.originator_account,
-            "beneficiary_account": self.beneficiary_account,
-            "beneficiary_exchange": self.beneficiary_exchange,
-            "asset": self.asset,
-            "amount": self.amount,
-            "requested_at": self.requested_at,
-        }
-
 
 @dataclass(frozen=True)
 class TravelRuleRecord:
@@ -90,18 +79,9 @@ class TravelRuleRecord:
     beneficiary_account: str
 
     def __post_init__(self) -> None:
-        for name, value in self.to_map().items():
+        for name, value in vars(self).items():
             if not value:
                 raise ValueError(f"travel-rule field {name} must be non-empty")
-
-    def to_map(self) -> dict:
-        return {
-            "originator_name": self.originator_name,
-            "originator_account": self.originator_account,
-            "originator_address_or_id": self.originator_address_or_id,
-            "beneficiary_name": self.beneficiary_name,
-            "beneficiary_account": self.beneficiary_account,
-        }
 
 
 @dataclass(frozen=True)
@@ -113,12 +93,6 @@ class TransferDecision:
     def __post_init__(self) -> None:
         if self.travel_record is not None and self.outcome != ACCEPTED:
             raise ValueError("travel record only accompanies an accepted transfer")
-
-    def to_map(self) -> dict:
-        raw = {"outcome": self.outcome, "reason": self.reason}
-        if self.travel_record is not None:
-            raw["travel_record"] = self.travel_record.to_map()
-        return raw
 
 
 def assemble_travel_record(
@@ -236,7 +210,7 @@ class Exchange:
             raise DuplicateTransfer(req.transfer_id)
         peer = self._peer(req.beneficiary_exchange)
         self._outgoing[req.transfer_id] = req
-        send_message(self, peer, "transfer", req.to_map(),
+        send_message(self, peer, "transfer", vars(req),
                      lambda: peer.receive_transfer(req))
 
     def receive_transfer(self, req: TransferRequest) -> None:
@@ -275,7 +249,7 @@ class Exchange:
             raise NoAttestationOnFile(transfer_id)
         decision = self._decide(req, csa, now)
         self.decisions[transfer_id] = decision
-        self._emit("transfer-decision", {"transfer_id": transfer_id, **decision.to_map()})
+        self._emit("transfer-decision", {"transfer_id": transfer_id, **vars(decision)})
         return decision
 
     def _decide(self, req: TransferRequest, csa: CounterSignedAttestation,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from coopattest import crypto
 from coopattest.attestation import AttributeClaim, SubjectRef, build_plain
 from coopattest.errors import DecodeError
+from coopattest.ledger import Ledger, PostRecord
 
 
 @pytest.fixture
@@ -31,6 +32,17 @@ def make_plain(issuer, identity="alice-legal-0001", claims=None, issued_at=10,
     )
 
 
+def ledger_from_records(ledger_id, writer_public_key, records):
+    """A ledger holding *records* as they are, unchecked, so that a test can
+    show ``verify_chain`` rejects a tampered chain."""
+    ledger = Ledger(ledger_id, writer_public_key)
+    for record in records:
+        ledger._records.append(record)
+        if isinstance(record.payload, PostRecord):
+            ledger._post_index.setdefault(record.payload.post_digest, []).append(record.index)
+    return ledger
+
+
 # --- the record maps, built apart from the record writer -----------------------------
 
 def reference_map(cls, values, omit=()):
@@ -50,13 +62,14 @@ def reference_map(cls, values, omit=()):
 
 def reference_value(value):
     """*value* with every record in it replaced by its reference map, a
-    class with ``_SCALAR`` by its one field, and a set by a sorted list."""
+    class with ``_SCALAR`` by its one field, a set by a sorted list, and a
+    map's None values (the unset optionals of an event payload) left out."""
     if dataclasses.is_dataclass(value):
         if hasattr(value, "_SCALAR"):
             return getattr(value, dataclasses.fields(value)[0].name)
         return reference_map(type(value), value)
     if isinstance(value, dict):
-        return {key: reference_value(item) for key, item in value.items()}
+        return {key: reference_value(item) for key, item in value.items() if item is not None}
     if isinstance(value, frozenset):
         return sorted(map(reference_value, value))
     if isinstance(value, (list, tuple)):

@@ -24,10 +24,10 @@ from coopattest.attestation import (
     verify_countersigned,
     verify_pair,
 )
-from coopattest.canonical import canonical_serialize
 from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.errors import DecodeError
 from coopattest.harness import (
+    EventLog,
     Scenario,
     ScenarioConfig,
     bundled_scenario_names,
@@ -194,7 +194,9 @@ def test_criterion_4_travel_rule_end_to_end():
         basic = run_scenario(load("travel_rule_basic"))
         decision = _decision(basic)
         assert decision["outcome"] == "accepted" and decision["reason"] == "below-threshold"
-        assert "travel_record" not in decision
+        # An unset optional is None in memory and left out of the log.
+        assert decision["travel_record"] is None
+        assert b"travel_record" not in basic.to_bytes()
         disclosure_kinds = [e for e in basic
                             if e.kind == "send"
                             and e.payload.get("channel") == "disclosure-request"]
@@ -202,7 +204,7 @@ def test_criterion_4_travel_rule_end_to_end():
 
         disclosed = _decision(run_scenario(load("travel_rule_disclosure")))
         assert disclosed["outcome"] == "accepted"
-        record = disclosed["travel_record"]
+        record = vars(disclosed["travel_record"])
         assert record == {
             "originator_name": "alice-legal-0001",
             "originator_account": "acct-alice",
@@ -213,7 +215,8 @@ def test_criterion_4_travel_rule_end_to_end():
         assert all(record.values())
 
         revoked = _decision(run_scenario(load("travel_rule_revoked")))
-        assert revoked == {"transfer_id": "t1", "outcome": "rejected", "reason": "revoked"}
+        assert revoked == {"transfer_id": "t1", "outcome": "rejected", "reason": "revoked",
+                           "travel_record": None}
 
         held = _decision(run_scenario(load("travel_rule_jurisdiction")))
         assert held["outcome"] == "held-pending-disclosure"
@@ -231,7 +234,7 @@ def _identity_free_lines(scenario, log, identities):
     """Every event, cooperative/notary traffic included, and every ledger
     record must be free of member legal identities."""
     for event in log:
-        line = canonical_serialize(event.to_map())
+        line = EventLog([event]).to_bytes()
         for identity in identities:
             assert identity.encode() not in line, f"{identity} leaked in {event.kind}"
     for provider in scenario.providers.values():

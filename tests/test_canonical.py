@@ -32,6 +32,7 @@ from coopattest.crypto import Digest, Signature, keygen
 from coopattest.errors import DecodeError, UnsupportedValue
 from coopattest.ledger import AttestationRecord, LedgerRecord, PostRecord, RecordPointer
 from coopattest.notary import ArchiveEntry, AuditEntry, NotaryState, RejectionEntry
+from coopattest.travel_rule import TravelRuleRecord
 
 from conftest import make_plain, reference_map, reference_value
 
@@ -346,6 +347,7 @@ class TestFieldReference:
         CooperativeState: "cooperative state", MemberRecord: "member",
         IssuanceEntry: "issuance", NotaryState: "notary state", ArchiveEntry: "archive entry",
         AuditEntry: "audit entry", RejectionEntry: "rejection entry",
+        TravelRuleRecord: "travel record",
     }
     SCALARS = {str: "text", int: "integer", bytes: "bytes", Digest: "digest", dict: "map"}
 

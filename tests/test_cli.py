@@ -476,11 +476,39 @@ def test_a_directory_path_exits_2_with_one_error_line(workdir, capsys, command, 
     args = file_commands(workdir)[command]
     assert option in args
     args[args.index(option) + 1] = directory
+    before = {path: path.read_bytes() for path in workdir.iterdir() if path.is_file()}
     capsys.readouterr()
     assert run([command, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(directory) in err
+    # A state file is written last, so no file that was there has changed.
+    assert {path: path.read_bytes() for path in before} == before
+
+
+@pytest.mark.parametrize("command, option", [
+    ("issue", "--out-plain"), ("issue", "--out-blinded"), ("countersign", "--out"),
+    ("simulate", "--out"),
+])
+def test_an_output_is_created_private_and_keeps_its_mode(workdir, command, option):
+    """A plain attestation and a log's disclosed travel record hold legal
+    identities: a new output is created 0600, and an existing one keeps its
+    mode but gets the new bytes."""
+    issue_and_countersign(workdir)
+    args = file_commands(workdir)[command]
+    path = args[args.index(option) + 1]
+    umask = os.umask(0o022)
+    try:
+        assert run([command, *args]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        path.chmod(0o644)
+        path.write_bytes(b"stale")
+        assert run([command, *args]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert path.read_bytes().startswith(b'{"')
+    assert not [p for p in workdir.iterdir() if p.name.startswith(".")]
 
 
 # Python's limit on the decimal digits int() converts, or 0 where it has none.

@@ -1,5 +1,6 @@
 """Digest, keygen, and domain-tagged signature behaviour."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.crypto import (
-    NULL_SCHEME,
     Digest,
     digest,
     keygen,
@@ -61,8 +61,6 @@ class TestKeygen:
     def test_empty_seed_rejected(self):
         with pytest.raises(EmptySeed):
             keygen(b"")
-        with pytest.raises(EmptySeed):
-            keygen(b"", scheme=NULL_SCHEME)
 
     def test_key_id_is_digest_of_public_key(self):
         kp = keygen(b"a")
@@ -109,30 +107,13 @@ class TestSignVerify:
         kp = keygen(b"k")
         assert sign(kp, crypto.TAG_PLAIN, b"m") == sign(kp, crypto.TAG_PLAIN, b"m")
 
-
-class TestNullScheme:
-    """The null scheme exists to prove negative tests can tell schemes apart."""
-
-    def test_roundtrip(self):
-        kp = keygen(b"k", scheme=NULL_SCHEME)
-        sig = sign(kp, crypto.TAG_PLAIN, b"m", scheme=NULL_SCHEME)
-        assert verify(kp.public_key, crypto.TAG_PLAIN, b"m", sig, scheme=NULL_SCHEME)
-
-    def test_forgeable_without_secret(self):
-        victim = keygen(b"victim", scheme=NULL_SCHEME)
-        # An attacker without victim's secret forges a valid signature.
-        import hashlib
-
-        forged = crypto.Signature(
-            data=hashlib.sha256(crypto._framed(crypto.TAG_PLAIN, b"owe me $100")).digest(),
-            signer_key_id=victim.key_id,
-            domain_tag=crypto.TAG_PLAIN,
-        )
-        assert verify(victim.public_key, crypto.TAG_PLAIN, b"owe me $100", forged, scheme=NULL_SCHEME)
-        # The production scheme rejects the same construction.
-        real = keygen(b"victim")
-        forged_real = crypto.Signature(forged.data, real.key_id, crypto.TAG_PLAIN)
-        assert not verify(real.public_key, crypto.TAG_PLAIN, b"owe me $100", forged_real)
+    def test_a_digest_of_the_message_is_not_a_signature(self):
+        # What anyone can compute without the secret key does not verify.
+        victim = keygen(b"victim")
+        framed = crypto.TAG_PLAIN.encode() + b"\n" + b"owe me $100"
+        for data in (hashlib.sha256(framed).digest(), b"", b"\x00" * 64):
+            forged = crypto.Signature(data, victim.key_id, crypto.TAG_PLAIN)
+            assert not verify(victim.public_key, crypto.TAG_PLAIN, b"owe me $100", forged)
 
 
 def test_key_directory_lookup():

@@ -1,11 +1,12 @@
 """Scenario validation, execution, determinism, and golden-log regression."""
 
 import copy
+import dataclasses
 import importlib.util
 import re
 import sys
 import tempfile
-from dataclasses import replace
+import typing
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,12 @@ from coopattest.attestation import (
     BlindedAttestation,
     CounterSignedAttestation,
     PlainAttestation,
-    attestation_from_map,
 )
 from coopattest.canonical import canonical_parse, canonical_serialize
-from coopattest.errors import ConfigInvalid, DecodeError, ScriptActionFailed
+from coopattest.errors import ConfigInvalid, DecodeError, ScriptActionFailed, UnsupportedValue
 from coopattest.harness import (
+    CHANNELS,
+    KINDS,
     SCHEMA,
     Event,
     EventLog,
@@ -32,8 +34,9 @@ from coopattest.harness import (
     run_scenario,
     validate_config,
 )
+from coopattest.travel_rule import TravelRuleRecord
 
-from conftest import reference_value
+from conftest import mutated, reference_value
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
@@ -74,9 +77,16 @@ def minimal_config(**overrides):
     return ScenarioConfig.from_map(raw)
 
 
+def config_map(config):
+    """The map of *config*, each entry copied."""
+    sections = ("notaries", "cooperatives", "exchanges", "providers", "script")
+    return {"seed": config.seed, "tick_limit": config.tick_limit,
+            **{key: [dict(entry) for entry in getattr(config, key)] for key in sections}}
+
+
 def minimal_plus(*actions, **overrides):
     """minimal_config() with *actions* appended to its script."""
-    script = minimal_config().to_map()["script"] + [dict(a) for a in actions]
+    script = config_map(minimal_config())["script"] + [dict(a) for a in actions]
     return minimal_config(script=script, **overrides)
 
 
@@ -156,21 +166,48 @@ class TestValidateConfig:
          "cooperatives[0].year_ticks: must be a positive integer"),
     ])
     def test_integer_field_rejects_bool(self, path, problem):
-        raw = minimal_plus(TRANSFER).to_map()
+        raw = config_map(minimal_plus(TRANSFER))
         assert validate_config(ScenarioConfig.from_map(raw)) == []
         mutate(raw, path, True)
         assert problem in validate_config(ScenarioConfig.from_map(raw))
 
+    @pytest.mark.parametrize("path, problem", [
+        (("notaries", 0, "compatibles"), "notaries[0].compatibles: unknown field"),
+        (("cooperatives", 0, "legal_representative"),
+         "cooperatives[0].legal_representative: unknown field"),
+        (("cooperatives", 0, "members", 0, "nickname"),
+         "cooperatives[0].members[0].nickname: unknown field"),
+        (("exchanges", 1, "threshhold"), "exchanges[1].threshhold: unknown field"),
+        (("providers", 0, "prefer_local_prot"), "providers[0].prefer_local_prot: unknown field"),
+        (("script", 0, "tll"), "script[0].tll: unknown field"),
+        (("script", 2, "memo"), "script[2].memo: unknown field"),
+    ])
+    def test_undeclared_key_is_a_problem(self, path, problem):
+        raw = config_map(minimal_plus(TRANSFER, providers=[{"name": "P1", "jurisdiction": "US"}]))
+        assert validate_config(ScenarioConfig.from_map(raw)) == []
+        mutate(raw, path, True)
+        config = ScenarioConfig.from_map(raw)
+        assert validate_config(config) == [problem]
+        with pytest.raises(ConfigInvalid):
+            run_scenario(config)
+
+    @pytest.mark.parametrize("key", ["scripts", "notary", "tick-limit"])
+    def test_undeclared_top_level_key_is_a_decode_error(self, key):
+        raw = config_map(minimal_config())
+        raw[key] = []
+        with pytest.raises(DecodeError, match=f"scenario config has unknown field '{key}'"):
+            ScenarioConfig.from_map(raw)
+
     @pytest.mark.parametrize("section", ["notaries", "cooperatives", "exchanges", "script"])
     def test_non_map_entry_is_a_problem(self, section):
-        raw = minimal_config().to_map()
+        raw = config_map(minimal_config())
         raw[section][0] = 7
         assert f"{section}[0]: must be a map" in validate_config(ScenarioConfig.from_map(raw))
 
     @pytest.mark.parametrize("section", ["cooperatives", "script"])
     @pytest.mark.parametrize("value", [7, {"a": 1}, "text"])
     def test_non_list_section_is_a_decode_error(self, section, value):
-        raw = minimal_config().to_map()
+        raw = config_map(minimal_config())
         raw[section] = value
         with pytest.raises(DecodeError, match=section):
             ScenarioConfig.from_map(raw)
@@ -233,6 +270,46 @@ class TestSchemaReference:
             for name, fields in entries.items()
         }
         assert self.readme_rows() == expected
+
+
+class TestEventReference:
+    """The README's tables of event payloads and message bodies list exactly
+    the keys KINDS and CHANNELS declare, in order, with their types."""
+
+    TYPES = {str: "text", int: "integer", bool: "boolean", bytes: "bytes", dict: "map",
+             dict[str, int]: "map of text to integer", BlindedAttestation: "blinded",
+             CounterSignedAttestation: "countersigned",
+             TravelRuleRecord | None: "travel record (optional, written when set)"}
+
+    def declared_rows(self, heading, table) -> list:
+        rows = []
+        for name, layout in table.items():
+            if layout is dict:   # a plain map, which the README describes in words
+                continue
+            hints = typing.get_type_hints(layout)
+            rows += [(heading, name, f.metadata.get("key", f.name), self.TYPES[hints[f.name]])
+                     for f in dataclasses.fields(layout)]
+        return rows
+
+    @staticmethod
+    def readme_rows() -> list:
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Event log", 1)[1].split("\n### ", 1)[0]
+        rows, heading = [], None
+        for line in section.splitlines():
+            cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or cells[0].startswith("-"):
+                continue
+            if cells[1:] == ["key", "type"]:
+                heading = cells[0]
+            else:
+                rows.append((heading, *cells))
+        return rows
+
+    def test_readme_matches_declarations(self):
+        assert [kind for kind, layout in KINDS.items() if layout is dict] == ["action"]
+        assert self.readme_rows() == (self.declared_rows("kind", KINDS)
+                                      + self.declared_rows("channel", CHANNELS))
 
 
 class TestRunScenario:
@@ -344,7 +421,7 @@ def texts(node):
         yield from texts(child)
 
 
-BASES = {"minimal": canonical_serialize(minimal_config().to_map())}
+BASES = {"minimal": canonical_serialize(config_map(minimal_config()))}
 BASES.update((name, bundled_scenario_path(name).read_bytes()) for name in bundled_scenario_names())
 
 OTHER_VALUES = st.one_of(
@@ -417,31 +494,23 @@ ARTIFACTS = (PlainAttestation, BlindedAttestation, CounterSignedAttestation)
 
 
 def reference_log_bytes(log):
-    """The bytes of *log*, with each attestation in it encoded from its
-    reference map, not from the text it keeps."""
-    return b"".join(canonical_serialize(reference_value(e.to_map())) + b"\n" for e in log)
+    """The bytes of *log*, each line encoded from a map that
+    ``reference_value`` builds from the event's values alone: not from the
+    log's writer, nor from the text an attestation keeps."""
+    return b"".join(canonical_serialize(reference_value(
+        {"tick": e.tick, "actor": e.actor, "kind": e.kind, "payload": e.payload})) + b"\n"
+        for e in log)
 
 
 def check_reread(log, data):
-    """*data*, the bytes of *log*, reads back as *log*: the bytes round trip,
-    every payload value is equal, and each attestation a message body holds
-    is read back as a map that decodes to an equal artifact.  Returns how
-    many attestations were decoded."""
+    """*data*, the bytes of *log*, reads back as *log*: the bytes round trip
+    and every event is equal, the attestations and records in it included.
+    Returns how many attestations the re-read message bodies hold."""
     reread = EventLog.from_bytes(data)
     assert reread.to_bytes() == data
-    assert len(reread) == len(log)
-    decoded = 0
-    for event, back in zip(log, reread):
-        body = event.payload.get("body")
-        if isinstance(body, dict) and any(isinstance(v, ARTIFACTS) for v in body.values()):
-            raw = back.payload["body"]
-            assert raw.keys() == body.keys()
-            raw = {key: attestation_from_map(value) if isinstance(body[key], ARTIFACTS) else value
-                   for key, value in raw.items()}
-            decoded += sum(isinstance(value, ARTIFACTS) for value in body.values())
-            back = replace(back, payload={**back.payload, "body": raw})
-        assert back == event
-    return decoded
+    assert reread.events == log.events
+    return sum(isinstance(value, ARTIFACTS)
+               for event in reread.of_kind("send") for value in event.payload["body"].values())
 
 
 def tiny_benchmark_workload(name):
@@ -457,6 +526,28 @@ def tiny_benchmark_workload(name):
     return ScenarioConfig.from_map(canonical_parse(canonical_serialize(workload.config)))
 
 
+# Every bundled scenario, then both benchmark workloads at their smoke-test size.
+SCENARIOS = [*bundled_scenario_names(), "dsn_attested", "travel_churn"]
+
+
+def scenario_config(name):
+    if name in bundled_scenario_names():
+        return ScenarioConfig.load(bundled_scenario_path(name))
+    return tiny_benchmark_workload(name)
+
+
+GOLDEN_LINES = [line for path in sorted(GOLDEN_DIR.glob("*.log"))
+                for line in path.read_bytes().splitlines()]
+
+# A tampered event: a declared kind with the smallest payload.
+GOOD_LINE = b'{"actor":"A","kind":"tampered","payload":{"account":"a"},"tick":1}\n'
+
+
+def send_line(channel, body, payload_extra=b""):
+    return (b'{"actor":"A","kind":"send","payload":{"body":' + body + b',"channel":"' + channel
+            + b'"' + payload_extra + b',"to":"B"},"tick":1}')
+
+
 class TestEventLog:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_to_bytes_matches_reference_on_bundled(self, name):
@@ -467,6 +558,11 @@ class TestEventLog:
     def test_to_bytes_matches_reference_on_benchmark_workloads(self, name):
         log = run_scenario(tiny_benchmark_workload(name))
         assert log.to_bytes() == reference_log_bytes(log)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_reads_back_as_written(self, name):
+        log = run_scenario(scenario_config(name))
+        check_reread(log, log.to_bytes())
 
     def test_attestation_bodies_hold_the_artifacts(self):
         scenario = Scenario(minimal_plus(TRANSFER))
@@ -481,23 +577,34 @@ class TestEventLog:
         assert check_reread(log, log.to_bytes()) == 3
 
     def test_to_bytes_matches_reference_on_hand_built(self):
-        shared = {"n": 1, "text": 'quote " slash \\ nul \x00 bell \x07 us \x1f'}
-        twin = {"n": 2}
+        shared = {"handle": 'quote " slash \\ nul \x00 bell \x07 us \x1f'}
+        twin = {"handle": "@b"}
         log = EventLog([
-            Event(0, "B", "deliver", {"from": "A", "channel": "c", "body": {"n": 0}}),
-            Event(1, "A", "send", {"to": "B", "channel": "c", "body": shared}),
-            Event(1, "B", "deliver", {"from": "A", "channel": "c", "body": shared}),
-            Event(2, "A", "send", {"to": "B", "channel": "c", "body": twin}),
-            Event(2, "B", "deliver", {"from": "A", "channel": "c", "body": dict(twin)}),
-            Event(3, "A", "send", {"to": "B", "channel": "c", "body": {"n": 3}}),
-            Event(4, "A", "action", {"label": "between"}),
-            Event(5, "A", "send", {"to": "B", "channel": "c", "body": shared}),
-            Event(5, "A", "send", {"to": "C", "channel": "c", "body": shared}),
-            Event(6, "A", "send", {"to": "B", "channel": "c", "body": [b"\x01", -7, True]}),
+            Event(0, "B", "tampered", {"account": "a"}),
+            Event(1, "A", "send", {"to": "B", "channel": "recovery-notice", "body": shared}),
+            Event(1, "B", "send", {"to": "A", "channel": "recovery-notice", "body": shared}),
+            Event(2, "A", "send", {"to": "B", "channel": "recovery-notice", "body": twin}),
+            Event(2, "B", "send", {"to": "A", "channel": "recovery-notice", "body": dict(twin)}),
+            Event(3, "A", "send", {"to": "B", "channel": "recovery-notice",
+                                   "body": {"handle": "@c"}}),
+            Event(4, "scheduler", "action", {"label": "between", "list": [b"\x01", -7, True]}),
+            Event(5, "A", "send", {"to": "B", "channel": "recovery-notice", "body": shared}),
+            Event(5, "A", "send", {"to": "C", "channel": "recovery-notice", "body": shared}),
+            Event(6, "P", "chain-verified", {"ok": False}),
+            Event(7, "E", "transfer-decision", {"transfer_id": "t", "outcome": "rejected",
+                                                "reason": "revoked", "travel_record": None}),
         ])
         data = log.to_bytes()
         assert data == reference_log_bytes(log)
         assert check_reread(log, data) == 0
+        for event, undeclared in [
+            (Event(0, "B", "deliver", {"from": "A", "channel": "c", "body": {"n": 0}}),
+             "'deliver'"),
+            (Event(1, "A", "send", {"to": "B", "channel": "c", "body": {"n": 0}}),
+             "('send', 'c')"),
+        ]:
+            with pytest.raises(UnsupportedValue, match=re.escape(f"undeclared event {undeclared}")):
+                EventLog([*log, event]).to_bytes()
 
     def test_to_bytes_of_empty_log(self):
         assert EventLog().to_bytes() == b""
@@ -514,28 +621,95 @@ class TestEventLog:
         assert check_reread(log, path.read_bytes()) == 2
 
     @pytest.mark.parametrize("line, problem", [
-        (b"5", "event must be a map"),
-        (b'{"actor":"A","kind":"k","payload":{}}', "missing field 'tick'"),
-        (b'{"actor":"A","kind":"k","payload":{},"tick":"x"}', "field 'tick' has wrong type"),
+        (b"5", "Event must be a map"),
+        (b'{"actor":"A","kind":"tampered","payload":{"account":"a"}}', "missing field 'tick'"),
+        (b'{"actor":"A","kind":"tampered","payload":{"account":"a"},"tick":"x"}',
+         "field 'tick' has wrong type"),
         (b'{"actor":1,"kind":2,"payload":3,"tick":"x"}', "field 'tick' has wrong type"),
-        (b'{"actor":"A","kind":"k","payload":{},"tick":true}', "field 'tick' has wrong type"),
+        (b'{"actor":"A","kind":"tampered","payload":{"account":"a"},"tick":true}',
+         "field 'tick' has wrong type"),
         (b'{"actor":"A","kind":2,"payload":{},"tick":1}', "field 'kind' has wrong type"),
-        (b'{"actor":"A","kind":"k","payload":[],"tick":1}', "field 'payload' has wrong type"),
-        (b'{"actor":"A","kind":"k","payload":{},"tick":1,"wire":0}', "unknown field 'wire'"),
+        (b'{"actor":"A","kind":"tampered","payload":[],"tick":1}',
+         "field 'payload' has wrong type"),
+        (b'{"actor":"A","kind":"tampered","payload":{"account":"a"},"tick":1,"wire":0}',
+         "unknown field 'wire'"),
         (b'{"actor":"A",', "expected a map key at byte 13"),
         (b"\x0c", "unexpected b'\\x0c' at byte 0"),
+        # The kind and the channel must be declared ...
+        (b'{"actor":"A","kind":"k","payload":{},"tick":1}', "unknown event kind 'k'"),
+        (b'{"actor":"A","kind":"deliver","payload":{},"tick":1}', "unknown event kind 'deliver'"),
+        (send_line(b"c", b"{}"), "unknown send channel 'c'"),
+        # ... and the payload and the body have exactly their declared keys and types.
+        (b'{"actor":"A","kind":"tampered","payload":{},"tick":1}',
+         "tampered payload missing field 'account'"),
+        (b'{"actor":"A","kind":"tampered","payload":{"account":"a","extra":1},"tick":1}',
+         "tampered payload has unknown field 'extra'"),
+        (b'{"actor":"A","kind":"tampered","payload":{"account":5},"tick":1}',
+         "tampered payload field 'account' has wrong type"),
+        (b'{"actor":"A","kind":"chain-verified","payload":{"ok":1},"tick":1}',
+         "chain-verified payload field 'ok' has wrong type"),
+        (b'{"actor":"A","kind":"issued","payload":{"attestation_id":"x","label":"a1",'
+         b'"member":"m"},"tick":1}', "issued payload field 'attestation_id' has wrong type"),
+        (send_line(b"recovery-notice", b"{}"), "recovery-notice body missing field 'handle'"),
+        (send_line(b"recovery-notice", b'{"handle":"@a","x":1}'),
+         "recovery-notice body has unknown field 'x'"),
+        (send_line(b"recovery-notice", b'{"handle":"@a"}', b',"extra":1'),
+         "send payload has unknown field 'extra'"),
+        (send_line(b"post", b'{"author_handle":"@a","body":0x,"origin_provider":"P","sent_at":1}'),
+         "post body must be non-empty"),
+        (send_line(b"countersigned", b'{"attestation":{}}'),
+         "CounterSignedAttestation missing field 'kind'"),
     ])
     def test_a_line_that_is_not_an_event_is_a_decode_error(self, line, problem):
-        good = b'{"actor":"A","kind":"k","payload":{},"tick":1}\n'
-        assert EventLog.from_bytes(good).events == [Event(1, "A", "k", {})]
+        good = [Event(1, "A", "tampered", {"account": "a"})]
+        assert EventLog.from_bytes(GOOD_LINE).events == good
         with pytest.raises(DecodeError, match=rf"^event-log line 3: .*{re.escape(problem)}"):
-            EventLog.from_bytes(good + b"\n" + line + b"\n" + good)
+            EventLog.from_bytes(GOOD_LINE + b"\n" + line + b"\n" + GOOD_LINE)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_mutated_golden_line_decodes_to_itself_or_is_a_decode_error(self, data):
+        """A golden line changed once either decodes to an event that writes
+        the same bytes back, or raises DecodeError, never another exception.
+        A value of another type or an added key is a DecodeError, except
+        inside an action payload, which is a plain map, and for a key added
+        to a revocation-sync's map of entries."""
+        original = canonical_parse(data.draw(st.sampled_from(GOLDEN_LINES)))
+        how, path, raw = data.draw(mutated(original))
+        line = canonical_serialize(raw)
+        try:
+            log = EventLog.from_bytes(line)
+        except DecodeError:
+            return
+        plain_map = (original["kind"] == "action" and path[:1] == ("payload",)
+                     or how == "add key" and path[-1:] == ("entries",))
+        assert how == "same type" or plain_map, f"{how} at {path} was accepted"
+        assert log.to_bytes() == line + b"\n"
 
     @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.log")) + sorted(GOLDEN_DIR.glob("v1/*.log")),
                              ids=lambda path: f"{path.parent.name}/{path.name}")
     def test_every_golden_loads(self, path):
         data = path.read_bytes()
-        assert EventLog.from_bytes(data).to_bytes() == data
+        if path.parent.name != "v1":
+            assert EventLog.from_bytes(data).to_bytes() == data
+            return
+        # A v1 log is canonical, but the v2 reader names its first line
+        # that v2 no longer declares: a deliver, or a witness-request that
+        # carries the plain attestation.
+        lines = data.splitlines()
+        assert all(canonical_serialize(canonical_parse(line)) == line for line in lines)
+        first = next(number for number, line in enumerate(lines, 1)
+                     if v1_only(canonical_parse(line)))
+        with pytest.raises(DecodeError, match=rf"^event-log line {first}: "):
+            EventLog.from_bytes(data)
+
+
+def v1_only(event: dict) -> bool:
+    """True iff *event*, the map of a line, is of a form only v1 logs hold."""
+    payload = event["payload"]
+    return event["kind"] == "deliver" or (
+        event["kind"] == "send" and payload["channel"] == "witness-request"
+        and "plain" in payload["body"])
 
 
 def v1_to_v2(data: bytes) -> bytes:
@@ -572,12 +746,9 @@ class TestLogFormat:
         v1 = (GOLDEN_DIR / "v1" / f"{name}.log").read_bytes()
         assert v1_to_v2(v1) == (GOLDEN_DIR / f"{name}.log").read_bytes()
 
-    @pytest.mark.parametrize("name", [*bundled_scenario_names(), "dsn_attested", "travel_churn"])
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_no_legal_identity_outside_a_disclosed_travel_record(self, name):
-        if name in bundled_scenario_names():
-            config = ScenarioConfig.load(bundled_scenario_path(name))
-        else:
-            config = tiny_benchmark_workload(name)
+        config = scenario_config(name)
         identities = [m["legal_identity"].encode()
                       for coop in config.cooperatives for m in coop["members"]]
         assert identities

@@ -21,7 +21,7 @@ from coopattest.ledger import (
     record_bytes,
 )
 
-from conftest import check_strict_decoding, make_plain
+from conftest import check_strict_decoding, ledger_from_records, make_plain
 
 
 @pytest.fixture
@@ -167,19 +167,19 @@ class TestVerifyChain:
         records[2] = dataclasses.replace(
             victim, payload=dataclasses.replace(victim.payload, posted_at=999)
         )
-        tampered = Ledger.from_records("B1", writer.public_key, records)
+        tampered = ledger_from_records("B1", writer.public_key, records)
         assert not tampered.verify_chain()
 
     def test_reordered_records_false(self, writer, sample_csa):
         ledger = self._populated(writer, sample_csa)
         records = list(ledger.records)
         records[1], records[2] = records[2], records[1]
-        assert not Ledger.from_records("B1", writer.public_key, records).verify_chain()
+        assert not ledger_from_records("B1", writer.public_key, records).verify_chain()
 
     def test_dropped_record_false(self, writer, sample_csa):
         ledger = self._populated(writer, sample_csa)
         records = list(ledger.records)[:-2] + [list(ledger.records)[-1]]
-        assert not Ledger.from_records("B1", writer.public_key, records).verify_chain()
+        assert not ledger_from_records("B1", writer.public_key, records).verify_chain()
 
 
 class TestPersistence:
@@ -194,7 +194,7 @@ class TestPersistence:
     @staticmethod
     def _rebuilt(writer, stored: list[bytes]) -> Ledger:
         records = [record_from_map(LedgerRecord, canonical_parse(data)) for data in stored]
-        return Ledger.from_records("B1", writer.public_key, records)
+        return ledger_from_records("B1", writer.public_key, records)
 
     def test_bytes_roundtrip(self, writer, sample_csa):
         ledger, stored = self._stored(writer, sample_csa)

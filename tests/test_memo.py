@@ -12,7 +12,6 @@ from coopattest.attestation import (
     canonical_bytes,
     countersign,
     countersign_bytes,
-    signing_bytes,
     verify_countersigned,
     verify_pair,
 )
@@ -32,7 +31,7 @@ from coopattest.ledger import (
     record_signing_bytes,
 )
 
-from conftest import make_plain, reference_map, reference_value
+from conftest import ledger_from_records, make_plain, reference_map, reference_value
 
 
 @pytest.fixture
@@ -41,9 +40,9 @@ def verify_calls(monkeypatch):
     calls = []
     real = crypto.verify
 
-    def counting(public_key, domain_tag, message, sig, scheme=crypto.ED25519):
+    def counting(public_key, domain_tag, message, sig):
         calls.append((public_key, domain_tag, message, sig))
-        return real(public_key, domain_tag, message, sig, scheme)
+        return real(public_key, domain_tag, message, sig)
 
     monkeypatch.setattr(crypto, "verify", counting)
     return calls
@@ -66,7 +65,7 @@ class TestBytes:
             # Read twice: the second read is the memo.
             assert canonical_bytes(artifact) is canonical_bytes(artifact)
             assert canonical_bytes(dataclasses.replace(artifact)) == canonical_bytes(artifact)
-        assert signing_bytes(plain) == signing_bytes(dataclasses.replace(plain))
+        assert plain._signed_bytes == dataclasses.replace(plain)._signed_bytes
 
     def test_memos_are_not_fields(self, csa):
         canonical_bytes(csa)
@@ -145,7 +144,7 @@ class TestBytes:
         # and the chain no longer reaches it.
         forged = dataclasses.replace(first, payload=PostRecord(crypto.digest(b"x"), ptr, 1))
         assert forged._digest != first._digest
-        tampered = Ledger.from_records("l1", writer.public_key, [forged, second])
+        tampered = ledger_from_records("l1", writer.public_key, [forged, second])
         assert not tampered.verify_chain()
 
 
