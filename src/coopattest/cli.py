@@ -26,7 +26,7 @@ from .attestation import (
 )
 from .canonical import canonical_parse, canonical_serialize, write_canonical
 from .cooperative import Cooperative, Status
-from .crypto import Digest, keygen
+from .crypto import DIGEST_SIZE, Digest, keygen
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
 from .errors import ExpiredAtWitnessing, PairMismatch
 from .harness import ScenarioConfig, run_scenario, validate_config
@@ -41,11 +41,15 @@ class UsageError(Exception):
     pass
 
 
-def _hex_bytes(text: str, what: str) -> bytes:
+def _hex_bytes(text: str, what: str, size: int | None = None) -> bytes:
+    """Non-empty hex, of exactly *size* bytes when that is given."""
     try:
-        return bytes.fromhex(text)
+        raw = bytes.fromhex(text)
     except ValueError:
         raise UsageError(f"{what} must be hexadecimal") from None
+    if not raw or (size is not None and len(raw) != size):
+        raise UsageError(f"{what} must be {size or 'one or more'} bytes, got {len(raw)}")
+    return raw
 
 
 def _read_public_key(path: str) -> bytes:
@@ -85,8 +89,18 @@ def cmd_issue(args) -> int:
         raise UsageError("--ttl must be positive")
     plain, blinded = coop.issue_blinded(args.member, queries, args.mode, args.now, args.ttl)
     # The state file last: a failed write of an output leaves it as it was.
-    write_attestation(args.out_plain, plain)
-    write_attestation(args.out_blinded, blinded)
+    # A failed blinded write takes back the plain one, which names the member.
+    plain_path = Path(args.out_plain).resolve()
+    replaced = plain_path.read_bytes() if plain_path.exists() else None
+    write_attestation(plain_path, plain)
+    try:
+        write_attestation(args.out_blinded, blinded)
+    except OSError:
+        if replaced is None:
+            plain_path.unlink()
+        else:
+            write_canonical(plain_path, replaced)
+        raise
     coop.save_state(args.coop)
     print(f"issued {blinded.attestation_id.hex()}")
     return EXIT_OK
@@ -125,8 +139,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_revoke(args) -> int:
+    attestation_id = Digest(_hex_bytes(args.id, "--id", DIGEST_SIZE))
     coop = Cooperative.load_state(args.coop)
-    attestation_id = Digest(_hex_bytes(args.id, "--id"))
     coop.revoke(attestation_id, args.now)
     coop.save_state(args.coop)
     print(f"revoked {args.id} at tick {args.now}")
@@ -134,16 +148,16 @@ def cmd_revoke(args) -> int:
 
 
 def cmd_status(args) -> int:
+    attestation_id = Digest(_hex_bytes(args.id, "--id", DIGEST_SIZE))
     coop = Cooperative.load_state(args.coop)
-    attestation_id = Digest(_hex_bytes(args.id, "--id"))
     status = coop.revalidation_status(attestation_id, args.now)
     print(status.value)
     return EXIT_OK if status is Status.VALID else EXIT_FAILURE
 
 
 def cmd_disclose(args) -> int:
+    attestation_id = Digest(_hex_bytes(args.id, "--id", DIGEST_SIZE))
     notary = Notary.load_state(args.notary)
-    attestation_id = Digest(_hex_bytes(args.id, "--id"))
     response = notary.respond_disclosure(attestation_id, args.jurisdiction,
                                          args.purpose, args.now)
     notary.save_state(args.notary)

@@ -13,9 +13,10 @@ provider ever having authenticated the sender itself.
 
 Providers may port attestation records onto their own ledgers and, by
 policy, resolve matches locally instead of re-reading the origin chain.
-A recovery key rotates a lost account: the old account is deactivated,
-a fresh attestation record lands on the ledger (append-only, the old
-record stays), and all providers are notified.
+A recovery key rotates a lost account: a fresh attestation record lands
+on the ledger (append-only, the old record stays), a new account bound
+to it replaces the old one, and a notice goes to every other provider.
+The notices are logged; no provider keeps them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ REASON_ORIGIN = "origin-mismatch"
 @dataclass(frozen=True)
 class SenderAccount:
     handle: str
-    home_provider: str
     signing_key_id: Digest
     recovery_public_key: bytes
     attestation_ptr: RecordPointer
@@ -130,11 +130,8 @@ class Provider:
         ledger_registry[name] = self.ledger
         self.peers: dict[str, Provider] = {}
         self.accounts: dict[str, SenderAccount] = {}
-        self.retired: list[SenderAccount] = []
-        self.filter_log: list[tuple[Post, FilterDecision]] = []
         self.delivered: list[Post] = []
-        self.recovery_notices: list[dict] = []
-        self._ported: dict[tuple[str, int], RecordPointer] = {}
+        self._ported: dict[RecordPointer, RecordPointer] = {}
         self._emit = no_emit
 
     # --- onboarding -----------------------------------------------------------
@@ -146,12 +143,31 @@ class Provider:
             return None
         return verify_countersigned(csa, issuer_key, notary_key, now)
 
-    def _check_handle_binding(self, csa: CounterSignedAttestation, handle: str) -> None:
+    @staticmethod
+    def _binds(csa: CounterSignedAttestation, handle: str) -> bool:
         subject = csa.blinded.subject
-        if subject.mode != MODE_HANDLE or subject.value != handle:
+        return subject.mode == MODE_HANDLE and subject.value == handle
+
+    def _open_account(self, kind: str, handle: str, csa: CounterSignedAttestation,
+                      recovery_public_key: bytes, signing_key_id: Digest,
+                      now: int) -> SenderAccount:
+        """Record a handle-bound, valid attestation on the ledger and make
+        the active account of *handle* point at it; log it as *kind*."""
+        if not self._binds(csa, handle):
+            subject = csa.blinded.subject
             raise HandleMismatch(
                 f"attestation subject is {subject.mode}:{subject.value!r}, expected {handle!r}"
             )
+        report = self._verify_csa(csa, now)
+        if report is None or not report.passed:
+            raise InvalidAttestation(
+                "unknown keys" if report is None else f"failing checks: {report.failing()}"
+            )
+        ptr = self.ledger.append(self.writer, AttestationRecord(csa))
+        account = SenderAccount(handle, signing_key_id, recovery_public_key, ptr, active=True)
+        self.accounts[handle] = account
+        self._emit(kind, {"handle": handle, "ledger_index": ptr.index})
+        return account
 
     def onboard_sender(
         self,
@@ -165,24 +181,8 @@ class Provider:
         account.  Must happen before the handle transmits any post."""
         if handle in self.accounts:
             raise HandleTaken(handle)
-        self._check_handle_binding(csa, handle)
-        report = self._verify_csa(csa, now)
-        if report is None or not report.passed:
-            raise InvalidAttestation(
-                "unknown keys" if report is None else f"failing checks: {report.failing()}"
-            )
-        ptr = self.ledger.append(self.writer, AttestationRecord(csa))
-        account = SenderAccount(
-            handle=handle,
-            home_provider=self.name,
-            signing_key_id=signing_key_id,
-            recovery_public_key=recovery_public_key,
-            attestation_ptr=ptr,
-            active=True,
-        )
-        self.accounts[handle] = account
-        self._emit("onboard", {"handle": handle, "ledger_index": ptr.index})
-        return account
+        return self._open_account("onboard", handle, csa, recovery_public_key,
+                                  signing_key_id, now)
 
     def deactivate_sender(self, handle: str) -> None:
         account = self.accounts.get(handle)
@@ -215,7 +215,6 @@ class Provider:
 
     def receive_post(self, post: Post, now: int) -> FilterDecision:
         decision = self.filter_incoming(post, now)
-        self.filter_log.append((post, decision))
         if decision.outcome == OUTCOME_DELIVER:
             self.delivered.append(post)
         self._emit("filter-decision", {
@@ -228,35 +227,38 @@ class Provider:
 
     # --- filtering -------------------------------------------------------------
 
-    def _search_posts(self, ledger: Ledger, body_digest: Digest) -> list[LedgerRecord]:
-        self._emit("ledger-search", {"ledger": ledger.ledger_id, "post_digest": body_digest.value})
-        return ledger.post_matches(body_digest)
+    def _matches(self, post: Post) -> list[LedgerRecord]:
+        """The post records on the post's origin ledger with its body digest."""
+        origin_ledger = self._ledgers.get(post.origin_provider)
+        if origin_ledger is None:
+            return []
+        body_digest = crypto.digest(post.body)
+        self._emit("ledger-search", {"ledger": origin_ledger.ledger_id,
+                                     "post_digest": body_digest.value})
+        return origin_ledger.post_matches(body_digest)
 
-    def _read_record(self, ledger: Ledger, ptr: RecordPointer) -> LedgerRecord | None:
+    def _resolve(self, ptr: RecordPointer) -> CounterSignedAttestation | None:
+        """The attestation held by the record a pointer names, or None.
+        A read of another provider's ledger is logged."""
+        ledger = self._ledgers.get(ptr.ledger_id)
+        if ledger is None:
+            return None
         try:
             record = ledger.get(ptr)
         except OutOfBounds:
             return None
         if ledger is not self.ledger:
             self._emit("ledger-read", {"ledger": ptr.ledger_id, "index": ptr.index})
-        return record
-
-    def _fetch_attestation(self, att_ptr: RecordPointer) -> CounterSignedAttestation | None:
-        """Resolve an attestation pointer, preferring a local ported copy
-        when policy says so."""
-        if self.prefer_local_port:
-            local_ptr = self._ported.get((att_ptr.ledger_id, att_ptr.index))
-            if local_ptr is not None:
-                record = self._read_record(self.ledger, local_ptr)
-                if record is not None and isinstance(record.payload, AttestationRecord):
-                    return record.payload.csa
-        target = self._ledgers.get(att_ptr.ledger_id)
-        if target is None:
-            return None
-        record = self._read_record(target, att_ptr)
-        if record is None or not isinstance(record.payload, AttestationRecord):
+        if not isinstance(record.payload, AttestationRecord):
             return None
         return record.payload.csa
+
+    def _fetch_attestation(self, att_ptr: RecordPointer) -> CounterSignedAttestation | None:
+        """Resolve an attestation pointer, through its local ported copy
+        when policy says so."""
+        if self.prefer_local_port:
+            att_ptr = self._ported.get(att_ptr, att_ptr)
+        return self._resolve(att_ptr)
 
     def filter_incoming(self, post: Post, now: int) -> FilterDecision:
         """Re-derive the post's standing from the origin ledger.
@@ -266,15 +268,8 @@ class Provider:
         drop reason comes from whichever candidate got furthest through
         the pipeline.
         """
-        body_digest = crypto.digest(post.body)
-        origin_ledger = self._ledgers.get(post.origin_provider)
-        if origin_ledger is None:
-            return FilterDecision(OUTCOME_DROP, REASON_NO_MATCH)
-        matches = self._search_posts(origin_ledger, body_digest)
-        if not matches:
-            return FilterDecision(OUTCOME_DROP, REASON_NO_MATCH)
         best_stage, best_reason = 0, REASON_NO_MATCH
-        for record in matches:
+        for record in self._matches(post):
             stage, reason = self._judge_match(record, post, now)
             if reason == REASON_ATTESTED:
                 return FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
@@ -286,8 +281,7 @@ class Provider:
         csa = self._fetch_attestation(record.payload.attestation_ptr)
         if csa is None:
             return 1, REASON_INVALID
-        subject = csa.blinded.subject
-        if subject.mode != MODE_HANDLE or subject.value != post.author_handle:
+        if not self._binds(csa, post.author_handle):
             return 2, REASON_ORIGIN
         report = self._verify_csa(csa, now)
         if report is None:
@@ -310,14 +304,13 @@ class Provider:
 
     def port_attestation(self, origin_ledger: str, ptr: RecordPointer) -> RecordPointer:
         """Copy an attestation record from a remote ledger onto this one."""
-        source = self._ledgers.get(origin_ledger)
-        if source is None:
+        if origin_ledger not in self._ledgers:
             raise DanglingAttestationPointer(f"unknown ledger {origin_ledger!r}")
-        record = self._read_record(source, ptr)
-        if record is None or not isinstance(record.payload, AttestationRecord):
+        csa = self._resolve(ptr) if ptr.ledger_id == origin_ledger else None
+        if csa is None:
             raise DanglingAttestationPointer(f"{ptr} is not an attestation record")
-        local_ptr = self.ledger.append(self.writer, record.payload)
-        self._ported[(ptr.ledger_id, ptr.index)] = local_ptr
+        local_ptr = self.ledger.append(self.writer, AttestationRecord(csa))
+        self._ported[ptr] = local_ptr
         self._emit("ported", {
             "origin_ledger": ptr.ledger_id, "origin_index": ptr.index,
             "local_index": local_ptr.index,
@@ -327,15 +320,9 @@ class Provider:
     # --- disclosure ---------------------------------------------------------------
 
     def _trace_attestation(self, post: Post) -> CounterSignedAttestation | None:
-        origin_ledger = self._ledgers.get(post.origin_provider)
-        if origin_ledger is None:
-            return None
-        for record in self._search_posts(origin_ledger, crypto.digest(post.body)):
+        for record in self._matches(post):
             csa = self._fetch_attestation(record.payload.attestation_ptr)
-            if csa is None:
-                continue
-            subject = csa.blinded.subject
-            if subject.mode == MODE_HANDLE and subject.value == post.author_handle:
+            if csa is not None and self._binds(csa, post.author_handle):
                 return csa
         return None
 
@@ -361,8 +348,9 @@ class Provider:
         new_csa: CounterSignedAttestation,
         now: int,
     ) -> SenderAccount:
-        """Rotate a lost account under the recovery key: deactivate the old
-        account, record a fresh attestation, and notify every provider."""
+        """Rotate a lost account under the recovery key: record a fresh
+        attestation, replace the account with one bound to it, and notify
+        every other provider."""
         account = self.accounts.get(handle)
         if account is None:
             raise UnknownSender(handle)
@@ -371,30 +359,10 @@ class Provider:
                              message, recovery_signature):
             raise BadRecoverySignature(handle)
         try:
-            self._check_handle_binding(new_csa, handle)
+            fresh = self._open_account("recover", handle, new_csa, account.recovery_public_key,
+                                       new_signing_key_id, now)
         except HandleMismatch as exc:
             raise InvalidAttestation(str(exc)) from exc
-        report = self._verify_csa(new_csa, now)
-        if report is None or not report.passed:
-            raise InvalidAttestation(
-                "unknown keys" if report is None else f"failing checks: {report.failing()}"
-            )
-        self.retired.append(replace(account, active=False))
-        ptr = self.ledger.append(self.writer, AttestationRecord(new_csa))
-        fresh = SenderAccount(
-            handle=handle,
-            home_provider=self.name,
-            signing_key_id=new_signing_key_id,
-            recovery_public_key=account.recovery_public_key,
-            attestation_ptr=ptr,
-            active=True,
-        )
-        self.accounts[handle] = fresh
-        self._emit("recover", {"handle": handle, "ledger_index": ptr.index})
         for peer in self.peers.values():
-            send_message(self, peer, "recovery-notice", {"handle": handle},
-                         lambda p=peer: p.note_recovery(handle, now))
+            send_message(self, peer, "recovery-notice", {"handle": handle}, lambda: None)
         return fresh
-
-    def note_recovery(self, handle: str, now: int) -> None:
-        self.recovery_notices.append({"handle": handle, "at": now})

@@ -150,7 +150,6 @@ class Exchange:
         self._outgoing: dict[str, TransferRequest] = {}
         self._incoming: dict[str, TransferRequest] = {}
         self._on_file: dict[str, CounterSignedAttestation] = {}
-        self.decisions: dict[str, TransferDecision] = {}
         self._emit = no_emit
 
     # --- registration -----------------------------------------------------------
@@ -248,7 +247,6 @@ class Exchange:
         if req is None or transfer_id not in self._on_file:
             raise NoAttestationOnFile(transfer_id)
         decision = self._decide(req, csa, now)
-        self.decisions[transfer_id] = decision
         self._emit("transfer-decision", {"transfer_id": transfer_id, **vars(decision)})
         return decision
 

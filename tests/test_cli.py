@@ -89,8 +89,11 @@ class TestKeygen:
     def test_bad_hex_is_usage_error(self, tmp_path):
         assert run(["keygen", "--seed", "zz", "--out", tmp_path / "k.key"]) == 2
 
-    def test_empty_seed_rejected(self, tmp_path):
-        assert run(["keygen", "--seed", "", "--out", tmp_path / "k.key"]) == 1
+    def test_empty_seed_rejected(self, tmp_path, capsys):
+        assert run(["keygen", "--seed", "", "--out", tmp_path / "k.key"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIssueCountersignVerify:
@@ -373,6 +376,19 @@ class TestLifecycle:
         assert run(["revoke", "--coop", workdir / "coop.state",
                     "--id", "00" * 32, "--now", 5]) == 1
 
+    @pytest.mark.parametrize("att_id", ["", "00", "00" * 33], ids=["empty", "1-byte", "33-bytes"])
+    @pytest.mark.parametrize("command", ["revoke", "status", "disclose"])
+    def test_an_id_that_is_not_32_bytes_is_usage_error(self, workdir, capsys, command, att_id):
+        issue_and_countersign(workdir)
+        args = file_commands(workdir)[command]
+        args[args.index("--id") + 1] = att_id
+        before = {path: path.read_bytes() for path in workdir.iterdir()}
+        capsys.readouterr()
+        assert run([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --id ") and err.count("\n") == 1
+        assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+
     def test_disclose_compatible_and_not(self, workdir, capsys):
         att_id = self._issued_id(workdir, capsys)
         assert run(["disclose", "--notary", workdir / "notary.state", "--id", att_id,
@@ -482,8 +498,31 @@ def test_a_directory_path_exits_2_with_one_error_line(workdir, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(directory) in err
-    # A state file is written last, so no file that was there has changed.
+    # A state file is written last, so no file that was there has changed,
+    # and no output is left behind.
     assert {path: path.read_bytes() for path in before} == before
+    assert set(workdir.iterdir()) == {*before, directory}
+    assert list(directory.iterdir()) == []
+
+
+def test_issue_keeps_an_existing_plain_output_when_the_blinded_one_fails(workdir, capsys):
+    """The plain output is written first; a failed blinded write puts back
+    the bytes and mode it replaced."""
+    args = file_commands(workdir)["issue"]
+    plain = args[args.index("--out-plain") + 1]
+    plain.write_bytes(b"an earlier plain attestation")
+    plain.chmod(0o640)
+    directory = workdir / "a-directory"
+    directory.mkdir()
+    args[args.index("--out-blinded") + 1] = directory
+    state = (workdir / "coop.state").read_bytes()
+    assert run(["issue", *args]) == 2
+    assert str(directory) in capsys.readouterr().err
+    assert plain.read_bytes() == b"an earlier plain attestation"
+    assert stat.S_IMODE(plain.stat().st_mode) == 0o640
+    assert (workdir / "coop.state").read_bytes() == state
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "a-directory", "coop.state", "notary.state", "x.plain.att"]
 
 
 @pytest.mark.parametrize("command, option", [

@@ -30,7 +30,7 @@ from coopattest.errors import (
     UnknownSender,
     Untraceable,
 )
-from coopattest.ledger import AttestationRecord
+from coopattest.ledger import AttestationRecord, RecordPointer
 from coopattest.notary import OUTCOME_DENIED, OUTCOME_DISCLOSED, JurisdictionPolicy, Notary
 
 
@@ -44,6 +44,12 @@ class Capture:
 
     def of_kind(self, kind):
         return [e for e in self.events if e[1] == kind]
+
+    def decisions(self, provider, body):
+        """The filter decisions *provider* logged for posts with *body*."""
+        return [FilterDecision(e[2]["outcome"], e[2]["reason"])
+                for e in self.of_kind("filter-decision")
+                if e[0] == provider and e[2]["post_digest"] == crypto.digest(body).value]
 
 
 class Stack:
@@ -160,10 +166,11 @@ class TestPublish:
                       followers={"@sender": ("P2", "P3")})
         stack.member()
         stack.onboard()
+        capture = Capture()
+        for name in ("P2", "P3", "P4"):
+            capture.bind(stack.providers[name])
         stack.providers["P1"].publish_post("@sender", b"hello", 20)
-        assert len(stack.providers["P2"].filter_log) == 1
-        assert len(stack.providers["P3"].filter_log) == 1
-        assert stack.providers["P4"].filter_log == []
+        assert [e[0] for e in capture.of_kind("filter-decision")] == ["P2", "P3"]
 
     def test_unknown_sender(self):
         stack = Stack()
@@ -191,10 +198,12 @@ class TestFiltering:
         stack = Stack()
         stack.member()
         stack.onboard()
+        capture = Capture()
+        capture.bind(stack.providers["P3"])
         stack.providers["P1"].publish_post("@sender", b"hello", 20)
-        (post, decision), = stack.providers["P3"].filter_log
-        assert decision == FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
-        assert stack.providers["P3"].delivered == [post]
+        assert capture.decisions("P3", b"hello") == [
+            FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)]
+        assert stack.providers["P3"].delivered == [Post(b"hello", "@sender", "P1", 20)]
 
     def test_bot_injection_dropped(self):
         stack = Stack()
@@ -213,13 +222,18 @@ class TestFiltering:
         stack = Stack()
         stack.member()
         stack.onboard()
+        capture = Capture()
+        capture.bind(stack.providers["P3"])
         stack.providers["P1"].publish_post("@sender", b"same words", 20)
         imposter = Post(b"same words", "@imposter", "P1", 21)
         decision = stack.providers["P3"].receive_post(imposter, 21)
         assert decision == FilterDecision(OUTCOME_DROP, REASON_ORIGIN)
-        genuine = [d for p, d in stack.providers["P3"].filter_log
-                   if p.author_handle == "@sender"]
-        assert genuine == [FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)]
+        assert capture.decisions("P3", b"same words") == [
+            FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED), decision]
+        genuine = [e[2]["author_handle"] for e in capture.of_kind("filter-decision")
+                   if e[2]["outcome"] == OUTCOME_DELIVER]
+        assert genuine == ["@sender"]
+        assert stack.providers["P3"].delivered == [Post(b"same words", "@sender", "P1", 20)]
 
     def test_revoked_attestation_drops(self):
         stack = Stack()
@@ -260,13 +274,26 @@ class TestPorting:
         ported = stack.providers["P3"].ledger.get(local_ptr)
         assert canonical_bytes(ported.payload.csa) == canonical_bytes(csa)
 
-    def test_porting_a_post_record_rejected(self):
+    @pytest.mark.parametrize("origin, pointer", [
+        ("P1", "post"),
+        ("P9", "attestation"),
+        ("P2", "attestation"),
+        ("P1", "past-the-end"),
+    ], ids=["post-record", "unknown-origin-ledger", "other-ledger-than-origin",
+            "index-past-the-end"])
+    def test_porting_a_post_record_rejected(self, origin, pointer):
         stack = Stack()
         stack.member()
-        stack.onboard()
+        account, _, _, _ = stack.onboard()
         post_ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        ptr = {
+            "post": post_ptr,
+            "attestation": account.attestation_ptr,
+            "past-the-end": RecordPointer("P1", len(stack.providers["P1"].ledger)),
+        }[pointer]
         with pytest.raises(DanglingAttestationPointer):
-            stack.providers["P3"].port_attestation("P1", post_ptr)
+            stack.providers["P3"].port_attestation(origin, ptr)
+        assert len(stack.providers["P3"].ledger) == 0
 
     def test_prefer_local_avoids_origin_reads(self):
         stack = Stack(prefer_local_port=("P3",))
@@ -350,7 +377,7 @@ class TestRecovery:
         payloads = [r.payload for r in ledger.records
                     if isinstance(r.payload, AttestationRecord)]
         assert [p.csa for p in payloads] == [old_csa, new_csa]  # append-only history
-        assert stack.providers["P1"].retired[0].active is False
+        assert stack.providers["P1"].accounts["@sender"] == fresh
 
     def test_old_signing_key_cannot_recover(self):
         stack = Stack()
@@ -362,9 +389,12 @@ class TestRecovery:
     def test_recovery_notifies_all_providers(self):
         stack = Stack()
         stack.member()
+        capture = Capture()
+        capture.bind(stack.providers["P1"])
         self._recover(stack)
-        for name in ("P2", "P3"):
-            assert stack.providers[name].recovery_notices == [{"handle": "@sender", "at": 30}]
+        notices = [(e[2]["to"], e[2]["body"]) for e in capture.of_kind("send")
+                   if e[2]["channel"] == "recovery-notice"]
+        assert notices == [("P2", {"handle": "@sender"}), ("P3", {"handle": "@sender"})]
 
     def test_post_recovery_flow(self):
         """Posts recorded under the old attestation drop as revoked once the
@@ -383,10 +413,11 @@ class TestRecovery:
             old_csa.blinded.attestation_id, 31) is Status.REVOKED
         replay = Post(b"old words", "@sender", "P1", 35)
         assert stack.providers["P2"].receive_post(replay, 35).reason == REASON_REVOKED
+        capture = Capture()
+        capture.bind(stack.providers["P2"])
         stack.providers["P1"].publish_post("@sender", b"new words", 40)
-        fresh_decisions = [d for p, d in stack.providers["P2"].filter_log
-                           if p.body == b"new words"]
-        assert fresh_decisions == [FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)]
+        assert capture.decisions("P2", b"new words") == [
+            FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)]
 
     def test_recovery_with_wrong_handle_attestation(self):
         stack = Stack()
