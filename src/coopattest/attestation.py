@@ -306,10 +306,6 @@ def build_plain(
     nonce: bytes,
 ) -> PlainAttestation:
     """Build and sign the identity-bearing attestation."""
-    if subject.mode != MODE_LEGAL_IDENTITY:
-        raise SubjectModeMismatch("plain attestation requires a legal-identity subject")
-    if expires_at <= issued_at:
-        raise InvalidValidityWindow(f"[{issued_at}, {expires_at}) is empty")
     attributes = tuple(attributes)
     if not attributes:
         raise EmptyAttributes("at least one attribute claim is required")
@@ -329,8 +325,6 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
     """Derive the subject-stripped attestation that hashes to *plain*."""
     if issuer.key_id != plain.issuer_key_id:
         raise IssuerKeyMismatch("blinding key does not match the plain attestation's issuer")
-    if substitute.mode == MODE_LEGAL_IDENTITY:
-        raise SubjectModeMismatch("substitute subject must not be a legal identity")
     return _issue(BlindedAttestation, issuer, dict(
         subject=substitute,
         attributes=plain.attributes,
@@ -421,8 +415,6 @@ def countersign(
     When *issuer_public_key* is supplied (the notary's key resolver found
     it), the blinded signature and id are verified first.
     """
-    if not notary_id:
-        raise EmptyNotaryId("countersignature must name its legal point of contact")
     if issuer_public_key is not None:
         if not blinded._signature_verifies(issuer_public_key) or not blinded._id_consistent:
             raise InvalidBlinded("blinded attestation does not verify under its issuer key")

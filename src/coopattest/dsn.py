@@ -3,13 +3,15 @@
 A sender onboards at a home provider with a handle-bound countersigned
 attestation, which the provider records on its own ledger.  Every post
 gets its body digest recorded next to a pointer at that attestation
-record, then travels to whichever providers host followers.  A remote
-provider never trusts the wire: it recomputes the body digest, searches
-the origin provider's ledger for it, resolves the attestation behind the
-match, and delivers only when the handle binds, the countersignature
-verifies, and the notary still vouches for the attestation.  Anything
-else drops, which is what keeps bot traffic out without the remote
-provider ever having authenticated the sender itself.
+record, on the same ledger, then travels to whichever providers host
+followers.  A remote provider never trusts the wire: it recomputes the
+body digest, searches the origin provider's ledger for it, resolves the
+attestation behind the match, and delivers only when the handle binds,
+the countersignature verifies, and the notary still vouches for the
+attestation.  Anything else drops, which is what keeps bot traffic out
+without the remote provider ever having authenticated the sender itself.
+``filter_incoming`` logs each decision it makes.  Only a provider reads
+another provider's ledger (``Provider._resolve``), and it logs each read.
 
 Providers may port attestation records onto their own ledgers and, by
 policy, resolve matches locally instead of re-reading the origin chain.
@@ -21,7 +23,7 @@ The notices are logged; no provider keeps them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import crypto
@@ -38,7 +40,6 @@ from .errors import (
     DanglingAttestationPointer,
     HandleMismatch,
     HandleTaken,
-    InactiveAccount,
     InvalidAttestation,
     OutOfBounds,
     UnknownSender,
@@ -71,7 +72,6 @@ class SenderAccount:
     signing_key_id: Digest
     recovery_public_key: bytes
     attestation_ptr: RecordPointer
-    active: bool
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class Provider:
             handle: tuple(targets) for handle, targets in (followers or {}).items()
         }
         self._ledgers = ledger_registry
-        self.ledger = Ledger(name, writer.public_key, resolver=ledger_registry.get)
+        self.ledger = Ledger(name, writer.public_key)
         ledger_registry[name] = self.ledger
         self.peers: dict[str, Provider] = {}
         self.accounts: dict[str, SenderAccount] = {}
@@ -152,7 +152,7 @@ class Provider:
                       recovery_public_key: bytes, signing_key_id: Digest,
                       now: int) -> SenderAccount:
         """Record a handle-bound, valid attestation on the ledger and make
-        the active account of *handle* point at it; log it as *kind*."""
+        the account of *handle* point at it; log it as *kind*."""
         if not self._binds(csa, handle):
             subject = csa.blinded.subject
             raise HandleMismatch(
@@ -164,7 +164,7 @@ class Provider:
                 "unknown keys" if report is None else f"failing checks: {report.failing()}"
             )
         ptr = self.ledger.append(self.writer, AttestationRecord(csa))
-        account = SenderAccount(handle, signing_key_id, recovery_public_key, ptr, active=True)
+        account = SenderAccount(handle, signing_key_id, recovery_public_key, ptr)
         self.accounts[handle] = account
         self._emit(kind, {"handle": handle, "ledger_index": ptr.index})
         return account
@@ -177,18 +177,12 @@ class Provider:
         signing_key_id: Digest,
         now: int,
     ) -> SenderAccount:
-        """Record the sender's attestation on the ledger and activate the
+        """Record the sender's attestation on the ledger and open the
         account.  Must happen before the handle transmits any post."""
         if handle in self.accounts:
             raise HandleTaken(handle)
         return self._open_account("onboard", handle, csa, recovery_public_key,
                                   signing_key_id, now)
-
-    def deactivate_sender(self, handle: str) -> None:
-        account = self.accounts.get(handle)
-        if account is None:
-            raise UnknownSender(handle)
-        self.accounts[handle] = replace(account, active=False)
 
     # --- publishing ------------------------------------------------------------
 
@@ -198,14 +192,11 @@ class Provider:
         account = self.accounts.get(handle)
         if account is None:
             raise UnknownSender(handle)
-        if not account.active:
-            raise InactiveAccount(handle)
         post = Post(body=body, author_handle=handle, origin_provider=self.name, sent_at=now)
-        ptr = self.ledger.append(
-            self.writer, PostRecord(crypto.digest(body), account.attestation_ptr, now)
-        )
+        body_digest = crypto.digest(body)
+        ptr = self.ledger.append(self.writer, PostRecord(body_digest, account.attestation_ptr, now))
         self._emit("post-recorded", {
-            "handle": handle, "post_digest": crypto.digest(body).value, "ledger_index": ptr.index,
+            "handle": handle, "post_digest": body_digest.value, "ledger_index": ptr.index,
         })
         for target in self.followers.get(handle, ()):
             peer = self.peers[target]
@@ -217,22 +208,15 @@ class Provider:
         decision = self.filter_incoming(post, now)
         if decision.outcome == OUTCOME_DELIVER:
             self.delivered.append(post)
-        self._emit("filter-decision", {
-            "author_handle": post.author_handle,
-            "origin_provider": post.origin_provider,
-            "post_digest": crypto.digest(post.body).value,
-            **vars(decision),
-        })
         return decision
 
     # --- filtering -------------------------------------------------------------
 
-    def _matches(self, post: Post) -> list[LedgerRecord]:
+    def _matches(self, post: Post, body_digest: Digest) -> list[LedgerRecord]:
         """The post records on the post's origin ledger with its body digest."""
         origin_ledger = self._ledgers.get(post.origin_provider)
         if origin_ledger is None:
             return []
-        body_digest = crypto.digest(post.body)
         self._emit("ledger-search", {"ledger": origin_ledger.ledger_id,
                                      "post_digest": body_digest.value})
         return origin_ledger.post_matches(body_digest)
@@ -266,16 +250,24 @@ class Provider:
         Deliver iff some matching post record resolves to a valid,
         handle-matching, unrevoked attestation.  With several matches the
         drop reason comes from whichever candidate got furthest through
-        the pipeline.
+        the pipeline.  The decision is logged as ``filter-decision``.
         """
-        best_stage, best_reason = 0, REASON_NO_MATCH
-        for record in self._matches(post):
+        body_digest = crypto.digest(post.body)
+        best_stage, decision = 0, FilterDecision(OUTCOME_DROP, REASON_NO_MATCH)
+        for record in self._matches(post, body_digest):
             stage, reason = self._judge_match(record, post, now)
             if reason == REASON_ATTESTED:
-                return FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
+                decision = FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
+                break
             if stage > best_stage:
-                best_stage, best_reason = stage, reason
-        return FilterDecision(OUTCOME_DROP, best_reason)
+                best_stage, decision = stage, FilterDecision(OUTCOME_DROP, reason)
+        self._emit("filter-decision", {
+            "author_handle": post.author_handle,
+            "origin_provider": post.origin_provider,
+            "post_digest": body_digest.value,
+            **vars(decision),
+        })
+        return decision
 
     def _judge_match(self, record: LedgerRecord, post: Post, now: int) -> tuple[int, str]:
         csa = self._fetch_attestation(record.payload.attestation_ptr)
@@ -320,7 +312,7 @@ class Provider:
     # --- disclosure ---------------------------------------------------------------
 
     def _trace_attestation(self, post: Post) -> CounterSignedAttestation | None:
-        for record in self._matches(post):
+        for record in self._matches(post, crypto.digest(post.body)):
             csa = self._fetch_attestation(record.payload.attestation_ptr)
             if csa is not None and self._binds(csa, post.author_handle):
                 return csa

@@ -158,10 +158,6 @@ class UnknownSender(CoopAttestError):
     pass
 
 
-class InactiveAccount(CoopAttestError):
-    pass
-
-
 class BadRecoverySignature(CoopAttestError):
     pass
 

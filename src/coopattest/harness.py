@@ -503,7 +503,6 @@ class _SenderKeys:
     def __init__(self, seed: bytes) -> None:
         self._seed = seed
         self._generation: dict[str, int] = {}
-        self.recovery: dict[str, KeyPair] = {}
 
     def signing(self, handle: str) -> KeyPair:
         generation = self._generation.setdefault(handle, 0)
@@ -515,11 +514,7 @@ class _SenderKeys:
         return self.signing(handle)
 
     def recovery_pair(self, handle: str) -> KeyPair:
-        pair = self.recovery.get(handle)
-        if pair is None:
-            pair = crypto.keygen(b"%s/sender/%s/recovery" % (self._seed, handle.encode()))
-            self.recovery[handle] = pair
-        return pair
+        return crypto.keygen(b"%s/sender/%s/recovery" % (self._seed, handle.encode()))
 
 
 class _Adversary:

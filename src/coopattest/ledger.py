@@ -9,14 +9,16 @@ domain tag.  Anyone may read any ledger.
 
 Two payload kinds exist: an attestation record embedding a countersigned
 blinded attestation, and a post record holding a post-body digest plus a
-pointer to the attestation record vouching for the author.
+pointer to the attestation record on the same ledger that vouches for
+the author.  A ledger vouches only for its own records; only a DSN
+provider reads other providers' ledgers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 from . import crypto
 from .attestation import CounterSignedAttestation
@@ -92,16 +94,9 @@ def record_bytes(record: LedgerRecord) -> bytes:
 class Ledger:
     """Single-writer, publicly readable hash chain with a post-digest index."""
 
-    def __init__(
-        self,
-        ledger_id: str,
-        writer_public_key: bytes,
-        *,
-        resolver: Callable[[str], "Ledger | None"] | None = None,
-    ) -> None:
+    def __init__(self, ledger_id: str, writer_public_key: bytes) -> None:
         self.ledger_id = ledger_id
         self.writer_public_key = writer_public_key
-        self._resolver = resolver
         self._records: list[LedgerRecord] = []
         self._post_index: dict[Digest, list[int]] = {}
 
@@ -112,24 +107,12 @@ class Ledger:
     def records(self) -> tuple[LedgerRecord, ...]:
         return tuple(self._records)
 
-    def _resolve(self, ledger_id: str) -> "Ledger | None":
-        if ledger_id == self.ledger_id:
-            return self
-        if self._resolver is None:
-            return None
-        return self._resolver(ledger_id)
-
     def append(self, writer: KeyPair, payload: Payload) -> RecordPointer:
         if writer.public_key != self.writer_public_key:
             raise UnregisteredWriter(f"key {writer.key_id.hex()[:12]} may not write {self.ledger_id}")
         if isinstance(payload, PostRecord):
-            target = self._resolve(payload.attestation_ptr.ledger_id)
-            if target is None:
-                raise DanglingAttestationPointer(
-                    f"unknown ledger {payload.attestation_ptr.ledger_id!r}"
-                )
             try:
-                referenced = target.get(payload.attestation_ptr)
+                referenced = self.get(payload.attestation_ptr)
             except OutOfBounds as exc:
                 raise DanglingAttestationPointer(str(exc)) from exc
             if not isinstance(referenced.payload, AttestationRecord):

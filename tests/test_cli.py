@@ -1,9 +1,11 @@
 """End-to-end CLI flows: issue, countersign, verify, revoke, disclose, simulate."""
 
 import os
+import shutil
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from coopattest.harness import bundled_scenario_path
 
 COOP_SEED = b"cli-coop"
 NOTARY_SEED = b"cli-notary"
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 @pytest.fixture
@@ -110,6 +113,20 @@ class TestIssueCountersignVerify:
             "issuer_signature: pass", "notary_signature: pass", "blinded_id: pass",
             "not_expired: pass", "subject_blinded: pass", "overall: pass",
         ]
+
+    def test_pipeline_from_the_golden_state_writes_the_golden_attestations(self, tmp_path):
+        # scripts/gen_goldens.py writes tests/goldens/pipeline/ the same way.
+        for name in ("coop.state", "notary.state"):
+            shutil.copyfile(GOLDEN_DIR / name, tmp_path / name)
+        assert run(["issue", "--coop", tmp_path / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18,residence-country", "--mode", "handle",
+                    "--now", 20, "--ttl", 50, "--out-plain", tmp_path / "plain.att",
+                    "--out-blinded", tmp_path / "blinded.att"]) == 0
+        assert run(["countersign", "--notary", tmp_path / "notary.state",
+                    "--plain", tmp_path / "plain.att", "--blinded", tmp_path / "blinded.att",
+                    "--now", 21, "--out", tmp_path / "countersigned.att"]) == 0
+        for name in ("plain.att", "blinded.att", "countersigned.att"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / "pipeline" / name).read_bytes()
 
     def test_verify_fails_after_expiry(self, workdir, capsys):
         issue_and_countersign(workdir, now=10, ttl=90)

@@ -25,12 +25,11 @@ from coopattest.errors import (
     DanglingAttestationPointer,
     HandleMismatch,
     HandleTaken,
-    InactiveAccount,
     InvalidAttestation,
     UnknownSender,
     Untraceable,
 )
-from coopattest.ledger import AttestationRecord, RecordPointer
+from coopattest.ledger import AttestationRecord, PostRecord, RecordPointer
 from coopattest.notary import OUTCOME_DENIED, OUTCOME_DISCLOSED, JurisdictionPolicy, Notary
 
 
@@ -112,7 +111,6 @@ class TestOnboarding:
         account, csa, _, _ = stack.onboard()
         record = stack.providers["P1"].ledger.get(account.attestation_ptr)
         assert record.payload.csa == csa
-        assert account.active
 
     def test_handle_mismatch(self):
         stack = Stack()
@@ -177,20 +175,44 @@ class TestPublish:
         with pytest.raises(UnknownSender):
             stack.providers["P1"].publish_post("@ghost", b"x", 20)
 
-    def test_inactive_account(self):
-        stack = Stack()
-        stack.member()
-        stack.onboard()
-        stack.providers["P1"].deactivate_sender("@sender")
-        with pytest.raises(InactiveAccount):
-            stack.providers["P1"].publish_post("@sender", b"x", 20)
-
     def test_empty_body_rejected(self):
         stack = Stack()
         stack.member()
         stack.onboard()
         with pytest.raises(ValueError):
             stack.providers["P1"].publish_post("@sender", b"", 20)
+
+    def test_a_post_record_may_not_point_at_another_providers_attestation(self):
+        stack = Stack()
+        stack.member()
+        account, _, _, _ = stack.onboard(provider="P1")
+        p2 = stack.providers["P2"]
+        with pytest.raises(DanglingAttestationPointer):
+            p2.ledger.append(p2.writer,
+                             PostRecord(crypto.digest(b"hello"), account.attestation_ptr, 20))
+        assert len(p2.ledger) == 0
+
+    def test_each_actor_hashes_a_post_body_once(self, monkeypatch):
+        stack = Stack(followers={"@sender": ("P2",)})
+        stack.member()
+        stack.onboard()
+        body = b"hashed once"
+        hashed = []
+        real = crypto.digest
+
+        def counting(data):
+            hashed.append(data)
+            return real(data)
+
+        monkeypatch.setattr(crypto, "digest", counting)
+        stack.providers["P1"].publish_post("@sender", body, 20)
+        # The publisher hashes it for the ledger and its log, the follower
+        # provider for the search and its decision.
+        assert hashed.count(body) == 2
+        hashed.clear()
+        decision = stack.providers["P3"].receive_post(Post(body, "@sender", "P1", 21), 21)
+        assert decision == FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
+        assert hashed.count(body) == 1
 
 
 class TestFiltering:
@@ -371,7 +393,6 @@ class TestRecovery:
         stack = Stack()
         stack.member()
         account, old_csa, new_csa, fresh = self._recover(stack)
-        assert fresh.active
         assert fresh.attestation_ptr != account.attestation_ptr
         ledger = stack.providers["P1"].ledger
         payloads = [r.payload for r in ledger.records

@@ -36,8 +36,8 @@ def sample_csa(issuer, notary_key):
     return countersign(blinded, notary_key, "notary-1", 11)
 
 
-def make_ledger(writer, ledger_id="B1", resolver=None):
-    return Ledger(ledger_id, writer.public_key, resolver=resolver)
+def make_ledger(writer, ledger_id="B1"):
+    return Ledger(ledger_id, writer.public_key)
 
 
 class TestAppend:
@@ -64,14 +64,16 @@ class TestAppend:
         with pytest.raises(DanglingAttestationPointer):
             ledger.append(writer, PostRecord(crypto.digest(b"hi"), RecordPointer("B1", 0), 5))
 
-    def test_cross_ledger_pointer_via_resolver(self, writer, sample_csa):
+    def test_pointer_into_another_ledger_is_dangling(self, writer, sample_csa):
+        # A ledger vouches only for its own records, even when the other
+        # ledger exists and holds an attestation record at that index.
         origin = make_ledger(writer, "B1")
         att_ptr = origin.append(writer, AttestationRecord(sample_csa))
         other_writer = crypto.keygen(b"provider-2")
-        mirror = Ledger("B2", other_writer.public_key,
-                        resolver={"B1": origin}.get)
-        ptr = mirror.append(other_writer, PostRecord(crypto.digest(b"hi"), att_ptr, 5))
-        assert ptr == RecordPointer("B2", 0)
+        other = make_ledger(other_writer, "B2")
+        with pytest.raises(DanglingAttestationPointer):
+            other.append(other_writer, PostRecord(crypto.digest(b"hi"), att_ptr, 5))
+        assert len(other) == 0
 
     def test_unresolvable_ledger_is_dangling(self, writer):
         ledger = make_ledger(writer)
