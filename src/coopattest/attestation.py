@@ -354,9 +354,10 @@ def _signed_over(message: bytes, att):
 
 
 class _Checks:
-    """A frozen dataclass report whose fields are all pass/fail flags.  Its
+    """A dataclass report whose fields are all pass/fail flags.  Its
     instance dict holds exactly those fields, in declaration order, which
-    is the order `coopattest verify` prints them in."""
+    is the order `coopattest verify` prints them in.  Not frozen: a report
+    is built on every verdict, holds no memo and is never a dict key."""
 
     @property
     def passed(self) -> bool:
@@ -369,7 +370,7 @@ class _Checks:
         return [name for name, ok in vars(self).items() if not ok]
 
 
-@dataclass(frozen=True)
+@dataclass
 class MatchReport(_Checks):
     """Outcome of comparing a plain/blinded pair, one flag per check."""
 
@@ -425,7 +426,7 @@ def countersign(
     return _signed_over(message, CounterSignedAttestation(**fields))
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationReport(_Checks):
     """Outcome of checking a countersigned attestation at a given tick."""
 

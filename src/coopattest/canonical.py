@@ -24,7 +24,7 @@ distinct byte strings decode to the same value; it is tolerant only of
 whitespace between tokens, which lets config files be hand-formatted.  Lists
 and maps may nest at most ``MAX_DEPTH`` deep.
 
-The record codec below writes the canonical bytes of a frozen dataclass
+The record codec below writes the canonical bytes of a dataclass
 straight from its field declarations, and decodes such maps strictly.
 """
 
@@ -174,8 +174,8 @@ def write_canonical(path: str | Path, data: bytes) -> None:
 
 # --- records -----------------------------------------------------------------
 #
-# A record is a frozen dataclass whose fields, in declaration order, are its
-# wire layout.  A field is written under its own name, or under
+# A record is a dataclass, frozen or not, whose fields, in declaration order,
+# are its wire layout.  A field is written under its own name, or under
 # ``metadata["key"]``, and its annotation picks its codec:
 #
 #   str, int, bool, bytes, dict  the value itself, of that canonical type;

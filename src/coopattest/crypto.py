@@ -51,6 +51,17 @@ class Digest:
         if not isinstance(self.value, bytes) or len(self.value) != DIGEST_SIZE:
             raise ValueError("digest must be exactly 32 bytes")
 
+    # Written out, not generated: the generated pair builds a tuple per call,
+    # and a digest is looked up as a dict key on every verdict.  The bytes
+    # object caches its own hash.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def hex(self) -> str:
         return self.value.hex()
 

@@ -86,7 +86,7 @@ class Post:
             raise ValueError("post body must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass
 class FilterDecision:
     outcome: str
     reason: str
@@ -253,14 +253,16 @@ class Provider:
         the pipeline.  The decision is logged as ``filter-decision``.
         """
         body_digest = crypto.digest(post.body)
-        best_stage, decision = 0, FilterDecision(OUTCOME_DROP, REASON_NO_MATCH)
+        best_stage, reason = 0, REASON_NO_MATCH
         for record in self._matches(post, body_digest):
-            stage, reason = self._judge_match(record, post, now)
-            if reason == REASON_ATTESTED:
-                decision = FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
+            stage, why = self._judge_match(record, post, now)
+            if why == REASON_ATTESTED:
+                reason = why
                 break
             if stage > best_stage:
-                best_stage, decision = stage, FilterDecision(OUTCOME_DROP, reason)
+                best_stage, reason = stage, why
+        decision = FilterDecision(OUTCOME_DELIVER if reason == REASON_ATTESTED else OUTCOME_DROP,
+                                  reason)
         self._emit("filter-decision", {
             "author_handle": post.author_handle,
             "origin_provider": post.origin_provider,

@@ -34,7 +34,7 @@ from .travel_rule import Exchange, TransferRequest, TravelRuleRecord
 
 # --- event log -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class Event:
     """One line of the log.  Its payload holds the keys ``KINDS`` declares for
     its kind, records and attestations in it as objects, and reads back equal."""

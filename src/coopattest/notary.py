@@ -59,7 +59,7 @@ class ArchiveEntry:
     received_at: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class DisclosureResponse:
     """Answer to an identity-disclosure request.
 

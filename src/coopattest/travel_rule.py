@@ -84,7 +84,7 @@ class TravelRuleRecord:
                 raise ValueError(f"travel-rule field {name} must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass
 class TransferDecision:
     outcome: str
     reason: str

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopattest import crypto
+from coopattest.canonical import canonical_parse, record_bytes, record_from_map
 from coopattest.crypto import (
     Digest,
     digest,
@@ -48,6 +49,33 @@ def test_digest_length_constant(data):
 def test_digest_type_enforces_length():
     with pytest.raises(ValueError):
         Digest(b"short")
+
+
+_DIGEST_BYTES = st.binary(min_size=32, max_size=32)
+
+
+@given(_DIGEST_BYTES, _DIGEST_BYTES, st.booleans())
+def test_digest_equality_and_hash_are_those_of_its_bytes(a, b, same):
+    if same:
+        b = bytes(bytearray(a))  # equal bytes, another object
+    first, second = Digest(a), Digest(b)
+    assert (first == second) is (a == b)
+    assert (first != second) is (a != b)
+    if a == b:
+        assert hash(first) == hash(second)
+    for other in (a, bytearray(a), a.hex(), None, 0, (a,)):
+        assert first != other and other != first
+        assert first.__eq__(other) is NotImplemented
+    # A digest read back from a record's bytes, with its own new bytes
+    # object, finds what the original was filed under.
+    directory = crypto.KeyDirectory()
+    key_id, other_id = directory.add(a), directory.add(b)
+    signature = crypto.Signature(b"s", key_id, crypto.TAG_PLAIN)
+    decoded = record_from_map(crypto.Signature,
+                              canonical_parse(record_bytes(crypto.Signature, signature)))
+    assert decoded == signature and decoded.signer_key_id is not key_id
+    assert directory.get(decoded.signer_key_id) == a
+    assert (decoded.signer_key_id == other_id) is (a == b)
 
 
 class TestKeygen:

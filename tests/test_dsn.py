@@ -12,6 +12,7 @@ from coopattest.dsn import (
     OUTCOME_DROP,
     REASON_ATTESTED,
     REASON_EXPIRED,
+    REASON_INVALID,
     REASON_NO_MATCH,
     REASON_ORIGIN,
     REASON_REVOKED,
@@ -285,6 +286,17 @@ class TestFiltering:
         first = stack.providers["P2"].filter_incoming(post, 25)
         second = stack.providers["P2"].filter_incoming(post, 25)
         assert first == second
+
+    @pytest.mark.parametrize("outcome, reason", [
+        *((OUTCOME_DELIVER, reason) for reason in (
+            REASON_NO_MATCH, REASON_INVALID, REASON_EXPIRED, REASON_REVOKED, REASON_ORIGIN)),
+        (OUTCOME_DROP, REASON_ATTESTED),
+    ])
+    def test_a_decision_delivers_exactly_when_attested(self, outcome, reason):
+        with pytest.raises(ValueError, match="deliver exactly when attested"):
+            FilterDecision(outcome, reason)
+        other = OUTCOME_DROP if outcome == OUTCOME_DELIVER else OUTCOME_DELIVER
+        assert FilterDecision(other, reason).reason == reason
 
 
 class TestPorting:

@@ -28,6 +28,7 @@ from coopattest.travel_rule import (
     HELD,
     REJECTED,
     Exchange,
+    TransferDecision,
     TransferRequest,
     TravelRuleRecord,
     assemble_travel_record,
@@ -253,6 +254,14 @@ class TestEvaluation:
                 )
             decision = stack.e2.evaluate_transfer("t1", fetched, now)
             assert decision.outcome == REJECTED, fault
+
+    @pytest.mark.parametrize("outcome", [HELD, REJECTED])
+    def test_a_travel_record_accompanies_only_an_accepted_transfer(self, outcome):
+        record = TravelRuleRecord("alice", "acct-alice", "NL", "bob", "acct-bob")
+        with pytest.raises(ValueError, match="only accompanies an accepted transfer"):
+            TransferDecision(outcome, "disclosed", record)
+        assert TransferDecision(outcome, "disclosed").travel_record is None
+        assert TransferDecision(ACCEPTED, "disclosed", record).travel_record == record
 
 
 class TestAssembleTravelRecord:
