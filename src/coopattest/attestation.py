@@ -25,15 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Union
+from typing import Union
 
 from . import crypto
 from .canonical import (
+    _utf8,
     canonical_parse,
     canonical_serialize,
     record_bytes,
     record_from_map,
     record_text,
+    record_texts,
     write_canonical,
 )
 from .crypto import Digest, KeyPair, Signature
@@ -69,9 +71,15 @@ class _Artifact:
     signature does not cover (``_UNSIGNED``) and the signature itself
     (``_signature``).
 
-    The canonical text is written once; every encoding that holds the
-    artifact (a countersignature's signed bytes, a ledger record, a
-    message body in the event log) splices it in as it is, since
+    An artifact is written once, when it is signed: one encoding of its
+    fields gives the bytes its signature covers, the bytes its id covers,
+    and its canonical text (a plain attestation keeps only the text's
+    digest), and the signer stores each under the memo that would
+    otherwise derive it.  An artifact made any other way
+    (``dataclasses.replace``, a decoded map or ``.att`` file) starts with
+    none, and each check derives it afresh.  Every encoding that holds the
+    artifact (a countersignature's signed bytes, a ledger record, a message
+    body in the event log) splices its text in as it is, since
     ``canonical_serialize`` encodes an artifact as its text.
     """
 
@@ -118,11 +126,8 @@ class _IssuerSigned(_Artifact):
 
     @cached_property
     def _id_consistent(self) -> bool:
-        return self.attestation_id == _seal_id(type(self), self)
-
-
-def _seal_id(cls: type, values: Any) -> Digest:
-    return crypto.digest(record_bytes(cls, values, ("attestation_id",)))
+        return self.attestation_id == crypto.digest(
+            record_bytes(type(self), self, ("attestation_id",)))
 
 
 # --- domain types -------------------------------------------------------------
@@ -339,17 +344,22 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
 
 def _issue(cls: type, issuer: KeyPair, fields: dict):
     """The *cls* attestation with the body *fields*, signed by *issuer* and
-    sealed with its id."""
-    message = record_bytes(cls, fields, cls._UNSIGNED)
+    sealed with its id.  Its fields are encoded once, and what its checks
+    read is derived from that encoding as it is written."""
+    text = record_texts(cls, fields)
+    message = _utf8(text(cls._UNSIGNED))
     fields["issuer_signature"] = crypto.sign(issuer, cls._TAG, message)
-    fields["attestation_id"] = _seal_id(cls, fields)
-    return _signed_over(message, cls(**fields))
+    fields["attestation_id"] = crypto.digest(_utf8(text(("attestation_id",))))
+    att = _memoised(cls(**fields), _signed_bytes=message, _id_consistent=True)
+    if cls is PlainAttestation:
+        return _memoised(att, _digest=crypto.digest(_utf8(text())))
+    return _memoised(att, _canonical_text=text())
 
 
-def _signed_over(message: bytes, att):
-    """*att*, holding the bytes its signature was just made over, so that
-    its first check does not serialize them again."""
-    att.__dict__["_signed_bytes"] = message
+def _memoised(att, **memos):
+    """*att*, holding *memos*: what its memos would derive from its fields,
+    taken from the encoding it was signed with."""
+    att.__dict__.update(memos)
     return att
 
 
@@ -421,9 +431,11 @@ def countersign(
             raise InvalidBlinded("blinded attestation does not verify under its issuer key")
     fields = dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary.key_id,
                   countersigned_at=at)
-    message = countersign_bytes(**fields)
+    text = record_texts(CounterSignedAttestation, fields)
+    message = _utf8(text(CounterSignedAttestation._UNSIGNED))
     fields["notary_signature"] = crypto.sign(notary, crypto.TAG_COUNTER, message)
-    return _signed_over(message, CounterSignedAttestation(**fields))
+    return _memoised(CounterSignedAttestation(**fields), _signed_bytes=message,
+                     _canonical_text=text())
 
 
 @dataclass

@@ -208,6 +208,36 @@ def record_text(cls: type, values: Any, omit: tuple = ()) -> str:
     return _writer(cls, omit)(values)
 
 
+def record_texts(cls: type, values: dict) -> Callable[..., str]:
+    """The function ``text(omit=())`` that writes ``record_text(cls, values,
+    omit)`` for what *values* holds at the time of the call, from entries
+    each encoded once, by the first call that writes it.  A record being
+    signed is written this way: the text its signature covers, then the
+    texts that hold the signature and the id made from them.  A field's
+    value must not change once a call has written it."""
+    layout = _layout(cls)
+    entries: dict[str, str] = {}
+
+    def text(omit: tuple = ()) -> str:
+        out = []
+        for key, encoded_key, attr, write, optional in layout:
+            if key in omit:
+                continue
+            entry = entries.get(key)
+            if entry is None:
+                if attr is None:
+                    entry = write
+                else:
+                    value = values[attr]
+                    entry = "" if optional and value is None else encoded_key + write(value)
+                entries[key] = entry
+            if entry:
+                out.append(entry)
+        return "{" + ",".join(out) + "}"
+
+    return text
+
+
 def record_from_map(tp: Any, raw: Any) -> Any:
     """The record of type *tp* (a record class or a Union of them) that
     *raw* is the map of.
@@ -321,20 +351,26 @@ def _item_decoder(tp: Any, where: str) -> Callable[[Any], Any]:
 
 
 @functools.cache
+def _layout(cls: type) -> tuple[tuple, ...]:
+    """Every entry of a *cls* record's text, in code-point order of the wire
+    keys: (wire key, encoded key, attribute, writer, optional).  An
+    attribute of None marks the constant "kind" entry, whose "writer" is
+    its whole text."""
+    kind = getattr(cls, "_KIND", None)
+    entries = [(f.key, f.attr, f.write, f.optional) for f in _fields(cls)]
+    if kind is not None:
+        entries.append(("kind", None, _encode_key("kind") + _encode_text(kind), False))
+    return tuple((key, _encode_key(key), attr, write, optional)
+                 for key, attr, write, optional in sorted(entries, key=operator.itemgetter(0)))
+
+
+@functools.cache
 def _writer(cls: type, omit: tuple = ()) -> Callable[[Any], str]:
     """The function that writes the canonical text of a *cls* record, given
     the record or a dict of its field values, without the keys in *omit*.
-    The encoded keys, and "kind" with its value, are laid out once in
-    code-point order; a call writes only the values, and no entry for an
-    ``X | None`` field whose value is None."""
-    kind = getattr(cls, "_KIND", None)
-    entries = [(f.key, f.attr, f.write, f.optional) for f in _fields(cls) if f.key not in omit]
-    if kind is not None and "kind" not in omit:
-        entries.append(("kind", None, _encode_key("kind") + _encode_text(kind), False))
-    # (encoded key, attribute, writer, optional); an attribute of None marks
-    # the constant "kind" entry, whose "writer" is its whole text.
-    steps = [(_encode_key(key), attr, write, optional)
-             for key, attr, write, optional in sorted(entries, key=operator.itemgetter(0))]
+    The record's layout is built once; a call writes only the values, and
+    no entry for an ``X | None`` field whose value is None."""
+    steps = [step[1:] for step in _layout(cls) if step[0] not in omit]
 
     def write_record(record: Any) -> str:
         values = getattr(record, "__dict__", record)

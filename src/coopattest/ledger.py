@@ -70,8 +70,14 @@ class LedgerRecord:
     writer_key_id: Digest
     writer_signature: Signature
 
-    # Frozen, so the digest its successor chains to is computed once and
-    # kept in the instance dict, which eq, hash and repr never read.
+    # Frozen, so the bytes its signature covers and the digest its successor
+    # chains to are worked out once and kept in the instance dict, which eq,
+    # hash and repr never read.  ``Ledger.append`` stores both from the one
+    # encoding it signs; a record made any other way derives them here.
+    @cached_property
+    def _signed_bytes(self) -> bytes:
+        return record_signing_bytes(self.index, self.prev_digest, self.payload)
+
     @cached_property
     def _digest(self) -> Digest:
         return crypto.digest(record_bytes(self))
@@ -120,10 +126,14 @@ class Ledger:
                     f"{payload.attestation_ptr} is not an attestation record"
                 )
         index = len(self._records)
-        fields = dict(index=index, payload=payload,
+        fields = dict(index=index, payload=payload, writer_key_id=writer.key_id,
                       prev_digest=ZERO_DIGEST if index == 0 else self._records[-1]._digest)
-        signature = crypto.sign(writer, crypto.TAG_LEDGER, record_signing_bytes(**fields))
-        record = LedgerRecord(**fields, writer_key_id=writer.key_id, writer_signature=signature)
+        text = canonical.record_texts(LedgerRecord, fields)
+        message = canonical._utf8(text(LedgerRecord._UNSIGNED))
+        fields["writer_signature"] = crypto.sign(writer, crypto.TAG_LEDGER, message)
+        record = LedgerRecord(**fields)
+        record.__dict__.update(_signed_bytes=message,
+                               _digest=crypto.digest(canonical._utf8(text())))
         self._records.append(record)
         if isinstance(payload, PostRecord):
             self._post_index.setdefault(payload.post_digest, []).append(index)
@@ -153,9 +163,8 @@ class Ledger:
                 return False
             if record.writer_key_id != expected_key_id:
                 return False
-            message = record_signing_bytes(record.index, record.prev_digest, record.payload)
-            if not crypto.verify(self.writer_public_key, crypto.TAG_LEDGER, message,
-                                 record.writer_signature):
+            if not crypto.verify(self.writer_public_key, crypto.TAG_LEDGER,
+                                 record._signed_bytes, record.writer_signature):
                 return False
             prev = record._digest
         return True

@@ -159,6 +159,23 @@ class TestVerifyPair:
         report = verify_pair(a, blinded_b, issuer.public_key)
         assert report.failing() == ["digest_match"]
 
+    @pytest.mark.parametrize("which", ["plain", "blinded"])
+    def test_a_wrong_id_fails_only_its_id_check(self, issuer, which):
+        plain = make_plain(issuer)
+        blinded = blind(plain, SubjectRef.absent(), issuer)
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        other = crypto.digest(b"another attestation")
+        if which == "plain":
+            # The id is in the bytes plain_digest covers, so the blinded copy
+            # is made from the forged plain: only the plain's id is wrong.
+            plain = dataclasses.replace(plain, attestation_id=other)
+            blinded = blind(plain, SubjectRef.absent(), issuer)
+        else:
+            blinded = dataclasses.replace(blinded, attestation_id=other)
+        # The id is not signed, so both signatures still verify.
+        report = verify_pair(plain, blinded, issuer.public_key)
+        assert report.failing() == [f"{which}_id"]
+
     def test_diagonal_only(self, issuer):
         plains = [make_plain(issuer, identity=f"member-{i:08d}", nonce=bytes([i]) * 32)
                   for i in range(6)]
@@ -197,6 +214,13 @@ class TestCountersign:
         with pytest.raises(InvalidBlinded):
             countersign(forged, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
 
+    def test_a_blinded_with_a_wrong_id_is_rejected_when_key_supplied(self, issuer, notary_key):
+        blinded = blind(make_plain(issuer), SubjectRef.absent(), issuer)
+        countersign(blinded, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
+        forged = dataclasses.replace(blinded, attestation_id=crypto.digest(b"another"))
+        with pytest.raises(InvalidBlinded):
+            countersign(forged, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
+
     def test_envelope_fidelity(self, issuer, notary_key):
         blinded = blind(make_plain(issuer), SubjectRef.absent(), issuer)
         before = canonical_bytes(blinded)
@@ -229,6 +253,16 @@ class TestVerifyCountersigned:
                 report = verify_countersigned(csa, i_key, n_key, 12)
                 assert report.issuer_signature == (i_name == "issuer")
                 assert report.notary_signature == (n_name == "notary")
+
+    def test_a_wrong_blinded_id_fails_only_the_id_check(self, issuer, notary_key):
+        csa = self._csa(issuer, notary_key)
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 12).passed
+        # The issuer signature does not cover the id, and the notary signs
+        # the forged copy, wrong id and all: only the id check fails.
+        forged = dataclasses.replace(csa.blinded, attestation_id=crypto.digest(b"another"))
+        forged_csa = countersign(forged, notary_key, "notary-1", 12)
+        report = verify_countersigned(forged_csa, issuer.public_key, notary_key.public_key, 12)
+        assert report.failing() == ["blinded_id"]
 
     def test_swapped_keys_fail_both(self, issuer, notary_key):
         csa = self._csa(issuer, notary_key)

@@ -213,6 +213,21 @@ class TestIssueCountersignVerify:
         assert rejections[0]["attestation_id"] == read_attestation(blinded).attestation_id.value
         assert not (workdir / "bad.att").exists()
 
+    def test_countersign_rejects_a_blinded_with_a_rewritten_id(self, workdir, capsys):
+        issue_and_countersign(workdir)
+        raw = canonical_parse((workdir / "a.blinded.att").read_bytes())
+        raw["attestation_id"] = crypto.digest(b"another attestation").value
+        (workdir / "a.blinded.att").write_bytes(canonical_serialize(raw))
+        code = run(["countersign", "--notary", workdir / "notary.state",
+                    "--plain", workdir / "a.plain.att", "--blinded", workdir / "a.blinded.att",
+                    "--now", 12, "--out", workdir / "bad.att"])
+        assert code == 1
+        assert "PairMismatch" in capsys.readouterr().err
+        rejections = canonical_parse((workdir / "notary.state").read_bytes())["rejections"]
+        assert [(r["at"], r["failing"], r["attestation_id"]) for r in rejections] == [
+            (12, ["blinded_id"], raw["attestation_id"])]
+        assert not (workdir / "bad.att").exists()
+
     def test_issue_wrongly_typed_member_exit_2(self, workdir, capsys):
         raw = canonical_parse((workdir / "coop.state").read_bytes())
         raw["members"][0]["legal_identity"] = 5

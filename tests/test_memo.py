@@ -1,14 +1,22 @@
 """Per-artifact memos: bytes and successful signature checks are worked out
 once per frozen object, and no memo can change a verdict."""
 
+import collections
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopattest import crypto
+from coopattest import attestation, canonical, crypto
 from coopattest.attestation import (
+    AttributeClaim,
+    BlindedAttestation,
+    CounterSignedAttestation,
+    PlainAttestation,
     SubjectRef,
     blind,
+    build_plain,
     canonical_bytes,
     countersign,
     countersign_bytes,
@@ -89,10 +97,10 @@ class TestBytes:
             assert canonical_bytes(copy) == canonical_bytes(artifact)
 
     def test_plain_keeps_its_digest_not_its_bytes(self, issuer, monkeypatch):
-        plain = make_plain(issuer)
         hashed = []
         real = crypto.digest
         monkeypatch.setattr(crypto, "digest", lambda data: hashed.append(data) or real(data))
+        plain = make_plain(issuer)
         blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
         assert verify_pair(plain, blinded, issuer.public_key).passed
         assert verify_pair(plain, blinded, issuer.public_key).passed
@@ -146,6 +154,115 @@ class TestBytes:
         assert forged._digest != first._digest
         tampered = ledger_from_records("l1", writer.public_key, [forged, second])
         assert not tampered.verify_chain()
+
+
+# Text with the characters the encoder escapes, and characters beyond ASCII.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7fé€😀'),
+                          st.characters(blacklist_categories=("Cs",))), max_size=12)
+_ISSUER = crypto.keygen(b"memo-issuer")
+_NOTARY = crypto.keygen(b"memo-notary")
+_WRITER = crypto.keygen(b"memo-writer")
+
+
+def _memos(record) -> set[str]:
+    return set(vars(record)) - {f.name for f in dataclasses.fields(record)}
+
+
+# The memos each signer stores; a plain attestation keeps its text's digest.
+_SIGNING_MEMOS = {
+    PlainAttestation: {"_signed_bytes", "_id_consistent", "_digest"},
+    BlindedAttestation: {"_signed_bytes", "_id_consistent", "_canonical_text"},
+    CounterSignedAttestation: {"_signed_bytes", "_canonical_text"},
+    LedgerRecord: {"_signed_bytes", "_digest"},
+}
+
+
+# Every writer of a record's text; a call writes each of the record's fields once.
+_RECORD_WRITERS = ("record_bytes", "record_text", "record_texts")
+
+
+class TestMemosMadeAtSigning:
+    """A signer writes its record once, and each memo it stores is what a
+    copy with no memo derives."""
+
+    def check_memos(self, record):
+        """*record*'s memos, checked against those of a copy with none, which
+        derives each from its fields; returns the copy."""
+        fresh = dataclasses.replace(record)
+        assert _memos(record) == _SIGNING_MEMOS[type(record)]
+        for name in _SIGNING_MEMOS[type(record)]:
+            assert vars(record)[name] == getattr(fresh, name)
+        return fresh
+
+    @settings(max_examples=60, deadline=None)
+    @given(identity=_TEXT, handle=_TEXT, claims=st.lists(st.tuples(_TEXT, _TEXT, _TEXT), min_size=1,
+                                                       max_size=3),
+           issued_at=st.integers(-2**40, 2**40), ttl=st.integers(1, 2**40),
+           at=st.integers(-2**40, 2**40), body=st.binary(max_size=16))
+    def test_memos_equal_a_fresh_derivation(self, identity, handle, claims, issued_at, ttl, at,
+                                            body):
+        claims = [AttributeClaim("n" + name, value, method) for name, value, method in claims]
+        plain = build_plain(SubjectRef.legal(identity), claims, _ISSUER, "notary-1",
+                            issued_at, issued_at + ttl, b"n" * 32)
+        blinded = blind(plain, SubjectRef.handle("@" + handle), _ISSUER)
+        csa = countersign(blinded, _NOTARY, "notary-1", at)
+        for artifact in (plain, blinded, csa):
+            fresh, cls = self.check_memos(artifact), type(artifact)
+            text = canonical_serialize(reference_map(cls, artifact)).decode()
+            assert fresh._canonical_text == text
+            assert fresh._signed_bytes == canonical_serialize(
+                reference_map(cls, artifact, cls._UNSIGNED))
+            if cls is PlainAttestation:
+                assert plain._digest == crypto.digest(text.encode())
+            if cls is not CounterSignedAttestation:
+                sealed = canonical.record_bytes(cls, artifact, ("attestation_id",))
+                assert artifact.attestation_id == crypto.digest(sealed)
+                assert artifact._id_consistent is True
+        ledger = Ledger("l1", _WRITER.public_key)
+        ptr = ledger.append(_WRITER, AttestationRecord(csa))
+        ledger.append(_WRITER, PostRecord(crypto.digest(body), ptr, at))
+        for record in ledger.records:
+            fresh = self.check_memos(record)
+            assert record._signed_bytes == record_signing_bytes(
+                record.index, record.prev_digest, record.payload)
+            assert record._digest == crypto.digest(record_bytes(fresh))
+        assert ledger.verify_chain()
+
+    def test_each_signed_record_is_written_once(self, monkeypatch, issuer, notary_key,
+                                                 verify_calls):
+        written = collections.Counter()
+        for name in _RECORD_WRITERS:
+            real = getattr(canonical, name)
+
+            def counting(cls, *args, real=real):
+                written[cls] += 1
+                return real(cls, *args)
+
+            for module in (canonical, attestation):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        signed = []
+        real_sign = crypto.sign
+        monkeypatch.setattr(crypto, "sign", lambda key, tag, message: signed.append(tag)
+                            or real_sign(key, tag, message))
+        plain = make_plain(issuer)
+        blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+        assert verify_pair(plain, blinded, issuer.public_key).passed
+        csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
+        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        writer = crypto.keygen(b"provider")
+        ledger = Ledger("l1", writer.public_key)
+        ptr = ledger.append(writer, AttestationRecord(csa))
+        ledger.append(writer, PostRecord(crypto.digest(b"post"), ptr, 12))
+        assert ledger.verify_chain()
+        assert dict(written) == {PlainAttestation: 1, BlindedAttestation: 1,
+                                 CounterSignedAttestation: 1, LedgerRecord: 2}
+        # Every signature is made and checked as before: one check per ledger record.
+        assert signed == [crypto.TAG_PLAIN, crypto.TAG_BLINDED, crypto.TAG_COUNTER,
+                          crypto.TAG_LEDGER, crypto.TAG_LEDGER]
+        assert [call[1] for call in verify_calls] == [
+            crypto.TAG_PLAIN, crypto.TAG_BLINDED, crypto.TAG_COUNTER,
+            crypto.TAG_LEDGER, crypto.TAG_LEDGER]
 
 
 class TestSignatureMemo:
