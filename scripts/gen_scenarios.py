@@ -53,7 +53,7 @@ def travel_base(beneficiary_jurisdiction="US"):
     }
 
 
-def travel_script(amount, revoke_between=False):
+def travel_script(amount, revoke_between=False, tamper_between=False):
     script = [
         {"at": 1, "action": "issue", "coop": "coop1", "member": "alice",
          "queries": ["age-over-18", "residence-country"], "mode": "absent",
@@ -66,6 +66,9 @@ def travel_script(amount, revoke_between=False):
     if revoke_between:
         script.append({"at": 3, "action": "revoke", "coop": "coop1",
                        "attestation": "att-alice"})
+    if tamper_between:
+        script.append({"at": 4, "action": "tamper", "exchange": "E1",
+                       "account": "acct-alice"})
     script.append({"at": 5, "action": "transfer", "origin": "E1",
                    "transfer_id": "t1", "originator_account": "acct-alice",
                    "beneficiary_account": "acct-bob", "beneficiary_exchange": "E2",
@@ -88,6 +91,12 @@ def scenario_travel_rule_disclosure():
 def scenario_travel_rule_revoked():
     config = travel_base()
     config["script"] = travel_script(amount=500, revoke_between=True)
+    return config
+
+
+def scenario_travel_rule_tampered():
+    config = travel_base()
+    config["script"] = travel_script(amount=500, tamper_between=True)
     return config
 
 
@@ -202,6 +211,7 @@ SCENARIOS = {
     "travel_rule_disclosure": scenario_travel_rule_disclosure,
     "travel_rule_revoked": scenario_travel_rule_revoked,
     "travel_rule_jurisdiction": scenario_travel_rule_jurisdiction,
+    "travel_rule_tampered": scenario_travel_rule_tampered,
     "dsn_bot_flood": scenario_dsn_bot_flood,
     "dsn_duplicate_digest": scenario_dsn_duplicate_digest,
     "dsn_recovery": scenario_dsn_recovery,

@@ -259,18 +259,6 @@ Attestation = Union[PlainAttestation, BlindedAttestation, CounterSignedAttestati
 
 # --- canonical bytes ------------------------------------------------------------
 
-def countersign_bytes(blinded: BlindedAttestation, notary_id: str,
-                      notary_key_id: Digest, countersigned_at: int) -> bytes:
-    """The bytes the notary signature covers: the unmodified embedded blinded
-    attestation plus the envelope metadata."""
-    return record_bytes(
-        CounterSignedAttestation,
-        dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary_key_id,
-             countersigned_at=countersigned_at),
-        CounterSignedAttestation._UNSIGNED,
-    )
-
-
 def canonical_bytes(att) -> bytes:
     """Complete canonical serialization, id included; also the file format."""
     if not isinstance(att, _Artifact):

@@ -106,7 +106,8 @@ def _check_tag(domain_tag: str) -> None:
 
 # Key objects are built once per key's bytes: loading a private key costs
 # more than the signature it makes.  A key object is a pure function of
-# its bytes, so reusing one cannot change a signature or a verdict.
+# its bytes, so reusing one cannot change a signature or a verdict.  A
+# public key's id is kept beside its object, so a verify hashes no key.
 _KEY_OBJECTS = 4096
 
 
@@ -116,8 +117,13 @@ def _private_key(secret_key: bytes) -> Ed25519PrivateKey:
 
 
 @lru_cache(maxsize=_KEY_OBJECTS)
-def _public_key(public_key: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(public_key)
+def _public_key(public_key: bytes) -> tuple[Digest, Ed25519PublicKey | None]:
+    """The key's id and its object, None for bytes that are not a key."""
+    key_id = digest(public_key)
+    try:
+        return key_id, Ed25519PublicKey.from_public_bytes(public_key)
+    except ValueError:
+        return key_id, None
 
 
 # --- operations ----------------------------------------------------------------
@@ -145,12 +151,13 @@ def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature) -
     _check_tag(domain_tag)
     if sig.domain_tag != domain_tag:
         return False
-    if sig.signer_key_id != digest(public_key):
+    key_id, key = _public_key(public_key)
+    if sig.signer_key_id != key_id or key is None:
         return False
     try:
-        _public_key(public_key).verify(sig.data, _framed(domain_tag, message))
+        key.verify(sig.data, _framed(domain_tag, message))
         return True
-    except (InvalidSignature, ValueError):
+    except InvalidSignature:
         return False
 
 

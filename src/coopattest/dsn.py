@@ -200,8 +200,8 @@ class Provider:
         })
         for target in self.followers.get(handle, ()):
             peer = self.peers[target]
-            send_message(self, peer, "post", vars(post),
-                         lambda p=peer: p.receive_post(post, now))
+            send_message(self, peer, "post", vars(post))
+            peer.receive_post(post, now)
         return ptr
 
     def receive_post(self, post: Post, now: int) -> FilterDecision:
@@ -358,5 +358,5 @@ class Provider:
         except HandleMismatch as exc:
             raise InvalidAttestation(str(exc)) from exc
         for peer in self.peers.values():
-            send_message(self, peer, "recovery-notice", {"handle": handle}, lambda: None)
+            send_message(self, peer, "recovery-notice", {"handle": handle})
         return fresh

@@ -149,12 +149,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
-
-    def of_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
     def to_bytes(self) -> bytes:
         """One line per event, by the writer of its kind (of its channel, for a
         send); an undeclared kind or channel raises UnsupportedValue."""
@@ -666,16 +660,14 @@ class Scenario:
         new = coop.revocations.since(self._synced.get(coop.name, 0))
         self._synced[coop.name] = len(coop.revocations.entries)
         send_message(coop, notary, "revocation-sync",
-                     {"entries": {d.hex(): tick for d, tick in new.items()}},
-                     lambda: notary.sync_revocations(new))
+                     {"entries": {d.hex(): tick for d, tick in new.items()}})
+        notary.sync_revocations(new)
         # The trace names the plain attestation by its id only; the notary
         # alone receives the identity-bearing object.
-        csa = send_message(
-            coop, notary, "witness-request",
-            {"plain_id": plain.attestation_id.value, "blinded": blinded},
-            lambda: notary.witness_and_countersign(plain, blinded, coop.public_key, self.now),
-        )
-        send_message(notary, coop, "countersigned", {"attestation": csa}, lambda: None)
+        send_message(coop, notary, "witness-request",
+                     {"plain_id": plain.attestation_id.value, "blinded": blinded})
+        csa = notary.witness_and_countersign(plain, blinded, coop.public_key, self.now)
+        send_message(notary, coop, "countersigned", {"attestation": csa})
         self.artifacts[action["label"]] = csa
         coop._emit("issued", {
             "label": action["label"],
@@ -734,8 +726,8 @@ class Scenario:
             origin_provider=action["origin"],
             sent_at=self.now,
         )
-        send_message(self.adversary, target, "post", vars(post),
-                     lambda: target.receive_post(post, self.now))
+        send_message(self.adversary, target, "post", vars(post))
+        target.receive_post(post, self.now)
 
     def _do_revoke(self, action: dict) -> None:
         coop = self.coops[action["coop"]]

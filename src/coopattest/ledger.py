@@ -74,27 +74,15 @@ class LedgerRecord:
     # chains to are worked out once and kept in the instance dict, which eq,
     # hash and repr never read.  ``Ledger.append`` stores both from the one
     # encoding it signs; a record made any other way derives them here.
+    # An attestation record's bytes splice the countersigned attestation's
+    # memoised canonical text (see ``canonical.record_bytes``).
     @cached_property
     def _signed_bytes(self) -> bytes:
-        return record_signing_bytes(self.index, self.prev_digest, self.payload)
+        return canonical.record_bytes(LedgerRecord, self, LedgerRecord._UNSIGNED)
 
     @cached_property
     def _digest(self) -> Digest:
-        return crypto.digest(record_bytes(self))
-
-
-# An attestation record's bytes splice the countersigned attestation's
-# memoised canonical text (see ``canonical.record_bytes``).
-
-def record_signing_bytes(index: int, prev_digest: Digest, payload: Payload) -> bytes:
-    return canonical.record_bytes(
-        LedgerRecord, dict(index=index, prev_digest=prev_digest, payload=payload),
-        LedgerRecord._UNSIGNED,
-    )
-
-
-def record_bytes(record: LedgerRecord) -> bytes:
-    return canonical.record_bytes(LedgerRecord, record)
+        return crypto.digest(canonical.record_bytes(LedgerRecord, self))
 
 
 class Ledger:
@@ -105,13 +93,6 @@ class Ledger:
         self.writer_public_key = writer_public_key
         self._records: list[LedgerRecord] = []
         self._post_index: dict[Digest, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> tuple[LedgerRecord, ...]:
-        return tuple(self._records)
 
     def append(self, writer: KeyPair, payload: Payload) -> RecordPointer:
         if writer.public_key != self.writer_public_key:

@@ -157,10 +157,6 @@ class Notary:
     def public_key(self) -> bytes:
         return self.keypair.public_key
 
-    @property
-    def archive(self) -> tuple[ArchiveEntry, ...]:
-        return tuple(self._entries)
-
     def _archived(self, attestation_id: Digest) -> ArchiveEntry | None:
         index = self._by_id.get(attestation_id)
         return None if index is None else self._entries[index]
@@ -294,13 +290,10 @@ class Notary:
 
 def revalidate(requester, notary: Notary, attestation_id: Digest, now: int) -> Status:
     """The notary's status of *attestation_id* at tick *now*."""
-    status = send_message(
-        requester, notary, "revalidation", {"attestation_id": attestation_id.value},
-        lambda: notary.respond_revalidation(attestation_id, now),
-    )
+    send_message(requester, notary, "revalidation", {"attestation_id": attestation_id.value})
+    status = notary.respond_revalidation(attestation_id, now)
     send_message(notary, requester, "revalidation-status",
-                 {"attestation_id": attestation_id.value, "status": status.value},
-                 lambda: None)
+                 {"attestation_id": attestation_id.value, "status": status.value})
     return status
 
 
@@ -309,13 +302,10 @@ def request_disclosure(requester, notary: Notary, attestation_id: Digest, purpos
     """The notary's answer to *requester*, from its ``jurisdiction``, asking
     for the identity behind *attestation_id* for *purpose*."""
     jurisdiction = requester.jurisdiction
-    response = send_message(
-        requester, notary, "disclosure-request",
-        {"attestation_id": attestation_id.value, "jurisdiction": jurisdiction,
-         "purpose": purpose},
-        lambda: notary.respond_disclosure(attestation_id, jurisdiction, purpose, now),
-    )
+    send_message(requester, notary, "disclosure-request",
+                 {"attestation_id": attestation_id.value, "jurisdiction": jurisdiction,
+                  "purpose": purpose})
+    response = notary.respond_disclosure(attestation_id, jurisdiction, purpose, now)
     send_message(notary, requester, "disclosure-response",
-                 {"attestation_id": attestation_id.value, "outcome": response.outcome},
-                 lambda: None)
+                 {"attestation_id": attestation_id.value, "outcome": response.outcome})
     return response

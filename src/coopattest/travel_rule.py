@@ -209,8 +209,8 @@ class Exchange:
             raise DuplicateTransfer(req.transfer_id)
         peer = self._peer(req.beneficiary_exchange)
         self._outgoing[req.transfer_id] = req
-        send_message(self, peer, "transfer", vars(req),
-                     lambda: peer.receive_transfer(req))
+        send_message(self, peer, "transfer", vars(req))
+        peer.receive_transfer(req)
 
     def receive_transfer(self, req: TransferRequest) -> None:
         self._incoming[req.transfer_id] = req
@@ -225,12 +225,10 @@ class Exchange:
     def request_attestation(self, origin: "Exchange", transfer_id: str) -> CounterSignedAttestation:
         """Beneficiary side: fetch the originator's attestation over the
         direct channel and keep it on file for evaluation."""
-        csa = send_message(
-            self, origin, "attestation-request", {"transfer_id": transfer_id},
-            lambda: origin.provide_attestation(transfer_id),
-        )
+        send_message(self, origin, "attestation-request", {"transfer_id": transfer_id})
+        csa = origin.provide_attestation(transfer_id)
         send_message(origin, self, "attestation-delivery",
-                     {"transfer_id": transfer_id, "attestation": csa}, lambda: None)
+                     {"transfer_id": transfer_id, "attestation": csa})
         self._on_file[transfer_id] = csa
         return csa
 

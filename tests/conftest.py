@@ -5,9 +5,10 @@ import pytest
 from hypothesis import strategies as st
 
 from coopattest import crypto
-from coopattest.attestation import AttributeClaim, SubjectRef, build_plain
+from coopattest.attestation import AttributeClaim, CounterSignedAttestation, SubjectRef, build_plain
+from coopattest.canonical import record_bytes
 from coopattest.errors import DecodeError
-from coopattest.ledger import Ledger, PostRecord
+from coopattest.ledger import Ledger, LedgerRecord, PostRecord
 
 
 @pytest.fixture
@@ -32,6 +33,21 @@ def make_plain(issuer, identity="alice-legal-0001", claims=None, issued_at=10,
     )
 
 
+def events_of(log, kind):
+    """The events of *kind* in *log*, in order."""
+    return [e for e in log.events if e.kind == kind]
+
+
+def ledger_records(ledger):
+    """The records of *ledger*, in order; only a test reads them all."""
+    return tuple(ledger._records)
+
+
+def notary_archive(notary):
+    """The triples *notary* has witnessed, in order."""
+    return tuple(notary._entries)
+
+
 def ledger_from_records(ledger_id, writer_public_key, records):
     """A ledger holding *records* as they are, unchecked, so that a test can
     show ``verify_chain`` rejects a tampered chain."""
@@ -41,6 +57,35 @@ def ledger_from_records(ledger_id, writer_public_key, records):
         if isinstance(record.payload, PostRecord):
             ledger._post_index.setdefault(record.payload.post_digest, []).append(record.index)
     return ledger
+
+
+# --- the bytes each signature covers, written apart from the signing code ----------
+#
+# Countersigning and Ledger.append write a record's signed text and its
+# whole text from one encoding (canonical.record_texts) and keep both;
+# these write the same bytes from the field values, through record_bytes.
+
+def countersign_bytes(blinded, notary_id, notary_key_id, countersigned_at):
+    """The bytes the notary signature covers: the unmodified embedded blinded
+    attestation plus the envelope metadata."""
+    return record_bytes(
+        CounterSignedAttestation,
+        dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary_key_id,
+             countersigned_at=countersigned_at),
+        CounterSignedAttestation._UNSIGNED,
+    )
+
+
+def record_signing_bytes(index, prev_digest, payload):
+    """The bytes a ledger writer signs for the record at *index*."""
+    return record_bytes(LedgerRecord, dict(index=index, prev_digest=prev_digest, payload=payload),
+                        LedgerRecord._UNSIGNED)
+
+
+def ledger_record_bytes(record):
+    """The whole canonical bytes of a ledger record, which its successor's
+    ``prev_digest`` hashes."""
+    return record_bytes(LedgerRecord, record)
 
 
 # --- the record maps, built apart from the record writer -----------------------------

@@ -34,7 +34,9 @@ from coopattest.harness import (
     bundled_scenario_path,
     run_scenario,
 )
-from coopattest.ledger import AttestationRecord, record_bytes
+from coopattest.ledger import AttestationRecord
+
+from conftest import events_of, ledger_record_bytes, ledger_records
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -184,7 +186,7 @@ def test_criterion_3_revocation_expiry_lattice():
 # --- 4: travel rule end-to-end ------------------------------------------------------
 
 def _decision(log):
-    events = log.of_kind("transfer-decision")
+    events = events_of(log, "transfer-decision")
     assert len(events) == 1
     return events[0].payload
 
@@ -197,7 +199,7 @@ def test_criterion_4_travel_rule_end_to_end():
         # An unset optional is None in memory and left out of the log.
         assert decision["travel_record"] is None
         assert b"travel_record" not in basic.to_bytes()
-        disclosure_kinds = [e for e in basic
+        disclosure_kinds = [e for e in basic.events
                             if e.kind == "send"
                             and e.payload.get("channel") == "disclosure-request"]
         assert disclosure_kinds == []
@@ -228,18 +230,38 @@ def test_criterion_4_travel_rule_end_to_end():
             assert run_scenario(config).to_bytes() == run_scenario(config).to_bytes()
 
 
+def test_a_tampered_attestation_is_rejected_before_any_notary_round_trip():
+    scenario = Scenario(load("travel_rule_tampered"))
+    log = scenario.run()
+    kinds = [e.kind for e in log.events]
+    assert kinds.index("tampered") < kinds.index("transfer-decision")
+    assert _decision(log) == {"transfer_id": "t1", "outcome": "rejected",
+                              "reason": "verification-failed", "travel_record": None}
+    # The origin exchange hands over what its storage now holds: neither the
+    # issuer's nor the notary's signature covers it, so the beneficiary asks
+    # the notary nothing.
+    delivered = [e.payload["body"]["attestation"] for e in events_of(log, "send")
+                 if e.payload["channel"] == "attestation-delivery"]
+    assert len(delivered) == 1 and delivered[0] != scenario.artifacts["att-alice"]
+    report = verify_countersigned(delivered[0], scenario.coops["coop1"].public_key,
+                                  scenario.notaries["notary1"].public_key, 5)
+    assert report.failing() == ["issuer_signature", "notary_signature", "blinded_id"]
+    assert {e.payload["channel"] for e in events_of(log, "send")}.isdisjoint(
+        {"revalidation", "disclosure-request"})
+
+
 # --- 5: DSN end-to-end ----------------------------------------------------------------
 
 def _identity_free_lines(scenario, log, identities):
     """Every event, cooperative/notary traffic included, and every ledger
     record must be free of member legal identities."""
-    for event in log:
+    for event in log.events:
         line = EventLog([event]).to_bytes()
         for identity in identities:
             assert identity.encode() not in line, f"{identity} leaked in {event.kind}"
     for provider in scenario.providers.values():
-        for record in provider.ledger.records:
-            line = record_bytes(record)
+        for record in ledger_records(provider.ledger):
+            line = ledger_record_bytes(record)
             for identity in identities:
                 assert identity.encode() not in line, f"{identity} leaked on ledger"
 
@@ -249,7 +271,7 @@ def test_criterion_5_dsn_end_to_end():
         config = load("dsn_bot_flood")
         scenario = Scenario(config)
         log = scenario.run()
-        decisions = [e.payload for e in log.of_kind("filter-decision")]
+        decisions = [e.payload for e in events_of(log, "filter-decision")]
         bots = [d for d in decisions if d["author_handle"].startswith("@bot")]
         attested = [d for d in decisions if not d["author_handle"].startswith("@bot")]
         assert len(bots) == 100
@@ -268,7 +290,7 @@ def test_criterion_5_dsn_end_to_end():
 def test_criterion_6_duplicate_digest():
     with criterion(6, "identical body: attested delivery unaffected, imposter origin-mismatch"):
         log = run_scenario(load("dsn_duplicate_digest"))
-        decisions = [e.payload for e in log.of_kind("filter-decision")]
+        decisions = [e.payload for e in events_of(log, "filter-decision")]
         imposter = [d for d in decisions if d["author_handle"] == "@imposter"]
         genuine = [d for d in decisions if d["author_handle"] == "@s0"]
         assert imposter == [{
@@ -289,7 +311,7 @@ def test_criterion_7_recovery_flow():
     with criterion(7, "recovery: old posts drop revoked, new deliver, append-only ledger"):
         scenario = Scenario(load("dsn_recovery"))
         log = scenario.run()
-        decisions = [e.payload for e in log.of_kind("filter-decision")]
+        decisions = [e.payload for e in events_of(log, "filter-decision")]
         old_replays = [d for d in decisions
                        if d["outcome"] == "drop" and d["reason"] == "attestation-revoked"]
         assert len(old_replays) == 1
@@ -297,7 +319,7 @@ def test_criterion_7_recovery_flow():
         assert len(deliveries) == 4  # pre-recovery post x2 + post-recovery post x2
 
         p1 = scenario.providers["P1"]
-        attestation_records = [r for r in p1.ledger.records
+        attestation_records = [r for r in ledger_records(p1.ledger)
                                if isinstance(r.payload, AttestationRecord)]
         assert len(attestation_records) == 2  # old and fresh, both retained
         old_id = attestation_records[0].payload.csa.blinded.attestation_id
@@ -318,5 +340,5 @@ def test_criterion_8_determinism():
             assert first.to_bytes() == second.to_bytes(), name
             golden = (GOLDEN_DIR / f"{name}.log").read_bytes()
             assert first.to_bytes() == golden, f"{name} diverged from committed golden"
-            chains = first.of_kind("chain-verified")
+            chains = events_of(first, "chain-verified")
             assert all(e.payload["ok"] for e in chains), name

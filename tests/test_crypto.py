@@ -1,5 +1,6 @@
 """Digest, keygen, and domain-tagged signature behaviour."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -130,6 +131,24 @@ class TestSignVerify:
         b = keygen(b"cross-%d" % j)
         sig = sign(a, crypto.TAG_COUNTER, message)
         assert verify(b.public_key, crypto.TAG_COUNTER, message, sig) == (i == j)
+
+    def test_a_signature_naming_another_key_fails(self):
+        a, b = keygen(b"named-a"), keygen(b"named-b")
+        sig = sign(a, crypto.TAG_PLAIN, b"msg")
+        renamed = dataclasses.replace(sig, signer_key_id=b.key_id)
+        assert verify(a.public_key, crypto.TAG_PLAIN, b"msg", sig)
+        # Its data is still a's valid signature; only the id it names refuses it.
+        assert not verify(a.public_key, crypto.TAG_PLAIN, b"msg", renamed)
+        assert not verify(b.public_key, crypto.TAG_PLAIN, b"msg", renamed)
+
+    @pytest.mark.parametrize("public_key", [b"", b"k" * 31, b"k" * 33],
+                             ids=lambda key: f"{len(key)}-bytes")
+    def test_bytes_that_are_not_a_key_fail(self, public_key):
+        # The signature names these bytes, so it is loading them that refuses it,
+        # the first time and from the cache alike.
+        sig = crypto.Signature(b"\x00" * 64, digest(public_key), crypto.TAG_PLAIN)
+        assert not verify(public_key, crypto.TAG_PLAIN, b"msg", sig)
+        assert not verify(public_key, crypto.TAG_PLAIN, b"msg", sig)
 
     def test_deterministic_signatures(self):
         kp = keygen(b"k")

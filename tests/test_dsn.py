@@ -33,6 +33,8 @@ from coopattest.errors import (
 from coopattest.ledger import AttestationRecord, PostRecord, RecordPointer
 from coopattest.notary import OUTCOME_DENIED, OUTCOME_DISCLOSED, JurisdictionPolicy, Notary
 
+from conftest import ledger_records
+
 
 class Capture:
     def __init__(self):
@@ -191,7 +193,7 @@ class TestPublish:
         with pytest.raises(DanglingAttestationPointer):
             p2.ledger.append(p2.writer,
                              PostRecord(crypto.digest(b"hello"), account.attestation_ptr, 20))
-        assert len(p2.ledger) == 0
+        assert ledger_records(p2.ledger) == ()
 
     def test_each_actor_hashes_a_post_body_once(self, monkeypatch):
         stack = Stack(followers={"@sender": ("P2",)})
@@ -323,11 +325,11 @@ class TestPorting:
         ptr = {
             "post": post_ptr,
             "attestation": account.attestation_ptr,
-            "past-the-end": RecordPointer("P1", len(stack.providers["P1"].ledger)),
+            "past-the-end": RecordPointer("P1", len(ledger_records(stack.providers["P1"].ledger))),
         }[pointer]
         with pytest.raises(DanglingAttestationPointer):
             stack.providers["P3"].port_attestation(origin, ptr)
-        assert len(stack.providers["P3"].ledger) == 0
+        assert ledger_records(stack.providers["P3"].ledger) == ()
 
     def test_prefer_local_avoids_origin_reads(self):
         stack = Stack(prefer_local_port=("P3",))
@@ -407,7 +409,7 @@ class TestRecovery:
         account, old_csa, new_csa, fresh = self._recover(stack)
         assert fresh.attestation_ptr != account.attestation_ptr
         ledger = stack.providers["P1"].ledger
-        payloads = [r.payload for r in ledger.records
+        payloads = [r.payload for r in ledger_records(ledger)
                     if isinstance(r.payload, AttestationRecord)]
         assert [p.csa for p in payloads] == [old_csa, new_csa]  # append-only history
         assert stack.providers["P1"].accounts["@sender"] == fresh

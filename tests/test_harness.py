@@ -36,7 +36,7 @@ from coopattest.harness import (
 )
 from coopattest.travel_rule import TravelRuleRecord
 
-from conftest import mutated, reference_value
+from conftest import events_of, mutated, reference_value
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
@@ -345,7 +345,7 @@ class TestRunScenario:
     def test_chains_verify_at_end(self, name):
         config = ScenarioConfig.load(bundled_scenario_path(name))
         log = run_scenario(config)
-        assert all(e.payload["ok"] for e in log.of_kind("chain-verified"))
+        assert all(e.payload["ok"] for e in events_of(log, "chain-verified"))
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_message_log_completeness(self, name):
@@ -354,8 +354,8 @@ class TestRunScenario:
         scenario = Scenario(ScenarioConfig.load(bundled_scenario_path(name)))
         log = scenario.run()
         actors = {*scenario.coops, *scenario.notaries, *scenario.exchanges, *scenario.providers}
-        sends = log.of_kind("send")
-        assert sends and not log.of_kind("deliver")
+        sends = events_of(log, "send")
+        assert sends and not events_of(log, "deliver")
         assert all(e.payload["to"] in actors for e in sends)
         assert all(set(e.payload) == {"to", "channel", "body"} for e in sends)
 
@@ -368,7 +368,7 @@ class TestRunScenario:
     def test_bot_flood_counts(self):
         config = ScenarioConfig.load(bundled_scenario_path("dsn_bot_flood"))
         log = run_scenario(config)
-        drops = [e for e in log.of_kind("filter-decision")
+        drops = [e for e in events_of(log, "filter-decision")
                  if e.payload["outcome"] == "drop"]
         assert len(drops) == 100
         assert all(e.payload["reason"] == "no-ledger-match" for e in drops)
@@ -499,7 +499,7 @@ def reference_log_bytes(log):
     log's writer, nor from the text an attestation keeps."""
     return b"".join(canonical_serialize(reference_value(
         {"tick": e.tick, "actor": e.actor, "kind": e.kind, "payload": e.payload})) + b"\n"
-        for e in log)
+        for e in log.events)
 
 
 def check_reread(log, data):
@@ -510,7 +510,7 @@ def check_reread(log, data):
     assert reread.to_bytes() == data
     assert reread.events == log.events
     return sum(isinstance(value, ARTIFACTS)
-               for event in reread.of_kind("send") for value in event.payload["body"].values())
+               for event in events_of(reread, "send") for value in event.payload["body"].values())
 
 
 def tiny_benchmark_workload(name):
@@ -568,7 +568,7 @@ class TestEventLog:
         scenario = Scenario(minimal_plus(TRANSFER))
         log = scenario.run()
         csa = scenario.artifacts["a1"]
-        carried = {e.payload["channel"]: e.payload["body"] for e in log.of_kind("send")
+        carried = {e.payload["channel"]: e.payload["body"] for e in events_of(log, "send")
                    if any(isinstance(v, ARTIFACTS) for v in e.payload["body"].values())}
         assert set(carried) == {"witness-request", "countersigned", "attestation-delivery"}
         assert carried["witness-request"]["blinded"] is csa.blinded
@@ -604,7 +604,7 @@ class TestEventLog:
              "('send', 'c')"),
         ]:
             with pytest.raises(UnsupportedValue, match=re.escape(f"undeclared event {undeclared}")):
-                EventLog([*log, event]).to_bytes()
+                EventLog([*log.events, event]).to_bytes()
 
     def test_to_bytes_of_empty_log(self):
         assert EventLog().to_bytes() == b""
@@ -741,10 +741,11 @@ def v1_to_v2(data: bytes) -> bytes:
 
 
 class TestLogFormat:
-    @pytest.mark.parametrize("name", bundled_scenario_names())
-    def test_v1_golden_maps_to_the_current_golden(self, name):
-        v1 = (GOLDEN_DIR / "v1" / f"{name}.log").read_bytes()
-        assert v1_to_v2(v1) == (GOLDEN_DIR / f"{name}.log").read_bytes()
+    # Over the v1 logs, not the scenarios: a scenario added since has none.
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("v1/*.log")), ids=lambda p: p.stem)
+    def test_v1_golden_maps_to_the_current_golden(self, path):
+        assert path.stem in bundled_scenario_names()
+        assert v1_to_v2(path.read_bytes()) == (GOLDEN_DIR / path.name).read_bytes()
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_no_legal_identity_outside_a_disclosed_travel_record(self, name):

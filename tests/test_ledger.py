@@ -18,10 +18,15 @@ from coopattest.ledger import (
     LedgerRecord,
     PostRecord,
     RecordPointer,
-    record_bytes,
 )
 
-from conftest import check_strict_decoding, ledger_from_records, make_plain
+from conftest import (
+    check_strict_decoding,
+    ledger_from_records,
+    ledger_record_bytes,
+    ledger_records,
+    make_plain,
+)
 
 
 @pytest.fixture
@@ -73,7 +78,7 @@ class TestAppend:
         other = make_ledger(other_writer, "B2")
         with pytest.raises(DanglingAttestationPointer):
             other.append(other_writer, PostRecord(crypto.digest(b"hi"), att_ptr, 5))
-        assert len(other) == 0
+        assert ledger_records(other) == ()
 
     def test_unresolvable_ledger_is_dangling(self, writer):
         ledger = make_ledger(writer)
@@ -164,7 +169,7 @@ class TestVerifyChain:
 
     def test_mutated_payload_false(self, writer, sample_csa):
         ledger = self._populated(writer, sample_csa)
-        records = list(ledger.records)
+        records = list(ledger_records(ledger))
         victim = records[2]
         records[2] = dataclasses.replace(
             victim, payload=dataclasses.replace(victim.payload, posted_at=999)
@@ -174,13 +179,13 @@ class TestVerifyChain:
 
     def test_reordered_records_false(self, writer, sample_csa):
         ledger = self._populated(writer, sample_csa)
-        records = list(ledger.records)
+        records = list(ledger_records(ledger))
         records[1], records[2] = records[2], records[1]
         assert not ledger_from_records("B1", writer.public_key, records).verify_chain()
 
     def test_dropped_record_false(self, writer, sample_csa):
         ledger = self._populated(writer, sample_csa)
-        records = list(ledger.records)[:-2] + [list(ledger.records)[-1]]
+        records = list(ledger_records(ledger))[:-2] + [list(ledger_records(ledger))[-1]]
         assert not ledger_from_records("B1", writer.public_key, records).verify_chain()
 
 
@@ -191,7 +196,7 @@ class TestPersistence:
         ledger = make_ledger(writer)
         att_ptr = ledger.append(writer, AttestationRecord(sample_csa))
         ledger.append(writer, PostRecord(crypto.digest(b"hello"), att_ptr, 3))
-        return ledger, [record_bytes(record) for record in ledger.records]
+        return ledger, [ledger_record_bytes(record) for record in ledger_records(ledger)]
 
     @staticmethod
     def _rebuilt(writer, stored: list[bytes]) -> Ledger:
@@ -201,7 +206,7 @@ class TestPersistence:
     def test_bytes_roundtrip(self, writer, sample_csa):
         ledger, stored = self._stored(writer, sample_csa)
         loaded = self._rebuilt(writer, stored)
-        assert loaded.records == ledger.records
+        assert ledger_records(loaded) == ledger_records(ledger)
         assert loaded.verify_chain()
         assert [r.index for r in loaded.post_matches(crypto.digest(b"hello"))] == [1]
 
@@ -219,7 +224,7 @@ def _record_maps() -> list[dict]:
     ledger = make_ledger(writer)
     att_ptr = ledger.append(writer, AttestationRecord(countersign(blinded, notary, "notary-1", 11)))
     ledger.append(writer, PostRecord(crypto.digest(b"hello"), att_ptr, 3))
-    return [canonical_parse(record_bytes(record)) for record in ledger.records]
+    return [canonical_parse(ledger_record_bytes(record)) for record in ledger_records(ledger)]
 
 
 RECORD_MAPS = _record_maps()
@@ -230,7 +235,7 @@ def decode_record(raw) -> LedgerRecord:
 
 
 def encode_record(record: LedgerRecord) -> dict:
-    return canonical_parse(record_bytes(record))
+    return canonical_parse(ledger_record_bytes(record))
 
 
 class TestStrictDecoding:

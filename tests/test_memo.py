@@ -19,7 +19,6 @@ from coopattest.attestation import (
     build_plain,
     canonical_bytes,
     countersign,
-    countersign_bytes,
     verify_countersigned,
     verify_pair,
 )
@@ -35,11 +34,18 @@ from coopattest.ledger import (
     Ledger,
     LedgerRecord,
     PostRecord,
-    record_bytes,
-    record_signing_bytes,
 )
 
-from conftest import ledger_from_records, make_plain, reference_map, reference_value
+from conftest import (
+    countersign_bytes,
+    ledger_from_records,
+    ledger_record_bytes,
+    ledger_records,
+    make_plain,
+    record_signing_bytes,
+    reference_map,
+    reference_value,
+)
 
 
 @pytest.fixture
@@ -119,7 +125,7 @@ class TestBytes:
         marked.blinded.__dict__["_canonical_text"] = '"blinded text"'
         record = LedgerRecord(0, crypto.ZERO_DIGEST, AttestationRecord(marked),
                               csa.notary_key_id, csa.notary_signature)
-        assert b'"csa":"csa text"' in record_bytes(record)
+        assert b'"csa":"csa text"' in ledger_record_bytes(record)
         assert b'"blinded":"blinded text"' in signing_bytes_of(marked)
         assert canonical_serialize({"attestation": marked}) == b'{"attestation":"csa text"}'
 
@@ -144,9 +150,9 @@ class TestBytes:
         ledger = Ledger("l1", writer.public_key)
         ptr = ledger.append(writer, AttestationRecord(csa))
         ledger.append(writer, PostRecord(crypto.digest(b"post"), ptr, 3))
-        first, second = ledger.records
+        first, second = ledger_records(ledger)
         assert second.prev_digest is first._digest
-        assert first._digest == crypto.digest(record_bytes(first))
+        assert first._digest == crypto.digest(ledger_record_bytes(first))
         assert ledger.verify_chain()
         # A changed record is a new object: its digest is worked out afresh
         # and the chain no longer reaches it.
@@ -221,11 +227,11 @@ class TestMemosMadeAtSigning:
         ledger = Ledger("l1", _WRITER.public_key)
         ptr = ledger.append(_WRITER, AttestationRecord(csa))
         ledger.append(_WRITER, PostRecord(crypto.digest(body), ptr, at))
-        for record in ledger.records:
+        for record in ledger_records(ledger):
             fresh = self.check_memos(record)
             assert record._signed_bytes == record_signing_bytes(
                 record.index, record.prev_digest, record.payload)
-            assert record._digest == crypto.digest(record_bytes(fresh))
+            assert record._digest == crypto.digest(ledger_record_bytes(fresh))
         assert ledger.verify_chain()
 
     def test_each_signed_record_is_written_once(self, monkeypatch, issuer, notary_key,

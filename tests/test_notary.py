@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopattest import crypto
-from coopattest.attestation import SubjectRef, blind, canonical_bytes, countersign_bytes
+from coopattest.attestation import SubjectRef, blind, canonical_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
 from coopattest.cooperative import Cooperative, MemberRecord, RevocationRegistry, Status
 from coopattest.errors import DecodeError, ExpiredAtWitnessing, PairMismatch
@@ -23,7 +23,7 @@ from coopattest.notary import (
     NotaryState,
 )
 
-from conftest import make_claims, make_plain
+from conftest import countersign_bytes, make_claims, make_plain, notary_archive
 
 POLICY = JurisdictionPolicy("US", frozenset({"US", "EU"}))
 
@@ -42,9 +42,9 @@ class TestWitnessing:
         notary = make_notary()
         plain, blinded = issued_pair(issuer)
         csa = notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
-        assert len(notary.archive) == 1
+        assert len(notary_archive(notary)) == 1
         assert csa.notary_id == "notary-1"
-        assert notary.archive[0].countersigned == csa
+        assert notary_archive(notary)[0].countersigned == csa
 
     def test_mismatch_rejected_without_archiving(self, issuer):
         notary = make_notary()
@@ -53,7 +53,7 @@ class TestWitnessing:
         with pytest.raises(PairMismatch) as excinfo:
             notary.witness_and_countersign(plain_a, blinded_b, issuer.public_key, now=10)
         assert "digest_match" in excinfo.value.report.failing()
-        assert len(notary.archive) == 0
+        assert len(notary_archive(notary)) == 0
         assert len(notary.rejection_log) == 1
 
     def test_expired_at_witnessing_boundary(self, issuer):
@@ -206,7 +206,7 @@ class TestDisclosure:
     def test_disclosure_soundness_matches_archive(self, issuer):
         notary, att_id = self._ready(issuer)
         response = notary.respond_disclosure(att_id, "EU", "travel-rule", 20)
-        entry = notary.archive[0]
+        entry = notary_archive(notary)[0]
         assert response.subject == entry.plain.subject.value
 
     def test_subject_presence_invariant(self):
