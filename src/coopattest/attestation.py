@@ -59,29 +59,87 @@ KIND_BLINDED = "blinded"
 KIND_COUNTERSIGNED = "countersigned"
 
 
-# --- per-artifact memos -----------------------------------------------------------
+# --- signed records -------------------------------------------------------------
 
-class _Artifact:
-    """Work derived from a frozen artifact's fields, done once per object.
+class _Signed:
+    """A frozen record signed over its fields: the attestation artifacts and
+    the ledger records.  Each subclass names its signature's domain tag
+    (``_TAG``), the wire keys the signature does not cover (``_UNSIGNED``)
+    and the field that holds the signature (``_SIGNATURE``).
 
-    Results live in the instance dict, which the dataclass's eq, hash and
-    repr never read and ``dataclasses.replace`` never copies: a changed
-    artifact is a new object and starts with no memos.  Each subclass
-    names its signature's domain tag (``_TAG``), the wire keys the
-    signature does not cover (``_UNSIGNED``) and the signature itself
-    (``_signature``).
-
-    An artifact is written once, when it is signed: one encoding of its
-    fields gives the bytes its signature covers, the bytes its id covers,
-    and its canonical text (a plain attestation keeps only the text's
-    digest), and the signer stores each under the memo that would
-    otherwise derive it.  An artifact made any other way
-    (``dataclasses.replace``, a decoded map or ``.att`` file) starts with
-    none, and each check derives it afresh.  Every encoding that holds the
-    artifact (a countersignature's signed bytes, a ledger record, a message
-    body in the event log) splices its text in as it is, since
-    ``canonical_serialize`` encodes an artifact as its text.
+    Work derived from the fields is done once per object.  Results live in
+    the instance dict, which the dataclass's eq, hash and repr never read
+    and ``dataclasses.replace`` never copies: a changed record is a new
+    object and starts with no memos.  A record is written once, when
+    ``_sign`` signs it: one encoding of its fields gives the bytes its
+    signature covers, the bytes its id covers, and its canonical text, and
+    the signer stores each under the memo that would otherwise derive it.
+    A record made any other way (``dataclasses.replace``, a decoded map or
+    ``.att`` file) starts with none, and each check derives it afresh.
     """
+
+    _ID = None  # the key of an id over every other key, if the record has one
+    _KEEPS_TEXT = False  # the signer keeps the canonical text, not its digest
+
+    @cached_property
+    def _signed_bytes(self) -> bytes:
+        return record_bytes(type(self), self, self._UNSIGNED)
+
+    @cached_property
+    def _digest(self) -> Digest:
+        """The digest of the complete canonical bytes: a blinded attestation
+        carries its plain attestation's as ``plain_digest``, and a ledger
+        record's successor chains to it."""
+        return crypto.digest(record_bytes(type(self), self))
+
+    def _signature_verifies(self, public_key: bytes) -> bool:
+        """True iff the record's own signature verifies under *public_key*.
+
+        A success is remembered under the exact key bytes; a failure is
+        never remembered.  The message and the signature are fixed by the
+        frozen record and Ed25519 verification is deterministic in its
+        inputs (RFC 8032, section 5.1.7), so a remembered success is the
+        verdict a new check would give.
+        """
+        verified = self.__dict__.get("_verified_keys", ())
+        exact = type(public_key) is bytes
+        if exact and public_key in verified:
+            return True
+        ok = crypto.verify(public_key, self._TAG, self._signed_bytes,
+                           getattr(self, self._SIGNATURE))
+        if ok and exact:
+            self.__dict__["_verified_keys"] = verified + (public_key,)
+        return ok
+
+    @classmethod
+    def _sign(cls, key: KeyPair, fields: dict):
+        """The *cls* record with the body *fields*, signed by *key* and, if it
+        has an id, sealed with it.  Its fields are encoded once, and what its
+        checks read is taken from that encoding as it is written."""
+        text = record_texts(cls, fields)
+        message = _utf8(text(cls._UNSIGNED))
+        fields[cls._SIGNATURE] = crypto.sign(key, cls._TAG, message)
+        memos = {"_signed_bytes": message}
+        if cls._ID is not None:
+            fields[cls._ID] = crypto.digest(_utf8(text((cls._ID,))))
+            memos["_id_consistent"] = True
+        if cls._KEEPS_TEXT:
+            memos["_canonical_text"] = text()
+        else:
+            memos["_digest"] = crypto.digest(_utf8(text()))
+        record = cls(**fields)
+        record.__dict__.update(memos)
+        return record
+
+
+class _Artifact(_Signed):
+    """An attestation artifact.  Every encoding that holds one (a
+    countersignature's signed bytes, a ledger record, a message body in the
+    event log) splices its canonical text in as it is, since
+    ``canonical_serialize`` encodes an artifact as its text; the signer
+    keeps that text, except for a plain attestation (see there)."""
+
+    _KEEPS_TEXT = True
 
     @cached_property
     def _canonical_text(self) -> str:
@@ -91,38 +149,14 @@ class _Artifact:
     def _canonical_bytes(self) -> bytes:
         return canonical_serialize(self)
 
-    @cached_property
-    def _signed_bytes(self) -> bytes:
-        return record_bytes(type(self), self, self._UNSIGNED)
-
-    def _signature_verifies(self, public_key: bytes) -> bool:
-        """True iff the artifact's own signature verifies under *public_key*.
-
-        A success is remembered under the exact key bytes; a failure is
-        never remembered.  The message and the signature are fixed by the
-        frozen artifact and Ed25519 verification is deterministic in its
-        inputs (RFC 8032, section 5.1.7), so a remembered success is the
-        verdict a new check would give.
-        """
-        verified = self.__dict__.get("_verified_keys", ())
-        exact = type(public_key) is bytes
-        if exact and public_key in verified:
-            return True
-        ok = crypto.verify(public_key, self._TAG, self._signed_bytes, self._signature)
-        if ok and exact:
-            self.__dict__["_verified_keys"] = verified + (public_key,)
-        return ok
-
 
 class _IssuerSigned(_Artifact):
     """A plain or blinded attestation: the issuer signs every key but the id
     and the signature, and the id is the digest of every key but itself."""
 
     _UNSIGNED = ("attestation_id", "issuer_signature")
-
-    @property
-    def _signature(self) -> Signature:
-        return self.issuer_signature
+    _SIGNATURE = "issuer_signature"
+    _ID = "attestation_id"
 
     @cached_property
     def _id_consistent(self) -> bool:
@@ -177,8 +211,13 @@ class SubjectRef:
 
 @dataclass(frozen=True)
 class PlainAttestation(_IssuerSigned):
+    """Its signer keeps only the digest of its canonical bytes, which a
+    blinded attestation carries as ``plain_digest``: blinding and pair
+    checks need nothing else of those bytes."""
+
     _KIND = KIND_PLAIN
     _TAG = crypto.TAG_PLAIN
+    _KEEPS_TEXT = False
 
     attestation_id: Digest
     subject: SubjectRef
@@ -198,13 +237,6 @@ class PlainAttestation(_IssuerSigned):
             raise InvalidValidityWindow(f"[{self.issued_at}, {self.expires_at}) is empty")
         if len(self.nonce) != NONCE_SIZE:
             raise ValueError("nonce must be exactly 32 bytes")
-
-    @cached_property
-    def _digest(self) -> Digest:
-        """The digest of the canonical bytes, which a blinded attestation
-        carries as ``plain_digest``.  Only the digest is kept: blinding and
-        pair checks need nothing else of those bytes."""
-        return crypto.digest(record_bytes(PlainAttestation, self))
 
 
 @dataclass(frozen=True)
@@ -238,6 +270,7 @@ class CounterSignedAttestation(_Artifact):
     _KIND = KIND_COUNTERSIGNED
     _TAG = crypto.TAG_COUNTER
     _UNSIGNED = ("kind", "notary_signature")
+    _SIGNATURE = "notary_signature"
 
     blinded: BlindedAttestation
     notary_id: str
@@ -248,10 +281,6 @@ class CounterSignedAttestation(_Artifact):
     def __post_init__(self) -> None:
         if not self.notary_id:
             raise EmptyNotaryId("countersignature must name its legal point of contact")
-
-    @property
-    def _signature(self) -> Signature:
-        return self.notary_signature
 
 
 Attestation = Union[PlainAttestation, BlindedAttestation, CounterSignedAttestation]
@@ -302,7 +331,7 @@ def build_plain(
     attributes = tuple(attributes)
     if not attributes:
         raise EmptyAttributes("at least one attribute claim is required")
-    return _issue(PlainAttestation, issuer, dict(
+    return PlainAttestation._sign(issuer, dict(
         subject=subject,
         attributes=attributes,
         issuer_key_id=issuer.key_id,
@@ -318,7 +347,7 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
     """Derive the subject-stripped attestation that hashes to *plain*."""
     if issuer.key_id != plain.issuer_key_id:
         raise IssuerKeyMismatch("blinding key does not match the plain attestation's issuer")
-    return _issue(BlindedAttestation, issuer, dict(
+    return BlindedAttestation._sign(issuer, dict(
         subject=substitute,
         attributes=plain.attributes,
         plain_digest=plain._digest,
@@ -328,27 +357,6 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
         expires_at=plain.expires_at,
         hash_alg=plain.hash_alg,
     ))
-
-
-def _issue(cls: type, issuer: KeyPair, fields: dict):
-    """The *cls* attestation with the body *fields*, signed by *issuer* and
-    sealed with its id.  Its fields are encoded once, and what its checks
-    read is derived from that encoding as it is written."""
-    text = record_texts(cls, fields)
-    message = _utf8(text(cls._UNSIGNED))
-    fields["issuer_signature"] = crypto.sign(issuer, cls._TAG, message)
-    fields["attestation_id"] = crypto.digest(_utf8(text(("attestation_id",))))
-    att = _memoised(cls(**fields), _signed_bytes=message, _id_consistent=True)
-    if cls is PlainAttestation:
-        return _memoised(att, _digest=crypto.digest(_utf8(text())))
-    return _memoised(att, _canonical_text=text())
-
-
-def _memoised(att, **memos):
-    """*att*, holding *memos*: what its memos would derive from its fields,
-    taken from the encoding it was signed with."""
-    att.__dict__.update(memos)
-    return att
 
 
 class _Checks:
@@ -417,13 +425,8 @@ def countersign(
     if issuer_public_key is not None:
         if not blinded._signature_verifies(issuer_public_key) or not blinded._id_consistent:
             raise InvalidBlinded("blinded attestation does not verify under its issuer key")
-    fields = dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary.key_id,
-                  countersigned_at=at)
-    text = record_texts(CounterSignedAttestation, fields)
-    message = _utf8(text(CounterSignedAttestation._UNSIGNED))
-    fields["notary_signature"] = crypto.sign(notary, crypto.TAG_COUNTER, message)
-    return _memoised(CounterSignedAttestation(**fields), _signed_bytes=message,
-                     _canonical_text=text())
+    return CounterSignedAttestation._sign(notary, dict(
+        blinded=blinded, notary_id=notary_id, notary_key_id=notary.key_id, countersigned_at=at))
 
 
 @dataclass

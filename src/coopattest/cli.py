@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 from .attestation import (
+    MODE_ABSENT,
+    MODE_HANDLE,
     BlindedAttestation,
     CounterSignedAttestation,
     PlainAttestation,
@@ -30,7 +32,7 @@ from .crypto import DIGEST_SIZE, Digest, keygen
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
 from .errors import ExpiredAtWitnessing, PairMismatch
 from .harness import ScenarioConfig, run_scenario, validate_config
-from .notary import OUTCOME_DISCLOSED, Notary
+from .notary import OUTCOME_DISCLOSED, PURPOSES, Notary
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coop", required=True, help="cooperative state file (updated in place)")
     p.add_argument("--member", required=True)
     p.add_argument("--attrs", required=True, help="comma-separated derivation rules")
-    p.add_argument("--mode", required=True, choices=["absent", "handle"])
+    p.add_argument("--mode", required=True, choices=[MODE_ABSENT, MODE_HANDLE])
     p.add_argument("--now", required=True, type=int)
     p.add_argument("--ttl", required=True, type=int)
     p.add_argument("--out-plain", required=True)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notary", required=True, help="notary state file (updated in place)")
     p.add_argument("--id", required=True, help="attestation id, hex")
     p.add_argument("--jurisdiction", required=True)
-    p.add_argument("--purpose", required=True, choices=["travel-rule", "dsn-dispute"])
+    p.add_argument("--purpose", required=True, choices=PURPOSES)
     p.add_argument("--now", required=True, type=int)
     p.set_defaults(func=cmd_disclose)
 

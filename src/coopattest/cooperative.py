@@ -20,6 +20,8 @@ from pathlib import Path
 
 from . import crypto
 from .attestation import (
+    MODE_ABSENT,
+    MODE_HANDLE,
     AttributeClaim,
     BlindedAttestation,
     PlainAttestation,
@@ -232,14 +234,15 @@ class Cooperative:
         member = self.member(member_id)
         if ttl <= 0:
             raise ValueError("ttl must be positive")
-        if substitute_mode == "handle":
+        if substitute_mode == MODE_HANDLE:
             if not member.handle:
                 raise MissingHandle(member_id)
             substitute = SubjectRef.handle(member.handle)
-        elif substitute_mode == "absent":
+        elif substitute_mode == MODE_ABSENT:
             substitute = SubjectRef.absent()
         else:
-            raise ValueError(f"substitute_mode must be 'absent' or 'handle', got {substitute_mode!r}")
+            raise ValueError(f"substitute_mode must be {MODE_ABSENT!r} or {MODE_HANDLE!r}, "
+                             f"got {substitute_mode!r}")
         claims = [self.derive_attribute(member_id, q, now) for q in queries]
         plain = build_plain(
             SubjectRef.legal(member.legal_identity),

@@ -67,7 +67,12 @@ class Digest:
 
     @classmethod
     def from_hex(cls, text: str) -> "Digest":
-        return cls(bytes.fromhex(text))
+        """The digest whose ``hex()`` is *text*: lowercase digits, no spaces,
+        so that a state file cannot spell one id two ways."""
+        value = bytes.fromhex(text)
+        if value.hex() != text:
+            raise ValueError(f"{text!r} is not the lowercase hex of a digest")
+        return cls(value)
 
 
 ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)

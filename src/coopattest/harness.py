@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, get_args
 
 from . import crypto
-from .attestation import BlindedAttestation, CounterSignedAttestation
+from .attestation import MODE_ABSENT, MODE_HANDLE, BlindedAttestation, CounterSignedAttestation
 from .canonical import _utf8, _writer, canonical_parse, record_from_map, write_canonical
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
@@ -253,7 +253,8 @@ _flag = _kind(lambda v: type(v) is bool, "must be a boolean")
 _body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0,
               "must be non-empty text or bytes")
 _handle = _kind(lambda v: isinstance(v, str) and v.startswith("@"), "must begin with '@'")
-_mode = _kind(lambda v: v in ("absent", "handle"), "must be 'absent' or 'handle'")
+_mode = _kind(lambda v: v in (MODE_ABSENT, MODE_HANDLE),
+              f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
 _map = _kind(lambda v: isinstance(v, dict), "must be a map")
 _entries = _kind(lambda v: isinstance(v, list), "must be a list")
 _codes = _kind(_is_strings, "must be a list of jurisdiction codes")
@@ -438,7 +439,7 @@ def _check_issue(walk: _Walk, path: str, action: dict) -> None:
     member = walk.members[id(coop)].get(member_id)
     if member is None:
         walk.problem(f"{path}.member", f"unknown member {member_id!r}")
-    elif action["mode"] == "handle" and not member.get("handle"):
+    elif action["mode"] == MODE_HANDLE and not member.get("handle"):
         walk.problem(f"{path}.mode", f"member {member_id!r} has no handle")
     registered = _setting("cooperatives", coop, "queries")
     if isinstance(registered, (list, tuple)):   # else the cooperative's problem says why

@@ -5,7 +5,10 @@ ledger is a provider-signed public bulletin board, not a consensus
 system.  Records are hash-chained: every record carries the digest of
 the previous record's canonical bytes (all zeros for the genesis
 record), and every record is signed by the provider under the ledger
-domain tag.  Anyone may read any ledger.
+domain tag.  A record is signed, memoised and checked by the signed-record
+base it shares with the attestations (``attestation._Signed``), so this
+module makes no signature and checks none itself.  Anyone may read any
+ledger.
 
 Two payload kinds exist: an attestation record embedding a countersigned
 blinded attestation, and a post record holding a post-body digest plus a
@@ -17,12 +20,10 @@ provider reads other providers' ledgers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 from . import crypto
-from .attestation import CounterSignedAttestation
-from . import canonical
+from .attestation import CounterSignedAttestation, _Signed
 from .crypto import Digest, KeyPair, Signature, ZERO_DIGEST
 from .errors import DanglingAttestationPointer, OutOfBounds, UnregisteredWriter
 
@@ -59,30 +60,18 @@ Payload = Union[AttestationRecord, PostRecord]
 
 
 @dataclass(frozen=True)
-class LedgerRecord:
+class LedgerRecord(_Signed):
     """The writer signs every key but its own key id and signature."""
 
+    _TAG = crypto.TAG_LEDGER
     _UNSIGNED = ("writer_key_id", "writer_signature")
+    _SIGNATURE = "writer_signature"
 
     index: int
     prev_digest: Digest
     payload: Payload
     writer_key_id: Digest
     writer_signature: Signature
-
-    # Frozen, so the bytes its signature covers and the digest its successor
-    # chains to are worked out once and kept in the instance dict, which eq,
-    # hash and repr never read.  ``Ledger.append`` stores both from the one
-    # encoding it signs; a record made any other way derives them here.
-    # An attestation record's bytes splice the countersigned attestation's
-    # memoised canonical text (see ``canonical.record_bytes``).
-    @cached_property
-    def _signed_bytes(self) -> bytes:
-        return canonical.record_bytes(LedgerRecord, self, LedgerRecord._UNSIGNED)
-
-    @cached_property
-    def _digest(self) -> Digest:
-        return crypto.digest(canonical.record_bytes(LedgerRecord, self))
 
 
 class Ledger:
@@ -107,15 +96,9 @@ class Ledger:
                     f"{payload.attestation_ptr} is not an attestation record"
                 )
         index = len(self._records)
-        fields = dict(index=index, payload=payload, writer_key_id=writer.key_id,
-                      prev_digest=ZERO_DIGEST if index == 0 else self._records[-1]._digest)
-        text = canonical.record_texts(LedgerRecord, fields)
-        message = canonical._utf8(text(LedgerRecord._UNSIGNED))
-        fields["writer_signature"] = crypto.sign(writer, crypto.TAG_LEDGER, message)
-        record = LedgerRecord(**fields)
-        record.__dict__.update(_signed_bytes=message,
-                               _digest=crypto.digest(canonical._utf8(text())))
-        self._records.append(record)
+        self._records.append(LedgerRecord._sign(writer, dict(
+            index=index, payload=payload, writer_key_id=writer.key_id,
+            prev_digest=ZERO_DIGEST if index == 0 else self._records[-1]._digest)))
         if isinstance(payload, PostRecord):
             self._post_index.setdefault(payload.post_digest, []).append(index)
         return RecordPointer(self.ledger_id, index)
@@ -144,8 +127,7 @@ class Ledger:
                 return False
             if record.writer_key_id != expected_key_id:
                 return False
-            if not crypto.verify(self.writer_public_key, crypto.TAG_LEDGER,
-                                 record._signed_bytes, record.writer_signature):
+            if not record._signature_verifies(self.writer_public_key):
                 return False
             prev = record._digest
         return True

@@ -61,9 +61,10 @@ def ledger_from_records(ledger_id, writer_public_key, records):
 
 # --- the bytes each signature covers, written apart from the signing code ----------
 #
-# Countersigning and Ledger.append write a record's signed text and its
-# whole text from one encoding (canonical.record_texts) and keep both;
-# these write the same bytes from the field values, through record_bytes.
+# The signer every signed record shares writes its signed text and its
+# whole text from one encoding (canonical.record_texts) and keeps what its
+# checks read; these write the same bytes from the field values, through
+# record_bytes.
 
 def countersign_bytes(blinded, notary_id, notary_key_id, countersigned_at):
     """The bytes the notary signature covers: the unmodified embedded blinded

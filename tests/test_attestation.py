@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,11 @@ from coopattest import crypto
 from coopattest.canonical import canonical_parse, canonical_serialize
 from coopattest.attestation import (
     AttributeClaim,
+    BlindedAttestation,
     CounterSignedAttestation,
+    PlainAttestation,
     SubjectRef,
+    _Signed,
     attestation_from_bytes,
     attestation_from_map,
     blind,
@@ -25,6 +29,7 @@ from coopattest.attestation import (
     verify_pair,
     write_attestation,
 )
+from coopattest.crypto import Signature
 from coopattest.errors import (
     DecodeError,
     EmptyAttributes,
@@ -34,6 +39,7 @@ from coopattest.errors import (
     IssuerKeyMismatch,
     SubjectModeMismatch,
 )
+from coopattest.ledger import LedgerRecord
 
 from conftest import check_strict_decoding, make_claims, make_plain
 
@@ -363,3 +369,26 @@ class TestSerialization:
             if report.passed:
                 false_accepts += 1
         assert false_accepts == 0
+
+
+SIGNED_RECORDS = (PlainAttestation, BlindedAttestation, CounterSignedAttestation, LedgerRecord)
+
+
+class TestSignedRecords:
+    """The four signed record classes are signed, memoised and checked by one
+    base, and each names its signature the same way."""
+
+    def test_each_derives_from_the_base(self):
+        for cls in SIGNED_RECORDS:
+            assert issubclass(cls, _Signed), cls.__name__
+
+    def test_tags_are_distinct_domain_tags(self):
+        tags = [cls._TAG for cls in SIGNED_RECORDS]
+        assert len(set(tags)) == len(tags)
+        assert set(tags) <= crypto.DOMAIN_TAGS
+
+    @pytest.mark.parametrize("cls", SIGNED_RECORDS, ids=lambda cls: cls.__name__)
+    def test_the_named_signature_is_an_unsigned_signature_field(self, cls):
+        (field,) = [f for f in dataclasses.fields(cls) if f.name == cls._SIGNATURE]
+        assert typing.get_type_hints(cls)[field.name] is Signature
+        assert field.metadata.get("key", field.name) in cls._UNSIGNED

@@ -12,6 +12,7 @@ from coopattest.attestation import SubjectRef, blind, countersign
 from coopattest.canonical import canonical_parse, record_from_map
 from coopattest.crypto import ZERO_DIGEST
 from coopattest.errors import DanglingAttestationPointer, DecodeError, OutOfBounds, UnregisteredWriter
+from coopattest.harness import Scenario, ScenarioConfig, bundled_scenario_names, bundled_scenario_path
 from coopattest.ledger import (
     AttestationRecord,
     Ledger,
@@ -215,6 +216,46 @@ class TestPersistence:
         tampered = [data.replace(b'"posted_at":3', b'"posted_at":4') for data in stored]
         assert tampered != stored
         assert not self._rebuilt(writer, tampered).verify_chain()
+
+
+# The digest of each provider's last ledger record, in hex, after each
+# bundled DSN scenario runs; a provider whose ledger stays empty is not
+# listed.  The bytes hashed are those of the reference writer in conftest,
+# and these values were computed with the signing code that ledger records
+# had before they shared the attestations' signer.
+LEDGER_HEADS = {
+    "dsn_bot_flood": {"P1": "298b52cfa2664b3ef6ddbb89a0beb1334f2e6045bebcd6b597ef12eb1f5328a0"},
+    "dsn_duplicate_digest": {
+        "P1": "77f8bc18d6a92dc429aceb720e87cd86860f1f61e44f272c081fdf3fcec932b0"},
+    "dsn_port": {"P1": "0396818593013cf32b50e546ca73705ba417de1892ec48acdc91cf4a82d97339",
+                 "P3": "447c30fc49cbc8085be319b3edd2643ea36c31a20a8c7735bfed50d27e1d3ee6"},
+    "dsn_recovery": {"P1": "9375f11e2601a6b6e66d198989abca1ca3281523c1c75c9cbb6b3c13be755c6f"},
+}
+
+
+class TestSignedFormat:
+    """No golden log holds a ledger record's bytes or signature, so these pins
+    do: a change to how a record is written or signed changes a head."""
+
+    def test_every_bundled_dsn_scenario_is_pinned(self):
+        dsn = [name for name in bundled_scenario_names()
+               if ScenarioConfig.load(bundled_scenario_path(name)).providers]
+        assert sorted(dsn) == sorted(LEDGER_HEADS)
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_HEADS))
+    def test_ledgers_end_at_their_pinned_heads(self, name):
+        scenario = Scenario(ScenarioConfig.load(bundled_scenario_path(name)))
+        scenario.run()
+        heads = {}
+        for provider_name, provider in scenario.providers.items():
+            records = ledger_records(provider.ledger)
+            # Each record chains to the reference bytes of the one before, so
+            # the last one's digest covers every record, signatures included.
+            for prev, record in zip(records, records[1:]):
+                assert record.prev_digest == crypto.digest(ledger_record_bytes(prev))
+            if records:
+                heads[provider_name] = crypto.digest(ledger_record_bytes(records[-1])).hex()
+        assert heads == LEDGER_HEADS[name]
 
 
 def _record_maps() -> list[dict]:

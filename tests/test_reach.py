@@ -37,11 +37,6 @@ DECLARED = {
         "reads text with an escape in it; no product text holds one",
     "events.no_emit":
         "the emit of an actor used as a library; the harness binds every actor's emit",
-    "ledger.LedgerRecord._signed_bytes":
-        "the bytes a record's signature covers, for verify_chain to audit a record "
-        "Ledger.append did not make: one read back from its bytes, or built by hand",
-    "ledger.LedgerRecord._digest":
-        "the digest a successor chains to, for a record Ledger.append did not make",
     "dsn.Provider.request_sender_disclosure":
         "the provider side of the paper's legal point of contact for inquiries about a "
         "sender; no script action reaches it yet, tests/test_dsn.py::TestDisclosure pins it",

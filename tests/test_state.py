@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from coopattest.canonical import canonical_parse, canonical_serialize
 from coopattest.cli import main
 from coopattest.cooperative import Cooperative
+from coopattest.errors import DecodeError
 from coopattest.notary import Notary
 
 from conftest import mutated
@@ -68,6 +69,40 @@ def commands(work: Path) -> list[tuple[str, list[str]]]:
         (notary, ["disclose", "--notary", notary, "--id", archived, "--jurisdiction", "EU",
                   "--purpose", "travel-rule", "--now", "60"]),
     ]
+
+
+# The map of each state file whose keys are the hex of attestation ids.
+ID_MAPS = {"coop.state": "revoked", "notary.state": "mirror"}
+
+
+def respelled(hex_id: str) -> dict[str, str]:
+    """Other spellings of *hex_id* that ``bytes.fromhex`` reads, and one
+    digit short."""
+    return {"uppercase": hex_id.upper(),
+            "spaced": " ".join(hex_id[i:i + 2] for i in range(0, len(hex_id), 2)),
+            "63 digits": hex_id[:-1]}
+
+
+@pytest.mark.parametrize("name", sorted(ID_MAPS))
+@pytest.mark.parametrize("spelling", sorted(respelled("00")))
+def test_an_id_key_not_in_lowercase_hex_is_refused(workdir, name, spelling):
+    """One id spelled two ways would load as one entry, with either tick; so
+    a key must be the id's own ``hex()``, and each command that reads the
+    file exits 2 and leaves it as it was."""
+    entries = ORIGINALS[name][ID_MAPS[name]]
+    hex_id, tick = next(iter(entries.items()))
+    raw = {**ORIGINALS[name],
+           ID_MAPS[name]: {**entries, respelled(hex_id)[spelling]: tick + 1}}
+    for actor in ACTORS:
+        (workdir / actor).write_bytes(canonical_serialize(raw if actor == name else ORIGINALS[actor]))
+    with pytest.raises(DecodeError):
+        ACTORS[name].load_state(workdir / name)
+    reading = [(path, argv) for path, argv in commands(workdir) if Path(path).name == name]
+    assert len(reading) == {"coop.state": 3, "notary.state": 2}[name]
+    for path, argv in reading:
+        before = Path(path).read_bytes()
+        assert main(argv) == 2, argv[0]
+        assert Path(path).read_bytes() == before, argv[0]
 
 
 def changed(name: str, key: str, value) -> tuple[str, dict]:
