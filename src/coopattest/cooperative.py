@@ -41,6 +41,7 @@ from .errors import (
 )
 from .events import no_emit
 
+# Every rule _derive_value implements, the only queries a config may name.
 DEFAULT_QUERIES = (
     "age-over-18",
     "residence-country",

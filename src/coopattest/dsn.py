@@ -6,10 +6,10 @@ gets its body digest recorded next to a pointer at that attestation
 record, on the same ledger, then travels to whichever providers host
 followers.  A remote provider never trusts the wire: it recomputes the
 body digest, searches the origin provider's ledger for it, resolves the
-attestation behind the match, and delivers only when the handle binds,
-the countersignature verifies, and the notary still vouches for the
-attestation.  Anything else drops, which is what keeps bot traffic out
-without the remote provider ever having authenticated the sender itself.
+attestation behind the match, and delivers only when the handle binds
+and ``notary.vouch`` passes it, as an exchange's transfer check does.
+Anything else drops, which is what keeps bot traffic out without the
+remote provider ever having authenticated the sender itself.
 ``filter_incoming`` logs each decision it makes.  Only a provider reads
 another provider's ledger (``Provider._resolve``), and it logs each read.
 
@@ -27,13 +27,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import crypto
-from .attestation import (
-    MODE_HANDLE,
-    CounterSignedAttestation,
-    verify_countersigned,
-)
+from .attestation import MODE_HANDLE, CounterSignedAttestation
+from .attestation import verify_countersigned  # noqa: F401 (only perfbench/smoke.py uses it)
 from .canonical import canonical_serialize
-from .cooperative import Status
 from .crypto import Digest, KeyDirectory, KeyPair, Signature
 from .errors import (
     BadRecoverySignature,
@@ -49,10 +45,12 @@ from .events import no_emit, send_message
 from .ledger import AttestationRecord, Ledger, LedgerRecord, PostRecord, RecordPointer
 from .notary import (
     PURPOSE_DSN_DISPUTE,
+    VOUCH_STAGES,
     DisclosureResponse,
     Notary,
     request_disclosure,
-    revalidate,
+    require_verified,
+    vouch,
 )
 
 OUTCOME_DELIVER = "deliver"
@@ -64,6 +62,12 @@ REASON_INVALID = "attestation-invalid"
 REASON_EXPIRED = "attestation-expired"
 REASON_REVOKED = "attestation-revoked"
 REASON_ORIGIN = "origin-mismatch"
+
+# The drop reason for each answer of notary.vouch; any other is REASON_INVALID.
+_DROP_REASONS = {"valid": REASON_ATTESTED, "expired": REASON_EXPIRED, "revoked": REASON_REVOKED}
+# The stages a matching post record's attestation goes through, in order,
+# ranked from 1: of several matches, the furthest names a drop's reason.
+_RANK = {stage: rank for rank, stage in enumerate(("fetch", "origin", *VOUCH_STAGES), 1)}
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,6 @@ class Provider:
 
     # --- onboarding -----------------------------------------------------------
 
-    def _verify_csa(self, csa: CounterSignedAttestation, now: int):
-        issuer_key = self.keys.get(csa.blinded.issuer_key_id)
-        notary_key = self.keys.get(csa.notary_key_id)
-        if issuer_key is None or notary_key is None:
-            return None
-        return verify_countersigned(csa, issuer_key, notary_key, now)
-
     @staticmethod
     def _binds(csa: CounterSignedAttestation, handle: str) -> bool:
         subject = csa.blinded.subject
@@ -158,11 +155,7 @@ class Provider:
             raise HandleMismatch(
                 f"attestation subject is {subject.mode}:{subject.value!r}, expected {handle!r}"
             )
-        report = self._verify_csa(csa, now)
-        if report is None or not report.passed:
-            raise InvalidAttestation(
-                "unknown keys" if report is None else f"failing checks: {report.failing()}"
-            )
+        require_verified(self, csa, now)
         ptr = self.ledger.append(self.writer, AttestationRecord(csa))
         account = SenderAccount(handle, signing_key_id, recovery_public_key, ptr)
         self.accounts[handle] = account
@@ -272,27 +265,14 @@ class Provider:
         return decision
 
     def _judge_match(self, record: LedgerRecord, post: Post, now: int) -> tuple[int, str]:
+        """The rank of the stage *record*'s attestation got to, and why it stopped."""
         csa = self._fetch_attestation(record.payload.attestation_ptr)
         if csa is None:
-            return 1, REASON_INVALID
+            return _RANK["fetch"], REASON_INVALID
         if not self._binds(csa, post.author_handle):
-            return 2, REASON_ORIGIN
-        report = self._verify_csa(csa, now)
-        if report is None:
-            return 3, REASON_INVALID
-        if not report.passed:
-            return 3, REASON_EXPIRED if report.expired_only else REASON_INVALID
-        notary = self.notaries.get(csa.notary_id)
-        if notary is None:
-            return 4, REASON_INVALID
-        status = revalidate(self, notary, csa.blinded.attestation_id, now)
-        if status is Status.VALID:
-            return 6, REASON_ATTESTED
-        if status is Status.REVOKED:
-            return 5, REASON_REVOKED
-        if status is Status.EXPIRED:
-            return 5, REASON_EXPIRED
-        return 5, REASON_INVALID
+            return _RANK["origin"], REASON_ORIGIN
+        stage, why = vouch(self, csa, now)
+        return _RANK[stage], _DROP_REASONS.get(why, REASON_INVALID)
 
     # --- porting ---------------------------------------------------------------
 

@@ -56,8 +56,8 @@ def _records(what: str, layouts: dict[str, Any]) -> dict[str, type]:
 
 # The log's format, stated once: the payload of each event kind and, for a
 # send, the body of each channel.  A payload or body in memory is a map of
-# exactly these keys, an unset optional as None.  An "action" payload is a
-# plain map: the script action, whose keys SCHEMA declares, and its "index".
+# exactly these keys, an unset optional as None.  An "action" payload is the
+# script action, whose keys SCHEMA declares, and its "index" (_read_action).
 KINDS: dict[str, type] = _records("payload", {
     "action": dict,
     "send": dict(to=str, channel=str, body=dict),
@@ -127,6 +127,7 @@ def _read_event(raw: Any) -> Event:
     if layout is None:
         raise DecodeError(f"unknown event kind {event.kind!r}")
     if layout is dict:
+        _read_action(event.payload)
         return event
     payload = vars(record_from_map(layout, event.payload))
     if event.kind == "send":
@@ -247,8 +248,13 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _is_rules(value) -> bool:
+    return isinstance(value, list) and all(rule in DEFAULT_QUERIES for rule in value)
+
+
 _text = _kind(lambda v: type(v) is str and v != "", "must be a non-empty string")
 _count = _kind(lambda v: type(v) is int and v > 0, "must be a positive integer")
+_tick = _kind(lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
 _flag = _kind(lambda v: type(v) is bool, "must be a boolean")
 _body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0,
               "must be non-empty text or bytes")
@@ -258,9 +264,8 @@ _mode = _kind(lambda v: v in (MODE_ABSENT, MODE_HANDLE),
 _map = _kind(lambda v: isinstance(v, dict), "must be a map")
 _entries = _kind(lambda v: isinstance(v, list), "must be a list")
 _codes = _kind(_is_strings, "must be a list of jurisdiction codes")
-_rules = _kind(_is_strings, "must be a list of derivation rule names")
-_some_rules = _kind(lambda v: _is_strings(v) and len(v) > 0,
-                    "must be a non-empty list of rule names")
+_rules = _kind(_is_rules, "must be a list of derivation rule names")
+_some_rules = _kind(lambda v: _is_rules(v) and len(v) > 0, "must be a non-empty list of rule names")
 _follower_lists = _kind(lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
                         "must map handles to lists of provider names")
 
@@ -302,14 +307,18 @@ SCHEMA: dict[str, dict[str, _Field]] = {
 }
 
 
-def _rows(fields: dict[str, _Field], *also: str) -> tuple:
-    """The walker's flat form of a section or action, and its keys with *also*."""
-    return (tuple((key, f.check, f.problem, f.required, f.ref) for key, f in fields.items()),
-            frozenset(fields).union(also))
+def _rows(fields: dict[str, _Field], *also: str, refs: bool = True) -> tuple:
+    """The walker's flat form of a section or action, and its keys with *also*;
+    without *refs*, a value need not name anything."""
+    return (tuple((key, f.check, f.problem, f.required, f.ref if refs else None)
+                  for key, f in fields.items()), frozenset(fields).union(also))
 
 
 _SECTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA.items() if name != "script"}
 _ACTION_ROWS = {name: _rows(fields, "at", "action") for name, fields in SCHEMA["script"].items()}
+# An action as its log line holds it, "index" included, its names unresolved.
+_LOGGED_ACTION_ROWS = {name: _rows({**fields, "at": _tick(), "index": _tick()}, "action",
+                                   refs=False) for name, fields in SCHEMA["script"].items()}
 
 
 def _setting(section: str, entry: dict, key: str):
@@ -422,6 +431,17 @@ class _Walk:
                 self.problem(f"script[{i}].action", f"unknown action {kind!r}")
             elif fields(rows, action, "script", i) and kind in cross_checks:
                 cross_checks[kind](self, f"script[{i}]", action)
+
+
+def _read_action(payload: dict) -> None:
+    """Raise DecodeError unless *payload*, an action line's, holds a script
+    action whose fields pass their checks, its "at" and "index" included."""
+    walk, kind = _Walk(), payload.get("action")
+    rows = _LOGGED_ACTION_ROWS.get(kind) if isinstance(kind, str) else None
+    if rows is None:
+        raise DecodeError(f"unknown action {kind!r}")
+    if not walk.fields(rows, payload, "script", payload.get("index")):
+        raise DecodeError("; ".join(walk.problems))
 
 
 # Rules that span fields.  Each runs only once the entry's or action's
@@ -712,8 +732,8 @@ class Scenario:
         )
         origin.originate_transfer(req)
         beneficiary = self.exchanges[req.beneficiary_exchange]
-        csa = beneficiary.request_attestation(origin, req.transfer_id)
-        beneficiary.evaluate_transfer(req.transfer_id, csa, self.now)
+        beneficiary.request_attestation(origin, req.transfer_id)
+        beneficiary.evaluate_transfer(req.transfer_id, self.now)
 
     def _do_post(self, action: dict) -> None:
         provider = self.providers[action["provider"]]

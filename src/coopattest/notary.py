@@ -7,7 +7,9 @@ signed by the cooperative exists.  Because it holds the plain artifact
 it can later answer identity-disclosure requests, gated on jurisdiction
 compatibility, and revalidation requests from its mirror of the
 cooperative's revocation registry (forwarding to the cooperative when
-wired, since the mirror may lag).
+wired, since the mirror may lag).  Its consumers' round trips are here
+too, with ``vouch``: the one check by which a DSN provider and a
+travel-rule exchange trust a countersigned attestation.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from .attestation import (
     CounterSignedAttestation,
     PlainAttestation,
     countersign,
+    verify_countersigned,
     verify_pair,
 )
 from .canonical import read_record, record_bytes, write_canonical
 from .cooperative import Status
 from .crypto import Digest
-from .errors import ExpiredAtWitnessing, PairMismatch
+from .errors import ExpiredAtWitnessing, InvalidAttestation, PairMismatch
 from .events import no_emit, send_message
 
 OUTCOME_DISCLOSED = "disclosed"
@@ -286,7 +289,41 @@ class Notary:
 # --- a consumer's round trips -----------------------------------------------------
 #
 # An exchange or a provider asks the notary named in a countersigned
-# attestation about it: a request and the notary's reply, both sends.
+# attestation about it: a request and the notary's reply, both sends.  Each
+# trusts one through vouch, by its ``keys`` and the ``notaries`` it reaches.
+
+VOUCH_STAGES = ("signatures", "notary", "revalidation")   # vouch's stages, in order
+
+
+def _verify(requester, csa: CounterSignedAttestation, now: int):
+    """*csa*'s signatures checked at tick *now*; None if *requester* lacks a key."""
+    keys = requester.keys.get(csa.blinded.issuer_key_id), requester.keys.get(csa.notary_key_id)
+    return None if None in keys else verify_countersigned(csa, *keys, now)
+
+
+def require_verified(requester, csa: CounterSignedAttestation, now: int) -> None:
+    """Raise InvalidAttestation unless *csa* passes vouch's signatures stage
+    at tick *now*, as a consumer registering it requires."""
+    report = _verify(requester, csa, now)
+    if report is None or not report.passed:
+        raise InvalidAttestation("issuer or notary key unknown" if report is None
+                                 else f"failing checks: {report.failing()}")
+
+
+def vouch(requester, csa: CounterSignedAttestation, now: int) -> tuple[str, str]:
+    """The stage of VOUCH_STAGES where *csa* stopped at tick *now*, and why:
+    ``verification-failed`` or ``expired`` (signatures), ``unknown-notary``
+    (notary), or the status the notary named in *csa* gives it (revalidation),
+    which is ``valid`` when that notary vouches for it to *requester*."""
+    report = _verify(requester, csa, now)
+    if report is None or not report.passed:
+        expired = report is not None and report.expired_only
+        return "signatures", "expired" if expired else "verification-failed"
+    notary = requester.notaries.get(csa.notary_id)
+    if notary is None:
+        return "notary", "unknown-notary"
+    return "revalidation", revalidate(requester, notary, csa.blinded.attestation_id, now).value
+
 
 def revalidate(requester, notary: Notary, attestation_id: Digest, now: int) -> Status:
     """The notary's status of *attestation_id* at tick *now*."""

@@ -3,10 +3,10 @@
 An originator registers a countersigned blinded attestation with its
 exchange.  When a transfer reaches the beneficiary exchange, that
 exchange requests the attestation out-of-band from the origin exchange
-(a direct, ordered, private channel, never the ledger), verifies it,
-revalidates it with the notary named inside, and only when the amount
-crosses the policy threshold demands identity disclosure and assembles
-the five-field customer-information record:
+(a direct, ordered, private channel, never the ledger), judges it with
+``notary.vouch`` as a DSN provider judges a post's attestation, and only
+when the amount crosses the policy threshold demands identity disclosure
+and assembles the five-field customer-information record:
 
     originator name / originator account / originator address-or-id /
     beneficiary name / beneficiary account.
@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .attestation import CounterSignedAttestation, verify_countersigned
-from .cooperative import Status
+from .attestation import CounterSignedAttestation
+from .attestation import verify_countersigned  # noqa: F401 (only perfbench/smoke.py uses it)
 from .crypto import KeyDirectory
 from .errors import (
     DuplicateAccount,
     DuplicateTransfer,
-    InvalidAttestation,
     MissingResidenceAttribute,
     NoAttestationOnFile,
     NotDisclosed,
@@ -41,7 +40,8 @@ from .notary import (
     DisclosureResponse,
     Notary,
     request_disclosure,
-    revalidate,
+    require_verified,
+    vouch,
 )
 
 ACCEPTED = "accepted"
@@ -109,11 +109,8 @@ def assemble_travel_record(
     """
     if disclosure.outcome != OUTCOME_DISCLOSED or disclosure.subject is None:
         raise NotDisclosed(disclosure.outcome)
-    residence = None
-    for claim in disclosure.attributes or ():
-        if claim.name == RESIDENCE_ATTRIBUTE:
-            residence = claim.value
-            break
+    residence = next((claim.value for claim in disclosure.attributes or ()
+                      if claim.name == RESIDENCE_ATTRIBUTE), None)
     if residence is None:
         raise MissingResidenceAttribute(
             f"disclosed attestation carries no {RESIDENCE_ATTRIBUTE} attribute"
@@ -154,23 +151,11 @@ class Exchange:
 
     # --- registration -----------------------------------------------------------
 
-    def _resolve_keys(self, csa: CounterSignedAttestation) -> tuple[bytes, bytes] | None:
-        issuer_key = self.keys.get(csa.blinded.issuer_key_id)
-        notary_key = self.keys.get(csa.notary_key_id)
-        if issuer_key is None or notary_key is None:
-            return None
-        return issuer_key, notary_key
-
     def register_customer(self, account: str, csa: CounterSignedAttestation, now: int) -> None:
         """Bind an account to its countersigned attestation."""
         if account in self._customers:
             raise DuplicateAccount(account)
-        resolved = self._resolve_keys(csa)
-        if resolved is None:
-            raise InvalidAttestation("issuer or notary key unknown to this exchange")
-        report = verify_countersigned(csa, resolved[0], resolved[1], now)
-        if not report.passed:
-            raise InvalidAttestation(f"failing checks: {report.failing()}")
+        require_verified(self, csa, now)
         self._customers[account] = csa
 
     def customer_attestation(self, account: str) -> CounterSignedAttestation:
@@ -196,18 +181,15 @@ class Exchange:
 
     # --- transfer flow ------------------------------------------------------------
 
-    def _peer(self, name: str) -> "Exchange":
-        try:
-            return self.peers[name]
-        except KeyError:
-            raise ValueError(f"exchange {name!r} not reachable from {self.name!r}") from None
-
     def originate_transfer(self, req: TransferRequest) -> None:
         if req.originator_account not in self._customers:
             raise UnknownAccount(req.originator_account)
         if req.transfer_id in self._outgoing:
             raise DuplicateTransfer(req.transfer_id)
-        peer = self._peer(req.beneficiary_exchange)
+        peer = self.peers.get(req.beneficiary_exchange)
+        if peer is None:
+            raise ValueError(
+                f"exchange {req.beneficiary_exchange!r} not reachable from {self.name!r}")
         self._outgoing[req.transfer_id] = req
         send_message(self, peer, "transfer", vars(req))
         peer.receive_transfer(req)
@@ -234,15 +216,13 @@ class Exchange:
 
     # --- evaluation ----------------------------------------------------------------
 
-    def evaluate_transfer(self, transfer_id: str, csa: CounterSignedAttestation,
-                          now: int) -> TransferDecision:
-        """Verify, revalidate, then apply the disclosure policy.
-
-        A transfer whose attestation fails any verification or revalidation
-        step never reaches the accepted state.
-        """
+    def evaluate_transfer(self, transfer_id: str, now: int) -> TransferDecision:
+        """Verify the attestation on file for the transfer, revalidate it,
+        then apply the disclosure policy.  A transfer whose attestation fails
+        any verification or revalidation step never reaches the accepted state."""
         req = self._incoming.get(transfer_id)
-        if req is None or transfer_id not in self._on_file:
+        csa = self._on_file.get(transfer_id)
+        if req is None or csa is None:
             raise NoAttestationOnFile(transfer_id)
         decision = self._decide(req, csa, now)
         self._emit("transfer-decision", {"transfer_id": transfer_id, **vars(decision)})
@@ -250,26 +230,15 @@ class Exchange:
 
     def _decide(self, req: TransferRequest, csa: CounterSignedAttestation,
                 now: int) -> TransferDecision:
-        resolved = self._resolve_keys(csa)
-        if resolved is None:
-            return TransferDecision(REJECTED, "verification-failed")
-        report = verify_countersigned(csa, resolved[0], resolved[1], now)
-        if not report.passed:
-            reason = "expired" if report.expired_only else "verification-failed"
-            return TransferDecision(REJECTED, reason)
-
-        notary = self.notaries.get(csa.notary_id)
-        if notary is None:
-            return TransferDecision(REJECTED, "unknown-notary")
-        attestation_id = csa.blinded.attestation_id
-        status = revalidate(self, notary, attestation_id, now)
-        if status is not Status.VALID:
-            return TransferDecision(REJECTED, status.value)
+        _, why = vouch(self, csa, now)
+        if why != "valid":
+            return TransferDecision(REJECTED, why)
 
         if req.amount < self.disclosure_threshold:
             return TransferDecision(ACCEPTED, "below-threshold")
 
-        disclosure = request_disclosure(self, notary, attestation_id, PURPOSE_TRAVEL_RULE, now)
+        disclosure = request_disclosure(self, self.notaries[csa.notary_id],
+                                        csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome == OUTCOME_DENIED:
             return TransferDecision(HELD, "denied-jurisdiction")
         if disclosure.outcome != OUTCOME_DISCLOSED:

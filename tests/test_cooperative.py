@@ -11,7 +11,7 @@ import pytest
 from coopattest import crypto
 from coopattest.attestation import verify_pair
 from coopattest.canonical import canonical_parse, record_bytes, record_from_map
-from coopattest.cooperative import Cooperative, MemberRecord, Status
+from coopattest.cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
 from coopattest.errors import (
     DecodeError,
     DuplicateMember,
@@ -126,6 +126,14 @@ class TestDerivation:
         with pytest.raises(UnknownQuery):
             coop.derive_attribute("alice", "shoe-size", 0)
 
+
+    def test_the_default_queries_are_exactly_the_rules_it_derives(self):
+        coop = Cooperative("coop1", b"coop1", "notary-1", queries=(*DEFAULT_QUERIES, "shoe-size"))
+        coop.register_member(alice())
+        for rule in DEFAULT_QUERIES:
+            assert coop.derive_attribute("alice", rule, 0).name == rule
+        with pytest.raises(UnknownQuery):
+            coop.derive_attribute("alice", "shoe-size", 0)
 
 class TestIssuance:
     def test_pair_verifies(self):

@@ -126,6 +126,16 @@ class TestValidateConfig:
         config.script[0]["action"] = "teleport"
         assert any("unknown action" in p for p in validate_config(config))
 
+    def test_a_rule_the_cooperative_cannot_derive_is_a_problem(self):
+        config = config_map(minimal_config())
+        config["cooperatives"][0]["queries"] = ["no-such-rule"]
+        config["script"][0]["queries"] = ["no-such-rule"]
+        problems = validate_config(minimal_config(**config))
+        assert problems == ["cooperatives[0].queries: must be a list of derivation rule names",
+                            "script[0].queries: must be a non-empty list of rule names"]
+        with pytest.raises(ConfigInvalid):
+            run_scenario(minimal_config(**config))
+
     def test_label_used_before_issue(self):
         config = minimal_config()
         config.script[1]["attestation"] = "ghost"
@@ -596,7 +606,11 @@ class TestEventLog:
         ])
         data = log.to_bytes()
         assert data == reference_log_bytes(log)
-        assert check_reread(log, data) == 0
+        # The writer writes any action map; the reader takes only a script action.
+        with pytest.raises(DecodeError, match=r"^event-log line 7: unknown action None"):
+            EventLog.from_bytes(data)
+        rest = EventLog([event for event in log.events if event.kind != "action"])
+        assert check_reread(rest, rest.to_bytes()) == 0
         for event, undeclared in [
             (Event(0, "B", "deliver", {"from": "A", "channel": "c", "body": {"n": 0}}),
              "'deliver'"),
@@ -665,6 +679,33 @@ class TestEventLog:
         assert EventLog.from_bytes(GOOD_LINE).events == good
         with pytest.raises(DecodeError, match=rf"^event-log line 3: .*{re.escape(problem)}"):
             EventLog.from_bytes(GOOD_LINE + b"\n" + line + b"\n" + GOOD_LINE)
+
+    @pytest.mark.parametrize("payload, problem", [
+        (b'{"junk":1}', "unknown action None"),
+        (b'{"action":"post","at":-3,"body":5,"index":true}',
+         "script[True].provider: must be a non-empty string; script[True].handle: must"),
+        (b'{"action":"post","at":-3,"body":"hi","handle":"@a","index":-1,"provider":"P"}',
+         "script[-1].at: must be a non-negative integer; script[-1].index: must be a non-neg"),
+        (b'{"action":"fly","at":3,"index":0}', "unknown action 'fly'"),
+        (b'{"action":"post","at":3,"body":5,"handle":"@a","index":2,"provider":"P"}',
+         "script[2].body: must be non-empty text or bytes"),
+        (b'{"action":"post","at":3,"body":"hi","handle":"@a","index":2}',
+         "script[2].provider: must be a non-empty string"),
+        (b'{"action":"post","at":3,"body":"hi","handle":"@a","index":2,"provider":"P","x":1}',
+         "script[2].x: unknown field"),
+        (b'{"action":"issue","at":3,"coop":"c","index":2,"label":"a","member":"m",'
+         b'"mode":"absent","queries":["no-such-rule"],"ttl":5}',
+         "script[2].queries: must be a non-empty list of rule names"),
+    ])
+    def test_an_action_line_holds_a_script_action(self, payload, problem):
+        line = b'{"actor":"scheduler","kind":"action","payload":' + payload + b',"tick":3}'
+        with pytest.raises(DecodeError, match=rf"^event-log line 2: {re.escape(problem)}"):
+            EventLog.from_bytes(GOOD_LINE + line)
+
+    def test_an_action_line_may_name_what_the_log_does_not_hold(self):
+        line = (b'{"actor":"scheduler","kind":"action","payload":{"action":"post","at":3,'
+                b'"body":"hi","handle":"@a","index":2,"provider":"nowhere"},"tick":3}\n')
+        assert EventLog.from_bytes(line).to_bytes() == line
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())

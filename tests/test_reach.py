@@ -15,6 +15,9 @@ defined, fails the test too.  Run the measurement on its own with
     python tests/test_reach.py
 
 which prints the functions never called, one ``module.Qualname`` a line.
+
+Beside it, a second gate reads each module's source: every name it
+imports is used, or is in ``UNUSED_IMPORTS`` with the reason it stays.
 """
 
 from __future__ import annotations
@@ -44,6 +47,17 @@ DECLARED = {
         "traces a post to its attestation for request_sender_disclosure",
 }
 
+# Names a module imports but never uses, each with the reason it stays.
+UNUSED_IMPORTS = {
+    "harness.canonical_serialize":
+        "perfbench/smoke.py checks that its tracing wraps the name in harness",
+    "dsn.verify_countersigned":
+        "perfbench/smoke.py checks that its tracing wraps the name in dsn; notary.vouch calls it",
+    "travel_rule.verify_countersigned":
+        "perfbench/smoke.py checks that its tracing wraps the name in travel_rule; "
+        "notary.vouch calls it",
+}
+
 
 # --- the functions defined under src/ -------------------------------------------------
 
@@ -68,6 +82,27 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         visit(ast.parse(path.read_bytes(), str(path)), str(path), module + ".")
     return found
+
+
+def unused_imports() -> list[str]:
+    """The ``module.name`` of each name a package module imports (from
+    ``__future__`` aside) and neither uses nor lists in its ``__all__``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        tree = ast.parse(path.read_bytes(), str(path))
+        imported, used = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        found += [f"{module}.{name}" for name in imported if name not in used]
+    return sorted(found)
 
 
 # --- the product paths -----------------------------------------------------------------
@@ -188,6 +223,14 @@ def test_every_function_is_reached_or_declared():
     stale = sorted(DECLARED.keys() - found)
     assert not new, f"no product path calls these, and they are not declared: {new}"
     assert not stale, f"declared as unreached, but called or no longer defined: {stale}"
+
+
+def test_every_import_is_used_or_declared():
+    found = set(unused_imports())
+    new = sorted(found - UNUSED_IMPORTS.keys())
+    stale = sorted(UNUSED_IMPORTS.keys() - found)
+    assert not new, f"imported but never used, and not declared: {new}"
+    assert not stale, f"declared as unused, but used or no longer imported: {stale}"
 
 
 def test_the_table_has_one_entry_per_function_the_compiler_makes():

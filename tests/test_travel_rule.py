@@ -81,8 +81,8 @@ class Stack:
             asset="coin", amount=amount, requested_at=now,
         )
         self.e1.originate_transfer(req)
-        csa = self.e2.request_attestation(self.e1, transfer_id)
-        return self.e2.evaluate_transfer(transfer_id, csa, now)
+        self.e2.request_attestation(self.e1, transfer_id)
+        return self.e2.evaluate_transfer(transfer_id, now)
 
 
 class TestRegistration:
@@ -206,15 +206,16 @@ class TestEvaluation:
 
     def test_tampered_attestation_rejected(self):
         stack = Stack()
-        stack.registered()
-        stack.e1.originate_transfer(
-            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
-        )
-        csa = stack.e2.request_attestation(stack.e1, "t1")
+        csa = stack.registered()
         forged = dataclasses.replace(
             csa, blinded=dataclasses.replace(csa.blinded, legal_rep_id="evil")
         )
-        decision = stack.e2.evaluate_transfer("t1", forged, 20)
+        stack.e1.inject_attestation("acct-alice", forged)
+        stack.e1.originate_transfer(
+            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
+        )
+        stack.e2.request_attestation(stack.e1, "t1")
+        decision = stack.e2.evaluate_transfer("t1", 20)
         assert decision.outcome == REJECTED
         assert decision.reason == "verification-failed"
 
@@ -227,9 +228,9 @@ class TestEvaluation:
 
     def test_no_attestation_on_file(self):
         stack = Stack()
-        csa = stack.registered()
+        stack.registered()
         with pytest.raises(NoAttestationOnFile):
-            stack.e2.evaluate_transfer("never-seen", csa, 20)
+            stack.e2.evaluate_transfer("never-seen", 20)
 
     def test_rejection_safety_matrix(self):
         """No fault variant ever reaches the accepted state."""
@@ -243,16 +244,16 @@ class TestEvaluation:
                 stack.coop.revoke(csa.blinded.attestation_id, 15)
             elif fault == "unknown-notary":
                 stack.e2.notaries = {}
+            elif fault == "tampered":
+                stack.e1.inject_attestation("acct-alice", dataclasses.replace(
+                    csa, blinded=dataclasses.replace(csa.blinded, issued_at=9,
+                                                     expires_at=999999)
+                ))
             stack.e1.originate_transfer(
                 TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, now)
             )
-            fetched = stack.e2.request_attestation(stack.e1, "t1")
-            if fault == "tampered":
-                fetched = dataclasses.replace(
-                    fetched, blinded=dataclasses.replace(fetched.blinded, issued_at=9,
-                                                         expires_at=999999)
-                )
-            decision = stack.e2.evaluate_transfer("t1", fetched, now)
+            stack.e2.request_attestation(stack.e1, "t1")
+            decision = stack.e2.evaluate_transfer("t1", now)
             assert decision.outcome == REJECTED, fault
 
     @pytest.mark.parametrize("outcome", [HELD, REJECTED])
