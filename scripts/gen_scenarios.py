@@ -106,7 +106,7 @@ def scenario_travel_rule_jurisdiction():
     return config
 
 
-def dsn_base(senders, prefer_local=(), followers=None):
+def dsn_base(senders, followers=None):
     if followers is None:
         followers = {f"@s{i}": ["P2", "P3"] for i in range(senders)}
     return {
@@ -128,10 +128,8 @@ def dsn_base(senders, prefer_local=(), followers=None):
         "exchanges": [],
         "providers": [
             {"name": "P1", "jurisdiction": "US", "followers": followers},
-            {"name": "P2", "jurisdiction": "US",
-             "prefer_local_port": "P2" in prefer_local},
-            {"name": "P3", "jurisdiction": "US",
-             "prefer_local_port": "P3" in prefer_local},
+            {"name": "P2", "jurisdiction": "US"},
+            {"name": "P3", "jurisdiction": "US"},
         ],
     }
 
@@ -195,7 +193,7 @@ def scenario_dsn_recovery():
 
 
 def scenario_dsn_port():
-    config = dsn_base(senders=1, prefer_local=("P3",))
+    config = dsn_base(senders=1)
     script = dsn_onboard_script(1)
     script.extend([
         {"at": 5, "action": "port", "provider": "P3", "origin": "P1", "handle": "@s0"},

@@ -13,11 +13,12 @@ remote provider ever having authenticated the sender itself.
 ``filter_incoming`` logs each decision it makes.  Only a provider reads
 another provider's ledger (``Provider._resolve``), and it logs each read.
 
-Providers may port attestation records onto their own ledgers and, by
-policy, resolve matches locally instead of re-reading the origin chain.
-A recovery key rotates a lost account: a fresh attestation record lands
-on the ledger (append-only, the old record stays), a new account bound
-to it replaces the old one, and a notice goes to every other provider.
+A provider may port an attestation record onto its own ledger; from
+then on it resolves that attestation from the local copy instead of
+re-reading the origin chain.  A recovery key rotates a lost account: it
+signs the id of a fresh handle-bound attestation, whose record lands on
+the ledger (append-only, the old record stays), a new account bound to
+it replaces the old one, and a notice goes to every other provider.
 The notices are logged; no provider keeps them.
 """
 
@@ -73,7 +74,6 @@ _RANK = {stage: rank for rank, stage in enumerate(("fetch", "origin", *VOUCH_STA
 @dataclass(frozen=True)
 class SenderAccount:
     handle: str
-    signing_key_id: Digest
     recovery_public_key: bytes
     attestation_ptr: RecordPointer
 
@@ -100,9 +100,10 @@ class FilterDecision:
             raise ValueError("deliver exactly when attested")
 
 
-def recovery_message(handle: str, new_signing_key_id: Digest) -> bytes:
-    """Canonical bytes a sender's recovery key signs to rotate an account."""
-    return canonical_serialize(["recover", handle, new_signing_key_id.value])
+def recovery_message(handle: str, attestation_id: Digest) -> bytes:
+    """Canonical bytes a sender's recovery key signs to rotate an account
+    onto the attestation *attestation_id*."""
+    return canonical_serialize(["recover", handle, attestation_id.value])
 
 
 class Provider:
@@ -118,14 +119,12 @@ class Provider:
         notaries: Mapping[str, Notary],
         ledger_registry: dict[str, Ledger],
         followers: Mapping[str, tuple[str, ...]] | None = None,
-        prefer_local_port: bool = False,
     ) -> None:
         self.name = name
         self.jurisdiction = jurisdiction
         self.writer = writer
         self.keys = keys
         self.notaries = notaries
-        self.prefer_local_port = prefer_local_port
         self.followers: dict[str, tuple[str, ...]] = {
             handle: tuple(targets) for handle, targets in (followers or {}).items()
         }
@@ -146,8 +145,7 @@ class Provider:
         return subject.mode == MODE_HANDLE and subject.value == handle
 
     def _open_account(self, kind: str, handle: str, csa: CounterSignedAttestation,
-                      recovery_public_key: bytes, signing_key_id: Digest,
-                      now: int) -> SenderAccount:
+                      recovery_public_key: bytes, now: int) -> SenderAccount:
         """Record a handle-bound, valid attestation on the ledger and make
         the account of *handle* point at it; log it as *kind*."""
         if not self._binds(csa, handle):
@@ -157,7 +155,7 @@ class Provider:
             )
         require_verified(self, csa, now)
         ptr = self.ledger.append(self.writer, AttestationRecord(csa))
-        account = SenderAccount(handle, signing_key_id, recovery_public_key, ptr)
+        account = SenderAccount(handle, recovery_public_key, ptr)
         self.accounts[handle] = account
         self._emit(kind, {"handle": handle, "ledger_index": ptr.index})
         return account
@@ -167,15 +165,13 @@ class Provider:
         handle: str,
         csa: CounterSignedAttestation,
         recovery_public_key: bytes,
-        signing_key_id: Digest,
         now: int,
     ) -> SenderAccount:
         """Record the sender's attestation on the ledger and open the
         account.  Must happen before the handle transmits any post."""
         if handle in self.accounts:
             raise HandleTaken(handle)
-        return self._open_account("onboard", handle, csa, recovery_public_key,
-                                  signing_key_id, now)
+        return self._open_account("onboard", handle, csa, recovery_public_key, now)
 
     # --- publishing ------------------------------------------------------------
 
@@ -232,10 +228,8 @@ class Provider:
 
     def _fetch_attestation(self, att_ptr: RecordPointer) -> CounterSignedAttestation | None:
         """Resolve an attestation pointer, through its local ported copy
-        when policy says so."""
-        if self.prefer_local_port:
-            att_ptr = self._ported.get(att_ptr, att_ptr)
-        return self._resolve(att_ptr)
+        if there is one."""
+        return self._resolve(self._ported.get(att_ptr, att_ptr))
 
     def filter_incoming(self, post: Post, now: int) -> FilterDecision:
         """Re-derive the post's standing from the origin ledger.
@@ -318,23 +312,22 @@ class Provider:
         self,
         handle: str,
         recovery_signature: Signature,
-        new_signing_key_id: Digest,
         new_csa: CounterSignedAttestation,
         now: int,
     ) -> SenderAccount:
-        """Rotate a lost account under the recovery key: record a fresh
-        attestation, replace the account with one bound to it, and notify
-        every other provider."""
+        """Rotate a lost account under the recovery key, whose signature
+        must cover *new_csa*'s id: record that attestation, replace the
+        account with one bound to it, and notify every other provider."""
         account = self.accounts.get(handle)
         if account is None:
             raise UnknownSender(handle)
-        message = recovery_message(handle, new_signing_key_id)
+        message = recovery_message(handle, new_csa.blinded.attestation_id)
         if not crypto.verify(account.recovery_public_key, crypto.TAG_RECOVER,
                              message, recovery_signature):
             raise BadRecoverySignature(handle)
         try:
             fresh = self._open_account("recover", handle, new_csa, account.recovery_public_key,
-                                       new_signing_key_id, now)
+                                       now)
         except HandleMismatch as exc:
             raise InvalidAttestation(str(exc)) from exc
         for peer in self.peers.values():

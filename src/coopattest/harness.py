@@ -22,7 +22,7 @@ from .attestation import MODE_ABSENT, MODE_HANDLE, BlindedAttestation, CounterSi
 from .canonical import _utf8, _writer, canonical_parse, record_from_map, write_canonical
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
-from .cooperative import DEFAULT_QUERIES, DEFAULT_YEAR_TICKS, Cooperative, MemberRecord, Status
+from .cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
@@ -248,43 +248,49 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _is_rules(value) -> bool:
-    return isinstance(value, list) and all(rule in DEFAULT_QUERIES for rule in value)
+def _encodes(text: str) -> bool:
+    """True unless *text* holds a lone surrogate, which UTF-8 cannot encode."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
-_text = _kind(lambda v: type(v) is str and v != "", "must be a non-empty string")
+_text = _kind(lambda v: type(v) is str and v != "" and _encodes(v), "must be a non-empty string")
 _count = _kind(lambda v: type(v) is int and v > 0, "must be a positive integer")
 _tick = _kind(lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
-_flag = _kind(lambda v: type(v) is bool, "must be a boolean")
-_body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0,
-              "must be non-empty text or bytes")
-_handle = _kind(lambda v: isinstance(v, str) and v.startswith("@"), "must begin with '@'")
+_body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0
+              and (isinstance(v, bytes) or _encodes(v)), "must be non-empty text or bytes")
+_handle = _kind(lambda v: isinstance(v, str) and v.startswith("@") and _encodes(v),
+                "must begin with '@'")
 _mode = _kind(lambda v: v in (MODE_ABSENT, MODE_HANDLE),
               f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
-_map = _kind(lambda v: isinstance(v, dict), "must be a map")
+# Derivation reads only a member's top-level fields, so only their text must encode.
+_data = _kind(lambda v: isinstance(v, dict)
+              and all(_encodes(x) for x in v.values() if isinstance(x, str)), "must be a map")
 _entries = _kind(lambda v: isinstance(v, list), "must be a list")
 _codes = _kind(_is_strings, "must be a list of jurisdiction codes")
-_rules = _kind(_is_rules, "must be a list of derivation rule names")
-_some_rules = _kind(lambda v: _is_rules(v) and len(v) > 0, "must be a non-empty list of rule names")
+_rules = _kind(lambda v: isinstance(v, list) and v != [] and all(q in DEFAULT_QUERIES for q in v),
+               "must be a non-empty list of rule names")
 _follower_lists = _kind(lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
                         "must map handles to lists of provider names")
 
 SCHEMA: dict[str, dict[str, _Field]] = {
     "notaries": {"name": _text(), "jurisdiction": _text(), "compatible": _codes(default=())},
     "cooperatives": {"name": _text(), "legal_rep": _text(ref="notary"),
-                     "queries": _rules(default=DEFAULT_QUERIES),
-                     "year_ticks": _count(default=DEFAULT_YEAR_TICKS),
                      "members": _entries(default=())},
-    "members": {"member_id": _text(), "legal_identity": _text(), "personal_data": _map(),
+    "members": {"member_id": _text(), "legal_identity": _text(), "personal_data": _data(),
                 "handle": _handle(default=None)},
     "exchanges": {"name": _text(), "jurisdiction": _text(), "threshold": _count()},
     "providers": {"name": _text(), "jurisdiction": _text(),
-                  "followers": _follower_lists(default={}, ref="provider"),
-                  "prefer_local_port": _flag(default=False)},
+                  "followers": _follower_lists(default={}, ref="provider")},
     # Every action also carries "at", its tick, and "action", its key here.
     "script": {
         "issue": {"coop": _text(ref="cooperative"), "member": _text(),
-                  "queries": _some_rules(), "mode": _mode(), "ttl": _count(),
+                  "queries": _rules(), "mode": _mode(), "ttl": _count(),
                   "label": _text(ref="new label")},
         # _check_register decides which of these a register needs.
         "register": {"exchange": _text(None, "exchange"), "account": _text(None),
@@ -461,11 +467,6 @@ def _check_issue(walk: _Walk, path: str, action: dict) -> None:
         walk.problem(f"{path}.member", f"unknown member {member_id!r}")
     elif action["mode"] == MODE_HANDLE and not member.get("handle"):
         walk.problem(f"{path}.mode", f"member {member_id!r} has no handle")
-    registered = _setting("cooperatives", coop, "queries")
-    if isinstance(registered, (list, tuple)):   # else the cooperative's problem says why
-        for q in action["queries"]:
-            if q not in registered:
-                walk.problem(f"{path}.queries", f"rule {q!r} not registered at {coop_name!r}")
 
 
 def _check_register(walk: _Walk, path: str, action: dict) -> None:
@@ -511,27 +512,6 @@ def validate_config(config: ScenarioConfig) -> list[str]:
 
 # --- execution ---------------------------------------------------------------------
 
-class _SenderKeys:
-    """Deterministic signing/recovery key pairs the harness plays on behalf
-    of senders."""
-
-    def __init__(self, seed: bytes) -> None:
-        self._seed = seed
-        self._generation: dict[str, int] = {}
-
-    def signing(self, handle: str) -> KeyPair:
-        generation = self._generation.setdefault(handle, 0)
-        material = b"%s/sender/%s/signing/%d" % (self._seed, handle.encode(), generation)
-        return crypto.keygen(material)
-
-    def rotate_signing(self, handle: str) -> KeyPair:
-        self._generation[handle] = self._generation.get(handle, 0) + 1
-        return self.signing(handle)
-
-    def recovery_pair(self, handle: str) -> KeyPair:
-        return crypto.keygen(b"%s/sender/%s/recovery" % (self._seed, handle.encode()))
-
-
 class _Adversary:
     """Pseudo-actor that injects unauthenticated traffic."""
 
@@ -552,7 +532,6 @@ class Scenario:
         self.artifacts: dict[str, CounterSignedAttestation] = {}
         # Per cooperative, how many of its revocation entries its notary has.
         self._synced: dict[str, int] = {}
-        self.sender_keys = _SenderKeys(config.seed)
         self.adversary = _Adversary()
         self._bind(self.adversary)
         self._build_actors()
@@ -567,6 +546,10 @@ class Scenario:
 
     def _actor_seed(self, role: str, name: str) -> bytes:
         return b"%s/%s/%s" % (self.config.seed, role.encode(), name.encode())
+
+    def _recovery_key(self, handle: str) -> KeyPair:
+        """The recovery key the harness holds for the sender of *handle*."""
+        return crypto.keygen(self._actor_seed("sender", handle) + b"/recovery")
 
     def _build_actors(self) -> None:
         config = self.config
@@ -586,8 +569,6 @@ class Scenario:
         for entry in config.cooperatives:
             coop = Cooperative(
                 entry["name"], self._actor_seed("coop", entry["name"]), entry["legal_rep"],
-                queries=tuple(_setting("cooperatives", entry, "queries")),
-                year_ticks=_setting("cooperatives", entry, "year_ticks"),
                 nonce_seed=self.config.seed + b"/nonce/" + entry["name"].encode(),
             )
             # validate_config checked each member entry.
@@ -629,7 +610,6 @@ class Scenario:
                 ledger_registry=self.ledgers,
                 followers={h: tuple(t) for h, t in
                            _setting("providers", entry, "followers").items()},
-                prefer_local_port=_setting("providers", entry, "prefer_local_port"),
             )
             self._bind(provider)
             self.providers[entry["name"]] = provider
@@ -700,12 +680,8 @@ class Scenario:
         if "provider" in action:
             provider = self.providers[action["provider"]]
             handle = action["handle"]
-            signing = self.sender_keys.signing(handle)
-            recovery = self.sender_keys.recovery_pair(handle)
-            provider.onboard_sender(
-                handle, self.artifacts[action["attestation"]],
-                recovery.public_key, signing.key_id, self.now,
-            )
+            provider.onboard_sender(handle, self.artifacts[action["attestation"]],
+                                    self._recovery_key(handle).public_key, self.now)
             return
         exchange = self.exchanges[action["exchange"]]
         if "name" in action:
@@ -771,12 +747,9 @@ class Scenario:
             issuing_coop._emit("revoked", {
                 "attestation_id": old_csa.blinded.attestation_id.value,
             })
-        new_signing = self.sender_keys.rotate_signing(handle)
-        recovery = self.sender_keys.recovery_pair(handle)
-        signature = crypto.sign(
-            recovery, crypto.TAG_RECOVER, recovery_message(handle, new_signing.key_id)
-        )
-        provider.recover_account(handle, signature, new_signing.key_id, new_csa, self.now)
+        signature = crypto.sign(self._recovery_key(handle), crypto.TAG_RECOVER,
+                                recovery_message(handle, new_csa.blinded.attestation_id))
+        provider.recover_account(handle, signature, new_csa, self.now)
 
     def _do_tamper(self, action: dict) -> None:
         exchange = self.exchanges[action["exchange"]]

@@ -237,15 +237,15 @@ class Exchange:
         if req.amount < self.disclosure_threshold:
             return TransferDecision(ACCEPTED, "below-threshold")
 
+        # Checked before the notary is asked: a transfer to no known account discloses no one.
+        beneficiary_name = self._kyc_names.get(req.beneficiary_account)
+        if beneficiary_name is None:
+            raise UnknownAccount(f"beneficiary {req.beneficiary_account!r} not on the KYC registry")
         disclosure = request_disclosure(self, self.notaries[csa.notary_id],
                                         csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome == OUTCOME_DENIED:
             return TransferDecision(HELD, "denied-jurisdiction")
         if disclosure.outcome != OUTCOME_DISCLOSED:
             return TransferDecision(REJECTED, disclosure.outcome)
-
-        beneficiary_name = self._kyc_names.get(req.beneficiary_account)
-        if beneficiary_name is None:
-            raise UnknownAccount(f"beneficiary {req.beneficiary_account!r} not on the KYC registry")
         record = assemble_travel_record(disclosure, req, beneficiary_name)
         return TransferDecision(ACCEPTED, "disclosed", travel_record=record)

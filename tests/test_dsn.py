@@ -57,8 +57,7 @@ class Capture:
 class Stack:
     """Cooperative, notary, and three providers with a follower topology."""
 
-    def __init__(self, provider_names=("P1", "P2", "P3"), followers=None,
-                 prefer_local_port=(), jurisdictions=None):
+    def __init__(self, provider_names=("P1", "P2", "P3"), followers=None, jurisdictions=None):
         self.keys = crypto.KeyDirectory()
         self.coop = Cooperative("coop1", b"coop1", "notary-1")
         self.notary = Notary(
@@ -78,7 +77,6 @@ class Stack:
                 keys=self.keys, notaries={"notary-1": self.notary},
                 ledger_registry=self.ledgers,
                 followers=followers if name == "P1" else {},
-                prefer_local_port=name in prefer_local_port,
             )
             self.providers[name] = provider
         for provider in self.providers.values():
@@ -99,19 +97,16 @@ class Stack:
 
     def onboard(self, handle="@sender", member_id="alice", provider="P1", now=10):
         csa = self.issue_csa(member_id, now=now)
-        signing = crypto.keygen(f"signing:{handle}".encode())
         recovery = crypto.keygen(f"recovery:{handle}".encode())
-        account = self.providers[provider].onboard_sender(
-            handle, csa, recovery.public_key, signing.key_id, now
-        )
-        return account, csa, signing, recovery
+        account = self.providers[provider].onboard_sender(handle, csa, recovery.public_key, now)
+        return account, csa, recovery
 
 
 class TestOnboarding:
     def test_account_resolves_on_ledger(self):
         stack = Stack()
         stack.member()
-        account, csa, _, _ = stack.onboard()
+        account, csa, _ = stack.onboard()
         record = stack.providers["P1"].ledger.get(account.attestation_ptr)
         assert record.payload.csa == csa
 
@@ -121,7 +116,7 @@ class TestOnboarding:
         csa = stack.issue_csa()
         with pytest.raises(HandleMismatch):
             stack.providers["P1"].onboard_sender(
-                "@sender", csa, b"rk", crypto.digest(b"sk"), 10
+                "@sender", csa, b"rk", 10
             )
 
     def test_absent_subject_rejected(self):
@@ -131,7 +126,7 @@ class TestOnboarding:
         csa = stack.notary.witness_and_countersign(plain, blinded, stack.coop.public_key, 10)
         with pytest.raises(HandleMismatch):
             stack.providers["P1"].onboard_sender(
-                "@sender", csa, b"rk", crypto.digest(b"sk"), 10
+                "@sender", csa, b"rk", 10
             )
 
     def test_handle_taken(self):
@@ -140,7 +135,7 @@ class TestOnboarding:
         stack.onboard()
         with pytest.raises(HandleTaken):
             stack.providers["P1"].onboard_sender(
-                "@sender", stack.issue_csa(), b"rk", crypto.digest(b"sk"), 10
+                "@sender", stack.issue_csa(), b"rk", 10
             )
 
     def test_expired_attestation_rejected(self):
@@ -149,7 +144,7 @@ class TestOnboarding:
         csa = stack.issue_csa(now=10)
         with pytest.raises(InvalidAttestation):
             stack.providers["P1"].onboard_sender(
-                "@sender", csa, b"rk", crypto.digest(b"sk"), 100
+                "@sender", csa, b"rk", 100
             )
 
 
@@ -188,7 +183,7 @@ class TestPublish:
     def test_a_post_record_may_not_point_at_another_providers_attestation(self):
         stack = Stack()
         stack.member()
-        account, _, _, _ = stack.onboard(provider="P1")
+        account, _, _ = stack.onboard(provider="P1")
         p2 = stack.providers["P2"]
         with pytest.raises(DanglingAttestationPointer):
             p2.ledger.append(p2.writer,
@@ -263,7 +258,7 @@ class TestFiltering:
     def test_revoked_attestation_drops(self):
         stack = Stack()
         stack.member()
-        _, csa, _, _ = stack.onboard()
+        _, csa, _ = stack.onboard()
         stack.providers["P1"].publish_post("@sender", b"hello", 20)
         stack.coop.revoke(csa.blinded.attestation_id, 30)
         replay = Post(b"hello", "@sender", "P1", 35)
@@ -305,7 +300,7 @@ class TestPorting:
     def test_ported_bytes_identical(self):
         stack = Stack()
         stack.member()
-        account, csa, _, _ = stack.onboard()
+        account, csa, _ = stack.onboard()
         local_ptr = stack.providers["P3"].port_attestation("P1", account.attestation_ptr)
         ported = stack.providers["P3"].ledger.get(local_ptr)
         assert canonical_bytes(ported.payload.csa) == canonical_bytes(csa)
@@ -320,7 +315,7 @@ class TestPorting:
     def test_porting_a_post_record_rejected(self, origin, pointer):
         stack = Stack()
         stack.member()
-        account, _, _, _ = stack.onboard()
+        account, _, _ = stack.onboard()
         post_ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20)
         ptr = {
             "post": post_ptr,
@@ -331,10 +326,10 @@ class TestPorting:
             stack.providers["P3"].port_attestation(origin, ptr)
         assert ledger_records(stack.providers["P3"].ledger) == ()
 
-    def test_prefer_local_avoids_origin_reads(self):
-        stack = Stack(prefer_local_port=("P3",))
+    def test_with_a_port_origin_is_not_read(self):
+        stack = Stack()
         stack.member()
-        account, _, _, _ = stack.onboard()
+        account, _, _ = stack.onboard()
         p3 = stack.providers["P3"]
         capture = Capture()
         capture.bind(p3)
@@ -350,10 +345,10 @@ class TestPorting:
         ]
         assert post_filter_reads == []  # zero origin-ledger reads while filtering
 
-    def test_without_policy_origin_is_read(self):
+    def test_without_a_port_origin_is_read(self):
         stack = Stack()
         stack.member()
-        account, _, _, _ = stack.onboard()
+        account, _, _ = stack.onboard()
         p3 = stack.providers["P3"]
         capture = Capture()
         capture.bind(p3)
@@ -390,17 +385,15 @@ class TestDisclosure:
 
 
 class TestRecovery:
-    def _recover(self, stack, signing_key=None):
-        account, old_csa, signing, recovery = stack.onboard()
-        new_signing = crypto.keygen(b"signing:@sender:2")
+    def _recover(self, stack, signer=None):
+        account, old_csa, recovery = stack.onboard()
         new_csa = stack.issue_csa(now=30)
-        signer = signing_key if signing_key is not None else recovery
+        signer = signer if signer is not None else recovery
         recovery_sig = crypto.sign(
-            signer, crypto.TAG_RECOVER, recovery_message("@sender", new_signing.key_id)
+            signer, crypto.TAG_RECOVER,
+            recovery_message("@sender", new_csa.blinded.attestation_id)
         )
-        fresh = stack.providers["P1"].recover_account(
-            "@sender", recovery_sig, new_signing.key_id, new_csa, 30
-        )
+        fresh = stack.providers["P1"].recover_account("@sender", recovery_sig, new_csa, 30)
         return account, old_csa, new_csa, fresh
 
     def test_recovery_rotates_account(self):
@@ -414,12 +407,28 @@ class TestRecovery:
         assert [p.csa for p in payloads] == [old_csa, new_csa]  # append-only history
         assert stack.providers["P1"].accounts["@sender"] == fresh
 
-    def test_old_signing_key_cannot_recover(self):
+    def test_a_key_other_than_the_recovery_key_cannot_recover(self):
         stack = Stack()
         stack.member()
-        signing = crypto.keygen(b"signing:@sender")
+        other = crypto.keygen(b"signing:@sender")
         with pytest.raises(BadRecoverySignature):
-            self._recover(stack, signing_key=signing)
+            self._recover(stack, signer=other)
+
+    def test_the_recovery_signature_binds_the_attestation_it_installs(self):
+        stack = Stack()
+        stack.member()
+        account, _, recovery = stack.onboard()
+        signed_for, passed = stack.issue_csa(now=30), stack.issue_csa(now=31)
+        assert passed.blinded.attestation_id != signed_for.blinded.attestation_id
+        assert passed.blinded.subject == signed_for.blinded.subject  # both bind @sender
+        sig = crypto.sign(recovery, crypto.TAG_RECOVER,
+                          recovery_message("@sender", signed_for.blinded.attestation_id))
+        p1 = stack.providers["P1"]
+        before = ledger_records(p1.ledger)
+        with pytest.raises(BadRecoverySignature):
+            p1.recover_account("@sender", sig, passed, 31)
+        assert ledger_records(p1.ledger) == before
+        assert p1.accounts["@sender"] == account
 
     def test_recovery_notifies_all_providers(self):
         stack = Stack()
@@ -436,13 +445,12 @@ class TestRecovery:
         cooperative revokes it; posts via the fresh record deliver."""
         stack = Stack()
         stack.member()
-        _, old_csa, _, recovery = stack.onboard()
+        _, old_csa, recovery = stack.onboard()
         stack.providers["P1"].publish_post("@sender", b"old words", 20)
-        new_signing = crypto.keygen(b"signing:@sender:2")
         new_csa = stack.issue_csa(now=30)
         sig = crypto.sign(recovery, crypto.TAG_RECOVER,
-                          recovery_message("@sender", new_signing.key_id))
-        stack.providers["P1"].recover_account("@sender", sig, new_signing.key_id, new_csa, 30)
+                          recovery_message("@sender", new_csa.blinded.attestation_id))
+        stack.providers["P1"].recover_account("@sender", sig, new_csa, 30)
         stack.coop.revoke(old_csa.blinded.attestation_id, 30)
         assert stack.coop.revalidation_status(
             old_csa.blinded.attestation_id, 31) is Status.REVOKED
@@ -458,12 +466,9 @@ class TestRecovery:
         stack = Stack()
         stack.member()
         stack.member(member_id="bob", handle="@bob", identity="bob-legal-00000002")
-        _, _, _, recovery = stack.onboard()
-        new_signing = crypto.keygen(b"signing:@sender:2")
+        _, _, recovery = stack.onboard()
         bob_csa = stack.issue_csa(member_id="bob", now=30)
         sig = crypto.sign(recovery, crypto.TAG_RECOVER,
-                          recovery_message("@sender", new_signing.key_id))
+                          recovery_message("@sender", bob_csa.blinded.attestation_id))
         with pytest.raises(InvalidAttestation):
-            stack.providers["P1"].recover_account(
-                "@sender", sig, new_signing.key_id, bob_csa, 30
-            )
+            stack.providers["P1"].recover_account("@sender", sig, bob_csa, 30)

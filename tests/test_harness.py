@@ -20,7 +20,13 @@ from coopattest.attestation import (
     PlainAttestation,
 )
 from coopattest.canonical import canonical_parse, canonical_serialize
-from coopattest.errors import ConfigInvalid, DecodeError, ScriptActionFailed, UnsupportedValue
+from coopattest.errors import (
+    ConfigInvalid,
+    DecodeError,
+    ScriptActionFailed,
+    UnknownAccount,
+    UnsupportedValue,
+)
 from coopattest.harness import (
     CHANNELS,
     KINDS,
@@ -131,7 +137,7 @@ class TestValidateConfig:
         config["cooperatives"][0]["queries"] = ["no-such-rule"]
         config["script"][0]["queries"] = ["no-such-rule"]
         problems = validate_config(minimal_config(**config))
-        assert problems == ["cooperatives[0].queries: must be a list of derivation rule names",
+        assert problems == ["cooperatives[0].queries: unknown field",
                             "script[0].queries: must be a non-empty list of rule names"]
         with pytest.raises(ConfigInvalid):
             run_scenario(minimal_config(**config))
@@ -172,8 +178,6 @@ class TestValidateConfig:
         (("script", 0, "ttl"), "script[0].ttl: must be a positive integer"),
         (("script", 2, "amount"), "script[2].amount: must be a positive integer"),
         (("exchanges", 0, "threshold"), "exchanges[0].threshold: must be a positive integer"),
-        (("cooperatives", 0, "year_ticks"),
-         "cooperatives[0].year_ticks: must be a positive integer"),
     ])
     def test_integer_field_rejects_bool(self, path, problem):
         raw = config_map(minimal_plus(TRANSFER))
@@ -228,6 +232,19 @@ class TestValidateConfig:
         assert validate_config(config) == [
             "cooperatives[0].members[0].personal_data: must be a map"]
 
+    @pytest.mark.parametrize("path, value, problem", [
+        (("script", 3, "body"), "x\ud800", "script[3].body: must be non-empty text or bytes"),
+        (("cooperatives", 0, "members", 0, "legal_identity"), "a\ud800",
+         "cooperatives[0].members[0].legal_identity: must be a non-empty string"),
+        (("cooperatives", 0, "members", 0, "personal_data", "residence"), "N\ud800",
+         "cooperatives[0].members[0].personal_data: must be a map"),
+    ], ids=["body", "legal_identity", "personal_data"])
+    def test_text_that_utf8_cannot_encode_is_a_problem(self, path, value, problem):
+        config = ScenarioConfig.from_map(probe(path, value, "dsn_port"))
+        assert validate_config(config) == [problem]
+        with pytest.raises(ConfigInvalid):
+            run_scenario(config)
+
     def test_provider_forwarding_to_itself(self):
         config = minimal_config(providers=[
             {"name": "P1", "jurisdiction": "US", "followers": {"@alice": ["P2", "P1"]}},
@@ -280,6 +297,46 @@ class TestSchemaReference:
             for name, fields in entries.items()
         }
         assert self.readme_rows() == expected
+
+
+# Optional fields that no bundled scenario and no benchmark workload sets to
+# a value other than its default, each with the reason it stays optional.
+UNVARIED_OPTIONS: dict[str, str] = {}
+# Each actor section, "members" and each action, with its fields.
+SCHEMA_ENTRIES = {**{k: v for k, v in SCHEMA.items() if k != "script"}, **SCHEMA["script"]}
+
+
+def set_options(config):
+    """``entry.key`` of each optional field that *config* sets to a value
+    other than the field's default, a list counting as the tuple it is read as."""
+    def plain(value):
+        return tuple(value) if isinstance(value, list) else value
+
+    found = set()
+    entries = [(section, entry) for section in ("notaries", "cooperatives", "exchanges",
+                                                "providers") for entry in getattr(config, section)]
+    entries += [("members", m) for coop in config.cooperatives for m in coop.get("members", ())]
+    entries += [(action["action"], action) for action in config.script]
+    for name, entry in entries:
+        found.update(f"{name}.{key}" for key, f in SCHEMA_ENTRIES[name].items()
+                     if not f.required and key in entry and plain(entry[key]) != plain(f.default))
+    return found
+
+
+class TestOptionsAreVaried:
+    """An optional field that nothing sets to another value than its default
+    is a constant: some bundled scenario or benchmark workload, at its
+    smoke-test size, must vary each one, or UNVARIED_OPTIONS says why not."""
+
+    def test_every_optional_field_is_varied_or_declared(self):
+        optional = {f"{name}.{key}" for name, fields in SCHEMA_ENTRIES.items()
+                    for key, f in fields.items() if not f.required}
+        configs = [ScenarioConfig.load(bundled_scenario_path(name))
+                   for name in bundled_scenario_names()]
+        configs += [tiny_benchmark_workload(name) for name in benchmark_workloads().TINY_SHAPES]
+        unvaried = optional.difference(*map(set_options, configs))
+        assert sorted(unvaried - UNVARIED_OPTIONS.keys()) == []   # declare it, or vary it
+        assert sorted(UNVARIED_OPTIONS.keys() - unvaried) == []   # a stale declaration
 
 
 class TestEventReference:
@@ -339,6 +396,17 @@ class TestRunScenario:
             run_scenario(config)
         assert excinfo.value.tick == 3
         assert excinfo.value.action["action"] == "register"
+
+    def test_an_unknown_beneficiary_is_found_before_the_notary_is_asked(self):
+        raw = canonical_parse(bundled_scenario_path("travel_rule_disclosure").read_bytes())
+        mutate(raw, ("script", 3, "beneficiary_account"), "nobody")
+        scenario = Scenario(ScenarioConfig.from_map(raw))
+        with pytest.raises(ScriptActionFailed) as excinfo:
+            scenario.run()
+        assert isinstance(excinfo.value.cause, UnknownAccount)
+        assert [e for e in events_of(scenario.log, "send")
+                if e.payload["channel"] == "disclosure-request"] == []
+        assert all(notary.audit_log == [] for notary in scenario.notaries.values())
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_replay_is_byte_identical(self, name):
@@ -523,8 +591,8 @@ def check_reread(log, data):
                for event in events_of(reread, "send") for value in event.payload["body"].values())
 
 
-def tiny_benchmark_workload(name):
-    """The benchmark's generated scenario *name* at its smoke-test size."""
+def benchmark_workloads():
+    """The benchmark's workload generators, ``perfbench/workloads.py``."""
     workloads = sys.modules.get("perfbench_workloads")
     if workloads is None:
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -532,6 +600,12 @@ def tiny_benchmark_workload(name):
         # Its dataclasses look their module up while being defined.
         sys.modules[spec.name] = workloads
         spec.loader.exec_module(workloads)
+    return workloads
+
+
+def tiny_benchmark_workload(name):
+    """The benchmark's generated scenario *name* at its smoke-test size."""
+    workloads = benchmark_workloads()
     workload = workloads.generate(name, 7, workloads.TINY_SHAPES[name])
     return ScenarioConfig.from_map(canonical_parse(canonical_serialize(workload.config)))
 
