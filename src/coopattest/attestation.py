@@ -437,7 +437,6 @@ class VerificationReport(_Checks):
     notary_signature: bool
     blinded_id: bool
     not_expired: bool
-    subject_blinded: bool
 
     @property
     def expired_only(self) -> bool:
@@ -456,5 +455,4 @@ def verify_countersigned(
         notary_signature=csa._signature_verifies(notary_public_key),
         blinded_id=blinded._id_consistent,
         not_expired=now < blinded.expires_at,
-        subject_blinded=blinded.subject.mode != MODE_LEGAL_IDENTITY,
     )

@@ -39,7 +39,7 @@ import stat
 import tempfile
 import typing
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import CoopAttestError, DecodeError, UnsupportedValue
 
@@ -149,14 +149,22 @@ def _encode_subclass(value: Any) -> str:
 
 
 def write_canonical(path: str | Path, data: bytes) -> None:
-    """Write the canonical bytes *data* to *path* atomically.
+    """Write the canonical bytes *data* to *path* atomically, as
+    ``write_canonical_parts`` writes them."""
+    write_canonical_parts(path, (data,))
 
+
+def write_canonical_parts(path: str | Path, parts: Iterable[bytes]) -> None:
+    """Write the bytes *parts* yields, one after another, to *path* atomically.
+
+    Each part is written as it comes, so the whole is never held at once.
     The bytes go to a fresh temporary file beside the file *path* names
     (through any symlink), which then replaces it in one step, so an
-    interrupted write leaves the previous file whole.  The new file keeps
-    the previous one's permission bits; a file that did not exist is
-    created readable by its owner only, since state and key files hold
-    key seeds, and plain attestations and event logs legal identities.
+    interrupted write, or a part that raises, leaves the previous file
+    whole.  The new file keeps the previous one's permission bits; a file
+    that did not exist is created readable by its owner only, since state
+    and key files hold key seeds, and plain attestations and event logs
+    legal identities.
     """
     target = Path(path).resolve()
     mode = stat.S_IMODE(target.stat().st_mode) if target.exists() else 0o600
@@ -164,7 +172,7 @@ def write_canonical(path: str | Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), mode)
-            fh.write(data)
+            fh.writelines(parts)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temp, target)
@@ -369,17 +377,19 @@ def _writer(cls: type, omit: tuple = ()) -> Callable[[Any], str]:
     """The function that writes the canonical text of a *cls* record, given
     the record or a dict of its field values, without the keys in *omit*.
     The record's layout is built once; a call writes only the values, and
-    no entry for an ``X | None`` field whose value is None."""
+    no entry for an ``X | None`` field whose value is None.  A record's
+    fields are read as attributes, never through its ``__dict__``, which
+    CPython would otherwise build for an instance that had none yet."""
     steps = [step[1:] for step in _layout(cls) if step[0] not in omit]
 
     def write_record(record: Any) -> str:
-        values = getattr(record, "__dict__", record)
+        as_map = isinstance(record, dict)
         out = []
         for key, attr, write, optional in steps:
             if attr is None:
                 out.append(write)
                 continue
-            value = values[attr]
+            value = record[attr] if as_map else getattr(record, attr)
             if optional and value is None:
                 continue
             out.append(key + write(value))

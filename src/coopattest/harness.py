@@ -12,14 +12,15 @@ golden regression files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, make_dataclass, replace
+import io
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, get_args
 
 from . import crypto
 from .attestation import MODE_ABSENT, MODE_HANDLE, BlindedAttestation, CounterSignedAttestation
-from .canonical import _utf8, _writer, canonical_parse, record_from_map, write_canonical
+from .canonical import _utf8, _writer, canonical_parse, record_from_map, write_canonical_parts
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
 from .cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
@@ -34,7 +35,7 @@ from .travel_rule import Exchange, TransferRequest, TravelRuleRecord
 
 # --- event log -----------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One line of the log.  Its payload holds the keys ``KINDS`` declares for
     its kind, records and attestations in it as objects, and reads back equal."""
@@ -101,22 +102,50 @@ def _line_writer(kind: str, payload: type) -> Callable[[Event], str]:
                                   namespace={"_KIND": kind}, frozen=True))
 
 
+def _keys(layout: type) -> tuple[str, ...] | None:
+    """The keys a payload or body of *layout* holds; None for any map."""
+    return None if layout is dict else tuple(f.name for f in fields(layout))
+
+
 # The writer of each kind's lines, and of a send's by ("send", channel), whose
-# payload record has the channel's body.
+# payload record has the channel's body; then the keys of the payload, and of
+# the body.
 _SENDS = _records("send payload", {channel: {**KINDS["send"].__annotations__, "body": body}
                                    for channel, body in CHANNELS.items()})
 _WRITERS = {
-    **{kind: _line_writer(kind, layout) for kind, layout in KINDS.items() if kind != "send"},
-    **{("send", channel): _line_writer("send", send) for channel, send in _SENDS.items()}}
+    **{kind: (_line_writer(kind, layout), _keys(layout), None)
+       for kind, layout in KINDS.items() if kind != "send"},
+    **{("send", channel): (_line_writer("send", send), _keys(KINDS["send"]),
+                           _keys(CHANNELS[channel])) for channel, send in _SENDS.items()}}
 
 
 def _line(event: Event) -> bytes:
-    """The line of *event*, newline included, encoded on its own: a text of
-    the whole log beside its bytes would raise peak memory by the log's size."""
-    key = ("send", event.payload["channel"]) if event.kind == "send" else event.kind
-    if key not in _WRITERS:
+    """The line of *event*, newline included, encoded on its own, so that a log
+    is written a line at a time and its whole text is never held.  An
+    undeclared kind or channel raises UnsupportedValue, and so does a payload
+    or body whose keys are not exactly its declaration's (an unset optional
+    is there as None); the writer's own lookups and a length find it."""
+    kind, payload = event.kind, event.payload
+    key = ("send", payload.get("channel")) if kind == "send" else kind
+    if key in _WRITERS:
+        write, keys, body_keys = _WRITERS[key]
+        try:
+            if (keys is None or len(payload) == len(keys)) \
+                    and (body_keys is None or len(payload["body"]) == len(body_keys)):
+                return _utf8(write(event) + "\n")
+        except KeyError:  # a declared key is missing
+            pass
+    elif kind == "send" and "channel" not in payload:
+        keys = _keys(KINDS[kind])
+    else:
         raise UnsupportedValue(f"undeclared event {key!r}")
-    return _utf8(_WRITERS[key](event) + "\n")
+    # The payload lacks a declared key or has another, or else its body does.
+    name, values = f"{kind} payload", payload
+    if payload.keys() == set(keys):
+        name, values, keys = f"{key[1]} body", payload["body"], body_keys
+    missing = [k for k in keys if k not in values]
+    raise UnsupportedValue(f"{name} missing key {missing[0]!r}" if missing else
+                           f"{name} has undeclared key {next(k for k in values if k not in keys)!r}")
 
 
 def _read_event(raw: Any) -> Event:
@@ -153,12 +182,14 @@ class EventLog:
     def to_bytes(self) -> bytes:
         """One line per event, by the writer of its kind (of its channel, for a
         send); an undeclared kind or channel raises UnsupportedValue."""
-        return b"".join(map(_line, self.events))
+        buffer = io.BytesIO()
+        buffer.writelines(map(_line, self.events))
+        return buffer.getvalue()
 
     def write(self, path: str | Path) -> None:
         """Write the log to *path* like a state file, atomically and a new file
         private to its owner: a disclosed travel record holds legal names."""
-        write_canonical(path, self.to_bytes())
+        write_canonical_parts(path, map(_line, self.events))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EventLog":
@@ -231,6 +262,7 @@ _REQUIRED = object()
 class _Field(NamedTuple):
     check: Callable[[object], bool]
     problem: str
+    unencodable: str | None  # the problem instead, for text UTF-8 cannot encode
     default: object = _REQUIRED
     ref: str | None = None   # what the value must name; see _Walk.resolve
 
@@ -239,9 +271,9 @@ class _Field(NamedTuple):
         return self.default is _REQUIRED
 
 
-def _kind(check: Callable[[object], bool], problem: str):
+def _kind(check: Callable[[object], bool], problem: str, unencodable: str | None = None):
     """A field constructor for one kind: kind(default=..., ref=...)."""
-    return lambda default=_REQUIRED, ref=None: _Field(check, problem, default, ref)
+    return lambda default=_REQUIRED, ref=None: _Field(check, problem, unencodable, default, ref)
 
 
 def _is_strings(value) -> bool:
@@ -259,18 +291,21 @@ def _encodes(text: str) -> bool:
     return True
 
 
-_text = _kind(lambda v: type(v) is str and v != "" and _encodes(v), "must be a non-empty string")
+_text = _kind(lambda v: type(v) is str and v != "" and _encodes(v), "must be a non-empty string",
+              "must be a string that UTF-8 can encode")
 _count = _kind(lambda v: type(v) is int and v > 0, "must be a positive integer")
 _tick = _kind(lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
 _body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0
-              and (isinstance(v, bytes) or _encodes(v)), "must be non-empty text or bytes")
+              and (isinstance(v, bytes) or _encodes(v)), "must be non-empty text or bytes",
+              "must be bytes or text that UTF-8 can encode")
 _handle = _kind(lambda v: isinstance(v, str) and v.startswith("@") and _encodes(v),
-                "must begin with '@'")
+                "must begin with '@'", "must be a handle that UTF-8 can encode")
 _mode = _kind(lambda v: v in (MODE_ABSENT, MODE_HANDLE),
               f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
 # Derivation reads only a member's top-level fields, so only their text must encode.
 _data = _kind(lambda v: isinstance(v, dict)
-              and all(_encodes(x) for x in v.values() if isinstance(x, str)), "must be a map")
+              and all(_encodes(x) for x in v.values() if isinstance(x, str)), "must be a map",
+              "must be a map whose text values UTF-8 can encode")
 _entries = _kind(lambda v: isinstance(v, list), "must be a list")
 _codes = _kind(_is_strings, "must be a list of jurisdiction codes")
 _rules = _kind(lambda v: isinstance(v, list) and v != [] and all(q in DEFAULT_QUERIES for q in v),
@@ -316,7 +351,7 @@ SCHEMA: dict[str, dict[str, _Field]] = {
 def _rows(fields: dict[str, _Field], *also: str, refs: bool = True) -> tuple:
     """The walker's flat form of a section or action, and its keys with *also*;
     without *refs*, a value need not name anything."""
-    return (tuple((key, f.check, f.problem, f.required, f.ref if refs else None)
+    return (tuple((key, f.check, f.problem, f.unencodable, f.required, f.ref if refs else None)
                   for key, f in fields.items()), frozenset(fields).union(also))
 
 
@@ -361,13 +396,17 @@ class _Walk:
             for key in [key for key in entry if key not in declared]:
                 self.problem(f"{section}[{index}].{key}", "unknown field")
         get, known = entry.get, self.known
-        for key, check, problem, required, ref in rows:
+        for key, check, problem, unencodable, required, ref in rows:
             value = get(key, _REQUIRED)
             if value is _REQUIRED:
                 if required:
                     self.problem(f"{section}[{index}].{key}", problem)
             elif not check(value):
-                self.problem(f"{section}[{index}].{key}", problem)
+                # Text that UTF-8 cannot encode, or a map with such text
+                # values, has its kind's own problem.
+                texts = value.values() if isinstance(value, dict) else (value,)
+                self.problem(f"{section}[{index}].{key}", unencodable if unencodable and not all(
+                    _encodes(text) for text in texts if isinstance(text, str)) else problem)
             elif ref is not None and (type(value) is not str or value not in known[ref]):
                 self.resolve(ref, value, f"{section}[{index}].{key}")
         return len(self.problems) == before

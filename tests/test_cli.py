@@ -109,9 +109,9 @@ class TestIssueCountersignVerify:
         out = capsys.readouterr().out
         assert code == 0
         # One line per check, in the report's field order.
-        assert out.splitlines()[-6:] == [
+        assert out.splitlines()[-5:] == [
             "issuer_signature: pass", "notary_signature: pass", "blinded_id: pass",
-            "not_expired: pass", "subject_blinded: pass", "overall: pass",
+            "not_expired: pass", "overall: pass",
         ]
 
     def test_pipeline_from_the_golden_state_writes_the_golden_attestations(self, tmp_path):

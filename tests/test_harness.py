@@ -2,10 +2,13 @@
 
 import copy
 import dataclasses
+import gc
 import importlib.util
+import os
 import re
 import sys
 import tempfile
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -233,12 +236,16 @@ class TestValidateConfig:
             "cooperatives[0].members[0].personal_data: must be a map"]
 
     @pytest.mark.parametrize("path, value, problem", [
-        (("script", 3, "body"), "x\ud800", "script[3].body: must be non-empty text or bytes"),
+        (("script", 3, "body"), "x\ud800",
+         "script[3].body: must be bytes or text that UTF-8 can encode"),
         (("cooperatives", 0, "members", 0, "legal_identity"), "a\ud800",
-         "cooperatives[0].members[0].legal_identity: must be a non-empty string"),
+         "cooperatives[0].members[0].legal_identity: must be a string that UTF-8 can encode"),
         (("cooperatives", 0, "members", 0, "personal_data", "residence"), "N\ud800",
-         "cooperatives[0].members[0].personal_data: must be a map"),
-    ], ids=["body", "legal_identity", "personal_data"])
+         "cooperatives[0].members[0].personal_data: must be a map whose text values UTF-8 "
+         "can encode"),
+        (("cooperatives", 0, "members", 0, "handle"), "@\ud800",
+         "cooperatives[0].members[0].handle: must be a handle that UTF-8 can encode"),
+    ], ids=["body", "legal_identity", "personal_data", "handle"])
     def test_text_that_utf8_cannot_encode_is_a_problem(self, path, value, problem):
         config = ScenarioConfig.from_map(probe(path, value, "dsn_port"))
         assert validate_config(config) == [problem]
@@ -708,6 +715,46 @@ class TestEventLog:
         log.write(path)
         assert check_reread(log, path.read_bytes()) == 2
 
+    @pytest.mark.parametrize("event, problem", [
+        (Event(0, "P1", "onboard", {"handle": "@a", "ledger_index": 1, "extra": 5}),
+         "onboard payload has undeclared key 'extra'"),
+        (Event(0, "P1", "onboard", {"handle": "@a"}), "onboard payload missing key 'ledger_index'"),
+        (Event(0, "P1", "onboard", {"handle": "@a", "index": 1}),
+         "onboard payload missing key 'ledger_index'"),
+        # An unset optional is there as None.
+        (Event(0, "E", "transfer-decision", {"transfer_id": "t", "outcome": "rejected",
+                                             "reason": "revoked"}),
+         "transfer-decision payload missing key 'travel_record'"),
+        (Event(1, "A", "send", {"to": "B", "body": {"handle": "@a"}}),
+         "send payload missing key 'channel'"),
+        (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice", "handle": "@a"}),
+         "send payload missing key 'body'"),
+        (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice",
+                                "body": {"handle": "@a"}, "x": 1}),
+         "send payload has undeclared key 'x'"),
+        (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice", "body": {}}),
+         "recovery-notice body missing key 'handle'"),
+        (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice",
+                                "body": {"handle": "@a", "n": 0}}),
+         "recovery-notice body has undeclared key 'n'"),
+        (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice",
+                                "body": {"name": "@a"}}),
+         "recovery-notice body missing key 'handle'"),
+    ])
+    def test_the_writer_takes_exactly_the_declared_keys(self, tmp_path, event, problem):
+        good = EventLog([Event(0, "B", "tampered", {"account": "a"})])
+        path = tmp_path / "run.log"
+        good.write(path)
+        log = EventLog([*good.events, event])
+        with pytest.raises(UnsupportedValue, match=f"^{re.escape(problem)}$"):
+            log.to_bytes()
+        # The write stops at that line, after the first went to the temporary
+        # file, and leaves the file it would have replaced as it was.
+        with pytest.raises(UnsupportedValue, match=f"^{re.escape(problem)}$"):
+            log.write(path)
+        assert path.read_bytes() == good.to_bytes()
+        assert os.listdir(tmp_path) == ["run.log"]
+
     @pytest.mark.parametrize("line, problem", [
         (b"5", "Event must be a map"),
         (b'{"actor":"A","kind":"tampered","payload":{"account":"a"}}', "missing field 'tick'"),
@@ -817,6 +864,36 @@ class TestEventLog:
                      if v1_only(canonical_parse(line)))
         with pytest.raises(DecodeError, match=rf"^event-log line {first}: "):
             EventLog.from_bytes(data)
+
+
+class TestEventLogMemory:
+    """Writing a log holds it once.  Python's own allocations are traced, and
+    each bound is a ratio to the log's size, which holds on every supported
+    Python version: ``to_bytes`` fills one buffer, reads each event's fields
+    without building a dict of them, and leaves the log's bytes behind;
+    ``write`` holds about a line at a time."""
+
+    @pytest.mark.parametrize("name", ["travel_churn", "dsn_bot_flood"])
+    def test_a_written_log_is_held_once(self, name, tmp_path):
+        config = scenario_config(name)
+        run_scenario(config).to_bytes()  # fills the caches a first write fills
+        log = run_scenario(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = log.to_bytes()
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            log.write(tmp_path / "run.log")
+            write_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        size = len(data)
+        assert (tmp_path / "run.log").read_bytes() == data
+        assert peak - before <= 1.25 * size, f"to_bytes peaked at {(peak - before) / size:.2f}x"
+        assert held - before <= 1.05 * size, f"to_bytes left {(held - before) / size:.2f}x held"
+        assert write_peak < 0.25 * size, f"write peaked at {write_peak / size:.2f}x"
 
 
 def v1_only(event: dict) -> bool:
