@@ -26,17 +26,22 @@ and maps may nest at most ``MAX_DEPTH`` deep.
 
 The record codec below writes the canonical bytes of a dataclass
 straight from its field declarations, and decodes such maps strictly.
+The line writers at the end are generated, one per shape of an event-log
+line, from the same declarations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import linecache
 import operator
 import os
 import re
 import stat
 import tempfile
+import types
 import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -446,6 +451,199 @@ def _require(raw: dict, key: str, wire: type, name: str) -> Any:
     if not _is(value, wire):
         raise DecodeError(f"{name} field {key!r} has wrong type")
     return value
+
+
+# --- line writers ----------------------------------------------------------------
+#
+# A line is the canonical text of a record whose fields hold maps of fixed
+# keys (an event and its payload), then a newline.  Its writer is Python
+# source generated once per shape: the constant text of the line, with the
+# keys in code-point order, and each value written inline by its declared
+# type.  Only the shape reaches the source, never a value: keys and fixed
+# texts enter it through ``repr``.
+
+class Shape(typing.NamedTuple):
+    """The layout of a record, or of a map of fixed keys, for ``line_writer``.
+
+    *entries* are ``(key, attr, type, optional)`` in code-point order of
+    the wire keys: *attr* is the attribute (of the record) or the key (of a
+    map) that holds the value, and *type* is ``str``, ``int``, ``bool``,
+    ``bytes``, a record class, ``X | Y``, ``list[X]``, ``dict[str, X]``, a
+    nested map's Shape, or a ``str``: the value itself, fixed by the layout
+    and checked by the caller.  An optional value is left out of the
+    line when it is None; in a map, it is there as None unless *absent*
+    says that an unset one is left out of the map too.  *name* is what a
+    refusal calls the record or map."""
+
+    name: str
+    entries: tuple
+    absent: bool = False
+
+
+def record_shape(name: str, cls: type, /, **fixed: Any) -> Shape:
+    """The Shape of a *cls* record, or of a map of its field values, with
+    the type of each field named in *fixed* replaced by the given one."""
+    hints = typing.get_type_hints(cls)
+    entries = []
+    for key, _, attr, _, optional in _layout(cls):
+        tp = hints[attr]
+        if optional:
+            (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        entries.append((key, attr, fixed.get(attr, tp), optional))
+    return Shape(name, tuple(entries))
+
+
+def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
+    """The function that writes a record of *shape* as its canonical line,
+    newline included, in UTF-8.  The record's fields are read as
+    attributes and a nested map's values as items.  A value that is not of
+    its declared type, exactly (``True`` is not an ``int``), a map that is
+    not a ``dict`` or whose keys are not exactly its declared ones, and
+    text that UTF-8 cannot encode raise UnsupportedValue naming the record
+    or map and the key.  The source is generated from *shape* and kept in
+    ``linecache`` under *filename*, so a traceback through it shows the
+    line."""
+    namespace = {"_plain": _NEEDS_ESCAPE.search, "_sub": _NEEDS_ESCAPE.sub, "_escape": _escape,
+                 "_encode": _encode, "_BOOL": ("false", "true"), "_Refused": UnsupportedValue}
+    fetch: list[str] = []    # reads every value
+    tests: list[str] = []    # true when each map and value is as declared
+    setup: list[str] = []    # the text of each optional entry
+    pieces: list[tuple[bool, str]] = []   # the line: (is an expression, text)
+    names = (f"v{n}" for n in itertools.count())
+
+    def visit(shape: Shape, var: str, path: str, top: bool) -> list[str]:
+        """Lay out the record or map that *var* holds in the fast path and
+        *path* in the refusals, and return the refusals' statements."""
+        own, nested, counted = [], [], []
+        if not top:
+            declared = tuple(attr for _, attr, _, _ in shape.entries)
+            required = tuple(attr for _, attr, _, optional in shape.entries
+                             if not (optional and shape.absent))
+            not_dict, missing, undeclared = (shape.name + text for text in (
+                " must be a dict, not ", " missing key ", " has undeclared key "))
+            own += [f"m = {path}",
+                    "if type(m) is not dict:",
+                    f"    raise _Refused({not_dict!r} + type(m).__name__)",
+                    f"for key in {required!r}:",
+                    "    if key not in m:",
+                    f"        raise _Refused({missing!r} + repr(key))",
+                    "for key in m:",
+                    f"    if key not in {declared!r}:",
+                    f"        raise _Refused({undeclared!r} + repr(key))"]
+            tests.append(f"type({var}) is dict")
+            counted.append(str(len(required)))
+        pieces.append((False, "{"))
+        # Optional entries before the first required one carry the comma after them.
+        first = next(i for i, entry in enumerate(shape.entries) if not entry[3])
+        for i, (key, attr, tp, optional) in enumerate(shape.entries):
+            lead, trail = ("," if i > first else ""), ("," if i < first else "")
+            text = lead + _encode_key(key)
+            if isinstance(tp, str):
+                pieces.append((False, text + _encode_text(tp) + trail))
+                continue
+            value, absent = next(names), optional and shape.absent
+            full = f"{path}.{attr}" if top else f"{path}[{attr!r}]"
+            fetch.append(f"{value} = {var}.{attr}" if top else
+                         f"{value} = {var}.get({attr!r})" if absent else
+                         f"{value} = {var}[{attr!r}]")
+            if isinstance(tp, Shape):
+                pieces.append((False, text))
+                nested += visit(tp, value, full, False)
+                continue
+            test = _test_source(tp, value, namespace)
+            if optional:
+                entry = next(names)
+                setup.append(f"{entry} = '' if {value} is None else " + _fstring(
+                    [(False, text), *_text_source(tp, value, namespace), (False, trail)]))
+                tests.append(f"({value} is None or {test})")
+                pieces.append((True, entry))
+                if absent:
+                    counted.append(f"({value} is not None)")
+            else:
+                tests.append(test)
+                pieces.extend([(False, text), *_text_source(tp, value, namespace), (False, trail)])
+            where = full if top else f"m[{attr!r}]"
+            type_name = tp.__name__ if typing.get_origin(tp) is None else str(tp)
+            wrong = f"{shape.name} key {key!r} must be {type_name}" \
+                    f"{' or None' if optional and not absent else ''}, not "
+            test = _test_source(tp, where, namespace)
+            own += [f"if {attr!r} in m and not ({test}):" if absent else
+                    f"if not ({where} is None or {test}):" if optional else f"if not ({test}):",
+                    f"    raise _Refused({wrong!r} + type({where}).__name__)"]
+        if not top:   # once the optionals an action may leave out are counted
+            tests.append(f"len({var}) == " + " + ".join(counted))
+        pieces.append((False, "}"))
+        return own + nested
+
+    refusals = visit(shape, "record", "record", True)
+    pieces.append((False, "\n"))
+    source = "\n".join([
+        "def write_line(record, /):",
+        "    try:", *(f"        {line}" for line in fetch),
+        "    except (AttributeError, KeyError, TypeError):",
+        "        pass",
+        "    else:",
+        f"        if {' and '.join(tests)}:", *(f"            {line}" for line in setup),
+        "            try:",
+        f"                return {_fstring(pieces)}.encode()",
+        "            except UnicodeEncodeError:",
+        f"                raise _Refused({shape.name + ' holds text that UTF-8 cannot encode'!r})"
+        " from None",
+        *(f"    {line}" for line in refusals), ""])
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["write_line"]
+
+
+def _fstring(pieces: list[tuple[bool, str]]) -> str:
+    """Source of the f-string that joins *pieces*: constant texts, and the
+    sources of expressions, which hold no quote, backslash or brace."""
+    parts, text = [], ""
+    for is_expression, piece in [*pieces, (True, "")]:
+        if not is_expression:
+            text += piece
+            continue
+        if text:
+            parts.append("f" + repr(text.replace("{", "{{").replace("}", "}}")))
+            text = ""
+        if piece:
+            parts.append(f"f'{{{piece}}}'")
+    return "(" + " ".join(parts) + ")"
+
+
+def _test_source(tp: Any, value: str, namespace: dict) -> str:
+    """Source of the test that *value* is exactly of type *tp*."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return "(" + " or ".join(_test_source(arg, value, namespace) for arg in args) + ")"
+    if origin is list:
+        return f"(type({value}) is list and all({_test_source(args[0], 'x', namespace)} " \
+               f"for x in {value}))"
+    if origin is dict and args[0] is str:
+        return f"(type({value}) is dict and all(type(k) is str and " \
+               f"{_test_source(args[1], 'x', namespace)} for k, x in {value}.items()))"
+    if not isinstance(tp, type) or namespace.setdefault(tp.__name__, tp) is not tp:
+        raise TypeError(f"no line codec for {tp!r}")
+    return f"type({value}) is {tp.__name__}"
+
+
+def _text_source(tp: Any, value: str, namespace: dict) -> list[tuple[bool, str]]:
+    """The pieces of the canonical text of *value*, of type *tp*."""
+    if tp is str:
+        return [(False, '"'), (True, f"{value} if _plain({value}) is None "
+                                     f"else _sub(_escape, {value})"), (False, '"')]
+    if tp is int:
+        return [(True, value)]
+    if tp is bool:
+        return [(True, f"_BOOL[{value}]")]
+    if tp is bytes:
+        return [(False, "0x"), (True, f"{value}.hex()")]
+    if hasattr(tp, "_canonical_text"):
+        return [(True, f"{value}._canonical_text")]
+    if dataclasses.is_dataclass(tp):
+        namespace[f"_write_{tp.__name__}"] = _writer(tp)
+        return [(True, f"_write_{tp.__name__}({value})")]
+    return [(True, f"_encode({value})")]   # X | Y, list[X] or dict[str, X]
 
 
 # --- parsing ----------------------------------------------------------------

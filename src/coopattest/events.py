@@ -10,8 +10,10 @@ next line, so the handler's effects follow the send in the log, the
 order a queued transport would produce.  A payload, and a message body,
 is a map of the keys its kind or channel declares (``harness.KINDS`` and
 ``harness.CHANNELS``), with ``vars(record)`` where a record exists; it
-holds the values as they are, attestation artifacts included, and the
-log writes each artifact as its canonical text.
+holds the values as they are, each of exactly its declared type (the log
+refuses a ``bool`` for an ``int``, or a ``Digest`` for ``bytes``),
+attestation artifacts included, and the log writes each artifact as its
+canonical text.
 """
 
 from __future__ import annotations

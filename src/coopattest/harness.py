@@ -8,19 +8,29 @@ ordered message fabric, and returns the event log.  The same config
 always produces a byte-identical log: all randomness flows through the
 seed and all time through the script ticks, so committed logs work as
 golden regression files.
+
+The log's format is declared once: KINDS and CHANNELS give the payload of
+each kind and the body of each channel, and SCHEMA the script actions an
+``action`` line holds.  Each line layout (a kind, a send's channel, an
+action) is written by a writer generated from those declarations on first
+use, which refuses a payload or body whose keys, or the types of whose
+values, are not the declared ones; the reader decodes each line strictly
+by the same declarations.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-from dataclasses import dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, get_args
 
 from . import crypto
 from .attestation import MODE_ABSENT, MODE_HANDLE, BlindedAttestation, CounterSignedAttestation
-from .canonical import _utf8, _writer, canonical_parse, record_from_map, write_canonical_parts
+from .canonical import Shape, canonical_parse, line_writer, record_from_map, record_shape
+from .canonical import write_canonical_parts
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
 from .cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
@@ -95,57 +105,53 @@ CHANNELS: dict[str, type] = _records("body", {
 })
 
 
-def _line_writer(kind: str, payload: type) -> Callable[[Event], str]:
-    """The writer of an event of *kind* whose payload is a *payload* record (or
-    a map): the keys of the line are laid out once; a call writes the values."""
-    return _writer(make_dataclass("line", [("tick", int), ("actor", str), ("payload", payload)],
-                                  namespace={"_KIND": kind}, frozen=True))
+# The payload key whose text picks the layout of a line of these kinds.
+_PICKED_BY = {"send": "channel", "action": "action"}
 
 
-def _keys(layout: type) -> tuple[str, ...] | None:
-    """The keys a payload or body of *layout* holds; None for any map."""
-    return None if layout is dict else tuple(f.name for f in fields(layout))
-
-
-# The writer of each kind's lines, and of a send's by ("send", channel), whose
-# payload record has the channel's body; then the keys of the payload, and of
-# the body.
-_SENDS = _records("send payload", {channel: {**KINDS["send"].__annotations__, "body": body}
-                                   for channel, body in CHANNELS.items()})
-_WRITERS = {
-    **{kind: (_line_writer(kind, layout), _keys(layout), None)
-       for kind, layout in KINDS.items() if kind != "send"},
-    **{("send", channel): (_line_writer("send", send), _keys(KINDS["send"]),
-                           _keys(CHANNELS[channel])) for channel, send in _SENDS.items()}}
+@functools.cache
+def _line_writer(key: str | tuple[str, str]) -> Callable[[Event], bytes]:
+    """The writer of the lines of *key*: a kind, or ("send", channel), or
+    ("action", the script action's name).  It is generated on first use
+    from the declarations (canonical.line_writer); an undeclared key
+    raises UnsupportedValue."""
+    kind, picked = key if isinstance(key, tuple) else (key, None)
+    if kind == "send" and picked in CHANNELS:
+        payload = record_shape("send payload", KINDS["send"], channel=picked,
+                               body=record_shape(f"{picked} body", CHANNELS[picked]))
+    elif kind == "action" and picked in _LOGGED_ACTIONS:
+        # The fields as the script holds them: an unset optional is left out.
+        entries = [("action", "action", picked, False), *(
+            (field_key, field_key, f.tp, not f.required)
+            for field_key, f in _LOGGED_ACTIONS[picked].items())]
+        payload = Shape(f"{picked} action", tuple(sorted(entries)), absent=True)
+    elif kind in KINDS and kind not in _PICKED_BY:
+        payload = record_shape(f"{kind} payload", KINDS[kind])
+    else:
+        raise UnsupportedValue(f"undeclared event {key!r}")
+    name = "/".join(key) if isinstance(key, tuple) else key
+    return line_writer(f"<coopattest line {name}>",
+                       record_shape(f"{kind} event", Event, kind=kind, payload=payload))
 
 
 def _line(event: Event) -> bytes:
     """The line of *event*, newline included, encoded on its own, so that a log
     is written a line at a time and its whole text is never held.  An
-    undeclared kind or channel raises UnsupportedValue, and so does a payload
-    or body whose keys are not exactly its declaration's (an unset optional
-    is there as None); the writer's own lookups and a length find it."""
-    kind, payload = event.kind, event.payload
-    key = ("send", payload.get("channel")) if kind == "send" else kind
-    if key in _WRITERS:
-        write, keys, body_keys = _WRITERS[key]
-        try:
-            if (keys is None or len(payload) == len(keys)) \
-                    and (body_keys is None or len(payload["body"]) == len(body_keys)):
-                return _utf8(write(event) + "\n")
-        except KeyError:  # a declared key is missing
-            pass
-    elif kind == "send" and "channel" not in payload:
-        keys = _keys(KINDS[kind])
-    else:
-        raise UnsupportedValue(f"undeclared event {key!r}")
-    # The payload lacks a declared key or has another, or else its body does.
-    name, values = f"{kind} payload", payload
-    if payload.keys() == set(keys):
-        name, values, keys = f"{key[1]} body", payload["body"], body_keys
-    missing = [k for k in keys if k not in values]
-    raise UnsupportedValue(f"{name} missing key {missing[0]!r}" if missing else
-                           f"{name} has undeclared key {next(k for k in values if k not in keys)!r}")
+    undeclared kind, channel or action raises UnsupportedValue, and so does
+    a payload or body whose keys or value types are not exactly its
+    declaration's (an unset optional is there as None, but left out of an
+    action)."""
+    kind = event.kind
+    picked_by = _PICKED_BY.get(kind)
+    if picked_by is None:
+        return _line_writer(kind)(event)
+    payload = event.payload
+    picked = payload.get(picked_by) if type(payload) is dict else None
+    if type(picked) is not str:
+        raise UnsupportedValue(f"{kind} payload missing key {picked_by!r}" if picked is None else
+                               f"{kind} payload key {picked_by!r} must be str, "
+                               f"not {type(picked).__name__}")
+    return _line_writer((kind, picked))(event)
 
 
 def _read_event(raw: Any) -> Event:
@@ -260,6 +266,7 @@ _REQUIRED = object()
 
 
 class _Field(NamedTuple):
+    tp: Any                  # the type of its value; an action's line is written by it
     check: Callable[[object], bool]
     problem: str
     unencodable: str | None  # the problem instead, for text UTF-8 cannot encode
@@ -271,9 +278,9 @@ class _Field(NamedTuple):
         return self.default is _REQUIRED
 
 
-def _kind(check: Callable[[object], bool], problem: str, unencodable: str | None = None):
+def _kind(tp: Any, check: Callable[[object], bool], problem: str, unencodable: str | None = None):
     """A field constructor for one kind: kind(default=..., ref=...)."""
-    return lambda default=_REQUIRED, ref=None: _Field(check, problem, unencodable, default, ref)
+    return lambda default=_REQUIRED, ref=None: _Field(tp, check, problem, unencodable, default, ref)
 
 
 def _is_strings(value) -> bool:
@@ -291,26 +298,27 @@ def _encodes(text: str) -> bool:
     return True
 
 
-_text = _kind(lambda v: type(v) is str and v != "" and _encodes(v), "must be a non-empty string",
-              "must be a string that UTF-8 can encode")
-_count = _kind(lambda v: type(v) is int and v > 0, "must be a positive integer")
-_tick = _kind(lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
-_body = _kind(lambda v: isinstance(v, (str, bytes)) and len(v) > 0
+_text = _kind(str, lambda v: type(v) is str and v != "" and _encodes(v),
+              "must be a non-empty string", "must be a string that UTF-8 can encode")
+_count = _kind(int, lambda v: type(v) is int and v > 0, "must be a positive integer")
+_tick = _kind(int, lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
+_body = _kind(str | bytes, lambda v: isinstance(v, (str, bytes)) and len(v) > 0
               and (isinstance(v, bytes) or _encodes(v)), "must be non-empty text or bytes",
               "must be bytes or text that UTF-8 can encode")
-_handle = _kind(lambda v: isinstance(v, str) and v.startswith("@") and _encodes(v),
+_handle = _kind(str, lambda v: isinstance(v, str) and v.startswith("@") and _encodes(v),
                 "must begin with '@'", "must be a handle that UTF-8 can encode")
-_mode = _kind(lambda v: v in (MODE_ABSENT, MODE_HANDLE),
+_mode = _kind(str, lambda v: v in (MODE_ABSENT, MODE_HANDLE),
               f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
 # Derivation reads only a member's top-level fields, so only their text must encode.
-_data = _kind(lambda v: isinstance(v, dict)
+_data = _kind(dict, lambda v: isinstance(v, dict)
               and all(_encodes(x) for x in v.values() if isinstance(x, str)), "must be a map",
               "must be a map whose text values UTF-8 can encode")
-_entries = _kind(lambda v: isinstance(v, list), "must be a list")
-_codes = _kind(_is_strings, "must be a list of jurisdiction codes")
-_rules = _kind(lambda v: isinstance(v, list) and v != [] and all(q in DEFAULT_QUERIES for q in v),
-               "must be a non-empty list of rule names")
-_follower_lists = _kind(lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
+_entries = _kind(list, lambda v: isinstance(v, list), "must be a list")
+_codes = _kind(list[str], _is_strings, "must be a list of jurisdiction codes")
+_rules = _kind(list[str], lambda v: isinstance(v, list) and v != []
+               and all(q in DEFAULT_QUERIES for q in v), "must be a non-empty list of rule names")
+_follower_lists = _kind(dict[str, list[str]],
+                        lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
                         "must map handles to lists of provider names")
 
 SCHEMA: dict[str, dict[str, _Field]] = {
@@ -358,8 +366,10 @@ def _rows(fields: dict[str, _Field], *also: str, refs: bool = True) -> tuple:
 _SECTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA.items() if name != "script"}
 _ACTION_ROWS = {name: _rows(fields, "at", "action") for name, fields in SCHEMA["script"].items()}
 # An action as its log line holds it, "index" included, its names unresolved.
-_LOGGED_ACTION_ROWS = {name: _rows({**fields, "at": _tick(), "index": _tick()}, "action",
-                                   refs=False) for name, fields in SCHEMA["script"].items()}
+_LOGGED_ACTIONS = {name: {**fields, "at": _tick(), "index": _tick()}
+                   for name, fields in SCHEMA["script"].items()}
+_LOGGED_ACTION_ROWS = {name: _rows(fields, "action", refs=False)
+                       for name, fields in _LOGGED_ACTIONS.items()}
 
 
 def _setting(section: str, entry: dict, key: str):

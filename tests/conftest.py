@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.attestation import AttributeClaim, CounterSignedAttestation, SubjectRef, build_plain
-from coopattest.canonical import record_bytes
+from coopattest.canonical import canonical_serialize, record_bytes
 from coopattest.errors import DecodeError
 from coopattest.ledger import Ledger, LedgerRecord, PostRecord
 
@@ -121,6 +121,15 @@ def reference_value(value):
     if isinstance(value, (list, tuple)):
         return list(map(reference_value, value))
     return value
+
+
+def reference_log_bytes(log):
+    """The bytes of *log*, each line encoded from a map that
+    ``reference_value`` builds from the event's values alone: not from the
+    log's writer, nor from the text an attestation keeps."""
+    return b"".join(canonical_serialize(reference_value(
+        {"tick": e.tick, "actor": e.actor, "kind": e.kind, "payload": e.payload})) + b"\n"
+        for e in log.events)
 
 
 # --- strict decoding property ------------------------------------------------------

@@ -2,18 +2,21 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import importlib.util
 import os
 import re
 import sys
 import tempfile
+import traceback
 import tracemalloc
+import types
 import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopattest import cli
@@ -43,9 +46,11 @@ from coopattest.harness import (
     run_scenario,
     validate_config,
 )
+from coopattest.cooperative import DEFAULT_QUERIES
+from coopattest.crypto import Digest
 from coopattest.travel_rule import TravelRuleRecord
 
-from conftest import events_of, mutated, reference_value
+from conftest import events_of, mutated, reference_log_bytes
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
@@ -578,15 +583,6 @@ class TestValidateRunContract:
 ARTIFACTS = (PlainAttestation, BlindedAttestation, CounterSignedAttestation)
 
 
-def reference_log_bytes(log):
-    """The bytes of *log*, each line encoded from a map that
-    ``reference_value`` builds from the event's values alone: not from the
-    log's writer, nor from the text an attestation keeps."""
-    return b"".join(canonical_serialize(reference_value(
-        {"tick": e.tick, "actor": e.actor, "kind": e.kind, "payload": e.payload})) + b"\n"
-        for e in log.events)
-
-
 def check_reread(log, data):
     """*data*, the bytes of *log*, reads back as *log*: the bytes round trip
     and every event is equal, the attestations and records in it included.
@@ -678,7 +674,9 @@ class TestEventLog:
             Event(2, "B", "send", {"to": "A", "channel": "recovery-notice", "body": dict(twin)}),
             Event(3, "A", "send", {"to": "B", "channel": "recovery-notice",
                                    "body": {"handle": "@c"}}),
-            Event(4, "scheduler", "action", {"label": "between", "list": [b"\x01", -7, True]}),
+            Event(4, "scheduler", "action", {"index": 0, "at": 4, "action": "issue", "coop": "c",
+                                             "member": "m", "queries": ["age-over-18"],
+                                             "mode": "absent", "ttl": 5, "label": "between"}),
             Event(5, "A", "send", {"to": "B", "channel": "recovery-notice", "body": shared}),
             Event(5, "A", "send", {"to": "C", "channel": "recovery-notice", "body": shared}),
             Event(6, "P", "chain-verified", {"ok": False}),
@@ -687,18 +685,17 @@ class TestEventLog:
         ])
         data = log.to_bytes()
         assert data == reference_log_bytes(log)
-        # The writer writes any action map; the reader takes only a script action.
-        with pytest.raises(DecodeError, match=r"^event-log line 7: unknown action None"):
-            EventLog.from_bytes(data)
-        rest = EventLog([event for event in log.events if event.kind != "action"])
-        assert check_reread(rest, rest.to_bytes()) == 0
-        for event, undeclared in [
+        assert check_reread(log, data) == 0
+        for event, problem in [
             (Event(0, "B", "deliver", {"from": "A", "channel": "c", "body": {"n": 0}}),
-             "'deliver'"),
+             "undeclared event 'deliver'"),
             (Event(1, "A", "send", {"to": "B", "channel": "c", "body": {"n": 0}}),
-             "('send', 'c')"),
+             "undeclared event ('send', 'c')"),
+            # The writer takes only a script action, as the reader does.
+            (Event(4, "scheduler", "action", {"label": "between", "list": [b"\x01", -7, True]}),
+             "action payload missing key 'action'"),
         ]:
-            with pytest.raises(UnsupportedValue, match=re.escape(f"undeclared event {undeclared}")):
+            with pytest.raises(UnsupportedValue, match=f"^{re.escape(problem)}$"):
                 EventLog([*log.events, event]).to_bytes()
 
     def test_to_bytes_of_empty_log(self):
@@ -740,6 +737,39 @@ class TestEventLog:
         (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice",
                                 "body": {"name": "@a"}}),
          "recovery-notice body missing key 'handle'"),
+        # An action has the keys of its script action; an unset optional is left out.
+        (Event(0, "scheduler", "action", {"action": "tamper", "at": 0, "index": 0,
+                                          "exchange": "E", "account": "a", "extra": 5}),
+         "tamper action has undeclared key 'extra'"),
+        (Event(0, "scheduler", "action", {"action": "tamper", "at": 0, "exchange": "E",
+                                          "account": "a"}),
+         "tamper action missing key 'index'"),
+        (Event(0, "scheduler", "action", {"action": "register", "at": 0, "index": 0,
+                                          "exchange": "E", "account": "a", "name": None}),
+         "register action key 'name' must be str, not NoneType"),
+        (Event(0, "scheduler", "action", {"at": 0, "index": 0}),
+         "action payload missing key 'action'"),
+        # Each value has exactly its declared type.
+        (Event(0, "B", "tampered", {"account": 5}), "tampered payload key 'account' must be str, not int"),
+        (Event(0, "P1", "onboard", {"handle": "@a", "ledger_index": True}),
+         "onboard payload key 'ledger_index' must be int, not bool"),
+        (Event(0, "C", "revoked", {"attestation_id": "ab"}),
+         "revoked payload key 'attestation_id' must be bytes, not str"),
+        (Event(0, "C", "revoked", {"attestation_id": Digest(bytes(32))}),
+         "revoked payload key 'attestation_id' must be bytes, not Digest"),
+        (Event(0, "E", "transfer-decision", {"transfer_id": "t", "outcome": "rejected",
+                                             "reason": "revoked", "travel_record": {}}),
+         "transfer-decision payload key 'travel_record' must be TravelRuleRecord or None, not dict"),
+        (Event(1, "C", "send", {"to": "N", "channel": "revocation-sync",
+                                "body": {"entries": {"ab": True}}}),
+         "revocation-sync body key 'entries' must be dict[str, int], not dict"),
+        (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice", "body": ["@a"]}),
+         "recovery-notice body must be a dict, not list"),
+        (Event(1, "A", "send", {"to": "B", "channel": 5, "body": {"handle": "@a"}}),
+         "send payload key 'channel' must be str, not int"),
+        (Event(True, "B", "tampered", {"account": "a"}), "tampered event key 'tick' must be int, not bool"),
+        (Event(0, "B", "tampered", {"account": "a\ud800"}),
+         "tampered event holds text that UTF-8 cannot encode"),
     ])
     def test_the_writer_takes_exactly_the_declared_keys(self, tmp_path, event, problem):
         good = EventLog([Event(0, "B", "tampered", {"account": "a"})])
@@ -864,6 +894,150 @@ class TestEventLog:
                      if v1_only(canonical_parse(line)))
         with pytest.raises(DecodeError, match=rf"^event-log line {first}: "):
             EventLog.from_bytes(data)
+
+
+# Every line layout: each kind, each send channel and each script action.
+LAYOUTS = [*((kind, None) for kind, layout in KINDS.items() if layout is not dict and kind != "send"),
+           *(("send", channel) for channel in CHANNELS),
+           *(("action", action) for action in SCHEMA["script"])]
+# Text with what must be escaped, and what must not.
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x07\x1f\x7f\u00e9\u20ac\U0001f600'),
+                         st.characters(blacklist_categories=("Cs",))), max_size=8)
+INTEGER = st.one_of(st.integers(), st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+# What a script action's value may be, by its field's kind, for the reader to take it.
+ACTION_VALUES = {
+    "must be a non-empty string": TEXT.filter(bool),
+    "must be a positive integer": st.one_of(st.integers(min_value=1),
+                                            st.integers(min_value=2 ** 64, max_value=2 ** 80)),
+    "must be a non-negative integer": st.integers(min_value=0),
+    "must be non-empty text or bytes": st.one_of(TEXT.filter(bool), st.binary(min_size=1)),
+    "must be 'absent' or 'handle'": st.sampled_from(["absent", "handle"]),
+    "must be a non-empty list of rule names": st.lists(st.sampled_from(DEFAULT_QUERIES),
+                                                       min_size=1, max_size=3),
+}
+# Values of every type, to draw one of another type than a key's.
+ANY_TYPE = [0, True, "t", b"b", None, 1.5, [], {}, ("t",), Digest(bytes(32))]
+
+
+@functools.cache
+def minimal_attestation():
+    """The countersigned attestation a run of the minimal scenario issues."""
+    scenario = Scenario(minimal_config())
+    scenario.run()
+    return scenario.artifacts["a1"]
+
+
+def values_of(tp):
+    """Values of the declared type *tp*."""
+    if tp is CounterSignedAttestation:
+        return st.just(minimal_attestation())
+    if tp is BlindedAttestation:
+        return st.just(minimal_attestation().blinded)
+    return {str: TEXT, int: INTEGER, bool: st.booleans(), bytes: st.binary(max_size=40),
+            dict[str, int]: st.dictionaries(TEXT, INTEGER, max_size=3),
+            TravelRuleRecord: st.builds(TravelRuleRecord, *[TEXT.filter(bool)] * 5)}[tp]
+
+
+def declared(cls):
+    """The fields of a payload or body class: key -> (type, unset), with
+    unset "none" for an optional (there as None when unset), else None."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: ((typing.get_args(hints[f.name])[0], "none")
+                     if type(None) in typing.get_args(hints[f.name]) else (hints[f.name], None))
+            for f in dataclasses.fields(cls)}
+
+
+@st.composite
+def lines(draw, layout):
+    """An event of *layout* whose values are drawn by their declared types
+    and which the reader takes, with its slots: (map, key, type, unset),
+    the event itself standing for the map of "tick" and "actor", and the
+    declared keys of each map."""
+    kind, picked = layout
+    slots, keys = [], {}
+
+    def fill(fields, strategies, fixed=None):
+        values = dict(fixed or {})
+        keys[id(values)] = {*fields, *values}
+        for key, (tp, unset) in fields.items():
+            value = draw(st.one_of(st.none(), strategies(tp, key)) if unset else strategies(tp, key))
+            if value is not None or unset == "none":
+                values[key] = value
+            slots.append((values, key, tp, unset))
+        return values
+
+    if kind == "action":
+        fields = SCHEMA["script"][picked]
+        problems = {**{key: f.problem for key, f in fields.items()},
+                    "at": "must be a non-negative integer", "index": "must be a non-negative integer"}
+        payload = fill({**{key: (f.tp, None if f.required else "absent") for key, f in fields.items()},
+                        "at": (int, None), "index": (int, None)},
+                       lambda tp, key: ACTION_VALUES[problems[key]], {"action": picked})
+    elif kind == "send":
+        body = fill(declared(CHANNELS[picked]), lambda tp, key: values_of(tp))
+        try:   # a body its record refuses (an empty post, say) could not be read back
+            CHANNELS[picked](**body)
+        except ValueError:
+            assume(False)
+        payload = fill({"to": (str, None)}, lambda tp, key: values_of(tp),
+                       {"channel": picked, "body": body})
+    else:
+        payload = fill(declared(KINDS[kind]), lambda tp, key: values_of(tp))
+    event = Event(draw(INTEGER), draw(TEXT), kind, payload)
+    slots += [(event, "tick", int, None), (event, "actor", str, None)]
+    return event, slots, keys
+
+
+class TestLineWriters:
+    """Every line layout is written by its own generated writer, which
+    writes the bytes of the event's map and refuses what the reader would."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_every_layout_writes_the_reference_bytes_and_reads_back(self, data):
+        event, _, _ = data.draw(lines(data.draw(st.sampled_from(LAYOUTS))))
+        log = EventLog([event])
+        written = log.to_bytes()
+        assert written == reference_log_bytes(log)
+        assert EventLog.from_bytes(written).events == [event]
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_a_line_not_as_declared_is_refused(self, data):
+        event, slots, keys = data.draw(lines(data.draw(st.sampled_from(LAYOUTS))))
+        how = data.draw(st.sampled_from(["wrong type", "missing key", "extra key",
+                                         "lone surrogate"]))
+        if how == "extra key":
+            values = data.draw(st.sampled_from([event.payload, *(
+                value for value in event.payload.values() if id(value) in keys)]))
+            values[data.draw(TEXT.filter(lambda key: key not in keys[id(values)]))] = 0
+        elif how == "missing key":   # any but an optional that an action leaves out
+            values, key = data.draw(st.sampled_from([
+                (values, key) for values, key, _, unset in slots
+                if values is not event and unset != "absent" and key in values
+            ] + [(event.payload, key) for key in ("channel", "body", "action")
+                 if key in event.payload]))
+            del values[key]
+        else:
+            values, key, tp, unset = data.draw(st.sampled_from(
+                [slot for slot in slots if slot[2] is str] if how == "lone surrogate" else slots))
+            members = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+            allowed = {typing.get_origin(t) or t for t in members}
+            value = "a\ud800" if how == "lone surrogate" else data.draw(st.sampled_from(
+                [v for v in ANY_TYPE if type(v) not in allowed and (v is not None or unset != "none")]))
+            if values is event:
+                setattr(event, key, value)
+            else:
+                values[key] = value
+        with pytest.raises(UnsupportedValue):
+            EventLog([event]).to_bytes()
+
+    def test_a_traceback_shows_the_generated_line(self):
+        with pytest.raises(UnsupportedValue) as info:
+            EventLog([Event(0, "B", "tampered", {"account": 5})]).to_bytes()
+        frame = traceback.extract_tb(info.tb)[-1]
+        assert frame.filename == "<coopattest line tampered>"
+        assert frame.line.startswith("raise _Refused(\"tampered payload key 'account' must be str")
 
 
 class TestEventLogMemory:
