@@ -196,7 +196,6 @@ def write_canonical_parts(path: str | Path, parts: Iterable[bytes]) -> None:
 #   a record                     the record's map;
 #   a Union of records           the map of the member whose ``_KIND`` it names;
 #   tuple[X, ...]                a list of the encodings of X;
-#   tuple[X, Y]                  a list of exactly one X and one Y;
 #   frozenset[X]                 a list of the X, sorted;
 #   dict[str, X]                 a map of text to the encodings of X;
 #   X | None                     X, with the key left out when the value is None.
@@ -330,15 +329,6 @@ def _codec(tp: Any, where: str) -> tuple:
         decode_item = _item_decoder(args[0], where)
         return (list, (lambda items: tuple(map(decode_item, items))),
                 (lambda items: "[" + ",".join([write_item(item) for item in items]) + "]"))
-    if origin is tuple:
-        decoders = [_item_decoder(arg, where) for arg in args]
-
-        def decode_fixed(items: list) -> tuple:
-            if len(items) != len(decoders):
-                raise DecodeError(f"{where} must have {len(decoders)} items")
-            return tuple(decode(item) for decode, item in zip(decoders, items))
-
-        return list, decode_fixed, _encode
     if origin is frozenset:
         decode_item = _item_decoder(args[0], where)
         return (list, (lambda items: frozenset(map(decode_item, items))),
@@ -468,12 +458,12 @@ class Shape(typing.NamedTuple):
     *entries* are ``(key, attr, type, optional)`` in code-point order of
     the wire keys: *attr* is the attribute (of the record) or the key (of a
     map) that holds the value, and *type* is ``str``, ``int``, ``bool``,
-    ``bytes``, a record class, ``X | Y``, ``list[X]``, ``dict[str, X]``, a
-    nested map's Shape, or a ``str``: the value itself, fixed by the layout
-    and checked by the caller.  An optional value is left out of the
-    line when it is None; in a map, it is there as None unless *absent*
-    says that an unset one is left out of the map too.  *name* is what a
-    refusal calls the record or map."""
+    ``bytes``, a record class, ``X | Y``, ``list[X]``, a nested map's
+    Shape, or a ``str``: the value itself, fixed by the layout and checked
+    by the caller.  An optional value is left out of the line when it is
+    None; in a map, it is there as None unless *absent* says that an unset
+    one is left out of the map too.  *name* is what a refusal calls the
+    record or map."""
 
     name: str
     entries: tuple
@@ -619,9 +609,6 @@ def _test_source(tp: Any, value: str, namespace: dict) -> str:
     if origin is list:
         return f"(type({value}) is list and all({_test_source(args[0], 'x', namespace)} " \
                f"for x in {value}))"
-    if origin is dict and args[0] is str:
-        return f"(type({value}) is dict and all(type(k) is str and " \
-               f"{_test_source(args[1], 'x', namespace)} for k, x in {value}.items()))"
     if not isinstance(tp, type) or namespace.setdefault(tp.__name__, tp) is not tp:
         raise TypeError(f"no line codec for {tp!r}")
     return f"type({value}) is {tp.__name__}"
@@ -643,7 +630,7 @@ def _text_source(tp: Any, value: str, namespace: dict) -> list[tuple[bool, str]]
     if dataclasses.is_dataclass(tp):
         namespace[f"_write_{tp.__name__}"] = _writer(tp)
         return [(True, f"_write_{tp.__name__}({value})")]
-    return [(True, f"_encode({value})")]   # X | Y, list[X] or dict[str, X]
+    return [(True, f"_encode({value})")]   # X | Y or list[X]
 
 
 # --- parsing ----------------------------------------------------------------

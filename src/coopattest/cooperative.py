@@ -3,19 +3,18 @@
 Holds the member registry and their personal data stores, derives
 attribute claims from raw data under a fixed set of registered rules,
 issues plain/blinded attestation pairs, and answers revocation and
-revalidation queries.  The cooperative is the source of truth for
-revocation state; the notary mirrors it.
+revalidation queries.  The cooperative is the one authority on
+revocation: its notary forwards every revalidation query to it.
 
-Derivation rules are registered per instance: age-over-18 and
-income-bracket compute from raw fields on a configurable tick calendar,
-residence-country and membership-in-good-standing are projections.
+Derivation rules are fixed: age-over-18 and income-bracket compute from
+raw fields on a 365-tick year, residence-country and
+membership-in-good-standing are projections.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 from . import crypto
@@ -42,16 +41,16 @@ from .errors import (
 from .events import no_emit
 
 # Every rule _derive_value implements, the only queries a config may name.
-DEFAULT_QUERIES = (
+QUERIES = (
     "age-over-18",
     "residence-country",
     "income-bracket",
     "membership-in-good-standing",
 )
 
-DEFAULT_YEAR_TICKS = 365
+YEAR_TICKS = 365
 ADULT_YEARS = 18
-DEFAULT_INCOME_BANDS = ((30_000, "low"), (100_000, "middle"))
+INCOME_BANDS = ((30_000, "low"), (100_000, "middle"))
 INCOME_TOP_BAND = "high"
 
 
@@ -94,12 +93,6 @@ class RevocationRegistry:
     def revoked_at(self, attestation_id: Digest) -> int | None:
         return self.entries.get(attestation_id)
 
-    def since(self, count: int) -> dict[Digest, int]:
-        """The entries marked after the first *count*, in marking order: what
-        a mirror that holds the first *count* lacks (a delta, as in RFC 5280
-        section 5.2.4)."""
-        return dict(islice(self.entries.items(), count, None))
-
 
 @dataclass(frozen=True)
 class IssuanceEntry:
@@ -118,9 +111,6 @@ class CooperativeState:
     name: str
     key_seed: bytes
     legal_rep: str
-    queries: tuple[str, ...] = DEFAULT_QUERIES
-    year_ticks: int = DEFAULT_YEAR_TICKS
-    income_bands: tuple[tuple[int, str], ...] = DEFAULT_INCOME_BANDS
     members: tuple[MemberRecord, ...] = ()
     issuances: tuple[IssuanceEntry, ...] = ()
     revoked: dict[str, int] = field(default_factory=dict)
@@ -142,18 +132,12 @@ class Cooperative:
         key_seed: bytes,
         legal_rep_id: str,
         *,
-        queries: tuple[str, ...] = DEFAULT_QUERIES,
-        year_ticks: int = DEFAULT_YEAR_TICKS,
-        income_bands: tuple[tuple[int, str], ...] = DEFAULT_INCOME_BANDS,
         nonce_seed: bytes | None = None,
     ) -> None:
         self.name = name
         self.key_seed = key_seed
         self.keypair = crypto.keygen(key_seed)
         self.legal_rep_id = legal_rep_id
-        self.queries = tuple(queries)
-        self.year_ticks = year_ticks
-        self.income_bands = tuple(income_bands)
         self.nonce_seed = nonce_seed
         self._nonce_seed = nonce_seed if nonce_seed is not None else key_seed
         self._nonce_counter = 0
@@ -185,8 +169,6 @@ class Cooperative:
 
     def derive_attribute(self, member_id: str, query: str, now: int) -> AttributeClaim:
         member = self.member(member_id)
-        if query not in self.queries:
-            raise UnknownQuery(query)
         value = self._derive_value(member.personal_data, query, now)
         return AttributeClaim(name=query, value=value, method=f"pds-rule:{query}")
 
@@ -199,13 +181,13 @@ class Cooperative:
     def _derive_value(self, data: dict, query: str, now: int) -> str:
         if query == "age-over-18":
             born = self._raw_field(data, "date-of-birth", int)
-            adult = (now - born) >= ADULT_YEARS * self.year_ticks
+            adult = (now - born) >= ADULT_YEARS * YEAR_TICKS
             return "true" if adult else "false"
         if query == "residence-country":
             return self._raw_field(data, "residence", str)
         if query == "income-bracket":
             income = self._raw_field(data, "income", int)
-            for upper, label in self.income_bands:
+            for upper, label in INCOME_BANDS:
                 if income < upper:
                     return label
             return INCOME_TOP_BAND
@@ -292,9 +274,7 @@ class Cooperative:
         """Write the whole state to *path* atomically; load_state reads it."""
         write_canonical(path, record_bytes(CooperativeState, {
             "name": self.name, "key_seed": self.key_seed, "legal_rep": self.legal_rep_id,
-            "queries": self.queries, "year_ticks": self.year_ticks,
-            "income_bands": self.income_bands, "members": self._members.values(),
-            "issuances": self._issuances,
+            "members": self._members.values(), "issuances": self._issuances,
             "revoked": {d.hex(): tick for d, tick in self.revocations.entries.items()},
             "nonce_counter": self._nonce_counter, "nonce_seed": self.nonce_seed,
         }))
@@ -307,9 +287,7 @@ class Cooperative:
 
     @classmethod
     def _from_state(cls, state: CooperativeState) -> "Cooperative":
-        coop = cls(state.name, state.key_seed, state.legal_rep, queries=state.queries,
-                   year_ticks=state.year_ticks, income_bands=state.income_bands,
-                   nonce_seed=state.nonce_seed)
+        coop = cls(state.name, state.key_seed, state.legal_rep, nonce_seed=state.nonce_seed)
         for member in state.members:
             coop.register_member(member)
         for entry in state.issuances:

@@ -33,7 +33,7 @@ from .canonical import Shape, canonical_parse, line_writer, record_from_map, rec
 from .canonical import write_canonical_parts
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
-from .cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
+from .cooperative import QUERIES, Cooperative, MemberRecord, Status
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
@@ -90,7 +90,6 @@ KINDS: dict[str, type] = _records("payload", {
     "chain-verified": dict(ok=bool),
 })
 CHANNELS: dict[str, type] = _records("body", {
-    "revocation-sync": dict(entries=dict[str, int]),
     "witness-request": dict(plain_id=bytes, blinded=BlindedAttestation),
     "countersigned": dict(attestation=CounterSignedAttestation),
     "transfer": TransferRequest,
@@ -316,7 +315,7 @@ _data = _kind(dict, lambda v: isinstance(v, dict)
 _entries = _kind(list, lambda v: isinstance(v, list), "must be a list")
 _codes = _kind(list[str], _is_strings, "must be a list of jurisdiction codes")
 _rules = _kind(list[str], lambda v: isinstance(v, list) and v != []
-               and all(q in DEFAULT_QUERIES for q in v), "must be a non-empty list of rule names")
+               and all(q in QUERIES for q in v), "must be a non-empty list of rule names")
 _follower_lists = _kind(dict[str, list[str]],
                         lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
                         "must map handles to lists of provider names")
@@ -579,8 +578,6 @@ class Scenario:
         self.now = 0
         self.keys = KeyDirectory()
         self.artifacts: dict[str, CounterSignedAttestation] = {}
-        # Per cooperative, how many of its revocation entries its notary has.
-        self._synced: dict[str, int] = {}
         self.adversary = _Adversary()
         self._bind(self.adversary)
         self._build_actors()
@@ -706,12 +703,6 @@ class Scenario:
             action["member"], list(action["queries"]), action["mode"],
             self.now, action["ttl"],
         )
-        # Only the entries marked since this cooperative's last sync.
-        new = coop.revocations.since(self._synced.get(coop.name, 0))
-        self._synced[coop.name] = len(coop.revocations.entries)
-        send_message(coop, notary, "revocation-sync",
-                     {"entries": {d.hex(): tick for d, tick in new.items()}})
-        notary.sync_revocations(new)
         # The trace names the plain attestation by its id only; the notary
         # alone receives the identity-bearing object.
         send_message(coop, notary, "witness-request",

@@ -5,16 +5,16 @@ unmodified, and archives all three artifacts.  It asserts nothing about
 whether the attributes are true; it only witnesses that a matching pair
 signed by the cooperative exists.  Because it holds the plain artifact
 it can later answer identity-disclosure requests, gated on jurisdiction
-compatibility, and revalidation requests from its mirror of the
-cooperative's revocation registry (forwarding to the cooperative when
-wired, since the mirror may lag).  Its consumers' round trips are here
+compatibility, and revalidation requests, which it forwards to the
+cooperative that issued the attestation: the cooperative is the one
+revocation authority.  Its consumers' round trips are here
 too, with ``vouch``: the one check by which a DSN provider and a
 travel-rule exchange trust a countersigned attestation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -106,8 +106,7 @@ class RejectionEntry:
 @dataclass(frozen=True)
 class NotaryState:
     """The notary's state file; its fields are the file's layout.
-    ``issuers`` are the public keys of the cooperatives it witnesses for,
-    and ``mirror`` maps attestation id hex to the tick of revocation."""
+    ``issuers`` are the public keys of the cooperatives it witnesses for."""
 
     notary_id: str
     key_seed: bytes
@@ -115,7 +114,6 @@ class NotaryState:
     compatible: frozenset[str] = frozenset()
     issuers: tuple[bytes, ...] = ()
     archive: tuple[ArchiveEntry, ...] = ()
-    mirror: dict[str, int] = field(default_factory=dict)
     audit: tuple[AuditEntry, ...] = ()
     rejections: tuple[RejectionEntry, ...] = ()
 
@@ -140,7 +138,6 @@ class Notary:
         self.known_issuers = list(known_issuers or [])
         self._entries: list[ArchiveEntry] = []
         self._by_id: dict[Digest, int] = {}
-        self.mirror: dict[Digest, int] = {}
         self.audit_log: list[AuditEntry] = []
         self.rejection_log: list[RejectionEntry] = []
         self._emit = no_emit
@@ -201,26 +198,12 @@ class Notary:
 
     # --- revalidation -----------------------------------------------------------
 
-    def sync_revocations(self, snapshot: dict[Digest, int]) -> None:
-        """Merge revocation entries from the cooperative: *snapshot* holds
-        all of its registry or only the entries new since the last sync.
-        First tick wins."""
-        for attestation_id, tick in snapshot.items():
-            self.mirror.setdefault(attestation_id, tick)
-
     def respond_revalidation(self, attestation_id: Digest, now: int) -> Status:
-        entry = self._archived(attestation_id)
-        if entry is None:
+        """UNKNOWN for an attestation this notary never witnessed; else what
+        ``revocation_source``, the issuing cooperative, answers."""
+        if self._archived(attestation_id) is None:
             return Status.UNKNOWN
-        revoked_at = self.mirror.get(attestation_id)
-        if revoked_at is not None and revoked_at <= now:
-            return Status.REVOKED
-        if self.revocation_source is not None:
-            # The mirror only ever lags towards "not yet revoked"; forward.
-            return self.revocation_source(attestation_id, now)
-        if now >= entry.blinded.expires_at:
-            return Status.EXPIRED
-        return Status.VALID
+        return self.revocation_source(attestation_id, now)
 
     # --- disclosure -----------------------------------------------------------
 
@@ -262,9 +245,8 @@ class Notary:
             "notary_id": self.notary_id, "key_seed": self.key_seed,
             "jurisdiction": self.policy.notary_jurisdiction,
             "compatible": self.policy.compatible, "issuers": self.known_issuers,
-            "archive": self._entries,
-            "mirror": {d.hex(): tick for d, tick in self.mirror.items()},
-            "audit": self.audit_log, "rejections": self.rejection_log,
+            "archive": self._entries, "audit": self.audit_log,
+            "rejections": self.rejection_log,
         }))
 
     @classmethod
@@ -280,7 +262,6 @@ class Notary:
                      known_issuers=list(state.issuers))
         for entry in state.archive:
             notary._archive(entry)
-        notary.mirror = {Digest.from_hex(hex_id): tick for hex_id, tick in state.mirror.items()}
         notary.audit_log = list(state.audit)
         notary.rejection_log = list(state.rejections)
         return notary

@@ -244,10 +244,6 @@ class TestIssueCountersignVerify:
     @pytest.mark.parametrize("field, value", [
         ("nonce_counter", "1"),
         ("nonce_counter", True),
-        ("year_ticks", "365"),
-        ("queries", "age-over-18"),
-        ("income_bands", [["30000", "low"]]),
-        ("income_bands", [[30000, 5]]),
         ("revoked", {"ab" * 32: "5"}),
     ])
     def test_issue_wrongly_typed_state_field_exit_2(self, workdir, capsys, field, value):
@@ -325,10 +321,6 @@ class TestIssueCountersignVerify:
         ("jurisdiction", 5),
         ("compatible", "EU"),
         ("compatible", ["EU", 7]),
-        ("mirror", ["ab" * 32]),
-        ("mirror", {"not-hex": 5}),
-        ("mirror", {"ab" * 32: "5"}),
-        ("mirror", {"ab" * 32: True}),
         ("audit", AUDIT_ENTRY),
         ("audit", [{**AUDIT_ENTRY, "at": "20"}]),
         ("audit", [{**AUDIT_ENTRY, "extra": 1}]),
@@ -363,6 +355,38 @@ class TestIssueCountersignVerify:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert (workdir / "notary.state").read_bytes() == before
+
+    # The keys that state files carried before the notary's mirror and the
+    # cooperative's rule settings were removed, each with a value those
+    # files held.
+    @pytest.mark.parametrize("name, record, key, value", [
+        ("coop.state", "CooperativeState", "queries",
+         ["age-over-18", "residence-country", "income-bracket", "membership-in-good-standing"]),
+        ("coop.state", "CooperativeState", "year_ticks", 365),
+        ("coop.state", "CooperativeState", "income_bands", [[30_000, "low"], [100_000, "middle"]]),
+        ("notary.state", "NotaryState", "mirror", {"ab" * 32: 7}),
+    ], ids=["queries", "year_ticks", "income_bands", "mirror"])
+    def test_a_state_file_with_a_legacy_key_is_refused(self, workdir, capsys, name, record,
+                                                        key, value):
+        """A command that reads a state file holding a legacy key exits 2,
+        names the key, and leaves the file as it was."""
+        issue_and_countersign(workdir)
+        att_id = capsys.readouterr().out.split("issued ", 1)[1].split()[0]
+        reads = {
+            "coop.state": ["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                           "--attrs", "age-over-18", "--mode", "absent", "--now", 20,
+                           "--ttl", 90, "--out-plain", workdir / "x.plain.att",
+                           "--out-blinded", workdir / "x.blinded.att"],
+            "notary.state": ["disclose", "--notary", workdir / "notary.state", "--id", att_id,
+                             "--jurisdiction", "EU", "--purpose", "travel-rule", "--now", 20],
+        }
+        path = workdir / name
+        path.write_bytes(canonical_serialize({**canonical_parse(path.read_bytes()), key: value}))
+        before = path.read_bytes()
+        assert run(reads[name]) == 2
+        assert capsys.readouterr().err == f"error: {record} has unknown field {key!r}\n"
+        assert path.read_bytes() == before
+        assert not (workdir / "x.plain.att").exists()
 
     def test_issue_unknown_member(self, workdir, capsys):
         code = run(["issue", "--coop", workdir / "coop.state", "--member", "ghost",

@@ -60,7 +60,6 @@ class World:
     def issue(self, now=10, ttl=90, notary=None):
         """A handle-bound attestation, countersigned by *notary* (ours by default)."""
         plain, blinded = self.coop.issue_blinded("alice", ["age-over-18"], "handle", now, ttl)
-        self.notary.sync_revocations(self.coop.revocations.since(0))
         notary = notary or self.notary
         return notary.witness_and_countersign(plain, blinded, self.coop.public_key, now)
 

@@ -11,7 +11,7 @@ import pytest
 from coopattest import crypto
 from coopattest.attestation import verify_pair
 from coopattest.canonical import canonical_parse, record_bytes, record_from_map
-from coopattest.cooperative import DEFAULT_QUERIES, Cooperative, MemberRecord, Status
+from coopattest.cooperative import QUERIES, Cooperative, MemberRecord, Status
 from coopattest.errors import (
     DecodeError,
     DuplicateMember,
@@ -23,10 +23,8 @@ from coopattest.errors import (
 )
 
 
-def make_coop(name="coop1", year_ticks=365):
-    return Cooperative(
-        name, name.encode(), "notary-1", year_ticks=year_ticks
-    )
+def make_coop(name="coop1"):
+    return Cooperative(name, name.encode(), "notary-1")
 
 
 def alice(handle=None):
@@ -76,7 +74,7 @@ class TestRegistry:
 class TestDerivation:
     def test_age_over_18_true(self):
         # 7000 ticks of age on a 365-tick year is past the 18-year line.
-        coop = make_coop(year_ticks=365)
+        coop = make_coop()
         coop.register_member(alice())
         claim = coop.derive_attribute("alice", "age-over-18", now=0)
         assert (0 - (-7000)) >= 18 * 365  # the arithmetic oracle for this fixture
@@ -84,7 +82,7 @@ class TestDerivation:
         assert claim.method == "pds-rule:age-over-18"
 
     def test_age_over_18_false_below_line(self):
-        coop = make_coop(year_ticks=365)
+        coop = make_coop()
         coop.register_member(MemberRecord("kid", "kid-legal-0003", {"date-of-birth": -6569}))
         # 6569 < 6570 = 18 * 365
         assert coop.derive_attribute("kid", "age-over-18", now=0).value == "false"
@@ -126,11 +124,10 @@ class TestDerivation:
         with pytest.raises(UnknownQuery):
             coop.derive_attribute("alice", "shoe-size", 0)
 
-
-    def test_the_default_queries_are_exactly_the_rules_it_derives(self):
-        coop = Cooperative("coop1", b"coop1", "notary-1", queries=(*DEFAULT_QUERIES, "shoe-size"))
+    def test_the_queries_are_exactly_the_rules_it_derives(self):
+        coop = make_coop()
         coop.register_member(alice())
-        for rule in DEFAULT_QUERIES:
+        for rule in QUERIES:
             assert coop.derive_attribute("alice", rule, 0).name == rule
         with pytest.raises(UnknownQuery):
             coop.derive_attribute("alice", "shoe-size", 0)

@@ -46,7 +46,7 @@ from coopattest.harness import (
     run_scenario,
     validate_config,
 )
-from coopattest.cooperative import DEFAULT_QUERIES
+from coopattest.cooperative import QUERIES
 from coopattest.crypto import Digest
 from coopattest.travel_rule import TravelRuleRecord
 
@@ -356,7 +356,7 @@ class TestEventReference:
     the keys KINDS and CHANNELS declare, in order, with their types."""
 
     TYPES = {str: "text", int: "integer", bool: "boolean", bytes: "bytes", dict: "map",
-             dict[str, int]: "map of text to integer", BlindedAttestation: "blinded",
+             BlindedAttestation: "blinded",
              CounterSignedAttestation: "countersigned",
              TravelRuleRecord | None: "travel record (optional, written when set)"}
 
@@ -760,9 +760,10 @@ class TestEventLog:
         (Event(0, "E", "transfer-decision", {"transfer_id": "t", "outcome": "rejected",
                                              "reason": "revoked", "travel_record": {}}),
          "transfer-decision payload key 'travel_record' must be TravelRuleRecord or None, not dict"),
+        # The channel of the v2 format's mirror, which v3 no longer declares.
         (Event(1, "C", "send", {"to": "N", "channel": "revocation-sync",
-                                "body": {"entries": {"ab": True}}}),
-         "revocation-sync body key 'entries' must be dict[str, int], not dict"),
+                                "body": {"entries": {"ab": 1}}}),
+         "undeclared event ('send', 'revocation-sync')"),
         (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice", "body": ["@a"]}),
          "recovery-notice body must be a dict, not list"),
         (Event(1, "A", "send", {"to": "B", "channel": 5, "body": {"handle": "@a"}}),
@@ -864,8 +865,7 @@ class TestEventLog:
         """A golden line changed once either decodes to an event that writes
         the same bytes back, or raises DecodeError, never another exception.
         A value of another type or an added key is a DecodeError, except
-        inside an action payload, which is a plain map, and for a key added
-        to a revocation-sync's map of entries."""
+        inside an action payload, which is a plain map."""
         original = canonical_parse(data.draw(st.sampled_from(GOLDEN_LINES)))
         how, path, raw = data.draw(mutated(original))
         line = canonical_serialize(raw)
@@ -873,8 +873,7 @@ class TestEventLog:
             log = EventLog.from_bytes(line)
         except DecodeError:
             return
-        plain_map = (original["kind"] == "action" and path[:1] == ("payload",)
-                     or how == "add key" and path[-1:] == ("entries",))
+        plain_map = original["kind"] == "action" and path[:1] == ("payload",)
         assert how == "same type" or plain_map, f"{how} at {path} was accepted"
         assert log.to_bytes() == line + b"\n"
 
@@ -885,9 +884,9 @@ class TestEventLog:
         if path.parent.name != "v1":
             assert EventLog.from_bytes(data).to_bytes() == data
             return
-        # A v1 log is canonical, but the v2 reader names its first line
-        # that v2 no longer declares: a deliver, or a witness-request that
-        # carries the plain attestation.
+        # A v1 log is canonical, but the v3 reader names its first line
+        # that v3 no longer declares: a deliver, a revocation-sync, or a
+        # witness-request that carries the plain attestation.
         lines = data.splitlines()
         assert all(canonical_serialize(canonical_parse(line)) == line for line in lines)
         first = next(number for number, line in enumerate(lines, 1)
@@ -912,7 +911,7 @@ ACTION_VALUES = {
     "must be a non-negative integer": st.integers(min_value=0),
     "must be non-empty text or bytes": st.one_of(TEXT.filter(bool), st.binary(min_size=1)),
     "must be 'absent' or 'handle'": st.sampled_from(["absent", "handle"]),
-    "must be a non-empty list of rule names": st.lists(st.sampled_from(DEFAULT_QUERIES),
+    "must be a non-empty list of rule names": st.lists(st.sampled_from(QUERIES),
                                                        min_size=1, max_size=3),
 }
 # Values of every type, to draw one of another type than a key's.
@@ -934,7 +933,6 @@ def values_of(tp):
     if tp is BlindedAttestation:
         return st.just(minimal_attestation().blinded)
     return {str: TEXT, int: INTEGER, bool: st.booleans(), bytes: st.binary(max_size=40),
-            dict[str, int]: st.dictionaries(TEXT, INTEGER, max_size=3),
             TravelRuleRecord: st.builds(TravelRuleRecord, *[TEXT.filter(bool)] * 5)}[tp]
 
 
@@ -1071,38 +1069,30 @@ class TestEventLogMemory:
 
 
 def v1_only(event: dict) -> bool:
-    """True iff *event*, the map of a line, is of a form only v1 logs hold."""
+    """True iff *event*, the map of a line, is of a form the current format
+    does not declare: a deliver, a revocation-sync, or a witness-request
+    that carries the plain attestation."""
     payload = event["payload"]
-    return event["kind"] == "deliver" or (
-        event["kind"] == "send" and payload["channel"] == "witness-request"
-        and "plain" in payload["body"])
+    return event["kind"] == "deliver" or event["kind"] == "send" and (
+        payload["channel"] == "revocation-sync"
+        or payload["channel"] == "witness-request" and "plain" in payload["body"])
 
 
-def v1_to_v2(data: bytes) -> bytes:
-    """An event log of the first format in the current one: no deliver
-    events, each revocation-sync carries only the entries its cooperative
-    had not sent before, and a witness-request names the plain attestation
-    by its id.  Every other line is kept as it is."""
-    sent: dict[str, dict] = {}
+def v1_to_v3(data: bytes) -> bytes:
+    """An event log of the first format in the current one: no deliver or
+    revocation-sync events, and a witness-request names the plain
+    attestation by its id.  Every other line is kept as it is."""
     lines = []
     for line in data.splitlines(keepends=True):
         event = canonical_parse(line.rstrip(b"\n"))
         payload = event["payload"]
-        if event["kind"] == "deliver":
+        if event["kind"] == "deliver" or event["kind"] == "send" and (
+                payload["channel"] == "revocation-sync"):
             continue
-        if event["kind"] != "send" or payload["channel"] not in ("revocation-sync",
-                                                                  "witness-request"):
-            lines.append(line)
-            continue
-        body = payload["body"]
-        if payload["channel"] == "revocation-sync":
-            before = sent.get(event["actor"], {})
-            assert before.items() <= body["entries"].items()
-            sent[event["actor"]] = body["entries"]
-            body["entries"] = {k: v for k, v in body["entries"].items() if k not in before}
-        else:
-            body["plain_id"] = body.pop("plain")["attestation_id"]
-        lines.append(canonical_serialize(event) + b"\n")
+        if event["kind"] == "send" and payload["channel"] == "witness-request":
+            payload["body"]["plain_id"] = payload["body"].pop("plain")["attestation_id"]
+            line = canonical_serialize(event) + b"\n"
+        lines.append(line)
     return b"".join(lines)
 
 
@@ -1111,7 +1101,25 @@ class TestLogFormat:
     @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("v1/*.log")), ids=lambda p: p.stem)
     def test_v1_golden_maps_to_the_current_golden(self, path):
         assert path.stem in bundled_scenario_names()
-        assert v1_to_v2(path.read_bytes()) == (GOLDEN_DIR / path.name).read_bytes()
+        assert v1_to_v3(path.read_bytes()) == (GOLDEN_DIR / path.name).read_bytes()
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("v1/*.log")), ids=lambda p: p.stem)
+    def test_a_revocation_sync_line_is_refused(self, path):
+        """Each revocation-sync send of a v1 log, read after a line of the
+        current format, is a DecodeError naming the channel."""
+        lines = [line for line in path.read_bytes().splitlines()
+                 if canonical_parse(line)["kind"] == "send"
+                 and canonical_parse(line)["payload"]["channel"] == "revocation-sync"]
+        assert lines
+        for line in lines:
+            with pytest.raises(DecodeError,
+                               match=r"^event-log line 2: unknown send channel 'revocation-sync'$"):
+                EventLog.from_bytes(GOOD_LINE + line + b"\n")
+
+    def test_each_golden_log_is_a_bundled_scenario(self):
+        """Exactly one golden log per bundled scenario: none missing, none orphaned."""
+        assert sorted(path.stem for path in GOLDEN_DIR.glob("*.log")) == \
+            sorted(bundled_scenario_names())
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_no_legal_identity_outside_a_disclosed_travel_record(self, name):

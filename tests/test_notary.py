@@ -4,13 +4,11 @@ import os
 import stat
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
-from coopattest.cooperative import Cooperative, MemberRecord, RevocationRegistry, Status
+from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.errors import DecodeError, ExpiredAtWitnessing, PairMismatch
 from coopattest.notary import (
     OUTCOME_DENIED,
@@ -88,67 +86,52 @@ class TestWitnessing:
 
 
 class TestRevalidation:
-    def _witnessed(self, issuer, coop=None):
-        notary = make_notary(
-            revocation_source=coop.revalidation_status if coop else None
-        )
-        if coop:
-            coop.register_member(MemberRecord("alice", "alice-legal-0001",
-                                              {"date-of-birth": -9000}))
-            plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-            notary.sync_revocations(coop.revocations.since(0))
-            notary.witness_and_countersign(plain, blinded, coop.public_key, now=10)
-        else:
-            plain, blinded = issued_pair(issuer, issued_at=10, expires_at=100)
-            notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
-        return notary, blinded.attestation_id
-
-    def test_archived_valid(self, issuer):
-        notary, att_id = self._witnessed(issuer)
-        assert notary.respond_revalidation(att_id, 50) is Status.VALID
-
-    def test_never_witnessed_unknown(self, issuer):
-        notary = make_notary()
-        assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
-
-    def test_expired_from_local_archive(self, issuer):
-        notary, att_id = self._witnessed(issuer)
-        assert notary.respond_revalidation(att_id, 100) is Status.EXPIRED
-
-    def test_revoked_via_forwarded_query(self, issuer):
-        """Mirror is stale; the forwarded query reaches the cooperative."""
+    def _witnessed(self):
+        """A notary that forwards to its cooperative, and the id of a
+        blinded attestation it witnessed, valid over ticks [10, 100)."""
         coop = Cooperative("coop1", b"coop1", "notary-1")
-        notary, att_id = self._witnessed(issuer, coop=coop)
-        coop.revoke(att_id, 40)  # after the last mirror sync
-        assert att_id not in notary.mirror
-        assert notary.respond_revalidation(att_id, 50) is Status.REVOKED
-
-    def test_revoked_via_mirror_without_source(self, issuer):
-        coop = Cooperative("coop1", b"coop1", "notary-1")
+        notary = make_notary(revocation_source=coop.revalidation_status)
         coop.register_member(MemberRecord("alice", "alice-legal-0001",
                                           {"date-of-birth": -9000}))
         plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-        coop.revoke(blinded.attestation_id, 20)
-        notary = make_notary()
-        notary.witness_and_countersign(plain, blinded, coop.public_key, now=15)
-        notary.sync_revocations(coop.revocations.since(0))
-        assert notary.respond_revalidation(blinded.attestation_id, 30) is Status.REVOKED
-        # Revocation ticks in the future of the query are not yet effective.
-        assert notary.respond_revalidation(blinded.attestation_id, 19) is Status.VALID
+        notary.witness_and_countersign(plain, blinded, coop.public_key, now=10)
+        return notary, coop, blinded.attestation_id
 
-    # A sync (None) between marks of ids 0-5 at ticks 0-50, re-marks included.
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 50))),
-                    max_size=30))
-    def test_syncing_only_new_entries_keeps_the_mirror_equal_to_the_registry(self, steps):
-        registry, notary, synced = RevocationRegistry(), make_notary(), 0
-        for step in steps:
-            if step is None:
-                notary.sync_revocations(registry.since(synced))
-                synced = len(registry.entries)
-                assert list(notary.mirror.items()) == list(registry.entries.items())
-            else:
-                registry.mark(crypto.digest(bytes([step[0]])), step[1])
+    def test_archived_valid(self):
+        notary, _, att_id = self._witnessed()
+        assert notary.respond_revalidation(att_id, 50) is Status.VALID
+
+    def test_never_witnessed_unknown(self):
+        notary = make_notary()
+        assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
+
+    def test_expired_via_forwarded_query(self):
+        notary, _, att_id = self._witnessed()
+        assert notary.respond_revalidation(att_id, 100) is Status.EXPIRED
+
+    @pytest.mark.parametrize("status", list(Status))
+    def test_an_archived_attestation_gets_the_source_s_answer(self, status):
+        """Every revalidation of an archived attestation is one query to the
+        source, whose answer the notary returns unchanged."""
+        notary, _, att_id = self._witnessed()
+        asked = []
+        notary.revocation_source = lambda *query: asked.append(query) or status
+        assert notary.respond_revalidation(att_id, 50) is status
+        assert asked == [(att_id, 50)]
+
+    def test_never_witnessed_is_not_forwarded(self):
+        def source(attestation_id, now):
+            raise AssertionError("the source was asked")
+        notary = make_notary(revocation_source=source)
+        assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
+
+    def test_revoked_via_forwarded_query(self):
+        """A revocation made after witnessing reaches the notary's answer,
+        from its tick on."""
+        notary, coop, att_id = self._witnessed()
+        coop.revoke(att_id, 40)
+        assert notary.respond_revalidation(att_id, 50) is Status.REVOKED
+        assert notary.respond_revalidation(att_id, 39) is Status.VALID
 
 
 class TestDisclosure:
@@ -225,8 +208,8 @@ class TestStatePersistence:
         path = tmp_path / "notary.state"
         notary.save_state(path)
         loaded = Notary.load_state(path)
-        assert loaded.respond_revalidation(blinded.attestation_id, 50) is Status.VALID
-        assert len(loaded.audit_log) == 1
+        assert notary_archive(loaded) == notary_archive(notary)
+        assert loaded.audit_log == notary.audit_log
         assert loaded.keypair == notary.keypair
 
     def test_failed_replace_keeps_previous_file(self, tmp_path, issuer, monkeypatch):
