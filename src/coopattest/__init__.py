@@ -19,7 +19,7 @@ from .attestation import (
     write_attestation,
 )
 from .canonical import canonical_parse, canonical_serialize
-from .cooperative import Cooperative, MemberRecord, RevocationRegistry, Status
+from .cooperative import Cooperative, MemberRecord, Status
 from .crypto import Digest, KeyDirectory, KeyPair, Signature, digest, keygen, sign, verify
 from .dsn import FilterDecision, Post, Provider, SenderAccount
 from .harness import (
@@ -32,7 +32,7 @@ from .harness import (
     validate_config,
 )
 from .ledger import AttestationRecord, Ledger, LedgerRecord, PostRecord, RecordPointer
-from .notary import ArchiveEntry, DisclosureResponse, JurisdictionPolicy, Notary
+from .notary import ArchiveEntry, DisclosureResponse, Notary
 from .travel_rule import (
     Exchange,
     TransferDecision,
@@ -56,7 +56,6 @@ __all__ = [
     "EventLog",
     "Exchange",
     "FilterDecision",
-    "JurisdictionPolicy",
     "KeyDirectory",
     "KeyPair",
     "Ledger",
@@ -69,7 +68,6 @@ __all__ = [
     "PostRecord",
     "Provider",
     "RecordPointer",
-    "RevocationRegistry",
     "ScenarioConfig",
     "SenderAccount",
     "Signature",

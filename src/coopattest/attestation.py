@@ -146,10 +146,6 @@ class _Artifact(_Signed):
     def _canonical_text(self) -> str:
         return record_text(type(self), self)
 
-    @cached_property
-    def _canonical_bytes(self) -> bytes:
-        return canonical_serialize(self)
-
 
 class _IssuerSigned(_Artifact):
     """A plain or blinded attestation: the issuer signs every key but the id
@@ -293,7 +289,7 @@ def canonical_bytes(att) -> bytes:
     """Complete canonical serialization, id included; also the file format."""
     if not isinstance(att, _Artifact):
         raise TypeError(f"not an attestation: {type(att).__name__}")
-    return att._canonical_bytes
+    return canonical_serialize(att)
 
 
 def attestation_from_map(raw: dict):

@@ -112,13 +112,8 @@ def cmd_countersign(args) -> int:
     notary = Notary.load_state(args.notary)
     plain = _load_attestation(args.plain, PlainAttestation, "plain attestation")
     blinded = _load_attestation(args.blinded, BlindedAttestation, "blinded attestation")
-    issuer_key = notary.resolve_issuer(blinded.issuer_key_id)
-    if issuer_key is None:
-        print(f"issuer key {blinded.issuer_key_id.hex()} not in the notary's directory",
-              file=sys.stderr)
-        return EXIT_FAILURE
     try:
-        csa = notary.witness_and_countersign(plain, blinded, issuer_key, args.now)
+        csa = notary.witness_and_countersign(plain, blinded, args.now)
     except (PairMismatch, ExpiredAtWitnessing):
         # The refusal is in the notary's rejection log; keep it.
         notary.save_state(args.notary)

@@ -4,7 +4,9 @@ Holds the member registry and their personal data stores, derives
 attribute claims from raw data under a fixed set of registered rules,
 issues plain/blinded attestation pairs, and answers revocation and
 revalidation queries.  The cooperative is the one authority on
-revocation: its notary forwards every revalidation query to it.
+revocation: its notary forwards every revalidation query to it.  It
+keeps each revoked id with the tick it was first revoked at, the map its
+state file holds as ``revoked``.
 
 Derivation rules are fixed: age-over-18 and income-bracket compute from
 raw fields on a 365-tick year, residence-country and
@@ -79,21 +81,6 @@ class MemberRecord:
             raise ValueError("handle must begin with '@'")
 
 
-@dataclass
-class RevocationRegistry:
-    """Append-only map from attestation id to the tick it was revoked at;
-    ``entries`` changes only through ``mark``."""
-
-    entries: dict[Digest, int] = field(default_factory=dict)
-
-    def mark(self, attestation_id: Digest, at: int) -> None:
-        # A revoked id is never un-revoked and keeps its first tick.
-        self.entries.setdefault(attestation_id, at)
-
-    def revoked_at(self, attestation_id: Digest) -> int | None:
-        return self.entries.get(attestation_id)
-
-
 @dataclass(frozen=True)
 class IssuanceEntry:
     """One issued pair; its fields are its layout in the state file."""
@@ -144,7 +131,7 @@ class Cooperative:
         self._members: dict[str, MemberRecord] = {}
         self._issuances: list[IssuanceEntry] = []
         self._by_id: dict[Digest, int] = {}
-        self.revocations = RevocationRegistry()
+        self._revoked: dict[Digest, int] = {}   # attestation id -> tick it was revoked at
         self._emit = no_emit
 
     @property
@@ -254,14 +241,15 @@ class Cooperative:
         if index is None:
             raise UnknownAttestation(attestation_id.hex())
         entry = self._issuances[index]
-        self.revocations.mark(entry.plain.attestation_id, at)
-        self.revocations.mark(entry.blinded.attestation_id, at)
+        for half in (entry.plain, entry.blinded):
+            # A revoked id is never un-revoked and keeps its first tick.
+            self._revoked.setdefault(half.attestation_id, at)
 
     def revalidation_status(self, attestation_id: Digest, now: int) -> Status:
         index = self._by_id.get(attestation_id)
         if index is None:
             return Status.UNKNOWN
-        revoked_at = self.revocations.revoked_at(attestation_id)
+        revoked_at = self._revoked.get(attestation_id)
         if revoked_at is not None and revoked_at <= now:
             return Status.REVOKED
         if now >= self._issuances[index].blinded.expires_at:
@@ -275,7 +263,7 @@ class Cooperative:
         write_canonical(path, record_bytes(CooperativeState, {
             "name": self.name, "key_seed": self.key_seed, "legal_rep": self.legal_rep_id,
             "members": self._members.values(), "issuances": self._issuances,
-            "revoked": {d.hex(): tick for d, tick in self.revocations.entries.items()},
+            "revoked": {d.hex(): tick for d, tick in self._revoked.items()},
             "nonce_counter": self._nonce_counter, "nonce_seed": self.nonce_seed,
         }))
 
@@ -292,7 +280,6 @@ class Cooperative:
             coop.register_member(member)
         for entry in state.issuances:
             coop._log_issuance(entry)
-        for hex_id, tick in state.revoked.items():
-            coop.revocations.mark(Digest.from_hex(hex_id), tick)
+        coop._revoked = {Digest.from_hex(hex_id): tick for hex_id, tick in state.revoked.items()}
         coop._nonce_counter = state.nonce_counter
         return coop

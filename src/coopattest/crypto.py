@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -168,7 +169,8 @@ def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature) -
 
 class KeyDirectory:
     """Public-key lookup by key id.  Public keys are public; every actor in
-    a scenario shares one directory."""
+    a scenario shares one directory, and a notary keeps one more, of the
+    cooperatives it represents."""
 
     def __init__(self) -> None:
         self._keys: dict[Digest, bytes] = {}
@@ -180,3 +182,7 @@ class KeyDirectory:
 
     def get(self, key_id: Digest) -> bytes | None:
         return self._keys.get(key_id)
+
+    def __iter__(self) -> Iterator[bytes]:
+        """The public keys, in the order they were first added."""
+        return iter(self._keys.values())

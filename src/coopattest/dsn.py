@@ -133,7 +133,6 @@ class Provider:
         ledger_registry[name] = self.ledger
         self.peers: dict[str, Provider] = {}
         self.accounts: dict[str, SenderAccount] = {}
-        self.delivered: list[Post] = []
         self._ported: dict[RecordPointer, RecordPointer] = {}
         self._emit = no_emit
 
@@ -194,10 +193,7 @@ class Provider:
         return ptr
 
     def receive_post(self, post: Post, now: int) -> FilterDecision:
-        decision = self.filter_incoming(post, now)
-        if decision.outcome == OUTCOME_DELIVER:
-            self.delivered.append(post)
-        return decision
+        return self.filter_incoming(post, now)
 
     # --- filtering -------------------------------------------------------------
 

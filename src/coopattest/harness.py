@@ -40,7 +40,7 @@ from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFai
 from .errors import UnsupportedValue
 from .events import send_message
 from .ledger import Ledger
-from .notary import JurisdictionPolicy, Notary
+from .notary import Notary
 from .travel_rule import Exchange, TransferRequest, TravelRuleRecord
 
 # --- event log -----------------------------------------------------------------
@@ -283,7 +283,7 @@ def _kind(tp: Any, check: Callable[[object], bool], problem: str, unencodable: s
 
 
 def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return type(value) is list and all(type(v) is str for v in value)
 
 
 def _encodes(text: str) -> bool:
@@ -301,23 +301,23 @@ _text = _kind(str, lambda v: type(v) is str and v != "" and _encodes(v),
               "must be a non-empty string", "must be a string that UTF-8 can encode")
 _count = _kind(int, lambda v: type(v) is int and v > 0, "must be a positive integer")
 _tick = _kind(int, lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
-_body = _kind(str | bytes, lambda v: isinstance(v, (str, bytes)) and len(v) > 0
-              and (isinstance(v, bytes) or _encodes(v)), "must be non-empty text or bytes",
+_body = _kind(str | bytes, lambda v: type(v) in (str, bytes) and len(v) > 0
+              and (type(v) is bytes or _encodes(v)), "must be non-empty text or bytes",
               "must be bytes or text that UTF-8 can encode")
-_handle = _kind(str, lambda v: isinstance(v, str) and v.startswith("@") and _encodes(v),
+_handle = _kind(str, lambda v: type(v) is str and v.startswith("@") and _encodes(v),
                 "must begin with '@'", "must be a handle that UTF-8 can encode")
-_mode = _kind(str, lambda v: v in (MODE_ABSENT, MODE_HANDLE),
+_mode = _kind(str, lambda v: type(v) is str and v in (MODE_ABSENT, MODE_HANDLE),
               f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
 # Derivation reads only a member's top-level fields, so only their text must encode.
-_data = _kind(dict, lambda v: isinstance(v, dict)
+_data = _kind(dict, lambda v: type(v) is dict
               and all(_encodes(x) for x in v.values() if isinstance(x, str)), "must be a map",
               "must be a map whose text values UTF-8 can encode")
-_entries = _kind(list, lambda v: isinstance(v, list), "must be a list")
+_entries = _kind(list, lambda v: type(v) is list, "must be a list")
 _codes = _kind(list[str], _is_strings, "must be a list of jurisdiction codes")
-_rules = _kind(list[str], lambda v: isinstance(v, list) and v != []
-               and all(q in QUERIES for q in v), "must be a non-empty list of rule names")
+_rules = _kind(list[str], lambda v: _is_strings(v) and v != [] and all(q in QUERIES for q in v),
+               "must be a non-empty list of rule names")
 _follower_lists = _kind(dict[str, list[str]],
-                        lambda v: isinstance(v, dict) and all(map(_is_strings, v.values())),
+                        lambda v: type(v) is dict and all(map(_is_strings, v.values())),
                         "must map handles to lists of provider names")
 
 SCHEMA: dict[str, dict[str, _Field]] = {
@@ -602,9 +602,8 @@ class Scenario:
         self.notaries: dict[str, Notary] = {}
         for entry in config.notaries:
             notary = Notary(
-                entry["name"], self._actor_seed("notary", entry["name"]),
-                JurisdictionPolicy(entry["jurisdiction"],
-                                   frozenset(_setting("notaries", entry, "compatible"))),
+                entry["name"], self._actor_seed("notary", entry["name"]), entry["jurisdiction"],
+                frozenset(_setting("notaries", entry, "compatible")),
             )
             self.keys.add(notary.public_key)
             self._bind(notary)
@@ -623,6 +622,7 @@ class Scenario:
                     member["member_id"], member["legal_identity"], member["personal_data"],
                     member.get("handle")))
             self.keys.add(coop.public_key)
+            self.notaries[coop.legal_rep_id].issuers.add(coop.public_key)
             self._bind(coop)
             self.coops[entry["name"]] = coop
             self._coop_by_key_id[coop.keypair.key_id] = coop
@@ -707,7 +707,7 @@ class Scenario:
         # alone receives the identity-bearing object.
         send_message(coop, notary, "witness-request",
                      {"plain_id": plain.attestation_id.value, "blinded": blinded})
-        csa = notary.witness_and_countersign(plain, blinded, coop.public_key, self.now)
+        csa = notary.witness_and_countersign(plain, blinded, self.now)
         send_message(notary, coop, "countersigned", {"attestation": csa})
         self.artifacts[action["label"]] = csa
         coop._emit("issued", {

@@ -1,6 +1,7 @@
 """The legal-representative actor.
 
-The notary witnesses plain/blinded pairs, countersigns the blinded copy
+The notary witnesses plain/blinded pairs from the cooperatives it
+represents, whose keys are its ``issuers``, countersigns the blinded copy
 unmodified, and archives all three artifacts.  It asserts nothing about
 whether the attributes are true; it only witnesses that a matching pair
 signed by the cooperative exists.  Because it holds the plain artifact
@@ -41,15 +42,6 @@ OUTCOME_UNKNOWN = "unknown-attestation"
 PURPOSE_TRAVEL_RULE = "travel-rule"
 PURPOSE_DSN_DISPUTE = "dsn-dispute"
 PURPOSES = (PURPOSE_TRAVEL_RULE, PURPOSE_DSN_DISPUTE)
-
-
-@dataclass(frozen=True)
-class JurisdictionPolicy:
-    notary_jurisdiction: str
-    compatible: frozenset[str]
-
-    def is_compatible(self, code: str) -> bool:
-        return code in self.compatible
 
 
 @dataclass(frozen=True)
@@ -125,29 +117,23 @@ class Notary:
         self,
         notary_id: str,
         key_seed: bytes,
-        policy: JurisdictionPolicy,
+        jurisdiction: str,
+        compatible: frozenset[str],
         *,
         revocation_source: Callable[[Digest, int], Status] | None = None,
-        known_issuers: list[bytes] | None = None,
     ) -> None:
         self.notary_id = notary_id
         self.key_seed = key_seed
         self.keypair = crypto.keygen(key_seed)
-        self.policy = policy
+        self.jurisdiction = jurisdiction
+        self.compatible = compatible   # requester jurisdictions it discloses to
+        self.issuers = crypto.KeyDirectory()   # the cooperatives it represents
         self.revocation_source = revocation_source
-        self.known_issuers = list(known_issuers or [])
         self._entries: list[ArchiveEntry] = []
         self._by_id: dict[Digest, int] = {}
         self.audit_log: list[AuditEntry] = []
         self.rejection_log: list[RejectionEntry] = []
         self._emit = no_emit
-
-    def resolve_issuer(self, key_id: Digest) -> bytes | None:
-        """Resolver over the notary's own directory of cooperative keys."""
-        for public_key in self.known_issuers:
-            if crypto.digest(public_key) == key_id:
-                return public_key
-        return None
 
     @property
     def name(self) -> str:
@@ -167,14 +153,18 @@ class Notary:
         self,
         plain: PlainAttestation,
         blinded: BlindedAttestation,
-        issuer_public_key: bytes,
         now: int,
     ) -> CounterSignedAttestation:
         """Compare the pair, countersign the blinded copy, archive all three.
 
-        Rejections leave the archive untouched and land in a separate
-        rejection log.
+        A pair from an issuer not in ``issuers`` raises InvalidAttestation
+        and leaves no trace.  Other rejections leave the archive untouched
+        and land in a separate rejection log.
         """
+        issuer_public_key = self.issuers.get(blinded.issuer_key_id)
+        if issuer_public_key is None:
+            raise InvalidAttestation(
+                f"issuer key {blinded.issuer_key_id.hex()} not in the notary's directory")
         report = verify_pair(plain, blinded, issuer_public_key)
         if not report.passed:
             self.rejection_log.append(
@@ -223,7 +213,7 @@ class Notary:
         if entry is None:
             outcome = OUTCOME_UNKNOWN
             response = DisclosureResponse(outcome=outcome)
-        elif not self.policy.is_compatible(requester_jurisdiction):
+        elif requester_jurisdiction not in self.compatible:
             outcome = OUTCOME_DENIED
             response = DisclosureResponse(outcome=outcome)
         else:
@@ -243,8 +233,8 @@ class Notary:
         """Write the whole state to *path* atomically; load_state reads it."""
         write_canonical(path, record_bytes(NotaryState, {
             "notary_id": self.notary_id, "key_seed": self.key_seed,
-            "jurisdiction": self.policy.notary_jurisdiction,
-            "compatible": self.policy.compatible, "issuers": self.known_issuers,
+            "jurisdiction": self.jurisdiction, "compatible": self.compatible,
+            "issuers": tuple(self.issuers),
             "archive": self._entries, "audit": self.audit_log,
             "rejections": self.rejection_log,
         }))
@@ -257,9 +247,9 @@ class Notary:
 
     @classmethod
     def _from_state(cls, state: NotaryState) -> "Notary":
-        notary = cls(state.notary_id, state.key_seed,
-                     JurisdictionPolicy(state.jurisdiction, state.compatible),
-                     known_issuers=list(state.issuers))
+        notary = cls(state.notary_id, state.key_seed, state.jurisdiction, state.compatible)
+        for public_key in state.issuers:
+            notary.issuers.add(public_key)
         for entry in state.archive:
             notary._archive(entry)
         notary.audit_log = list(state.audit)

@@ -228,6 +228,26 @@ class TestIssueCountersignVerify:
             (12, ["blinded_id"], raw["attestation_id"])]
         assert not (workdir / "bad.att").exists()
 
+    def test_countersign_for_an_issuer_not_represented_exit_1(self, workdir, capsys):
+        raw = canonical_parse((workdir / "notary.state").read_bytes())
+        raw["issuers"] = [crypto.keygen(b"another-coop").public_key]
+        (workdir / "notary.state").write_bytes(canonical_serialize(raw))
+        before = (workdir / "notary.state").read_bytes()
+        assert run(["issue", "--coop", workdir / "coop.state", "--member", "alice",
+                    "--attrs", "age-over-18", "--mode", "absent", "--now", 10, "--ttl", 90,
+                    "--out-plain", workdir / "a.plain.att",
+                    "--out-blinded", workdir / "a.blinded.att"]) == 0
+        capsys.readouterr()
+        code = run(["countersign", "--notary", workdir / "notary.state",
+                    "--plain", workdir / "a.plain.att", "--blinded", workdir / "a.blinded.att",
+                    "--now", 10, "--out", workdir / "a.csa.att"])
+        assert code == 1
+        err = capsys.readouterr().err
+        issuer_key_id = crypto.keygen(COOP_SEED).key_id.hex()
+        assert err.startswith("error: ") and err.count("\n") == 1 and issuer_key_id in err
+        assert (workdir / "notary.state").read_bytes() == before
+        assert not (workdir / "a.csa.att").exists()
+
     def test_issue_wrongly_typed_member_exit_2(self, workdir, capsys):
         raw = canonical_parse((workdir / "coop.state").read_bytes())
         raw["members"][0]["legal_identity"] = 5

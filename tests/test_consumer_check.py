@@ -17,7 +17,7 @@ from coopattest.attestation import countersign
 from coopattest.cooperative import Cooperative, MemberRecord
 from coopattest.dsn import FilterDecision, Post, Provider
 from coopattest.ledger import AttestationRecord, PostRecord
-from coopattest.notary import JurisdictionPolicy, Notary
+from coopattest.notary import Notary
 from coopattest.travel_rule import Exchange, TransferDecision, TransferRequest
 
 HANDLE = "@alice"
@@ -33,8 +33,9 @@ class World:
     def __init__(self):
         self.keys = crypto.KeyDirectory()
         self.coop = Cooperative("coop1", b"coop1", "notary-1")
-        self.notary = Notary("notary-1", b"notary-1", JurisdictionPolicy("US", frozenset({"US"})),
+        self.notary = Notary("notary-1", b"notary-1", "US", frozenset({"US"}),
                              revocation_source=self.coop.revalidation_status)
+        self.notary.issuers.add(self.coop.public_key)
         self.keys.add(self.coop.public_key)
         self.keys.add(self.notary.public_key)
         self.coop.register_member(MemberRecord(
@@ -61,7 +62,7 @@ class World:
         """A handle-bound attestation, countersigned by *notary* (ours by default)."""
         plain, blinded = self.coop.issue_blinded("alice", ["age-over-18"], "handle", now, ttl)
         notary = notary or self.notary
-        return notary.witness_and_countersign(plain, blinded, self.coop.public_key, now)
+        return notary.witness_and_countersign(plain, blinded, now)
 
     def set_consumers(self, **settings):
         for consumer in (self.provider, self.e2):
@@ -151,7 +152,8 @@ def test_a_stop_at_the_notary_outranks_an_expiry_at_the_signatures(expired_first
     attestation the provider cannot ask its notary about got past the
     signatures, where an expired one stopped."""
     world = World()
-    elsewhere = Notary("notary-2", b"notary-2", JurisdictionPolicy("US", frozenset({"US"})))
+    elsewhere = Notary("notary-2", b"notary-2", "US", frozenset({"US"}))
+    elsewhere.issuers.add(world.coop.public_key)
     world.keys.add(elsewhere.public_key)
     expired = world.issue(ttl=20)
     unreachable = world.issue(notary=elsewhere)

@@ -185,7 +185,9 @@ class TestRevocation:
         coop, att_id = self._issued()
         coop.revoke(att_id, 40)
         coop.revoke(att_id, 60)
-        assert coop.revocations.revoked_at(att_id) == 40
+        # Between the two ticks: revoked, as from the first.
+        assert coop.revalidation_status(att_id, 50) is Status.REVOKED
+        assert coop.revalidation_status(att_id, 39) is Status.VALID
 
     def test_revoking_either_id_marks_the_pair(self):
         coop = make_coop()

@@ -61,6 +61,18 @@ TRANSFER = {"at": 3, "action": "transfer", "origin": "E1", "beneficiary_exchange
             "beneficiary_account": "acct-b", "asset": "BTC", "amount": 5}
 
 
+class Text(str):
+    pass
+
+
+class Texts(list):
+    pass
+
+
+class Bytes(bytes):
+    pass
+
+
 def minimal_config(**overrides):
     raw = {
         "seed": b"harness-test",
@@ -252,6 +264,23 @@ class TestValidateConfig:
          "cooperatives[0].members[0].handle: must be a handle that UTF-8 can encode"),
     ], ids=["body", "legal_identity", "personal_data", "handle"])
     def test_text_that_utf8_cannot_encode_is_a_problem(self, path, value, problem):
+        config = ScenarioConfig.from_map(probe(path, value, "dsn_port"))
+        assert validate_config(config) == [problem]
+        with pytest.raises(ConfigInvalid):
+            run_scenario(config)
+
+    @pytest.mark.parametrize("path, value, problem", [
+        (("script", 0, "mode"), Text("handle"), "script[0].mode: must be 'absent' or 'handle'"),
+        (("script", 0, "queries"), Texts(["age-over-18"]),
+         "script[0].queries: must be a non-empty list of rule names"),
+        (("script", 0, "queries"), [Text("age-over-18")],
+         "script[0].queries: must be a non-empty list of rule names"),
+        (("script", 3, "body"), Bytes(b"resolved"),
+         "script[3].body: must be non-empty text or bytes"),
+    ], ids=["mode", "queries", "query", "body"])
+    def test_a_subclass_of_the_written_type_is_a_problem(self, path, value, problem):
+        """The log writer takes a value of exactly its declared type, and so
+        does the validator."""
         config = ScenarioConfig.from_map(probe(path, value, "dsn_port"))
         assert validate_config(config) == [problem]
         with pytest.raises(ConfigInvalid):
@@ -569,7 +598,7 @@ class TestValidateRunContract:
             problems = None
         if problems == []:
             try:
-                run_scenario(config)
+                run_scenario(config).to_bytes()
             except ScriptActionFailed:
                 pass
         with tempfile.TemporaryDirectory() as tmp:

@@ -76,8 +76,8 @@ class TestBytes:
     def test_memoised_bytes_equal_a_fresh_serialization(self, issuer, csa):
         plain = make_plain(issuer)
         for artifact in (plain, csa.blinded, csa):
-            # Read twice: the second read is the memo.
-            assert canonical_bytes(artifact) is canonical_bytes(artifact)
+            # Read twice: the same bytes both times.
+            assert canonical_bytes(artifact) == canonical_bytes(artifact)
             assert canonical_bytes(dataclasses.replace(artifact)) == canonical_bytes(artifact)
         assert plain._signed_bytes == dataclasses.replace(plain)._signed_bytes
 
@@ -85,7 +85,7 @@ class TestBytes:
         canonical_bytes(csa)
         copy = dataclasses.replace(csa)
         assert copy == csa and hash(copy) == hash(csa) and repr(copy) == repr(csa)
-        assert "_canonical_bytes" not in vars(copy)
+        assert "_canonical_text" not in vars(copy)
 
     def test_a_replaced_artifact_starts_with_no_memo(self, issuer, notary_key):
         plain = make_plain(issuer)
@@ -93,8 +93,7 @@ class TestBytes:
         assert verify_pair(plain, blinded, issuer.public_key).passed
         csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
         assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
-        memos = {"_canonical_text", "_canonical_bytes", "_signed_bytes", "_verified_keys",
-                 "_id_consistent"}
+        memos = {"_canonical_text", "_signed_bytes", "_verified_keys", "_id_consistent"}
         for artifact in (plain, blinded, csa):
             canonical_bytes(artifact)
             assert memos & set(vars(artifact))
@@ -110,7 +109,7 @@ class TestBytes:
         blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
         assert verify_pair(plain, blinded, issuer.public_key).passed
         assert verify_pair(plain, blinded, issuer.public_key).passed
-        assert "_canonical_bytes" not in vars(plain) and "_canonical_text" not in vars(plain)
+        assert "_canonical_text" not in vars(plain)
         # The bytes a .att file holds, hashed once for the blinding and the checks.
         data = canonical_serialize(reference_map(type(plain), plain))
         assert hashed.count(data) == 1
@@ -130,20 +129,20 @@ class TestBytes:
         assert canonical_serialize({"attestation": marked}) == b'{"attestation":"csa text"}'
 
     def test_changing_a_map_of_an_artifact_changes_none_of_its_bytes(self, csa):
-        memo = canonical_bytes(csa)
+        data = canonical_bytes(csa)
         signed = signing_bytes_of(csa)
         record = record_signing_bytes(0, crypto.ZERO_DIGEST, AttestationRecord(csa))
         raw = reference_value(csa)
         raw["notary_id"] = "forged"
         raw["blinded"]["attributes"].append({"name": "x", "value": "y", "method": "z"})
         raw["notary_signature"]["bytes"] = b""
-        assert canonical_parse(memo) != raw
-        assert canonical_bytes(csa) is memo
+        assert canonical_parse(data) != raw
+        assert canonical_bytes(csa) == data
         assert signing_bytes_of(csa) == signed
         assert record_signing_bytes(0, crypto.ZERO_DIGEST, AttestationRecord(csa)) == record
         body = {"attestation": csa, "transfer_id": "t1"}
         assert canonical_serialize(body) == canonical_serialize(reference_value(body))
-        assert canonical_bytes(csa) is memo
+        assert canonical_bytes(csa) == data
 
     def test_record_digest_memo(self, csa):
         writer = crypto.keygen(b"provider")

@@ -9,25 +9,26 @@ from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
 from coopattest.cooperative import Cooperative, MemberRecord, Status
-from coopattest.errors import DecodeError, ExpiredAtWitnessing, PairMismatch
+from coopattest.errors import DecodeError, ExpiredAtWitnessing, InvalidAttestation, PairMismatch
 from coopattest.notary import (
     OUTCOME_DENIED,
     OUTCOME_DISCLOSED,
     OUTCOME_UNKNOWN,
     AuditEntry,
     DisclosureResponse,
-    JurisdictionPolicy,
     Notary,
     NotaryState,
 )
 
 from conftest import countersign_bytes, make_claims, make_plain, notary_archive
 
-POLICY = JurisdictionPolicy("US", frozenset({"US", "EU"}))
-
-
-def make_notary(**kwargs):
-    return Notary("notary-1", b"test-notary", POLICY, **kwargs)
+def make_notary(*issuers, **kwargs):
+    """A notary in "US", disclosing to "US" and "EU", that represents each
+    of *issuers* (key pairs or cooperatives)."""
+    notary = Notary("notary-1", b"test-notary", "US", frozenset({"US", "EU"}), **kwargs)
+    for issuer in issuers:
+        notary.issuers.add(issuer.public_key)
+    return notary
 
 
 def issued_pair(issuer, **kwargs):
@@ -37,40 +38,50 @@ def issued_pair(issuer, **kwargs):
 
 class TestWitnessing:
     def test_valid_pair_archived(self, issuer):
-        notary = make_notary()
+        notary = make_notary(issuer)
         plain, blinded = issued_pair(issuer)
-        csa = notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
+        csa = notary.witness_and_countersign(plain, blinded, now=10)
         assert len(notary_archive(notary)) == 1
         assert csa.notary_id == "notary-1"
         assert notary_archive(notary)[0].countersigned == csa
 
     def test_mismatch_rejected_without_archiving(self, issuer):
-        notary = make_notary()
+        notary = make_notary(issuer)
         plain_a, _ = issued_pair(issuer, nonce=b"a" * 32)
         _, blinded_b = issued_pair(issuer, nonce=b"b" * 32)
         with pytest.raises(PairMismatch) as excinfo:
-            notary.witness_and_countersign(plain_a, blinded_b, issuer.public_key, now=10)
+            notary.witness_and_countersign(plain_a, blinded_b, now=10)
         assert "digest_match" in excinfo.value.report.failing()
         assert len(notary_archive(notary)) == 0
         assert len(notary.rejection_log) == 1
 
     def test_expired_at_witnessing_boundary(self, issuer):
-        notary = make_notary()
+        notary = make_notary(issuer)
         plain, blinded = issued_pair(issuer, issued_at=10, expires_at=100)
         with pytest.raises(ExpiredAtWitnessing):
-            notary.witness_and_countersign(plain, blinded, issuer.public_key, now=100)
+            notary.witness_and_countersign(plain, blinded, now=100)
         assert len(notary.rejection_log) == 1
+
+    def test_an_issuer_it_does_not_represent_is_refused(self, issuer):
+        """A pair from a cooperative outside the notary's directory raises
+        before anything is archived or logged as a rejection."""
+        notary = make_notary(crypto.keygen(b"another-coop"))
+        plain, blinded = issued_pair(issuer)
+        with pytest.raises(InvalidAttestation, match=blinded.issuer_key_id.hex()):
+            notary.witness_and_countersign(plain, blinded, now=10)
+        assert len(notary_archive(notary)) == 0
+        assert notary.rejection_log == []
 
     def test_witness_neutrality(self, issuer):
         """The countersignature depends on attribute values only through the
         embedded blinded bytes."""
-        notary = make_notary()
+        notary = make_notary(issuer)
         pairs = [
             issued_pair(issuer, claims=make_claims(("age-over-18", value)))
             for value in ("true", "false")
         ]
         csas = [
-            notary.witness_and_countersign(p, b, issuer.public_key, now=10)
+            notary.witness_and_countersign(p, b, now=10)
             for p, b in pairs
         ]
         messages = [
@@ -90,11 +101,11 @@ class TestRevalidation:
         """A notary that forwards to its cooperative, and the id of a
         blinded attestation it witnessed, valid over ticks [10, 100)."""
         coop = Cooperative("coop1", b"coop1", "notary-1")
-        notary = make_notary(revocation_source=coop.revalidation_status)
+        notary = make_notary(coop, revocation_source=coop.revalidation_status)
         coop.register_member(MemberRecord("alice", "alice-legal-0001",
                                           {"date-of-birth": -9000}))
         plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-        notary.witness_and_countersign(plain, blinded, coop.public_key, now=10)
+        notary.witness_and_countersign(plain, blinded, now=10)
         return notary, coop, blinded.attestation_id
 
     def test_archived_valid(self):
@@ -136,9 +147,9 @@ class TestRevalidation:
 
 class TestDisclosure:
     def _ready(self, issuer, identity="alice-legal-0001"):
-        notary = make_notary()
+        notary = make_notary(issuer)
         plain, blinded = issued_pair(issuer, identity=identity)
-        notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
+        notary.witness_and_countersign(plain, blinded, now=10)
         return notary, blinded.attestation_id
 
     def test_compatible_jurisdiction_disclosed(self, issuer):
@@ -201,9 +212,9 @@ class TestDisclosure:
 
 class TestStatePersistence:
     def test_state_roundtrip(self, tmp_path, issuer):
-        notary = make_notary()
+        notary = make_notary(issuer)
         plain, blinded = issued_pair(issuer)
-        notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
+        notary.witness_and_countersign(plain, blinded, now=10)
         notary.respond_disclosure(blinded.attestation_id, "US", "travel-rule", 20)
         path = tmp_path / "notary.state"
         notary.save_state(path)
@@ -213,12 +224,12 @@ class TestStatePersistence:
         assert loaded.keypair == notary.keypair
 
     def test_failed_replace_keeps_previous_file(self, tmp_path, issuer, monkeypatch):
-        notary = make_notary()
+        notary = make_notary(issuer)
         path = tmp_path / "notary.state"
         notary.save_state(path)
         before = path.read_bytes()
         plain, blinded = issued_pair(issuer)
-        notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
+        notary.witness_and_countersign(plain, blinded, now=10)
 
         def interrupted(src, dst):
             raise OSError("interrupted")
@@ -237,6 +248,16 @@ class TestStatePersistence:
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         assert Notary.load_state(path).keypair == make_notary().keypair
 
+    def test_issuers_keep_their_order_and_a_repeated_key_is_saved_once(self, tmp_path):
+        keys = [crypto.keygen(seed).public_key for seed in (b"coop-2", b"coop-1", b"coop-3")]
+        path = tmp_path / "notary.state"
+        make_notary().save_state(path)
+        raw = canonical_parse(path.read_bytes())
+        raw["issuers"] = [keys[0], keys[1], keys[0], keys[2]]
+        path.write_bytes(canonical_serialize(raw))
+        Notary.load_state(path).save_state(path)
+        assert canonical_parse(path.read_bytes())["issuers"] == keys
+
     def test_wrongly_typed_issuers_rejected(self, tmp_path):
         path = tmp_path / "notary.state"
         make_notary().save_state(path)
@@ -248,8 +269,8 @@ class TestStatePersistence:
 
 
 def test_envelope_fidelity_through_archive(issuer):
-    notary = make_notary()
+    notary = make_notary(issuer)
     plain, blinded = issued_pair(issuer)
     before = canonical_bytes(blinded)
-    csa = notary.witness_and_countersign(plain, blinded, issuer.public_key, now=10)
+    csa = notary.witness_and_countersign(plain, blinded, now=10)
     assert canonical_bytes(csa.blinded) == before

@@ -17,7 +17,9 @@ defined, fails the test too.  Run the measurement on its own with
 which prints the functions never called, one ``module.Qualname`` a line.
 
 Beside it, a second gate reads each module's source: every name it
-imports is used, or is in ``UNUSED_IMPORTS`` with the reason it stays.
+imports is used, or is in ``UNUSED_IMPORTS`` with the reason it stays,
+and every module it imports by absolute name is in the standard library
+or is ``cryptography``, the one runtime dependency.
 """
 
 from __future__ import annotations
@@ -102,6 +104,25 @@ def unused_imports() -> list[str]:
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 used.update(ast.literal_eval(node.value))
         found += [f"{module}.{name}" for name in imported if name not in used]
+    return sorted(found)
+
+
+def foreign_imports() -> list[str]:
+    """``module: name`` for each absolute import in a package module of a
+    top-level module that is neither the standard library's nor
+    ``cryptography``."""
+    allowed, found = sys.stdlib_module_names | {"cryptography"}, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
     return sorted(found)
 
 
@@ -231,6 +252,11 @@ def test_every_import_is_used_or_declared():
     stale = sorted(UNUSED_IMPORTS.keys() - found)
     assert not new, f"imported but never used, and not declared: {new}"
     assert not stale, f"declared as unused, but used or no longer imported: {stale}"
+
+
+def test_every_absolute_import_is_the_standard_library_or_cryptography():
+    found = foreign_imports()
+    assert not found, f"imported from outside the standard library and cryptography: {found}"
 
 
 def test_the_table_has_one_entry_per_function_the_compiler_makes():

@@ -20,7 +20,6 @@ from coopattest.errors import (
 from coopattest.notary import (
     OUTCOME_DISCLOSED,
     DisclosureResponse,
-    JurisdictionPolicy,
     Notary,
 )
 from coopattest.travel_rule import (
@@ -44,10 +43,10 @@ class Stack:
         self.keys = crypto.KeyDirectory()
         self.coop = Cooperative("coop1", b"coop1", "notary-1")
         self.notary = Notary(
-            "notary-1", b"notary-1",
-            JurisdictionPolicy("US", frozenset(compatible)),
+            "notary-1", b"notary-1", "US", frozenset(compatible),
             revocation_source=self.coop.revalidation_status,
         )
+        self.notary.issuers.add(self.coop.public_key)
         self.keys.add(self.coop.public_key)
         self.keys.add(self.notary.public_key)
         notaries = {"notary-1": self.notary}
@@ -66,7 +65,7 @@ class Stack:
     def issue_csa(self, member="alice", queries=("age-over-18", "residence-country"),
                   now=10, ttl=90):
         plain, blinded = self.coop.issue_blinded(member, list(queries), "absent", now, ttl)
-        return self.notary.witness_and_countersign(plain, blinded, self.coop.public_key, now)
+        return self.notary.witness_and_countersign(plain, blinded, now)
 
     def registered(self, account="acct-alice", now=10):
         csa = self.issue_csa(now=now)
