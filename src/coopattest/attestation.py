@@ -43,7 +43,6 @@ from .crypto import Digest, KeyPair, Signature
 from .errors import (
     EmptyAttributes,
     EmptyNotaryId,
-    InvalidBlinded,
     InvalidValidityWindow,
     IssuerKeyMismatch,
     SubjectModeMismatch,
@@ -422,16 +421,9 @@ def countersign(
     notary: KeyPair,
     notary_id: str,
     at: int,
-    issuer_public_key: bytes | None = None,
 ) -> CounterSignedAttestation:
-    """Wrap *blinded*, byte-identical, in a notary envelope.
-
-    When *issuer_public_key* is supplied (the notary's key resolver found
-    it), the blinded signature and id are verified first.
-    """
-    if issuer_public_key is not None:
-        if not blinded._signature_verifies(issuer_public_key) or not blinded._id_consistent:
-            raise InvalidBlinded("blinded attestation does not verify under its issuer key")
+    """Wrap *blinded*, byte-identical, in a notary envelope.  It checks
+    nothing: its caller has checked the pair with ``verify_pair``."""
     return CounterSignedAttestation._sign(notary, dict(
         blinded=blinded, notary_id=notary_id, notary_key_id=notary.key_id, countersigned_at=at))
 

@@ -17,7 +17,8 @@ Encoding rules:
 * Booleans: ``true`` / ``false``.
 
 Each type has a distinct lexical form, so the encoding is injective and
-``decode(encode(v)) == v``.  The parser is strict about value lexemes
+``decode(encode(v)) == v``.  A subclass of one of these types (an
+``IntEnum``, say) is refused.  The parser is strict about value lexemes
 (lowercase hex only, no leading zeros, ``\\u00xx`` for controls only) and
 about map keys (strictly increasing code-point order), so that no two
 distinct byte strings decode to the same value; it is tolerant only of
@@ -59,8 +60,9 @@ def canonical_serialize(value: Any) -> bytes:
     """Serialize *value* to canonical bytes.
 
     Raises UnsupportedValue for anything outside the canonical domain
-    (floats, None, non-string map keys, text with lone surrogates,
-    arbitrary objects).
+    (floats, None, non-string map keys, text with lone surrogates, a
+    subclass of a domain type, arbitrary objects).  An attestation artifact
+    encodes as the canonical text it keeps.
     """
     return _utf8(_encode(value))
 
@@ -74,9 +76,11 @@ def _utf8(text: str) -> bytes:
 
 def _encode(value: Any) -> str:
     encoder = _ENCODERS.get(type(value))
-    if encoder is None:
-        return _encode_subclass(value)
-    return encoder(value)
+    if encoder is not None:
+        return encoder(value)
+    if hasattr(type(value), "_canonical_text"):
+        return value._canonical_text
+    raise UnsupportedValue(f"cannot canonically serialize {type(value).__name__}")
 
 
 def _encode_text(text: str) -> str:
@@ -94,12 +98,12 @@ def _encode_list(value: list | tuple) -> str:
 
 
 def _encode_key(key: str) -> str:
-    return _encode_text(str.__str__(key)) + ":"
+    return _encode_text(key) + ":"
 
 
 def _encode_map(value: dict) -> str:
     for key in value:
-        if not isinstance(key, str):
+        if type(key) is not str:
             raise UnsupportedValue(f"map keys must be text, got {type(key).__name__}")
     # Code-point order is UTF-8 byte order for every encodable string; keys
     # with lone surrogates sort somewhere and are rejected at encode time.
@@ -121,25 +125,6 @@ _ENCODERS = {
     bytearray: _encode_bytes,
     bool: lambda value: "true" if value else "false",
 }
-
-
-def _encode_subclass(value: Any) -> str:
-    """A record that keeps its own canonical text (an attestation artifact)
-    encodes as that text, and subclasses of the domain's types as their
-    base value."""
-    if hasattr(type(value), "_canonical_text"):
-        return value._canonical_text
-    if isinstance(value, str):
-        return _encode_text(str.__str__(value))
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (bytes, bytearray)):
-        return _encode_bytes(value)
-    if isinstance(value, (list, tuple)):
-        return _encode_list(value)
-    if isinstance(value, dict):
-        return _encode_map(value)
-    raise UnsupportedValue(f"cannot canonically serialize {type(value).__name__}")
 
 
 def write_canonical(path: str | Path, data: bytes) -> None:
@@ -450,13 +435,11 @@ class Shape(typing.NamedTuple):
     ``bytes``, a record class, ``X | Y``, ``list[X]``, a nested map's
     Shape, or a ``str``: the value itself, fixed by the layout and checked
     by the caller.  An optional value is left out of the line when it is
-    None; in a map, it is there as None unless *absent* says that an unset
-    one is left out of the map too.  *name* is what a refusal calls the
-    record or map."""
+    None; in a map, it is there as None.  *name* is what a refusal calls
+    the record or map."""
 
     name: str
     entries: tuple
-    absent: bool = False
 
 
 def record_shape(name: str, cls: type, /, **fixed: Any) -> Shape:
@@ -493,24 +476,21 @@ def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
     def visit(shape: Shape, var: str, path: str, top: bool) -> list[str]:
         """Lay out the record or map that *var* holds in the fast path and
         *path* in the refusals, and return the refusals' statements."""
-        own, nested, counted = [], [], []
+        own, nested = [], []
         if not top:
             declared = tuple(attr for _, attr, _, _ in shape.entries)
-            required = tuple(attr for _, attr, _, optional in shape.entries
-                             if not (optional and shape.absent))
             not_dict, missing, undeclared = (shape.name + text for text in (
                 " must be a dict, not ", " missing key ", " has undeclared key "))
             own += [f"m = {path}",
                     "if type(m) is not dict:",
                     f"    raise _Refused({not_dict!r} + type(m).__name__)",
-                    f"for key in {required!r}:",
+                    f"for key in {declared!r}:",
                     "    if key not in m:",
                     f"        raise _Refused({missing!r} + repr(key))",
                     "for key in m:",
                     f"    if key not in {declared!r}:",
                     f"        raise _Refused({undeclared!r} + repr(key))"]
-            tests.append(f"type({var}) is dict")
-            counted.append(str(len(required)))
+            tests.extend([f"type({var}) is dict", f"len({var}) == {len(declared)}"])
         pieces.append((False, "{"))
         # Optional entries before the first required one carry the comma after them.
         first = next(i for i, entry in enumerate(shape.entries) if not entry[3])
@@ -520,11 +500,9 @@ def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
             if isinstance(tp, str):
                 pieces.append((False, text + _encode_text(tp) + trail))
                 continue
-            value, absent = next(names), optional and shape.absent
+            value = next(names)
             full = f"{path}.{attr}" if top else f"{path}[{attr!r}]"
-            fetch.append(f"{value} = {var}.{attr}" if top else
-                         f"{value} = {var}.get({attr!r})" if absent else
-                         f"{value} = {var}[{attr!r}]")
+            fetch.append(f"{value} = {var}.{attr}" if top else f"{value} = {var}[{attr!r}]")
             if isinstance(tp, Shape):
                 pieces.append((False, text))
                 nested += visit(tp, value, full, False)
@@ -536,21 +514,16 @@ def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
                     [(False, text), *_text_source(tp, value, namespace), (False, trail)]))
                 tests.append(f"({value} is None or {test})")
                 pieces.append((True, entry))
-                if absent:
-                    counted.append(f"({value} is not None)")
             else:
                 tests.append(test)
                 pieces.extend([(False, text), *_text_source(tp, value, namespace), (False, trail)])
             where = full if top else f"m[{attr!r}]"
             type_name = tp.__name__ if typing.get_origin(tp) is None else str(tp)
             wrong = f"{shape.name} key {key!r} must be {type_name}" \
-                    f"{' or None' if optional and not absent else ''}, not "
+                    f"{' or None' if optional else ''}, not "
             test = _test_source(tp, where, namespace)
-            own += [f"if {attr!r} in m and not ({test}):" if absent else
-                    f"if not ({where} is None or {test}):" if optional else f"if not ({test}):",
+            own += [f"if not ({where} is None or {test}):" if optional else f"if not ({test}):",
                     f"    raise _Refused({wrong!r} + type({where}).__name__)"]
-        if not top:   # once the optionals an action may leave out are counted
-            tests.append(f"len({var}) == " + " + ".join(counted))
         pieces.append((False, "}"))
         return own + nested
 

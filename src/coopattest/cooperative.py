@@ -130,7 +130,7 @@ class Cooperative:
         self._nonce_counter = 0
         self._members: dict[str, MemberRecord] = {}
         self._issuances: list[IssuanceEntry] = []
-        self._by_id: dict[Digest, int] = {}
+        self._by_id: dict[Digest, IssuanceEntry] = {}   # either half's id -> its pair
         self._revoked: dict[Digest, int] = {}   # attestation id -> tick it was revoked at
         self._emit = no_emit
 
@@ -228,31 +228,29 @@ class Cooperative:
         return plain, blinded
 
     def _log_issuance(self, entry: IssuanceEntry) -> None:
-        index = len(self._issuances)
         self._issuances.append(entry)
-        self._by_id[entry.plain.attestation_id] = index
-        self._by_id[entry.blinded.attestation_id] = index
+        self._by_id[entry.plain.attestation_id] = entry
+        self._by_id[entry.blinded.attestation_id] = entry
 
     # --- revocation and revalidation ---------------------------------------------
 
     def revoke(self, attestation_id: Digest, at: int) -> None:
         """Revoke an issued attestation; both halves of the pair are marked."""
-        index = self._by_id.get(attestation_id)
-        if index is None:
+        entry = self._by_id.get(attestation_id)
+        if entry is None:
             raise UnknownAttestation(attestation_id.hex())
-        entry = self._issuances[index]
         for half in (entry.plain, entry.blinded):
             # A revoked id is never un-revoked and keeps its first tick.
             self._revoked.setdefault(half.attestation_id, at)
 
     def revalidation_status(self, attestation_id: Digest, now: int) -> Status:
-        index = self._by_id.get(attestation_id)
-        if index is None:
+        entry = self._by_id.get(attestation_id)
+        if entry is None:
             return Status.UNKNOWN
         revoked_at = self._revoked.get(attestation_id)
         if revoked_at is not None and revoked_at <= now:
             return Status.REVOKED
-        if now >= self._issuances[index].blinded.expires_at:
+        if now >= entry.blinded.expires_at:
             return Status.EXPIRED
         return Status.VALID
 

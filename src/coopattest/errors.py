@@ -45,10 +45,6 @@ class IssuerKeyMismatch(CoopAttestError):
     pass
 
 
-class InvalidBlinded(CoopAttestError):
-    pass
-
-
 class EmptyNotaryId(CoopAttestError):
     """The disclosure point of contact must always be readable."""
 
@@ -94,6 +90,11 @@ class PairMismatch(CoopAttestError):
 
 class ExpiredAtWitnessing(CoopAttestError):
     pass
+
+
+class NoRevocationSource(CoopAttestError):
+    """A notary was asked to revalidate an attestation it witnessed, but has
+    no cooperative to forward the query to."""
 
 
 # --- ledger ----------------------------------------------------------------

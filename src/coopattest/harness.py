@@ -68,7 +68,8 @@ def _records(what: str, layouts: dict[str, Any]) -> dict[str, type]:
 # The log's format, stated once: the payload of each event kind and, for a
 # send, the body of each channel.  A payload or body in memory is a map of
 # exactly these keys, an unset optional as None.  An "action" payload is the
-# script action, whose keys SCHEMA declares, and its "index" (_read_action).
+# script action, whose keys SCHEMA declares, and its "index" (_read_action);
+# it too holds every key, an unset optional as None (_UNSET).
 KINDS: dict[str, type] = _records("payload", {
     "action": dict,
     "send": dict(to=str, channel=str, body=dict),
@@ -119,11 +120,10 @@ def _line_writer(key: str | tuple[str, str]) -> Callable[[Event], bytes]:
         payload = record_shape("send payload", KINDS["send"], channel=picked,
                                body=record_shape(f"{picked} body", CHANNELS[picked]))
     elif kind == "action" and picked in _LOGGED_ACTIONS:
-        # The fields as the script holds them: an unset optional is left out.
         entries = [("action", "action", picked, False), *(
             (field_key, field_key, f.tp, not f.required)
             for field_key, f in _LOGGED_ACTIONS[picked].items())]
-        payload = Shape(f"{picked} action", tuple(sorted(entries)), absent=True)
+        payload = Shape(f"{picked} action", tuple(sorted(entries)))
     elif kind in KINDS and kind not in _PICKED_BY:
         payload = record_shape(f"{kind} payload", KINDS[kind])
     else:
@@ -138,8 +138,7 @@ def _line(event: Event) -> bytes:
     is written a line at a time and its whole text is never held.  An
     undeclared kind, channel or action raises UnsupportedValue, and so does
     a payload or body whose keys or value types are not exactly its
-    declaration's (an unset optional is there as None, but left out of an
-    action)."""
+    declaration's (an unset optional is there as None)."""
     kind = event.kind
     picked_by = _PICKED_BY.get(kind)
     if picked_by is None:
@@ -162,7 +161,7 @@ def _read_event(raw: Any) -> Event:
         raise DecodeError(f"unknown event kind {event.kind!r}")
     if layout is dict:
         _read_action(event.payload)
-        return event
+        return replace(event, payload={**_UNSET[event.payload["action"]], **event.payload})
     payload = vars(record_from_map(layout, event.payload))
     if event.kind == "send":
         body = CHANNELS.get(payload["channel"])
@@ -369,6 +368,9 @@ _LOGGED_ACTIONS = {name: {**fields, "at": _tick(), "index": _tick()}
                    for name, fields in SCHEMA["script"].items()}
 _LOGGED_ACTION_ROWS = {name: _rows(fields, "action", refs=False)
                        for name, fields in _LOGGED_ACTIONS.items()}
+# Each action's optional fields, unset: its log payload holds them as None.
+_UNSET = {name: {key: None for key, f in fields.items() if not f.required}
+          for name, fields in SCHEMA["script"].items()}
 
 
 def _setting(section: str, entry: dict, key: str):
@@ -576,7 +578,7 @@ class Scenario:
         self.config = config
         self.log = EventLog()
         self.now = 0
-        self.keys = KeyDirectory()
+        self.keys = KeyDirectory()   # the issuers' and notaries' keys a consumer checks
         self.artifacts: dict[str, CounterSignedAttestation] = {}
         self.adversary = _Adversary()
         self._bind(self.adversary)
@@ -648,10 +650,9 @@ class Scenario:
         self.ledgers: dict[str, Ledger] = {}
         self.providers: dict[str, Provider] = {}
         for entry in config.providers:
-            keypair = crypto.keygen(self._actor_seed("provider", entry["name"]))
-            self.keys.add(keypair.public_key)
             provider = Provider(
-                entry["name"], entry["jurisdiction"], keypair,
+                entry["name"], entry["jurisdiction"],
+                crypto.keygen(self._actor_seed("provider", entry["name"])),
                 keys=self.keys, notaries=self.notaries,
                 ledger_registry=self.ledgers,
                 followers={h: tuple(t) for h, t in
@@ -678,7 +679,7 @@ class Scenario:
         for i, action in enumerate(self.config.script):
             self.now = action["at"]
             self.log.append(Event(self.now, "scheduler", "action",
-                                  {"index": i, **action}))
+                                  {"index": i, **_UNSET[action["action"]], **action}))
             try:
                 self._handlers[action["action"]](self, action)
             except ScriptActionFailed:
@@ -781,12 +782,10 @@ class Scenario:
             raise ScriptActionFailed(self.now, action, f"handle {handle!r} not onboarded")
         old_record = provider.ledger.get(account.attestation_ptr)
         old_csa = old_record.payload.csa
-        issuing_coop = self._coop_by_key_id.get(old_csa.blinded.issuer_key_id)
-        if issuing_coop is not None:
-            issuing_coop.revoke(old_csa.blinded.attestation_id, self.now)
-            issuing_coop._emit("revoked", {
-                "attestation_id": old_csa.blinded.attestation_id.value,
-            })
+        # Every attestation a provider holds was issued by a cooperative of the config.
+        issuing_coop = self._coop_by_key_id[old_csa.blinded.issuer_key_id]
+        issuing_coop.revoke(old_csa.blinded.attestation_id, self.now)
+        issuing_coop._emit("revoked", {"attestation_id": old_csa.blinded.attestation_id.value})
         signature = crypto.sign(self._recovery_key(handle), crypto.TAG_RECOVER,
                                 recovery_message(handle, new_csa.blinded.attestation_id))
         provider.recover_account(handle, signature, new_csa, self.now)

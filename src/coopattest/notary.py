@@ -32,7 +32,7 @@ from .attestation import (
 from .canonical import read_record, record_bytes, write_canonical
 from .cooperative import Status
 from .crypto import Digest
-from .errors import ExpiredAtWitnessing, InvalidAttestation, PairMismatch
+from .errors import ExpiredAtWitnessing, InvalidAttestation, NoRevocationSource, PairMismatch
 from .events import no_emit, send_message
 
 OUTCOME_DISCLOSED = "disclosed"
@@ -130,7 +130,7 @@ class Notary:
         self.issuers = crypto.KeyDirectory()   # the cooperatives it represents
         self.revocation_source = revocation_source
         self._entries: list[ArchiveEntry] = []
-        self._by_id: dict[Digest, int] = {}
+        self._by_id: dict[Digest, ArchiveEntry] = {}   # either half's id -> its entry
         self.audit_log: list[AuditEntry] = []
         self.rejection_log: list[RejectionEntry] = []
         self._emit = no_emit
@@ -142,10 +142,6 @@ class Notary:
     @property
     def public_key(self) -> bytes:
         return self.keypair.public_key
-
-    def _archived(self, attestation_id: Digest) -> ArchiveEntry | None:
-        index = self._by_id.get(attestation_id)
-        return None if index is None else self._entries[index]
 
     # --- witnessing -----------------------------------------------------------
 
@@ -174,25 +170,26 @@ class Notary:
             self.rejection_log.append(
                 RejectionEntry(now, blinded.attestation_id, ("expired-at-witnessing",)))
             raise ExpiredAtWitnessing(f"expired at tick {blinded.expires_at}, witnessed at {now}")
-        csa = countersign(blinded, self.keypair, self.notary_id, now,
-                          issuer_public_key=issuer_public_key)
+        csa = countersign(blinded, self.keypair, self.notary_id, now)
         self._archive(ArchiveEntry(plain=plain, blinded=blinded, countersigned=csa,
                                    received_at=now))
         return csa
 
     def _archive(self, entry: ArchiveEntry) -> None:
-        index = len(self._entries)
         self._entries.append(entry)
-        self._by_id[entry.blinded.attestation_id] = index
-        self._by_id[entry.plain.attestation_id] = index
+        self._by_id[entry.blinded.attestation_id] = entry
+        self._by_id[entry.plain.attestation_id] = entry
 
     # --- revalidation -----------------------------------------------------------
 
     def respond_revalidation(self, attestation_id: Digest, now: int) -> Status:
         """UNKNOWN for an attestation this notary never witnessed; else what
-        ``revocation_source``, the issuing cooperative, answers."""
-        if self._archived(attestation_id) is None:
+        ``revocation_source``, the issuing cooperative, answers; with no
+        source (as loaded from a state file), NoRevocationSource."""
+        if attestation_id not in self._by_id:
             return Status.UNKNOWN
+        if self.revocation_source is None:
+            raise NoRevocationSource(f"no revocation source for attestation {attestation_id.hex()}")
         return self.revocation_source(attestation_id, now)
 
     # --- disclosure -----------------------------------------------------------
@@ -209,7 +206,7 @@ class Notary:
         audited, honored or not; denied responses carry no identity."""
         if purpose not in PURPOSES:
             raise ValueError(f"unknown disclosure purpose {purpose!r}")
-        entry = self._archived(attestation_id)
+        entry = self._by_id.get(attestation_id)
         if entry is None:
             outcome = OUTCOME_UNKNOWN
             response = DisclosureResponse(outcome=outcome)

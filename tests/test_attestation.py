@@ -34,7 +34,6 @@ from coopattest.errors import (
     DecodeError,
     EmptyAttributes,
     EmptyNotaryId,
-    InvalidBlinded,
     InvalidValidityWindow,
     IssuerKeyMismatch,
     SubjectModeMismatch,
@@ -195,7 +194,7 @@ class TestCountersign:
     def test_roundtrip(self, issuer, notary_key):
         plain = make_plain(issuer)
         blinded = blind(plain, SubjectRef.absent(), issuer)
-        csa = countersign(blinded, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
+        csa = countersign(blinded, notary_key, "notary-1", 12)
         report = verify_countersigned(csa, issuer.public_key, notary_key.public_key, 12)
         assert report.passed
 
@@ -213,19 +212,6 @@ class TestCountersign:
         blinded = blind(make_plain(issuer), SubjectRef.absent(), issuer)
         with pytest.raises(EmptyNotaryId):
             countersign(blinded, notary_key, "", 12)
-
-    def test_invalid_blinded_rejected_when_key_supplied(self, issuer, notary_key):
-        blinded = blind(make_plain(issuer), SubjectRef.absent(), issuer)
-        forged = dataclasses.replace(blinded, legal_rep_id="evil")
-        with pytest.raises(InvalidBlinded):
-            countersign(forged, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
-
-    def test_a_blinded_with_a_wrong_id_is_rejected_when_key_supplied(self, issuer, notary_key):
-        blinded = blind(make_plain(issuer), SubjectRef.absent(), issuer)
-        countersign(blinded, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
-        forged = dataclasses.replace(blinded, attestation_id=crypto.digest(b"another"))
-        with pytest.raises(InvalidBlinded):
-            countersign(forged, notary_key, "notary-1", 12, issuer_public_key=issuer.public_key)
 
     def test_envelope_fidelity(self, issuer, notary_key):
         blinded = blind(make_plain(issuer), SubjectRef.absent(), issuer)

@@ -285,7 +285,7 @@ def test_lone_surrogate_key_fails_on_every_encode():
             canonical_serialize({"ok\udc80": 1})
 
 
-def test_str_subclass_key_encodes_as_its_base_value():
+def test_a_str_subclass_key_is_refused():
     class Key(str):
         def __str__(self):
             return "other"
@@ -297,12 +297,15 @@ def test_str_subclass_key_encodes_as_its_base_value():
             return True
 
     assert canonical_serialize({"plain": 1}) == b'{"plain":1}'
-    assert canonical_serialize({Key('k"'): 1}) == b'{"k\\"":1}'
-    assert canonical_serialize({Key("j"): 1}) == b'{"j":1}'
+    for key in (Key('k"'), Key("j")):
+        with pytest.raises(UnsupportedValue, match="^map keys must be text, got Key$"):
+            canonical_serialize({key: 1})
     assert canonical_serialize({"plain": 1}) == b'{"plain":1}'
 
 
-def test_subclasses_encode_as_their_base_value():
+def test_a_subclass_of_a_domain_type_is_refused():
+    """Only the domain's own types encode: an IntEnum is not an int, nor a
+    str subclass text, wherever it sits."""
     import enum
 
     class Level(enum.IntEnum):
@@ -311,8 +314,13 @@ def test_subclasses_encode_as_their_base_value():
     class Name(str):
         pass
 
-    value = {Name("k"): [Level.HIGH, Name('a"b')]}
-    assert canonical_serialize(value) == b'{"k":[3,"a\\"b"]}'
+    class Items(list):
+        pass
+
+    for value, name in ((Level.HIGH, "Level"), (Name('a"b'), "Name"), (Items([1]), "Items"),
+                        ({"k": [1, Level.HIGH]}, "Level"), ([Name("k")], "Name")):
+        with pytest.raises(UnsupportedValue, match=f"^cannot canonically serialize {name}$"):
+            canonical_serialize(value)
 
 
 def test_an_attestation_encodes_as_its_own_text(issuer, notary_key):

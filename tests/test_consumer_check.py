@@ -107,8 +107,7 @@ def _unwitnessed(world, csa):
     """An attestation countersigned with its notary's key, but never
     witnessed: the notary does not know it."""
     _, blinded = world.coop.issue_blinded("alice", ["age-over-18"], "handle", 10, 90)
-    return countersign(blinded, world.notary.keypair, "notary-1", 10,
-                       issuer_public_key=world.coop.public_key)
+    return countersign(blinded, world.notary.keypair, "notary-1", 10)
 
 
 # Each row: how the attestation or the consumers are set up (from a world

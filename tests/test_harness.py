@@ -484,6 +484,34 @@ class TestRunScenario:
         assert log.events[-1].kind == "transfer-decision"
         assert log.events[-1].payload["outcome"] == "accepted"
 
+    def test_a_notary_representing_two_cooperatives_asks_the_issuing_one(self):
+        """One notary represents two cooperatives and witnesses for both.
+        A revalidation reaches the cooperative that issued the attestation,
+        the second one included: its revocation rejects a transfer, while
+        the first one's attestation stays valid."""
+        raw = config_map(minimal_config())
+        raw["cooperatives"].append({"name": "coop2", "legal_rep": "notary1", "members": [{
+            "member_id": "bob", "legal_identity": "bob-legal-0002",
+            "personal_data": {"date-of-birth": -9000, "residence": "NL"}}]})
+        transfer = {"action": "transfer", "origin": "E1", "beneficiary_exchange": "E2",
+                    "beneficiary_account": "acct-z", "asset": "coin", "amount": 10}
+        raw["script"] += [
+            {"at": 2, "action": "issue", "coop": "coop2", "member": "bob",
+             "queries": ["age-over-18"], "mode": "absent", "ttl": 15, "label": "b1"},
+            {"at": 2, "action": "register", "exchange": "E1", "account": "acct-b",
+             "attestation": "b1"},
+            {"at": 3, "action": "revoke", "coop": "coop2", "attestation": "b1"},
+            {"at": 4, **transfer, "transfer_id": "t-a", "originator_account": "acct-a"},
+            {"at": 4, **transfer, "transfer_id": "t-b", "originator_account": "acct-b"},
+        ]
+        scenario = Scenario(ScenarioConfig.from_map(raw))
+        log = scenario.run()
+        assert list(scenario.notaries["notary1"].issuers) == [
+            scenario.coops["coop1"].public_key, scenario.coops["coop2"].public_key]
+        decisions = {e.payload["transfer_id"]: (e.payload["outcome"], e.payload["reason"])
+                     for e in events_of(log, "transfer-decision")}
+        assert decisions == {"t-a": ("accepted", "below-threshold"), "t-b": ("rejected", "revoked")}
+
     def test_bot_flood_counts(self):
         config = ScenarioConfig.load(bundled_scenario_path("dsn_bot_flood"))
         log = run_scenario(config)
@@ -766,7 +794,7 @@ class TestEventLog:
         (Event(1, "A", "send", {"to": "B", "channel": "recovery-notice",
                                 "body": {"name": "@a"}}),
          "recovery-notice body missing key 'handle'"),
-        # An action has the keys of its script action; an unset optional is left out.
+        # An action has the keys of its script action; an unset optional is there as None.
         (Event(0, "scheduler", "action", {"action": "tamper", "at": 0, "index": 0,
                                           "exchange": "E", "account": "a", "extra": 5}),
          "tamper action has undeclared key 'extra'"),
@@ -775,7 +803,7 @@ class TestEventLog:
          "tamper action missing key 'index'"),
         (Event(0, "scheduler", "action", {"action": "register", "at": 0, "index": 0,
                                           "exchange": "E", "account": "a", "name": None}),
-         "register action key 'name' must be str, not NoneType"),
+         "register action missing key 'attestation'"),
         (Event(0, "scheduler", "action", {"at": 0, "index": 0}),
          "action payload missing key 'action'"),
         # Each value has exactly its declared type.
@@ -800,6 +828,11 @@ class TestEventLog:
         (Event(True, "B", "tampered", {"account": "a"}), "tampered event key 'tick' must be int, not bool"),
         (Event(0, "B", "tampered", {"account": "a\ud800"}),
          "tampered event holds text that UTF-8 cannot encode"),
+        # An action's unset optionals are there as None; a set one has its type.
+        (Event(0, "scheduler", "action", {"action": "register", "at": 0, "index": 0,
+                                          "exchange": "E", "account": "a", "name": 5,
+                                          "provider": None, "handle": None, "attestation": None}),
+         "register action key 'name' must be str or None, not int"),
     ])
     def test_the_writer_takes_exactly_the_declared_keys(self, tmp_path, event, problem):
         good = EventLog([Event(0, "B", "tampered", {"account": "a"})])
@@ -814,6 +847,16 @@ class TestEventLog:
             log.write(path)
         assert path.read_bytes() == good.to_bytes()
         assert os.listdir(tmp_path) == ["run.log"]
+
+    def test_an_unset_optional_of_an_action_is_left_out_of_its_line(self):
+        payload = {"action": "register", "at": 2, "index": 1, "exchange": "E", "account": "a",
+                   "name": None, "provider": None, "handle": None, "attestation": "a1"}
+        log = EventLog([Event(2, "scheduler", "action", payload)])
+        line = (b'{"actor":"scheduler","kind":"action","payload":{"account":"a",'
+                b'"action":"register","at":2,"attestation":"a1","exchange":"E","index":1},'
+                b'"tick":2}\n')
+        assert log.to_bytes() == line
+        assert EventLog.from_bytes(line).events == log.events
 
     @pytest.mark.parametrize("line, problem", [
         (b"5", "Event must be a map"),
@@ -966,18 +1009,18 @@ def values_of(tp):
 
 
 def declared(cls):
-    """The fields of a payload or body class: key -> (type, unset), with
-    unset "none" for an optional (there as None when unset), else None."""
+    """The fields of a payload or body class: key -> (type, optional); an
+    unset optional is there as None."""
     hints = typing.get_type_hints(cls)
-    return {f.name: ((typing.get_args(hints[f.name])[0], "none")
-                     if type(None) in typing.get_args(hints[f.name]) else (hints[f.name], None))
+    return {f.name: ((typing.get_args(hints[f.name])[0], True)
+                     if type(None) in typing.get_args(hints[f.name]) else (hints[f.name], False))
             for f in dataclasses.fields(cls)}
 
 
 @st.composite
 def lines(draw, layout):
     """An event of *layout* whose values are drawn by their declared types
-    and which the reader takes, with its slots: (map, key, type, unset),
+    and which the reader takes, with its slots: (map, key, type, optional),
     the event itself standing for the map of "tick" and "actor", and the
     declared keys of each map."""
     kind, picked = layout
@@ -986,19 +1029,18 @@ def lines(draw, layout):
     def fill(fields, strategies, fixed=None):
         values = dict(fixed or {})
         keys[id(values)] = {*fields, *values}
-        for key, (tp, unset) in fields.items():
-            value = draw(st.one_of(st.none(), strategies(tp, key)) if unset else strategies(tp, key))
-            if value is not None or unset == "none":
-                values[key] = value
-            slots.append((values, key, tp, unset))
+        for key, (tp, optional) in fields.items():
+            values[key] = draw(st.one_of(st.none(), strategies(tp, key)) if optional
+                               else strategies(tp, key))
+            slots.append((values, key, tp, optional))
         return values
 
     if kind == "action":
         fields = SCHEMA["script"][picked]
         problems = {**{key: f.problem for key, f in fields.items()},
                     "at": "must be a non-negative integer", "index": "must be a non-negative integer"}
-        payload = fill({**{key: (f.tp, None if f.required else "absent") for key, f in fields.items()},
-                        "at": (int, None), "index": (int, None)},
+        payload = fill({**{key: (f.tp, not f.required) for key, f in fields.items()},
+                        "at": (int, False), "index": (int, False)},
                        lambda tp, key: ACTION_VALUES[problems[key]], {"action": picked})
     elif kind == "send":
         body = fill(declared(CHANNELS[picked]), lambda tp, key: values_of(tp))
@@ -1011,7 +1053,7 @@ def lines(draw, layout):
     else:
         payload = fill(declared(KINDS[kind]), lambda tp, key: values_of(tp))
     event = Event(draw(INTEGER), draw(TEXT), kind, payload)
-    slots += [(event, "tick", int, None), (event, "actor", str, None)]
+    slots += [(event, "tick", int, False), (event, "actor", str, False)]
     return event, slots, keys
 
 
@@ -1038,20 +1080,19 @@ class TestLineWriters:
             values = data.draw(st.sampled_from([event.payload, *(
                 value for value in event.payload.values() if id(value) in keys)]))
             values[data.draw(TEXT.filter(lambda key: key not in keys[id(values)]))] = 0
-        elif how == "missing key":   # any but an optional that an action leaves out
+        elif how == "missing key":
             values, key = data.draw(st.sampled_from([
-                (values, key) for values, key, _, unset in slots
-                if values is not event and unset != "absent" and key in values
+                (values, key) for values, key, _, _ in slots if values is not event
             ] + [(event.payload, key) for key in ("channel", "body", "action")
                  if key in event.payload]))
             del values[key]
         else:
-            values, key, tp, unset = data.draw(st.sampled_from(
+            values, key, tp, optional = data.draw(st.sampled_from(
                 [slot for slot in slots if slot[2] is str] if how == "lone surrogate" else slots))
             members = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
             allowed = {typing.get_origin(t) or t for t in members}
             value = "a\ud800" if how == "lone surrogate" else data.draw(st.sampled_from(
-                [v for v in ANY_TYPE if type(v) not in allowed and (v is not None or unset != "none")]))
+                [v for v in ANY_TYPE if type(v) not in allowed and (v is not None or not optional)]))
             if values is event:
                 setattr(event, key, value)
             else:

@@ -91,7 +91,7 @@ class TestBytes:
         plain = make_plain(issuer)
         blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
         assert verify_pair(plain, blinded, issuer.public_key).passed
-        csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
+        csa = countersign(blinded, notary_key, "notary-1", 11)
         assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
         memos = {"_canonical_text", "_signed_bytes", "_verified_keys", "_id_consistent"}
         for artifact in (plain, blinded, csa):
@@ -253,7 +253,7 @@ class TestMemosMadeAtSigning:
         plain = make_plain(issuer)
         blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
         assert verify_pair(plain, blinded, issuer.public_key).passed
-        csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
+        csa = countersign(blinded, notary_key, "notary-1", 11)
         assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
         writer = crypto.keygen(b"provider")
         ledger = Ledger("l1", writer.public_key)
@@ -281,7 +281,7 @@ class TestSignatureMemo:
         plain = make_plain(issuer)
         blinded = blind(plain, SubjectRef.absent(), issuer)
         assert verify_pair(plain, blinded, issuer.public_key).passed
-        csa = countersign(blinded, notary_key, "notary-1", 11, issuer_public_key=issuer.public_key)
+        csa = countersign(blinded, notary_key, "notary-1", 11)
         assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
         # The pair check verified each issuer signature; only the notary's is new.
         assert [c[1] for c in verify_calls] == [

@@ -1,5 +1,6 @@
 """Witnessing, archiving, revalidation, and disclosure at the notary."""
 
+import dataclasses
 import os
 import stat
 
@@ -9,7 +10,13 @@ from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
 from coopattest.cooperative import Cooperative, MemberRecord, Status
-from coopattest.errors import DecodeError, ExpiredAtWitnessing, InvalidAttestation, PairMismatch
+from coopattest.errors import (
+    DecodeError,
+    ExpiredAtWitnessing,
+    InvalidAttestation,
+    NoRevocationSource,
+    PairMismatch,
+)
 from coopattest.notary import (
     OUTCOME_DENIED,
     OUTCOME_DISCLOSED,
@@ -52,6 +59,22 @@ class TestWitnessing:
         with pytest.raises(PairMismatch) as excinfo:
             notary.witness_and_countersign(plain_a, blinded_b, now=10)
         assert "digest_match" in excinfo.value.report.failing()
+        assert len(notary_archive(notary)) == 0
+        assert len(notary.rejection_log) == 1
+
+    @pytest.mark.parametrize("forge, check", [
+        (lambda blinded: dataclasses.replace(blinded, legal_rep_id="evil"), "blinded_signature"),
+        (lambda blinded: dataclasses.replace(blinded, attestation_id=crypto.digest(b"another")),
+         "blinded_id"),
+    ], ids=["signature", "id"])
+    def test_a_forged_blinded_copy_is_rejected_without_archiving(self, issuer, forge, check):
+        """The pair check is the one check of the blinded copy: a forged
+        copy fails it, by name, and is never countersigned."""
+        notary = make_notary(issuer)
+        plain, blinded = issued_pair(issuer)
+        with pytest.raises(PairMismatch) as excinfo:
+            notary.witness_and_countersign(plain, forge(blinded), now=10)
+        assert check in excinfo.value.report.failing()
         assert len(notary_archive(notary)) == 0
         assert len(notary.rejection_log) == 1
 
@@ -135,6 +158,17 @@ class TestRevalidation:
             raise AssertionError("the source was asked")
         notary = make_notary(revocation_source=source)
         assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
+
+    def test_a_notary_with_no_source_names_the_attestation(self, tmp_path):
+        """A notary loaded from its state file has no source to forward to:
+        revalidating an attestation it witnessed raises a CoopAttestError
+        naming it, and one it never witnessed is still unknown."""
+        notary, _, att_id = self._witnessed()
+        notary.save_state(tmp_path / "notary.state")
+        loaded = Notary.load_state(tmp_path / "notary.state")
+        with pytest.raises(NoRevocationSource, match=f"attestation {att_id.hex()}$"):
+            loaded.respond_revalidation(att_id, 50)
+        assert loaded.respond_revalidation(crypto.digest(b"x"), 50) is Status.UNKNOWN
 
     def test_revoked_via_forwarded_query(self):
         """A revocation made after witnessing reaches the notary's answer,

@@ -14,7 +14,15 @@ defined, fails the test too.  Run the measurement on its own with
 
     python tests/test_reach.py
 
-which prints the functions never called, one ``module.Qualname`` a line.
+which prints the functions never called, one ``module.Qualname`` a line,
+or with
+
+    python tests/test_reach.py --lines
+
+which runs the same product paths under ``sys.settrace`` and prints each
+statement they never execute, one ``file:line`` a line (a ``raise`` and a
+docstring aside).  The line listing is evidence for simplifying, not a
+gate: no test reads it.
 
 Beside it, a second gate reads each module's source: every name it
 imports is used, or is in ``UNUSED_IMPORTS`` with the reason it stays,
@@ -30,6 +38,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coopattest"
@@ -207,32 +216,79 @@ def run_cli(work: Path) -> None:
     cli(1, "simulate", "--config", failing, "--out", work / "failing.log")
 
 
-def unreached() -> list[str]:
-    """The ``module.Qualname`` of every package function the product paths
-    never call, measured in this process, which must not have imported
-    ``coopattest`` yet."""
+def run_product_paths(set_hook: Callable, hook: Callable) -> None:
+    """Run every product path in this process, which must not have imported
+    ``coopattest`` yet, with *hook* set by *set_hook* (``sys.setprofile``
+    or ``sys.settrace``) from before the import on."""
     import tempfile
 
     assert "coopattest" not in sys.modules, "measure in a fresh interpreter"
     sys.path.insert(0, str(PACKAGE.parent))
+    set_hook(hook)
+    try:
+        run_scenarios()
+        with tempfile.TemporaryDirectory() as work:
+            run_cli(Path(work))
+    finally:
+        set_hook(None)
+    assert Path(sys.modules["coopattest"].__file__).parent == PACKAGE
+
+
+def unreached() -> list[str]:
+    """The ``module.Qualname`` of every package function the product paths
+    never call."""
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    sys.setprofile(profile)
-    try:
-        run_scenarios()
-        with tempfile.TemporaryDirectory() as work:
-            run_cli(Path(work))
-    finally:
-        sys.setprofile(None)
-    assert Path(sys.modules["coopattest"].__file__).parent == PACKAGE
+    run_product_paths(sys.setprofile, profile)
     functions = defined_functions()
     for code in called:
         functions.pop((code.co_filename, code.co_firstlineno, code.co_name), None)
     return sorted(functions.values())
+
+
+def statements() -> list[tuple[str, int, range]]:
+    """Each statement in the package that compiles to code, as (its file,
+    its first line, the lines where running it is traced): all of a simple
+    statement's, a compound one's up to its body.  A docstring or other
+    bare constant, ``global`` and ``nonlocal`` compile to nothing; a
+    ``raise`` is left out, since a refusal is what a product path is not
+    meant to reach."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if not isinstance(node, ast.stmt) or isinstance(node, (
+                    ast.Raise, ast.Global, ast.Nonlocal)) or (
+                    isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+                continue
+            decorators = getattr(node, "decorator_list", None)
+            first = decorators[0].lineno if decorators else node.lineno
+            body = getattr(node, "body", None)
+            last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
+            found.append((str(path), first, range(first, last + 1)))
+    return found
+
+
+def unexecuted_lines() -> list[str]:
+    """``file:line`` of each statement of ``statements()`` that the product
+    paths never execute, the file relative to the repository."""
+    package, ran = str(PACKAGE), set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename.startswith(package) else None
+
+    run_product_paths(sys.settrace, trace)
+    return [f"{Path(path).relative_to(ROOT)}:{first}" for path, first, lines in sorted(
+                statements(), key=lambda found: found[:2])
+            if not any((path, line) in ran for line in lines)]
 
 
 def test_every_function_is_reached_or_declared():
@@ -277,4 +333,4 @@ def test_the_table_has_one_entry_per_function_the_compiler_makes():
 
 
 if __name__ == "__main__":
-    print("\n".join(unreached()))
+    print("\n".join(unexecuted_lines() if sys.argv[1:] == ["--lines"] else unreached()))
