@@ -33,10 +33,12 @@ from .canonical import (
     _utf8,
     canonical_parse,
     canonical_serialize,
+    entry_text,
+    join_entries,
     record_bytes,
+    record_entries,
     record_from_map,
     record_text,
-    record_texts,
     write_canonical,
 )
 from .crypto import Digest, KeyPair, Signature
@@ -114,19 +116,24 @@ class _Signed:
     @classmethod
     def _sign(cls, key: KeyPair, fields: dict):
         """The *cls* record with the body *fields*, signed by *key* and, if it
-        has an id, sealed with it.  Its fields are encoded once, and what its
-        checks read is taken from that encoding as it is written."""
-        text = record_texts(cls, fields)
-        message = _utf8(text(cls._UNSIGNED))
-        fields[cls._SIGNATURE] = crypto.sign(key, cls._TAG, message)
+        has an id, sealed with it.  Each field is encoded once, the signature
+        and the id as they are made, and what its checks read is joined from
+        those entries."""
+        made = (cls._SIGNATURE,) if cls._ID is None else (cls._SIGNATURE, cls._ID)
+        entries = record_entries(cls, fields, made)
+        message = _utf8(join_entries(entries, cls._UNSIGNED))
+        signature = fields[cls._SIGNATURE] = crypto.sign(key, cls._TAG, message)
+        entries[cls._SIGNATURE] = entry_text(cls, cls._SIGNATURE, signature)
         memos = {"_signed_bytes": message}
         if cls._ID is not None:
-            fields[cls._ID] = crypto.digest(_utf8(text((cls._ID,))))
+            record_id = fields[cls._ID] = crypto.digest(_utf8(join_entries(entries)))
+            entries[cls._ID] = entry_text(cls, cls._ID, record_id)
             memos["_id_consistent"] = True
+        text = join_entries(entries)
         if cls._KEEPS_TEXT:
-            memos["_canonical_text"] = text()
+            memos["_canonical_text"] = text
         else:
-            memos["_digest"] = crypto.digest(_utf8(text()))
+            memos["_digest"] = crypto.digest(_utf8(text))
         record = cls(**fields)
         record.__dict__.update(memos)
         return record

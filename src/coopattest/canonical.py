@@ -25,10 +25,9 @@ distinct byte strings decode to the same value; it is tolerant only of
 whitespace between tokens, which lets config files be hand-formatted.  Lists
 and maps may nest at most ``MAX_DEPTH`` deep.
 
-The record codec below writes the canonical bytes of a dataclass
-straight from its field declarations, and decodes such maps strictly.
-The line writers at the end are generated, one per shape of an event-log
-line, from the same declarations.
+Records (dataclasses) and event-log lines are written by writers that one
+generator makes from their field declarations, one per layout, and are
+decoded strictly by the same declarations.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import dataclasses
 import functools
 import itertools
 import linecache
-import operator
 import os
 import re
 import stat
@@ -179,49 +177,43 @@ def write_canonical_parts(path: str | Path, parts: Iterable[bytes]) -> None:
 # under "kind".  A record whose class keeps its own canonical text in
 # ``_canonical_text`` (the attestation artifacts) is written as that text,
 # inside another record's bytes and by canonical_serialize alike.  Each
-# class's writer and decoder are built once, on first use.
+# class's writer per set of left-out keys (generated, below) and its decoder
+# are built once, on first use; the writer takes a value only of exactly its
+# declared type, as the decoder does.
 
-def record_bytes(cls: type, values: Any, omit: tuple = ()) -> bytes:
-    """The canonical bytes of the *cls* record *values*, or of the record
-    whose field values it maps attribute names to, leaving out the wire
-    keys in *omit*.  They are written straight from the fields: no map is
-    built and no key is sorted."""
-    return _utf8(_writer(cls, omit)(values))
-
-
-def record_text(cls: type, values: Any, omit: tuple = ()) -> str:
-    """The text ``record_bytes`` encodes as UTF-8."""
-    return _writer(cls, omit)(values)
+def record_bytes(cls: type, record: Any, omit: tuple = ()) -> bytes:
+    """``record_text(cls, record, omit)`` in UTF-8."""
+    return _utf8(_record_writer(cls, omit, "text")(record))
 
 
-def record_texts(cls: type, values: dict) -> Callable[..., str]:
-    """The function ``text(omit=())`` that writes ``record_text(cls, values,
-    omit)`` for what *values* holds at the time of the call, from entries
-    each encoded once, by the first call that writes it.  A record being
-    signed is written this way: the text its signature covers, then the
-    texts that hold the signature and the id made from them.  A field's
-    value must not change once a call has written it."""
-    layout = _layout(cls)
-    entries: dict[str, str] = {}
+def record_text(cls: type, record: Any, omit: tuple = ()) -> str:
+    """The canonical text of the *cls* record *record*, without the wire keys
+    in *omit*.  A value that is not exactly of its field's declared type
+    (``True`` is not an ``int``, nor a ``str`` subclass a ``str``) raises
+    UnsupportedValue naming the class and the key."""
+    return _record_writer(cls, omit, "text")(record)
 
-    def text(omit: tuple = ()) -> str:
-        out = []
-        for key, encoded_key, attr, write, optional in layout:
-            if key in omit:
-                continue
-            entry = entries.get(key)
-            if entry is None:
-                if attr is None:
-                    entry = write
-                else:
-                    value = values[attr]
-                    entry = "" if optional and value is None else encoded_key + write(value)
-                entries[key] = entry
-            if entry:
-                out.append(entry)
-        return "{" + ",".join(out) + "}"
 
+def record_entries(cls: type, values: dict, omit: tuple = ()) -> dict[str, str]:
+    """Each wire key of a *cls* record, which has no optional field, but those
+    in *omit*, mapped to its entry ``"key":value``; *values* maps exactly the
+    attributes of those fields to their values.  A signer writes its body
+    so, once, then joins the entries (``join_entries``) with those of the
+    fields it makes (``entry_text``).  Refuses as ``record_text`` does."""
+    return _record_writer(cls, omit, "entries")(values)
+
+
+def entry_text(cls: type, attr: str, value: Any) -> str:
+    """The entry ``"key":value`` of the field *attr* of a *cls* record when it
+    holds *value*."""
+    (text,) = _field_writer(cls, attr)({attr: value}).values()
     return text
+
+
+def join_entries(entries: dict[str, str], omit: tuple = ()) -> str:
+    """The text of the record whose entries *entries* maps its wire keys to,
+    without the keys in *omit*."""
+    return "{" + ",".join([entries[key] for key in sorted(entries) if key not in omit]) + "}"
 
 
 def record_from_map(tp: Any, raw: Any) -> Any:
@@ -254,9 +246,9 @@ def read_record(path: str | Path, cls: type, build: Callable[[Any], Any]) -> Any
 class _Field(typing.NamedTuple):
     attr: str
     key: str
+    tp: Any  # its annotation, an optional's None left out
     wire: type  # the canonical type of its map value
     decode: Callable | None  # from a map value of that type; None passes it
-    write: Callable[[Any], str]  # to canonical text
     optional: bool  # X | None: left out when None
     required: bool  # no default: must be present when decoding
 
@@ -271,9 +263,9 @@ def _fields(cls: type) -> tuple[_Field, ...]:
         optional = type(None) in typing.get_args(tp)
         if optional:
             (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
-        wire, decode, write = _codec(tp, f"{cls.__name__} field {key!r}")
+        wire, decode = _codec(tp, f"{cls.__name__} field {key!r}")
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        fields.append(_Field(f.name, key, wire, decode, write, optional, required))
+        fields.append(_Field(f.name, key, tp, wire, decode, optional, required))
     return tuple(fields)
 
 
@@ -284,40 +276,32 @@ def _is(value: Any, wire: type) -> bool:
 
 
 def _codec(tp: Any, where: str) -> tuple:
-    """How a value of annotation *tp* is written and read: (the canonical
-    type it is written as, decode, write as canonical text); a decode of
-    None passes the value as it is.  *where* names the field in errors."""
+    """How a value of annotation *tp* is read: (the canonical type it is
+    written as, decode); a decode of None passes the value as it is.
+    *where* names the field in errors."""
     if tp in (str, int, bool, bytes, dict):
-        return tp, None, _encode
+        return tp, None
     if hasattr(tp, "_SCALAR"):
-        get = operator.attrgetter(dataclasses.fields(tp)[0].name)
-        return tp._SCALAR, tp, (lambda value: _encode(get(value)))
-    if dataclasses.is_dataclass(tp):
-        return dict, _decoder(tp), (_encode if hasattr(tp, "_canonical_text") else _writer(tp))
+        return tp._SCALAR, tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:
-        by_type = {member: _codec(member, where)[2] for member in args}
-        return dict, _decoder(tp), (lambda record: by_type[type(record)](record))
+    if dataclasses.is_dataclass(tp) or origin is typing.Union:
+        return dict, _decoder(tp)
     if origin is tuple and args[1:] == (Ellipsis,):
-        write_item = _codec(args[0], where)[2]
         decode_item = _item_decoder(args[0], where)
-        return (list, (lambda items: tuple(map(decode_item, items))),
-                (lambda items: "[" + ",".join([write_item(item) for item in items]) + "]"))
+        return list, (lambda items: tuple(map(decode_item, items)))
     if origin is frozenset:
         decode_item = _item_decoder(args[0], where)
-        return (list, (lambda items: frozenset(map(decode_item, items))),
-                (lambda items: _encode(sorted(items))))
+        return list, (lambda items: frozenset(map(decode_item, items)))
     if origin is dict and args[0] is str:
         decode_value = _item_decoder(args[1], where)
-        return (dict, (lambda raw: {key: decode_value(value) for key, value in raw.items()}),
-                _encode)
+        return dict, (lambda raw: {key: decode_value(value) for key, value in raw.items()})
     raise TypeError(f"no canonical codec for {tp!r}")
 
 
 def _item_decoder(tp: Any, where: str) -> Callable[[Any], Any]:
     """The decoder of an item of annotation *tp* in the container field
     *where*: it checks the item's canonical type, then decodes it."""
-    wire, decode, _ = _codec(tp, where)
+    wire, decode = _codec(tp, where)
 
     def decode_item(value: Any) -> Any:
         if not _is(value, wire):
@@ -325,46 +309,6 @@ def _item_decoder(tp: Any, where: str) -> Callable[[Any], Any]:
         return value if decode is None else decode(value)
 
     return decode_item
-
-
-@functools.cache
-def _layout(cls: type) -> tuple[tuple, ...]:
-    """Every entry of a *cls* record's text, in code-point order of the wire
-    keys: (wire key, encoded key, attribute, writer, optional).  An
-    attribute of None marks the constant "kind" entry, whose "writer" is
-    its whole text."""
-    kind = getattr(cls, "_KIND", None)
-    entries = [(f.key, f.attr, f.write, f.optional) for f in _fields(cls)]
-    if kind is not None:
-        entries.append(("kind", None, _encode_key("kind") + _encode_text(kind), False))
-    return tuple((key, _encode_key(key), attr, write, optional)
-                 for key, attr, write, optional in sorted(entries, key=operator.itemgetter(0)))
-
-
-@functools.cache
-def _writer(cls: type, omit: tuple = ()) -> Callable[[Any], str]:
-    """The function that writes the canonical text of a *cls* record, given
-    the record or a dict of its field values, without the keys in *omit*.
-    The record's layout is built once; a call writes only the values, and
-    no entry for an ``X | None`` field whose value is None.  A record's
-    fields are read as attributes, never through its ``__dict__``, which
-    CPython would otherwise build for an instance that had none yet."""
-    steps = [step[1:] for step in _layout(cls) if step[0] not in omit]
-
-    def write_record(record: Any) -> str:
-        as_map = isinstance(record, dict)
-        out = []
-        for key, attr, write, optional in steps:
-            if attr is None:
-                out.append(write)
-                continue
-            value = record[attr] if as_map else getattr(record, attr)
-            if optional and value is None:
-                continue
-            out.append(key + write(value))
-        return "{" + ",".join(out) + "}"
-
-    return write_record
 
 
 @functools.cache
@@ -417,68 +361,97 @@ def _require(raw: dict, key: str, wire: type, name: str) -> Any:
     return value
 
 
-# --- line writers ----------------------------------------------------------------
+# --- generated writers -------------------------------------------------------------
 #
-# A line is the canonical text of a record whose fields hold maps of fixed
-# keys (an event and its payload), then a newline.  Its writer is Python
-# source generated once per shape: the constant text of the line, with the
-# keys in code-point order, and each value written inline by its declared
-# type.  Only the shape reaches the source, never a value: keys and fixed
-# texts enter it through ``repr``.
+# A record's writer, and that of an event-log line (an event, its payload and
+# body as maps of fixed keys, then a newline), is Python source generated once
+# per shape: the record's constant text, with the keys in code-point order,
+# and each value written inline by its declared type.  Only the shape reaches
+# the source, never a value: keys and fixed texts enter it through ``repr``.
 
 class Shape(typing.NamedTuple):
-    """The layout of a record, or of a map of fixed keys, for ``line_writer``.
+    """The layout of a record, or of a map of fixed keys, for a generated
+    writer.
 
     *entries* are ``(key, attr, type, optional)`` in code-point order of
     the wire keys: *attr* is the attribute (of the record) or the key (of a
-    map) that holds the value, and *type* is ``str``, ``int``, ``bool``,
-    ``bytes``, a record class, ``X | Y``, ``list[X]``, a nested map's
-    Shape, or a ``str``: the value itself, fixed by the layout and checked
-    by the caller.  An optional value is left out of the line when it is
-    None; in a map, it is there as None.  *name* is what a refusal calls
-    the record or map."""
+    map) that holds the value, None for a record's "kind", and *type* is a
+    field annotation of the record codec above, ``list[X]``, ``X | Y``, a
+    nested map's Shape, or a ``str``: the value itself, fixed by the layout
+    and checked by the caller.  An optional value is left out of the text
+    when it is None; in a map, it is there as None.  *name* is what a
+    refusal calls the record or map."""
 
     name: str
     entries: tuple
 
 
-def record_shape(name: str, cls: type, /, **fixed: Any) -> Shape:
-    """The Shape of a *cls* record, or of a map of its field values, with
-    the type of each field named in *fixed* replaced by the given one."""
-    hints = typing.get_type_hints(cls)
-    entries = []
-    for key, _, attr, _, optional in _layout(cls):
-        tp = hints[attr]
-        if optional:
-            (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
-        entries.append((key, attr, fixed.get(attr, tp), optional))
-    return Shape(name, tuple(entries))
+def record_shape(name: str, cls: type, /, omit: tuple = (), **fixed: Any) -> Shape:
+    """The Shape of a *cls* record, or of a map of its field values, without
+    the wire keys in *omit*, and with the type of each field named in
+    *fixed* replaced by the given one.  A class with ``_KIND`` has that
+    text under "kind"."""
+    entries = [(f.key, f.attr, fixed.get(f.attr, f.tp), f.optional) for f in _fields(cls)]
+    if hasattr(cls, "_KIND"):
+        entries.append(("kind", None, cls._KIND, False))
+    return Shape(name, tuple(sorted(entry for entry in entries if entry[0] not in omit)))
 
 
-def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
-    """The function that writes a record of *shape* as its canonical line,
-    newline included, in UTF-8.  The record's fields are read as
-    attributes and a nested map's values as items.  A value that is not of
-    its declared type, exactly (``True`` is not an ``int``), a map that is
-    not a ``dict`` or whose keys are not exactly its declared ones, and
-    text that UTF-8 cannot encode raise UnsupportedValue naming the record
-    or map and the key.  The source is generated from *shape* and kept in
-    ``linecache`` under *filename*, so a traceback through it shows the
-    line."""
+@functools.cache
+def _record_writer(cls: type, omit: tuple, form: str) -> Callable[[Any], Any]:
+    """The *form* writer of a *cls* record without the wire keys in *omit*."""
+    filename = f"<coopattest {form} {cls.__name__}{''.join(' -' + key for key in omit)}>"
+    return generated_writer(filename, record_shape(cls.__name__, cls, omit=omit), form)
+
+
+@functools.cache
+def _field_writer(cls: type, attr: str) -> Callable[[dict], dict]:
+    """The entries writer of the field *attr* of a *cls* record alone."""
+    return _record_writer(cls, ("kind", *(f.key for f in _fields(cls) if f.attr != attr)),
+                          "entries")
+
+
+def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], Any]:
+    """The writer of a record of *shape*, which returns by *form* its
+    canonical "line", newline included, in UTF-8, or its canonical "text";
+    or, of a map of *shape* with no optional value, its "entries", the dict
+    of each key's text ``"key":value``.  It reads a record's fields as
+    attributes and a map's values as items.  A value that is not of its
+    declared type, exactly (``True`` is not an ``int``), a map that is not
+    a ``dict`` or whose keys are not exactly its declared ones, and text in
+    a line that UTF-8 cannot encode raise UnsupportedValue naming the record
+    or map and the key.  The source is kept in ``linecache`` under
+    *filename*, so a traceback through it shows the line."""
     namespace = {"_plain": _NEEDS_ESCAPE.search, "_sub": _NEEDS_ESCAPE.sub, "_escape": _escape,
+                 "_text": _encode_text, "_hex": _encode_bytes, "_join": ",".join,
                  "_encode": _encode, "_BOOL": ("false", "true"), "_Refused": UnsupportedValue}
     fetch: list[str] = []    # reads every value
     tests: list[str] = []    # true when each map and value is as declared
     setup: list[str] = []    # the text of each optional entry
-    pieces: list[tuple[bool, str]] = []   # the line: (is an expression, text)
     names = (f"v{n}" for n in itertools.count())
 
-    def visit(shape: Shape, var: str, path: str, top: bool) -> list[str]:
-        """Lay out the record or map that *var* holds in the fast path and
-        *path* in the refusals, and return the refusals' statements."""
-        own, nested = [], []
+    def braced(entries: list) -> list[tuple[bool, str]]:
+        """The pieces of the text of a map of *entries*: (key, the variable
+        of the value if it is optional, the pieces of the entry)."""
+        pieces = [(False, "{")]
+        # Optional entries before the first required one carry the comma after them.
+        first = next(i for i, entry in enumerate(entries) if entry[1] is None)
+        for i, (_, optional, entry) in enumerate(entries):
+            entry = [(False, "," if i > first else ""), *entry, (False, "," if i < first else "")]
+            if optional is None:
+                pieces += entry
+                continue
+            text = next(names)
+            setup.append(f"{text} = '' if {optional} is None else {_fstring(entry)}")
+            pieces.append((True, text))
+        return pieces + [(False, "}")]
+
+    def visit(shape: Shape, var: str, path: str, top: bool) -> tuple[list, list[str]]:
+        """The entries of the record or map that *var* holds in the fast path
+        and *path* in the refusals, and the refusals' statements."""
+        own, nested, entries = [], [], []
         if not top:
-            declared = tuple(attr for _, attr, _, _ in shape.entries)
+            declared = tuple(attr for _, attr, _, _ in shape.entries if attr is not None)
             not_dict, missing, undeclared = (shape.name + text for text in (
                 " must be a dict, not ", " missing key ", " has undeclared key "))
             own += [f"m = {path}",
@@ -491,32 +464,23 @@ def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
                     f"    if key not in {declared!r}:",
                     f"        raise _Refused({undeclared!r} + repr(key))"]
             tests.extend([f"type({var}) is dict", f"len({var}) == {len(declared)}"])
-        pieces.append((False, "{"))
-        # Optional entries before the first required one carry the comma after them.
-        first = next(i for i, entry in enumerate(shape.entries) if not entry[3])
-        for i, (key, attr, tp, optional) in enumerate(shape.entries):
-            lead, trail = ("," if i > first else ""), ("," if i < first else "")
-            text = lead + _encode_key(key)
+        for key, attr, tp, optional in shape.entries:
+            text = (False, _encode_key(key))
             if isinstance(tp, str):
-                pieces.append((False, text + _encode_text(tp) + trail))
+                entries.append((key, None, [text, (False, _encode_text(tp))]))
                 continue
             value = next(names)
             full = f"{path}.{attr}" if top else f"{path}[{attr!r}]"
             fetch.append(f"{value} = {var}.{attr}" if top else f"{value} = {var}[{attr!r}]")
             if isinstance(tp, Shape):
-                pieces.append((False, text))
-                nested += visit(tp, value, full, False)
+                inner, refusals = visit(tp, value, full, False)
+                nested += refusals
+                entries.append((key, None, [text, *braced(inner)]))
                 continue
             test = _test_source(tp, value, namespace)
-            if optional:
-                entry = next(names)
-                setup.append(f"{entry} = '' if {value} is None else " + _fstring(
-                    [(False, text), *_text_source(tp, value, namespace), (False, trail)]))
-                tests.append(f"({value} is None or {test})")
-                pieces.append((True, entry))
-            else:
-                tests.append(test)
-                pieces.extend([(False, text), *_text_source(tp, value, namespace), (False, trail)])
+            tests.append(f"({value} is None or {test})" if optional else test)
+            entries.append((key, value if optional else None,
+                            [text, *_text_source(tp, value, namespace)]))
             where = full if top else f"m[{attr!r}]"
             type_name = tp.__name__ if typing.get_origin(tp) is None else str(tp)
             wrong = f"{shape.name} key {key!r} must be {type_name}" \
@@ -524,27 +488,33 @@ def line_writer(filename: str, shape: Shape) -> Callable[[Any], bytes]:
             test = _test_source(tp, where, namespace)
             own += [f"if not ({where} is None or {test}):" if optional else f"if not ({test}):",
                     f"    raise _Refused({wrong!r} + type({where}).__name__)"]
-        pieces.append((False, "}"))
-        return own + nested
+        return entries, own + nested
 
-    refusals = visit(shape, "record", "record", True)
-    pieces.append((False, "\n"))
+    entries, refusals = visit(shape, "record", "record", form != "entries")
+    if form == "entries":
+        if any(optional is not None for _, optional, _ in entries):
+            raise TypeError(f"{shape.name} has an optional entry")
+        body = ["return {" + ", ".join(f"{key!r}: {_fstring(entry)}"
+                                       for key, _, entry in entries) + "}"]
+    elif form == "text":
+        body = [f"return {_fstring(braced(entries))}"]
+    else:
+        unencodable = shape.name + " holds text that UTF-8 cannot encode"
+        body = ["try:",
+                f"    return {_fstring([*braced(entries), (False, chr(10))])}.encode()",
+                "except UnicodeEncodeError:",
+                f"    raise _Refused({unencodable!r}) from None"]
     source = "\n".join([
-        "def write_line(record, /):",
+        f"def write_{form}(record, /):",
         "    try:", *(f"        {line}" for line in fetch),
         "    except (AttributeError, KeyError, TypeError):",
         "        pass",
         "    else:",
-        f"        if {' and '.join(tests)}:", *(f"            {line}" for line in setup),
-        "            try:",
-        f"                return {_fstring(pieces)}.encode()",
-        "            except UnicodeEncodeError:",
-        f"                raise _Refused({shape.name + ' holds text that UTF-8 cannot encode'!r})"
-        " from None",
+        f"        if {' and '.join(tests)}:", *(f"            {line}" for line in setup + body),
         *(f"    {line}" for line in refusals), ""])
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["write_line"]
+    return namespace[f"write_{form}"]
 
 
 def _fstring(pieces: list[tuple[bool, str]]) -> str:
@@ -568,31 +538,61 @@ def _test_source(tp: Any, value: str, namespace: dict) -> str:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         return "(" + " or ".join(_test_source(arg, value, namespace) for arg in args) + ")"
-    if origin is list:
-        return f"(type({value}) is list and all({_test_source(args[0], 'x', namespace)} " \
-               f"for x in {value}))"
+    if origin in (list, tuple, frozenset):
+        return f"(type({value}) is {origin.__name__} and " \
+               f"all({_test_source(args[0], 'x', namespace)} for x in {value}))"
+    if origin is dict:
+        return f"(type({value}) is dict and all(type(k) is str and " \
+               f"{_test_source(args[1], 'x', namespace)} for k, x in {value}.items()))"
     if not isinstance(tp, type) or namespace.setdefault(tp.__name__, tp) is not tp:
-        raise TypeError(f"no line codec for {tp!r}")
+        raise TypeError(f"no writer for {tp!r}")
     return f"type({value}) is {tp.__name__}"
 
 
 def _text_source(tp: Any, value: str, namespace: dict) -> list[tuple[bool, str]]:
-    """The pieces of the canonical text of *value*, of type *tp*."""
+    """The pieces of the canonical text of *value*, of type *tp*: a scalar
+    inline, a list of expressions, or one expression."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (list, tuple, frozenset):
+        items = f"sorted({value})" if origin is frozenset else value
+        return [(False, "["), (True, f"_join([{_expression(args[0], 'x', namespace)} "
+                                     f"for x in {items}])"), (False, "]")]
     if tp is str:
         return [(False, '"'), (True, f"{value} if _plain({value}) is None "
                                      f"else _sub(_escape, {value})"), (False, '"')]
     if tp is int:
         return [(True, value)]
-    if tp is bool:
-        return [(True, f"_BOOL[{value}]")]
     if tp is bytes:
         return [(False, "0x"), (True, f"{value}.hex()")]
+    if hasattr(tp, "_SCALAR"):
+        return _text_source(tp._SCALAR, f"{value}.{dataclasses.fields(tp)[0].name}", namespace)
+    return [(True, _expression(tp, value, namespace))]
+
+
+def _expression(tp: Any, value: str, namespace: dict) -> str:
+    """Source of the expression for the canonical text of *value*, of type
+    *tp*, which has passed its ``_test_source``.  It holds no quote,
+    backslash or brace."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        source = _expression(args[-1], value, namespace)
+        for arg in reversed(args[:-1]):
+            source = f"({_expression(arg, value, namespace)} " \
+                     f"if {_test_source(arg, value, namespace)} else {source})"
+        return source
+    if tp is dict or origin is dict:
+        return f"_encode({value})"
+    if tp in (str, int, bool, bytes):
+        return {str: "_text({})", int: "repr({})", bool: "_BOOL[{}]", bytes: "_hex({})"}[tp] \
+            .format(value)
+    if hasattr(tp, "_SCALAR"):
+        return _expression(tp._SCALAR, f"{value}.{dataclasses.fields(tp)[0].name}", namespace)
     if hasattr(tp, "_canonical_text"):
-        return [(True, f"{value}._canonical_text")]
+        return f"{value}._canonical_text"
     if dataclasses.is_dataclass(tp):
-        namespace[f"_write_{tp.__name__}"] = _writer(tp)
-        return [(True, f"_write_{tp.__name__}({value})")]
-    return [(True, f"_encode({value})")]   # X | Y or list[X]
+        namespace[f"_write_{tp.__name__}"] = _record_writer(tp, (), "text")
+        return f"_write_{tp.__name__}({value})"
+    raise TypeError(f"no writer for {tp!r}")
 
 
 # --- parsing ----------------------------------------------------------------

@@ -258,12 +258,10 @@ class Cooperative:
 
     def save_state(self, path: str | Path) -> None:
         """Write the whole state to *path* atomically; load_state reads it."""
-        write_canonical(path, record_bytes(CooperativeState, {
-            "name": self.name, "key_seed": self.key_seed, "legal_rep": self.legal_rep_id,
-            "members": self._members.values(), "issuances": self._issuances,
-            "revoked": {d.hex(): tick for d, tick in self._revoked.items()},
-            "nonce_counter": self._nonce_counter, "nonce_seed": self.nonce_seed,
-        }))
+        write_canonical(path, record_bytes(CooperativeState, CooperativeState(
+            self.name, self.key_seed, self.legal_rep_id, tuple(self._members.values()),
+            tuple(self._issuances), {d.hex(): tick for d, tick in self._revoked.items()},
+            self._nonce_counter, self.nonce_seed)))
 
     @classmethod
     def load_state(cls, path: str | Path) -> "Cooperative":

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, NamedTuple, get_args
 
 from . import crypto
 from .attestation import MODE_ABSENT, MODE_HANDLE, BlindedAttestation, CounterSignedAttestation
-from .canonical import Shape, canonical_parse, line_writer, record_from_map, record_shape
+from .canonical import Shape, canonical_parse, generated_writer, record_from_map, record_shape
 from .canonical import write_canonical_parts
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
@@ -113,7 +113,7 @@ _PICKED_BY = {"send": "channel", "action": "action"}
 def _line_writer(key: str | tuple[str, str]) -> Callable[[Event], bytes]:
     """The writer of the lines of *key*: a kind, or ("send", channel), or
     ("action", the script action's name).  It is generated on first use
-    from the declarations (canonical.line_writer); an undeclared key
+    from the declarations (canonical.generated_writer); an undeclared key
     raises UnsupportedValue."""
     kind, picked = key if isinstance(key, tuple) else (key, None)
     if kind == "send" and picked in CHANNELS:
@@ -129,8 +129,8 @@ def _line_writer(key: str | tuple[str, str]) -> Callable[[Event], bytes]:
     else:
         raise UnsupportedValue(f"undeclared event {key!r}")
     name = "/".join(key) if isinstance(key, tuple) else key
-    return line_writer(f"<coopattest line {name}>",
-                       record_shape(f"{kind} event", Event, kind=kind, payload=payload))
+    return generated_writer(f"<coopattest line {name}>",
+                            record_shape(f"{kind} event", Event, kind=kind, payload=payload), "line")
 
 
 def _line(event: Event) -> bytes:

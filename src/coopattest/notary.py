@@ -228,13 +228,10 @@ class Notary:
 
     def save_state(self, path: str | Path) -> None:
         """Write the whole state to *path* atomically; load_state reads it."""
-        write_canonical(path, record_bytes(NotaryState, {
-            "notary_id": self.notary_id, "key_seed": self.key_seed,
-            "jurisdiction": self.jurisdiction, "compatible": self.compatible,
-            "issuers": tuple(self.issuers),
-            "archive": self._entries, "audit": self.audit_log,
-            "rejections": self.rejection_log,
-        }))
+        write_canonical(path, record_bytes(NotaryState, NotaryState(
+            self.notary_id, self.key_seed, self.jurisdiction, self.compatible,
+            tuple(self.issuers), tuple(self._entries), tuple(self.audit_log),
+            tuple(self.rejection_log))))
 
     @classmethod
     def load_state(cls, path: str | Path) -> "Notary":

@@ -217,9 +217,9 @@ class Exchange:
     # --- evaluation ----------------------------------------------------------------
 
     def evaluate_transfer(self, transfer_id: str, now: int) -> TransferDecision:
-        """Verify the attestation on file for the transfer, revalidate it,
-        then apply the disclosure policy.  A transfer whose attestation fails
-        any verification or revalidation step never reaches the accepted state."""
+        """Look the beneficiary account up, verify the attestation on file for
+        the transfer, revalidate it, then apply the disclosure policy.  A
+        transfer that fails any of these steps never reaches the accepted state."""
         req = self._incoming.get(transfer_id)
         csa = self._on_file.get(transfer_id)
         if req is None or csa is None:
@@ -230,17 +230,17 @@ class Exchange:
 
     def _decide(self, req: TransferRequest, csa: CounterSignedAttestation,
                 now: int) -> TransferDecision:
+        # At every amount, before the notary is asked: an unknown account sends it nothing.
+        beneficiary_name = self._kyc_names.get(req.beneficiary_account)
+        if beneficiary_name is None:
+            return TransferDecision(REJECTED, "unknown-beneficiary")
+
         _, why = vouch(self, csa, now)
         if why != "valid":
             return TransferDecision(REJECTED, why)
 
         if req.amount < self.disclosure_threshold:
             return TransferDecision(ACCEPTED, "below-threshold")
-
-        # Checked before the notary is asked: a transfer to no known account discloses no one.
-        beneficiary_name = self._kyc_names.get(req.beneficiary_account)
-        if beneficiary_name is None:
-            raise UnknownAccount(f"beneficiary {req.beneficiary_account!r} not on the KYC registry")
         disclosure = request_disclosure(self, self.notaries[csa.notary_id],
                                         csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome == OUTCOME_DENIED:

@@ -61,25 +61,29 @@ def ledger_from_records(ledger_id, writer_public_key, records):
 
 # --- the bytes each signature covers, written apart from the signing code ----------
 #
-# The signer every signed record shares writes its signed text and its
-# whole text from one encoding (canonical.record_texts) and keeps what its
-# checks read; these write the same bytes from the field values, through
-# record_bytes.
+# The signer every signed record shares writes its body's entries once, and
+# joins them into its signed text and, with its signature's and id's entries,
+# its whole text (canonical.record_entries); it keeps what its checks read.
+# These write the same bytes from the field values, through record_bytes, of a
+# record whose signature is a placeholder that the signed bytes leave out.
+_NO_SIGNATURE = crypto.Signature(b"", crypto.ZERO_DIGEST, "")
+
 
 def countersign_bytes(blinded, notary_id, notary_key_id, countersigned_at):
     """The bytes the notary signature covers: the unmodified embedded blinded
     attestation plus the envelope metadata."""
     return record_bytes(
         CounterSignedAttestation,
-        dict(blinded=blinded, notary_id=notary_id, notary_key_id=notary_key_id,
-             countersigned_at=countersigned_at),
+        CounterSignedAttestation(blinded, notary_id, notary_key_id, countersigned_at,
+                                 _NO_SIGNATURE),
         CounterSignedAttestation._UNSIGNED,
     )
 
 
 def record_signing_bytes(index, prev_digest, payload):
     """The bytes a ledger writer signs for the record at *index*."""
-    return record_bytes(LedgerRecord, dict(index=index, prev_digest=prev_digest, payload=payload),
+    return record_bytes(LedgerRecord,
+                        LedgerRecord(index, prev_digest, payload, crypto.ZERO_DIGEST, _NO_SIGNATURE),
                         LedgerRecord._UNSIGNED)
 
 

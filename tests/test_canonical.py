@@ -1,5 +1,6 @@
 """Canonical encoding: determinism, injectivity, and parser strictness."""
 
+import copy
 import dataclasses
 import hashlib
 import sys
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopattest import crypto
 from coopattest.attestation import (
     AttributeClaim,
     BlindedAttestation,
     CounterSignedAttestation,
     PlainAttestation,
     SubjectRef,
+    _Signed,
     blind,
     canonical_bytes,
     countersign,
@@ -24,7 +27,9 @@ from coopattest.canonical import (
     MAX_DEPTH,
     canonical_parse,
     canonical_serialize,
+    join_entries,
     record_bytes,
+    record_entries,
     record_from_map,
 )
 from coopattest.cooperative import CooperativeState, IssuanceEntry, MemberRecord
@@ -925,23 +930,34 @@ def reference_record_bytes(cls, values, omit):
     return canonical_serialize(reference_map(cls, values, omit))
 
 
+def wire_key(f):
+    return f.metadata.get("key", f.name)
+
+
+def has_optional(cls):
+    return any(type(None) in typing.get_args(tp) for tp in typing.get_type_hints(cls).values())
+
+
 @given(st.sampled_from(WRITTEN).flatmap(lambda written: st.tuples(
-    st.just(written),
-    # A record, or the dict of its field values, as the program passes both.
-    RECORD_STRATEGIES[written[0]].flatmap(lambda record: st.sampled_from([record, vars(record)])))))
+    st.just(written), RECORD_STRATEGIES[written[0]])))
 @settings(max_examples=300)
 def test_record_bytes_matches_the_map_path(case):
-    (cls, omit), values = case
+    (cls, omit), record = case
     try:
-        expected = reference_record_bytes(cls, values, omit)
+        expected = reference_record_bytes(cls, record, omit)
     except UnsupportedValue:
         with pytest.raises(UnsupportedValue):
-            record_bytes(cls, values, omit)
+            record_bytes(cls, record, omit)
         return
     # The second call splices the texts the first one memoised on the
     # attestations inside the record.
-    assert record_bytes(cls, values, omit) == expected
-    assert record_bytes(cls, values, omit) == expected
+    assert record_bytes(cls, record, omit) == expected
+    assert record_bytes(cls, record, omit) == expected
+    # The entries of the same fields, given as a dict, as a signer gives its body.
+    if not has_optional(cls):
+        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)
+                  if wire_key(f) not in omit}
+        assert join_entries(record_entries(cls, values, omit)).encode() == expected
 
 
 @given(st.sampled_from(list(RECORD_STRATEGIES)).flatmap(
@@ -954,6 +970,65 @@ def test_records_decode_to_themselves(case):
     except UnsupportedValue:
         return
     assert record_from_map(cls, canonical_parse(data)) == record
+
+
+class _Text(str):
+    pass
+
+
+def _is_record(tp):
+    return (dataclasses.is_dataclass(tp) and not hasattr(tp, "_SCALAR")
+            or typing.get_origin(tp) is typing.Union)
+
+
+# For a field of each declared type, a value that its decoder refuses: a
+# bool for an int, a str subclass for a str, bytes for a Digest, and a record
+# of another class for a record or a Union of them.
+_WRONG = [(lambda tp: tp in (int, int | None), True),
+          (lambda tp: tp in (str, str | None), _Text("x")),
+          (lambda tp: tp is Digest, bytes(32)),
+          (lambda tp: _is_record(tp) and tp is not RecordPointer, RecordPointer("ledger", 0))]
+
+
+def _refusals():
+    """(class, field, wrong value) for the first field that each record class
+    declares of each type in _WRONG, but the fields a signer makes."""
+    for cls in RECORD_STRATEGIES:
+        hints = typing.get_type_hints(cls)
+        made = (getattr(cls, "_SIGNATURE", None), getattr(cls, "_ID", None))
+        for declared, value in _WRONG:
+            f = next((f for f in dataclasses.fields(cls)
+                      if f.name not in made and declared(hints[f.name])), None)
+            if f is not None:
+                yield pytest.param(cls, f, value,
+                                   id=f"{cls.__name__}-{f.name}-{type(value).__name__}")
+
+
+def test_every_record_class_has_a_refusal():
+    assert {param.values[0] for param in _refusals()} == set(RECORD_STRATEGIES)
+
+
+@pytest.mark.parametrize("cls, field, value", list(_refusals()))
+@given(data=st.data())
+@settings(max_examples=5)
+def test_a_value_not_of_its_declared_type_is_refused(cls, field, value, data):
+    """A record holding it is written by no writer, and a signer refuses it
+    before it signs; the refusal names the class and the key."""
+    record = data.draw(RECORD_STRATEGIES[cls])
+    wrong = copy.copy(record)
+    object.__setattr__(wrong, field.name, value)
+    refusal = f"^{cls.__name__} key '{wire_key(field)}' must be "
+    with pytest.raises(UnsupportedValue, match=refusal):
+        record_bytes(cls, wrong)
+    if issubclass(cls, _Signed):
+        body = {f.name: getattr(wrong, f.name) for f in dataclasses.fields(cls)
+                if f.name not in (cls._SIGNATURE, cls._ID)}
+        signed = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crypto, "sign", lambda *args: signed.append(args))
+            with pytest.raises(UnsupportedValue, match=refusal):
+                cls._sign(keygen(b"signer"), body)
+        assert signed == []
 
 
 # --- the field kinds of the state records ------------------------------------------

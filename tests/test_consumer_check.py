@@ -14,7 +14,7 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import countersign
-from coopattest.cooperative import Cooperative, MemberRecord
+from coopattest.cooperative import Cooperative, MemberRecord, Status
 from coopattest.dsn import FilterDecision, Post, Provider
 from coopattest.ledger import AttestationRecord, PostRecord
 from coopattest.notary import Notary
@@ -110,6 +110,14 @@ def _unwitnessed(world, csa):
     return countersign(blinded, world.notary.keypair, "notary-1", 10)
 
 
+def _expired_at_its_notary(world, csa):
+    """A notary whose cooperative answers ``expired``, stubbed: under the
+    harness that answer cannot follow a passed signatures stage, which sees
+    the same ``expires_at`` at the same tick."""
+    world.notary.revocation_source = lambda attestation_id, now: Status.EXPIRED
+    return csa
+
+
 # Each row: how the attestation or the consumers are set up (from a world
 # and a valid attestation issued at tick 10, expiring at 100), the tick of
 # the verdict, then the provider's reason, the exchange's reason, and
@@ -127,6 +135,7 @@ ROWS = {
                            "attestation-invalid", "unknown-notary", False),
     "revoked": (lambda w, csa: w.coop.revoke(csa.blinded.attestation_id, 15) or csa, 20,
                 "attestation-revoked", "revoked", True),
+    "expired at its notary": (_expired_at_its_notary, 20, "attestation-expired", "expired", True),
     "unknown to its notary": (_unwitnessed, 20, "attestation-invalid", "unknown", True),
     "valid": (lambda w, csa: csa, 20, "attested", "below-threshold", True),
 }

@@ -30,7 +30,6 @@ from coopattest.errors import (
     ConfigInvalid,
     DecodeError,
     ScriptActionFailed,
-    UnknownAccount,
     UnsupportedValue,
 )
 from coopattest.harness import (
@@ -438,15 +437,18 @@ class TestRunScenario:
         assert excinfo.value.tick == 3
         assert excinfo.value.action["action"] == "register"
 
-    def test_an_unknown_beneficiary_is_found_before_the_notary_is_asked(self):
+    @pytest.mark.parametrize("amount", [2_000_000, 5], ids=["above-threshold", "below-threshold"])
+    def test_an_unknown_beneficiary_is_found_before_the_notary_is_asked(self, amount):
         raw = canonical_parse(bundled_scenario_path("travel_rule_disclosure").read_bytes())
         mutate(raw, ("script", 3, "beneficiary_account"), "nobody")
+        mutate(raw, ("script", 3, "amount"), amount)
         scenario = Scenario(ScenarioConfig.from_map(raw))
-        with pytest.raises(ScriptActionFailed) as excinfo:
-            scenario.run()
-        assert isinstance(excinfo.value.cause, UnknownAccount)
+        scenario.run()
+        assert [(e.payload["outcome"], e.payload["reason"])
+                for e in events_of(scenario.log, "transfer-decision")] == [
+            ("rejected", "unknown-beneficiary")]
         assert [e for e in events_of(scenario.log, "send")
-                if e.payload["channel"] == "disclosure-request"] == []
+                if e.payload["to"] in scenario.notaries and e.tick >= 5] == []
         assert all(notary.audit_log == [] for notary in scenario.notaries.values())
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -500,6 +502,8 @@ class TestRunScenario:
              "queries": ["age-over-18"], "mode": "absent", "ttl": 15, "label": "b1"},
             {"at": 2, "action": "register", "exchange": "E1", "account": "acct-b",
              "attestation": "b1"},
+            {"at": 2, "action": "register", "exchange": "E2", "account": "acct-z",
+             "name": "zed-legal-0003"},
             {"at": 3, "action": "revoke", "coop": "coop2", "attestation": "b1"},
             {"at": 4, **transfer, "transfer_id": "t-a", "originator_account": "acct-a"},
             {"at": 4, **transfer, "transfer_id": "t-b", "originator_account": "acct-b"},

@@ -182,8 +182,9 @@ _SIGNING_MEMOS = {
 }
 
 
-# Every writer of a record's text; a call writes each of the record's fields once.
-_RECORD_WRITERS = ("record_bytes", "record_text", "record_texts")
+# Every writer of a record's text; a call writes each of the record's fields once,
+# but the fields a signer makes after it, which entry_text writes.
+_RECORD_WRITERS = ("record_bytes", "record_text", "record_entries")
 
 
 class TestMemosMadeAtSigning:
@@ -246,6 +247,10 @@ class TestMemosMadeAtSigning:
             for module in (canonical, attestation):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counting)
+        made = collections.Counter()
+        real_entry_text = canonical.entry_text
+        monkeypatch.setattr(attestation, "entry_text", lambda cls, attr, value: made.update(
+            [(cls, attr)]) or real_entry_text(cls, attr, value))
         signed = []
         real_sign = crypto.sign
         monkeypatch.setattr(crypto, "sign", lambda key, tag, message: signed.append(tag)
@@ -262,6 +267,10 @@ class TestMemosMadeAtSigning:
         assert ledger.verify_chain()
         assert dict(written) == {PlainAttestation: 1, BlindedAttestation: 1,
                                  CounterSignedAttestation: 1, LedgerRecord: 2}
+        assert dict(made) == {
+            (PlainAttestation, "issuer_signature"): 1, (PlainAttestation, "attestation_id"): 1,
+            (BlindedAttestation, "issuer_signature"): 1, (BlindedAttestation, "attestation_id"): 1,
+            (CounterSignedAttestation, "notary_signature"): 1, (LedgerRecord, "writer_signature"): 2}
         # Every signature is made and checked as before: one check per ledger record.
         assert signed == [crypto.TAG_PLAIN, crypto.TAG_BLINDED, crypto.TAG_COUNTER,
                           crypto.TAG_LEDGER, crypto.TAG_LEDGER]
