@@ -420,8 +420,9 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
     declared type, exactly (``True`` is not an ``int``), a map that is not
     a ``dict`` or whose keys are not exactly its declared ones, and text in
     a line that UTF-8 cannot encode raise UnsupportedValue naming the record
-    or map and the key.  The source is kept in ``linecache`` under
-    *filename*, so a traceback through it shows the line."""
+    or map and the key, and of a list, tuple, frozenset or dict as declared
+    its first wrong item, by index, key or (in a frozenset) type.  The source
+    is kept in ``linecache`` under *filename*, so a traceback shows the line."""
     namespace = {"_plain": _NEEDS_ESCAPE.search, "_sub": _NEEDS_ESCAPE.sub, "_escape": _escape,
                  "_text": _encode_text, "_hex": _encode_bytes, "_join": ",".join,
                  "_encode": _encode, "_BOOL": ("false", "true"), "_Refused": UnsupportedValue}
@@ -482,12 +483,19 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
             entries.append((key, value if optional else None,
                             [text, *_text_source(tp, value, namespace)]))
             where = full if top else f"m[{attr!r}]"
-            type_name = tp.__name__ if typing.get_origin(tp) is None else str(tp)
-            wrong = f"{shape.name} key {key!r} must be {type_name}" \
+            wrong = f"{shape.name} key {key!r} must be {_type_name(tp)}" \
                     f"{' or None' if optional else ''}, not "
             test = _test_source(tp, where, namespace)
-            own += [f"if not ({where} is None or {test}):" if optional else f"if not ({test}):",
-                    f"    raise _Refused({wrong!r} + type({where}).__name__)"]
+            own.append(f"if not ({where} is None or {test}):" if optional else f"if not ({test}):")
+            origin, args = typing.get_origin(tp), typing.get_args(tp)
+            if origin in (list, tuple, frozenset, dict):
+                item, named = args[origin is dict], "" if origin is frozenset else " + ' ' + repr(i)"
+                pairs = f"{where}.items()" if origin is dict else f"enumerate({where})"
+                own += [f"    if type({where}) is {origin.__name__}:", f"        for i, x in {pairs}:",
+                        f"            if not ({_test_source(item, 'x', namespace)}):",
+                        f"                raise _Refused({f'{shape.name} key {key!r} item'!r}{named}"
+                        f" + {f' must be {_type_name(item)}, not '!r} + type(x).__name__)"]
+            own.append(f"    raise _Refused({wrong!r} + type({where}).__name__)")
         return entries, own + nested
 
     entries, refusals = visit(shape, "record", "record", form != "entries")
@@ -547,6 +555,10 @@ def _test_source(tp: Any, value: str, namespace: dict) -> str:
     if not isinstance(tp, type) or namespace.setdefault(tp.__name__, tp) is not tp:
         raise TypeError(f"no writer for {tp!r}")
     return f"type({value}) is {tp.__name__}"
+
+
+def _type_name(tp: Any) -> str:
+    return tp.__name__ if typing.get_origin(tp) is None else str(tp)
 
 
 def _text_source(tp: Any, value: str, namespace: dict) -> list[tuple[bool, str]]:

@@ -133,10 +133,6 @@ class UnknownTransfer(CoopAttestError):
     pass
 
 
-class NoAttestationOnFile(CoopAttestError):
-    pass
-
-
 class NotDisclosed(CoopAttestError):
     pass
 

@@ -747,10 +747,7 @@ class Scenario:
             amount=action["amount"],
             requested_at=self.now,
         )
-        origin.originate_transfer(req)
-        beneficiary = self.exchanges[req.beneficiary_exchange]
-        beneficiary.request_attestation(origin, req.transfer_id)
-        beneficiary.evaluate_transfer(req.transfer_id, self.now)
+        origin.originate_transfer(req, self.now)
 
     def _do_post(self, action: dict) -> None:
         provider = self.providers[action["provider"]]

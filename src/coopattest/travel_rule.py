@@ -1,18 +1,20 @@
 """Exchange actors implementing the funds travel-rule flow.
 
 An originator registers a countersigned blinded attestation with its
-exchange.  When a transfer reaches the beneficiary exchange, that
-exchange requests the attestation out-of-band from the origin exchange
-(a direct, ordered, private channel, never the ledger), judges it with
-``notary.vouch`` as a DSN provider judges a post's attestation, and only
-when the amount crosses the policy threshold demands identity disclosure
-and assembles the five-field customer-information record:
+exchange.  A transfer is one chain of calls, as a post is: the origin
+exchange sends it, and the beneficiary exchange fetches the attestation
+from the origin over a direct, ordered, private channel (never the
+ledger), judges it with ``notary.vouch`` as a DSN provider judges a post's
+attestation, and only when the amount crosses the policy threshold demands
+identity disclosure and assembles the five-field customer-information record:
 
     originator name / originator account / originator address-or-id /
     beneficiary name / beneficiary account.
 
 Below the threshold, the transfer is accepted with no disclosure request
-ever leaving the exchange; the originator stays anonymous.
+ever leaving the exchange; the originator stays anonymous.  Above it, an
+attestation with no residence claim, which cannot fill the record, is
+rejected before the notary is asked.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     DuplicateAccount,
     DuplicateTransfer,
     MissingResidenceAttribute,
-    NoAttestationOnFile,
     NotDisclosed,
     UnknownAccount,
     UnknownTransfer,
@@ -145,8 +146,6 @@ class Exchange:
         self._customers: dict[str, CounterSignedAttestation] = {}
         self._kyc_names: dict[str, str] = {}
         self._outgoing: dict[str, TransferRequest] = {}
-        self._incoming: dict[str, TransferRequest] = {}
-        self._on_file: dict[str, CounterSignedAttestation] = {}
         self._emit = no_emit
 
     # --- registration -----------------------------------------------------------
@@ -181,7 +180,7 @@ class Exchange:
 
     # --- transfer flow ------------------------------------------------------------
 
-    def originate_transfer(self, req: TransferRequest) -> None:
+    def originate_transfer(self, req: TransferRequest, now: int) -> TransferDecision:
         if req.originator_account not in self._customers:
             raise UnknownAccount(req.originator_account)
         if req.transfer_id in self._outgoing:
@@ -192,10 +191,16 @@ class Exchange:
                 f"exchange {req.beneficiary_exchange!r} not reachable from {self.name!r}")
         self._outgoing[req.transfer_id] = req
         send_message(self, peer, "transfer", vars(req))
-        peer.receive_transfer(req)
+        return peer.receive_transfer(self, req, now)
 
-    def receive_transfer(self, req: TransferRequest) -> None:
-        self._incoming[req.transfer_id] = req
+    def receive_transfer(self, origin: "Exchange", req: TransferRequest,
+                         now: int) -> TransferDecision:
+        """Beneficiary side: fetch the attestation from *origin*, and judge the transfer on it."""
+        send_message(self, origin, "attestation-request", {"transfer_id": req.transfer_id})
+        csa = origin.provide_attestation(req.transfer_id)
+        send_message(origin, self, "attestation-delivery",
+                     {"transfer_id": req.transfer_id, "attestation": csa})
+        return self.evaluate_transfer(req, csa, now)
 
     def provide_attestation(self, transfer_id: str) -> CounterSignedAttestation:
         """Origin side of the out-of-band attestation exchange."""
@@ -204,28 +209,13 @@ class Exchange:
             raise UnknownTransfer(transfer_id)
         return self._customers[req.originator_account]
 
-    def request_attestation(self, origin: "Exchange", transfer_id: str) -> CounterSignedAttestation:
-        """Beneficiary side: fetch the originator's attestation over the
-        direct channel and keep it on file for evaluation."""
-        send_message(self, origin, "attestation-request", {"transfer_id": transfer_id})
-        csa = origin.provide_attestation(transfer_id)
-        send_message(origin, self, "attestation-delivery",
-                     {"transfer_id": transfer_id, "attestation": csa})
-        self._on_file[transfer_id] = csa
-        return csa
-
     # --- evaluation ----------------------------------------------------------------
 
-    def evaluate_transfer(self, transfer_id: str, now: int) -> TransferDecision:
-        """Look the beneficiary account up, verify the attestation on file for
-        the transfer, revalidate it, then apply the disclosure policy.  A
-        transfer that fails any of these steps never reaches the accepted state."""
-        req = self._incoming.get(transfer_id)
-        csa = self._on_file.get(transfer_id)
-        if req is None or csa is None:
-            raise NoAttestationOnFile(transfer_id)
+    def evaluate_transfer(self, req: TransferRequest, csa: CounterSignedAttestation,
+                          now: int) -> TransferDecision:
+        """The verdict on *req* by the delivered *csa*, logged as a transfer-decision."""
         decision = self._decide(req, csa, now)
-        self._emit("transfer-decision", {"transfer_id": transfer_id, **vars(decision)})
+        self._emit("transfer-decision", {"transfer_id": req.transfer_id, **vars(decision)})
         return decision
 
     def _decide(self, req: TransferRequest, csa: CounterSignedAttestation,
@@ -241,6 +231,9 @@ class Exchange:
 
         if req.amount < self.disclosure_threshold:
             return TransferDecision(ACCEPTED, "below-threshold")
+        # No record can be assembled without residence: ask the notary for no identity.
+        if all(claim.name != RESIDENCE_ATTRIBUTE for claim in csa.blinded.attributes):
+            return TransferDecision(REJECTED, "missing-residence")
         disclosure = request_disclosure(self, self.notaries[csa.notary_id],
                                         csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome == OUTCOME_DENIED:

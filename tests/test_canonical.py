@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -25,8 +27,10 @@ from coopattest.attestation import (
 )
 from coopattest.canonical import (
     MAX_DEPTH,
+    Shape,
     canonical_parse,
     canonical_serialize,
+    generated_writer,
     join_entries,
     record_bytes,
     record_entries,
@@ -1052,6 +1056,29 @@ def test_frozenset_is_written_sorted():
     state = NotaryState("n", b"k", "US", compatible=frozenset({"US", "EU", "AU", "CH"}))
     assert canonical_parse(record_bytes(NotaryState, state))["compatible"] == ["AU", "CH", "EU", "US"]
     assert b'"compatible":["AU","CH","EU","US"]' in record_bytes(NotaryState, state)
+
+
+def _list_writer(value):
+    shape = Shape("Codes", (("codes", "codes", list[str], False),))
+    return generated_writer("<coopattest text Codes>", shape, "text")(value)
+
+
+@pytest.mark.parametrize("write, value, refusal", [
+    (_list_writer, types.SimpleNamespace(codes=["US", 1]), "Codes key 'codes' item 1 must be str, not int"),
+    (functools.partial(record_bytes, NotaryState), NotaryState("n", b"k", "US", issuers=(b"x", "y")),
+     "NotaryState key 'issuers' item 1 must be bytes, not str"),
+    (functools.partial(record_bytes, CooperativeState),
+     CooperativeState("c", b"k", "n", revoked={"ab": 1, "cd": True}),
+     "CooperativeState key 'revoked' item 'cd' must be int, not bool"),
+    (functools.partial(record_bytes, NotaryState),
+     NotaryState("n", b"k", "US", compatible=frozenset({"US", 5})),
+     "NotaryState key 'compatible' item must be str, not int"),
+], ids=["list", "tuple", "dict", "frozenset"])
+def test_a_wrong_item_of_a_container_as_declared_is_named(write, value, refusal):
+    """By its index in a list or tuple, its key in a dict, and its type alone
+    in a frozenset."""
+    with pytest.raises(UnsupportedValue, match=f"^{refusal}$"):
+        write(value)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -83,10 +83,8 @@ class World:
         attestation on file at the origin is *csa*."""
         self.e1.register_customer("acct-alice", self.issue(), 10)
         self.e1.inject_attestation("acct-alice", csa)
-        self.e1.originate_transfer(
-            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, now))
-        self.e2.request_attestation(self.e1, "t1")
-        return self.e2.evaluate_transfer("t1", now)
+        return self.e1.originate_transfer(
+            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, now), now)
 
 
 def _only_keys(world, *public_keys):

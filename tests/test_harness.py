@@ -451,6 +451,57 @@ class TestRunScenario:
                 if e.payload["to"] in scenario.notaries and e.tick >= 5] == []
         assert all(notary.audit_log == [] for notary in scenario.notaries.values())
 
+    def test_a_transfer_whose_attestation_holds_no_residence_asks_for_no_identity(self):
+        """Above the threshold, an attestation with no residence claim cannot
+        fill a travel record: the transfer is rejected, and the notary is
+        never asked to disclose."""
+        raw = config_map(minimal_config())
+        raw["script"][0]["queries"] = ["age-over-18"]
+        raw["script"] += [{"at": 2, "action": "register", "exchange": "E2",
+                           "account": "acct-b", "name": "bob-legal-0002"},
+                          {**TRANSFER, "amount": 1000}]
+        config = ScenarioConfig.from_map(raw)
+        assert validate_config(config) == []
+        scenario = Scenario(config)
+        log = scenario.run()
+        assert [(e.payload["outcome"], e.payload["reason"])
+                for e in events_of(log, "transfer-decision")] == [("rejected", "missing-residence")]
+        assert [e for e in events_of(log, "send")
+                if e.payload["channel"] in ("disclosure-request", "disclosure-response")] == []
+        assert scenario.notaries["notary1"].audit_log == []
+
+    @pytest.mark.parametrize("name", [*bundled_scenario_names(), "travel_churn"])
+    def test_each_transfer_is_judged_on_the_one_attestation_delivered_for_it(self, name):
+        """In every golden log and the travel benchmark workload, each
+        transfer has exactly one attestation-delivery before its decision,
+        and the revalidation and disclosure-request its beneficiary sends
+        name that delivered attestation's blinded id."""
+        if name in bundled_scenario_names():
+            log = EventLog.from_bytes((GOLDEN_DIR / f"{name}.log").read_bytes())
+        else:
+            log = run_scenario(tiny_benchmark_workload(name))
+        transfer = beneficiary = delivered = None
+        judged = 0
+        for event in log.events:
+            if event.kind == "transfer-decision":
+                assert (event.actor, event.payload["transfer_id"]) == (beneficiary, transfer)
+                assert delivered is not None
+                transfer, judged = None, judged + 1
+            if event.kind != "send":
+                continue
+            channel, body = event.payload["channel"], event.payload["body"]
+            if channel == "transfer":
+                assert transfer is None
+                transfer, beneficiary, delivered = body["transfer_id"], event.payload["to"], None
+            elif channel == "attestation-delivery":
+                assert (body["transfer_id"], delivered) == (transfer, None)
+                delivered = body["attestation"].blinded.attestation_id.value
+            elif channel in ("revalidation", "disclosure-request") and transfer is not None:
+                assert (event.actor, body["attestation_id"]) == (beneficiary, delivered)
+        assert transfer is None
+        assert judged == len([e for e in events_of(log, "action")
+                              if e.payload["action"] == "transfer"])
+
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_replay_is_byte_identical(self, name):
         config = ScenarioConfig.load(bundled_scenario_path(name))

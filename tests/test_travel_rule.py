@@ -12,7 +12,6 @@ from coopattest.errors import (
     DuplicateTransfer,
     InvalidAttestation,
     MissingResidenceAttribute,
-    NoAttestationOnFile,
     NotDisclosed,
     UnknownAccount,
     UnknownTransfer,
@@ -78,9 +77,7 @@ class Stack:
             beneficiary_account="acct-bob", beneficiary_exchange="E2",
             asset="coin", amount=amount, requested_at=now,
         )
-        self.e1.originate_transfer(req)
-        self.e2.request_attestation(self.e1, transfer_id)
-        return self.e2.evaluate_transfer(transfer_id, now)
+        return self.e1.originate_transfer(req, now)
 
 
 class TestRegistration:
@@ -115,39 +112,39 @@ class TestTransferPlumbing:
         stack = Stack()
         stack.registered()
         req = TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
-        stack.e1.originate_transfer(req)
-        assert stack.e2._incoming["t1"] == req
+        decision = stack.e1.originate_transfer(req, 20)
+        assert (decision.outcome, decision.reason) == (ACCEPTED, "below-threshold")
 
     def test_unknown_account(self):
         stack = Stack()
         with pytest.raises(UnknownAccount):
             stack.e1.originate_transfer(
-                TransferRequest("t1", "ghost", "acct-bob", "E2", "coin", 100, 20)
+                TransferRequest("t1", "ghost", "acct-bob", "E2", "coin", 100, 20), 20
             )
 
     def test_duplicate_transfer_id(self):
         stack = Stack()
         stack.registered()
         req = TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
-        stack.e1.originate_transfer(req)
+        stack.e1.originate_transfer(req, 20)
         with pytest.raises(DuplicateTransfer):
-            stack.e1.originate_transfer(req)
+            stack.e1.originate_transfer(req, 20)
 
     def test_attestation_request_is_byte_faithful(self):
         stack = Stack()
         registered_csa = stack.registered()
+        delivered = []  # the origin sends the delivery
+        stack.e1._emit = lambda kind, payload: delivered.extend(
+            [payload["body"]["attestation"]] if payload["channel"] == "attestation-delivery" else [])
         stack.e1.originate_transfer(
-            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
+            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20), 20
         )
-        fetched = stack.e2.request_attestation(stack.e1, "t1")
-        assert canonical_bytes(fetched) == canonical_bytes(registered_csa)
-        # Idempotent read.
-        assert stack.e2.request_attestation(stack.e1, "t1") == fetched
+        assert [canonical_bytes(csa) for csa in delivered] == [canonical_bytes(registered_csa)]
 
     def test_unknown_transfer(self):
         stack = Stack()
         with pytest.raises(UnknownTransfer):
-            stack.e2.request_attestation(stack.e1, "nope")
+            stack.e1.provide_attestation("nope")
 
     def test_amount_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -209,13 +206,18 @@ class TestEvaluation:
             csa, blinded=dataclasses.replace(csa.blinded, legal_rep_id="evil")
         )
         stack.e1.inject_attestation("acct-alice", forged)
-        stack.e1.originate_transfer(
-            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
-        )
-        stack.e2.request_attestation(stack.e1, "t1")
-        decision = stack.e2.evaluate_transfer("t1", 20)
+        decision = stack.transfer(amount=100)
         assert decision.outcome == REJECTED
         assert decision.reason == "verification-failed"
+
+    def test_no_residence_claim_is_rejected_before_any_disclosure(self):
+        stack = Stack()
+        csa = stack.issue_csa(queries=("age-over-18",))
+        stack.e1.register_customer("acct-alice", csa, 10)
+        assert stack.transfer(amount=100).reason == "below-threshold"
+        decision = stack.transfer(amount=THRESHOLD, transfer_id="t2")
+        assert (decision.outcome, decision.reason) == (REJECTED, "missing-residence")
+        assert stack.notary.audit_log == []
 
     def test_unknown_notary_rejected(self):
         stack = Stack()
@@ -223,12 +225,6 @@ class TestEvaluation:
         stack.e2.notaries = {}
         decision = stack.transfer(amount=100)
         assert (decision.outcome, decision.reason) == (REJECTED, "unknown-notary")
-
-    def test_no_attestation_on_file(self):
-        stack = Stack()
-        stack.registered()
-        with pytest.raises(NoAttestationOnFile):
-            stack.e2.evaluate_transfer("never-seen", 20)
 
     def test_rejection_safety_matrix(self):
         """No fault variant ever reaches the accepted state."""
@@ -247,11 +243,7 @@ class TestEvaluation:
                     csa, blinded=dataclasses.replace(csa.blinded, issued_at=9,
                                                      expires_at=999999)
                 ))
-            stack.e1.originate_transfer(
-                TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, now)
-            )
-            stack.e2.request_attestation(stack.e1, "t1")
-            decision = stack.e2.evaluate_transfer("t1", now)
+            decision = stack.transfer(amount=5, now=now)
             assert decision.outcome == REJECTED, fault
 
     @pytest.mark.parametrize("outcome", [HELD, REJECTED])
