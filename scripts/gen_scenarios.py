@@ -53,10 +53,16 @@ def travel_base(beneficiary_jurisdiction="US"):
     }
 
 
-def travel_script(amount, revoke_between=False, tamper_between=False):
+# Every rule a cooperative derives an attribute by.
+ALL_QUERIES = ["age-over-18", "residence-country", "income-bracket",
+               "membership-in-good-standing"]
+
+
+def travel_script(amount, revoke_between=False, tamper_between=False,
+                  queries=("age-over-18", "residence-country")):
     script = [
         {"at": 1, "action": "issue", "coop": "coop1", "member": "alice",
-         "queries": ["age-over-18", "residence-country"], "mode": "absent",
+         "queries": list(queries), "mode": "absent",
          "ttl": 40, "label": "att-alice"},
         {"at": 2, "action": "register", "exchange": "E1", "account": "acct-alice",
          "attestation": "att-alice"},
@@ -103,6 +109,12 @@ def scenario_travel_rule_tampered():
 def scenario_travel_rule_jurisdiction():
     config = travel_base(beneficiary_jurisdiction="XX")
     config["script"] = travel_script(amount=2_000_000)
+    return config
+
+
+def scenario_travel_rule_all_rules():
+    config = travel_base()
+    config["script"] = travel_script(amount=2_000_000, queries=ALL_QUERIES)
     return config
 
 
@@ -210,6 +222,7 @@ SCENARIOS = {
     "travel_rule_revoked": scenario_travel_rule_revoked,
     "travel_rule_jurisdiction": scenario_travel_rule_jurisdiction,
     "travel_rule_tampered": scenario_travel_rule_tampered,
+    "travel_rule_all_rules": scenario_travel_rule_all_rules,
     "dsn_bot_flood": scenario_dsn_bot_flood,
     "dsn_duplicate_digest": scenario_dsn_duplicate_digest,
     "dsn_recovery": scenario_dsn_recovery,

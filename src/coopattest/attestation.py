@@ -285,6 +285,28 @@ class CounterSignedAttestation(_Artifact):
         if not self.notary_id:
             raise EmptyNotaryId("countersignature must name its legal point of contact")
 
+    def _signed_under(self, issuer_public_key: bytes, notary_public_key: bytes,
+                      now: int) -> bool:
+        """True iff ``verify_countersigned``'s report at tick *now* under these
+        keys is ``signed``: every flag passed but, perhaps, the expiry.
+
+        A success is remembered under the exact pair of key bytes, a failure
+        never, as ``_signature_verifies`` remembers a key.  Those three flags
+        are functions of the frozen record and of the key bytes alone, so a
+        remembered pair is the verdict a new report would give, at any tick;
+        a hit builds no report.
+        """
+        keys = (issuer_public_key, notary_public_key)
+        signed = self.__dict__.get("_signed_keys", ())
+        exact = type(issuer_public_key) is bytes and type(notary_public_key) is bytes
+        if exact and keys in signed:
+            return True
+        if not verify_countersigned(self, issuer_public_key, notary_public_key, now).signed:
+            return False
+        if exact:
+            self.__dict__["_signed_keys"] = signed + (keys,)
+        return True
+
 
 Attestation = Union[PlainAttestation, BlindedAttestation, CounterSignedAttestation]
 
@@ -445,8 +467,10 @@ class VerificationReport(_Checks):
     not_expired: bool
 
     @property
-    def expired_only(self) -> bool:
-        return self.failing() == ["not_expired"]
+    def signed(self) -> bool:
+        """Every flag but ``not_expired`` passed: the flags that depend on the
+        record and the keys, not on the tick."""
+        return self.failing() in ([], ["not_expired"])
 
 
 def verify_countersigned(

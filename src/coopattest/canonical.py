@@ -421,8 +421,9 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
     a ``dict`` or whose keys are not exactly its declared ones, and text in
     a line that UTF-8 cannot encode raise UnsupportedValue naming the record
     or map and the key, and of a list, tuple, frozenset or dict as declared
-    its first wrong item, by index, key or (in a frozenset) type.  The source
-    is kept in ``linecache`` under *filename*, so a traceback shows the line."""
+    its first wrong item, by index, key or (in a frozenset, first by type
+    name) type.  The source is kept in ``linecache`` under *filename*, so a
+    traceback shows the line."""
     namespace = {"_plain": _NEEDS_ESCAPE.search, "_sub": _NEEDS_ESCAPE.sub, "_escape": _escape,
                  "_text": _encode_text, "_hex": _encode_bytes, "_join": ",".join,
                  "_encode": _encode, "_BOOL": ("false", "true"), "_Refused": UnsupportedValue}
@@ -490,7 +491,10 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
             origin, args = typing.get_origin(tp), typing.get_args(tp)
             if origin in (list, tuple, frozenset, dict):
                 item, named = args[origin is dict], "" if origin is frozenset else " + ' ' + repr(i)"
-                pairs = f"{where}.items()" if origin is dict else f"enumerate({where})"
+                # A frozenset's items in an order the hash seed does not set: by type name.
+                pairs = f"{where}.items()" if origin is dict else \
+                    f"enumerate(sorted({where}, key=lambda x: type(x).__name__))" \
+                    if origin is frozenset else f"enumerate({where})"
                 own += [f"    if type({where}) is {origin.__name__}:", f"        for i, x in {pairs}:",
                         f"            if not ({_test_source(item, 'x', namespace)}):",
                         f"                raise _Refused({f'{shape.name} key {key!r} item'!r}{named}"

@@ -587,10 +587,8 @@ class Scenario:
     # --- construction ---------------------------------------------------------
 
     def _bind(self, actor) -> None:
-        name = actor.name
-        actor._emit = lambda kind, payload: self.log.append(
-            Event(self.now, name, kind, payload)
-        )
+        name, append = actor.name, self.log.events.append
+        actor._emit = lambda kind, payload: append(Event(self.now, name, kind, payload))
 
     def _actor_seed(self, role: str, name: str) -> bytes:
         return b"%s/%s/%s" % (self.config.seed, role.encode(), name.encode())

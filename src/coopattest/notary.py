@@ -260,19 +260,32 @@ class Notary:
 VOUCH_STAGES = ("signatures", "notary", "revalidation")   # vouch's stages, in order
 
 
-def _verify(requester, csa: CounterSignedAttestation, now: int):
-    """*csa*'s signatures checked at tick *now*; None if *requester* lacks a key."""
-    keys = requester.keys.get(csa.blinded.issuer_key_id), requester.keys.get(csa.notary_key_id)
-    return None if None in keys else verify_countersigned(csa, *keys, now)
+def _keys(requester, csa: CounterSignedAttestation) -> tuple[bytes | None, bytes | None]:
+    """*csa*'s issuer and notary public keys in *requester*'s directory, each
+    None if it lacks that key."""
+    keys = requester.keys
+    return keys.get(csa.blinded.issuer_key_id), keys.get(csa.notary_key_id)
+
+
+def _signatures(requester, csa: CounterSignedAttestation, now: int) -> str | None:
+    """None if *csa* passes vouch's signatures stage at tick *now*, else why
+    not: ``verification-failed`` or ``expired``.  Once *csa* is ``signed``
+    under a key pair, a check under that pair compares *now* with its expiry
+    and nothing else."""
+    issuer_key, notary_key = _keys(requester, csa)
+    if issuer_key is None or notary_key is None or \
+            not csa._signed_under(issuer_key, notary_key, now):
+        return "verification-failed"
+    return None if now < csa.blinded.expires_at else "expired"
 
 
 def require_verified(requester, csa: CounterSignedAttestation, now: int) -> None:
     """Raise InvalidAttestation unless *csa* passes vouch's signatures stage
     at tick *now*, as a consumer registering it requires."""
-    report = _verify(requester, csa, now)
-    if report is None or not report.passed:
-        raise InvalidAttestation("issuer or notary key unknown" if report is None
-                                 else f"failing checks: {report.failing()}")
+    if _signatures(requester, csa, now) is not None:
+        keys = _keys(requester, csa)
+        raise InvalidAttestation("issuer or notary key unknown" if None in keys else
+                                 f"failing checks: {verify_countersigned(csa, *keys, now).failing()}")
 
 
 def vouch(requester, csa: CounterSignedAttestation, now: int) -> tuple[str, str]:
@@ -280,10 +293,9 @@ def vouch(requester, csa: CounterSignedAttestation, now: int) -> tuple[str, str]
     ``verification-failed`` or ``expired`` (signatures), ``unknown-notary``
     (notary), or the status the notary named in *csa* gives it (revalidation),
     which is ``valid`` when that notary vouches for it to *requester*."""
-    report = _verify(requester, csa, now)
-    if report is None or not report.passed:
-        expired = report is not None and report.expired_only
-        return "signatures", "expired" if expired else "verification-failed"
+    refusal = _signatures(requester, csa, now)
+    if refusal is not None:
+        return "signatures", refusal
     notary = requester.notaries.get(csa.notary_id)
     if notary is None:
         return "notary", "unknown-notary"

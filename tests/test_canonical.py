@@ -819,7 +819,7 @@ COMMITTED_FILES = sorted([*_ROOT.glob("tests/goldens/*.log"), *_ROOT.glob("tests
 
 def test_committed_files_are_all_there():
     suffixes = [path.suffix for path in COMMITTED_FILES]
-    assert (suffixes.count(".log"), suffixes.count(".state"), suffixes.count(".scn")) == (17, 2, 9)
+    assert (suffixes.count(".log"), suffixes.count(".state"), suffixes.count(".scn")) == (18, 2, 10)
 
 
 @pytest.mark.parametrize("path", COMMITTED_FILES, ids=lambda path: str(path.relative_to(_ROOT)))
@@ -1073,10 +1073,14 @@ def _list_writer(value):
     (functools.partial(record_bytes, NotaryState),
      NotaryState("n", b"k", "US", compatible=frozenset({"US", 5})),
      "NotaryState key 'compatible' item must be str, not int"),
-], ids=["list", "tuple", "dict", "frozenset"])
+    (functools.partial(record_bytes, NotaryState),
+     NotaryState("n", b"k", "US", compatible=frozenset({1, b"x", b"y", 2.5})),
+     "NotaryState key 'compatible' item must be str, not bytes"),
+], ids=["list", "tuple", "dict", "frozenset", "frozenset-of-three-wrong-types"])
 def test_a_wrong_item_of_a_container_as_declared_is_named(write, value, refusal):
     """By its index in a list or tuple, its key in a dict, and its type alone
-    in a frozenset."""
+    in a frozenset, the first of its wrong items by type name, whatever the
+    hash seed."""
     with pytest.raises(UnsupportedValue, match=f"^{refusal}$"):
         write(value)
 

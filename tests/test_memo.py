@@ -2,7 +2,10 @@
 once per frozen object, and no memo can change a verdict."""
 
 import collections
+import contextlib
 import dataclasses
+import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,9 @@ from coopattest.attestation import (
     verify_pair,
 )
 from coopattest.canonical import canonical_parse, canonical_serialize
+from coopattest.cooperative import Status
+from coopattest.errors import InvalidAttestation
+from coopattest.events import no_emit
 from coopattest.harness import (
     ScenarioConfig,
     bundled_scenario_names,
@@ -35,6 +41,7 @@ from coopattest.ledger import (
     LedgerRecord,
     PostRecord,
 )
+from coopattest.notary import Notary, require_verified, vouch
 
 from conftest import (
     countersign_bytes,
@@ -344,6 +351,159 @@ class TestSignatureMemo:
         for _ in range(2):
             assert verify_countersigned(csa, key, notary_key.public_key, 20).issuer_signature
         assert [type(c[0]) for c in verify_calls].count(KeyBytes) == 2
+
+
+class _KeyBytes(bytes):
+    """Key bytes of a type other than ``bytes``: a pair holding one is never
+    remembered."""
+
+
+_STRANGER = crypto.keygen(b"memo-stranger")
+_ISSUED_AT, _EXPIRES_AT = 10, 100
+
+
+@contextlib.contextmanager
+def _counting_verifies():
+    """The number of crypto.verify calls made inside the block, as a list of
+    one; a property counts with it, since hypothesis shares a function-scoped
+    fixture such as ``verify_calls`` between its examples."""
+    count = [0]
+    real = crypto.verify
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "verify", counting)
+        yield count
+
+
+def _witnessed():
+    """An attestation a notary witnessed and countersigned, and that notary,
+    whose cooperative answers ``valid`` for it."""
+    notary = Notary("notary-1", b"memo-notary", "US", frozenset(),
+                    revocation_source=lambda attestation_id, now: Status.VALID)
+    notary.issuers.add(_ISSUER.public_key)
+    plain = build_plain(SubjectRef.legal("alice-legal-0001"),
+                        [AttributeClaim("age-over-18", "true", "pds-rule:age-over-18")], _ISSUER,
+                        "notary-1", _ISSUED_AT, _EXPIRES_AT, b"n" * 32)
+    blinded = blind(plain, SubjectRef.handle("@alice"), _ISSUER)
+    return notary.witness_and_countersign(plain, blinded, _ISSUED_AT), notary
+
+
+def _flipped(signature):
+    return dataclasses.replace(signature, data=bytes([signature.data[0] ^ 1]) + signature.data[1:])
+
+
+def _tampered(csa, tamper):
+    """*csa* with one check made to fail; the notary countersigns a changed
+    blinded attestation afresh, so that only the issuer's checks fail."""
+    if tamper == "notary-signature":
+        return dataclasses.replace(csa, notary_signature=_flipped(csa.notary_signature))
+    blinded = csa.blinded
+    if tamper == "issuer-signature":
+        blinded = dataclasses.replace(blinded, issuer_signature=_flipped(blinded.issuer_signature))
+    elif tamper == "blinded-id":
+        blinded = dataclasses.replace(blinded, attestation_id=crypto.digest(b"another id"))
+    else:
+        return csa
+    return countersign(blinded, _NOTARY, csa.notary_id, csa.countersigned_at)
+
+
+def _requester(notary, issuer_key, notary_key):
+    """A consumer whose directory answers *issuer_key* and *notary_key* for
+    the issuer's and the notary's key ids, each left out if None."""
+    keys = {key_id: key for key_id, key in ((_ISSUER.key_id, issuer_key),
+                                            (_NOTARY.key_id, notary_key)) if key is not None}
+    return types.SimpleNamespace(name="consumer", keys=keys, notaries={notary.notary_id: notary},
+                                 _emit=no_emit)
+
+
+def _fresh(csa):
+    """A copy of *csa*, and of its blinded attestation, with no memo."""
+    return dataclasses.replace(csa, blinded=dataclasses.replace(csa.blinded))
+
+
+class TestKeyPairMemo:
+    """A countersigned attestation remembers each key pair under which its
+    signatures stage passed, and vouch gives the verdict a new report would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(missing=st.sampled_from([None, "issuer", "notary"]), exact=st.booleans(),
+           tamper=st.sampled_from([None, "issuer-signature", "notary-signature", "blinded-id"]),
+           now=st.one_of(st.integers(_ISSUED_AT, _EXPIRES_AT - 1), st.just(_EXPIRES_AT),
+                         st.integers(_EXPIRES_AT + 1, 2**40)),
+           history=st.sampled_from(["fresh", "vouched under these keys",
+                                    "vouched under another pair"]),
+           times=st.integers(1, 3))
+    def test_vouch_answers_as_the_readme_row_and_the_report(self, missing, exact, tamper, now,
+                                                            history, times):
+        csa, notary = _witnessed()
+        csa = _tampered(csa, tamper)
+        key = _KeyBytes if not exact else bytes
+        issuer_key = None if missing == "issuer" else key(_ISSUER.public_key)
+        notary_key = None if missing == "notary" else key(_NOTARY.public_key)
+        requester = _requester(notary, issuer_key, notary_key)
+
+        # README "Consumer verdicts": an unknown key, a failed check and an
+        # expiry each stop at the signatures; else the notary, asked, says valid.
+        if missing or tamper:
+            row = ("signatures", "verification-failed")
+        elif now >= _EXPIRES_AT:
+            row = ("signatures", "expired")
+        else:
+            row = ("revalidation", "valid")
+        if not missing:
+            report = verify_countersigned(_fresh(csa), issuer_key, notary_key, now)
+            implied = ("revalidation", "valid") if report.passed else \
+                ("signatures", "expired" if report.signed else "verification-failed")
+            assert implied == row
+
+        if history == "vouched under these keys":
+            vouch(requester, csa, _ISSUED_AT)
+        elif history == "vouched under another pair":
+            assert vouch(_requester(notary, _STRANGER.public_key, _NOTARY.public_key), csa,
+                         now)[1] == "verification-failed"
+        for _ in range(times):
+            assert vouch(requester, csa, now) == row
+        # Registration asks for the signatures stage alone, and words a refusal by the report.
+        if row[0] == "signatures":
+            words = "issuer or notary key unknown" if missing else \
+                f"failing checks: {report.failing()}"
+            with pytest.raises(InvalidAttestation, match=f"^{re.escape(words)}$"):
+                require_verified(requester, csa, now)
+        else:
+            require_verified(requester, csa, now)
+        # A pair is remembered only when it passed, and both keys are bytes.
+        signed = not missing and not tamper
+        remembered = ((issuer_key, notary_key),) if signed and exact else ()
+        assert vars(csa).get("_signed_keys", ()) == remembered
+
+        # On an attestation with no memo, vouch's first check makes the
+        # Ed25519 calls of one report, and once the pair is remembered no more.
+        with _counting_verifies() as by_report:
+            if not missing:
+                verify_countersigned(_fresh(csa), issuer_key, notary_key, now)
+        fresh = _fresh(csa)
+        with _counting_verifies() as by_first:
+            vouch(requester, fresh, now)
+        with _counting_verifies() as by_rest:
+            for _ in range(times):
+                vouch(requester, fresh, now)
+        assert by_first == by_report
+        if remembered:
+            assert by_rest == [0]
+
+    def test_a_key_of_another_type_is_checked_in_full_after_its_bytes_passed(self):
+        csa, notary = _witnessed()
+        valid = ("revalidation", "valid")
+        assert vouch(_requester(notary, _ISSUER.public_key, _NOTARY.public_key), csa, 20) == valid
+        requester = _requester(notary, _KeyBytes(_ISSUER.public_key), _NOTARY.public_key)
+        with _counting_verifies() as count:
+            assert vouch(requester, csa, 20) == valid
+        # The issuer signature is checked again; the notary's, under bytes, is remembered.
+        assert count == [1]
 
 
 class TestRunLevel:

@@ -63,10 +63,11 @@ UNUSED_IMPORTS = {
     "harness.canonical_serialize":
         "perfbench/smoke.py checks that its tracing wraps the name in harness",
     "dsn.verify_countersigned":
-        "perfbench/smoke.py checks that its tracing wraps the name in dsn; notary.vouch calls it",
+        "perfbench/smoke.py checks that its tracing wraps the name in dsn; notary.vouch "
+        "reaches it on a key pair's first check",
     "travel_rule.verify_countersigned":
         "perfbench/smoke.py checks that its tracing wraps the name in travel_rule; "
-        "notary.vouch calls it",
+        "notary.vouch reaches it on a key pair's first check",
 }
 
 
