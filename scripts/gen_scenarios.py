@@ -15,14 +15,14 @@ OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "coopattest" / "scena
 THRESHOLD = 1_000_000
 
 
-def member(member_id, identity, handle=None):
+def member(member_id, identity, handle=None, income=50_000):
     record = {
         "member_id": member_id,
         "legal_identity": identity,
         "personal_data": {
             "date-of-birth": -9000,
             "residence": "NL",
-            "income": 50_000,
+            "income": income,
             "standing": "good",
         },
     }
@@ -59,11 +59,11 @@ ALL_QUERIES = ["age-over-18", "residence-country", "income-bracket",
 
 
 def travel_script(amount, revoke_between=False, tamper_between=False,
-                  queries=("age-over-18", "residence-country")):
+                  queries=("age-over-18", "residence-country"), ttl=40):
     script = [
         {"at": 1, "action": "issue", "coop": "coop1", "member": "alice",
          "queries": list(queries), "mode": "absent",
-         "ttl": 40, "label": "att-alice"},
+         "ttl": ttl, "label": "att-alice"},
         {"at": 2, "action": "register", "exchange": "E1", "account": "acct-alice",
          "attestation": "att-alice"},
         {"at": 2, "action": "register", "exchange": "E2", "account": "acct-bob",
@@ -115,6 +115,15 @@ def scenario_travel_rule_jurisdiction():
 def scenario_travel_rule_all_rules():
     config = travel_base()
     config["script"] = travel_script(amount=2_000_000, queries=ALL_QUERIES)
+    return config
+
+
+def scenario_travel_rule_expired():
+    """A member in the top income band, whose attestation expires at tick 4,
+    before the transfer at tick 5 is judged."""
+    config = travel_base()
+    config["cooperatives"][0]["members"] = [member("alice", "alice-legal-0001", income=150_000)]
+    config["script"] = travel_script(amount=500, queries=["income-bracket"], ttl=3)
     return config
 
 
@@ -204,6 +213,16 @@ def scenario_dsn_recovery():
     return config
 
 
+def scenario_dsn_expired():
+    """A post published at tick 10 by a sender whose attestation expired at tick 6."""
+    config = dsn_base(senders=1)
+    script = dsn_onboard_script(1, ttl=5)
+    script.append({"at": 10, "action": "post", "provider": "P1", "handle": "@s0",
+                   "body": "written after the attestation ran out"})
+    config["script"] = script
+    return config
+
+
 def scenario_dsn_port():
     config = dsn_base(senders=1)
     script = dsn_onboard_script(1)
@@ -223,10 +242,12 @@ SCENARIOS = {
     "travel_rule_jurisdiction": scenario_travel_rule_jurisdiction,
     "travel_rule_tampered": scenario_travel_rule_tampered,
     "travel_rule_all_rules": scenario_travel_rule_all_rules,
+    "travel_rule_expired": scenario_travel_rule_expired,
     "dsn_bot_flood": scenario_dsn_bot_flood,
     "dsn_duplicate_digest": scenario_dsn_duplicate_digest,
     "dsn_recovery": scenario_dsn_recovery,
     "dsn_port": scenario_dsn_port,
+    "dsn_expired": scenario_dsn_expired,
 }
 
 

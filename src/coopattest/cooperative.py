@@ -130,8 +130,9 @@ class Cooperative:
         self._nonce_counter = 0
         self._members: dict[str, MemberRecord] = {}
         self._issuances: list[IssuanceEntry] = []
-        self._by_id: dict[Digest, IssuanceEntry] = {}   # either half's id -> its pair
-        self._revoked: dict[Digest, int] = {}   # attestation id -> tick it was revoked at
+        # Keyed by an attestation id's bytes, which hash in C, a Digest in Python.
+        self._by_id: dict[bytes, IssuanceEntry] = {}   # either half's id -> its pair
+        self._revoked: dict[bytes, int] = {}   # attestation id -> tick it was revoked at
         self._emit = no_emit
 
     @property
@@ -229,25 +230,26 @@ class Cooperative:
 
     def _log_issuance(self, entry: IssuanceEntry) -> None:
         self._issuances.append(entry)
-        self._by_id[entry.plain.attestation_id] = entry
-        self._by_id[entry.blinded.attestation_id] = entry
+        self._by_id[entry.plain.attestation_id.value] = entry
+        self._by_id[entry.blinded.attestation_id.value] = entry
 
     # --- revocation and revalidation ---------------------------------------------
 
     def revoke(self, attestation_id: Digest, at: int) -> None:
         """Revoke an issued attestation; both halves of the pair are marked."""
-        entry = self._by_id.get(attestation_id)
+        entry = self._by_id.get(attestation_id.value)
         if entry is None:
             raise UnknownAttestation(attestation_id.hex())
         for half in (entry.plain, entry.blinded):
             # A revoked id is never un-revoked and keeps its first tick.
-            self._revoked.setdefault(half.attestation_id, at)
+            self._revoked.setdefault(half.attestation_id.value, at)
 
     def revalidation_status(self, attestation_id: Digest, now: int) -> Status:
-        entry = self._by_id.get(attestation_id)
+        key = attestation_id.value
+        entry = self._by_id.get(key)
         if entry is None:
             return Status.UNKNOWN
-        revoked_at = self._revoked.get(attestation_id)
+        revoked_at = self._revoked.get(key)
         if revoked_at is not None and revoked_at <= now:
             return Status.REVOKED
         if now >= entry.blinded.expires_at:
@@ -260,7 +262,7 @@ class Cooperative:
         """Write the whole state to *path* atomically; load_state reads it."""
         write_canonical(path, record_bytes(CooperativeState, CooperativeState(
             self.name, self.key_seed, self.legal_rep_id, tuple(self._members.values()),
-            tuple(self._issuances), {d.hex(): tick for d, tick in self._revoked.items()},
+            tuple(self._issuances), {key.hex(): tick for key, tick in self._revoked.items()},
             self._nonce_counter, self.nonce_seed)))
 
     @classmethod
@@ -276,6 +278,7 @@ class Cooperative:
             coop.register_member(member)
         for entry in state.issuances:
             coop._log_issuance(entry)
-        coop._revoked = {Digest.from_hex(hex_id): tick for hex_id, tick in state.revoked.items()}
+        coop._revoked = {Digest.from_hex(hex_id).value: tick
+                         for hex_id, tick in state.revoked.items()}
         coop._nonce_counter = state.nonce_counter
         return coop

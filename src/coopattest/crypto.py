@@ -170,18 +170,22 @@ def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature) -
 class KeyDirectory:
     """Public-key lookup by key id.  Public keys are public; every actor in
     a scenario shares one directory, and a notary keeps one more, of the
-    cooperatives it represents."""
+    cooperatives it represents.
+
+    ``get(key_id.value)`` is the public key whose id is *key_id*, None if
+    the directory lacks it.  It takes the id's bytes, never the Digest
+    (which it does not find): a consumer check looks two keys up, and bytes
+    hash and compare in C where a Digest does both in Python.  ``get`` is
+    the map's own, with no frame of its own."""
 
     def __init__(self) -> None:
-        self._keys: dict[Digest, bytes] = {}
+        self._keys: dict[bytes, bytes] = {}
+        self.get = self._keys.get
 
     def add(self, public_key: bytes) -> Digest:
         key_id = digest(public_key)
-        self._keys[key_id] = public_key
+        self._keys[key_id.value] = public_key
         return key_id
-
-    def get(self, key_id: Digest) -> bytes | None:
-        return self._keys.get(key_id)
 
     def __iter__(self) -> Iterator[bytes]:
         """The public keys, in the order they were first added."""

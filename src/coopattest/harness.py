@@ -33,7 +33,7 @@ from .canonical import Shape, canonical_parse, generated_writer, record_from_map
 from .canonical import write_canonical_parts
 # Not called here: the benchmark's smoke test checks its tracing wraps this name here.
 from .canonical import canonical_serialize  # noqa: F401
-from .cooperative import QUERIES, Cooperative, MemberRecord, Status
+from .cooperative import QUERIES, Cooperative, MemberRecord
 from .crypto import KeyDirectory, KeyPair
 from .dsn import Post, Provider, recovery_message
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
@@ -622,16 +622,11 @@ class Scenario:
                     member["member_id"], member["legal_identity"], member["personal_data"],
                     member.get("handle")))
             self.keys.add(coop.public_key)
-            self.notaries[coop.legal_rep_id].issuers.add(coop.public_key)
+            # Its notary forwards each revalidation of what it issued to it.
+            self.notaries[coop.legal_rep_id].represent(coop.public_key, coop.revalidation_status)
             self._bind(coop)
             self.coops[entry["name"]] = coop
             self._coop_by_key_id[coop.keypair.key_id] = coop
-
-        # A notary forwards revalidation queries to whichever of its
-        # cooperatives issued the attestation.
-        for notary in self.notaries.values():
-            served = [c for c in self.coops.values() if c.legal_rep_id == notary.notary_id]
-            notary.revocation_source = self._multi_coop_source(served)
 
         self.exchanges: dict[str, Exchange] = {}
         for entry in config.exchanges:
@@ -660,16 +655,6 @@ class Scenario:
             self.providers[entry["name"]] = provider
         for provider in self.providers.values():
             provider.peers = {n: p for n, p in self.providers.items() if n != provider.name}
-
-    @staticmethod
-    def _multi_coop_source(coops: list[Cooperative]):
-        def source(attestation_id, now):
-            for coop in coops:
-                status = coop.revalidation_status(attestation_id, now)
-                if status is not Status.UNKNOWN:
-                    return status
-            return Status.UNKNOWN
-        return source
 
     # --- run -------------------------------------------------------------------
 

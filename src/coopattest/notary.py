@@ -7,10 +7,11 @@ whether the attributes are true; it only witnesses that a matching pair
 signed by the cooperative exists.  Because it holds the plain artifact
 it can later answer identity-disclosure requests, gated on jurisdiction
 compatibility, and revalidation requests, which it forwards to the
-cooperative that issued the attestation: the cooperative is the one
-revocation authority.  Its consumers' round trips are here
-too, with ``vouch``: the one check by which a DSN provider and a
-travel-rule exchange trust a countersigned attestation.
+cooperative that issued the attestation, found by the issuer key id its
+archive entry holds: the cooperative is the one revocation authority.
+Its consumers' round trips are here too, with ``vouch``: the one check by
+which a DSN provider and a travel-rule exchange trust a countersigned
+attestation.
 """
 
 from __future__ import annotations
@@ -119,25 +120,22 @@ class Notary:
         key_seed: bytes,
         jurisdiction: str,
         compatible: frozenset[str],
-        *,
-        revocation_source: Callable[[Digest, int], Status] | None = None,
     ) -> None:
         self.notary_id = notary_id
+        self.name = notary_id   # what send_message logs, read on every send to the notary
         self.key_seed = key_seed
         self.keypair = crypto.keygen(key_seed)
         self.jurisdiction = jurisdiction
         self.compatible = compatible   # requester jurisdictions it discloses to
         self.issuers = crypto.KeyDirectory()   # the cooperatives it represents
-        self.revocation_source = revocation_source
+        # Issuer key id bytes -> where revalidations of what it issued go (represent).
+        self._revocation_sources: dict[bytes, Callable[[Digest, int], Status]] = {}
         self._entries: list[ArchiveEntry] = []
-        self._by_id: dict[Digest, ArchiveEntry] = {}   # either half's id -> its entry
+        # Either half's id bytes -> its entry; bytes hash in C, a Digest in Python.
+        self._by_id: dict[bytes, ArchiveEntry] = {}
         self.audit_log: list[AuditEntry] = []
         self.rejection_log: list[RejectionEntry] = []
         self._emit = no_emit
-
-    @property
-    def name(self) -> str:
-        return self.notary_id
 
     @property
     def public_key(self) -> bytes:
@@ -157,7 +155,7 @@ class Notary:
         and leaves no trace.  Other rejections leave the archive untouched
         and land in a separate rejection log.
         """
-        issuer_public_key = self.issuers.get(blinded.issuer_key_id)
+        issuer_public_key = self.issuers.get(blinded.issuer_key_id.value)
         if issuer_public_key is None:
             raise InvalidAttestation(
                 f"issuer key {blinded.issuer_key_id.hex()} not in the notary's directory")
@@ -177,20 +175,30 @@ class Notary:
 
     def _archive(self, entry: ArchiveEntry) -> None:
         self._entries.append(entry)
-        self._by_id[entry.blinded.attestation_id] = entry
-        self._by_id[entry.plain.attestation_id] = entry
+        self._by_id[entry.blinded.attestation_id.value] = entry
+        self._by_id[entry.plain.attestation_id.value] = entry
 
     # --- revalidation -----------------------------------------------------------
 
+    def represent(self, public_key: bytes,
+                  revocation_source: Callable[[Digest, int], Status]) -> None:
+        """Witness for the cooperative whose key is *public_key*, and forward
+        each revalidation of an attestation it issued to *revocation_source*,
+        its ``revalidation_status``."""
+        self._revocation_sources[self.issuers.add(public_key).value] = revocation_source
+
     def respond_revalidation(self, attestation_id: Digest, now: int) -> Status:
         """UNKNOWN for an attestation this notary never witnessed; else what
-        ``revocation_source``, the issuing cooperative, answers; with no
-        source (as loaded from a state file), NoRevocationSource."""
-        if attestation_id not in self._by_id:
+        the revocation source of its issuer answers; with none (as for an
+        issuer a notary loaded from a state file witnesses for),
+        NoRevocationSource."""
+        entry = self._by_id.get(attestation_id.value)
+        if entry is None:
             return Status.UNKNOWN
-        if self.revocation_source is None:
+        source = self._revocation_sources.get(entry.blinded.issuer_key_id.value)
+        if source is None:
             raise NoRevocationSource(f"no revocation source for attestation {attestation_id.hex()}")
-        return self.revocation_source(attestation_id, now)
+        return source(attestation_id, now)
 
     # --- disclosure -----------------------------------------------------------
 
@@ -206,7 +214,7 @@ class Notary:
         audited, honored or not; denied responses carry no identity."""
         if purpose not in PURPOSES:
             raise ValueError(f"unknown disclosure purpose {purpose!r}")
-        entry = self._by_id.get(attestation_id)
+        entry = self._by_id.get(attestation_id.value)
         if entry is None:
             outcome = OUTCOME_UNKNOWN
             response = DisclosureResponse(outcome=outcome)
@@ -260,30 +268,26 @@ class Notary:
 VOUCH_STAGES = ("signatures", "notary", "revalidation")   # vouch's stages, in order
 
 
-def _keys(requester, csa: CounterSignedAttestation) -> tuple[bytes | None, bytes | None]:
-    """*csa*'s issuer and notary public keys in *requester*'s directory, each
-    None if it lacks that key."""
-    keys = requester.keys
-    return keys.get(csa.blinded.issuer_key_id), keys.get(csa.notary_key_id)
-
-
 def _signatures(requester, csa: CounterSignedAttestation, now: int) -> str | None:
-    """None if *csa* passes vouch's signatures stage at tick *now*, else why
-    not: ``verification-failed`` or ``expired``.  Once *csa* is ``signed``
-    under a key pair, a check under that pair compares *now* with its expiry
-    and nothing else."""
-    issuer_key, notary_key = _keys(requester, csa)
+    """None if *csa* passes vouch's signatures stage at tick *now*, under
+    its issuer and notary public keys in *requester*'s directory, else why
+    not: ``verification-failed`` (a key is missing, or the check failed) or
+    ``expired``.  Once *csa* is ``signed`` under a key pair, a check under
+    that pair compares *now* with its expiry and nothing else."""
+    blinded, get = csa.blinded, requester.keys.get
+    issuer_key, notary_key = get(blinded.issuer_key_id.value), get(csa.notary_key_id.value)
     if issuer_key is None or notary_key is None or \
             not csa._signed_under(issuer_key, notary_key, now):
         return "verification-failed"
-    return None if now < csa.blinded.expires_at else "expired"
+    return None if now < blinded.expires_at else "expired"
 
 
 def require_verified(requester, csa: CounterSignedAttestation, now: int) -> None:
     """Raise InvalidAttestation unless *csa* passes vouch's signatures stage
     at tick *now*, as a consumer registering it requires."""
     if _signatures(requester, csa, now) is not None:
-        keys = _keys(requester, csa)
+        get = requester.keys.get
+        keys = get(csa.blinded.issuer_key_id.value), get(csa.notary_key_id.value)
         raise InvalidAttestation("issuer or notary key unknown" if None in keys else
                                  f"failing checks: {verify_countersigned(csa, *keys, now).failing()}")
 
@@ -299,15 +303,15 @@ def vouch(requester, csa: CounterSignedAttestation, now: int) -> tuple[str, str]
     notary = requester.notaries.get(csa.notary_id)
     if notary is None:
         return "notary", "unknown-notary"
-    return "revalidation", revalidate(requester, notary, csa.blinded.attestation_id, now).value
+    return "revalidation", revalidate(requester, notary, csa.blinded.attestation_id, now)
 
 
-def revalidate(requester, notary: Notary, attestation_id: Digest, now: int) -> Status:
-    """The notary's status of *attestation_id* at tick *now*."""
+def revalidate(requester, notary: Notary, attestation_id: Digest, now: int) -> str:
+    """The value of the notary's status of *attestation_id* at tick *now*."""
     send_message(requester, notary, "revalidation", {"attestation_id": attestation_id.value})
-    status = notary.respond_revalidation(attestation_id, now)
+    status = notary.respond_revalidation(attestation_id, now).value
     send_message(notary, requester, "revalidation-status",
-                 {"attestation_id": attestation_id.value, "status": status.value})
+                 {"attestation_id": attestation_id.value, "status": status})
     return status
 
 

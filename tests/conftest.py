@@ -1,14 +1,20 @@
 import copy
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from coopattest import crypto
 from coopattest.attestation import AttributeClaim, CounterSignedAttestation, SubjectRef, build_plain
-from coopattest.canonical import canonical_serialize, record_bytes
+from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes
 from coopattest.errors import DecodeError
+from coopattest.harness import ScenarioConfig
 from coopattest.ledger import Ledger, LedgerRecord, PostRecord
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -36,6 +42,25 @@ def make_plain(issuer, identity="alice-legal-0001", claims=None, issued_at=10,
 def events_of(log, kind):
     """The events of *kind* in *log*, in order."""
     return [e for e in log.events if e.kind == kind]
+
+
+def benchmark_workloads():
+    """The benchmark's workload generators, ``perfbench/workloads.py``."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while being defined.
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    return workloads
+
+
+def tiny_benchmark_workload(name):
+    """The benchmark's generated scenario *name* at its smoke-test size."""
+    workloads = benchmark_workloads()
+    workload = workloads.generate(name, 7, workloads.TINY_SHAPES[name])
+    return ScenarioConfig.from_map(canonical_parse(canonical_serialize(workload.config)))
 
 
 def ledger_records(ledger):

@@ -33,9 +33,8 @@ class World:
     def __init__(self):
         self.keys = crypto.KeyDirectory()
         self.coop = Cooperative("coop1", b"coop1", "notary-1")
-        self.notary = Notary("notary-1", b"notary-1", "US", frozenset({"US"}),
-                             revocation_source=self.coop.revalidation_status)
-        self.notary.issuers.add(self.coop.public_key)
+        self.notary = Notary("notary-1", b"notary-1", "US", frozenset({"US"}))
+        self.notary.represent(self.coop.public_key, self.coop.revalidation_status)
         self.keys.add(self.coop.public_key)
         self.keys.add(self.notary.public_key)
         self.coop.register_member(MemberRecord(
@@ -112,7 +111,7 @@ def _expired_at_its_notary(world, csa):
     """A notary whose cooperative answers ``expired``, stubbed: under the
     harness that answer cannot follow a passed signatures stage, which sees
     the same ``expires_at`` at the same tick."""
-    world.notary.revocation_source = lambda attestation_id, now: Status.EXPIRED
+    world.notary.represent(world.coop.public_key, lambda attestation_id, now: Status.EXPIRED)
     return csa
 
 

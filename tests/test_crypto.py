@@ -75,7 +75,7 @@ def test_digest_equality_and_hash_are_those_of_its_bytes(a, b, same):
     decoded = record_from_map(crypto.Signature,
                               canonical_parse(record_bytes(crypto.Signature, signature)))
     assert decoded == signature and decoded.signer_key_id is not key_id
-    assert directory.get(decoded.signer_key_id) == a
+    assert directory.get(decoded.signer_key_id.value) == a
     assert (decoded.signer_key_id == other_id) is (a == b)
 
 
@@ -168,5 +168,6 @@ def test_key_directory_lookup():
     kp = keygen(b"dir")
     key_id = directory.add(kp.public_key)
     assert key_id == kp.key_id
-    assert directory.get(key_id) == kp.public_key
-    assert directory.get(digest(b"absent")) is None
+    assert directory.get(key_id.value) == kp.public_key
+    assert directory.get(digest(b"absent").value) is None
+    assert directory.get(key_id) is None   # the id's bytes are the key, not the Digest

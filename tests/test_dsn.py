@@ -62,9 +62,8 @@ class Stack:
         self.coop = Cooperative("coop1", b"coop1", "notary-1")
         self.notary = Notary(
             "notary-1", b"notary-1", "US", frozenset({"US", "EU"}),
-            revocation_source=self.coop.revalidation_status,
         )
-        self.notary.issuers.add(self.coop.public_key)
+        self.notary.represent(self.coop.public_key, self.coop.revalidation_status)
         self.keys.add(self.coop.public_key)
         self.keys.add(self.notary.public_key)
         self.ledgers = {}

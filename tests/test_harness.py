@@ -4,10 +4,8 @@ import copy
 import dataclasses
 import functools
 import gc
-import importlib.util
 import os
 import re
-import sys
 import tempfile
 import traceback
 import tracemalloc
@@ -49,11 +47,16 @@ from coopattest.cooperative import QUERIES
 from coopattest.crypto import Digest
 from coopattest.travel_rule import TravelRuleRecord
 
-from conftest import events_of, mutated, reference_log_bytes
+from conftest import (
+    benchmark_workloads,
+    events_of,
+    mutated,
+    reference_log_bytes,
+    tiny_benchmark_workload,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
-WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 TRANSFER = {"at": 3, "action": "transfer", "origin": "E1", "beneficiary_exchange": "E2",
             "transfer_id": "t1", "originator_account": "acct-a",
@@ -704,25 +707,6 @@ def check_reread(log, data):
     assert reread.events == log.events
     return sum(isinstance(value, ARTIFACTS)
                for event in events_of(reread, "send") for value in event.payload["body"].values())
-
-
-def benchmark_workloads():
-    """The benchmark's workload generators, ``perfbench/workloads.py``."""
-    workloads = sys.modules.get("perfbench_workloads")
-    if workloads is None:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up while being defined.
-        sys.modules[spec.name] = workloads
-        spec.loader.exec_module(workloads)
-    return workloads
-
-
-def tiny_benchmark_workload(name):
-    """The benchmark's generated scenario *name* at its smoke-test size."""
-    workloads = benchmark_workloads()
-    workload = workloads.generate(name, 7, workloads.TINY_SHAPES[name])
-    return ScenarioConfig.from_map(canonical_parse(canonical_serialize(workload.config)))
 
 
 # Every bundled scenario, then both benchmark workloads at their smoke-test size.

@@ -227,6 +227,7 @@ LEDGER_HEADS = {
     "dsn_bot_flood": {"P1": "298b52cfa2664b3ef6ddbb89a0beb1334f2e6045bebcd6b597ef12eb1f5328a0"},
     "dsn_duplicate_digest": {
         "P1": "77f8bc18d6a92dc429aceb720e87cd86860f1f61e44f272c081fdf3fcec932b0"},
+    "dsn_expired": {"P1": "c8bf5583bf89d9e4f57c36ba550ca0233fdd010365d26ab9684ec993f7eeeb4b"},
     "dsn_port": {"P1": "0396818593013cf32b50e546ca73705ba417de1892ec48acdc91cf4a82d97339",
                  "P3": "447c30fc49cbc8085be319b3edd2643ea36c31a20a8c7735bfed50d27e1d3ee6"},
     "dsn_recovery": {"P1": "9375f11e2601a6b6e66d198989abca1ca3281523c1c75c9cbb6b3c13be755c6f"},

@@ -382,9 +382,8 @@ def _counting_verifies():
 def _witnessed():
     """An attestation a notary witnessed and countersigned, and that notary,
     whose cooperative answers ``valid`` for it."""
-    notary = Notary("notary-1", b"memo-notary", "US", frozenset(),
-                    revocation_source=lambda attestation_id, now: Status.VALID)
-    notary.issuers.add(_ISSUER.public_key)
+    notary = Notary("notary-1", b"memo-notary", "US", frozenset())
+    notary.represent(_ISSUER.public_key, lambda attestation_id, now: Status.VALID)
     plain = build_plain(SubjectRef.legal("alice-legal-0001"),
                         [AttributeClaim("age-over-18", "true", "pds-rule:age-over-18")], _ISSUER,
                         "notary-1", _ISSUED_AT, _EXPIRES_AT, b"n" * 32)
@@ -414,8 +413,8 @@ def _tampered(csa, tamper):
 def _requester(notary, issuer_key, notary_key):
     """A consumer whose directory answers *issuer_key* and *notary_key* for
     the issuer's and the notary's key ids, each left out if None."""
-    keys = {key_id: key for key_id, key in ((_ISSUER.key_id, issuer_key),
-                                            (_NOTARY.key_id, notary_key)) if key is not None}
+    keys = {key_id.value: key for key_id, key in ((_ISSUER.key_id, issuer_key),
+                                                  (_NOTARY.key_id, notary_key)) if key is not None}
     return types.SimpleNamespace(name="consumer", keys=keys, notaries={notary.notary_id: notary},
                                  _emit=no_emit)
 

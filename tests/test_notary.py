@@ -29,10 +29,10 @@ from coopattest.notary import (
 
 from conftest import countersign_bytes, make_claims, make_plain, notary_archive
 
-def make_notary(*issuers, **kwargs):
-    """A notary in "US", disclosing to "US" and "EU", that represents each
+def make_notary(*issuers):
+    """A notary in "US", disclosing to "US" and "EU", that witnesses for each
     of *issuers* (key pairs or cooperatives)."""
-    notary = Notary("notary-1", b"test-notary", "US", frozenset({"US", "EU"}), **kwargs)
+    notary = Notary("notary-1", b"test-notary", "US", frozenset({"US", "EU"}))
     for issuer in issuers:
         notary.issuers.add(issuer.public_key)
     return notary
@@ -124,7 +124,8 @@ class TestRevalidation:
         """A notary that forwards to its cooperative, and the id of a
         blinded attestation it witnessed, valid over ticks [10, 100)."""
         coop = Cooperative("coop1", b"coop1", "notary-1")
-        notary = make_notary(coop, revocation_source=coop.revalidation_status)
+        notary = make_notary()
+        notary.represent(coop.public_key, coop.revalidation_status)
         coop.register_member(MemberRecord("alice", "alice-legal-0001",
                                           {"date-of-birth": -9000}))
         plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
@@ -147,16 +148,33 @@ class TestRevalidation:
     def test_an_archived_attestation_gets_the_source_s_answer(self, status):
         """Every revalidation of an archived attestation is one query to the
         source, whose answer the notary returns unchanged."""
-        notary, _, att_id = self._witnessed()
+        notary, coop, att_id = self._witnessed()
         asked = []
-        notary.revocation_source = lambda *query: asked.append(query) or status
+        notary.represent(coop.public_key, lambda *query: asked.append(query) or status)
         assert notary.respond_revalidation(att_id, 50) is status
         assert asked == [(att_id, 50)]
+
+    def test_a_revalidation_goes_to_the_source_of_its_issuer(self):
+        """A notary witnessing for two cooperatives forwards each revalidation
+        to the source its issuer key id names; for an issuer with none, it
+        raises."""
+        notary, _, att_id = self._witnessed()
+        other = Cooperative("coop2", b"coop2", "notary-1")
+        other.register_member(MemberRecord("bob", "bob-legal-0002", {"date-of-birth": -9000}))
+        plain, blinded = other.issue_blinded("bob", ["age-over-18"], "absent", 10, 90)
+        notary.issuers.add(other.public_key)
+        notary.witness_and_countersign(plain, blinded, now=10)
+        with pytest.raises(NoRevocationSource):
+            notary.respond_revalidation(blinded.attestation_id, 50)
+        notary.represent(other.public_key, lambda attestation_id, now: Status.REVOKED)
+        assert notary.respond_revalidation(blinded.attestation_id, 50) is Status.REVOKED
+        assert notary.respond_revalidation(att_id, 50) is Status.VALID
 
     def test_never_witnessed_is_not_forwarded(self):
         def source(attestation_id, now):
             raise AssertionError("the source was asked")
-        notary = make_notary(revocation_source=source)
+        notary = make_notary()
+        notary.represent(crypto.keygen(b"coop1").public_key, source)
         assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
 
     def test_a_notary_with_no_source_names_the_attestation(self, tmp_path):
