@@ -19,7 +19,7 @@ from .attestation import (
     write_attestation,
 )
 from .canonical import canonical_parse, canonical_serialize
-from .cooperative import Cooperative, MemberRecord, Status
+from .cooperative import Cooperative, MemberRecord
 from .crypto import Digest, KeyDirectory, KeyPair, Signature, digest, keygen, sign, verify
 from .dsn import FilterDecision, Post, Provider, SenderAccount
 from .harness import (
@@ -71,7 +71,6 @@ __all__ = [
     "ScenarioConfig",
     "SenderAccount",
     "Signature",
-    "Status",
     "SubjectRef",
     "TransferDecision",
     "TransferRequest",

@@ -88,7 +88,7 @@ class _Signed:
         return record_bytes(type(self), self, self._UNSIGNED)
 
     @cached_property
-    def _digest(self) -> Digest:
+    def _digest(self) -> bytes:
         """The digest of the complete canonical bytes: a blinded attestation
         carries its plain attestation's as ``plain_digest``, and a ledger
         record's successor chains to it."""

@@ -45,6 +45,7 @@ import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from .crypto import DIGEST_SIZE, Digest
 from .errors import CoopAttestError, DecodeError, UnsupportedValue
 
 # --- encoding ---------------------------------------------------------------
@@ -164,7 +165,7 @@ def write_canonical_parts(path: str | Path, parts: Iterable[bytes]) -> None:
 # ``metadata["key"]``, and its annotation picks its codec:
 #
 #   str, int, bool, bytes, dict  the value itself, of that canonical type;
-#   a class with ``_SCALAR``     its one field, a value of type ``_SCALAR``;
+#   crypto.Digest                bytes, exactly DIGEST_SIZE of them;
 #   a record                     the record's map;
 #   a Union of records           the map of the member whose ``_KIND`` it names;
 #   tuple[X, ...]                a list of the encodings of X;
@@ -189,8 +190,9 @@ def record_bytes(cls: type, record: Any, omit: tuple = ()) -> bytes:
 def record_text(cls: type, record: Any, omit: tuple = ()) -> str:
     """The canonical text of the *cls* record *record*, without the wire keys
     in *omit*.  A value that is not exactly of its field's declared type
-    (``True`` is not an ``int``, nor a ``str`` subclass a ``str``) raises
-    UnsupportedValue naming the class and the key."""
+    (``True`` is not an ``int``, nor a ``str`` subclass a ``str``, nor 31
+    bytes a ``Digest``) raises UnsupportedValue naming the class and the
+    key."""
     return _record_writer(cls, omit, "text")(record)
 
 
@@ -281,8 +283,13 @@ def _codec(tp: Any, where: str) -> tuple:
     *where* names the field in errors."""
     if tp in (str, int, bool, bytes, dict):
         return tp, None
-    if hasattr(tp, "_SCALAR"):
-        return tp._SCALAR, tp
+    if tp is Digest:
+        def decode_digest(value: bytes) -> bytes:
+            if len(value) != DIGEST_SIZE:
+                raise DecodeError(f"{where} must be {DIGEST_SIZE} bytes, not {len(value)}")
+            return value
+
+        return bytes, decode_digest
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp) or origin is typing.Union:
         return dict, _decoder(tp)
@@ -498,8 +505,9 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
                 own += [f"    if type({where}) is {origin.__name__}:", f"        for i, x in {pairs}:",
                         f"            if not ({_test_source(item, 'x', namespace)}):",
                         f"                raise _Refused({f'{shape.name} key {key!r} item'!r}{named}"
-                        f" + {f' must be {_type_name(item)}, not '!r} + type(x).__name__)"]
-            own.append(f"    raise _Refused({wrong!r} + type({where}).__name__)")
+                        f" + {f' must be {_type_name(item)}, not '!r}"
+                        f" + {_refused_source(item, 'x')})"]
+            own.append(f"    raise _Refused({wrong!r} + {_refused_source(tp, where)})")
         return entries, own + nested
 
     entries, refusals = visit(shape, "record", "record", form != "entries")
@@ -556,13 +564,25 @@ def _test_source(tp: Any, value: str, namespace: dict) -> str:
     if origin is dict:
         return f"(type({value}) is dict and all(type(k) is str and " \
                f"{_test_source(args[1], 'x', namespace)} for k, x in {value}.items()))"
+    if tp is Digest:
+        return f"(type({value}) is bytes and len({value}) == {DIGEST_SIZE})"
     if not isinstance(tp, type) or namespace.setdefault(tp.__name__, tp) is not tp:
         raise TypeError(f"no writer for {tp!r}")
     return f"type({value}) is {tp.__name__}"
 
 
 def _type_name(tp: Any) -> str:
+    if tp is Digest:
+        return f"{DIGEST_SIZE} bytes"
     return tp.__name__ if typing.get_origin(tp) is None else str(tp)
+
+
+def _refused_source(tp: Any, value: str) -> str:
+    """Source of what a refusal calls *value*, not of type *tp*: bytes
+    where a digest is by their length, anything else by its type."""
+    name = f"type({value}).__name__"
+    return f"(str(len({value})) + ' bytes' if type({value}) is bytes else {name})" \
+        if tp is Digest else name
 
 
 def _text_source(tp: Any, value: str, namespace: dict) -> list[tuple[bool, str]]:
@@ -578,10 +598,8 @@ def _text_source(tp: Any, value: str, namespace: dict) -> list[tuple[bool, str]]
                                      f"else _sub(_escape, {value})"), (False, '"')]
     if tp is int:
         return [(True, value)]
-    if tp is bytes:
+    if tp is bytes or tp is Digest:
         return [(False, "0x"), (True, f"{value}.hex()")]
-    if hasattr(tp, "_SCALAR"):
-        return _text_source(tp._SCALAR, f"{value}.{dataclasses.fields(tp)[0].name}", namespace)
     return [(True, _expression(tp, value, namespace))]
 
 
@@ -598,11 +616,9 @@ def _expression(tp: Any, value: str, namespace: dict) -> str:
         return source
     if tp is dict or origin is dict:
         return f"_encode({value})"
-    if tp in (str, int, bool, bytes):
-        return {str: "_text({})", int: "repr({})", bool: "_BOOL[{}]", bytes: "_hex({})"}[tp] \
-            .format(value)
-    if hasattr(tp, "_SCALAR"):
-        return _expression(tp._SCALAR, f"{value}.{dataclasses.fields(tp)[0].name}", namespace)
+    if tp in (str, int, bool, bytes, Digest):
+        return {str: "_text({})", int: "repr({})", bool: "_BOOL[{}]", bytes: "_hex({})",
+                Digest: "_hex({})"}[tp].format(value)
     if hasattr(tp, "_canonical_text"):
         return f"{value}._canonical_text"
     if dataclasses.is_dataclass(tp):

@@ -27,8 +27,8 @@ from .attestation import (
     write_attestation,
 )
 from .canonical import canonical_parse, canonical_serialize, write_canonical
-from .cooperative import Cooperative, Status
-from .crypto import DIGEST_SIZE, Digest, keygen
+from .cooperative import STATUS_VALID, Cooperative
+from .crypto import DIGEST_SIZE, keygen
 from .errors import ConfigInvalid, CoopAttestError, DecodeError, ScriptActionFailed
 from .errors import ExpiredAtWitnessing, PairMismatch
 from .harness import ScenarioConfig, run_scenario, validate_config
@@ -74,7 +74,7 @@ def cmd_keygen(args) -> int:
     seed = _hex_bytes(args.seed, "--seed")
     pair = keygen(seed)
     write_canonical(args.out, canonical_serialize({
-        "key_id": pair.key_id.value,
+        "key_id": pair.key_id,
         "public_key": pair.public_key,
         "secret_key": pair.secret_key,
     }))
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_revoke(args) -> int:
-    attestation_id = Digest(_hex_bytes(args.id, "--id", DIGEST_SIZE))
+    attestation_id = _hex_bytes(args.id, "--id", DIGEST_SIZE)
     coop = Cooperative.load_state(args.coop)
     coop.revoke(attestation_id, args.now)
     coop.save_state(args.coop)
@@ -145,15 +145,15 @@ def cmd_revoke(args) -> int:
 
 
 def cmd_status(args) -> int:
-    attestation_id = Digest(_hex_bytes(args.id, "--id", DIGEST_SIZE))
+    attestation_id = _hex_bytes(args.id, "--id", DIGEST_SIZE)
     coop = Cooperative.load_state(args.coop)
     status = coop.revalidation_status(attestation_id, args.now)
-    print(status.value)
-    return EXIT_OK if status is Status.VALID else EXIT_FAILURE
+    print(status)
+    return EXIT_OK if status == STATUS_VALID else EXIT_FAILURE
 
 
 def cmd_disclose(args) -> int:
-    attestation_id = Digest(_hex_bytes(args.id, "--id", DIGEST_SIZE))
+    attestation_id = _hex_bytes(args.id, "--id", DIGEST_SIZE)
     notary = Notary.load_state(args.notary)
     response = notary.respond_disclosure(attestation_id, args.jurisdiction,
                                          args.purpose, args.now)

@@ -15,7 +15,6 @@ membership-in-good-standing are projections.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .attestation import (
     build_plain,
 )
 from .canonical import read_record, record_bytes, write_canonical
-from .crypto import Digest
 from .errors import (
     DuplicateMember,
     InsufficientData,
@@ -56,11 +54,11 @@ INCOME_BANDS = ((30_000, "low"), (100_000, "middle"))
 INCOME_TOP_BAND = "high"
 
 
-class Status(enum.Enum):
-    VALID = "valid"
-    REVOKED = "revoked"
-    EXPIRED = "expired"
-    UNKNOWN = "unknown"
+# What a revalidation of an attestation answers, the text the log writes.
+STATUS_VALID = "valid"
+STATUS_REVOKED = "revoked"
+STATUS_EXPIRED = "expired"
+STATUS_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,6 @@ class Cooperative:
         self._nonce_counter = 0
         self._members: dict[str, MemberRecord] = {}
         self._issuances: list[IssuanceEntry] = []
-        # Keyed by an attestation id's bytes, which hash in C, a Digest in Python.
         self._by_id: dict[bytes, IssuanceEntry] = {}   # either half's id -> its pair
         self._revoked: dict[bytes, int] = {}   # attestation id -> tick it was revoked at
         self._emit = no_emit
@@ -190,7 +187,7 @@ class Cooperative:
         counter = self._nonce_counter
         self._nonce_counter += 1
         material = b"coop-attest/nonce/v1:" + self._nonce_seed + counter.to_bytes(8, "big")
-        return crypto.digest(material).value
+        return crypto.digest(material)
 
     def issue_blinded(
         self,
@@ -230,31 +227,30 @@ class Cooperative:
 
     def _log_issuance(self, entry: IssuanceEntry) -> None:
         self._issuances.append(entry)
-        self._by_id[entry.plain.attestation_id.value] = entry
-        self._by_id[entry.blinded.attestation_id.value] = entry
+        self._by_id[entry.plain.attestation_id] = entry
+        self._by_id[entry.blinded.attestation_id] = entry
 
     # --- revocation and revalidation ---------------------------------------------
 
-    def revoke(self, attestation_id: Digest, at: int) -> None:
+    def revoke(self, attestation_id: bytes, at: int) -> None:
         """Revoke an issued attestation; both halves of the pair are marked."""
-        entry = self._by_id.get(attestation_id.value)
+        entry = self._by_id.get(attestation_id)
         if entry is None:
             raise UnknownAttestation(attestation_id.hex())
         for half in (entry.plain, entry.blinded):
             # A revoked id is never un-revoked and keeps its first tick.
-            self._revoked.setdefault(half.attestation_id.value, at)
+            self._revoked.setdefault(half.attestation_id, at)
 
-    def revalidation_status(self, attestation_id: Digest, now: int) -> Status:
-        key = attestation_id.value
-        entry = self._by_id.get(key)
+    def revalidation_status(self, attestation_id: bytes, now: int) -> str:
+        entry = self._by_id.get(attestation_id)
         if entry is None:
-            return Status.UNKNOWN
-        revoked_at = self._revoked.get(key)
+            return STATUS_UNKNOWN
+        revoked_at = self._revoked.get(attestation_id)
         if revoked_at is not None and revoked_at <= now:
-            return Status.REVOKED
+            return STATUS_REVOKED
         if now >= entry.blinded.expires_at:
-            return Status.EXPIRED
-        return Status.VALID
+            return STATUS_EXPIRED
+        return STATUS_VALID
 
     # --- persistence ---------------------------------------------------------------
 
@@ -278,7 +274,7 @@ class Cooperative:
             coop.register_member(member)
         for entry in state.issuances:
             coop._log_issuance(entry)
-        coop._revoked = {Digest.from_hex(hex_id).value: tick
+        coop._revoked = {crypto.digest_from_hex(hex_id): tick
                          for hex_id, tick in state.revoked.items()}
         coop._nonce_counter = state.nonce_counter
         return coop

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NewType
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -39,51 +39,19 @@ DOMAIN_TAGS = frozenset({TAG_PLAIN, TAG_BLINDED, TAG_COUNTER, TAG_LEDGER, TAG_RE
 _KEYGEN_CONTEXT = b"coop-attest/keygen/v1:"
 
 
-@dataclass(frozen=True)
-class Digest:
-    """A 32-byte hash value; equality is byte-wise.  Records write it as
-    its bytes."""
+# A digest is its 32 bytes.  A record field annotated ``Digest`` is written
+# and decoded only as exactly that many bytes (the record codec in
+# ``canonical``); anywhere else a digest is plain ``bytes``.
+Digest = NewType("Digest", bytes)
 
-    _SCALAR = bytes
-
-    value: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != DIGEST_SIZE:
-            raise ValueError("digest must be exactly 32 bytes")
-
-    # Written out, not generated: the generated pair builds a tuple per call,
-    # and a digest is looked up as a dict key on every verdict.  The bytes
-    # object caches its own hash.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def hex(self) -> str:
-        return self.value.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest":
-        """The digest whose ``hex()`` is *text*: lowercase digits, no spaces,
-        so that a state file cannot spell one id two ways."""
-        value = bytes.fromhex(text)
-        if value.hex() != text:
-            raise ValueError(f"{text!r} is not the lowercase hex of a digest")
-        return cls(value)
-
-
-ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
+ZERO_DIGEST = bytes(DIGEST_SIZE)
 
 
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
     secret_key: bytes
-    key_id: Digest
+    key_id: bytes
 
 
 @dataclass(frozen=True)
@@ -93,9 +61,20 @@ class Signature:
     domain_tag: str
 
 
-def digest(data: bytes) -> Digest:
+def digest(data: bytes) -> bytes:
     """SHA-256 of *data*; 32 bytes, stable across platforms."""
-    return Digest(hashlib.sha256(data).digest())
+    return hashlib.sha256(data).digest()
+
+
+def digest_from_hex(text: str) -> bytes:
+    """The digest whose ``hex()`` is *text*: 64 lowercase digits, no spaces,
+    so that a state file cannot spell one id two ways."""
+    value = bytes.fromhex(text)
+    if value.hex() != text:
+        raise ValueError(f"{text!r} is not the lowercase hex of a digest")
+    if len(value) != DIGEST_SIZE:
+        raise ValueError(f"a digest is {DIGEST_SIZE} bytes, not {len(value)}")
+    return value
 
 
 def _framed(domain_tag: str, message: bytes) -> bytes:
@@ -123,7 +102,7 @@ def _private_key(secret_key: bytes) -> Ed25519PrivateKey:
 
 
 @lru_cache(maxsize=_KEY_OBJECTS)
-def _public_key(public_key: bytes) -> tuple[Digest, Ed25519PublicKey | None]:
+def _public_key(public_key: bytes) -> tuple[bytes, Ed25519PublicKey | None]:
     """The key's id and its object, None for bytes that are not a key."""
     key_id = digest(public_key)
     try:
@@ -172,19 +151,17 @@ class KeyDirectory:
     a scenario shares one directory, and a notary keeps one more, of the
     cooperatives it represents.
 
-    ``get(key_id.value)`` is the public key whose id is *key_id*, None if
-    the directory lacks it.  It takes the id's bytes, never the Digest
-    (which it does not find): a consumer check looks two keys up, and bytes
-    hash and compare in C where a Digest does both in Python.  ``get`` is
+    ``get(key_id)`` is the public key whose id is *key_id*, None if the
+    directory lacks it.  A consumer check looks two keys up, so ``get`` is
     the map's own, with no frame of its own."""
 
     def __init__(self) -> None:
         self._keys: dict[bytes, bytes] = {}
         self.get = self._keys.get
 
-    def add(self, public_key: bytes) -> Digest:
+    def add(self, public_key: bytes) -> bytes:
         key_id = digest(public_key)
-        self._keys[key_id.value] = public_key
+        self._keys[key_id] = public_key
         return key_id
 
     def __iter__(self) -> Iterator[bytes]:

@@ -31,7 +31,7 @@ from . import crypto
 from .attestation import MODE_HANDLE, CounterSignedAttestation
 from .attestation import verify_countersigned  # noqa: F401 (only perfbench/smoke.py uses it)
 from .canonical import canonical_serialize
-from .crypto import Digest, KeyDirectory, KeyPair, Signature
+from .crypto import KeyDirectory, KeyPair, Signature
 from .errors import (
     BadRecoverySignature,
     DanglingAttestationPointer,
@@ -100,10 +100,10 @@ class FilterDecision:
             raise ValueError("deliver exactly when attested")
 
 
-def recovery_message(handle: str, attestation_id: Digest) -> bytes:
+def recovery_message(handle: str, attestation_id: bytes) -> bytes:
     """Canonical bytes a sender's recovery key signs to rotate an account
     onto the attestation *attestation_id*."""
-    return canonical_serialize(["recover", handle, attestation_id.value])
+    return canonical_serialize(["recover", handle, attestation_id])
 
 
 class Provider:
@@ -184,7 +184,7 @@ class Provider:
         body_digest = crypto.digest(body)
         ptr = self.ledger.append(self.writer, PostRecord(body_digest, account.attestation_ptr, now))
         self._emit("post-recorded", {
-            "handle": handle, "post_digest": body_digest.value, "ledger_index": ptr.index,
+            "handle": handle, "post_digest": body_digest, "ledger_index": ptr.index,
         })
         for target in self.followers.get(handle, ()):
             peer = self.peers[target]
@@ -197,13 +197,13 @@ class Provider:
 
     # --- filtering -------------------------------------------------------------
 
-    def _matches(self, post: Post, body_digest: Digest) -> list[LedgerRecord]:
+    def _matches(self, post: Post, body_digest: bytes) -> list[LedgerRecord]:
         """The post records on the post's origin ledger with its body digest."""
         origin_ledger = self._ledgers.get(post.origin_provider)
         if origin_ledger is None:
             return []
         self._emit("ledger-search", {"ledger": origin_ledger.ledger_id,
-                                     "post_digest": body_digest.value})
+                                     "post_digest": body_digest})
         return origin_ledger.post_matches(body_digest)
 
     def _resolve(self, ptr: RecordPointer) -> CounterSignedAttestation | None:
@@ -249,7 +249,7 @@ class Provider:
         self._emit("filter-decision", {
             "author_handle": post.author_handle,
             "origin_provider": post.origin_provider,
-            "post_digest": body_digest.value,
+            "post_digest": body_digest,
             **vars(decision),
         })
         return decision

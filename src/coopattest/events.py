@@ -11,7 +11,7 @@ order a queued transport would produce.  A payload, and a message body,
 is a map of the keys its kind or channel declares (``harness.KINDS`` and
 ``harness.CHANNELS``), with ``vars(record)`` where a record exists; it
 holds the values as they are, each of exactly its declared type (the log
-refuses a ``bool`` for an ``int``, or a ``Digest`` for ``bytes``),
+refuses a ``bool`` for an ``int``, or a ``bytearray`` for ``bytes``),
 attestation artifacts included, and the log writes each artifact as its
 canonical text.
 """

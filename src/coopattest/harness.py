@@ -610,7 +610,7 @@ class Scenario:
             self.notaries[entry["name"]] = notary
 
         self.coops: dict[str, Cooperative] = {}
-        self._coop_by_key_id: dict[crypto.Digest, Cooperative] = {}
+        self._coop_by_key_id: dict[bytes, Cooperative] = {}
         for entry in config.cooperatives:
             coop = Cooperative(
                 entry["name"], self._actor_seed("coop", entry["name"]), entry["legal_rep"],
@@ -690,13 +690,13 @@ class Scenario:
         # The trace names the plain attestation by its id only; the notary
         # alone receives the identity-bearing object.
         send_message(coop, notary, "witness-request",
-                     {"plain_id": plain.attestation_id.value, "blinded": blinded})
+                     {"plain_id": plain.attestation_id, "blinded": blinded})
         csa = notary.witness_and_countersign(plain, blinded, self.now)
         send_message(notary, coop, "countersigned", {"attestation": csa})
         self.artifacts[action["label"]] = csa
         coop._emit("issued", {
             "label": action["label"],
-            "attestation_id": blinded.attestation_id.value,
+            "attestation_id": blinded.attestation_id,
             "member": action["member"],
         })
 
@@ -716,7 +716,7 @@ class Scenario:
         exchange.register_customer(action["account"], csa, self.now)
         exchange._emit("customer-registered", {
             "account": action["account"],
-            "attestation_id": csa.blinded.attestation_id.value,
+            "attestation_id": csa.blinded.attestation_id,
         })
 
     def _do_transfer(self, action: dict) -> None:
@@ -751,7 +751,7 @@ class Scenario:
         coop = self.coops[action["coop"]]
         csa = self.artifacts[action["attestation"]]
         coop.revoke(csa.blinded.attestation_id, self.now)
-        coop._emit("revoked", {"attestation_id": csa.blinded.attestation_id.value})
+        coop._emit("revoked", {"attestation_id": csa.blinded.attestation_id})
 
     def _do_recover(self, action: dict) -> None:
         provider = self.providers[action["provider"]]
@@ -765,7 +765,7 @@ class Scenario:
         # Every attestation a provider holds was issued by a cooperative of the config.
         issuing_coop = self._coop_by_key_id[old_csa.blinded.issuer_key_id]
         issuing_coop.revoke(old_csa.blinded.attestation_id, self.now)
-        issuing_coop._emit("revoked", {"attestation_id": old_csa.blinded.attestation_id.value})
+        issuing_coop._emit("revoked", {"attestation_id": old_csa.blinded.attestation_id})
         signature = crypto.sign(self._recovery_key(handle), crypto.TAG_RECOVER,
                                 recovery_message(handle, new_csa.blinded.attestation_id))
         provider.recover_account(handle, signature, new_csa, self.now)

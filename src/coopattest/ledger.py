@@ -81,7 +81,7 @@ class Ledger:
         self.ledger_id = ledger_id
         self.writer_public_key = writer_public_key
         self._records: list[LedgerRecord] = []
-        self._post_index: dict[Digest, list[int]] = {}
+        self._post_index: dict[bytes, list[int]] = {}
 
     def append(self, writer: KeyPair, payload: Payload) -> RecordPointer:
         if writer.public_key != self.writer_public_key:
@@ -110,7 +110,7 @@ class Ledger:
             raise OutOfBounds(f"index {ptr.index} outside ledger of length {len(self._records)}")
         return self._records[ptr.index]
 
-    def post_matches(self, d: Digest) -> list[LedgerRecord]:
+    def post_matches(self, d: bytes) -> list[LedgerRecord]:
         """The matching post records themselves; one indexed search, including
         its hit entries, like any transparency-log query."""
         return [self._records[i] for i in self._post_index.get(d, [])]

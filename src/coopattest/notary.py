@@ -31,7 +31,7 @@ from .attestation import (
     verify_pair,
 )
 from .canonical import read_record, record_bytes, write_canonical
-from .cooperative import Status
+from .cooperative import STATUS_UNKNOWN
 from .crypto import Digest
 from .errors import ExpiredAtWitnessing, InvalidAttestation, NoRevocationSource, PairMismatch
 from .events import no_emit, send_message
@@ -116,23 +116,21 @@ class Notary:
 
     def __init__(
         self,
-        notary_id: str,
+        name: str,
         key_seed: bytes,
         jurisdiction: str,
         compatible: frozenset[str],
     ) -> None:
-        self.notary_id = notary_id
-        self.name = notary_id   # what send_message logs, read on every send to the notary
+        self.name = name
         self.key_seed = key_seed
         self.keypair = crypto.keygen(key_seed)
         self.jurisdiction = jurisdiction
         self.compatible = compatible   # requester jurisdictions it discloses to
         self.issuers = crypto.KeyDirectory()   # the cooperatives it represents
-        # Issuer key id bytes -> where revalidations of what it issued go (represent).
-        self._revocation_sources: dict[bytes, Callable[[Digest, int], Status]] = {}
+        # Issuer key id -> where revalidations of what it issued go (represent).
+        self._revocation_sources: dict[bytes, Callable[[bytes, int], str]] = {}
         self._entries: list[ArchiveEntry] = []
-        # Either half's id bytes -> its entry; bytes hash in C, a Digest in Python.
-        self._by_id: dict[bytes, ArchiveEntry] = {}
+        self._by_id: dict[bytes, ArchiveEntry] = {}   # either half's id -> its entry
         self.audit_log: list[AuditEntry] = []
         self.rejection_log: list[RejectionEntry] = []
         self._emit = no_emit
@@ -155,7 +153,7 @@ class Notary:
         and leaves no trace.  Other rejections leave the archive untouched
         and land in a separate rejection log.
         """
-        issuer_public_key = self.issuers.get(blinded.issuer_key_id.value)
+        issuer_public_key = self.issuers.get(blinded.issuer_key_id)
         if issuer_public_key is None:
             raise InvalidAttestation(
                 f"issuer key {blinded.issuer_key_id.hex()} not in the notary's directory")
@@ -168,34 +166,34 @@ class Notary:
             self.rejection_log.append(
                 RejectionEntry(now, blinded.attestation_id, ("expired-at-witnessing",)))
             raise ExpiredAtWitnessing(f"expired at tick {blinded.expires_at}, witnessed at {now}")
-        csa = countersign(blinded, self.keypair, self.notary_id, now)
+        csa = countersign(blinded, self.keypair, self.name, now)
         self._archive(ArchiveEntry(plain=plain, blinded=blinded, countersigned=csa,
                                    received_at=now))
         return csa
 
     def _archive(self, entry: ArchiveEntry) -> None:
         self._entries.append(entry)
-        self._by_id[entry.blinded.attestation_id.value] = entry
-        self._by_id[entry.plain.attestation_id.value] = entry
+        self._by_id[entry.blinded.attestation_id] = entry
+        self._by_id[entry.plain.attestation_id] = entry
 
     # --- revalidation -----------------------------------------------------------
 
     def represent(self, public_key: bytes,
-                  revocation_source: Callable[[Digest, int], Status]) -> None:
+                  revocation_source: Callable[[bytes, int], str]) -> None:
         """Witness for the cooperative whose key is *public_key*, and forward
         each revalidation of an attestation it issued to *revocation_source*,
         its ``revalidation_status``."""
-        self._revocation_sources[self.issuers.add(public_key).value] = revocation_source
+        self._revocation_sources[self.issuers.add(public_key)] = revocation_source
 
-    def respond_revalidation(self, attestation_id: Digest, now: int) -> Status:
-        """UNKNOWN for an attestation this notary never witnessed; else what
+    def respond_revalidation(self, attestation_id: bytes, now: int) -> str:
+        """``unknown`` for an attestation this notary never witnessed; else what
         the revocation source of its issuer answers; with none (as for an
         issuer a notary loaded from a state file witnesses for),
         NoRevocationSource."""
-        entry = self._by_id.get(attestation_id.value)
+        entry = self._by_id.get(attestation_id)
         if entry is None:
-            return Status.UNKNOWN
-        source = self._revocation_sources.get(entry.blinded.issuer_key_id.value)
+            return STATUS_UNKNOWN
+        source = self._revocation_sources.get(entry.blinded.issuer_key_id)
         if source is None:
             raise NoRevocationSource(f"no revocation source for attestation {attestation_id.hex()}")
         return source(attestation_id, now)
@@ -204,7 +202,7 @@ class Notary:
 
     def respond_disclosure(
         self,
-        attestation_id: Digest,
+        attestation_id: bytes,
         requester_jurisdiction: str,
         purpose: str,
         now: int,
@@ -214,7 +212,7 @@ class Notary:
         audited, honored or not; denied responses carry no identity."""
         if purpose not in PURPOSES:
             raise ValueError(f"unknown disclosure purpose {purpose!r}")
-        entry = self._by_id.get(attestation_id.value)
+        entry = self._by_id.get(attestation_id)
         if entry is None:
             outcome = OUTCOME_UNKNOWN
             response = DisclosureResponse(outcome=outcome)
@@ -237,7 +235,7 @@ class Notary:
     def save_state(self, path: str | Path) -> None:
         """Write the whole state to *path* atomically; load_state reads it."""
         write_canonical(path, record_bytes(NotaryState, NotaryState(
-            self.notary_id, self.key_seed, self.jurisdiction, self.compatible,
+            self.name, self.key_seed, self.jurisdiction, self.compatible,
             tuple(self.issuers), tuple(self._entries), tuple(self.audit_log),
             tuple(self.rejection_log))))
 
@@ -275,7 +273,7 @@ def _signatures(requester, csa: CounterSignedAttestation, now: int) -> str | Non
     ``expired``.  Once *csa* is ``signed`` under a key pair, a check under
     that pair compares *now* with its expiry and nothing else."""
     blinded, get = csa.blinded, requester.keys.get
-    issuer_key, notary_key = get(blinded.issuer_key_id.value), get(csa.notary_key_id.value)
+    issuer_key, notary_key = get(blinded.issuer_key_id), get(csa.notary_key_id)
     if issuer_key is None or notary_key is None or \
             not csa._signed_under(issuer_key, notary_key, now):
         return "verification-failed"
@@ -287,7 +285,7 @@ def require_verified(requester, csa: CounterSignedAttestation, now: int) -> None
     at tick *now*, as a consumer registering it requires."""
     if _signatures(requester, csa, now) is not None:
         get = requester.keys.get
-        keys = get(csa.blinded.issuer_key_id.value), get(csa.notary_key_id.value)
+        keys = get(csa.blinded.issuer_key_id), get(csa.notary_key_id)
         raise InvalidAttestation("issuer or notary key unknown" if None in keys else
                                  f"failing checks: {verify_countersigned(csa, *keys, now).failing()}")
 
@@ -306,24 +304,24 @@ def vouch(requester, csa: CounterSignedAttestation, now: int) -> tuple[str, str]
     return "revalidation", revalidate(requester, notary, csa.blinded.attestation_id, now)
 
 
-def revalidate(requester, notary: Notary, attestation_id: Digest, now: int) -> str:
-    """The value of the notary's status of *attestation_id* at tick *now*."""
-    send_message(requester, notary, "revalidation", {"attestation_id": attestation_id.value})
-    status = notary.respond_revalidation(attestation_id, now).value
+def revalidate(requester, notary: Notary, attestation_id: bytes, now: int) -> str:
+    """The notary's status of *attestation_id* at tick *now*."""
+    send_message(requester, notary, "revalidation", {"attestation_id": attestation_id})
+    status = notary.respond_revalidation(attestation_id, now)
     send_message(notary, requester, "revalidation-status",
-                 {"attestation_id": attestation_id.value, "status": status})
+                 {"attestation_id": attestation_id, "status": status})
     return status
 
 
-def request_disclosure(requester, notary: Notary, attestation_id: Digest, purpose: str,
+def request_disclosure(requester, notary: Notary, attestation_id: bytes, purpose: str,
                        now: int) -> DisclosureResponse:
     """The notary's answer to *requester*, from its ``jurisdiction``, asking
     for the identity behind *attestation_id* for *purpose*."""
     jurisdiction = requester.jurisdiction
     send_message(requester, notary, "disclosure-request",
-                 {"attestation_id": attestation_id.value, "jurisdiction": jurisdiction,
+                 {"attestation_id": attestation_id, "jurisdiction": jurisdiction,
                   "purpose": purpose})
     response = notary.respond_disclosure(attestation_id, jurisdiction, purpose, now)
     send_message(notary, requester, "disclosure-response",
-                 {"attestation_id": attestation_id.value, "outcome": response.outcome})
+                 {"attestation_id": attestation_id, "outcome": response.outcome})
     return response

@@ -136,12 +136,10 @@ def reference_map(cls, values, omit=()):
 
 
 def reference_value(value):
-    """*value* with every record in it replaced by its reference map, a
-    class with ``_SCALAR`` by its one field, a set by a sorted list, and a
-    map's None values (the unset optionals of an event payload) left out."""
+    """*value* with every record in it replaced by its reference map, a set
+    by a sorted list, and a map's None values (the unset optionals of an
+    event payload) left out."""
     if dataclasses.is_dataclass(value):
-        if hasattr(value, "_SCALAR"):
-            return getattr(value, dataclasses.fields(value)[0].name)
         return reference_map(type(value), value)
     if isinstance(value, dict):
         return {key: reference_value(item) for key, item in value.items() if item is not None}

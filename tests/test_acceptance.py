@@ -24,7 +24,13 @@ from coopattest.attestation import (
     verify_countersigned,
     verify_pair,
 )
-from coopattest.cooperative import Cooperative, MemberRecord, Status
+from coopattest.cooperative import (
+    STATUS_REVOKED,
+    STATUS_UNKNOWN,
+    STATUS_VALID,
+    Cooperative,
+    MemberRecord,
+)
 from coopattest.errors import DecodeError
 from coopattest.harness import (
     EventLog,
@@ -175,11 +181,11 @@ def test_criterion_3_revocation_expiry_lattice():
                 for query_tick in range(0, 21):
                     expected = status_oracle(issue_tick, ttl, revoke_tick, query_tick)
                     actual = coop.revalidation_status(blinded.attestation_id, query_tick)
-                    assert actual.value == expected, (
+                    assert actual == expected, (
                         f"issue={issue_tick} revoke={revoke_tick} query={query_tick}"
                     )
                     checked += 1
-                assert coop.revalidation_status(crypto.digest(b"never"), 0) is Status.UNKNOWN
+                assert coop.revalidation_status(crypto.digest(b"never"), 0) == STATUS_UNKNOWN
         assert checked == 21 * 22 * 21
 
 
@@ -325,8 +331,8 @@ def test_criterion_7_recovery_flow():
         old_id = attestation_records[0].payload.csa.blinded.attestation_id
         new_id = attestation_records[1].payload.csa.blinded.attestation_id
         coop = scenario.coops["coop1"]
-        assert coop.revalidation_status(old_id, 40) is Status.REVOKED
-        assert coop.revalidation_status(new_id, 40) is Status.VALID
+        assert coop.revalidation_status(old_id, 40) == STATUS_REVOKED
+        assert coop.revalidation_status(new_id, 40) == STATUS_VALID
 
 
 # --- 8: determinism ------------------------------------------------------------------------

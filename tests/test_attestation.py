@@ -105,7 +105,7 @@ class TestBlind:
         assert blinded.subject == SubjectRef.absent()
         assert blinded.attributes == plain.attributes
         # Independent recomputation of the linkage digest.
-        assert blinded.plain_digest.value == hashlib.sha256(canonical_bytes(plain)).digest()
+        assert blinded.plain_digest == hashlib.sha256(canonical_bytes(plain)).digest()
 
     def test_handle_substitute(self, issuer):
         plain = make_plain(issuer)

@@ -343,9 +343,9 @@ def test_an_attestation_encodes_as_its_own_text(issuer, notary_key):
 @pytest.mark.parametrize("value", [
     keygen(b"seed"),
     RecordPointer("L1", 0),
-    Digest(bytes(32)),
+    memoryview(bytes(32)),
     {"pointers": [RecordPointer("L1", 0)]},
-], ids=["KeyPair", "record", "scalar record", "record in a map"])
+], ids=["KeyPair", "record", "memoryview", "record in a map"])
 def test_objects_other_than_attestations_are_unsupported(value):
     with pytest.raises(UnsupportedValue):
         canonical_serialize(value)
@@ -844,7 +844,7 @@ def test_bound_is_far_from_the_program_s_depth_and_the_recursion_limit():
 
 # Text with a lone surrogate now and then, which neither path may encode.
 record_texts = st.one_of(text_values, st.text(alphabet="a\ud800", min_size=1, max_size=3))
-digests = st.binary(min_size=32, max_size=32).map(Digest)
+digests = st.binary(min_size=32, max_size=32)
 signatures = st.builds(Signature, st.binary(max_size=64), digests, record_texts)
 claims = st.builds(AttributeClaim, record_texts.filter(bool), record_texts, record_texts)
 claim_tuples = st.lists(claims, max_size=3).map(tuple)
@@ -895,7 +895,7 @@ members = st.builds(
     MemberRecord, record_texts.filter(bool), record_texts.filter(bool),
     st.dictionaries(record_texts, st.one_of(st.integers(), record_texts), max_size=3),
     st.one_of(st.none(), record_texts.map(lambda text: "@" + text)))
-revocations = st.dictionaries(digests.map(Digest.hex), st.integers(), max_size=2)
+revocations = st.dictionaries(digests.map(bytes.hex), st.integers(), max_size=2)
 audit_entries = st.builds(AuditEntry, st.integers(), digests, record_texts, record_texts,
                           record_texts)
 rejection_entries = st.builds(RejectionEntry, st.integers(), digests, tuples_of(record_texts))
@@ -981,16 +981,15 @@ class _Text(str):
 
 
 def _is_record(tp):
-    return (dataclasses.is_dataclass(tp) and not hasattr(tp, "_SCALAR")
-            or typing.get_origin(tp) is typing.Union)
+    return dataclasses.is_dataclass(tp) or typing.get_origin(tp) is typing.Union
 
 
 # For a field of each declared type, a value that its decoder refuses: a
-# bool for an int, a str subclass for a str, bytes for a Digest, and a record
+# bool for an int, a str subclass for a str, 31 bytes for a Digest, and a record
 # of another class for a record or a Union of them.
 _WRONG = [(lambda tp: tp in (int, int | None), True),
           (lambda tp: tp in (str, str | None), _Text("x")),
-          (lambda tp: tp is Digest, bytes(32)),
+          (lambda tp: tp is Digest, bytes(31)),
           (lambda tp: _is_record(tp) and tp is not RecordPointer, RecordPointer("ledger", 0))]
 
 
@@ -1033,6 +1032,42 @@ def test_a_value_not_of_its_declared_type_is_refused(cls, field, value, data):
             with pytest.raises(UnsupportedValue, match=refusal):
                 cls._sign(keygen(b"signer"), body)
         assert signed == []
+
+
+def _digest_fields():
+    """(class, field) for every field declared a Digest."""
+    for cls in RECORD_STRATEGIES:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if hints[f.name] is Digest:
+                yield cls, f
+
+
+def test_the_records_with_a_digest_field():
+    assert {cls for cls, _ in _digest_fields()} == {
+        PlainAttestation, BlindedAttestation, CounterSignedAttestation, LedgerRecord,
+        PostRecord, Signature, AuditEntry, RejectionEntry}
+
+
+@pytest.mark.parametrize("length", [31, 33])
+@pytest.mark.parametrize("cls, field", [
+    pytest.param(cls, f, id=f"{cls.__name__}-{f.name}") for cls, f in _digest_fields()])
+@given(data=st.data())
+@settings(max_examples=5)
+def test_a_digest_of_another_length_is_refused(cls, field, length, data):
+    """Bytes where a digest is are exactly 32 of them: the writer refuses
+    others naming the class, the key and the length, and the decoder
+    refuses them in a map."""
+    record = data.draw(RECORD_STRATEGIES[cls])
+    key = wire_key(field)
+    wrong = copy.copy(record)
+    object.__setattr__(wrong, field.name, bytes(length))
+    with pytest.raises(UnsupportedValue,
+                       match=f"^{cls.__name__} key '{key}' must be 32 bytes, not {length} bytes$"):
+        record_bytes(cls, wrong)
+    with pytest.raises(DecodeError,
+                       match=f"^{cls.__name__} field '{key}' must be 32 bytes, not {length}$"):
+        record_from_map(cls, {**reference_map(cls, record), key: bytes(length)})
 
 
 # --- the field kinds of the state records ------------------------------------------
@@ -1113,7 +1148,7 @@ def test_record_bytes_of_the_program_s_own_records(issuer, notary_key):
     plain = make_plain(issuer)
     blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
     csa = countersign(blinded, notary_key, "notary-1", 11)
-    record = LedgerRecord(0, Digest(bytes(32)), AttestationRecord(csa), notary_key.key_id,
+    record = LedgerRecord(0, bytes(32), AttestationRecord(csa), notary_key.key_id,
                           csa.notary_signature)
     for cls, omit in WRITTEN:
         for value in (plain, blinded, csa, record):

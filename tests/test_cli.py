@@ -71,7 +71,7 @@ class TestKeygen:
     def test_writes_key_file(self, tmp_path, capsys):
         assert run(["keygen", "--seed", "00ff", "--out", tmp_path / "k.key"]) == 0
         raw = canonical_parse((tmp_path / "k.key").read_bytes())
-        assert raw["key_id"] == crypto.digest(raw["public_key"]).value
+        assert raw["key_id"] == crypto.digest(raw["public_key"])
         assert "key_id" in capsys.readouterr().out
 
     def test_key_file_is_created_private_and_keeps_its_mode(self, tmp_path):
@@ -210,13 +210,13 @@ class TestIssueCountersignVerify:
         assert code == 1
         rejections = canonical_parse((workdir / "notary.state").read_bytes())["rejections"]
         assert [(r["at"], r["failing"]) for r in rejections] == [(now, failing)]
-        assert rejections[0]["attestation_id"] == read_attestation(blinded).attestation_id.value
+        assert rejections[0]["attestation_id"] == read_attestation(blinded).attestation_id
         assert not (workdir / "bad.att").exists()
 
     def test_countersign_rejects_a_blinded_with_a_rewritten_id(self, workdir, capsys):
         issue_and_countersign(workdir)
         raw = canonical_parse((workdir / "a.blinded.att").read_bytes())
-        raw["attestation_id"] = crypto.digest(b"another attestation").value
+        raw["attestation_id"] = crypto.digest(b"another attestation")
         (workdir / "a.blinded.att").write_bytes(canonical_serialize(raw))
         code = run(["countersign", "--notary", workdir / "notary.state",
                     "--plain", workdir / "a.plain.att", "--blinded", workdir / "a.blinded.att",
@@ -294,7 +294,7 @@ class TestIssueCountersignVerify:
         # The second nonce, issued after a rewrite, still comes from nonce_seed.
         nonce = canonical_parse((workdir / "x.plain.att").read_bytes())["nonce"]
         expected = b"coop-attest/nonce/v1:operator-nonce-seed" + (1).to_bytes(8, "big")
-        assert nonce == crypto.digest(expected).value
+        assert nonce == crypto.digest(expected)
 
     @pytest.mark.parametrize("field, value", [
         ("nonce_counter", -1),

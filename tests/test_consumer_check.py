@@ -14,7 +14,7 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import countersign
-from coopattest.cooperative import Cooperative, MemberRecord, Status
+from coopattest.cooperative import STATUS_EXPIRED, Cooperative, MemberRecord
 from coopattest.dsn import FilterDecision, Post, Provider
 from coopattest.ledger import AttestationRecord, PostRecord
 from coopattest.notary import Notary
@@ -111,7 +111,7 @@ def _expired_at_its_notary(world, csa):
     """A notary whose cooperative answers ``expired``, stubbed: under the
     harness that answer cannot follow a passed signatures stage, which sees
     the same ``expires_at`` at the same tick."""
-    world.notary.represent(world.coop.public_key, lambda attestation_id, now: Status.EXPIRED)
+    world.notary.represent(world.coop.public_key, lambda attestation_id, now: STATUS_EXPIRED)
     return csa
 
 

@@ -11,7 +11,15 @@ import pytest
 from coopattest import crypto
 from coopattest.attestation import verify_pair
 from coopattest.canonical import canonical_parse, record_bytes, record_from_map
-from coopattest.cooperative import QUERIES, Cooperative, MemberRecord, Status
+from coopattest.cooperative import (
+    QUERIES,
+    STATUS_EXPIRED,
+    STATUS_REVOKED,
+    STATUS_UNKNOWN,
+    STATUS_VALID,
+    Cooperative,
+    MemberRecord,
+)
 from coopattest.errors import (
     DecodeError,
     DuplicateMember,
@@ -174,7 +182,7 @@ class TestRevocation:
     def test_revoke_then_status(self):
         coop, att_id = self._issued()
         coop.revoke(att_id, 40)
-        assert coop.revalidation_status(att_id, 50) is Status.REVOKED
+        assert coop.revalidation_status(att_id, 50) == STATUS_REVOKED
 
     def test_revoke_unknown(self):
         coop, _ = self._issued()
@@ -186,15 +194,15 @@ class TestRevocation:
         coop.revoke(att_id, 40)
         coop.revoke(att_id, 60)
         # Between the two ticks: revoked, as from the first.
-        assert coop.revalidation_status(att_id, 50) is Status.REVOKED
-        assert coop.revalidation_status(att_id, 39) is Status.VALID
+        assert coop.revalidation_status(att_id, 50) == STATUS_REVOKED
+        assert coop.revalidation_status(att_id, 39) == STATUS_VALID
 
     def test_revoking_either_id_marks_the_pair(self):
         coop = make_coop()
         coop.register_member(alice())
         plain, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
         coop.revoke(plain.attestation_id, 30)
-        assert coop.revalidation_status(blinded.attestation_id, 35) is Status.REVOKED
+        assert coop.revalidation_status(blinded.attestation_id, 35) == STATUS_REVOKED
 
 
 class TestRevalidationStatus:
@@ -202,35 +210,35 @@ class TestRevalidationStatus:
         coop = make_coop()
         coop.register_member(alice())
         _, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-        assert coop.revalidation_status(blinded.attestation_id, 50) is Status.VALID
+        assert coop.revalidation_status(blinded.attestation_id, 50) == STATUS_VALID
 
     def test_revocation_precedes_validity(self):
         coop = make_coop()
         coop.register_member(alice())
         _, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
         coop.revoke(blinded.attestation_id, 40)
-        assert coop.revalidation_status(blinded.attestation_id, 50) is Status.REVOKED
+        assert coop.revalidation_status(blinded.attestation_id, 50) == STATUS_REVOKED
 
     def test_expiry_boundary_half_open(self):
         coop = make_coop()
         coop.register_member(alice())
         _, blinded = coop.issue_blinded("alice", ["age-over-18"], "absent", 10, 90)
-        assert coop.revalidation_status(blinded.attestation_id, 99) is Status.VALID
-        assert coop.revalidation_status(blinded.attestation_id, 100) is Status.EXPIRED
+        assert coop.revalidation_status(blinded.attestation_id, 99) == STATUS_VALID
+        assert coop.revalidation_status(blinded.attestation_id, 100) == STATUS_EXPIRED
 
     def test_unknown_id(self):
         coop = make_coop()
-        assert coop.revalidation_status(crypto.digest(b"x"), 0) is Status.UNKNOWN
+        assert coop.revalidation_status(crypto.digest(b"x"), 0) == STATUS_UNKNOWN
 
     def test_status_lattice_against_oracle(self):
         """Exhaustive (issue, revoke, query) grid against a brute-force oracle."""
 
         def oracle(issued, expires, revoked_at, query):
             if revoked_at is not None and revoked_at <= query:
-                return Status.REVOKED
+                return STATUS_REVOKED
             if query >= expires:
-                return Status.EXPIRED
-            return Status.VALID
+                return STATUS_EXPIRED
+            return STATUS_VALID
 
         ttl = 7
         for issue_tick in range(0, 15):
@@ -243,7 +251,7 @@ class TestRevalidationStatus:
                     coop.revoke(blinded.attestation_id, revoke_tick)
                 for query_tick in range(0, 25):
                     expected = oracle(issue_tick, issue_tick + ttl, revoke_tick, query_tick)
-                    assert coop.revalidation_status(blinded.attestation_id, query_tick) is expected
+                    assert coop.revalidation_status(blinded.attestation_id, query_tick) == expected
 
     def test_revocation_monotone(self):
         coop = make_coop()
@@ -253,7 +261,7 @@ class TestRevalidationStatus:
         seen_revoked = False
         for t in range(0, 120):
             status = coop.revalidation_status(blinded.attestation_id, t)
-            if status is Status.REVOKED:
+            if status == STATUS_REVOKED:
                 seen_revoked = True
             elif seen_revoked:
                 pytest.fail(f"status regressed from revoked at tick {t}")
@@ -269,8 +277,8 @@ class TestStatePersistence:
         coop.save_state(path)
         loaded = Cooperative.load_state(path)
         assert loaded.member("alice").handle == "@sender"
-        assert loaded.revalidation_status(blinded.attestation_id, 45) is Status.REVOKED
-        assert loaded.revalidation_status(plain.attestation_id, 45) is Status.REVOKED
+        assert loaded.revalidation_status(blinded.attestation_id, 45) == STATUS_REVOKED
+        assert loaded.revalidation_status(plain.attestation_id, 45) == STATUS_REVOKED
         assert loaded.keypair == coop.keypair
         # nonce counter persists: the next issuance differs from a replay
         a = loaded.issue_blinded("alice", ["age-over-18"], "absent", 50, 10)

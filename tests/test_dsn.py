@@ -6,7 +6,7 @@ import pytest
 
 from coopattest import crypto
 from coopattest.attestation import canonical_bytes
-from coopattest.cooperative import Cooperative, MemberRecord, Status
+from coopattest.cooperative import STATUS_REVOKED, Cooperative, MemberRecord
 from coopattest.dsn import (
     OUTCOME_DELIVER,
     OUTCOME_DROP,
@@ -51,7 +51,7 @@ class Capture:
         """The filter decisions *provider* logged for posts with *body*."""
         return [FilterDecision(e[2]["outcome"], e[2]["reason"])
                 for e in self.of_kind("filter-decision")
-                if e[0] == provider and e[2]["post_digest"] == crypto.digest(body).value]
+                if e[0] == provider and e[2]["post_digest"] == crypto.digest(body)]
 
 
 class Stack:
@@ -153,7 +153,7 @@ class TestPublish:
         stack.onboard()
         ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20)
         record = stack.providers["P1"].ledger.get(ptr)
-        assert record.payload.post_digest.value == hashlib.sha256(b"hello").digest()
+        assert record.payload.post_digest == hashlib.sha256(b"hello").digest()
 
     def test_propagates_only_to_follower_providers(self):
         stack = Stack(provider_names=("P1", "P2", "P3", "P4"),
@@ -449,7 +449,7 @@ class TestRecovery:
         stack.providers["P1"].recover_account("@sender", sig, new_csa, 30)
         stack.coop.revoke(old_csa.blinded.attestation_id, 30)
         assert stack.coop.revalidation_status(
-            old_csa.blinded.attestation_id, 31) is Status.REVOKED
+            old_csa.blinded.attestation_id, 31) == STATUS_REVOKED
         replay = Post(b"old words", "@sender", "P1", 35)
         assert stack.providers["P2"].receive_post(replay, 35).reason == REASON_REVOKED
         capture = Capture()

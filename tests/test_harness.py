@@ -44,7 +44,6 @@ from coopattest.harness import (
     validate_config,
 )
 from coopattest.cooperative import QUERIES
-from coopattest.crypto import Digest
 from coopattest.travel_rule import TravelRuleRecord
 
 from conftest import (
@@ -498,7 +497,7 @@ class TestRunScenario:
                 transfer, beneficiary, delivered = body["transfer_id"], event.payload["to"], None
             elif channel == "attestation-delivery":
                 assert (body["transfer_id"], delivered) == (transfer, None)
-                delivered = body["attestation"].blinded.attestation_id.value
+                delivered = body["attestation"].blinded.attestation_id
             elif channel in ("revalidation", "disclosure-request") and transfer is not None:
                 assert (event.actor, body["attestation_id"]) == (beneficiary, delivered)
         assert transfer is None
@@ -851,8 +850,8 @@ class TestEventLog:
          "onboard payload key 'ledger_index' must be int, not bool"),
         (Event(0, "C", "revoked", {"attestation_id": "ab"}),
          "revoked payload key 'attestation_id' must be bytes, not str"),
-        (Event(0, "C", "revoked", {"attestation_id": Digest(bytes(32))}),
-         "revoked payload key 'attestation_id' must be bytes, not Digest"),
+        (Event(0, "C", "revoked", {"attestation_id": bytearray(32)}),
+         "revoked payload key 'attestation_id' must be bytes, not bytearray"),
         (Event(0, "E", "transfer-decision", {"transfer_id": "t", "outcome": "rejected",
                                              "reason": "revoked", "travel_record": {}}),
          "transfer-decision payload key 'travel_record' must be TravelRuleRecord or None, not dict"),
@@ -1026,7 +1025,7 @@ ACTION_VALUES = {
                                                        min_size=1, max_size=3),
 }
 # Values of every type, to draw one of another type than a key's.
-ANY_TYPE = [0, True, "t", b"b", None, 1.5, [], {}, ("t",), Digest(bytes(32))]
+ANY_TYPE = [0, True, "t", b"b", None, 1.5, [], {}, ("t",), bytearray(b"b")]
 
 
 @functools.cache

@@ -9,7 +9,14 @@ import pytest
 from coopattest import crypto
 from coopattest.attestation import SubjectRef, blind, canonical_bytes
 from coopattest.canonical import canonical_parse, canonical_serialize, record_bytes, record_from_map
-from coopattest.cooperative import Cooperative, MemberRecord, Status
+from coopattest.cooperative import (
+    STATUS_EXPIRED,
+    STATUS_REVOKED,
+    STATUS_UNKNOWN,
+    STATUS_VALID,
+    Cooperative,
+    MemberRecord,
+)
 from coopattest.errors import (
     DecodeError,
     ExpiredAtWitnessing,
@@ -134,17 +141,18 @@ class TestRevalidation:
 
     def test_archived_valid(self):
         notary, _, att_id = self._witnessed()
-        assert notary.respond_revalidation(att_id, 50) is Status.VALID
+        assert notary.respond_revalidation(att_id, 50) == STATUS_VALID
 
     def test_never_witnessed_unknown(self):
         notary = make_notary()
-        assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
+        assert notary.respond_revalidation(crypto.digest(b"x"), 0) == STATUS_UNKNOWN
 
     def test_expired_via_forwarded_query(self):
         notary, _, att_id = self._witnessed()
-        assert notary.respond_revalidation(att_id, 100) is Status.EXPIRED
+        assert notary.respond_revalidation(att_id, 100) == STATUS_EXPIRED
 
-    @pytest.mark.parametrize("status", list(Status))
+    @pytest.mark.parametrize(
+        "status", [STATUS_VALID, STATUS_REVOKED, STATUS_EXPIRED, STATUS_UNKNOWN])
     def test_an_archived_attestation_gets_the_source_s_answer(self, status):
         """Every revalidation of an archived attestation is one query to the
         source, whose answer the notary returns unchanged."""
@@ -166,16 +174,16 @@ class TestRevalidation:
         notary.witness_and_countersign(plain, blinded, now=10)
         with pytest.raises(NoRevocationSource):
             notary.respond_revalidation(blinded.attestation_id, 50)
-        notary.represent(other.public_key, lambda attestation_id, now: Status.REVOKED)
-        assert notary.respond_revalidation(blinded.attestation_id, 50) is Status.REVOKED
-        assert notary.respond_revalidation(att_id, 50) is Status.VALID
+        notary.represent(other.public_key, lambda attestation_id, now: STATUS_REVOKED)
+        assert notary.respond_revalidation(blinded.attestation_id, 50) == STATUS_REVOKED
+        assert notary.respond_revalidation(att_id, 50) == STATUS_VALID
 
     def test_never_witnessed_is_not_forwarded(self):
         def source(attestation_id, now):
             raise AssertionError("the source was asked")
         notary = make_notary()
         notary.represent(crypto.keygen(b"coop1").public_key, source)
-        assert notary.respond_revalidation(crypto.digest(b"x"), 0) is Status.UNKNOWN
+        assert notary.respond_revalidation(crypto.digest(b"x"), 0) == STATUS_UNKNOWN
 
     def test_a_notary_with_no_source_names_the_attestation(self, tmp_path):
         """A notary loaded from its state file has no source to forward to:
@@ -186,15 +194,15 @@ class TestRevalidation:
         loaded = Notary.load_state(tmp_path / "notary.state")
         with pytest.raises(NoRevocationSource, match=f"attestation {att_id.hex()}$"):
             loaded.respond_revalidation(att_id, 50)
-        assert loaded.respond_revalidation(crypto.digest(b"x"), 50) is Status.UNKNOWN
+        assert loaded.respond_revalidation(crypto.digest(b"x"), 50) == STATUS_UNKNOWN
 
     def test_revoked_via_forwarded_query(self):
         """A revocation made after witnessing reaches the notary's answer,
         from its tick on."""
         notary, coop, att_id = self._witnessed()
         coop.revoke(att_id, 40)
-        assert notary.respond_revalidation(att_id, 50) is Status.REVOKED
-        assert notary.respond_revalidation(att_id, 39) is Status.VALID
+        assert notary.respond_revalidation(att_id, 50) == STATUS_REVOKED
+        assert notary.respond_revalidation(att_id, 39) == STATUS_VALID
 
 
 class TestDisclosure:

@@ -77,11 +77,12 @@ ID_MAPS = {"coop.state": "revoked"}
 
 
 def respelled(hex_id: str) -> dict[str, str]:
-    """Other spellings of *hex_id* that ``bytes.fromhex`` reads, and one
-    digit short."""
+    """Other spellings of *hex_id* that ``bytes.fromhex`` reads, one digit
+    short, and the lowercase hex of one byte fewer."""
     return {"uppercase": hex_id.upper(),
             "spaced": " ".join(hex_id[i:i + 2] for i in range(0, len(hex_id), 2)),
-            "63 digits": hex_id[:-1]}
+            "63 digits": hex_id[:-1],
+            "62 digits": hex_id[:-2]}
 
 
 @pytest.mark.parametrize("name", sorted(ID_MAPS))
