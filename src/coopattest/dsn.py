@@ -24,13 +24,14 @@ The notices are logged; no provider keeps them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import crypto
 from .attestation import MODE_HANDLE, CounterSignedAttestation
 from .attestation import verify_countersigned  # noqa: F401 (only perfbench/smoke.py uses it)
 from .canonical import canonical_serialize
+from .cooperative import STATUS_EXPIRED, STATUS_REVOKED, STATUS_VALID
 from .crypto import KeyDirectory, KeyPair, Signature
 from .errors import (
     BadRecoverySignature,
@@ -64,11 +65,19 @@ REASON_EXPIRED = "attestation-expired"
 REASON_REVOKED = "attestation-revoked"
 REASON_ORIGIN = "origin-mismatch"
 
+# Each reason a filter decision may give, and its outcome.
+VERDICTS = {REASON_ATTESTED: OUTCOME_DELIVER,
+            **dict.fromkeys((REASON_NO_MATCH, REASON_INVALID, REASON_EXPIRED, REASON_REVOKED,
+                             REASON_ORIGIN), OUTCOME_DROP)}
+
+STAGE_FETCH, STAGE_ORIGIN = "fetch", "origin"   # a provider's own stages, before vouch's
+
 # The drop reason for each answer of notary.vouch; any other is REASON_INVALID.
-_DROP_REASONS = {"valid": REASON_ATTESTED, "expired": REASON_EXPIRED, "revoked": REASON_REVOKED}
+_DROP_REASONS = {STATUS_VALID: REASON_ATTESTED, STATUS_EXPIRED: REASON_EXPIRED,
+                 STATUS_REVOKED: REASON_REVOKED}
 # The stages a matching post record's attestation goes through, in order,
 # ranked from 1: of several matches, the furthest names a drop's reason.
-_RANK = {stage: rank for rank, stage in enumerate(("fetch", "origin", *VOUCH_STAGES), 1)}
+_RANK = {stage: rank for rank, stage in enumerate((STAGE_FETCH, STAGE_ORIGIN, *VOUCH_STAGES), 1)}
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,13 @@ class Post:
 
 @dataclass
 class FilterDecision:
-    outcome: str
+    outcome: str = field(init=False)
     reason: str
 
     def __post_init__(self) -> None:
-        if (self.outcome == OUTCOME_DELIVER) != (self.reason == REASON_ATTESTED):
-            raise ValueError("deliver exactly when attested")
+        self.outcome = VERDICTS.get(self.reason)
+        if self.outcome is None:
+            raise ValueError(f"undeclared filter reason {self.reason!r}")
 
 
 def recovery_message(handle: str, attestation_id: bytes) -> bytes:
@@ -133,7 +143,7 @@ class Provider:
         ledger_registry[name] = self.ledger
         self.peers: dict[str, Provider] = {}
         self.accounts: dict[str, SenderAccount] = {}
-        self._ported: dict[RecordPointer, RecordPointer] = {}
+        self._ported: dict[tuple[str, int], RecordPointer] = {}
         self._emit = no_emit
 
     # --- onboarding -----------------------------------------------------------
@@ -225,7 +235,7 @@ class Provider:
     def _fetch_attestation(self, att_ptr: RecordPointer) -> CounterSignedAttestation | None:
         """Resolve an attestation pointer, through its local ported copy
         if there is one."""
-        return self._resolve(self._ported.get(att_ptr, att_ptr))
+        return self._resolve(self._ported.get((att_ptr.ledger_id, att_ptr.index), att_ptr))
 
     def filter_incoming(self, post: Post, now: int) -> FilterDecision:
         """Re-derive the post's standing from the origin ledger.
@@ -244,8 +254,7 @@ class Provider:
                 break
             if stage > best_stage:
                 best_stage, reason = stage, why
-        decision = FilterDecision(OUTCOME_DELIVER if reason == REASON_ATTESTED else OUTCOME_DROP,
-                                  reason)
+        decision = FilterDecision(reason)
         self._emit("filter-decision", {
             "author_handle": post.author_handle,
             "origin_provider": post.origin_provider,
@@ -258,9 +267,9 @@ class Provider:
         """The rank of the stage *record*'s attestation got to, and why it stopped."""
         csa = self._fetch_attestation(record.payload.attestation_ptr)
         if csa is None:
-            return _RANK["fetch"], REASON_INVALID
+            return _RANK[STAGE_FETCH], REASON_INVALID
         if not self._binds(csa, post.author_handle):
-            return _RANK["origin"], REASON_ORIGIN
+            return _RANK[STAGE_ORIGIN], REASON_ORIGIN
         stage, why = vouch(self, csa, now)
         return _RANK[stage], _DROP_REASONS.get(why, REASON_INVALID)
 
@@ -274,7 +283,7 @@ class Provider:
         if csa is None:
             raise DanglingAttestationPointer(f"{ptr} is not an attestation record")
         local_ptr = self.ledger.append(self.writer, AttestationRecord(csa))
-        self._ported[ptr] = local_ptr
+        self._ported[ptr.ledger_id, ptr.index] = local_ptr
         self._emit("ported", {
             "origin_ledger": ptr.ledger_id, "origin_index": ptr.index,
             "local_index": local_ptr.index,

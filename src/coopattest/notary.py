@@ -31,7 +31,7 @@ from .attestation import (
     verify_pair,
 )
 from .canonical import read_record, record_bytes, write_canonical
-from .cooperative import STATUS_UNKNOWN
+from .cooperative import STATUS_EXPIRED, STATUS_UNKNOWN
 from .crypto import Digest
 from .errors import ExpiredAtWitnessing, InvalidAttestation, NoRevocationSource, PairMismatch
 from .events import no_emit, send_message
@@ -264,20 +264,22 @@ class Notary:
 # trusts one through vouch, by its ``keys`` and the ``notaries`` it reaches.
 
 VOUCH_STAGES = ("signatures", "notary", "revalidation")   # vouch's stages, in order
+STAGE_SIGNATURES, STAGE_NOTARY, STAGE_REVALIDATION = VOUCH_STAGES
+VERIFICATION_FAILED, UNKNOWN_NOTARY = "verification-failed", "unknown-notary"  # its refusals
 
 
 def _signatures(requester, csa: CounterSignedAttestation, now: int) -> str | None:
     """None if *csa* passes vouch's signatures stage at tick *now*, under
     its issuer and notary public keys in *requester*'s directory, else why
-    not: ``verification-failed`` (a key is missing, or the check failed) or
-    ``expired``.  Once *csa* is ``signed`` under a key pair, a check under
+    not: VERIFICATION_FAILED (a key is missing, or the check failed) or
+    STATUS_EXPIRED.  Once *csa* is ``signed`` under a key pair, a check under
     that pair compares *now* with its expiry and nothing else."""
     blinded, get = csa.blinded, requester.keys.get
     issuer_key, notary_key = get(blinded.issuer_key_id), get(csa.notary_key_id)
     if issuer_key is None or notary_key is None or \
             not csa._signed_under(issuer_key, notary_key, now):
-        return "verification-failed"
-    return None if now < blinded.expires_at else "expired"
+        return VERIFICATION_FAILED
+    return None if now < blinded.expires_at else STATUS_EXPIRED
 
 
 def require_verified(requester, csa: CounterSignedAttestation, now: int) -> None:
@@ -292,16 +294,16 @@ def require_verified(requester, csa: CounterSignedAttestation, now: int) -> None
 
 def vouch(requester, csa: CounterSignedAttestation, now: int) -> tuple[str, str]:
     """The stage of VOUCH_STAGES where *csa* stopped at tick *now*, and why:
-    ``verification-failed`` or ``expired`` (signatures), ``unknown-notary``
-    (notary), or the status the notary named in *csa* gives it (revalidation),
-    which is ``valid`` when that notary vouches for it to *requester*."""
+    VERIFICATION_FAILED or STATUS_EXPIRED (signatures), UNKNOWN_NOTARY (notary),
+    or the status the notary named in *csa* gives it (revalidation), which is
+    STATUS_VALID when that notary vouches for it to *requester*."""
     refusal = _signatures(requester, csa, now)
     if refusal is not None:
-        return "signatures", refusal
+        return STAGE_SIGNATURES, refusal
     notary = requester.notaries.get(csa.notary_id)
     if notary is None:
-        return "notary", "unknown-notary"
-    return "revalidation", revalidate(requester, notary, csa.blinded.attestation_id, now)
+        return STAGE_NOTARY, UNKNOWN_NOTARY
+    return STAGE_REVALIDATION, revalidate(requester, notary, csa.blinded.attestation_id, now)
 
 
 def revalidate(requester, notary: Notary, attestation_id: bytes, now: int) -> str:

@@ -19,11 +19,12 @@ rejected before the notary is asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .attestation import CounterSignedAttestation
 from .attestation import verify_countersigned  # noqa: F401 (only perfbench/smoke.py uses it)
+from .cooperative import STATUS_EXPIRED, STATUS_REVOKED, STATUS_UNKNOWN, STATUS_VALID
 from .crypto import KeyDirectory
 from .errors import (
     DuplicateAccount,
@@ -37,7 +38,10 @@ from .events import no_emit, send_message
 from .notary import (
     OUTCOME_DENIED,
     OUTCOME_DISCLOSED,
+    OUTCOME_UNKNOWN,
     PURPOSE_TRAVEL_RULE,
+    UNKNOWN_NOTARY,
+    VERIFICATION_FAILED,
     DisclosureResponse,
     Notary,
     request_disclosure,
@@ -48,6 +52,19 @@ from .notary import (
 ACCEPTED = "accepted"
 HELD = "held-pending-disclosure"
 REJECTED = "rejected"
+
+REASON_UNKNOWN_BENEFICIARY = "unknown-beneficiary"
+REASON_BELOW_THRESHOLD = "below-threshold"
+REASON_MISSING_RESIDENCE = "missing-residence"
+
+# Each reason a transfer decision may give, and its outcome.
+VERDICTS = {
+    **dict.fromkeys((REASON_UNKNOWN_BENEFICIARY, VERIFICATION_FAILED, STATUS_EXPIRED,
+                     UNKNOWN_NOTARY, STATUS_REVOKED, STATUS_UNKNOWN, REASON_MISSING_RESIDENCE,
+                     OUTCOME_UNKNOWN), REJECTED),
+    **dict.fromkeys((REASON_BELOW_THRESHOLD, OUTCOME_DISCLOSED), ACCEPTED),
+    OUTCOME_DENIED: HELD,
+}
 
 RESIDENCE_ATTRIBUTE = "residence-country"
 
@@ -87,11 +104,14 @@ class TravelRuleRecord:
 
 @dataclass
 class TransferDecision:
-    outcome: str
+    outcome: str = field(init=False)
     reason: str
     travel_record: TravelRuleRecord | None = None
 
     def __post_init__(self) -> None:
+        self.outcome = VERDICTS.get(self.reason)
+        if self.outcome is None:
+            raise ValueError(f"undeclared transfer reason {self.reason!r}")
         if self.travel_record is not None and self.outcome != ACCEPTED:
             raise ValueError("travel record only accompanies an accepted transfer")
 
@@ -223,22 +243,20 @@ class Exchange:
         # At every amount, before the notary is asked: an unknown account sends it nothing.
         beneficiary_name = self._kyc_names.get(req.beneficiary_account)
         if beneficiary_name is None:
-            return TransferDecision(REJECTED, "unknown-beneficiary")
+            return TransferDecision(REASON_UNKNOWN_BENEFICIARY)
 
         _, why = vouch(self, csa, now)
-        if why != "valid":
-            return TransferDecision(REJECTED, why)
+        if why != STATUS_VALID:
+            return TransferDecision(why)
 
         if req.amount < self.disclosure_threshold:
-            return TransferDecision(ACCEPTED, "below-threshold")
+            return TransferDecision(REASON_BELOW_THRESHOLD)
         # No record can be assembled without residence: ask the notary for no identity.
         if all(claim.name != RESIDENCE_ATTRIBUTE for claim in csa.blinded.attributes):
-            return TransferDecision(REJECTED, "missing-residence")
+            return TransferDecision(REASON_MISSING_RESIDENCE)
         disclosure = request_disclosure(self, self.notaries[csa.notary_id],
                                         csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
-        if disclosure.outcome == OUTCOME_DENIED:
-            return TransferDecision(HELD, "denied-jurisdiction")
         if disclosure.outcome != OUTCOME_DISCLOSED:
-            return TransferDecision(REJECTED, disclosure.outcome)
+            return TransferDecision(disclosure.outcome)
         record = assemble_travel_record(disclosure, req, beneficiary_name)
-        return TransferDecision(ACCEPTED, "disclosed", travel_record=record)
+        return TransferDecision(OUTCOME_DISCLOSED, travel_record=record)

@@ -9,16 +9,27 @@ whether either asked the notary to revalidate.
 """
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
-from coopattest import crypto
+from coopattest import crypto, dsn, travel_rule
 from coopattest.attestation import countersign
-from coopattest.cooperative import STATUS_EXPIRED, Cooperative, MemberRecord
+from coopattest.cooperative import (
+    STATUS_EXPIRED,
+    STATUS_REVOKED,
+    STATUS_UNKNOWN,
+    STATUS_VALID,
+    Cooperative,
+    MemberRecord,
+)
 from coopattest.dsn import FilterDecision, Post, Provider
 from coopattest.ledger import AttestationRecord, PostRecord
-from coopattest.notary import Notary
+from coopattest.notary import UNKNOWN_NOTARY, VERIFICATION_FAILED, VOUCH_STAGES, Notary
 from coopattest.travel_rule import Exchange, TransferDecision, TransferRequest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 HANDLE = "@alice"
 BODY = b"hello"
@@ -164,5 +175,56 @@ def test_a_stop_at_the_notary_outranks_an_expiry_at_the_signatures(expired_first
     unreachable = world.issue(notary=elsewhere)
     for csa in (expired, unreachable) if expired_first else (unreachable, expired):
         world.record_post(csa, 10)
-    assert world.filter(50) == FilterDecision("drop", "attestation-invalid")
+    assert world.filter(50) == FilterDecision("attestation-invalid")
     assert "revalidation" not in world.sends
+
+
+# --- the README's tables -----------------------------------------------------------
+
+def _readme_tables() -> dict:
+    """The tables of README "Consumer verdicts", each keyed by its first
+    header cell: a list of its rows, each a list of its cells."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Consumer verdicts", 1)[1].split("\n## ", 1)[0]
+    tables, rows = {}, None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            rows = None
+        elif rows is None:
+            rows = tables.setdefault(line.split("|")[1].strip(), [])
+        elif not line.startswith("| ---"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return tables
+
+
+def _code(cell: str) -> list[str]:
+    return re.findall(r"`([^`]*)`", cell)
+
+
+@pytest.mark.parametrize("header, verdicts", [("DSN reason", dsn.VERDICTS),
+                                              ("travel reason", travel_rule.VERDICTS)],
+                         ids=["dsn", "travel_rule"])
+def test_the_readme_table_of_a_consumers_verdicts_is_its_declaration(header, verdicts):
+    rows = [(_code(reason), _code(outcome)) for reason, outcome in _readme_tables()[header]]
+    assert len(rows) == len(verdicts)
+    assert {reason: outcome for [reason], [outcome] in rows} == verdicts
+
+
+def test_the_readme_puts_each_answer_of_vouch_in_each_consumers_words():
+    """Each row's DSN drop reason is the one the provider gives that answer;
+    its travel reject reason is the answer itself, which an exchange
+    rejects, but for ``valid``, on which the transfer goes on."""
+    answers = set()
+    for stage, _, answer, dsn_reason, travel_reason, _ in _readme_tables()["stage"]:
+        [stage], [answer] = _code(stage), _code(answer)
+        assert stage in VOUCH_STAGES
+        answers.add(answer)
+        assert _code(dsn_reason) == [dsn._DROP_REASONS.get(answer, dsn.REASON_INVALID)]
+        if answer == STATUS_VALID:
+            assert travel_reason.startswith("none")
+            assert all(reason in travel_rule.VERDICTS for reason in _code(travel_reason))
+        else:
+            assert _code(travel_reason) == [answer]
+            assert travel_rule.VERDICTS[answer] == travel_rule.REJECTED
+    assert answers == {VERIFICATION_FAILED, UNKNOWN_NOTARY, STATUS_VALID, STATUS_REVOKED,
+                       STATUS_EXPIRED, STATUS_UNKNOWN}

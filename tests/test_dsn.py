@@ -9,13 +9,13 @@ from coopattest.attestation import canonical_bytes
 from coopattest.cooperative import STATUS_REVOKED, Cooperative, MemberRecord
 from coopattest.dsn import (
     OUTCOME_DELIVER,
-    OUTCOME_DROP,
     REASON_ATTESTED,
     REASON_EXPIRED,
     REASON_INVALID,
     REASON_NO_MATCH,
     REASON_ORIGIN,
     REASON_REVOKED,
+    VERDICTS,
     FilterDecision,
     Post,
     Provider,
@@ -48,10 +48,13 @@ class Capture:
         return [e for e in self.events if e[1] == kind]
 
     def decisions(self, provider, body):
-        """The filter decisions *provider* logged for posts with *body*."""
-        return [FilterDecision(e[2]["outcome"], e[2]["reason"])
-                for e in self.of_kind("filter-decision")
-                if e[0] == provider and e[2]["post_digest"] == crypto.digest(body)]
+        """The filter decisions *provider* logged for posts with *body*,
+        each logged with the outcome its reason gives."""
+        logged = [e[2] for e in self.of_kind("filter-decision")
+                  if e[0] == provider and e[2]["post_digest"] == crypto.digest(body)]
+        decisions = [FilterDecision(payload["reason"]) for payload in logged]
+        assert [d.outcome for d in decisions] == [p["outcome"] for p in logged]
+        return decisions
 
 
 class Stack:
@@ -207,7 +210,7 @@ class TestPublish:
         assert hashed.count(body) == 2
         hashed.clear()
         decision = stack.providers["P3"].receive_post(Post(body, "@sender", "P1", 21), 21)
-        assert decision == FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)
+        assert decision == FilterDecision(REASON_ATTESTED)
         assert hashed.count(body) == 1
 
 
@@ -220,13 +223,13 @@ class TestFiltering:
         capture.bind(stack.providers["P3"])
         stack.providers["P1"].publish_post("@sender", b"hello", 20)
         assert capture.decisions("P3", b"hello") == [
-            FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)]
+            FilterDecision(REASON_ATTESTED)]
 
     def test_bot_injection_dropped(self):
         stack = Stack()
         bot_post = Post(b"buy coin now", "@bot", "P1", 20)
         decision = stack.providers["P2"].receive_post(bot_post, 20)
-        assert decision == FilterDecision(OUTCOME_DROP, REASON_NO_MATCH)
+        assert decision == FilterDecision(REASON_NO_MATCH)
 
     def test_unknown_origin_dropped(self):
         stack = Stack()
@@ -244,9 +247,9 @@ class TestFiltering:
         stack.providers["P1"].publish_post("@sender", b"same words", 20)
         imposter = Post(b"same words", "@imposter", "P1", 21)
         decision = stack.providers["P3"].receive_post(imposter, 21)
-        assert decision == FilterDecision(OUTCOME_DROP, REASON_ORIGIN)
+        assert decision == FilterDecision(REASON_ORIGIN)
         assert capture.decisions("P3", b"same words") == [
-            FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED), decision]
+            FilterDecision(REASON_ATTESTED), decision]
         genuine = [e[2]["author_handle"] for e in capture.of_kind("filter-decision")
                    if e[2]["outcome"] == OUTCOME_DELIVER]
         assert genuine == ["@sender"]
@@ -259,7 +262,7 @@ class TestFiltering:
         stack.coop.revoke(csa.blinded.attestation_id, 30)
         replay = Post(b"hello", "@sender", "P1", 35)
         decision = stack.providers["P2"].receive_post(replay, 35)
-        assert decision == FilterDecision(OUTCOME_DROP, REASON_REVOKED)
+        assert decision == FilterDecision(REASON_REVOKED)
 
     def test_expired_attestation_drops(self):
         stack = Stack()
@@ -268,7 +271,7 @@ class TestFiltering:
         stack.providers["P1"].publish_post("@sender", b"hello", 20)
         late = Post(b"hello", "@sender", "P1", 100)
         decision = stack.providers["P2"].receive_post(late, 100)
-        assert decision == FilterDecision(OUTCOME_DROP, REASON_EXPIRED)
+        assert decision == FilterDecision(REASON_EXPIRED)
 
     def test_filter_is_stateless_per_call(self):
         stack = Stack()
@@ -280,16 +283,21 @@ class TestFiltering:
         second = stack.providers["P2"].filter_incoming(post, 25)
         assert first == second
 
-    @pytest.mark.parametrize("outcome, reason", [
-        *((OUTCOME_DELIVER, reason) for reason in (
-            REASON_NO_MATCH, REASON_INVALID, REASON_EXPIRED, REASON_REVOKED, REASON_ORIGIN)),
-        (OUTCOME_DROP, REASON_ATTESTED),
-    ])
-    def test_a_decision_delivers_exactly_when_attested(self, outcome, reason):
-        with pytest.raises(ValueError, match="deliver exactly when attested"):
-            FilterDecision(outcome, reason)
-        other = OUTCOME_DROP if outcome == OUTCOME_DELIVER else OUTCOME_DELIVER
-        assert FilterDecision(other, reason).reason == reason
+    # Each reason a filter decision may give, and its outcome: deliver exactly when attested.
+    DECLARED = {"attested": "deliver", "no-ledger-match": "drop", "attestation-invalid": "drop",
+                "attestation-expired": "drop", "attestation-revoked": "drop",
+                "origin-mismatch": "drop"}
+
+    def test_each_declared_reason_gives_its_outcome(self):
+        assert VERDICTS == self.DECLARED
+        for reason, outcome in self.DECLARED.items():
+            decision = FilterDecision(reason)
+            assert (decision.outcome, decision.reason) == (outcome, reason)
+
+    @pytest.mark.parametrize("reason", ["valid", "", OUTCOME_DELIVER])
+    def test_an_undeclared_reason_is_refused(self, reason):
+        with pytest.raises(ValueError, match="undeclared filter reason"):
+            FilterDecision(reason)
 
 
 class TestPorting:
@@ -456,7 +464,7 @@ class TestRecovery:
         capture.bind(stack.providers["P2"])
         stack.providers["P1"].publish_post("@sender", b"new words", 40)
         assert capture.decisions("P2", b"new words") == [
-            FilterDecision(OUTCOME_DELIVER, REASON_ATTESTED)]
+            FilterDecision(REASON_ATTESTED)]
 
     def test_recovery_with_wrong_handle_attestation(self):
         stack = Stack()

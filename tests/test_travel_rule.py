@@ -25,6 +25,7 @@ from coopattest.travel_rule import (
     ACCEPTED,
     HELD,
     REJECTED,
+    VERDICTS,
     Exchange,
     TransferDecision,
     TransferRequest,
@@ -245,13 +246,33 @@ class TestEvaluation:
             decision = stack.transfer(amount=5, now=now)
             assert decision.outcome == REJECTED, fault
 
-    @pytest.mark.parametrize("outcome", [HELD, REJECTED])
-    def test_a_travel_record_accompanies_only_an_accepted_transfer(self, outcome):
+    @pytest.mark.parametrize("reason", ["denied-jurisdiction", "missing-residence"],
+                             ids=[HELD, REJECTED])
+    def test_a_travel_record_accompanies_only_an_accepted_transfer(self, reason):
         record = TravelRuleRecord("alice", "acct-alice", "NL", "bob", "acct-bob")
         with pytest.raises(ValueError, match="only accompanies an accepted transfer"):
-            TransferDecision(outcome, "disclosed", record)
-        assert TransferDecision(outcome, "disclosed").travel_record is None
-        assert TransferDecision(ACCEPTED, "disclosed", record).travel_record == record
+            TransferDecision(reason, record)
+        assert TransferDecision(reason).travel_record is None
+        assert TransferDecision("disclosed", record).travel_record == record
+
+    # Each reason a transfer decision may give, and its outcome.
+    DECLARED = {
+        "unknown-beneficiary": REJECTED, "verification-failed": REJECTED, "expired": REJECTED,
+        "unknown-notary": REJECTED, "revoked": REJECTED, "unknown": REJECTED,
+        "below-threshold": ACCEPTED, "missing-residence": REJECTED, "disclosed": ACCEPTED,
+        "denied-jurisdiction": HELD, "unknown-attestation": REJECTED,
+    }
+
+    def test_each_declared_reason_gives_its_outcome(self):
+        assert VERDICTS == self.DECLARED
+        for reason, outcome in self.DECLARED.items():
+            decision = TransferDecision(reason)
+            assert (decision.outcome, decision.reason) == (outcome, reason)
+
+    @pytest.mark.parametrize("reason", ["valid", "", ACCEPTED])
+    def test_an_undeclared_reason_is_refused(self, reason):
+        with pytest.raises(ValueError, match="undeclared transfer reason"):
+            TransferDecision(reason)
 
 
 class TestAssembleTravelRecord:
