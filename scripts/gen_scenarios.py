@@ -59,7 +59,8 @@ ALL_QUERIES = ["age-over-18", "residence-country", "income-bracket",
 
 
 def travel_script(amount, revoke_between=False, tamper_between=False,
-                  queries=("age-over-18", "residence-country"), ttl=40):
+                  queries=("age-over-18", "residence-country"), ttl=40,
+                  beneficiary_account="acct-bob"):
     script = [
         {"at": 1, "action": "issue", "coop": "coop1", "member": "alice",
          "queries": list(queries), "mode": "absent",
@@ -77,7 +78,7 @@ def travel_script(amount, revoke_between=False, tamper_between=False,
                        "account": "acct-alice"})
     script.append({"at": 5, "action": "transfer", "origin": "E1",
                    "transfer_id": "t1", "originator_account": "acct-alice",
-                   "beneficiary_account": "acct-bob", "beneficiary_exchange": "E2",
+                   "beneficiary_account": beneficiary_account, "beneficiary_exchange": "E2",
                    "asset": "coin", "amount": amount})
     return script
 
@@ -124,6 +125,24 @@ def scenario_travel_rule_expired():
     config = travel_base()
     config["cooperatives"][0]["members"] = [member("alice", "alice-legal-0001", income=150_000)]
     config["script"] = travel_script(amount=500, queries=["income-bracket"], ttl=3)
+    return config
+
+
+def scenario_travel_rule_unknown_beneficiary():
+    """A transfer above the threshold to an account E2 never registered.  The
+    account's text holds a quote, a backslash and a tab, so the scenario and
+    its log carry escapes."""
+    config = travel_base()
+    config["script"] = travel_script(amount=2_000_000,
+                                     beneficiary_account='acct-"ghost"\\\t')
+    return config
+
+
+def scenario_travel_rule_missing_residence():
+    """A transfer above the threshold by a member whose attestation carries
+    no residence-country, so no travel record could be assembled."""
+    config = travel_base()
+    config["script"] = travel_script(amount=2_000_000, queries=["age-over-18"])
     return config
 
 
@@ -243,6 +262,8 @@ SCENARIOS = {
     "travel_rule_tampered": scenario_travel_rule_tampered,
     "travel_rule_all_rules": scenario_travel_rule_all_rules,
     "travel_rule_expired": scenario_travel_rule_expired,
+    "travel_rule_unknown_beneficiary": scenario_travel_rule_unknown_beneficiary,
+    "travel_rule_missing_residence": scenario_travel_rule_missing_residence,
     "dsn_bot_flood": scenario_dsn_bot_flood,
     "dsn_duplicate_digest": scenario_dsn_duplicate_digest,
     "dsn_recovery": scenario_dsn_recovery,

@@ -22,11 +22,10 @@ by brute-forcing candidate plain attestations against ``plain_digest``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 from . import crypto
 from .canonical import (
@@ -387,28 +386,17 @@ def blind(plain: PlainAttestation, substitute: SubjectRef, issuer: KeyPair) -> B
 class _Checks:
     """A dataclass report whose fields are all pass/fail flags, read in
     declaration order, which is the order `coopattest verify` prints them
-    in.  Each subclass works out its flags' names and their getter once,
-    from its annotations, so reading them builds no instance dict.  Not
-    frozen: a report is built on every verdict, holds no memo and is never
-    a dict key."""
-
-    _names: tuple[str, ...]
-    _flags: Callable[[object], tuple[bool, ...]]
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._names = tuple(cls.__annotations__)
-        cls._flags = operator.attrgetter(*cls._names)
+    in."""
 
     @property
     def passed(self) -> bool:
-        return all(self._flags(self))
+        return all(vars(self).values())
 
     def checks(self) -> dict[str, bool]:
-        return dict(zip(self._names, self._flags(self)))
+        return dict(vars(self))
 
     def failing(self) -> list[str]:
-        return [name for name, ok in zip(self._names, self._flags(self)) if not ok]
+        return [name for name, ok in vars(self).items() if not ok]
 
 
 @dataclass

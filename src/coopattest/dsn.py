@@ -25,7 +25,7 @@ The notices are logged; no provider keeps them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import crypto
 from .attestation import MODE_HANDLE, CounterSignedAttestation
@@ -128,7 +128,7 @@ class Provider:
         keys: KeyDirectory,
         notaries: Mapping[str, Notary],
         ledger_registry: dict[str, Ledger],
-        followers: Mapping[str, tuple[str, ...]] | None = None,
+        followers: Mapping[str, Iterable[str]] | None = None,
     ) -> None:
         self.name = name
         self.jurisdiction = jurisdiction

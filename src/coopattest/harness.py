@@ -333,7 +333,7 @@ SCHEMA: dict[str, dict[str, _Field]] = {
         "issue": {"coop": _text(ref="cooperative"), "member": _text(),
                   "queries": _rules(), "mode": _mode(), "ttl": _count(),
                   "label": _text(ref="new label")},
-        # _check_register decides which of these a register needs.
+        # _check_register decides which of these a register reads.
         "register": {"exchange": _text(None, "exchange"), "account": _text(None),
                      "name": _text(None), "provider": _text(None, "provider"),
                      "handle": _text(None), "attestation": _text(None, "issued label")},
@@ -523,12 +523,13 @@ def _check_register(walk: _Walk, path: str, action: dict) -> None:
     if ("exchange" in action) == ("provider" in action):
         walk.problem(path, "register needs exactly one of 'exchange' or 'provider'")
         return
-    needed = ["handle", "attestation"] if "provider" in action else ["account"]
-    if "exchange" in action and "name" not in action:
-        needed.append("attestation")
-    for key in needed:
-        if key not in action:
-            walk.problem(f"{path}.{key}", SCHEMA["script"]["register"][key].problem)
+    reads = ("provider", "handle", "attestation") if "provider" in action else \
+        ("exchange", "account", "name" if "name" in action else "attestation")
+    for key, f in SCHEMA["script"]["register"].items():
+        if key in reads and key not in action:
+            walk.problem(f"{path}.{key}", f.problem)
+        elif key not in reads and key in action:
+            walk.problem(f"{path}.{key}", f"not read by a register of {', '.join(reads)}")
 
 
 def _check_transfer(walk: _Walk, path: str, action: dict) -> None:
@@ -610,7 +611,6 @@ class Scenario:
             self.notaries[entry["name"]] = notary
 
         self.coops: dict[str, Cooperative] = {}
-        self._coop_by_key_id: dict[bytes, Cooperative] = {}
         for entry in config.cooperatives:
             coop = Cooperative(
                 entry["name"], self._actor_seed("coop", entry["name"]), entry["legal_rep"],
@@ -626,7 +626,6 @@ class Scenario:
             self.notaries[coop.legal_rep_id].represent(coop.public_key, coop.revalidation_status)
             self._bind(coop)
             self.coops[entry["name"]] = coop
-            self._coop_by_key_id[coop.keypair.key_id] = coop
 
         self.exchanges: dict[str, Exchange] = {}
         for entry in config.exchanges:
@@ -648,8 +647,7 @@ class Scenario:
                 crypto.keygen(self._actor_seed("provider", entry["name"])),
                 keys=self.keys, notaries=self.notaries,
                 ledger_registry=self.ledgers,
-                followers={h: tuple(t) for h, t in
-                           _setting("providers", entry, "followers").items()},
+                followers=_setting("providers", entry, "followers"),
             )
             self._bind(provider)
             self.providers[entry["name"]] = provider
@@ -763,7 +761,8 @@ class Scenario:
         old_record = provider.ledger.get(account.attestation_ptr)
         old_csa = old_record.payload.csa
         # Every attestation a provider holds was issued by a cooperative of the config.
-        issuing_coop = self._coop_by_key_id[old_csa.blinded.issuer_key_id]
+        issuing_coop = next(coop for coop in self.coops.values()
+                            if coop.keypair.key_id == old_csa.blinded.issuer_key_id)
         issuing_coop.revoke(old_csa.blinded.attestation_id, self.now)
         issuing_coop._emit("revoked", {"attestation_id": old_csa.blinded.attestation_id})
         signature = crypto.sign(self._recovery_key(handle), crypto.TAG_RECOVER,

@@ -819,7 +819,7 @@ COMMITTED_FILES = sorted([*_ROOT.glob("tests/goldens/*.log"), *_ROOT.glob("tests
 
 def test_committed_files_are_all_there():
     suffixes = [path.suffix for path in COMMITTED_FILES]
-    assert (suffixes.count(".log"), suffixes.count(".state"), suffixes.count(".scn")) == (20, 2, 12)
+    assert (suffixes.count(".log"), suffixes.count(".state"), suffixes.count(".scn")) == (22, 2, 14)
 
 
 @pytest.mark.parametrize("path", COMMITTED_FILES, ids=lambda path: str(path.relative_to(_ROOT)))

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import gc
+import importlib.util
 import os
 import re
 import tempfile
@@ -56,6 +57,7 @@ from conftest import (
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
+GEN_SCENARIOS = Path(__file__).parent.parent / "scripts" / "gen_scenarios.py"
 
 TRANSFER = {"at": 3, "action": "transfer", "origin": "E1", "beneficiary_exchange": "E2",
             "transfer_id": "t1", "originator_account": "acct-a",
@@ -312,6 +314,25 @@ class TestValidateConfig:
         expected = (f"script[2].{missing}: must be a non-empty string" if missing else
                     "script[2]: register needs exactly one of 'exchange' or 'provider'")
         assert validate_config(config) == [expected]
+
+    @pytest.mark.parametrize("register, unread", [
+        ({"provider": "P1", "handle": "@alice", "attestation": "a1", "account": "x"}, "account"),
+        ({"provider": "P1", "handle": "@alice", "attestation": "a1", "name": "Bob"}, "name"),
+        ({"exchange": "E1", "account": "x", "name": "Bob", "attestation": "a1"}, "attestation"),
+        ({"exchange": "E1", "account": "x", "name": "Bob", "handle": "@alice"}, "handle"),
+        ({"exchange": "E1", "account": "x", "attestation": "a1", "handle": "@alice"}, "handle"),
+    ], ids=["onboarding-account", "onboarding-name", "beneficiary-attestation",
+            "beneficiary-handle", "customer-handle"])
+    def test_register_names_each_key_its_form_does_not_read(self, register, unread):
+        """A key the chosen form ignores would still be logged on the
+        action line, so the validator refuses it by name."""
+        config = minimal_plus({"at": 3, "action": "register", **register},
+                              providers=[{"name": "P1", "jurisdiction": "US"}])
+        form = ", ".join(key for key in register if key != unread)
+        assert validate_config(config) == [
+            f"script[2].{unread}: not read by a register of {form}"]
+        with pytest.raises(ConfigInvalid):
+            run_scenario(config)
 
 
 class TestSchemaReference:
@@ -1228,6 +1249,17 @@ class TestLogFormat:
         """Exactly one golden log per bundled scenario: none missing, none orphaned."""
         assert sorted(path.stem for path in GOLDEN_DIR.glob("*.log")) == \
             sorted(bundled_scenario_names())
+
+    def test_each_bundled_scenario_is_its_generator_s(self):
+        """Exactly the scenarios ``scripts/gen_scenarios.py`` writes are
+        committed, each byte for byte: one it has dropped would never be
+        regenerated."""
+        spec = importlib.util.spec_from_file_location("gen_scenarios", GEN_SCENARIOS)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        assert sorted(generator.SCENARIOS) == bundled_scenario_names()
+        for name, build in generator.SCENARIOS.items():
+            assert canonical_serialize(build()) == bundled_scenario_path(name).read_bytes(), name
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_no_legal_identity_outside_a_disclosed_travel_record(self, name):

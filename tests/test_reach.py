@@ -24,7 +24,14 @@ statement they never execute, one ``file:line`` a line (a ``raise`` and a
 docstring aside).  The line listing is evidence for simplifying, not a
 gate: no test reads it.
 
-Beside it, a second gate reads each module's source: every name it
+A verdict gate does the same for values: the (consumer, outcome, reason)
+triples that the bundled scenarios and the benchmark's workloads log are
+exactly the ones ``dsn.VERDICTS`` and ``travel_rule.VERDICTS`` declare,
+less those in ``UNREACHED_VERDICTS``, each with the reason no script
+reaches it.  A declared-unreached verdict that is logged, or no longer
+declared, fails it too.
+
+Beside them, a source gate reads each module's source: every name it
 imports is used, or is in ``UNUSED_IMPORTS`` with the reason it stays,
 and every module it imports by absolute name is in the standard library
 or is ``cryptography``, the one runtime dependency.
@@ -45,10 +52,6 @@ PACKAGE = ROOT / "src" / "coopattest"
 GOLDEN_DIR = ROOT / "tests" / "goldens"
 
 DECLARED = {
-    "canonical._escape":
-        "writes a control character, quote or backslash in text; no product text holds one",
-    "canonical._text":
-        "reads text with an escape in it; no product text holds one",
     "events.no_emit":
         "the emit of an actor used as a library; the harness binds every actor's emit",
     "dsn.Provider.request_sender_disclosure":
@@ -57,6 +60,27 @@ DECLARED = {
     "dsn.Provider._trace_attestation":
         "traces a post to its attestation for request_sender_disclosure",
 }
+
+# Each (consumer, outcome, reason) that a consumer declares and no product
+# path logs, with the reason.  Every one needs what the harness never wires:
+# it hands each consumer every notary and key, and asks a notary only about
+# what it witnessed.
+UNREACHED_VERDICTS = {
+    ("dsn", "drop", "attestation-invalid"):
+        "a post record points only at an attestation record its own ledger holds, checked "
+        "at onboarding against keys and notaries every provider has; no action alters one",
+    ("travel_rule", "rejected", "unknown-notary"):
+        "every attestation names a notary of the config, and every exchange holds them all",
+    ("travel_rule", "rejected", "unknown"):
+        "the revalidation status of an attestation its notary never witnessed; every "
+        "delivered attestation that passes its signatures was witnessed by the notary it names",
+    ("travel_rule", "rejected", "unknown-attestation"):
+        "the disclosure answer for an attestation its notary never witnessed; one asked "
+        "about was first revalidated as witnessed",
+}
+
+# The consumer whose verdicts each kind of event logs.
+VERDICT_KINDS = {"filter-decision": "dsn", "transfer-decision": "travel_rule"}
 
 # Names a module imports but never uses, each with the reason it stays.
 UNUSED_IMPORTS = {
@@ -138,14 +162,13 @@ def foreign_imports() -> list[str]:
 
 # --- the product paths -----------------------------------------------------------------
 
-def run_scenarios() -> None:
-    """Every bundled scenario and the benchmark's workloads at their
-    smoke-test size, each run, written and read back."""
+def scenario_configs() -> list:
+    """The config of every bundled scenario and of each of the benchmark's
+    workloads at its smoke-test size."""
     import importlib.util
 
     from coopattest.canonical import canonical_parse, canonical_serialize
-    from coopattest.harness import (
-        EventLog, ScenarioConfig, bundled_scenario_names, bundled_scenario_path, run_scenario)
+    from coopattest.harness import ScenarioConfig, bundled_scenario_names, bundled_scenario_path
 
     configs = [ScenarioConfig.load(bundled_scenario_path(name))
                for name in bundled_scenario_names()]
@@ -157,7 +180,14 @@ def run_scenarios() -> None:
     for name, shape in sorted(workloads.TINY_SHAPES.items()):
         config = workloads.generate(name, 3, shape).config
         configs.append(ScenarioConfig.from_map(canonical_parse(canonical_serialize(config))))
-    for config in configs:
+    return configs
+
+
+def run_scenarios() -> None:
+    """Every scenario config, run, written and read back."""
+    from coopattest.harness import EventLog, run_scenario
+
+    for config in scenario_configs():
         data = run_scenario(config).to_bytes()
         assert EventLog.from_bytes(data).to_bytes() == data
 
@@ -301,6 +331,32 @@ def test_every_function_is_reached_or_declared():
     stale = sorted(DECLARED.keys() - found)
     assert not new, f"no product path calls these, and they are not declared: {new}"
     assert not stale, f"declared as unreached, but called or no longer defined: {stale}"
+
+
+def logged_verdicts() -> set[tuple[str, str, str]]:
+    """The (consumer, outcome, reason) of every verdict the scenario configs log."""
+    from coopattest.harness import run_scenario
+
+    return {(VERDICT_KINDS[event.kind], event.payload["outcome"], event.payload["reason"])
+            for config in scenario_configs() for event in run_scenario(config).events
+            if event.kind in VERDICT_KINDS}
+
+
+def declared_verdicts() -> set[tuple[str, str, str]]:
+    from coopattest import dsn, travel_rule
+
+    return {(name, outcome, reason)
+            for name, consumer in (("dsn", dsn), ("travel_rule", travel_rule))
+            for reason, outcome in consumer.VERDICTS.items()}
+
+
+def test_every_verdict_is_reached_or_declared():
+    found, declared = logged_verdicts(), declared_verdicts()
+    new = sorted(declared - found - UNREACHED_VERDICTS.keys())
+    stale = sorted(UNREACHED_VERDICTS.keys() - (declared - found))
+    assert not new, f"no product path logs these verdicts, and they are not declared: {new}"
+    assert not stale, f"declared as unreached, but logged or no longer declared: {stale}"
+    assert found == declared - UNREACHED_VERDICTS.keys()
 
 
 def test_every_import_is_used_or_declared():

@@ -69,10 +69,8 @@ class RestartingScenario(Scenario):
                 actors[name] = cls.load_state(path)
         for notary in self.notaries.values():
             self._bind(notary)
-        self._coop_by_key_id.clear()
         for coop in self.coops.values():
             self._bind(coop)
-            self._coop_by_key_id[coop.keypair.key_id] = coop
             self.notaries[coop.legal_rep_id].represent(coop.public_key, coop.revalidation_status)
 
 
