@@ -21,6 +21,7 @@ by the same declarations.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 from dataclasses import dataclass, field, make_dataclass, replace
 from itertools import chain
@@ -657,20 +658,35 @@ class Scenario:
     # --- run -------------------------------------------------------------------
 
     def run(self) -> EventLog:
-        for i, action in enumerate(self.config.script):
-            self.now = action["at"]
-            self.log.append(Event(self.now, "scheduler", "action",
-                                  {"index": i, **_UNSET[action["action"]], **action}))
-            try:
-                self._handlers[action["action"]](self, action)
-            except ScriptActionFailed:
-                raise
-            except CoopAttestError as exc:
-                raise ScriptActionFailed(self.now, action, exc) from exc
-        self.now = self.config.tick_limit
-        for name, provider in self.providers.items():
-            ok = provider.ledger.verify_chain()
-            self.log.append(Event(self.now, name, "chain-verified", {"ok": ok}))
+        """Execute the script, then audit each provider's chain; returns the log.
+
+        Python's cyclic garbage collector is paused while the run lasts: what
+        a run allocates stays reachable from the scenario and its log, so a
+        collection inside it frees nothing and only lands in some action's
+        latency.  On return or raise the collector is enabled again if it was
+        enabled on entry; a caller that disabled it finds it still disabled.
+        The pause is process-wide, so other threads see it while a run lasts.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for i, action in enumerate(self.config.script):
+                self.now = action["at"]
+                self.log.append(Event(self.now, "scheduler", "action",
+                                      {"index": i, **_UNSET[action["action"]], **action}))
+                try:
+                    self._handlers[action["action"]](self, action)
+                except ScriptActionFailed:
+                    raise
+                except CoopAttestError as exc:
+                    raise ScriptActionFailed(self.now, action, exc) from exc
+            self.now = self.config.tick_limit
+            for name, provider in self.providers.items():
+                ok = provider.ledger.verify_chain()
+                self.log.append(Event(self.now, name, "chain-verified", {"ok": ok}))
+        finally:
+            if collecting:
+                gc.enable()
         return self.log
 
     @staticmethod
@@ -794,7 +810,10 @@ Scenario._handlers = {kind: getattr(Scenario, "_do_" + kind.replace("-", "_"))
 
 
 def run_scenario(config: ScenarioConfig) -> EventLog:
-    """Execute the scripted scenario; a pure function of the config."""
+    """Execute the scripted scenario; a pure function of the config.
+
+    The cyclic garbage collector is paused while the script runs (see
+    ``Scenario.run``); the caller's collector state is restored on return."""
     return Scenario(config).run()
 
 

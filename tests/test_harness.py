@@ -1197,6 +1197,70 @@ class TestEventLogMemory:
         assert write_peak < 0.25 * size, f"write peaked at {write_peak / size:.2f}x"
 
 
+class TestCollectorPause:
+    """``Scenario.run`` pauses Python's cyclic collector and gives the caller
+    back the collector state it had.  The pause is safe because a run makes
+    no reference cycle its scenario does not hold, so a collection inside
+    it would free nothing."""
+
+    @pytest.mark.parametrize("name", ["travel_rule_all_rules", "dsn_attested"])
+    def test_no_collection_starts_inside_a_run(self, name):
+        scenario = Scenario(scenario_config(name))
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        threshold, enabled = gc.get_threshold(), gc.isenabled()
+        gc.set_threshold(1)   # collect at nearly every allocation, were it not paused
+        gc.callbacks.append(count)
+        gc.enable()
+        try:
+            scenario.run()
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
+        assert not started, f"{len(started)} collections started inside the run"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["clean", "failing"])
+    def test_the_callers_collector_state_is_restored(self, enabled, fails):
+        # Failing: the same account registered a second time.
+        config = minimal_plus({**minimal_config().script[1], "at": 3}) if fails else minimal_config()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(ScriptActionFailed):
+                    run_scenario(config)
+            else:
+                run_scenario(config)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("name", [*bundled_scenario_names(),
+                                      *benchmark_workloads().TINY_SHAPES])
+    def test_a_run_leaves_no_cyclic_garbage_while_its_scenario_is_held(self, name):
+        config = scenario_config(name)
+        # Generating a line writer on its first use leaves a few cycles, once a process.
+        run_scenario(config)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            scenario = Scenario(config)
+            scenario.run()
+            unreachable = gc.collect()   # the scenario, and so its log, still held
+        finally:
+            if enabled:
+                gc.enable()
+        assert unreachable == 0
+
+
 def v1_only(event: dict) -> bool:
     """True iff *event*, the map of a line, is of a form the current format
     does not declare: a deliver, a revocation-sync, or a witness-request
