@@ -511,6 +511,7 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
         return entries, own + nested
 
     entries, refusals = visit(shape, "record", "record", form != "entries")
+    del visit  # it calls itself through its own cell, a cycle only the collector frees
     if form == "entries":
         if any(optional is not None for _, optional, _ in entries):
             raise TypeError(f"{shape.name} has an optional entry")
@@ -629,33 +630,49 @@ def _expression(tp: Any, value: str, namespace: dict) -> str:
 
 # --- parsing ----------------------------------------------------------------
 #
-# The parser reads each token with one match of a compiled regex and checks
-# the grammar between tokens by recursive descent, one call per value and one
-# frame per level of nesting.  A map entry whose value is a scalar is a single
-# match: key, colon, value and separator with the whitespace around them.
-# Text with an escape, and any input such a match does not take whole, is
-# read a token at a time, and malformed input fails there.
+# The parser decodes its whole input from UTF-8 once, in C, and reads each
+# token of the text with one match of a compiled regex; the grammar between
+# tokens is checked by recursive descent, one call per value and one frame per
+# level of nesting.  A map entry whose value is a scalar is a single match:
+# key, colon, value and separator with the whitespace around them.  Text
+# with an escape, and any input such a match does not take whole, is read a
+# token at a time, and malformed input fails there.
+#
+# Bytes that are not UTF-8 decode to the surrogates U+DC80..U+DCFF
+# ("surrogateescape"), which no valid input holds.  No text token takes one,
+# so such bytes fail where the token holding them is read, and the error
+# re-encodes what it quotes.  An offset is counted in characters while
+# parsing and reported in bytes: canonical_parse converts it when it raises.
 
 MAX_DEPTH = 64
 """How many lists and maps may nest in parsed input: far more than anything
 the program writes (7, in an event-log line or a state file) and far fewer
 than Python's recursion limit, so hostile input fails as a DecodeError."""
 
-_WS = re.compile(rb"[ \t\r\n]*")
+_WS = re.compile(r"[ \t\r\n]*")
+# A run of text that is neither a quote, a backslash, a C0 control nor a
+# byte that is not UTF-8.
+_RUN_LEXEME = r'[^"\\\x00-\x1f\udc80-\udcff]*'
+_RUN = re.compile(_RUN_LEXEME)
 # An escape-free text, a byte-string's hex run, an integer, true, or false:
 # groups text, hex, digits and true, of which false sets none.
-_SCALAR_LEXEME = rb'(?:"([^"\\\x00-\x1f]*)"|0x([0-9a-f]*)|(-?[1-9][0-9]*|0)|(true)|false)'
+_SCALAR_LEXEME = r'(?:"(' + _RUN_LEXEME + r')"|0x([0-9a-f]*)|(-?[1-9][0-9]*|0)|(true)|false)'
 _SCALAR = re.compile(_SCALAR_LEXEME)
 # An escape-free map key and its colon, then, if it is a scalar, the value
-# (group 2, then the scalar's groups) and the separator after it.
-_ENTRY = re.compile(rb'"([^"\\\x00-\x1f]*)"[ \t\r\n]*:[ \t\r\n]*(?:('
-                    + _SCALAR_LEXEME + rb')[ \t\r\n]*([,}])[ \t\r\n]*)?')
-_COLON = re.compile(rb"[ \t\r\n]*:[ \t\r\n]*")
-_LIST_SEP = re.compile(rb"[ \t\r\n]*([,\]])[ \t\r\n]*")
-_MAP_SEP = re.compile(rb"[ \t\r\n]*([,}])[ \t\r\n]*")
-_RUN = re.compile(rb'[^"\\\x00-\x1f]*')
+# (the scalar's groups, from group 2) and the separator after it.
+_ENTRY = re.compile(r'"(' + _RUN_LEXEME + r')"[ \t\r\n]*:[ \t\r\n]*(?:'
+                    + _SCALAR_LEXEME + r'[ \t\r\n]*([,}])[ \t\r\n]*)?')
+_COLON = re.compile(r"[ \t\r\n]*:[ \t\r\n]*")
+_LIST_SEP = re.compile(r"[ \t\r\n]*([,\]])[ \t\r\n]*")
+_MAP_SEP = re.compile(r"[ \t\r\n]*([,}])[ \t\r\n]*")
+# A run of text as the bytes read it, to quote one that is not UTF-8.
+_RAW_RUN = re.compile(r'[^"\\\x00-\x1f]*')
 # The encoder escapes the quote, the backslash and the C0 controls only.
-_ESCAPE = re.compile(rb'\\(?:(["\\])|u(00[01][0-9a-f]))')
+_ESCAPE = re.compile(r'\\(?:(["\\])|u(00[01][0-9a-f]))')
+
+
+class _Malformed(Exception):
+    """The parse fails: what, at which character offset, and any words after it."""
 
 
 def canonical_parse(data: bytes) -> Any:
@@ -663,126 +680,131 @@ def canonical_parse(data: bytes) -> Any:
 
     Inverse of canonical_serialize on its whole output; additionally
     accepts whitespace between tokens.  Raises DecodeError on anything
-    else, and on lists and maps nested deeper than MAX_DEPTH.
+    else, and on lists and maps nested deeper than MAX_DEPTH; its message
+    names the byte offset where the input went wrong.  The input is decoded
+    from UTF-8 once, and text values and keys are slices of that text.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise DecodeError("canonical input must be bytes")
-    data = bytes(data)
-    value, pos = _value(data, _WS.match(data).end(), 0)
-    pos = _WS.match(data, pos).end()
-    if pos != len(data):
-        raise DecodeError(f"trailing data at byte {pos}")
+    text = data.decode("utf-8", "surrogateescape")
+    try:
+        value, pos = _value(text, _WS.match(text).end(), 0)
+        pos = _WS.match(text, pos).end()
+        if pos != len(text):
+            raise _Malformed("trailing data", pos)
+    except _Malformed as exc:
+        what, at, *after = exc.args
+        at = len(text[:at].encode("utf-8", "surrogateescape"))
+        raise DecodeError(f"{what} at byte {at}{''.join(after)}") from None
     return value
 
 
-def _value(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
-    """The value that starts at byte *pos*, inside *depth* lists and maps,
-    and the position after it."""
-    m = _SCALAR.match(data, pos)
-    if m is not None:
-        return _scalar(*m.groups(), pos), m.end()
-    head = data[pos:pos + 1]
-    if head == b'"':
-        return _text(data, pos + 1)
-    if head != b"{" and head != b"[":
-        raise DecodeError(f"unexpected {head!r} at byte {pos}" if head
-                          else f"unexpected end of input at byte {pos}")
+def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
+    """The value that starts at character *pos*, inside *depth* lists and
+    maps, and the position after it."""
+    head = text[pos:pos + 1]
+    if head != "{" and head != "[":
+        m = _SCALAR.match(text, pos)
+        if m is not None:
+            string, hex_run, digits, true = m.groups()
+            if string is not None:
+                return string, m.end()
+            return _scalar(hex_run, digits, true, m, 2), m.end()
+        if head == '"':
+            return _text(text, pos + 1)
+        raise _Malformed("unexpected " + repr(head.encode("utf-8", "surrogateescape")[:1])
+                         if head else "unexpected end of input", pos)
     if depth == MAX_DEPTH:
-        raise DecodeError(f"nesting too deep at byte {pos}")
+        raise _Malformed("nesting too deep", pos)
     depth += 1
-    pos = _WS.match(data, pos + 1).end()
-    if head == b"[":
+    pos = _WS.match(text, pos + 1).end()
+    if head == "[":
         items: list[Any] = []
-        if data[pos:pos + 1] == b"]":
+        if text.startswith("]", pos):
             return items, pos + 1
         while True:
-            item, pos = _value(data, pos, depth)
+            item, pos = _value(text, pos, depth)
             items.append(item)
-            m = _LIST_SEP.match(data, pos)
+            m = _LIST_SEP.match(text, pos)
             if m is None:
-                raise DecodeError(f"expected ',' or ']' at byte {pos}")
+                raise _Malformed("expected ',' or ']'", pos)
             pos = m.end()
-            if m.group(1) == b"]":
+            if m.group(1) == "]":
                 return items, pos
     result: dict[str, Any] = {}
-    if data[pos:pos + 1] == b"}":
+    if text.startswith("}", pos):
         return result, pos + 1
     previous = None
     while True:
         start = pos
-        m = _ENTRY.match(data, pos)
+        m = _ENTRY.match(text, pos)
         if m is None:
-            if data[pos:pos + 1] != b'"':
-                raise DecodeError(f"expected a map key at byte {pos}")
-            key, pos = _text(data, pos + 1)
-            colon = _COLON.match(data, pos)
+            if not text.startswith('"', pos):
+                raise _Malformed("expected a map key", pos)
+            key, pos = _text(text, pos + 1)
+            colon = _COLON.match(text, pos)
             if colon is None:
-                raise DecodeError(f"expected ':' at byte {pos}")
+                raise _Malformed("expected ':'", pos)
             pos, sep = colon.end(), None
         else:
-            raw, _, text, hex_run, digits, true, sep = m.groups()
-            try:
-                key = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                key = _decode_utf8(raw, pos + 1)  # raises, naming the byte
+            key, string, hex_run, digits, true, sep = m.groups()
             pos = m.end()
         # Code-point order is the order the encoder writes; a repeated key
         # is out of order too.
         if previous is not None and key <= previous:
-            raise DecodeError(f"map key {key!r} at byte {start} does not come "
-                              f"after {previous!r} in code-point order")
+            raise _Malformed(f"map key {key!r}", start,
+                             f" does not come after {previous!r} in code-point order")
         previous = key
         if sep is None:
-            result[key], pos = _value(data, pos, depth)
-            m = _MAP_SEP.match(data, pos)
+            result[key], pos = _value(text, pos, depth)
+            m = _MAP_SEP.match(text, pos)
             if m is None:
-                raise DecodeError(f"expected ',' or '}}' at byte {pos}")
+                raise _Malformed("expected ',' or '}'", pos)
             pos, sep = m.end(), m.group(1)
+        elif string is not None:
+            result[key] = string
         else:
-            result[key] = _scalar(text, hex_run, digits, true, m.start(2))
-        if sep == b"}":
+            result[key] = _scalar(hex_run, digits, true, m, 3)
+        if sep == "}":
             return result, pos
 
 
-def _scalar(text: bytes | None, hex_run: bytes | None, digits: bytes | None,
-            true: bytes | None, at: int) -> Any:
-    """The value of the scalar lexeme at byte *at*, from its regex groups."""
-    if text is not None:
-        return _decode_utf8(text, at + 1)
+def _scalar(hex_run: str | None, digits: str | None, true: str | None,
+            m: re.Match, group: int) -> Any:
+    """The byte-string, integer or boolean that *m* matched, from its hex,
+    digits and true groups, the first of them group *group*."""
     if digits is not None:
         try:
             return int(digits)
         except ValueError:  # past the interpreter's limit on decimal digits
-            raise DecodeError(f"integer too long at byte {at}") from None
+            raise _Malformed("integer too long", m.start(group + 1)) from None
     if hex_run is not None:
         if len(hex_run) % 2:
-            raise DecodeError(f"odd-length hex in byte-string at byte {at}")
-        return bytes.fromhex(hex_run.decode("ascii"))
+            raise _Malformed("odd-length hex in byte-string", m.start(group) - 2)
+        return bytes.fromhex(hex_run)
     return true is not None
 
 
-def _decode_utf8(raw: bytes, at: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"invalid UTF-8 in text at byte {at}: {exc}") from None
-
-
-def _text(data: bytes, pos: int) -> tuple[str, int]:
-    """The text whose opening quote is just before byte *pos*, escapes and
-    all, and the position after its closing quote."""
+def _text(text: str, pos: int) -> tuple[str, int]:
+    """The text whose opening quote is just before character *pos*, escapes
+    and all, and the position after its closing quote."""
     chunks = []
     while True:
-        end = _RUN.match(data, pos).end()
-        chunks.append(_decode_utf8(data[pos:end], pos))
-        head = data[end:end + 1]
-        if head == b'"':
+        end = _RUN.match(text, pos).end()
+        chunks.append(text[pos:end])
+        head = text[end:end + 1]
+        if head == '"':
             return "".join(chunks), end + 1
-        if head != b"\\":
-            raise DecodeError(f"raw control character in text at byte {end}" if head
-                              else f"unterminated text at byte {end}")
-        m = _ESCAPE.match(data, end)
+        if head != "\\":
+            if head > "\x1f":  # a byte that is not UTF-8: quote the decoder on its run
+                raw = text[pos:_RAW_RUN.match(text, pos).end()].encode("utf-8", "surrogateescape")
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _Malformed("invalid UTF-8 in text", pos, f": {exc}") from None
+            raise _Malformed("raw control character in text" if head else "unterminated text", end)
+        m = _ESCAPE.match(text, end)
         if m is None:
-            raise DecodeError(f"malformed escape at byte {end}")
-        chunks.append(m.group(1).decode() if m.lastindex == 1 else chr(int(m.group(2), 16)))
+            raise _Malformed("malformed escape", end)
+        chunks.append(m.group(1) if m.lastindex == 1 else chr(int(m.group(2), 16)))
         pos = m.end()

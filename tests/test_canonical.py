@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
+import re
 import sys
 import types
 import typing
@@ -166,6 +168,22 @@ def test_unsorted_key_error_names_the_key_and_its_offset():
     # The order is by code point, so a hand-formatted file fails the same way.
     with pytest.raises(DecodeError, match=r"map key 'Z' at byte 14"):
         canonical_parse(b'{\n  "a": 1,\n  "Z": 2\n}')
+
+
+@pytest.mark.parametrize("data, error", [
+    ('{"é":1,"a":2}', "map key 'a' at byte 8 does not come after 'é' in code-point order"),
+    ('["é",1 2]', "expected ',' or ']' at byte 7"),
+    ('"é" 1', "trailing data at byte 5"),
+    ('["é",01]', "expected ',' or ']' at byte 7"),
+    ('["é",' + "[" * 70, "nesting too deep at byte 69"),
+    ('["日本",0x1]', "odd-length hex in byte-string at byte 10"),
+    ('{"𝄞":"\x01"}', "raw control character in text at byte 9"),
+    ('["é",\x0c]', "unexpected b'\\x0c' at byte 6"),
+])
+def test_an_error_after_multi_byte_text_names_its_byte_offset(data, error):
+    # A character of U+0080 and beyond is 2 to 4 bytes; offsets count bytes.
+    with pytest.raises(DecodeError, match=f"^{re.escape(error)}$"):
+        canonical_parse(data.encode())
 
 
 def test_parser_tolerates_whitespace_between_tokens():
@@ -1091,6 +1109,29 @@ def test_frozenset_is_written_sorted():
     state = NotaryState("n", b"k", "US", compatible=frozenset({"US", "EU", "AU", "CH"}))
     assert canonical_parse(record_bytes(NotaryState, state))["compatible"] == ["AU", "CH", "EU", "US"]
     assert b'"compatible":["AU","CH","EU","US"]' in record_bytes(NotaryState, state)
+
+
+@pytest.mark.parametrize("form, written", [
+    ("line", b'{"codes":["US"],"inner":{"n":1}}\n'),
+    ("text", '{"codes":["US"],"inner":{"n":1}}'),
+    ("entries", {"codes": '"codes":["US"]', "inner": '"inner":{"n":1}'}),
+])
+def test_generating_a_writer_leaves_no_cyclic_garbage(form, written):
+    inner = Shape("Inner", (("n", "n", int, False),))
+    shape = Shape("Outer", (("codes", "codes", list[str], False), ("inner", "inner", inner, False)))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        write = generated_writer(f"<coopattest {form} Outer>", shape, form)
+        unreachable = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert unreachable == 0
+    # A record's fields are read as attributes, a map's values as items.
+    values = {"codes": ["US"], "inner": {"n": 1}}
+    assert write(values if form == "entries" else types.SimpleNamespace(**values)) == written
 
 
 def _list_writer(value):

@@ -1246,8 +1246,6 @@ class TestCollectorPause:
                                       *benchmark_workloads().TINY_SHAPES])
     def test_a_run_leaves_no_cyclic_garbage_while_its_scenario_is_held(self, name):
         config = scenario_config(name)
-        # Generating a line writer on its first use leaves a few cycles, once a process.
-        run_scenario(config)
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()
