@@ -99,15 +99,20 @@ class Post:
             raise ValueError("post body must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterDecision:
     outcome: str = field(init=False)
     reason: str
 
     def __post_init__(self) -> None:
-        self.outcome = VERDICTS.get(self.reason)
-        if self.outcome is None:
+        outcome = VERDICTS.get(self.reason)
+        if outcome is None:
             raise ValueError(f"undeclared filter reason {self.reason!r}")
+        object.__setattr__(self, "outcome", outcome)
+
+
+# A reason fixes every field of its decision, so each is built once and shared.
+_DECISIONS = {reason: FilterDecision(reason) for reason in VERDICTS}
 
 
 def recovery_message(handle: str, attestation_id: bytes) -> bytes:
@@ -254,7 +259,7 @@ class Provider:
                 break
             if stage > best_stage:
                 best_stage, reason = stage, why
-        decision = FilterDecision(reason)
+        decision = _DECISIONS[reason]
         self._emit("filter-decision", {
             "author_handle": post.author_handle,
             "origin_provider": post.origin_provider,

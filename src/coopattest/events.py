@@ -3,7 +3,11 @@
 Actors are plain single-threaded objects.  When a scenario harness wires
 them up it injects an ``emit`` callable per actor (tagged with the actor
 name and the scheduler's current tick); standalone library use leaves it
-unset and everything stays silent.  Cross-actor traffic goes through
+unset and everything stays silent.  The harness's emit is the one Python
+frame an event costs: it fills the slots of a bare ``harness.Event``,
+without running the class's generated ``__init__``, and appends it to the
+log; the scheduler's ``action`` lines and the end-of-run chain audits go
+through the same emit.  Cross-actor traffic goes through
 send_message so every message shows up in the event log exactly once,
 as a send: the sender logs it, then calls the receiver's handler on the
 next line, so the handler's effects follow the send in the log, the

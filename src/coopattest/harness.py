@@ -49,7 +49,9 @@ from .travel_rule import Exchange, TransferRequest, TravelRuleRecord
 @dataclass(slots=True)
 class Event:
     """One line of the log.  Its payload holds the keys ``KINDS`` declares for
-    its kind, records and attestations in it as objects, and reads back equal."""
+    its kind, records and attestations in it as objects, and reads back equal.
+    A run fills each one's slots without ``__init__`` (``Scenario._emitter``),
+    so a field default or a ``__post_init__`` here would not run."""
 
     tick: int
     actor: str
@@ -177,9 +179,6 @@ class EventLog:
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self.events: list[Event] = list(events)
-
-    def append(self, event: Event) -> None:
-        self.events.append(event)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -588,9 +587,23 @@ class Scenario:
 
     # --- construction ---------------------------------------------------------
 
+    def _emitter(self, name: str) -> Callable[[str, dict], None]:
+        """The emit of the actor called *name*: it appends each event at the
+        current tick and is the one Python frame an event costs, since it
+        fills the slots of a bare ``Event`` rather than run ``Event.__init__``."""
+        scenario, append, new = self, self.log.events.append, object.__new__
+
+        def emit(kind: str, payload: dict) -> None:
+            event = new(Event)
+            event.tick = scenario.now
+            event.actor = name
+            event.kind = kind
+            event.payload = payload
+            append(event)
+        return emit
+
     def _bind(self, actor) -> None:
-        name, append = actor.name, self.log.events.append
-        actor._emit = lambda kind, payload: append(Event(self.now, name, kind, payload))
+        actor._emit = self._emitter(actor.name)
 
     def _actor_seed(self, role: str, name: str) -> bytes:
         return b"%s/%s/%s" % (self.config.seed, role.encode(), name.encode())
@@ -670,10 +683,10 @@ class Scenario:
         collecting = gc.isenabled()
         gc.disable()
         try:
+            emit = self._emitter("scheduler")
             for i, action in enumerate(self.config.script):
                 self.now = action["at"]
-                self.log.append(Event(self.now, "scheduler", "action",
-                                      {"index": i, **_UNSET[action["action"]], **action}))
+                emit("action", {"index": i, **_UNSET[action["action"]], **action})
                 try:
                     self._handlers[action["action"]](self, action)
                 except ScriptActionFailed:
@@ -681,9 +694,8 @@ class Scenario:
                 except CoopAttestError as exc:
                     raise ScriptActionFailed(self.now, action, exc) from exc
             self.now = self.config.tick_limit
-            for name, provider in self.providers.items():
-                ok = provider.ledger.verify_chain()
-                self.log.append(Event(self.now, name, "chain-verified", {"ok": ok}))
+            for provider in self.providers.values():
+                provider._emit("chain-verified", {"ok": provider.ledger.verify_chain()})
         finally:
             if collecting:
                 gc.enable()

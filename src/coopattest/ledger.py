@@ -81,7 +81,7 @@ class Ledger:
         self.ledger_id = ledger_id
         self.writer_public_key = writer_public_key
         self._records: list[LedgerRecord] = []
-        self._post_index: dict[bytes, list[int]] = {}
+        self._post_index: dict[bytes, list[LedgerRecord]] = {}
 
     def append(self, writer: KeyPair, payload: Payload) -> RecordPointer:
         if writer.public_key != self.writer_public_key:
@@ -96,11 +96,12 @@ class Ledger:
                     f"{payload.attestation_ptr} is not an attestation record"
                 )
         index = len(self._records)
-        self._records.append(LedgerRecord._sign(writer, dict(
+        record = LedgerRecord._sign(writer, dict(
             index=index, payload=payload, writer_key_id=writer.key_id,
-            prev_digest=ZERO_DIGEST if index == 0 else self._records[-1]._digest)))
+            prev_digest=ZERO_DIGEST if index == 0 else self._records[-1]._digest))
+        self._records.append(record)
         if isinstance(payload, PostRecord):
-            self._post_index.setdefault(payload.post_digest, []).append(index)
+            self._post_index.setdefault(payload.post_digest, []).append(record)
         return RecordPointer(self.ledger_id, index)
 
     def get(self, ptr: RecordPointer) -> LedgerRecord:
@@ -111,9 +112,9 @@ class Ledger:
         return self._records[ptr.index]
 
     def post_matches(self, d: bytes) -> list[LedgerRecord]:
-        """The matching post records themselves; one indexed search, including
-        its hit entries, like any transparency-log query."""
-        return [self._records[i] for i in self._post_index.get(d, [])]
+        """The matching post records themselves, in ledger order; one indexed
+        search, including its hit entries, like any transparency-log query."""
+        return list(self._post_index.get(d, ()))
 
     def verify_chain(self) -> bool:
         """True iff every record chains to its predecessor and carries a valid

@@ -102,18 +102,24 @@ class TravelRuleRecord:
                 raise ValueError(f"travel-rule field {name} must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferDecision:
     outcome: str = field(init=False)
     reason: str
     travel_record: TravelRuleRecord | None = None
 
     def __post_init__(self) -> None:
-        self.outcome = VERDICTS.get(self.reason)
-        if self.outcome is None:
+        outcome = VERDICTS.get(self.reason)
+        if outcome is None:
             raise ValueError(f"undeclared transfer reason {self.reason!r}")
-        if self.travel_record is not None and self.outcome != ACCEPTED:
+        if self.travel_record is not None and outcome != ACCEPTED:
             raise ValueError("travel record only accompanies an accepted transfer")
+        object.__setattr__(self, "outcome", outcome)
+
+
+# A reason fixes every field of a decision with no travel record, so each is
+# built once and shared; a disclosed decision is built per transfer.
+_DECISIONS = {reason: TransferDecision(reason) for reason in VERDICTS}
 
 
 def assemble_travel_record(
@@ -243,20 +249,20 @@ class Exchange:
         # At every amount, before the notary is asked: an unknown account sends it nothing.
         beneficiary_name = self._kyc_names.get(req.beneficiary_account)
         if beneficiary_name is None:
-            return TransferDecision(REASON_UNKNOWN_BENEFICIARY)
+            return _DECISIONS[REASON_UNKNOWN_BENEFICIARY]
 
         _, why = vouch(self, csa, now)
         if why != STATUS_VALID:
-            return TransferDecision(why)
+            return _DECISIONS[why]
 
         if req.amount < self.disclosure_threshold:
-            return TransferDecision(REASON_BELOW_THRESHOLD)
+            return _DECISIONS[REASON_BELOW_THRESHOLD]
         # No record can be assembled without residence: ask the notary for no identity.
         if all(claim.name != RESIDENCE_ATTRIBUTE for claim in csa.blinded.attributes):
-            return TransferDecision(REASON_MISSING_RESIDENCE)
+            return _DECISIONS[REASON_MISSING_RESIDENCE]
         disclosure = request_disclosure(self, self.notaries[csa.notary_id],
                                         csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome != OUTCOME_DISCLOSED:
-            return TransferDecision(disclosure.outcome)
+            return _DECISIONS[disclosure.outcome]
         record = assemble_travel_record(disclosure, req, beneficiary_name)
         return TransferDecision(OUTCOME_DISCLOSED, travel_record=record)

@@ -80,7 +80,7 @@ def ledger_from_records(ledger_id, writer_public_key, records):
     for record in records:
         ledger._records.append(record)
         if isinstance(record.payload, PostRecord):
-            ledger._post_index.setdefault(record.payload.post_digest, []).append(record.index)
+            ledger._post_index.setdefault(record.payload.post_digest, []).append(record)
     return ledger
 
 

@@ -1,5 +1,6 @@
 """Provider onboarding, post filtering, porting, disclosure, recovery."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -294,7 +295,32 @@ class TestFiltering:
             decision = FilterDecision(reason)
             assert (decision.outcome, decision.reason) == (outcome, reason)
 
-    @pytest.mark.parametrize("reason", ["valid", "", OUTCOME_DELIVER])
+    # A post a follower provider judges with each reason, and the tick it judges it at.
+    @pytest.mark.parametrize("reason, author, body, now", [
+        (REASON_ATTESTED, "@sender", b"hello", 25),
+        (REASON_NO_MATCH, "@sender", b"never recorded", 25),
+        (REASON_ORIGIN, "@imposter", b"hello", 25),
+        (REASON_REVOKED, "@sender", b"hello", 35),
+        (REASON_EXPIRED, "@sender", b"hello", 100),
+    ])
+    def test_a_verdict_returns_its_reasons_decision_frozen(self, reason, author, body, now):
+        stack = Stack()
+        stack.member()
+        _, csa, _ = stack.onboard(now=10)  # expires at 100
+        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.coop.revoke(csa.blinded.attestation_id, 30)
+        decision = stack.providers["P2"].receive_post(Post(body, author, "P1", now), now)
+        assert decision == FilterDecision(reason)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.outcome = OUTCOME_DELIVER
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.reason = REASON_ATTESTED
+        assert decision == FilterDecision(reason)
+
+    # A text no filter decision gives: a revalidation status, nothing, an
+    # outcome, a transfer decision's reason, and a declared reason respelled.
+    @pytest.mark.parametrize("reason", ["valid", "", OUTCOME_DELIVER, "below-threshold",
+                                        "Attested"])
     def test_an_undeclared_reason_is_refused(self, reason):
         with pytest.raises(ValueError, match="undeclared filter reason"):
             FilterDecision(reason)

@@ -269,7 +269,37 @@ class TestEvaluation:
             decision = TransferDecision(reason)
             assert (decision.outcome, decision.reason) == (outcome, reason)
 
-    @pytest.mark.parametrize("reason", ["valid", "", ACCEPTED])
+    @pytest.mark.parametrize("reason", [
+        "below-threshold", "disclosed", "denied-jurisdiction", "missing-residence", "revoked",
+        "expired", "verification-failed", "unknown-notary", "unknown-beneficiary"])
+    def test_a_verdict_returns_its_reasons_decision_frozen(self, reason):
+        stack = Stack(beneficiary_jurisdiction="XX" if reason == "denied-jurisdiction" else "US")
+        residence = () if reason == "missing-residence" else ("residence-country",)
+        csa = stack.issue_csa(queries=("age-over-18", *residence), now=10)  # expires at 100
+        stack.e1.register_customer("acct-alice", csa, 10)
+        above = reason in ("disclosed", "denied-jurisdiction", "missing-residence")
+        if reason == "revoked":
+            stack.coop.revoke(csa.blinded.attestation_id, 15)
+        elif reason == "verification-failed":
+            stack.e1.inject_attestation("acct-alice", dataclasses.replace(
+                csa, blinded=dataclasses.replace(csa.blinded, legal_rep_id="evil")))
+        elif reason == "unknown-notary":
+            stack.e2.notaries = {}
+        now = 100 if reason == "expired" else 20
+        beneficiary = "acct-ghost" if reason == "unknown-beneficiary" else "acct-bob"
+        decision = stack.e1.originate_transfer(TransferRequest(
+            "t1", "acct-alice", beneficiary, "E2", "coin", THRESHOLD if above else 100, now), now)
+        assert decision == TransferDecision(reason, decision.travel_record)
+        assert (decision.travel_record is not None) == (reason == "disclosed")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.outcome = ACCEPTED
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.travel_record = None
+        assert decision == TransferDecision(reason, decision.travel_record)
+
+    # A text no transfer decision gives: a revalidation status, nothing, an
+    # outcome, a filter decision's reason, and a declared reason respelled.
+    @pytest.mark.parametrize("reason", ["valid", "", ACCEPTED, "attested", "Disclosed"])
     def test_an_undeclared_reason_is_refused(self, reason):
         with pytest.raises(ValueError, match="undeclared transfer reason"):
             TransferDecision(reason)
