@@ -33,13 +33,7 @@ from .harness import (
 )
 from .ledger import AttestationRecord, Ledger, LedgerRecord, PostRecord, RecordPointer
 from .notary import ArchiveEntry, DisclosureResponse, Notary
-from .travel_rule import (
-    Exchange,
-    TransferDecision,
-    TransferRequest,
-    TravelRuleRecord,
-    assemble_travel_record,
-)
+from .travel_rule import Exchange, TransferDecision, TransferRequest, TravelRuleRecord
 
 __version__ = "0.1.0"
 
@@ -76,7 +70,6 @@ __all__ = [
     "TransferRequest",
     "TravelRuleRecord",
     "VerificationReport",
-    "assemble_travel_record",
     "blind",
     "build_plain",
     "bundled_scenario_names",

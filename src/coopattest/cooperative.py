@@ -40,10 +40,13 @@ from .errors import (
 )
 from .events import no_emit
 
+# The rule whose claim fills a travel record's address-or-id field.
+RESIDENCE_COUNTRY = "residence-country"
+
 # Every rule _derive_value implements, the only queries a config may name.
 QUERIES = (
     "age-over-18",
-    "residence-country",
+    RESIDENCE_COUNTRY,
     "income-bracket",
     "membership-in-good-standing",
 )
@@ -168,7 +171,7 @@ class Cooperative:
             born = self._raw_field(data, "date-of-birth", int)
             adult = (now - born) >= ADULT_YEARS * YEAR_TICKS
             return "true" if adult else "false"
-        if query == "residence-country":
+        if query == RESIDENCE_COUNTRY:
             return self._raw_field(data, "residence", str)
         if query == "income-bracket":
             income = self._raw_field(data, "income", int)

@@ -133,14 +133,6 @@ class UnknownTransfer(CoopAttestError):
     pass
 
 
-class NotDisclosed(CoopAttestError):
-    pass
-
-
-class MissingResidenceAttribute(CoopAttestError):
-    pass
-
-
 # --- dsn ---------------------------------------------------------------------
 
 class HandleMismatch(CoopAttestError):

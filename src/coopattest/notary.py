@@ -22,7 +22,6 @@ from typing import Callable
 
 from . import crypto
 from .attestation import (
-    AttributeClaim,
     BlindedAttestation,
     CounterSignedAttestation,
     PlainAttestation,
@@ -57,17 +56,15 @@ class ArchiveEntry:
 
 @dataclass
 class DisclosureResponse:
-    """Answer to an identity-disclosure request.
-
-    ``subject`` and ``attributes`` are present exactly when the request was
-    honored; ``attributes`` carries the attested claims so a travel-rule
-    consumer can pull the residence attribute out of the same response that
-    named the member.
+    """Answer to an identity-disclosure request: its outcome, and the
+    member's legal identity, ``subject``, present exactly when the request
+    was honored.  The notary, the legal point of contact, discloses that
+    identity and nothing else; the attested claims travel in the blinded
+    attestation the requester already checked.
     """
 
     outcome: str
     subject: str | None = None
-    attributes: tuple[AttributeClaim, ...] | None = None
 
     def __post_init__(self) -> None:
         if (self.subject is not None) != (self.outcome == OUTCOME_DISCLOSED):
@@ -221,11 +218,7 @@ class Notary:
             response = DisclosureResponse(outcome=outcome)
         else:
             outcome = OUTCOME_DISCLOSED
-            response = DisclosureResponse(
-                outcome=outcome,
-                subject=entry.plain.subject.value,
-                attributes=entry.plain.attributes,
-            )
+            response = DisclosureResponse(outcome=outcome, subject=entry.plain.subject.value)
         self.audit_log.append(
             AuditEntry(now, attestation_id, requester_jurisdiction, purpose, outcome))
         return response

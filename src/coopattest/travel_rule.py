@@ -6,10 +6,15 @@ exchange sends it, and the beneficiary exchange fetches the attestation
 from the origin over a direct, ordered, private channel (never the
 ledger), judges it with ``notary.vouch`` as a DSN provider judges a post's
 attestation, and only when the amount crosses the policy threshold demands
-identity disclosure and assembles the five-field customer-information record:
+identity disclosure and builds the five-field customer-information record:
 
     originator name / originator account / originator address-or-id /
     beneficiary name / beneficiary account.
+
+The notary, the legal point of contact, gives the originator name and
+nothing else; the address-or-id is the residence claim of the attestation
+that ``vouch`` passed, the accounts are the request's, and the beneficiary
+name is the exchange's own KYC entry.
 
 Below the threshold, the transfer is accepted with no disclosure request
 ever leaving the exchange; the originator stays anonymous.  Above it, an
@@ -24,16 +29,15 @@ from typing import Mapping
 
 from .attestation import CounterSignedAttestation
 from .attestation import verify_countersigned  # noqa: F401 (only perfbench/smoke.py uses it)
-from .cooperative import STATUS_EXPIRED, STATUS_REVOKED, STATUS_UNKNOWN, STATUS_VALID
-from .crypto import KeyDirectory
-from .errors import (
-    DuplicateAccount,
-    DuplicateTransfer,
-    MissingResidenceAttribute,
-    NotDisclosed,
-    UnknownAccount,
-    UnknownTransfer,
+from .cooperative import (
+    RESIDENCE_COUNTRY,
+    STATUS_EXPIRED,
+    STATUS_REVOKED,
+    STATUS_UNKNOWN,
+    STATUS_VALID,
 )
+from .crypto import KeyDirectory
+from .errors import DuplicateAccount, DuplicateTransfer, UnknownAccount, UnknownTransfer
 from .events import no_emit, send_message
 from .notary import (
     OUTCOME_DENIED,
@@ -42,7 +46,6 @@ from .notary import (
     PURPOSE_TRAVEL_RULE,
     UNKNOWN_NOTARY,
     VERIFICATION_FAILED,
-    DisclosureResponse,
     Notary,
     request_disclosure,
     require_verified,
@@ -65,9 +68,6 @@ VERDICTS = {
     **dict.fromkeys((REASON_BELOW_THRESHOLD, OUTCOME_DISCLOSED), ACCEPTED),
     OUTCOME_DENIED: HELD,
 }
-
-RESIDENCE_ATTRIBUTE = "residence-country"
-
 
 @dataclass(frozen=True)
 class TransferRequest:
@@ -120,35 +120,6 @@ class TransferDecision:
 # A reason fixes every field of a decision with no travel record, so each is
 # built once and shared; a disclosed decision is built per transfer.
 _DECISIONS = {reason: TransferDecision(reason) for reason in VERDICTS}
-
-
-def assemble_travel_record(
-    disclosure: DisclosureResponse,
-    req: TransferRequest,
-    beneficiary_name: str,
-) -> TravelRuleRecord:
-    """Assemble the five-field record from a granted disclosure.
-
-    The originator's name comes from the disclosed legal identity, the
-    address-or-id slot from the attested residence attribute, the account
-    numbers from the transfer request, and the beneficiary name from the
-    beneficiary exchange's own customer registry.
-    """
-    if disclosure.outcome != OUTCOME_DISCLOSED or disclosure.subject is None:
-        raise NotDisclosed(disclosure.outcome)
-    residence = next((claim.value for claim in disclosure.attributes or ()
-                      if claim.name == RESIDENCE_ATTRIBUTE), None)
-    if residence is None:
-        raise MissingResidenceAttribute(
-            f"disclosed attestation carries no {RESIDENCE_ATTRIBUTE} attribute"
-        )
-    return TravelRuleRecord(
-        originator_name=disclosure.subject,
-        originator_account=req.originator_account,
-        originator_address_or_id=residence,
-        beneficiary_name=beneficiary_name,
-        beneficiary_account=req.beneficiary_account,
-    )
 
 
 class Exchange:
@@ -257,12 +228,21 @@ class Exchange:
 
         if req.amount < self.disclosure_threshold:
             return _DECISIONS[REASON_BELOW_THRESHOLD]
-        # No record can be assembled without residence: ask the notary for no identity.
-        if all(claim.name != RESIDENCE_ATTRIBUTE for claim in csa.blinded.attributes):
+        # The record's address-or-id is the residence claim of the attestation
+        # vouch passed; with none, no record can be filled: ask the notary for no identity.
+        for claim in csa.blinded.attributes:
+            if claim.name == RESIDENCE_COUNTRY:
+                break
+        else:
             return _DECISIONS[REASON_MISSING_RESIDENCE]
         disclosure = request_disclosure(self, self.notaries[csa.notary_id],
                                         csa.blinded.attestation_id, PURPOSE_TRAVEL_RULE, now)
         if disclosure.outcome != OUTCOME_DISCLOSED:
             return _DECISIONS[disclosure.outcome]
-        record = assemble_travel_record(disclosure, req, beneficiary_name)
-        return TransferDecision(OUTCOME_DISCLOSED, travel_record=record)
+        return TransferDecision(OUTCOME_DISCLOSED, travel_record=TravelRuleRecord(
+            originator_name=disclosure.subject,
+            originator_account=req.originator_account,
+            originator_address_or_id=claim.value,
+            beneficiary_name=beneficiary_name,
+            beneficiary_account=req.beneficiary_account,
+        ))

@@ -21,8 +21,14 @@ VERDICT_CALLS = {Provider.receive_post.__code__, Exchange.evaluate_transfer.__co
 
 # The most frames one verdict of each (workload, reason) runs.  Each event
 # it logs costs one frame, the emit, and its decision none: a decision with
-# no travel record is looked up, not built.
-MOST_FRAMES = {("dsn_attested", "attested"): 23, ("travel_churn", "below-threshold"): 13}
+# no travel record is looked up, not built.  A disclosed one builds its
+# record and itself (two frames each), and the residence scan runs none.
+MOST_FRAMES = {
+    ("dsn_attested", "attested"): 23,
+    ("travel_churn", "below-threshold"): 13,
+    ("travel_churn", "disclosed"): 26,
+    ("travel_churn", "denied-jurisdiction"): 22,
+}
 
 
 def verdict_frames(config) -> list[tuple[str, int]]:

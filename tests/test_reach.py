@@ -34,7 +34,10 @@ declared, fails it too.
 Beside them, a source gate reads each module's source: every name it
 imports is used, or is in ``UNUSED_IMPORTS`` with the reason it stays,
 and every module it imports by absolute name is in the standard library
-or is ``cryptography``, the one runtime dependency.
+or is ``cryptography``, the one runtime dependency.  Since that gate
+counts a name in ``__all__`` as used, an export gate holds the package's
+``__all__`` to exactly the names its ``__init__.py`` imports, each of
+which the package has.
 """
 
 from __future__ import annotations
@@ -365,6 +368,17 @@ def test_every_import_is_used_or_declared():
     stale = sorted(UNUSED_IMPORTS.keys() - found)
     assert not new, f"imported but never used, and not declared: {new}"
     assert not stale, f"declared as unused, but used or no longer imported: {stale}"
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    import coopattest
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_bytes())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(coopattest.__all__) == sorted(imported)
+    missing = [name for name in coopattest.__all__ if not hasattr(coopattest, name)]
+    assert not missing, f"exported but not on the package: {missing}"
 
 
 def test_every_absolute_import_is_the_standard_library_or_cryptography():

@@ -11,16 +11,10 @@ from coopattest.errors import (
     DuplicateAccount,
     DuplicateTransfer,
     InvalidAttestation,
-    MissingResidenceAttribute,
-    NotDisclosed,
     UnknownAccount,
     UnknownTransfer,
 )
-from coopattest.notary import (
-    OUTCOME_DISCLOSED,
-    DisclosureResponse,
-    Notary,
-)
+from coopattest.notary import Notary
 from coopattest.travel_rule import (
     ACCEPTED,
     HELD,
@@ -30,7 +24,6 @@ from coopattest.travel_rule import (
     TransferDecision,
     TransferRequest,
     TravelRuleRecord,
-    assemble_travel_record,
 )
 
 THRESHOLD = 1_000_000
@@ -305,39 +298,7 @@ class TestEvaluation:
             TransferDecision(reason)
 
 
-class TestAssembleTravelRecord:
-    def _disclosure(self, attributes):
-        return DisclosureResponse(
-            outcome=OUTCOME_DISCLOSED, subject="alice-legal-0001", attributes=attributes,
-        )
-
-    def _req(self):
-        return TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, 20)
-
-    def test_field_plumbing(self):
-        from coopattest.attestation import AttributeClaim
-        disclosure = self._disclosure(
-            (AttributeClaim("residence-country", "NL", "pds-rule:residence-country"),)
-        )
-        record = assemble_travel_record(disclosure, self._req(), "bob-legal-0002")
-        assert record.originator_name == "alice-legal-0001"
-        assert record.originator_account == "acct-alice"
-        assert record.beneficiary_account == "acct-bob"
-
-    def test_not_disclosed(self):
-        with pytest.raises(NotDisclosed):
-            assemble_travel_record(
-                DisclosureResponse(outcome="denied-jurisdiction"), self._req(), "bob"
-            )
-
-    def test_missing_residence(self):
-        from coopattest.attestation import AttributeClaim
-        disclosure = self._disclosure(
-            (AttributeClaim("age-over-18", "true", "pds-rule:age-over-18"),)
-        )
-        with pytest.raises(MissingResidenceAttribute):
-            assemble_travel_record(disclosure, self._req(), "bob")
-
+class TestTravelRuleRecord:
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
             TravelRuleRecord("", "a", "NL", "b", "c")
