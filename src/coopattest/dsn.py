@@ -146,7 +146,6 @@ class Provider:
         self._ledgers = ledger_registry
         self.ledger = Ledger(name, writer.public_key)
         ledger_registry[name] = self.ledger
-        self.peers: dict[str, Provider] = {}
         self.accounts: dict[str, SenderAccount] = {}
         self._ported: dict[tuple[str, int], RecordPointer] = {}
         self._emit = no_emit
@@ -189,9 +188,10 @@ class Provider:
 
     # --- publishing ------------------------------------------------------------
 
-    def publish_post(self, handle: str, body: bytes, now: int) -> RecordPointer:
-        """Hash the post onto the ledger, then forward it to every provider
-        hosting at least one follower of the handle."""
+    def publish_post(self, handle: str, body: bytes, now: int,
+                     providers: Mapping[str, Provider]) -> RecordPointer:
+        """Hash the post onto the ledger, then forward it to each provider of
+        *providers* that hosts at least one follower of the handle."""
         account = self.accounts.get(handle)
         if account is None:
             raise UnknownSender(handle)
@@ -202,7 +202,7 @@ class Provider:
             "handle": handle, "post_digest": body_digest, "ledger_index": ptr.index,
         })
         for target in self.followers.get(handle, ()):
-            peer = self.peers[target]
+            peer = providers[target]
             send_message(self, peer, "post", vars(post))
             peer.receive_post(post, now)
         return ptr
@@ -318,16 +318,12 @@ class Provider:
 
     # --- recovery ---------------------------------------------------------------
 
-    def recover_account(
-        self,
-        handle: str,
-        recovery_signature: Signature,
-        new_csa: CounterSignedAttestation,
-        now: int,
-    ) -> SenderAccount:
+    def recover_account(self, handle: str, recovery_signature: Signature,
+                        new_csa: CounterSignedAttestation, now: int,
+                        providers: Mapping[str, Provider]) -> SenderAccount:
         """Rotate a lost account under the recovery key, whose signature
         must cover *new_csa*'s id: record that attestation, replace the
-        account with one bound to it, and notify every other provider."""
+        account with one bound to it, and notify each other provider of *providers*."""
         account = self.accounts.get(handle)
         if account is None:
             raise UnknownSender(handle)
@@ -340,6 +336,7 @@ class Provider:
                                        now)
         except HandleMismatch as exc:
             raise InvalidAttestation(str(exc)) from exc
-        for peer in self.peers.values():
-            send_message(self, peer, "recovery-notice", {"handle": handle})
+        for peer in providers.values():
+            if peer is not self:
+                send_message(self, peer, "recovery-notice", {"handle": handle})
         return fresh

@@ -7,8 +7,9 @@ unset and everything stays silent.  The harness's emit is the one Python
 frame an event costs: it fills the slots of a bare ``harness.Event``,
 without running the class's generated ``__init__``, and appends it to the
 log; the scheduler's ``action`` lines and the end-of-run chain audits go
-through the same emit.  Cross-actor traffic goes through
-send_message so every message shows up in the event log exactly once,
+through the same emit, which holds the log's list and the tick, not the
+scenario.  Cross-actor traffic goes through send_message, the receiver
+handed in, not kept, so every message shows up in the log exactly once,
 as a send: the sender logs it, then calls the receiver's handler on the
 next line, so the handler's effects follow the send in the log, the
 order a queued transport would produce.  A payload, and a message body,

@@ -578,32 +578,37 @@ class Scenario:
             raise ConfigInvalid(problems)
         self.config = config
         self.log = EventLog()
-        self.now = 0
+        self._tick = [0]   # the current tick, read by now and by each emit
         self.keys = KeyDirectory()   # the issuers' and notaries' keys a consumer checks
         self.artifacts: dict[str, CounterSignedAttestation] = {}
         self.adversary = _Adversary()
-        self._bind(self.adversary)
         self._build_actors()
+
+    @property
+    def now(self) -> int:
+        return self._tick[0]
+
+    @now.setter
+    def now(self, tick: int) -> None:
+        self._tick[0] = tick
 
     # --- construction ---------------------------------------------------------
 
     def _emitter(self, name: str) -> Callable[[str, dict], None]:
         """The emit of the actor called *name*: it appends each event at the
         current tick and is the one Python frame an event costs, since it
-        fills the slots of a bare ``Event`` rather than run ``Event.__init__``."""
-        scenario, append, new = self, self.log.events.append, object.__new__
+        fills the slots of a bare ``Event`` rather than run ``Event.__init__``.
+        It holds the log's list and the tick, not the scenario, so it makes no cycle."""
+        tick, append, new = self._tick, self.log.events.append, object.__new__
 
         def emit(kind: str, payload: dict) -> None:
             event = new(Event)
-            event.tick = scenario.now
+            event.tick = tick[0]
             event.actor = name
             event.kind = kind
             event.payload = payload
             append(event)
         return emit
-
-    def _bind(self, actor) -> None:
-        actor._emit = self._emitter(actor.name)
 
     def _actor_seed(self, role: str, name: str) -> bytes:
         return b"%s/%s/%s" % (self.config.seed, role.encode(), name.encode())
@@ -621,7 +626,6 @@ class Scenario:
                 frozenset(_setting("notaries", entry, "compatible")),
             )
             self.keys.add(notary.public_key)
-            self._bind(notary)
             self.notaries[entry["name"]] = notary
 
         self.coops: dict[str, Cooperative] = {}
@@ -638,7 +642,6 @@ class Scenario:
             self.keys.add(coop.public_key)
             # Its notary forwards each revalidation of what it issued to it.
             self.notaries[coop.legal_rep_id].represent(coop.public_key, coop.revalidation_status)
-            self._bind(coop)
             self.coops[entry["name"]] = coop
 
         self.exchanges: dict[str, Exchange] = {}
@@ -648,10 +651,7 @@ class Scenario:
                 disclosure_threshold=entry["threshold"],
                 keys=self.keys, notaries=self.notaries,
             )
-            self._bind(exchange)
             self.exchanges[entry["name"]] = exchange
-        for exchange in self.exchanges.values():
-            exchange.peers = {n: e for n, e in self.exchanges.items() if n != exchange.name}
 
         self.ledgers: dict[str, Ledger] = {}
         self.providers: dict[str, Provider] = {}
@@ -663,10 +663,10 @@ class Scenario:
                 ledger_registry=self.ledgers,
                 followers=_setting("providers", entry, "followers"),
             )
-            self._bind(provider)
             self.providers[entry["name"]] = provider
-        for provider in self.providers.values():
-            provider.peers = {n: p for n, p in self.providers.items() if n != provider.name}
+        for actor in (self.adversary, *self.notaries.values(), *self.coops.values(),
+                      *self.exchanges.values(), *self.providers.values()):
+            actor._emit = self._emitter(actor.name)
 
     # --- run -------------------------------------------------------------------
 
@@ -676,8 +676,9 @@ class Scenario:
         Python's cyclic garbage collector is paused while the run lasts: what
         a run allocates stays reachable from the scenario and its log, so a
         collection inside it frees nothing and only lands in some action's
-        latency.  On return or raise the collector is enabled again if it was
-        enabled on entry; a caller that disabled it finds it still disabled.
+        latency; nor does a run make a cycle, so a dropped scenario needs no
+        collection.  On return or raise the collector is enabled again if it
+        was enabled on entry; a caller that disabled it finds it still disabled.
         The pause is process-wide, so other threads see it while a run lasts.
         """
         collecting = gc.isenabled()
@@ -756,11 +757,11 @@ class Scenario:
             amount=action["amount"],
             requested_at=self.now,
         )
-        origin.originate_transfer(req, self.now)
+        origin.originate_transfer(req, self.exchanges[req.beneficiary_exchange], self.now)
 
     def _do_post(self, action: dict) -> None:
         provider = self.providers[action["provider"]]
-        provider.publish_post(action["handle"], self._body_bytes(action), self.now)
+        provider.publish_post(action["handle"], self._body_bytes(action), self.now, self.providers)
 
     def _do_inject_bot_post(self, action: dict) -> None:
         target = self.providers[action["provider"]]
@@ -795,7 +796,7 @@ class Scenario:
         issuing_coop._emit("revoked", {"attestation_id": old_csa.blinded.attestation_id})
         signature = crypto.sign(self._recovery_key(handle), crypto.TAG_RECOVER,
                                 recovery_message(handle, new_csa.blinded.attestation_id))
-        provider.recover_account(handle, signature, new_csa, self.now)
+        provider.recover_account(handle, signature, new_csa, self.now, self.providers)
 
     def _do_tamper(self, action: dict) -> None:
         exchange = self.exchanges[action["exchange"]]

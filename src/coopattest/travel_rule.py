@@ -139,7 +139,6 @@ class Exchange:
         self.disclosure_threshold = disclosure_threshold
         self.keys = keys
         self.notaries = notaries
-        self.peers: dict[str, Exchange] = {}
         self._customers: dict[str, CounterSignedAttestation] = {}
         self._kyc_names: dict[str, str] = {}
         self._outgoing: dict[str, TransferRequest] = {}
@@ -177,18 +176,19 @@ class Exchange:
 
     # --- transfer flow ------------------------------------------------------------
 
-    def originate_transfer(self, req: TransferRequest, now: int) -> TransferDecision:
+    def originate_transfer(self, req: TransferRequest, beneficiary: "Exchange",
+                           now: int) -> TransferDecision:
+        """Send *req* to *beneficiary*, the exchange it names, and return its verdict."""
         if req.originator_account not in self._customers:
             raise UnknownAccount(req.originator_account)
         if req.transfer_id in self._outgoing:
             raise DuplicateTransfer(req.transfer_id)
-        peer = self.peers.get(req.beneficiary_exchange)
-        if peer is None:
+        if beneficiary is self or beneficiary.name != req.beneficiary_exchange:
             raise ValueError(
                 f"exchange {req.beneficiary_exchange!r} not reachable from {self.name!r}")
         self._outgoing[req.transfer_id] = req
-        send_message(self, peer, "transfer", vars(req))
-        return peer.receive_transfer(self, req, now)
+        send_message(self, beneficiary, "transfer", vars(req))
+        return beneficiary.receive_transfer(self, req, now)
 
     def receive_transfer(self, origin: "Exchange", req: TransferRequest,
                          now: int) -> TransferDecision:

@@ -61,7 +61,6 @@ class World:
                            keys=self.keys, notaries=notaries)
         self.e2 = Exchange("E2", "US", disclosure_threshold=THRESHOLD,
                            keys=self.keys, notaries=notaries)
-        self.e1.peers["E2"] = self.e2
         self.e2.register_beneficiary("acct-bob", "bob-legal-0002")
         self.sends = []
         for consumer in (self.provider, self.e2):
@@ -94,7 +93,7 @@ class World:
         self.e1.register_customer("acct-alice", self.issue(), 10)
         self.e1.inject_attestation("acct-alice", csa)
         return self.e1.originate_transfer(
-            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, now), now)
+            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 5, now), self.e2, now)
 
 
 def _only_keys(world, *public_keys):

@@ -4,7 +4,9 @@ A frame is one ``call`` event of ``sys.setprofile``, as ``tests/test_reach.py``
 counts them: a function or method run in Python, or a generator resumed; a
 builtin runs none.  A verdict is a consumer's call that the benchmark times,
 ``Provider.receive_post`` or ``Exchange.evaluate_transfer``, its own frame
-included.  The counts below are those of CPython 3.10 to 3.13 alike.
+included.  The counts of the attested, below-threshold, disclosed and
+denied-jurisdiction verdicts are those of CPython 3.10 to 3.13 alike; the
+others were counted on CPython 3.11 alone.
 """
 
 import sys
@@ -25,9 +27,16 @@ VERDICT_CALLS = {Provider.receive_post.__code__, Exchange.evaluate_transfer.__co
 # record and itself (two frames each), and the residence scan runs none.
 MOST_FRAMES = {
     ("dsn_attested", "attested"): 23,
+    ("dsn_attested", "attestation-revoked"): 23,
+    ("dsn_attested", "no-ledger-match"): 7,
+    ("dsn_attested", "origin-mismatch"): 13,
+    ("dsn_spam", "no-ledger-match"): 7,
+    ("dsn_spam", "origin-mismatch"): 13,
     ("travel_churn", "below-threshold"): 13,
     ("travel_churn", "disclosed"): 26,
     ("travel_churn", "denied-jurisdiction"): 22,
+    ("travel_churn", "expired"): 6,
+    ("travel_churn", "revoked"): 13,
 }
 
 

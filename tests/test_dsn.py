@@ -82,8 +82,6 @@ class Stack:
                 followers=followers if name == "P1" else {},
             )
             self.providers[name] = provider
-        for provider in self.providers.values():
-            provider.peers = {n: p for n, p in self.providers.items() if n != provider.name}
 
     def member(self, member_id="alice", handle="@sender",
                identity="alice-legal-00000001"):
@@ -155,7 +153,7 @@ class TestPublish:
         stack = Stack()
         stack.member()
         stack.onboard()
-        ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         record = stack.providers["P1"].ledger.get(ptr)
         assert record.payload.post_digest == hashlib.sha256(b"hello").digest()
 
@@ -167,20 +165,20 @@ class TestPublish:
         capture = Capture()
         for name in ("P2", "P3", "P4"):
             capture.bind(stack.providers[name])
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         assert [e[0] for e in capture.of_kind("filter-decision")] == ["P2", "P3"]
 
     def test_unknown_sender(self):
         stack = Stack()
         with pytest.raises(UnknownSender):
-            stack.providers["P1"].publish_post("@ghost", b"x", 20)
+            stack.providers["P1"].publish_post("@ghost", b"x", 20, stack.providers)
 
     def test_empty_body_rejected(self):
         stack = Stack()
         stack.member()
         stack.onboard()
         with pytest.raises(ValueError):
-            stack.providers["P1"].publish_post("@sender", b"", 20)
+            stack.providers["P1"].publish_post("@sender", b"", 20, stack.providers)
 
     def test_a_post_record_may_not_point_at_another_providers_attestation(self):
         stack = Stack()
@@ -205,7 +203,7 @@ class TestPublish:
             return real(data)
 
         monkeypatch.setattr(crypto, "digest", counting)
-        stack.providers["P1"].publish_post("@sender", body, 20)
+        stack.providers["P1"].publish_post("@sender", body, 20, stack.providers)
         # The publisher hashes it for the ledger and its log, the follower
         # provider for the search and its decision.
         assert hashed.count(body) == 2
@@ -222,7 +220,7 @@ class TestFiltering:
         stack.onboard()
         capture = Capture()
         capture.bind(stack.providers["P3"])
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         assert capture.decisions("P3", b"hello") == [
             FilterDecision(REASON_ATTESTED)]
 
@@ -245,7 +243,7 @@ class TestFiltering:
         stack.onboard()
         capture = Capture()
         capture.bind(stack.providers["P3"])
-        stack.providers["P1"].publish_post("@sender", b"same words", 20)
+        stack.providers["P1"].publish_post("@sender", b"same words", 20, stack.providers)
         imposter = Post(b"same words", "@imposter", "P1", 21)
         decision = stack.providers["P3"].receive_post(imposter, 21)
         assert decision == FilterDecision(REASON_ORIGIN)
@@ -259,7 +257,7 @@ class TestFiltering:
         stack = Stack()
         stack.member()
         _, csa, _ = stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         stack.coop.revoke(csa.blinded.attestation_id, 30)
         replay = Post(b"hello", "@sender", "P1", 35)
         decision = stack.providers["P2"].receive_post(replay, 35)
@@ -269,7 +267,7 @@ class TestFiltering:
         stack = Stack()
         stack.member()
         stack.onboard(now=10)  # expires at 100
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         late = Post(b"hello", "@sender", "P1", 100)
         decision = stack.providers["P2"].receive_post(late, 100)
         assert decision == FilterDecision(REASON_EXPIRED)
@@ -278,7 +276,7 @@ class TestFiltering:
         stack = Stack()
         stack.member()
         stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         post = Post(b"hello", "@sender", "P1", 20)
         first = stack.providers["P2"].filter_incoming(post, 25)
         second = stack.providers["P2"].filter_incoming(post, 25)
@@ -307,7 +305,7 @@ class TestFiltering:
         stack = Stack()
         stack.member()
         _, csa, _ = stack.onboard(now=10)  # expires at 100
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         stack.coop.revoke(csa.blinded.attestation_id, 30)
         decision = stack.providers["P2"].receive_post(Post(body, author, "P1", now), now)
         assert decision == FilterDecision(reason)
@@ -346,7 +344,7 @@ class TestPorting:
         stack = Stack()
         stack.member()
         account, _, _ = stack.onboard()
-        post_ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        post_ptr = stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         ptr = {
             "post": post_ptr,
             "attestation": account.attestation_ptr,
@@ -366,7 +364,7 @@ class TestPorting:
         p3.port_attestation("P1", account.attestation_ptr)
         reads_during_port = len(capture.of_kind("ledger-read"))
         assert reads_during_port == 1  # the port itself reads the origin once
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         post = Post(b"hello", "@sender", "P1", 20)
         assert p3.filter_incoming(post, 25).outcome == OUTCOME_DELIVER
         post_filter_reads = [
@@ -382,7 +380,7 @@ class TestPorting:
         p3 = stack.providers["P3"]
         capture = Capture()
         capture.bind(p3)
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         p3.filter_incoming(Post(b"hello", "@sender", "P1", 20), 25)
         assert any(e[2]["ledger"] == "P1" for e in capture.of_kind("ledger-read"))
 
@@ -392,7 +390,7 @@ class TestDisclosure:
         stack = Stack()
         stack.member(identity="alice-legal-00000001")
         stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         post = Post(b"hello", "@sender", "P1", 20)
         response = stack.providers["P2"].request_sender_disclosure(post, 30)
         assert response.outcome == OUTCOME_DISCLOSED
@@ -402,7 +400,7 @@ class TestDisclosure:
         stack = Stack(jurisdictions={"P2": "XX"})
         stack.member()
         stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"hello", 20)
+        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         post = Post(b"hello", "@sender", "P1", 20)
         response = stack.providers["P2"].request_sender_disclosure(post, 30)
         assert response.outcome == OUTCOME_DENIED
@@ -423,7 +421,8 @@ class TestRecovery:
             signer, crypto.TAG_RECOVER,
             recovery_message("@sender", new_csa.blinded.attestation_id)
         )
-        fresh = stack.providers["P1"].recover_account("@sender", recovery_sig, new_csa, 30)
+        fresh = stack.providers["P1"].recover_account("@sender", recovery_sig, new_csa, 30,
+                                                      stack.providers)
         return account, old_csa, new_csa, fresh
 
     def test_recovery_rotates_account(self):
@@ -456,7 +455,7 @@ class TestRecovery:
         p1 = stack.providers["P1"]
         before = ledger_records(p1.ledger)
         with pytest.raises(BadRecoverySignature):
-            p1.recover_account("@sender", sig, passed, 31)
+            p1.recover_account("@sender", sig, passed, 31, stack.providers)
         assert ledger_records(p1.ledger) == before
         assert p1.accounts["@sender"] == account
 
@@ -476,11 +475,11 @@ class TestRecovery:
         stack = Stack()
         stack.member()
         _, old_csa, recovery = stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"old words", 20)
+        stack.providers["P1"].publish_post("@sender", b"old words", 20, stack.providers)
         new_csa = stack.issue_csa(now=30)
         sig = crypto.sign(recovery, crypto.TAG_RECOVER,
                           recovery_message("@sender", new_csa.blinded.attestation_id))
-        stack.providers["P1"].recover_account("@sender", sig, new_csa, 30)
+        stack.providers["P1"].recover_account("@sender", sig, new_csa, 30, stack.providers)
         stack.coop.revoke(old_csa.blinded.attestation_id, 30)
         assert stack.coop.revalidation_status(
             old_csa.blinded.attestation_id, 31) == STATUS_REVOKED
@@ -488,7 +487,7 @@ class TestRecovery:
         assert stack.providers["P2"].receive_post(replay, 35).reason == REASON_REVOKED
         capture = Capture()
         capture.bind(stack.providers["P2"])
-        stack.providers["P1"].publish_post("@sender", b"new words", 40)
+        stack.providers["P1"].publish_post("@sender", b"new words", 40, stack.providers)
         assert capture.decisions("P2", b"new words") == [
             FilterDecision(REASON_ATTESTED)]
 
@@ -501,4 +500,4 @@ class TestRecovery:
         sig = crypto.sign(recovery, crypto.TAG_RECOVER,
                           recovery_message("@sender", bob_csa.blinded.attestation_id))
         with pytest.raises(InvalidAttestation):
-            stack.providers["P1"].recover_account("@sender", sig, bob_csa, 30)
+            stack.providers["P1"].recover_account("@sender", sig, bob_csa, 30, stack.providers)

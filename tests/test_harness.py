@@ -12,6 +12,7 @@ import traceback
 import tracemalloc
 import types
 import typing
+import weakref
 from pathlib import Path
 
 import pytest
@@ -681,7 +682,9 @@ def probe(path, value, base="minimal"):
 
 class TestValidateRunContract:
     """A config that validates clean never fails to run because of its
-    shape, and the CLI answers every config with an exit code."""
+    shape, and the run's scenario and actors are freed as soon as the last
+    reference to them goes, the run ended by a failed action included.  The
+    CLI answers every config with an exit code."""
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(raw=mutated_configs())
@@ -703,10 +706,18 @@ class TestValidateRunContract:
         except DecodeError:
             problems = None
         if problems == []:
+            scenario = Scenario(config)
+            refs = [weakref.ref(obj) for obj in (
+                scenario, scenario.adversary, *scenario.notaries.values(),
+                *scenario.coops.values(), *scenario.exchanges.values(),
+                *scenario.providers.values())]
             try:
-                run_scenario(config).to_bytes()
+                scenario.run().to_bytes()
             except ScriptActionFailed:
                 pass
+            del scenario
+            # Freed by reference counting alone, with no call of gc.collect.
+            assert [ref for ref in refs if ref() is not None] == []
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.scn"
             path.write_bytes(canonical_serialize(raw))
@@ -1200,8 +1211,8 @@ class TestEventLogMemory:
 class TestCollectorPause:
     """``Scenario.run`` pauses Python's cyclic collector and gives the caller
     back the collector state it had.  The pause is safe because a run makes
-    no reference cycle its scenario does not hold, so a collection inside
-    it would free nothing."""
+    no reference cycle, so a collection inside it would free nothing, and
+    a dropped scenario needs none (``TestScenarioLifetime``)."""
 
     @pytest.mark.parametrize("name", ["travel_rule_all_rules", "dsn_attested"])
     def test_no_collection_starts_inside_a_run(self, name):
@@ -1253,6 +1264,30 @@ class TestCollectorPause:
             scenario = Scenario(config)
             scenario.run()
             unreachable = gc.collect()   # the scenario, and so its log, still held
+        finally:
+            if enabled:
+                gc.enable()
+        assert unreachable == 0
+
+
+class TestScenarioLifetime:
+    """A dropped scenario is freed by reference counting: an actor's emit
+    holds the log's list and the tick, not the scenario, and a consumer is
+    handed the peer it sends to, so no actor refers back to the scenario or
+    to another actor of its kind."""
+
+    @pytest.mark.parametrize("name", [*bundled_scenario_names(),
+                                      *benchmark_workloads().TINY_SHAPES])
+    def test_a_dropped_scenario_leaves_no_cyclic_garbage(self, name):
+        config = scenario_config(name)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            scenario = Scenario(config)
+            log = scenario.run()
+            del scenario, log
+            unreachable = gc.collect()
         finally:
             if enabled:
                 gc.enable()

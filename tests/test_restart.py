@@ -68,9 +68,9 @@ class RestartingScenario(Scenario):
                 actor.save_state(path)
                 actors[name] = cls.load_state(path)
         for notary in self.notaries.values():
-            self._bind(notary)
+            notary._emit = self._emitter(notary.name)
         for coop in self.coops.values():
-            self._bind(coop)
+            coop._emit = self._emitter(coop.name)
             self.notaries[coop.legal_rep_id].represent(coop.public_key, coop.revalidation_status)
 
 

@@ -46,8 +46,6 @@ class Stack:
                            keys=self.keys, notaries=notaries)
         self.e2 = Exchange("E2", beneficiary_jurisdiction, disclosure_threshold=THRESHOLD,
                            keys=self.keys, notaries=notaries)
-        self.e1.peers["E2"] = self.e2
-        self.e2.peers["E1"] = self.e1
         self.coop.register_member(MemberRecord(
             "alice", "alice-legal-0001",
             {"date-of-birth": -9000, "residence": "NL", "income": 50_000},
@@ -70,7 +68,7 @@ class Stack:
             beneficiary_account="acct-bob", beneficiary_exchange="E2",
             asset="coin", amount=amount, requested_at=now,
         )
-        return self.e1.originate_transfer(req, now)
+        return self.e1.originate_transfer(req, self.e2, now)
 
 
 class TestRegistration:
@@ -105,23 +103,35 @@ class TestTransferPlumbing:
         stack = Stack()
         stack.registered()
         req = TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
-        decision = stack.e1.originate_transfer(req, 20)
+        decision = stack.e1.originate_transfer(req, stack.e2, 20)
         assert (decision.outcome, decision.reason) == (ACCEPTED, "below-threshold")
 
     def test_unknown_account(self):
         stack = Stack()
         with pytest.raises(UnknownAccount):
             stack.e1.originate_transfer(
-                TransferRequest("t1", "ghost", "acct-bob", "E2", "coin", 100, 20), 20
+                TransferRequest("t1", "ghost", "acct-bob", "E2", "coin", 100, 20), stack.e2, 20
             )
+
+    # The exchange handed in is the origin itself, or not the one the request names.
+    @pytest.mark.parametrize("named, beneficiary", [("E1", "e1"), ("E2", "e1"), ("E3", "e2")])
+    def test_a_transfer_goes_only_to_the_exchange_it_names(self, named, beneficiary):
+        stack = Stack()
+        stack.registered()
+        req = TransferRequest("t1", "acct-alice", "acct-bob", named, "coin", 100, 20)
+        with pytest.raises(ValueError, match="not reachable"):
+            stack.e1.originate_transfer(req, getattr(stack, beneficiary), 20)
+        # Refused before it was recorded: the id is still free.
+        req = TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
+        assert stack.e1.originate_transfer(req, stack.e2, 20).reason == "below-threshold"
 
     def test_duplicate_transfer_id(self):
         stack = Stack()
         stack.registered()
         req = TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20)
-        stack.e1.originate_transfer(req, 20)
+        stack.e1.originate_transfer(req, stack.e2, 20)
         with pytest.raises(DuplicateTransfer):
-            stack.e1.originate_transfer(req, 20)
+            stack.e1.originate_transfer(req, stack.e2, 20)
 
     def test_attestation_request_is_byte_faithful(self):
         stack = Stack()
@@ -130,7 +140,7 @@ class TestTransferPlumbing:
         stack.e1._emit = lambda kind, payload: delivered.extend(
             [payload["body"]["attestation"]] if payload["channel"] == "attestation-delivery" else [])
         stack.e1.originate_transfer(
-            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20), 20
+            TransferRequest("t1", "acct-alice", "acct-bob", "E2", "coin", 100, 20), stack.e2, 20
         )
         assert [canonical_bytes(csa) for csa in delivered] == [canonical_bytes(registered_csa)]
 
@@ -281,7 +291,8 @@ class TestEvaluation:
         now = 100 if reason == "expired" else 20
         beneficiary = "acct-ghost" if reason == "unknown-beneficiary" else "acct-bob"
         decision = stack.e1.originate_transfer(TransferRequest(
-            "t1", "acct-alice", beneficiary, "E2", "coin", THRESHOLD if above else 100, now), now)
+            "t1", "acct-alice", beneficiary, "E2", "coin", THRESHOLD if above else 100, now),
+            stack.e2, now)
         assert decision == TransferDecision(reason, decision.travel_record)
         assert (decision.travel_record is not None) == (reason == "disclosed")
         with pytest.raises(dataclasses.FrozenInstanceError):
