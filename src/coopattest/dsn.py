@@ -143,6 +143,12 @@ class Provider:
         self.followers: dict[str, tuple[str, ...]] = {
             handle: tuple(targets) for handle, targets in (followers or {}).items()
         }
+        for handle, targets in self.followers.items():
+            if name in targets:
+                raise ValueError(
+                    f"provider {name!r} cannot forward a post of {handle!r} to itself")
+            if len(set(targets)) < len(targets):
+                raise ValueError(f"the followers of {handle!r} name a provider twice")
         self._ledgers = ledger_registry
         self.ledger = Ledger(name, writer.public_key)
         ledger_registry[name] = self.ledger

@@ -23,8 +23,10 @@ from __future__ import annotations
 import functools
 import gc
 import io
+import linecache
+import re
 from dataclasses import dataclass, field, make_dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, get_args
 
@@ -256,16 +258,25 @@ class ScenarioConfig:
 # One table holds every field a config may carry: each actor section and,
 # under "script", each action.  A field gives its kind (a check, and the
 # problem reported when the check fails), its default if it is optional,
-# and what its value must name.  validate_config walks the table,
-# _build_actors reads its defaults, and Scenario dispatches exactly the
-# actions it lists.
+# and what its value must name.  validate_config checks each entry with a
+# check generated from the table (_checker) and walks the table only for
+# an entry that fails it, to word the problems; _build_actors reads its
+# defaults, and Scenario dispatches exactly the actions it lists.
 
 _REQUIRED = object()
+
+# What a check's source may call besides builtins; none of it runs a
+# Python frame.  A lone surrogate is the one code point UTF-8 cannot encode.
+_lone_surrogate = re.compile("[\ud800-\udfff]").search
+_SCOPE = {"_lone_surrogate": _lone_surrogate, "_is_str": str.__instancecheck__,
+          "_chain": chain.from_iterable, "_repeat": repeat, "_RULES": frozenset(QUERIES),
+          "MODE_HANDLE": MODE_HANDLE}
 
 
 class _Field(NamedTuple):
     tp: Any                  # the type of its value; an action's line is written by it
-    check: Callable[[object], bool]
+    source: str              # its check, a Python expression true of a value v of its kind
+    check: Callable[[object], bool]   # compiled from source
     problem: str
     unencodable: str | None  # the problem instead, for text UTF-8 cannot encode
     default: object = _REQUIRED
@@ -276,47 +287,36 @@ class _Field(NamedTuple):
         return self.default is _REQUIRED
 
 
-def _kind(tp: Any, check: Callable[[object], bool], problem: str, unencodable: str | None = None):
+def _kind(tp: Any, source: str, problem: str, unencodable: str | None = None):
     """A field constructor for one kind: kind(default=..., ref=...)."""
-    return lambda default=_REQUIRED, ref=None: _Field(tp, check, problem, unencodable, default, ref)
+    check = eval(f"lambda v: {source}", _SCOPE)
+    return lambda default=_REQUIRED, ref=None: _Field(tp, source, check, problem, unencodable,
+                                                      default, ref)
 
 
-def _is_strings(value) -> bool:
-    return type(value) is list and all(type(v) is str for v in value)
+_ENCODES = "(v.isascii() or _lone_surrogate(v) is None)"
+_STRINGS = "type(v) is list and {*map(type, v)} <= {str}"
 
-
-def _encodes(text: str) -> bool:
-    """True unless *text* holds a lone surrogate, which UTF-8 cannot encode."""
-    if text.isascii():
-        return True
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-_text = _kind(str, lambda v: type(v) is str and v != "" and _encodes(v),
+_text = _kind(str, f"type(v) is str and v != '' and {_ENCODES}",
               "must be a non-empty string", "must be a string that UTF-8 can encode")
-_count = _kind(int, lambda v: type(v) is int and v > 0, "must be a positive integer")
-_tick = _kind(int, lambda v: type(v) is int and v >= 0, "must be a non-negative integer")
-_body = _kind(str | bytes, lambda v: type(v) in (str, bytes) and len(v) > 0
-              and (type(v) is bytes or _encodes(v)), "must be non-empty text or bytes",
+_count = _kind(int, "type(v) is int and v > 0", "must be a positive integer")
+_tick = _kind(int, "type(v) is int and v >= 0", "must be a non-negative integer")
+_body = _kind(str | bytes, f"type(v) is bytes and v != b'' or type(v) is str and v != '' "
+              f"and {_ENCODES}", "must be non-empty text or bytes",
               "must be bytes or text that UTF-8 can encode")
-_handle = _kind(str, lambda v: type(v) is str and v.startswith("@") and _encodes(v),
+_handle = _kind(str, f"type(v) is str and v.startswith('@') and {_ENCODES}",
                 "must begin with '@'", "must be a handle that UTF-8 can encode")
-_mode = _kind(str, lambda v: type(v) is str and v in (MODE_ABSENT, MODE_HANDLE),
+_mode = _kind(str, f"type(v) is str and v in {(MODE_ABSENT, MODE_HANDLE)!r}",
               f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
 # Derivation reads only a member's top-level fields, so only their text must encode.
-_data = _kind(dict, lambda v: type(v) is dict
-              and all(_encodes(x) for x in v.values() if isinstance(x, str)), "must be a map",
-              "must be a map whose text values UTF-8 can encode")
-_entries = _kind(list, lambda v: type(v) is list, "must be a list")
-_codes = _kind(list[str], _is_strings, "must be a list of jurisdiction codes")
-_rules = _kind(list[str], lambda v: _is_strings(v) and v != [] and all(q in QUERIES for q in v),
+_data = _kind(dict, "type(v) is dict and _lone_surrogate(''.join(filter(_is_str, v.values()))) "
+              "is None", "must be a map", "must be a map whose text values UTF-8 can encode")
+_entries = _kind(list, "type(v) is list", "must be a list")
+_codes = _kind(list[str], _STRINGS, "must be a list of jurisdiction codes")
+_rules = _kind(list[str], f"{_STRINGS} and v != [] and _RULES.issuperset(v)",
                "must be a non-empty list of rule names")
-_follower_lists = _kind(dict[str, list[str]],
-                        lambda v: type(v) is dict and all(map(_is_strings, v.values())),
+_follower_lists = _kind(dict[str, list[str]], "type(v) is dict and {*map(type, v.values())} "
+                        "<= {list} and {*map(type, _chain(v.values()))} <= {str}",
                         "must map handles to lists of provider names")
 
 SCHEMA: dict[str, dict[str, _Field]] = {
@@ -354,20 +354,9 @@ SCHEMA: dict[str, dict[str, _Field]] = {
 }
 
 
-def _rows(fields: dict[str, _Field], *also: str, refs: bool = True) -> tuple:
-    """The walker's flat form of a section or action, and its keys with *also*;
-    without *refs*, a value need not name anything."""
-    return (tuple((key, f.check, f.problem, f.unencodable, f.required, f.ref if refs else None)
-                  for key, f in fields.items()), frozenset(fields).union(also))
-
-
-_SECTION_ROWS = {name: _rows(fields) for name, fields in SCHEMA.items() if name != "script"}
-_ACTION_ROWS = {name: _rows(fields, "at", "action") for name, fields in SCHEMA["script"].items()}
 # An action as its log line holds it, "index" included, its names unresolved.
 _LOGGED_ACTIONS = {name: {**fields, "at": _tick(), "index": _tick()}
                    for name, fields in SCHEMA["script"].items()}
-_LOGGED_ACTION_ROWS = {name: _rows(fields, "action", refs=False)
-                       for name, fields in _LOGGED_ACTIONS.items()}
 # Each action's optional fields, unset: its log payload holds them as None.
 _UNSET = {name: {key: None for key, f in fields.items() if not f.required}
           for name, fields in SCHEMA["script"].items()}
@@ -394,32 +383,32 @@ class _Walk:
     def problem(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def fields(self, layout: tuple, entry, section: str, index: int) -> bool:
-        """Check entry *index* of *section* against its *layout* from _rows;
-        True if it is a map whose fields all pass and that has no other
-        key.  A path is spelled out only for a problem."""
+    def fields(self, fields: dict[str, _Field], entry, section: str, index,
+               also: tuple = (), refs: bool = True) -> bool:
+        """Check entry *index* of *section* against *fields*; True if it is
+        a map whose fields all pass and that has no other key but *also*.
+        Without *refs*, a value need not name anything."""
         if not isinstance(entry, dict):
             self.problem(f"{section}[{index}]", "must be a map")
             return False
-        rows, declared = layout
         before = len(self.problems)
-        if not entry.keys() <= declared:
-            for key in [key for key in entry if key not in declared]:
+        for key in entry:
+            if key not in fields and key not in also:
                 self.problem(f"{section}[{index}].{key}", "unknown field")
-        get, known = entry.get, self.known
-        for key, check, problem, unencodable, required, ref in rows:
-            value = get(key, _REQUIRED)
+        for key, f in fields.items():
+            path, value = f"{section}[{index}].{key}", entry.get(key, _REQUIRED)
             if value is _REQUIRED:
-                if required:
-                    self.problem(f"{section}[{index}].{key}", problem)
-            elif not check(value):
+                if f.required:
+                    self.problem(path, f.problem)
+            elif not f.check(value):
                 # Text that UTF-8 cannot encode, or a map with such text
                 # values, has its kind's own problem.
                 texts = value.values() if isinstance(value, dict) else (value,)
-                self.problem(f"{section}[{index}].{key}", unencodable if unencodable and not all(
-                    _encodes(text) for text in texts if isinstance(text, str)) else problem)
-            elif ref is not None and (type(value) is not str or value not in known[ref]):
-                self.resolve(ref, value, f"{section}[{index}].{key}")
+                self.problem(path, f.unencodable if f.unencodable and any(
+                    _lone_surrogate(text) for text in texts if isinstance(text, str)) else f.problem)
+            elif refs and f.ref is not None and (type(value) is not str
+                                                 or value not in self.known[f.ref]):
+                self.resolve(f.ref, value, path)
         return len(self.problems) == before
 
     def resolve(self, ref: str, value, path: str) -> None:
@@ -435,6 +424,31 @@ class _Walk:
                 if name not in self.names[ref]:
                     self.problem(path, f"unknown {ref} {name!r}")
 
+    def check_action(self, index: int, action, last_tick: int, tick_limit: int | None) -> int:
+        """Check script action *index*, which follows one at *last_tick*; the
+        tick that the next action follows."""
+        if not isinstance(action, dict):
+            self.problem(f"script[{index}]", "must be a map")
+            return last_tick
+        tick = action.get("at")
+        if type(tick) is not int or tick < 0:
+            self.problem(f"script[{index}].at", "must be a non-negative integer")
+        elif tick < last_tick:
+            self.problem(f"script[{index}].at",
+                         f"ticks must be non-decreasing ({tick} < {last_tick})")
+        else:
+            last_tick = tick
+            if tick_limit is not None and tick > tick_limit:
+                self.problem(f"script[{index}].at", f"tick {tick} exceeds tick_limit {tick_limit}")
+        kind = action.get("action")
+        fields = SCHEMA["script"].get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            self.problem(f"script[{index}].action", f"unknown action {kind!r}")
+        elif self.fields(fields, action, "script", index, ("at", "action")) \
+                and kind in _CROSS_CHECKS:
+            _CROSS_CHECKS[kind][0](self, f"script[{index}]", action)
+        return last_tick
+
     def actors(self, config: ScenarioConfig) -> None:
         # Names first: an entry may name any other, later ones included.
         for section, ref in _ACTORS.items():
@@ -445,19 +459,23 @@ class _Walk:
                 elif isinstance(name, str) and name:
                     self.names[ref][name] = entry
         for section in _ACTORS:
+            check = _checker(section)
             for i, entry in enumerate(getattr(config, section)):
-                if self.fields(_SECTION_ROWS[section], entry, section, i) \
+                if not check(entry, self) and self.fields(SCHEMA[section], entry, section, i) \
                         and section in _CROSS_CHECKS:
-                    _CROSS_CHECKS[section](self, f"{section}[{i}]", entry)
+                    _CROSS_CHECKS[section][0](self, f"{section}[{i}]", entry)
         # Members, whatever else is wrong with their cooperative, so that an
         # issue names a member that is really missing.
-        rows = _SECTION_ROWS["members"]
+        check = _checker("members")
         for i, coop in enumerate(config.cooperatives):
             members = _setting("cooperatives", coop, "members") if isinstance(coop, dict) else ()
             by_id = self.members[id(coop)] = {}
             section = f"cooperatives[{i}].members"
             for j, member in enumerate(members if isinstance(members, list) else ()):
-                self.fields(rows, member, section, j)
+                if check(member, self) and member["member_id"] not in by_id:
+                    by_id[member["member_id"]] = member
+                    continue
+                self.fields(SCHEMA["members"], member, section, j)
                 member_id = member.get("member_id") if isinstance(member, dict) else None
                 if isinstance(member_id, str) and member_id in by_id:
                     self.problem(f"{section}[{j}].member_id", f"duplicate member {member_id!r}")
@@ -465,38 +483,26 @@ class _Walk:
                     by_id[member_id] = member
 
     def script(self, script, tick_limit: int | None) -> None:
-        last_tick = 0
-        fields, actions, cross_checks = self.fields, _ACTION_ROWS, _CROSS_CHECKS
+        last_tick, actions = 0, SCHEMA["script"]
         for i, action in enumerate(script):
-            if not isinstance(action, dict):
-                self.problem(f"script[{i}]", "must be a map")
-                continue
-            tick = action.get("at")
-            if type(tick) is not int or tick < 0:
-                self.problem(f"script[{i}].at", "must be a non-negative integer")
-            elif tick < last_tick:
-                self.problem(f"script[{i}].at",
-                             f"ticks must be non-decreasing ({tick} < {last_tick})")
+            kind = action.get("action") if isinstance(action, dict) else None
+            if isinstance(kind, str) and kind in actions \
+                    and _checker("script", kind)(action, self, last_tick, tick_limit):
+                last_tick = action["at"]
             else:
-                last_tick = tick
-                if tick_limit is not None and tick > tick_limit:
-                    self.problem(f"script[{i}].at", f"tick {tick} exceeds tick_limit {tick_limit}")
-            kind = action.get("action")
-            rows = actions.get(kind) if isinstance(kind, str) else None
-            if rows is None:
-                self.problem(f"script[{i}].action", f"unknown action {kind!r}")
-            elif fields(rows, action, "script", i) and kind in cross_checks:
-                cross_checks[kind](self, f"script[{i}]", action)
+                last_tick = self.check_action(i, action, last_tick, tick_limit)
 
 
 def _read_action(payload: dict) -> None:
     """Raise DecodeError unless *payload*, an action line's, holds a script
     action whose fields pass their checks, its "at" and "index" included."""
-    walk, kind = _Walk(), payload.get("action")
-    rows = _LOGGED_ACTION_ROWS.get(kind) if isinstance(kind, str) else None
-    if rows is None:
+    kind = payload.get("action")
+    if not isinstance(kind, str) or kind not in _LOGGED_ACTIONS:
         raise DecodeError(f"unknown action {kind!r}")
-    if not walk.fields(rows, payload, "script", payload.get("index")):
+    if not _checker("action", kind)(payload):
+        walk = _Walk()
+        walk.fields(_LOGGED_ACTIONS[kind], payload, "script", payload.get("index"), ("action",),
+                    refs=False)
         raise DecodeError("; ".join(walk.problems))
 
 
@@ -507,6 +513,11 @@ def _check_provider(walk: _Walk, path: str, provider: dict) -> None:
     followers = _setting("providers", provider, "followers")
     if any(provider["name"] in targets for targets in followers.values()):
         walk.problem(f"{path}.followers", "a provider cannot forward to itself")
+    for handle, targets in followers.items():
+        if type(handle) is not str or not handle.startswith("@"):
+            walk.problem(f"{path}.followers", f"{handle!r} is not a handle")
+        if len(set(targets)) < len(targets):
+            walk.problem(f"{path}.followers", f"the followers of {handle!r} name a provider twice")
 
 
 def _check_issue(walk: _Walk, path: str, action: dict) -> None:
@@ -519,12 +530,18 @@ def _check_issue(walk: _Walk, path: str, action: dict) -> None:
         walk.problem(f"{path}.mode", f"member {member_id!r} has no handle")
 
 
+# The fields each form of register reads: a sender onboarding at a
+# provider, then a beneficiary's name and a customer's attestation
+# registered at an exchange.
+_REGISTER_FORMS = (("provider", "handle", "attestation"), ("exchange", "account", "name"),
+                   ("exchange", "account", "attestation"))
+
+
 def _check_register(walk: _Walk, path: str, action: dict) -> None:
     if ("exchange" in action) == ("provider" in action):
         walk.problem(path, "register needs exactly one of 'exchange' or 'provider'")
         return
-    reads = ("provider", "handle", "attestation") if "provider" in action else \
-        ("exchange", "account", "name" if "name" in action else "attestation")
+    reads = _REGISTER_FORMS[0 if "provider" in action else 1 if "name" in action else 2]
     for key, f in SCHEMA["script"]["register"].items():
         if key in reads and key not in action:
             walk.problem(f"{path}.{key}", f.problem)
@@ -542,8 +559,79 @@ def _check_port(walk: _Walk, path: str, action: dict) -> None:
         walk.problem(f"{path}.origin", "porting from a provider onto itself")
 
 
-_CROSS_CHECKS = {"providers": _check_provider, "issue": _check_issue,
-                 "register": _check_register, "transfer": _check_transfer, "port": _check_port}
+# Each rule: the function that words its problems, and a Python expression
+# over the entry e and the walk w, true exactly when it would report none,
+# which a generated check tests.
+_CROSS_CHECKS = {
+    "providers": (_check_provider, "(f := e.get('followers', {})) == {} or "
+                  "e['name'] not in _chain(f.values()) and {*map(type, f)} <= {str} "
+                  "and all(map(str.startswith, f, _repeat('@'))) "
+                  "and sum(map(len, f.values())) == sum(map(len, map(set, f.values())))"),
+    "issue": (_check_issue, "(m := w.members[id(w.names['cooperative'][e['coop']])]"
+              ".get(e['member'])) is not None and (e['mode'] != MODE_HANDLE or m.get('handle'))"),
+    "register": (_check_register, "frozenset(e) in _REGISTER_KEYS"),
+    "transfer": (_check_transfer, "e['origin'] != e['beneficiary_exchange']"),
+    "port": (_check_port, "e['provider'] != e['origin']"),
+}
+_SCOPE["_REGISTER_KEYS"] = {frozenset(("at", "action", *form)) for form in _REGISTER_FORMS}
+# How a generated check finds that a value v names what its field's ref
+# says; any other ref is an actor's, and its value a name or follower lists.
+_RESOLVES = {"new label": "v not in w.labels", "issued label": "v in w.labels"}
+
+
+@functools.cache
+def _checker(layout: str, kind: str | None = None) -> Callable[..., bool]:
+    """The check of one layout, generated on first use from SCHEMA and the
+    rules across fields: of an entry of an actor section or of "members",
+    called with the entry and the walk; of a "script" action of *kind*,
+    called with the action, the walk, the tick of the action before it
+    and the tick limit (None if it is not valid); of an "action" line of
+    *kind*, called with its payload alone.  It is true only when the walk
+    would find no problem in the entry (for an action line, in its fields
+    alone), and then records the label an issue gives.  The source is kept
+    in ``linecache`` under a name like ``<coopattest check script/issue>``,
+    so a traceback shows the line."""
+    if layout == "script":
+        fields, args, also = SCHEMA["script"][kind], "e, w, last, limit", ("at", "action")
+    elif layout == "action":
+        fields, args, also = _LOGGED_ACTIONS[kind], "e", ("action",)
+    else:
+        fields, args, also = SCHEMA[layout], "e, w", ()
+    resolves, rule = layout != "action", _CROSS_CHECKS.get(kind or layout)
+    # A required key that is missing reads as None, which no kind takes; and
+    # then the entry holds no other key only if it has as many as it read.
+    lines = [f"def check({args}):", "    if not isinstance(e, dict):", "        return False"]
+    if layout == "script":
+        lines += ["    v = e.get('at')",
+                  "    if type(v) is not int or v < last or limit is not None and v > limit:",
+                  "        return False"]
+    count, optional, new_label = len(also), [], None
+    for key, f in fields.items():
+        if f.required:
+            count, indent = count + 1, "    "
+            lines.append(f"    v = e.get({key!r})")
+        else:
+            optional.append(f"({key!r} in e)")
+            indent = "        "
+            lines += [f"    if {key!r} in e:", f"        v = e[{key!r}]"]
+        tests = [f.source]
+        if resolves and f.ref is not None:
+            tests.append(_RESOLVES.get(f.ref) or (f"v in w.names[{f.ref!r}]" if f.tp is str else
+                         f"w.names[{f.ref!r}].keys() >= {{*_chain(v.values())}}"))
+            new_label = key if f.ref == "new label" else new_label
+        lines += [f"{indent}if not ({test}):\n{indent}    return False" for test in tests]
+    lines += [f"    if len(e) != {' + '.join((str(count), *optional))}:", "        return False"]
+    if resolves and rule is not None:
+        lines += [f"    if not ({rule[1]}):", "        return False"]
+    if new_label is not None:
+        lines.append(f"    w.labels.add(e[{new_label!r}])")
+    lines.append("    return True\n")
+    source = "\n".join(lines)
+    filename = f"<coopattest check {layout if kind is None else f'{layout}/{kind}'}>"
+    namespace = dict(_SCOPE)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["check"]
 
 
 def validate_config(config: ScenarioConfig) -> list[str]:

@@ -1,4 +1,4 @@
-"""What an event and a verdict cost, in Python frames.
+"""What an event, a verdict and a config check cost, in Python frames.
 
 A frame is one ``call`` event of ``sys.setprofile``, as ``tests/test_reach.py``
 counts them: a function or method run in Python, or a generator resumed; a
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from coopattest.dsn import Provider
-from coopattest.harness import Event, Scenario
+from coopattest.harness import Event, Scenario, validate_config
 from coopattest.travel_rule import Exchange
 
 from conftest import tiny_benchmark_workload
@@ -88,3 +88,30 @@ def test_a_verdict_runs_no_more_frames_than_counted(workload, reason):
               if why == reason]
     assert counts, f"no {reason} verdict on {workload}"
     assert max(counts) <= MOST_FRAMES[workload, reason], counts
+
+
+# The most frames validate_config runs on each workload's config, its
+# checks generated: one a checked entry (an actor, a member or an action,
+# 137 and 72 of them), one a cooperative for its members' default, and
+# five for the walk itself.  Walking every entry, as before the checks
+# were generated, took 1,564 and 798.
+MOST_CHECK_FRAMES = {"travel_churn": 143, "dsn_attested": 78}
+
+
+@pytest.mark.parametrize("workload", sorted(MOST_CHECK_FRAMES))
+def test_a_config_check_runs_one_frame_per_entry(workload):
+    config = tiny_benchmark_workload(workload)
+    assert validate_config(config) == []   # and each layout's check is generated
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        problems = validate_config(config)
+    finally:
+        sys.setprofile(None)
+    assert problems == []
+    assert len(frames) <= MOST_CHECK_FRAMES[workload], frames

@@ -168,6 +168,16 @@ class TestPublish:
         stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
         assert [e[0] for e in capture.of_kind("filter-decision")] == ["P2", "P3"]
 
+    @pytest.mark.parametrize("targets, problem", [
+        (("P2", "P1"), "cannot forward a post of '@sender' to itself"),
+        (("P2", "P3", "P2"), "the followers of '@sender' name a provider twice"),
+    ], ids=["itself", "twice"])
+    def test_a_follower_list_that_names_itself_or_a_provider_twice_is_refused(self, targets,
+                                                                              problem):
+        """A post would go back to its own provider, or twice to one."""
+        with pytest.raises(ValueError, match=problem):
+            Stack(followers={"@sender": targets})
+
     def test_unknown_sender(self):
         stack = Stack()
         with pytest.raises(UnknownSender):

@@ -7,6 +7,8 @@ import gc
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import traceback
 import tracemalloc
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from coopattest import cli
+from coopattest import cli, harness
 from coopattest.attestation import (
     BlindedAttestation,
     CounterSignedAttestation,
@@ -59,6 +61,7 @@ from conftest import (
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
 GEN_SCENARIOS = Path(__file__).parent.parent / "scripts" / "gen_scenarios.py"
+SRC = Path(__file__).parent.parent / "src"
 
 TRANSFER = {"at": 3, "action": "transfer", "origin": "E1", "beneficiary_exchange": "E2",
             "transfer_id": "t1", "originator_account": "acct-a",
@@ -297,6 +300,20 @@ class TestValidateConfig:
         ])
         assert validate_config(config) == [
             "providers[0].followers: a provider cannot forward to itself"]
+
+    @pytest.mark.parametrize("path, value, problem", [
+        (("providers", 0, "followers", "@s0"), ["P2", "P2"],
+         "providers[0].followers: the followers of '@s0' name a provider twice"),
+        (("providers", 0, "followers", "nobody"), ["P2"],
+         "providers[0].followers: 'nobody' is not a handle"),
+    ], ids=["twice", "not-a-handle"])
+    def test_follower_lists_name_distinct_providers_under_handles(self, path, value, problem):
+        """A provider would deliver and log a post twice to a provider named
+        twice, and it never reads a key that is not a handle."""
+        config = ScenarioConfig.from_map(probe(path, value, "dsn_bot_flood"))
+        assert validate_config(config) == [problem]
+        with pytest.raises(ConfigInvalid):
+            run_scenario(config)
 
     def test_transfer_to_its_own_exchange(self):
         config = minimal_plus(dict(TRANSFER, beneficiary_exchange="E1"))
@@ -748,6 +765,212 @@ def scenario_config(name):
     if name in bundled_scenario_names():
         return ScenarioConfig.load(bundled_scenario_path(name))
     return tiny_benchmark_workload(name)
+
+
+# --- the generated checks against the walk -------------------------------------------
+
+CHECKED_CONFIGS = [*bundled_scenario_names(), *sorted(benchmark_workloads().TINY_SHAPES)]
+ACTOR_REFS = set(harness._ACTORS.values())
+CHECKED_LAYOUTS = [*((section, None) for section in (*harness._ACTORS, "members")),
+                   *(("script", kind) for kind in SCHEMA["script"]),
+                   *(("action", kind) for kind in SCHEMA["script"])]
+
+
+@functools.cache
+def checked_entries(name):
+    """The walk of config *name* once its actors are known, and the entries
+    of each layout, (layout, kind), with what a check of one is called
+    with: (index, entry, the labels issued before it, the tick it follows)."""
+    config = scenario_config(name)
+    walk = harness._Walk()
+    walk.actors(config)
+    entries = {(section, None): [(i, entry, (), 0) for i, entry in enumerate(
+        getattr(config, section))] for section in harness._ACTORS}
+    entries["members", None] = [(j, member, (), 0) for coop in config.cooperatives
+                                for j, member in enumerate(coop["members"])]
+    labels, last_tick = [], 0
+    for i, action in enumerate(config.script):
+        kind = action["action"]
+        entries.setdefault(("script", kind), []).append((i, action, tuple(labels), last_tick))
+        entries.setdefault(("action", kind), []).append((i, {**action, "index": i}, (), 0))
+        labels += [action["label"]] if kind == "issue" else []
+        last_tick = action["at"]
+    return walk, entries, sorted(set(texts(config_map(config)))), config.tick_limit
+
+
+def walk_from(base, labels):
+    """A walk that knows what *base* knows, and *labels* as issued."""
+    walk = harness._Walk()
+    walk.names, walk.members, walk.labels = base.names, base.members, set(labels)
+    walk.known = {**walk.names, "issued label": walk.labels, "new label": ()}
+    return walk
+
+
+def walk_entry(walk, layout, kind, index, entry, last_tick, tick_limit):
+    """What validate_config (or, for an "action" line, _read_action) walks
+    for an entry whose generated check fails."""
+    if layout == "script":
+        walk.check_action(index, entry, last_tick, tick_limit)
+    elif layout == "action":
+        walk.fields(harness._LOGGED_ACTIONS[kind], entry, "script", index, ("action",),
+                    refs=False)
+    elif walk.fields(SCHEMA[layout], entry, layout, index) and layout in harness._CROSS_CHECKS:
+        harness._CROSS_CHECKS[layout][0](walk, f"{layout}[{index}]", entry)
+
+
+@st.composite
+def checked_cases(draw):
+    """An entry of a bundled scenario or tiny workload, as validate_config
+    or the log reader would check it, with one mutation that applies to it
+    or none."""
+    # A layout first, so that each is drawn as often as the others.
+    layout, kind = draw(st.sampled_from(CHECKED_LAYOUTS))
+    base, entries, names, tick_limit = checked_entries(draw(st.sampled_from(
+        [name for name in CHECKED_CONFIGS if checked_entries(name)[1].get((layout, kind))])))
+    index, entry, labels, last_tick = draw(st.sampled_from(entries[layout, kind]))
+    entry = copy.deepcopy(entry)
+    fields = (SCHEMA[layout] if kind is None else
+              SCHEMA["script"][kind] if layout == "script" else harness._LOGGED_ACTIONS[kind])
+    name = st.sampled_from(names)
+    value = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
+                      st.binary(max_size=2), name, st.builds(Text, name),
+                      st.lists(name | st.integers(0, 2), max_size=3),
+                      st.dictionaries(name | st.text(max_size=2),
+                                      st.lists(name, max_size=3) | name | st.integers(0, 2),
+                                      max_size=2))
+    keys = [key for key in entry if key != "action"]
+    refs = [key for key in keys if fields.get(key) and fields[key].ref in ACTOR_REFS]
+    texts_at = [key for key in keys if isinstance(entry[key], (str, dict))]
+    applies = {"none": True, "drop": keys, "add": True, "retype": keys, "empty": keys,
+               "actor": refs and layout != "action", "member": kind == "issue",
+               "alias": layout != "action" and len(refs) > 1, "followers": layout == "providers",
+               "surrogate": texts_at, "duplicate label": kind == "issue" and labels,
+               "unissued label": "attestation" in entry, "other action": kind is not None,
+               "not a map": kind is None, "tick": layout == "script"}
+    how = draw(st.sampled_from([how for how, applies in applies.items() if applies]))
+    if how == "drop":
+        del entry[draw(st.sampled_from(keys))]
+    elif how == "add":
+        entry[draw(st.sampled_from([*fields, "memo"]))] = draw(value)
+    elif how == "retype":
+        entry[draw(st.sampled_from(keys))] = draw(value)
+    elif how == "empty":
+        entry[draw(st.sampled_from(keys))] = draw(st.sampled_from(["", b"", [], {}, 0]))
+    elif how == "actor":   # one that is known, perhaps the entry's own, or "nobody"
+        key = draw(st.sampled_from(refs))
+        actor = st.sampled_from(["nobody", *sorted(base.names[fields[key].ref])])
+        entry[key] = draw(actor if fields[key].tp is str else st.dictionaries(
+            st.sampled_from(["@s0", "@s1", "nobody"]), st.lists(actor, max_size=3), max_size=2))
+    elif how == "alias":   # one actor named twice
+        key, other = draw(st.permutations(refs))[:2]
+        entry[key] = entry[other]
+    elif how == "followers":   # each way a follower list can be wrong, or none
+        own, other = entry["name"], draw(st.sampled_from(sorted(base.names["provider"])))
+        entry["followers"] = draw(st.sampled_from([
+            {"@s0": [own]}, {"@s0": [other, other]}, {"nobody": [other]}, {"@s0": ["nobody"]},
+            {"@s0": [other], "@s1": [other]}]))
+    elif how == "member":   # perhaps one with no handle, or the other mode
+        members = {member for by_id in base.members.values() for member in by_id}
+        entry["member"] = draw(st.sampled_from(["nobody", *sorted(members)]))
+        entry["mode"] = "handle" if entry["mode"] == "absent" else "absent"
+    elif how == "surrogate":
+        key = draw(st.sampled_from(texts_at))
+        if isinstance(entry[key], str):
+            at = draw(st.integers(0, len(entry[key])))
+            entry[key] = entry[key][:at] + "\ud800" + entry[key][at:]
+        else:
+            entry[key][draw(st.sampled_from(sorted(entry[key]) or ["x"]))] = "N\udc80"
+    elif how == "duplicate label":
+        entry["label"] = draw(st.sampled_from(labels))
+    elif how == "unissued label":
+        entry["attestation"] = "never-issued"
+    elif how == "other action":
+        kind = entry["action"] = draw(st.sampled_from(sorted(SCHEMA["script"])))
+    elif how == "not a map":
+        entry = draw(value)
+    elif how == "tick":
+        last_tick = draw(st.sampled_from([0, last_tick, entry["at"], entry["at"] + 1]))
+        tick_limit = draw(st.sampled_from([None, tick_limit, entry["at"], entry["at"] - 1]))
+    return base, layout, kind, index, entry, labels, last_tick, tick_limit
+
+
+def checked_case(name, layout, kind, position, drop=(), **changes):
+    """The case of entry *position* of (layout, kind) in config *name*, its
+    keys *drop* dropped and *changes* made."""
+    base, entries, _, tick_limit = checked_entries(name)
+    index, entry, labels, last_tick = entries[layout, kind][position]
+    entry = {**{key: value for key, value in entry.items() if key not in drop}, **changes}
+    return base, layout, kind, index, entry, labels, last_tick, tick_limit
+
+
+class TestGeneratedChecks:
+    """Each layout's generated check passes an entry exactly when the walk,
+    the reference, finds no problem in it, and the two leave the same
+    labels issued; so validate_config, which walks only an entry whose
+    check fails, words the same problems as a walk of every entry."""
+
+    @settings(max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=checked_cases())
+    # Each rule across fields broken, a name that resolves to nothing, a label issued twice.
+    @example(case=checked_case("dsn_port", "providers", None, 0, followers={"@s0": ["P1"]}))
+    @example(case=checked_case("dsn_port", "providers", None, 0, followers={"@s0": ["P2", "P2"]}))
+    @example(case=checked_case("dsn_port", "providers", None, 0, followers={"nobody": ["P2"]}))
+    @example(case=checked_case("dsn_port", "providers", None, 0, followers={"@s0": ["P9"]}))
+    @example(case=checked_case("dsn_bot_flood", "script", "issue", 1, label="att-s0"))
+    @example(case=checked_case("travel_rule_basic", "script", "issue", 0, member="nobody"))
+    @example(case=checked_case("travel_rule_basic", "script", "issue", 0, mode="handle"))
+    @example(case=checked_case("travel_rule_basic", "script", "register", 0, drop=["attestation"]))
+    @example(case=checked_case("travel_rule_basic", "script", "register", 1, provider="P1"))
+    @example(case=checked_case("travel_rule_basic", "script", "transfer", 0,
+                               beneficiary_exchange="E1"))
+    @example(case=checked_case("dsn_port", "script", "port", 0, origin="P3"))
+    def test_a_generated_check_agrees_with_the_walk(self, case):
+        base, layout, kind, index, entry, labels, last_tick, tick_limit = case
+        walked, checked = walk_from(base, labels), walk_from(base, labels)
+        walk_entry(walked, layout, kind, index, entry, last_tick, tick_limit)
+        check = harness._checker(layout, kind)
+        if layout == "script":
+            passed = check(entry, checked, last_tick, tick_limit)
+        elif layout == "action":
+            passed = check(entry)
+        else:
+            passed = check(entry, checked)
+        assert passed == (walked.problems == []), walked.problems
+        if not passed:   # as validate_config does
+            walk_entry(checked, layout, kind, index, entry, last_tick, tick_limit)
+        assert checked.labels == walked.labels
+        assert checked.problems == walked.problems
+
+    def test_the_source_of_each_check_is_the_same_under_every_hash_seed(self):
+        program = (
+            "import linecache\n"
+            "from coopattest import harness\n"
+            "for layout, kind in " + repr(CHECKED_LAYOUTS) + ":\n"
+            "    harness._checker(layout, kind)\n"
+            "    print(''.join(linecache.getlines(f'<coopattest check {layout}' +\n"
+            "                                     (f'/{kind}>' if kind else '>'))))\n")
+        sources = {subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}).stdout
+            for seed in ("0", "1", "2")}
+        assert len(sources) == 1
+        source = sources.pop()
+        assert source.count("def check(e, w, last, limit):\n") == len(SCHEMA["script"])
+        assert source.count("def check(e):\n") == len(SCHEMA["script"])   # an action line
+        assert source.count("w.labels.add(e['label'])") == 1   # an issue's
+
+    def test_a_traceback_shows_the_generated_line(self):
+        class Refusing(dict):
+            def get(self, key, default=None):
+                raise RuntimeError(key)
+
+        config = minimal_config()
+        config.cooperatives[0]["members"][0] = Refusing(config.cooperatives[0]["members"][0])
+        with pytest.raises(RuntimeError) as info:
+            validate_config(config)
+        frame = traceback.extract_tb(info.tb)[-2]   # the last is Refusing.get
+        assert frame.filename == "<coopattest check members>"
+        assert frame.line == "v = e.get('member_id')"
 
 
 GOLDEN_LINES = [line for path in sorted(GOLDEN_DIR.glob("*.log"))

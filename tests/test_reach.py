@@ -243,6 +243,19 @@ def run_cli(work: Path) -> None:
     bad.write_bytes(canonical_serialize({**config, "tick_limit": -1}))
     cli(2, "validate", "--config", bad)
     cli(2, "simulate", "--config", bad, "--out", work / "bad.log")
+    # A problem in each rule across fields, and a name that resolves to nothing.
+    port = canonical_parse(bundled_scenario_path("dsn_port").read_bytes())
+    issue, register, port_action, post = port["script"]
+    first, *others = port["providers"]
+    broken = work / "broken.scn"
+    broken.write_bytes(canonical_serialize({
+        **port, "exchanges": config["exchanges"],
+        "providers": [{**first, "followers": {"@s0": ["P1"]}}, *others],
+        "script": [{**issue, "member": "nobody"},
+                   {key: value for key, value in register.items() if key != "handle"},
+                   {**port_action, "origin": "P3"}, {**post, "provider": "P9"},
+                   {**config["script"][-1], "at": 10, "beneficiary_exchange": "E1"}]}))
+    cli(2, "validate", "--config", broken)
     # Valid as a config, but the transfer is from an account never registered.
     *script, transfer = config["script"]
     script.append({**transfer, "originator_account": "acct-nobody"})
