@@ -183,17 +183,16 @@ def write_canonical_parts(path: str | Path, parts: Iterable[bytes]) -> None:
 # declared type, as the decoder does.
 
 def record_bytes(cls: type, record: Any, omit: tuple = ()) -> bytes:
-    """``record_text(cls, record, omit)`` in UTF-8."""
+    """``record_text(cls, record)`` in UTF-8, without the wire keys in *omit*."""
     return _utf8(_record_writer(cls, omit, "text")(record))
 
 
-def record_text(cls: type, record: Any, omit: tuple = ()) -> str:
-    """The canonical text of the *cls* record *record*, without the wire keys
-    in *omit*.  A value that is not exactly of its field's declared type
-    (``True`` is not an ``int``, nor a ``str`` subclass a ``str``, nor 31
-    bytes a ``Digest``) raises UnsupportedValue naming the class and the
-    key."""
-    return _record_writer(cls, omit, "text")(record)
+def record_text(cls: type, record: Any) -> str:
+    """The canonical text of the *cls* record *record*.  A value that is not
+    exactly of its field's declared type (``True`` is not an ``int``, nor a
+    ``str`` subclass a ``str``, nor 31 bytes a ``Digest``) raises
+    UnsupportedValue naming the class and the key."""
+    return _record_writer(cls, (), "text")(record)
 
 
 def record_entries(cls: type, values: dict, omit: tuple = ()) -> dict[str, str]:

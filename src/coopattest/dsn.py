@@ -41,19 +41,10 @@ from .errors import (
     InvalidAttestation,
     OutOfBounds,
     UnknownSender,
-    Untraceable,
 )
 from .events import no_emit, send_message
 from .ledger import AttestationRecord, Ledger, LedgerRecord, PostRecord, RecordPointer
-from .notary import (
-    PURPOSE_DSN_DISPUTE,
-    VOUCH_STAGES,
-    DisclosureResponse,
-    Notary,
-    request_disclosure,
-    require_verified,
-    vouch,
-)
+from .notary import VOUCH_STAGES, Notary, require_verified, vouch
 
 OUTCOME_DELIVER = "deliver"
 OUTCOME_DROP = "drop"
@@ -300,27 +291,6 @@ class Provider:
             "local_index": local_ptr.index,
         })
         return local_ptr
-
-    # --- disclosure ---------------------------------------------------------------
-
-    def _trace_attestation(self, post: Post) -> CounterSignedAttestation | None:
-        for record in self._matches(post, crypto.digest(post.body)):
-            csa = self._fetch_attestation(record.payload.attestation_ptr)
-            if csa is not None and self._binds(csa, post.author_handle):
-                return csa
-        return None
-
-    def request_sender_disclosure(self, post: Post, now: int) -> DisclosureResponse:
-        """Trace the post to its attestation and ask the legal contact named
-        in the envelope to disclose the sender's identity."""
-        csa = self._trace_attestation(post)
-        if csa is None:
-            raise Untraceable("post matches no resolvable attested record")
-        notary = self.notaries.get(csa.notary_id)
-        if notary is None:
-            raise Untraceable(f"legal contact {csa.notary_id!r} is not reachable")
-        return request_disclosure(self, notary, csa.blinded.attestation_id,
-                                  PURPOSE_DSN_DISPUTE, now)
 
     # --- recovery ---------------------------------------------------------------
 

@@ -151,10 +151,6 @@ class BadRecoverySignature(CoopAttestError):
     pass
 
 
-class Untraceable(CoopAttestError):
-    pass
-
-
 # --- harness -----------------------------------------------------------------
 
 class ConfigInvalid(CoopAttestError):

@@ -166,14 +166,16 @@ def _read_event(raw: Any) -> Event:
         raise DecodeError(f"unknown event kind {event.kind!r}")
     if layout is dict:
         _read_action(event.payload)
-        return replace(event, payload={**_UNSET[event.payload["action"]], **event.payload})
+        event.payload = {**_UNSET[event.payload["action"]], **event.payload}
+        return event
     payload = vars(record_from_map(layout, event.payload))
     if event.kind == "send":
         body = CHANNELS.get(payload["channel"])
         if body is None:
             raise DecodeError(f"unknown send channel {payload['channel']!r}")
         payload = {**payload, "body": vars(record_from_map(body, payload["body"]))}
-    return replace(event, payload=payload)
+    event.payload = payload
+    return event
 
 
 class EventLog:
@@ -459,20 +461,19 @@ class _Walk:
                 elif isinstance(name, str) and name:
                     self.names[ref][name] = entry
         for section in _ACTORS:
-            check = _checker(section)
             for i, entry in enumerate(getattr(config, section)):
-                if not check(entry, self) and self.fields(SCHEMA[section], entry, section, i) \
+                if not _checker(section)(entry, self) \
+                        and self.fields(SCHEMA[section], entry, section, i) \
                         and section in _CROSS_CHECKS:
                     _CROSS_CHECKS[section][0](self, f"{section}[{i}]", entry)
         # Members, whatever else is wrong with their cooperative, so that an
         # issue names a member that is really missing.
-        check = _checker("members")
         for i, coop in enumerate(config.cooperatives):
             members = _setting("cooperatives", coop, "members") if isinstance(coop, dict) else ()
             by_id = self.members[id(coop)] = {}
             section = f"cooperatives[{i}].members"
             for j, member in enumerate(members if isinstance(members, list) else ()):
-                if check(member, self) and member["member_id"] not in by_id:
+                if _checker("members")(member, self) and member["member_id"] not in by_id:
                     by_id[member["member_id"]] = member
                     continue
                 self.fields(SCHEMA["members"], member, section, j)

@@ -29,10 +29,15 @@ from coopattest.errors import (
     HandleTaken,
     InvalidAttestation,
     UnknownSender,
-    Untraceable,
 )
 from coopattest.ledger import AttestationRecord, PostRecord, RecordPointer
-from coopattest.notary import OUTCOME_DENIED, OUTCOME_DISCLOSED, Notary
+from coopattest.notary import (
+    OUTCOME_DENIED,
+    OUTCOME_DISCLOSED,
+    PURPOSE_DSN_DISPUTE,
+    Notary,
+    request_disclosure,
+)
 
 from conftest import ledger_records
 
@@ -396,30 +401,32 @@ class TestPorting:
 
 
 class TestDisclosure:
-    def test_traceable_post_disclosed(self):
-        stack = Stack()
+    """The paper's DSN inquiry: a provider asks the notary named in a
+    sender's attestation for the sender's identity, as an exchange does."""
+
+    @pytest.mark.parametrize("jurisdiction, outcome, subject", [
+        ("US", OUTCOME_DISCLOSED, "alice-legal-00000001"),
+        ("XX", OUTCOME_DENIED, None),
+    ])
+    def test_a_provider_asks_the_notary_for_a_dsn_dispute(self, jurisdiction, outcome,
+                                                          subject):
+        stack = Stack(jurisdictions={"P2": jurisdiction})
         stack.member(identity="alice-legal-00000001")
-        stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
-        post = Post(b"hello", "@sender", "P1", 20)
-        response = stack.providers["P2"].request_sender_disclosure(post, 30)
-        assert response.outcome == OUTCOME_DISCLOSED
-        assert response.subject == "alice-legal-00000001"
-
-    def test_incompatible_jurisdiction_denied(self):
-        stack = Stack(jurisdictions={"P2": "XX"})
-        stack.member()
-        stack.onboard()
-        stack.providers["P1"].publish_post("@sender", b"hello", 20, stack.providers)
-        post = Post(b"hello", "@sender", "P1", 20)
-        response = stack.providers["P2"].request_sender_disclosure(post, 30)
-        assert response.outcome == OUTCOME_DENIED
-        assert response.subject is None
-
-    def test_bot_post_untraceable(self):
-        stack = Stack()
-        with pytest.raises(Untraceable):
-            stack.providers["P2"].request_sender_disclosure(Post(b"spam", "@bot", "P1", 5), 5)
+        _, csa, _ = stack.onboard()
+        capture = Capture()
+        capture.bind(stack.providers["P2"])
+        capture.bind(stack.notary)
+        attestation_id = csa.blinded.attestation_id
+        response = request_disclosure(stack.providers["P2"], stack.notary, attestation_id,
+                                      PURPOSE_DSN_DISPUTE, 30)
+        assert vars(response) == {"outcome": outcome, "subject": subject}
+        assert [(e[0], e[2]) for e in capture.of_kind("send")] == [
+            ("P2", {"to": "notary-1", "channel": "disclosure-request",
+                    "body": {"attestation_id": attestation_id, "jurisdiction": jurisdiction,
+                             "purpose": "dsn-dispute"}}),
+            ("notary-1", {"to": "P2", "channel": "disclosure-response",
+                          "body": {"attestation_id": attestation_id, "outcome": outcome}}),
+        ]
 
 
 class TestRecovery:

@@ -959,6 +959,26 @@ class TestGeneratedChecks:
         assert source.count("def check(e):\n") == len(SCHEMA["script"])   # an action line
         assert source.count("w.labels.add(e['label'])") == 1   # an issue's
 
+    def test_only_the_layouts_a_config_has_entries_of_are_generated(self):
+        program = (
+            "import linecache\n"
+            "from coopattest.harness import ScenarioConfig, bundled_scenario_path, validate_config\n"
+            "config = ScenarioConfig.load(bundled_scenario_path('travel_rule_basic'))\n"
+            "assert validate_config(config) == []\n"
+            "for name in sorted(linecache.cache):\n"
+            "    if name.startswith('<coopattest check '):\n"
+            "        print(name)\n")
+        generated = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}).stdout.splitlines()
+        config = ScenarioConfig.load(bundled_scenario_path("travel_rule_basic"))
+        assert not config.providers
+        layouts = {section for section in harness._ACTORS if getattr(config, section)}
+        layouts |= {"members"} if any(coop["members"] for coop in config.cooperatives) else set()
+        layouts |= {f"script/{action['action']}" for action in config.script}
+        assert "<coopattest check providers>" not in generated
+        assert generated == sorted(f"<coopattest check {layout}>" for layout in layouts)
+
     def test_a_traceback_shows_the_generated_line(self):
         class Refusing(dict):
             def get(self, key, default=None):

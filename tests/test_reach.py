@@ -57,11 +57,6 @@ GOLDEN_DIR = ROOT / "tests" / "goldens"
 DECLARED = {
     "events.no_emit":
         "the emit of an actor used as a library; the harness binds every actor's emit",
-    "dsn.Provider.request_sender_disclosure":
-        "the provider side of the paper's legal point of contact for inquiries about a "
-        "sender; no script action reaches it yet, tests/test_dsn.py::TestDisclosure pins it",
-    "dsn.Provider._trace_attestation":
-        "traces a post to its attestation for request_sender_disclosure",
 }
 
 # Each (consumer, outcome, reason) that a consumer declares and no product
