@@ -637,6 +637,17 @@ def _expression(tp: Any, value: str, namespace: dict) -> str:
 # with an escape, and any input such a match does not take whole, is read a
 # token at a time, and malformed input fails there.
 #
+# A list of maps that share a layout, as a config's script does, reads each
+# later one with a single match too.  From a list's third item on, the token
+# path counts the key sequence of each map it reads there; a map of scalars
+# whose key sequence it has read once before teaches the list its layout, at
+# most _MOST_LAYOUTS of them: a regex of the keys' canonical text, each
+# followed by the lexeme of its value's type, with no whitespace.  An item
+# that no layout takes whole, or whose integer int() refuses, goes down the
+# token path, which finds and words every error.  A list of one or two items
+# keeps no count, and nothing outlives a parse but the bounded cache of
+# compiled layouts.
+#
 # Bytes that are not UTF-8 decode to the surrogates U+DC80..U+DCFF
 # ("surrogateescape"), which no valid input holds.  No text token takes one,
 # so such bytes fail where the token holding them is read, and the error
@@ -668,6 +679,25 @@ _MAP_SEP = re.compile(r"[ \t\r\n]*([,}])[ \t\r\n]*")
 _RAW_RUN = re.compile(r'[^"\\\x00-\x1f]*')
 # The encoder escapes the quote, the backslash and the C0 controls only.
 _ESCAPE = re.compile(r'\\(?:(["\\])|u(00[01][0-9a-f]))')
+
+# In a layout, the group of each scalar type's lexeme, and how a group
+# becomes its value: text is escape-free and hex of even length.
+_LEXEMES = {str: '"(' + _RUN_LEXEME + ')"', int: r"(-?[1-9][0-9]*|0)", bool: "(true|false)",
+            bytes: "0x((?:[0-9a-f]{2})*)"}
+_CONVERT = {int: int, bool: "true".__eq__, bytes: bytes.fromhex}
+_SCALAR_TYPES = frozenset(_LEXEMES)
+_MOST_LAYOUTS = 8    # that one list learns
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(keys: tuple, types: tuple) -> tuple:
+    """The layout of a map of scalars with *keys*, in order, of *types*:
+    the match of its whitespace-free canonical text, its keys, and the
+    conversion of each value that is not text."""
+    pattern = re.compile(r"\{" + ",".join(re.escape(_encode_key(key)) + _LEXEMES[tp]
+                                          for key, tp in zip(keys, types)) + r"\}")
+    return pattern.match, keys, tuple((key, _CONVERT[tp]) for key, tp in zip(keys, types)
+                                      if tp is not str)
 
 
 class _Malformed(Exception):
@@ -721,8 +751,32 @@ def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
         items: list[Any] = []
         if text.startswith("]", pos):
             return items, pos + 1
+        layouts: tuple = ()   # this list's, each (match, keys, conversions)
+        sightings: dict[tuple, int] = {}   # key sequences the token path read, from item 3 on
         while True:
-            item, pos = _value(text, pos, depth)
+            item = None
+            if layouts and text.startswith("{", pos):
+                for match, keys, conversions in layouts:
+                    m = match(text, pos)
+                    if m is not None:
+                        item = dict(zip(keys, m.groups()))
+                        try:
+                            for key, convert in conversions:
+                                item[key] = convert(item[key])
+                        except ValueError:  # past the digit limit: the token path words it
+                            item = None
+                        break
+            if item is not None:
+                pos = m.end()
+            else:
+                item, pos = _value(text, pos, depth)
+                if type(item) is dict and len(items) > 1 and len(layouts) < _MOST_LAYOUTS:
+                    keys = tuple(item)
+                    seen = sightings[keys] = sightings.get(keys, 0) + 1
+                    if seen == 2:
+                        types = tuple(map(type, item.values()))
+                        if _SCALAR_TYPES.issuperset(types):
+                            layouts += (_layout(keys, types),)
             items.append(item)
             m = _LIST_SEP.match(text, pos)
             if m is None:

@@ -56,11 +56,16 @@ def benchmark_workloads():
     return workloads
 
 
+def tiny_benchmark_config(name):
+    """The config bytes of the benchmark's generated scenario *name* at its
+    smoke-test size."""
+    workloads = benchmark_workloads()
+    return canonical_serialize(workloads.generate(name, 7, workloads.TINY_SHAPES[name]).config)
+
+
 def tiny_benchmark_workload(name):
     """The benchmark's generated scenario *name* at its smoke-test size."""
-    workloads = benchmark_workloads()
-    workload = workloads.generate(name, 7, workloads.TINY_SHAPES[name])
-    return ScenarioConfig.from_map(canonical_parse(canonical_serialize(workload.config)))
+    return ScenarioConfig.from_map(canonical_parse(tiny_benchmark_config(name)))
 
 
 def ledger_records(ledger):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopattest import crypto
+from coopattest import canonical, crypto
 from coopattest.attestation import (
     AttributeClaim,
     BlindedAttestation,
@@ -724,9 +724,10 @@ _WHITESPACE_RUNS = st.text(alphabet=" \t\r\n", max_size=3).map(str.encode)
 
 
 @st.composite
-def padded_canonical_bytes(draw):
-    """The canonical bytes of a value with whitespace drawn around each of
-    its tokens: text, whitespace included, stays as it is."""
+def padded_canonical_bytes(draw, values=domain_values):
+    """The canonical bytes of a value drawn from *values* with whitespace
+    drawn around each of its tokens: text, whitespace included, stays as it
+    is."""
     def ws():
         return draw(_WHITESPACE_RUNS)
 
@@ -739,7 +740,7 @@ def padded_canonical_bytes(draw):
             return b"[" + (b",".join(ws() + write(item) + ws() for item in value) or ws()) + b"]"
         return canonical_serialize(value)
 
-    return ws() + write(draw(domain_values)) + ws()
+    return ws() + write(draw(values)) + ws()
 
 
 @given(st.one_of(domain_values.map(canonical_serialize), padded_canonical_bytes()))
@@ -777,6 +778,69 @@ def edited(draw, base):
                  edited(padded_canonical_bytes())))
 @settings(max_examples=500)
 def test_parser_agrees_with_reference_on_any_input(data):
+    assert strictly_equal(parse_outcome(canonical_parse, data), parse_outcome(reference_parse, data))
+
+
+# A value of each type a layout reads: text with escapes now and then.
+_LAYOUT_VALUES = [st.booleans(), st.integers(), text_values, st.binary(max_size=12)]
+
+
+@st.composite
+def records_of_one_layout(draw, min_size=3):
+    """*min_size* or more maps of one drawn layout, keys that need escapes
+    among them."""
+    keys = draw(st.lists(text_values, min_size=1, max_size=5, unique=True))
+    record = st.fixed_dictionaries({key: draw(st.sampled_from(_LAYOUT_VALUES)) for key in keys})
+    return draw(st.lists(record, min_size=min_size, max_size=12))
+
+
+@st.composite
+def same_layout_lists(draw):
+    """A list of records of one layout, now and then with an item of another
+    shape among them, nested inside other values."""
+    value = draw(records_of_one_layout())
+    if draw(st.booleans()):
+        value.insert(draw(st.integers(0, len(value))), draw(domain_values))
+    for _ in range(draw(st.integers(0, 2))):
+        value = draw(st.sampled_from([[draw(domain_values), value], {draw(text_values): value}]))
+    return value
+
+
+# Lexemes near the canonical one of each type a layout reads: text with an
+# escape, canonical or not, a raw control or a byte that is not UTF-8; an
+# integer with a leading zero or sign; a boolean misspelt; hex in capitals or
+# of odd length.
+_NEAR_LEXEMES = {str: [b'"\\""', b'"\\u0041"', b'"\x01"', b'"\xff"'],
+                 int: [b"01", b"-0", b"00", b"+1"],
+                 bool: [b"True", b"tru", b"1"],
+                 bytes: [b"0xAB", b"0xabc", b"0x0"]}
+
+
+@st.composite
+def edited_later_records(draw):
+    """The canonical bytes of a list of records of one layout, one of them
+    changed where the list has learned that layout, from the fifth on: a
+    few of its bytes edited, or a value written as a near lexeme of its type."""
+    records = draw(records_of_one_layout(5))
+    texts = [canonical_serialize(record) for record in records]
+    at = draw(st.integers(4, len(records) - 1))
+    if draw(st.booleans()):
+        texts[at] = draw(edited(st.just(texts[at])))
+    else:
+        record = records[at]
+        near = draw(st.sampled_from(sorted(record)))
+        lexeme = draw(st.sampled_from(_NEAR_LEXEMES[type(record[near])]))
+        texts[at] = b"{" + b",".join(canonical_serialize(key) + b":" + (
+            lexeme if key == near else canonical_serialize(record[key])) for key in sorted(record)) + b"}"
+    return b"[" + b",".join(texts) + b"]"
+
+
+@given(st.one_of(same_layout_lists().map(canonical_serialize),
+                 padded_canonical_bytes(same_layout_lists()),
+                 edited(same_layout_lists().map(canonical_serialize)),
+                 edited_later_records()))
+@settings(max_examples=300)
+def test_same_layout_lists_parse_as_the_reference(data):
     assert strictly_equal(parse_outcome(canonical_parse, data), parse_outcome(reference_parse, data))
 
 
@@ -825,6 +889,102 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 def test_integer_past_the_digit_limit_is_a_decode_error():
     with pytest.raises(DecodeError, match="integer too long"):
         canonical_parse(b"[" + b"9" * (INT_DIGIT_LIMIT + 1) + b"]")
+
+
+# --- lists of records of one layout ----------------------------------------------
+#
+# Five records of one layout, so that their list has learned it by the sixth,
+# the later record that each case below puts there.
+_RECORDS = [b'{"a":"x%d","b":%d,"c":true,"d":0x0a}' % (i, i) for i in range(5)]
+
+
+def _with_later_record(record, depth=0):
+    """A list of the records of _RECORDS, *record*, and the first of them
+    again, inside *depth* more lists."""
+    return b"[" * depth + b"[" + b",".join([*_RECORDS, record, _RECORDS[0]]) + b"]" + b"]" * depth
+
+
+@pytest.mark.parametrize("record, value", [
+    (b'{"a":"x\\"y","b":5,"c":true,"d":0x0a}', {"a": 'x"y', "b": 5, "c": True, "d": b"\n"}),
+    (b'{"a":"x","b":5,"c":true}', {"a": "x", "b": 5, "c": True}),
+    (b'{"a":"x","b":5,"c":true,"d":0x0a,"e":1}', {"a": "x", "b": 5, "c": True, "d": b"\n", "e": 1}),
+    (b'{"a":"x","b":5, "c":true,"d":0x0a}', {"a": "x", "b": 5, "c": True, "d": b"\n"}),
+], ids=["escape in text", "missing key", "extra key", "whitespace"])
+def test_a_later_record_of_another_form_parses_by_tokens(record, value):
+    parsed = canonical_parse(_with_later_record(record))
+    assert strictly_equal(parsed[5], value)
+    assert strictly_equal(parsed, reference_parse(_with_later_record(record)))
+
+
+@pytest.mark.parametrize("data, error", [
+    pytest.param(_with_later_record(b'{"a":"x","b":' + b"9" * 5000 + b',"c":true,"d":0x0a}'),
+                 "integer too long at byte 189", id="5,000-digit integer",
+                 marks=pytest.mark.skipif(not 0 < INT_DIGIT_LIMIT < 5000,
+                                          reason="this interpreter converts 5,000 digits")),
+    pytest.param(_with_later_record(b'{"a":"x","b":5,"c":true,"d":0x0ab}'),
+                 "odd-length hex in byte-string at byte 204", id="odd hex"),
+    pytest.param(_with_later_record(b'{"b":5,"a":"x","c":true,"d":0x0a}'),
+                 "map key 'a' at byte 183 does not come after 'b' in code-point order",
+                 id="swapped keys"),
+    pytest.param(_with_later_record(b'{"a":"x\xffy","b":5,"c":true,"d":0x0a}'),
+                 "invalid UTF-8 in text at byte 182: 'utf-8' codec can't decode byte 0xff "
+                 "in position 1: invalid start byte", id="non-UTF-8 byte"),
+    pytest.param(_with_later_record(b'{"a":"x","b":[5],"c":true,"d":0x0a}', MAX_DEPTH - 2),
+                 "nesting too deep at byte 251", id="list at MAX_DEPTH"),
+])
+def test_a_later_record_that_is_malformed_fails_as_by_tokens(data, error):
+    with pytest.raises(DecodeError, match=f"^{re.escape(error)}$"):
+        canonical_parse(data)
+
+
+def _spied_layouts(monkeypatch):
+    """What lists do with layouts from now on: the key sequence of each
+    layout learned, with the layout cache's size after it, and that of each
+    map a layout reads."""
+    learned, read, layout = [], [], canonical._layout
+
+    def learn(keys, types):
+        match, keys, conversions = layout(keys, types)
+        learned.append((keys, layout.cache_info().currsize))
+
+        def read_by_layout(text, pos):
+            found = match(text, pos)
+            if found is not None:
+                read.append(keys)
+            return found
+
+        return read_by_layout, keys, conversions
+
+    monkeypatch.setattr(canonical, "_layout", learn)
+    return learned, read
+
+
+def test_a_later_record_of_a_learned_layout_is_read_by_it(monkeypatch):
+    learned, read = _spied_layouts(monkeypatch)
+    data = _with_later_record(_RECORDS[1])
+    assert strictly_equal(canonical_parse(data), reference_parse(data))
+    # Learned at the fourth record, the second of its keys from the third on.
+    assert [keys for keys, _ in learned] == [("a", "b", "c", "d")]
+    assert read == [("a", "b", "c", "d")] * 3
+
+
+@pytest.mark.parametrize("data, learns", [
+    # 2,000 maps, each of its own key sequence: none is read twice.
+    (b"[" + b",".join(b'{"k%04d":%d}' % (i, i) for i in range(2000)) + b"]", 0),
+    # 2,000 maps, 1,000 key sequences each read twice: one list, up to its cap.
+    (b"[" + b",".join(b'{"k%04d":%d}' % (i // 2, i) for i in range(2000)) + b"]",
+     canonical._MOST_LAYOUTS),
+    # 500 lists of four maps of one key sequence each: each learns its own,
+    # past the size of the cache.
+    (b"[" + b",".join(b"[" + b",".join([b'{"k%04d":0x00}' % i] * 4) + b"]"
+                      for i in range(500)) + b"]", 500),
+], ids=["distinct", "in pairs", "list by list"])
+def test_hostile_lists_learn_no_more_layouts_than_the_bounds(data, learns, monkeypatch):
+    cache_size = canonical._layout.cache_info().maxsize
+    learned, _ = _spied_layouts(monkeypatch)
+    assert strictly_equal(canonical_parse(data), reference_parse(data))
+    assert len(learned) == learns
+    assert all(size <= cache_size for _, size in learned)
 
 
 # Every canonical file the repository holds: the golden event logs, v2 and v1,

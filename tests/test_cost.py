@@ -1,4 +1,5 @@
-"""What an event, a verdict and a config check cost, in Python frames.
+"""What an event, a verdict and a config check cost, in Python frames, and
+what a config parse costs, in regex matches.
 
 A frame is one ``call`` event of ``sys.setprofile``, as ``tests/test_reach.py``
 counts them: a function or method run in Python, or a generator resumed; a
@@ -13,11 +14,12 @@ import sys
 
 import pytest
 
+from coopattest.canonical import canonical_parse
 from coopattest.dsn import Provider
 from coopattest.harness import Event, Scenario, validate_config
 from coopattest.travel_rule import Exchange
 
-from conftest import tiny_benchmark_workload
+from conftest import tiny_benchmark_config, tiny_benchmark_workload
 
 VERDICT_CALLS = {Provider.receive_post.__code__, Exchange.evaluate_transfer.__code__}
 
@@ -115,3 +117,28 @@ def test_a_config_check_runs_one_frame_per_entry(workload):
         sys.setprofile(None)
     assert problems == []
     assert len(frames) <= MOST_CHECK_FRAMES[workload], frames
+
+
+# The most regex matches canonical_parse makes on each workload's config: one
+# per later script action of a layout its list has learned, one per map
+# entry of a scalar elsewhere, and one per other token.  Reading every
+# action a token at a time, as before layouts, took 1,325 and 769.
+MOST_PARSE_MATCHES = {"travel_churn": 882, "dsn_attested": 656}
+
+
+@pytest.mark.parametrize("workload", sorted(MOST_PARSE_MATCHES))
+def test_a_config_parse_reads_a_later_record_of_a_layout_with_one_match(workload):
+    data = tiny_benchmark_config(workload)
+    matches = 0
+
+    def profile(frame, event, arg):
+        nonlocal matches
+        if event == "c_call" and getattr(arg, "__qualname__", None) == "Pattern.match":
+            matches += 1
+
+    sys.setprofile(profile)
+    try:
+        canonical_parse(data)
+    finally:
+        sys.setprofile(None)
+    assert matches <= MOST_PARSE_MATCHES[workload]
