@@ -29,13 +29,10 @@ from typing import Union
 
 from . import crypto
 from .canonical import (
-    _utf8,
+    _record_writer,
     canonical_parse,
     canonical_serialize,
-    entry_text,
-    join_entries,
     record_bytes,
-    record_entries,
     record_from_map,
     record_text,
     write_canonical,
@@ -75,6 +72,8 @@ class _Signed:
     ``_sign`` signs it: one encoding of its fields gives the bytes its
     signature covers, the bytes its id covers, and its canonical text, and
     the signer stores each under the memo that would otherwise derive it.
+    The signer is generated from the class's declarations, as its writer is
+    (``canonical.generated_writer``).
     A record made any other way (``dataclasses.replace``, a decoded map or
     ``.att`` file) starts with none, and each check derives it afresh.
     """
@@ -117,25 +116,8 @@ class _Signed:
         """The *cls* record with the body *fields*, signed by *key* and, if it
         has an id, sealed with it.  Each field is encoded once, the signature
         and the id as they are made, and what its checks read is joined from
-        those entries."""
-        made = (cls._SIGNATURE,) if cls._ID is None else (cls._SIGNATURE, cls._ID)
-        entries = record_entries(cls, fields, made)
-        message = _utf8(join_entries(entries, cls._UNSIGNED))
-        signature = fields[cls._SIGNATURE] = crypto.sign(key, cls._TAG, message)
-        entries[cls._SIGNATURE] = entry_text(cls, cls._SIGNATURE, signature)
-        memos = {"_signed_bytes": message}
-        if cls._ID is not None:
-            record_id = fields[cls._ID] = crypto.digest(_utf8(join_entries(entries)))
-            entries[cls._ID] = entry_text(cls, cls._ID, record_id)
-            memos["_id_consistent"] = True
-        text = join_entries(entries)
-        if cls._KEEPS_TEXT:
-            memos["_canonical_text"] = text
-        else:
-            memos["_digest"] = crypto.digest(_utf8(text))
-        record = cls(**fields)
-        record.__dict__.update(memos)
-        return record
+        those texts."""
+        return _record_writer(cls, (), "sign")(key, fields)
 
 
 class _Artifact(_Signed):

@@ -43,8 +43,9 @@ import tempfile
 import types
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
+from . import crypto
 from .crypto import DIGEST_SIZE, Digest
 from .errors import CoopAttestError, DecodeError, UnsupportedValue
 
@@ -178,9 +179,10 @@ def write_canonical_parts(path: str | Path, parts: Iterable[bytes]) -> None:
 # under "kind".  A record whose class keeps its own canonical text in
 # ``_canonical_text`` (the attestation artifacts) is written as that text,
 # inside another record's bytes and by canonical_serialize alike.  Each
-# class's writer per set of left-out keys (generated, below) and its decoder
-# are built once, on first use; the writer takes a value only of exactly its
-# declared type, as the decoder does.
+# class's writer per set of left-out keys (generated, below), its signer if
+# it is a signed record (``attestation._Signed``), and its decoder are built
+# once, on first use; the writer and the signer take a value only of exactly
+# its declared type, as the decoder does.
 
 def record_bytes(cls: type, record: Any, omit: tuple = ()) -> bytes:
     """``record_text(cls, record)`` in UTF-8, without the wire keys in *omit*."""
@@ -193,28 +195,6 @@ def record_text(cls: type, record: Any) -> str:
     ``str`` subclass a ``str``, nor 31 bytes a ``Digest``) raises
     UnsupportedValue naming the class and the key."""
     return _record_writer(cls, (), "text")(record)
-
-
-def record_entries(cls: type, values: dict, omit: tuple = ()) -> dict[str, str]:
-    """Each wire key of a *cls* record, which has no optional field, but those
-    in *omit*, mapped to its entry ``"key":value``; *values* maps exactly the
-    attributes of those fields to their values.  A signer writes its body
-    so, once, then joins the entries (``join_entries``) with those of the
-    fields it makes (``entry_text``).  Refuses as ``record_text`` does."""
-    return _record_writer(cls, omit, "entries")(values)
-
-
-def entry_text(cls: type, attr: str, value: Any) -> str:
-    """The entry ``"key":value`` of the field *attr* of a *cls* record when it
-    holds *value*."""
-    (text,) = _field_writer(cls, attr)({attr: value}).values()
-    return text
-
-
-def join_entries(entries: dict[str, str], omit: tuple = ()) -> str:
-    """The text of the record whose entries *entries* maps its wire keys to,
-    without the keys in *omit*."""
-    return "{" + ",".join([entries[key] for key in sorted(entries) if key not in omit]) + "}"
 
 
 def record_from_map(tp: Any, raw: Any) -> Any:
@@ -374,6 +354,11 @@ def _require(raw: dict, key: str, wire: type, name: str) -> Any:
 # per shape: the record's constant text, with the keys in code-point order,
 # and each value written inline by its declared type.  Only the shape reaches
 # the source, never a value: keys and fixed texts enter it through ``repr``.
+#
+# A signed record's signer is generated the same way from its class's shape:
+# it checks and writes each field of its body once, as runs of text between
+# the keys its signature leaves out or it makes (the signature, the id), and
+# joins those runs into the signed bytes, the bytes the id covers and the text.
 
 class Shape(typing.NamedTuple):
     """The layout of a record, or of a map of fixed keys, for a generated
@@ -404,32 +389,32 @@ def record_shape(name: str, cls: type, /, omit: tuple = (), **fixed: Any) -> Sha
 
 
 @functools.cache
-def _record_writer(cls: type, omit: tuple, form: str) -> Callable[[Any], Any]:
-    """The *form* writer of a *cls* record without the wire keys in *omit*."""
+def _record_writer(cls: type, omit: tuple, form: str) -> Callable[..., Any]:
+    """The *form* writer of a *cls* record without the wire keys in *omit*,
+    or, of form "sign", the signer of a signed *cls* record."""
     filename = f"<coopattest {form} {cls.__name__}{''.join(' -' + key for key in omit)}>"
-    return generated_writer(filename, record_shape(cls.__name__, cls, omit=omit), form)
+    return generated_writer(filename, record_shape(cls.__name__, cls, omit=omit), form,
+                            cls if form == "sign" else None)
 
 
-@functools.cache
-def _field_writer(cls: type, attr: str) -> Callable[[dict], dict]:
-    """The entries writer of the field *attr* of a *cls* record alone."""
-    return _record_writer(cls, ("kind", *(f.key for f in _fields(cls) if f.attr != attr)),
-                          "entries")
-
-
-def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], Any]:
+def generated_writer(filename: str, shape: Shape, form: str, cls: type | None = None
+                     ) -> Callable[..., Any]:
     """The writer of a record of *shape*, which returns by *form* its
     canonical "line", newline included, in UTF-8, or its canonical "text";
-    or, of a map of *shape* with no optional value, its "entries", the dict
-    of each key's text ``"key":value``.  It reads a record's fields as
-    attributes and a map's values as items.  A value that is not of its
-    declared type, exactly (``True`` is not an ``int``), a map that is not
-    a ``dict`` or whose keys are not exactly its declared ones, and text in
-    a line that UTF-8 cannot encode raise UnsupportedValue naming the record
-    or map and the key, and of a list, tuple, frozenset or dict as declared
-    its first wrong item, by index, key or (in a frozenset, first by type
-    name) type.  The source is kept in ``linecache`` under *filename*, so a
-    traceback shows the line."""
+    or the "sign"er of a signed record of class *cls* and *shape*.  A signer
+    is called with the key pair and a dict of exactly the attributes and
+    values of every field but those it makes; it adds the signature, and the
+    id if the class has one, to that dict, builds the record from it and
+    stores the signing memos (``attestation._Signed._sign``).  A writer
+    reads a record's fields as attributes, a signer a body's values as
+    items.  A value that is not of its declared type, exactly (``True`` is
+    not an ``int``), a map that is not a ``dict`` or whose keys are not
+    exactly its declared ones, and text in a line that UTF-8 cannot encode
+    raise UnsupportedValue naming the record or map and the key, and of a
+    list, tuple, frozenset or dict as declared its first wrong item, by
+    index, key or (in a frozenset, first by type name) type; a signer
+    refuses before it signs.  The source is kept in ``linecache`` under
+    *filename*, so a traceback shows the line."""
     namespace = {"_plain": _NEEDS_ESCAPE.search, "_sub": _NEEDS_ESCAPE.sub, "_escape": _escape,
                  "_text": _encode_text, "_hex": _encode_bytes, "_join": ",".join,
                  "_encode": _encode, "_BOOL": ("false", "true"), "_Refused": UnsupportedValue}
@@ -509,13 +494,18 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
             own.append(f"    raise _Refused({wrong!r} + {_refused_source(tp, where)})")
         return entries, own + nested
 
-    entries, refusals = visit(shape, "record", "record", form != "entries")
+    if form == "sign":
+        made = {f.attr: (f.key, next(names)) for f in _fields(cls)
+                if f.attr in (cls._SIGNATURE, cls._ID)}
+        entries, refusals = visit(shape._replace(entries=tuple(
+            entry for entry in shape.entries if entry[1] not in made)), "record", "record", False)
+    else:
+        entries, refusals = visit(shape, "record", "record", True)
     del visit  # it calls itself through its own cell, a cycle only the collector frees
-    if form == "entries":
-        if any(optional is not None for _, optional, _ in entries):
-            raise TypeError(f"{shape.name} has an optional entry")
-        body = ["return {" + ", ".join(f"{key!r}: {_fstring(entry)}"
-                                       for key, _, entry in entries) + "}"]
+    name, parameters = f"write_{form}", "record"
+    if form == "sign":
+        name, parameters = "sign", "signer, record"
+        body = _signer_source(cls, shape, entries, made, names, namespace)
     elif form == "text":
         body = [f"return {_fstring(braced(entries))}"]
     else:
@@ -525,7 +515,7 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
                 "except UnicodeEncodeError:",
                 f"    raise _Refused({unencodable!r}) from None"]
     source = "\n".join([
-        f"def write_{form}(record, /):",
+        f"def {name}({parameters}, /):",
         "    try:", *(f"        {line}" for line in fetch),
         "    except (AttributeError, KeyError, TypeError):",
         "        pass",
@@ -534,7 +524,65 @@ def generated_writer(filename: str, shape: Shape, form: str) -> Callable[[Any], 
         *(f"    {line}" for line in refusals), ""])
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"write_{form}"]
+    return namespace[name]
+
+
+def _signer_source(cls: type, shape: Shape, entries: list, made: dict, names: Iterator[str],
+                   namespace: dict) -> list[str]:
+    """The statements of the signer of a *cls* record of *shape* once its
+    body is checked: *entries* are the body's (key, None, pieces), in
+    code-point order, and *made* maps the attribute of the signature, and
+    of the id if there is one, to its key and the variable of its value."""
+    namespace.update(_crypto=crypto, _Record=cls)
+    if any(optional is not None for _, optional, _ in entries):
+        raise TypeError(f"{shape.name} has an optional entry")
+    entries = sorted([*entries, *((key, None, [(False, _encode_key(key)),
+                                               *_text_source(tp, made[attr][1], namespace)])
+                                  for key, attr, tp, _ in shape.entries if attr in made)])
+    made_keys = {key for key, _ in made.values()}
+    apart = made_keys.union(cls._UNSIGNED)
+    segments: list[list] = []    # [a key apart or None for a run of others, its variable, pieces]
+    for key, _, pieces in entries:
+        if key not in apart and segments and segments[-1][0] is None:
+            segments[-1][2] += [(False, ","), *pieces]
+        else:
+            segments.append([key if key in apart else None, next(names), list(pieces)])
+    writes = {key: f"{text} = {_fstring(pieces)}" for key, text, pieces in segments
+              if key in made_keys}
+
+    def joined(left_out: Callable[[str | None], bool]) -> str:
+        """Source of the braced text of the segments whose key is not *left_out*."""
+        pieces = [piece for key, text, _ in segments if not left_out(key)
+                  for piece in ((False, ","), (True, text))]
+        return _fstring([(False, "{"), *pieces[1:], (False, "}")])
+
+    body = [f"{text} = {_fstring(pieces)}" for key, text, pieces in segments
+            if key not in made_keys]
+    signature_key, signature = made[cls._SIGNATURE]
+    body += ["try:",
+             f"    message = {joined(lambda key: key is not None)}.encode()",
+             f"    {signature} = record[{cls._SIGNATURE!r}] = "
+             f"_crypto.sign(signer, {cls._TAG!r}, message)",
+             f"    {writes[signature_key]}"]
+    memos = {"_signed_bytes": "message"}
+    if cls._ID is not None:
+        id_key, record_id = made[cls._ID]
+        body += [f"    {record_id} = record[{cls._ID!r}] = "
+                 f"_crypto.digest({joined(lambda key: key == id_key)}.encode())",
+                 f"    {writes[id_key]}"]
+        memos["_id_consistent"] = "True"
+    body.append(f"    text = {joined(lambda key: False)}")
+    if cls._KEEPS_TEXT:
+        memos["_canonical_text"] = "text"
+    else:
+        body.append("    digest = _crypto.digest(text.encode())")
+        memos["_digest"] = "digest"
+    return body + ["except UnicodeEncodeError:",
+                   "    raise _Refused('text must not contain lone surrogates') from None",
+                   "signed = _Record(**record)",
+                   "signed.__dict__.update({" + ", ".join(f"{name!r}: {value}"
+                                                         for name, value in memos.items()) + "})",
+                   "return signed"]
 
 
 def _fstring(pieces: list[tuple[bool, str]]) -> str:
@@ -648,11 +696,14 @@ def _expression(tp: Any, value: str, namespace: dict) -> str:
 # keeps no count, and nothing outlives a parse but the bounded cache of
 # compiled layouts.
 #
-# Bytes that are not UTF-8 decode to the surrogates U+DC80..U+DCFF
-# ("surrogateescape"), which no valid input holds.  No text token takes one,
-# so such bytes fail where the token holding them is read, and the error
-# re-encodes what it quotes.  An offset is counted in characters while
-# parsing and reported in bytes: canonical_parse converts it when it raises.
+# Input that is not UTF-8 is decoded again, its bad bytes to the surrogates
+# U+DC80..U+DCFF ("surrogateescape"), which no valid input holds.  No text
+# token takes one, so such bytes fail where the token holding them is read,
+# and the error re-encodes what it quotes.  Such input never parses, so its
+# lists learn no layout, and a layout's text lexeme need not exclude those
+# surrogates, which would make its compile much slower.  An offset is counted
+# in characters while parsing and reported in bytes: canonical_parse converts
+# it when it raises.
 
 MAX_DEPTH = 64
 """How many lists and maps may nest in parsed input: far more than anything
@@ -664,6 +715,9 @@ _WS = re.compile(r"[ \t\r\n]*")
 # byte that is not UTF-8.
 _RUN_LEXEME = r'[^"\\\x00-\x1f\udc80-\udcff]*'
 _RUN = re.compile(_RUN_LEXEME)
+# A run of text that is neither a quote, a backslash nor a C0 control: in
+# text decoded strictly from UTF-8, which holds no surrogate, _RUN_LEXEME's.
+_UTF8_RUN_LEXEME = r'[^"\\\x00-\x1f]*'
 # An escape-free text, a byte-string's hex run, an integer, true, or false:
 # groups text, hex, digits and true, of which false sets none.
 _SCALAR_LEXEME = r'(?:"(' + _RUN_LEXEME + r')"|0x([0-9a-f]*)|(-?[1-9][0-9]*|0)|(true)|false)'
@@ -676,13 +730,14 @@ _COLON = re.compile(r"[ \t\r\n]*:[ \t\r\n]*")
 _LIST_SEP = re.compile(r"[ \t\r\n]*([,\]])[ \t\r\n]*")
 _MAP_SEP = re.compile(r"[ \t\r\n]*([,}])[ \t\r\n]*")
 # A run of text as the bytes read it, to quote one that is not UTF-8.
-_RAW_RUN = re.compile(r'[^"\\\x00-\x1f]*')
+_RAW_RUN = re.compile(_UTF8_RUN_LEXEME)
 # The encoder escapes the quote, the backslash and the C0 controls only.
 _ESCAPE = re.compile(r'\\(?:(["\\])|u(00[01][0-9a-f]))')
 
 # In a layout, the group of each scalar type's lexeme, and how a group
-# becomes its value: text is escape-free and hex of even length.
-_LEXEMES = {str: '"(' + _RUN_LEXEME + ')"', int: r"(-?[1-9][0-9]*|0)", bool: "(true|false)",
+# becomes its value if it is not text: text is escape-free and hex of even
+# length.
+_LEXEMES = {str: '"(' + _UTF8_RUN_LEXEME + ')"', int: r"(-?[1-9][0-9]*|0)", bool: "(true|false)",
             bytes: "0x((?:[0-9a-f]{2})*)"}
 _CONVERT = {int: int, bool: "true".__eq__, bytes: bytes.fromhex}
 _SCALAR_TYPES = frozenset(_LEXEMES)
@@ -711,13 +766,17 @@ def canonical_parse(data: bytes) -> Any:
     accepts whitespace between tokens.  Raises DecodeError on anything
     else, and on lists and maps nested deeper than MAX_DEPTH; its message
     names the byte offset where the input went wrong.  The input is decoded
-    from UTF-8 once, and text values and keys are slices of that text.
+    from UTF-8 once, again if it is not UTF-8, and text values and keys are
+    slices of that text.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise DecodeError("canonical input must be bytes")
-    text = data.decode("utf-8", "surrogateescape")
     try:
-        value, pos = _value(text, _WS.match(text).end(), 0)
+        text, most = data.decode("utf-8"), _MOST_LAYOUTS
+    except UnicodeDecodeError:
+        text, most = data.decode("utf-8", "surrogateescape"), 0
+    try:
+        value, pos = _value(text, _WS.match(text).end(), 0, most)
         pos = _WS.match(text, pos).end()
         if pos != len(text):
             raise _Malformed("trailing data", pos)
@@ -728,9 +787,9 @@ def canonical_parse(data: bytes) -> Any:
     return value
 
 
-def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
+def _value(text: str, pos: int, depth: int, most: int) -> tuple[Any, int]:
     """The value that starts at character *pos*, inside *depth* lists and
-    maps, and the position after it."""
+    maps, and the position after it; a list learns at most *most* layouts."""
     head = text[pos:pos + 1]
     if head != "{" and head != "[":
         m = _SCALAR.match(text, pos)
@@ -769,8 +828,8 @@ def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
             if item is not None:
                 pos = m.end()
             else:
-                item, pos = _value(text, pos, depth)
-                if type(item) is dict and len(items) > 1 and len(layouts) < _MOST_LAYOUTS:
+                item, pos = _value(text, pos, depth, most)
+                if type(item) is dict and len(items) > 1 and len(layouts) < most:
                     keys = tuple(item)
                     seen = sightings[keys] = sightings.get(keys, 0) + 1
                     if seen == 2:
@@ -809,7 +868,7 @@ def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
                              f" does not come after {previous!r} in code-point order")
         previous = key
         if sep is None:
-            result[key], pos = _value(text, pos, depth)
+            result[key], pos = _value(text, pos, depth, most)
             m = _MAP_SEP.match(text, pos)
             if m is None:
                 raise _Malformed("expected ',' or '}'", pos)

@@ -34,7 +34,11 @@ TAG_COUNTER = "coop-attest/counter/v1"
 TAG_LEDGER = "coop-attest/ledger/v1"
 TAG_RECOVER = "coop-attest/recover/v1"
 
-DOMAIN_TAGS = frozenset({TAG_PLAIN, TAG_BLINDED, TAG_COUNTER, TAG_LEDGER, TAG_RECOVER})
+# Each registered tag's framing prefix: the tag, then a newline, which no tag
+# contains, so prefix and message are unambiguous.
+_PREFIXES = {tag: tag.encode("utf-8") + b"\n"
+             for tag in (TAG_PLAIN, TAG_BLINDED, TAG_COUNTER, TAG_LEDGER, TAG_RECOVER)}
+DOMAIN_TAGS = frozenset(_PREFIXES)
 
 _KEYGEN_CONTEXT = b"coop-attest/keygen/v1:"
 
@@ -77,16 +81,6 @@ def digest_from_hex(text: str) -> bytes:
     return value
 
 
-def _framed(domain_tag: str, message: bytes) -> bytes:
-    # Tags contain no newline, so prefix + separator is unambiguous.
-    return domain_tag.encode("utf-8") + b"\n" + message
-
-
-def _check_tag(domain_tag: str) -> None:
-    if domain_tag not in DOMAIN_TAGS:
-        raise UnknownDomainTag(domain_tag)
-
-
 # --- Ed25519 -------------------------------------------------------------------
 
 # Key objects are built once per key's bytes: loading a private key costs
@@ -124,8 +118,10 @@ def keygen(seed: bytes) -> KeyPair:
 
 def sign(key: KeyPair, domain_tag: str, message: bytes) -> Signature:
     """Ed25519 signature of *message* framed with *domain_tag*."""
-    _check_tag(domain_tag)
-    raw = _private_key(key.secret_key).sign(_framed(domain_tag, message))
+    prefix = _PREFIXES.get(domain_tag)
+    if prefix is None:
+        raise UnknownDomainTag(domain_tag)
+    raw = _private_key(key.secret_key).sign(prefix + message)
     return Signature(data=raw, signer_key_id=key.key_id, domain_tag=domain_tag)
 
 
@@ -133,14 +129,16 @@ def verify(public_key: bytes, domain_tag: str, message: bytes, sig: Signature) -
     """True iff *sig* was produced over *message* under *domain_tag* by the
     holder of *public_key*.  Tag or key mismatches report False; only an
     unregistered tag raises."""
-    _check_tag(domain_tag)
+    prefix = _PREFIXES.get(domain_tag)
+    if prefix is None:
+        raise UnknownDomainTag(domain_tag)
     if sig.domain_tag != domain_tag:
         return False
     key_id, key = _public_key(public_key)
     if sig.signer_key_id != key_id or key is None:
         return False
     try:
-        key.verify(sig.data, _framed(domain_tag, message))
+        key.verify(sig.data, prefix + message)
         return True
     except InvalidSignature:
         return False

@@ -91,11 +91,13 @@ def ledger_from_records(ledger_id, writer_public_key, records):
 
 # --- the bytes each signature covers, written apart from the signing code ----------
 #
-# The signer every signed record shares writes its body's entries once, and
-# joins them into its signed text and, with its signature's and id's entries,
-# its whole text (canonical.record_entries); it keeps what its checks read.
-# These write the same bytes from the field values, through record_bytes, of a
-# record whose signature is a placeholder that the signed bytes leave out.
+# Each signed record class's signer, generated from its declarations
+# (canonical.generated_writer), writes its body's fields once, as runs of text
+# between the keys its signature leaves out or it makes, and joins those runs
+# into its signed text and, with its signature's and id's texts, its whole
+# text; it keeps what its checks read.  These write the same bytes from the
+# field values, through record_bytes, of a record whose signature is a
+# placeholder that the signed bytes leave out.
 _NO_SIGNATURE = crypto.Signature(b"", crypto.ZERO_DIGEST, "")
 
 

@@ -33,10 +33,9 @@ from coopattest.canonical import (
     canonical_parse,
     canonical_serialize,
     generated_writer,
-    join_entries,
     record_bytes,
-    record_entries,
     record_from_map,
+    record_shape,
 )
 from coopattest.cooperative import CooperativeState, IssuanceEntry, MemberRecord
 from coopattest.crypto import Digest, Signature, keygen
@@ -1116,10 +1115,6 @@ def wire_key(f):
     return f.metadata.get("key", f.name)
 
 
-def has_optional(cls):
-    return any(type(None) in typing.get_args(tp) for tp in typing.get_type_hints(cls).values())
-
-
 @given(st.sampled_from(WRITTEN).flatmap(lambda written: st.tuples(
     st.just(written), RECORD_STRATEGIES[written[0]])))
 @settings(max_examples=300)
@@ -1135,11 +1130,60 @@ def test_record_bytes_matches_the_map_path(case):
     # attestations inside the record.
     assert record_bytes(cls, record, omit) == expected
     assert record_bytes(cls, record, omit) == expected
-    # The entries of the same fields, given as a dict, as a signer gives its body.
-    if not has_optional(cls):
-        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)
-                  if wire_key(f) not in omit}
-        assert join_entries(record_entries(cls, values, omit)).encode() == expected
+
+
+SIGNED = [PlainAttestation, BlindedAttestation, CounterSignedAttestation, LedgerRecord]
+_SIGNER = keygen(b"signer")
+
+
+@given(st.sampled_from(SIGNED).flatmap(lambda cls: st.tuples(st.just(cls), RECORD_STRATEGIES[cls])))
+@settings(max_examples=300)
+def test_a_signer_writes_the_bytes_of_the_reference_map(case):
+    """A signer, given the body of a drawn record, signs the bytes of the
+    record's reference map without the keys its signature leaves out, seals
+    its id (if it has one) over those without the id, and keeps the whole
+    text or its digest: each of its three texts is the map path's.  Text
+    that UTF-8 cannot encode is refused before anything is signed."""
+    cls, drawn = case
+    values = {f.name: getattr(drawn, f.name) for f in dataclasses.fields(cls)}
+    body = {name: value for name, value in values.items() if name not in (cls._SIGNATURE, cls._ID)}
+    # What crypto.sign returns: a signature under the class's tag.
+    signature = values[cls._SIGNATURE] = dataclasses.replace(values[cls._SIGNATURE],
+                                                             domain_tag=cls._TAG)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crypto, "sign", lambda key, tag, message: calls.append(
+            ("sign", key, tag, message)) or signature)
+        patch.setattr(crypto, "digest", lambda data: calls.append(("digest", data))
+                      or hashlib.sha256(data).digest())
+        try:
+            record = cls._sign(_SIGNER, dict(body))
+        except UnsupportedValue as exc:
+            record = exc
+
+    def reference(omit):
+        return canonical_serialize(reference_map(cls, values, omit))
+
+    try:
+        message = reference(cls._UNSIGNED)
+    except UnsupportedValue:
+        assert isinstance(record, UnsupportedValue) and calls == []
+        return
+    expected = [("sign", _SIGNER, cls._TAG, message)]
+    if cls._ID is not None:
+        sealed = reference((cls._ID,))
+        values[cls._ID] = hashlib.sha256(sealed).digest()
+        expected.append(("digest", sealed))
+    text = reference(())
+    if not cls._KEEPS_TEXT:
+        expected.append(("digest", text))
+    assert calls == expected
+    assert record == cls(**values)
+    assert record._signed_bytes == message
+    if cls._KEEPS_TEXT:
+        assert record._canonical_text == text.decode()
+    else:
+        assert record._digest == hashlib.sha256(text).digest()
 
 
 @given(st.sampled_from(list(RECORD_STRATEGIES)).flatmap(
@@ -1271,27 +1315,47 @@ def test_frozenset_is_written_sorted():
     assert b'"compatible":["AU","CH","EU","US"]' in record_bytes(NotaryState, state)
 
 
-@pytest.mark.parametrize("form, written", [
-    ("line", b'{"codes":["US"],"inner":{"n":1}}\n'),
-    ("text", '{"codes":["US"],"inner":{"n":1}}'),
-    ("entries", {"codes": '"codes":["US"]', "inner": '"inner":{"n":1}'}),
-])
-def test_generating_a_writer_leaves_no_cyclic_garbage(form, written):
-    inner = Shape("Inner", (("n", "n", int, False),))
-    shape = Shape("Outer", (("codes", "codes", list[str], False), ("inner", "inner", inner, False)))
+def generated_without_garbage(filename, shape, form, cls=None):
+    """generated_writer's function, asserting that generating it left no
+    cycle that only the collector frees."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        write = generated_writer(f"<coopattest {form} Outer>", shape, form)
+        write = generated_writer(filename, shape, form, cls)
         unreachable = gc.collect()
     finally:
         if enabled:
             gc.enable()
     assert unreachable == 0
+    return write
+
+
+@pytest.mark.parametrize("form, written", [
+    ("line", b'{"codes":["US"],"inner":{"n":1}}\n'),
+    ("text", '{"codes":["US"],"inner":{"n":1}}'),
+])
+def test_generating_a_writer_leaves_no_cyclic_garbage(form, written):
+    inner = Shape("Inner", (("n", "n", int, False),))
+    shape = Shape("Outer", (("codes", "codes", list[str], False), ("inner", "inner", inner, False)))
+    write = generated_without_garbage(f"<coopattest {form} Outer>", shape, form)
     # A record's fields are read as attributes, a map's values as items.
-    values = {"codes": ["US"], "inner": {"n": 1}}
-    assert write(values if form == "entries" else types.SimpleNamespace(**values)) == written
+    assert write(types.SimpleNamespace(codes=["US"], inner={"n": 1})) == written
+
+
+def test_generating_a_signer_leaves_no_cyclic_garbage():
+    sign = generated_without_garbage("<coopattest sign LedgerRecord>",
+                                     record_shape("LedgerRecord", LedgerRecord), "sign", LedgerRecord)
+    # A signer reads its body's values as items.
+    body = {"index": 0, "prev_digest": crypto.ZERO_DIGEST, "writer_key_id": _SIGNER.key_id,
+            "payload": PostRecord(crypto.digest(b"post"), RecordPointer("l1", 0), 3)}
+    record = sign(_SIGNER, dict(body))
+    assert record == LedgerRecord(**body, writer_signature=record.writer_signature)
+    assert record._signed_bytes == canonical_serialize(
+        reference_map(LedgerRecord, record, LedgerRecord._UNSIGNED))
+    assert record._digest == crypto.digest(canonical_serialize(reference_map(LedgerRecord, record)))
+    assert crypto.verify(_SIGNER.public_key, crypto.TAG_LEDGER, record._signed_bytes,
+                         record.writer_signature)
 
 
 def _list_writer(value):

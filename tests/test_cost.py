@@ -1,5 +1,5 @@
-"""What an event, a verdict and a config check cost, in Python frames, and
-what a config parse costs, in regex matches.
+"""What an event, a verdict, a config check and a signed record cost, in
+Python frames, and what a config parse costs, in regex matches.
 
 A frame is one ``call`` event of ``sys.setprofile``, as ``tests/test_reach.py``
 counts them: a function or method run in Python, or a generator resumed; a
@@ -14,12 +14,15 @@ import sys
 
 import pytest
 
+from coopattest import crypto
+from coopattest.attestation import SubjectRef, blind, build_plain, countersign
 from coopattest.canonical import canonical_parse
 from coopattest.dsn import Provider
 from coopattest.harness import Event, Scenario, validate_config
+from coopattest.ledger import AttestationRecord, Ledger, PostRecord
 from coopattest.travel_rule import Exchange
 
-from conftest import tiny_benchmark_config, tiny_benchmark_workload
+from conftest import make_claims, tiny_benchmark_config, tiny_benchmark_workload
 
 VERDICT_CALLS = {Provider.receive_post.__code__, Exchange.evaluate_transfer.__code__}
 
@@ -90,6 +93,57 @@ def test_a_verdict_runs_no_more_frames_than_counted(workload, reason):
               if why == reason]
     assert counts, f"no {reason} verdict on {workload}"
     assert max(counts) <= MOST_FRAMES[workload, reason], counts
+
+
+# The most frames signing each record runs on CPython 3.11, its own call
+# included: the signer; a frame for each record it writes by a call (a claim,
+# a subject, the signature, a ledger payload and its pointer); the crypto
+# calls (the sign, the signature it builds, each digest); the record's
+# constructor and its __post_init__; and, for a tuple of claims, the
+# signer's check of their types (a generator) and its list of their texts
+# (a comprehension, which 3.12 inlines).  Before the signers were generated,
+# each wrote its record through a dict of entries: 33, 31, 18, 21 and 23.
+MOST_SIGNING_FRAMES = {"build_plain": 17, "blind": 16, "countersign": 8,
+                       "append attestation": 10, "append post": 12}
+
+
+def signing_frames() -> dict[str, int]:
+    """The frames of each signing call, each signer generated beforehand."""
+    issuer, notary, writer = (crypto.keygen(seed) for seed in (b"issuer", b"notary", b"writer"))
+    claims = make_claims(("age-over-18", "true"), ("residence-country", "US"))
+    counts = {}
+
+    def framed(name, call, *args):
+        frames = 0
+
+        def profile(frame, event, arg):
+            nonlocal frames
+            frames += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            result = call(*args)
+        finally:
+            sys.setprofile(None)
+        counts[name] = frames
+        return result
+
+    for _ in range(2):   # the first round generates each signer
+        plain = framed("build_plain", build_plain, SubjectRef.legal("alice-legal-0001"), claims,
+                       issuer, "notary-1", 10, 1000, b"n" * 32)
+        blinded = framed("blind", blind, plain, SubjectRef.handle("@alice"), issuer)
+        csa = framed("countersign", countersign, blinded, notary, "notary-1", 11)
+        ledger = Ledger("l1", writer.public_key)
+        payload = AttestationRecord(csa)
+        ptr = framed("append attestation", ledger.append, writer, payload)
+        payload = PostRecord(crypto.digest(b"post"), ptr, 12)
+        framed("append post", ledger.append, writer, payload)
+    return counts
+
+
+def test_signing_a_record_runs_no_more_frames_than_counted():
+    counts = signing_frames()
+    assert all(counts[name] <= most for name, most in MOST_SIGNING_FRAMES.items()), counts
 
 
 # The most frames validate_config runs on each workload's config, its

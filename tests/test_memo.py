@@ -5,6 +5,7 @@ import collections
 import contextlib
 import dataclasses
 import re
+import sys
 import types
 
 import pytest
@@ -189,9 +190,8 @@ _SIGNING_MEMOS = {
 }
 
 
-# Every writer of a record's text; a call writes each of the record's fields once,
-# but the fields a signer makes after it, which entry_text writes.
-_RECORD_WRITERS = ("record_bytes", "record_text", "record_entries")
+# Every writer of a record's text but its signer.
+_RECORD_WRITERS = ("record_bytes", "record_text")
 
 
 class TestMemosMadeAtSigning:
@@ -243,6 +243,9 @@ class TestMemosMadeAtSigning:
 
     def test_each_signed_record_is_written_once(self, monkeypatch, issuer, notary_key,
                                                  verify_calls):
+        """Its signer writes each field once, inline or by one call of the
+        generated writer of the field's record, and the checks after it
+        write nothing: the signer's memos are what they read."""
         written = collections.Counter()
         for name in _RECORD_WRITERS:
             real = getattr(canonical, name)
@@ -254,30 +257,52 @@ class TestMemosMadeAtSigning:
             for module in (canonical, attestation):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counting)
-        made = collections.Counter()
-        real_entry_text = canonical.entry_text
-        monkeypatch.setattr(attestation, "entry_text", lambda cls, attr, value: made.update(
-            [(cls, attr)]) or real_entry_text(cls, attr, value))
         signed = []
         real_sign = crypto.sign
         monkeypatch.setattr(crypto, "sign", lambda key, tag, message: signed.append(tag)
                             or real_sign(key, tag, message))
-        plain = make_plain(issuer)
-        blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
-        assert verify_pair(plain, blinded, issuer.public_key).passed
-        csa = countersign(blinded, notary_key, "notary-1", 11)
-        assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+        # The calls of each generated signer and writer, and the bytes each
+        # writes as hex (a digest, a nonce, a signature's bytes), by file name.
+        frames, hexed = collections.Counter(), collections.Counter()
+
+        def profile(frame, event, arg):
+            name = frame.f_code.co_filename
+            if not name.startswith("<coopattest "):
+                return
+            if event == "call" and frame.f_code.co_name in ("sign", "write_text"):
+                frames[name] += 1
+            elif event == "c_call" and arg.__name__ == "hex":
+                hexed[name] += 1
+
         writer = crypto.keygen(b"provider")
-        ledger = Ledger("l1", writer.public_key)
-        ptr = ledger.append(writer, AttestationRecord(csa))
-        ledger.append(writer, PostRecord(crypto.digest(b"post"), ptr, 12))
-        assert ledger.verify_chain()
-        assert dict(written) == {PlainAttestation: 1, BlindedAttestation: 1,
-                                 CounterSignedAttestation: 1, LedgerRecord: 2}
-        assert dict(made) == {
-            (PlainAttestation, "issuer_signature"): 1, (PlainAttestation, "attestation_id"): 1,
-            (BlindedAttestation, "issuer_signature"): 1, (BlindedAttestation, "attestation_id"): 1,
-            (CounterSignedAttestation, "notary_signature"): 1, (LedgerRecord, "writer_signature"): 2}
+        sys.setprofile(profile)
+        try:
+            plain = make_plain(issuer)
+            blinded = blind(plain, SubjectRef.handle("@sender"), issuer)
+            assert verify_pair(plain, blinded, issuer.public_key).passed
+            csa = countersign(blinded, notary_key, "notary-1", 11)
+            assert verify_countersigned(csa, issuer.public_key, notary_key.public_key, 20).passed
+            ledger = Ledger("l1", writer.public_key)
+            ptr = ledger.append(writer, AttestationRecord(csa))
+            ledger.append(writer, PostRecord(crypto.digest(b"post"), ptr, 12))
+            assert ledger.verify_chain()
+        finally:
+            sys.setprofile(None)
+        assert dict(written) == {}
+        assert dict(frames) == {
+            "<coopattest sign PlainAttestation>": 1, "<coopattest sign BlindedAttestation>": 1,
+            "<coopattest sign CounterSignedAttestation>": 1, "<coopattest sign LedgerRecord>": 2,
+            # One claim and one subject each in the plain and blinded attestations.
+            "<coopattest text AttributeClaim>": 2, "<coopattest text SubjectRef>": 2,
+            "<coopattest text Signature>": 5, "<coopattest text AttestationRecord>": 1,
+            "<coopattest text PostRecord>": 1, "<coopattest text RecordPointer>": 1}
+        assert dict(hexed) == {
+            # The id, the issuer key id and the nonce or the plain digest.
+            "<coopattest sign PlainAttestation>": 3, "<coopattest sign BlindedAttestation>": 3,
+            "<coopattest sign CounterSignedAttestation>": 1,
+            # The previous digest and the writer key id of each ledger record.
+            "<coopattest sign LedgerRecord>": 4,
+            "<coopattest text Signature>": 10, "<coopattest text PostRecord>": 1}
         # Every signature is made and checked as before: one check per ledger record.
         assert signed == [crypto.TAG_PLAIN, crypto.TAG_BLINDED, crypto.TAG_COUNTER,
                           crypto.TAG_LEDGER, crypto.TAG_LEDGER]
