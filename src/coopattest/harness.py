@@ -26,7 +26,7 @@ import io
 import linecache
 import re
 from dataclasses import dataclass, field, make_dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, get_args
 
@@ -221,7 +221,6 @@ class EventLog:
 _ACTORS = {"notaries": "notary", "cooperatives": "cooperative",
            "exchanges": "exchange", "providers": "provider"}
 _SECTIONS = (*_ACTORS, "script")
-_CONFIG_KEYS = frozenset(("seed", "tick_limit", *_SECTIONS))
 
 
 @dataclass(frozen=True)
@@ -238,11 +237,11 @@ class ScenarioConfig:
     def from_map(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise DecodeError("scenario config must be a map")
-        for key in ("seed", "tick_limit"):
+        for key in _CONFIG:
             if key not in raw:
                 raise DecodeError(f"scenario config missing field {key!r}")
         for key in raw:
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG and key not in _SECTIONS:
                 raise DecodeError(f"scenario config has unknown field {key!r}")
         sections = {key: raw.get(key, []) for key in _SECTIONS}
         for key, value in sections.items():
@@ -258,21 +257,36 @@ class ScenarioConfig:
 # --- config schema ------------------------------------------------------------------
 #
 # One table holds every field a config may carry: each actor section and,
-# under "script", each action.  A field gives its kind (a check, and the
-# problem reported when the check fails), its default if it is optional,
-# and what its value must name.  validate_config checks each entry with a
-# check generated from the table (_checker) and walks the table only for
-# an entry that fails it, to word the problems; _build_actors reads its
-# defaults, and Scenario dispatches exactly the actions it lists.
+# under "script", each action.  A field gives its kind, its default if it
+# is optional, and what its value must name.  Each rule a config keeps is
+# stated once, as a clause (_Clause): a test, the path its problem names,
+# and the problem's words.  A field's kind and what its value names are
+# clauses (_field, _refers), and so are the tick rule (_TICK), a member
+# id's uniqueness (_NEW_MEMBER) and the rules across fields (_ACROSS).
+# From the clauses of one layout, _checker generates two functions on
+# first use: its check, which ANDs them, and its wording, which tests them
+# in order and words each one that fails.  validate_config calls the check
+# of every entry and the wording only of an entry that fails it;
+# _build_actors reads the defaults, and Scenario dispatches exactly the
+# actions the table lists.
 
 _REQUIRED = object()
 
-# What a check's source may call besides builtins; none of it runs a
-# Python frame.  A lone surrogate is the one code point UTF-8 cannot encode.
+# What a clause may call besides builtins; a check calls nothing of it that
+# runs a Python frame.  A lone surrogate is the one code point UTF-8 cannot encode.
 _lone_surrogate = re.compile("[\ud800-\udfff]").search
+
+
+def _unencodable(value) -> bool:
+    """Whether *value*, or a value of the map it is, is text UTF-8 cannot
+    encode: a kind words such a value with a problem of its own."""
+    texts = value.values() if isinstance(value, dict) else (value,)
+    return any(_lone_surrogate(text) for text in texts if isinstance(text, str))
+
+
 _SCOPE = {"_lone_surrogate": _lone_surrogate, "_is_str": str.__instancecheck__,
           "_chain": chain.from_iterable, "_repeat": repeat, "_RULES": frozenset(QUERIES),
-          "MODE_HANDLE": MODE_HANDLE}
+          "MODE_HANDLE": MODE_HANDLE, "_unencodable": _unencodable}
 
 
 class _Field(NamedTuple):
@@ -282,7 +296,7 @@ class _Field(NamedTuple):
     problem: str
     unencodable: str | None  # the problem instead, for text UTF-8 cannot encode
     default: object = _REQUIRED
-    ref: str | None = None   # what the value must name; see _Walk.resolve
+    ref: str | None = None   # what the value must name; see _refers
 
     @property
     def required(self) -> bool:
@@ -303,6 +317,7 @@ _text = _kind(str, f"type(v) is str and v != '' and {_ENCODES}",
               "must be a non-empty string", "must be a string that UTF-8 can encode")
 _count = _kind(int, "type(v) is int and v > 0", "must be a positive integer")
 _tick = _kind(int, "type(v) is int and v >= 0", "must be a non-negative integer")
+_seed = _kind(bytes, "isinstance(v, bytes) and v != b''", "must be a non-empty byte-string")
 _body = _kind(str | bytes, f"type(v) is bytes and v != b'' or type(v) is str and v != '' "
               f"and {_ENCODES}", "must be non-empty text or bytes",
               "must be bytes or text that UTF-8 can encode")
@@ -321,6 +336,9 @@ _follower_lists = _kind(dict[str, list[str]], "type(v) is dict and {*map(type, v
                         "<= {list} and {*map(type, _chain(v.values()))} <= {str}",
                         "must map handles to lists of provider names")
 
+# The config's own fields, beside its sections; ScenarioConfig requires them.
+_CONFIG = {"seed": _seed(), "tick_limit": _tick()}
+
 SCHEMA: dict[str, dict[str, _Field]] = {
     "notaries": {"name": _text(), "jurisdiction": _text(), "compatible": _codes(default=())},
     "cooperatives": {"name": _text(), "legal_rep": _text(ref="notary"),
@@ -335,7 +353,7 @@ SCHEMA: dict[str, dict[str, _Field]] = {
         "issue": {"coop": _text(ref="cooperative"), "member": _text(),
                   "queries": _rules(), "mode": _mode(), "ttl": _count(),
                   "label": _text(ref="new label")},
-        # _check_register decides which of these a register reads.
+        # Its rule across fields (_ACROSS) decides which of these a register reads.
         "register": {"exchange": _text(None, "exchange"), "account": _text(None),
                      "name": _text(None), "provider": _text(None, "provider"),
                      "handle": _text(None), "attestation": _text(None, "issued label")},
@@ -369,129 +387,248 @@ def _setting(section: str, entry: dict, key: str):
     return entry.get(key, SCHEMA[section][key].default)
 
 
+# --- the rules --------------------------------------------------------------------
+
+class _Clause(NamedTuple):
+    """One rule.  *test* is a Python expression, true where the rule holds,
+    over the entry e, the walk w and the value v of the field it is of; an
+    action's also over limit, the tick limit, and a member's over ids, its
+    cooperative's members before it.  *path* and *problem* are the text of
+    f-strings over the same names: what the problem's path adds to the
+    entry's, and its words.  A clause with no problem only guards.  *then*
+    holds the clauses, or statements, tested only where this one holds.
+
+    With *each*, "item in items", the rule holds of each item alone: its
+    test is over x, which the check binds to all the items at once and the
+    wording to each one, as (item,), so that the wording words each item
+    that breaks the rule.  *keep* is a statement that records what the
+    entry declares, for the entries after it: the wording runs it where
+    the clause holds, the check once the whole entry passes."""
+
+    test: str
+    path: str
+    problem: str | None
+    each: str | None = None
+    then: tuple = ()
+    keep: str | None = None
+
+
+def _field(key: str, f: _Field, then: tuple = ()) -> tuple:
+    """The clauses of an entry's field *key*: its value bound to v, its kind,
+    and *then* where the kind holds.  A required key that is missing reads
+    as None, which no kind takes."""
+    words = f.problem if f.unencodable is None else \
+        f"{{{f.unencodable!r} if _unencodable(v) else {f.problem!r}}}"
+    kind = _Clause(f.source, f".{key}", words, then=then)
+    if f.required:
+        return (f"v = e.get({key!r})", kind)
+    return (_Clause(f"{key!r} in e", "", None, then=(f"v = e[{key!r}]", kind)),)
+
+
+def _refers(key: str, f: _Field) -> tuple:
+    """The clause that the value v of field *key* names what its ref says."""
+    if f.ref == "new label":
+        return (_Clause("v not in w.labels", f".{key}", "duplicate label {v!r}",
+                        keep=f"w.labels.add(e[{key!r}])"),)
+    if f.ref == "issued label":
+        return (_Clause("v in w.labels", f".{key}",
+                        "label {v!r} not issued earlier in the script"),)
+    if f.ref is None:
+        return ()
+    if f.tp is str:   # an actor's name
+        return (_Clause(f"v in w.names[{f.ref!r}]", f".{key}", f"unknown {f.ref} {{v!r}}"),)
+    return (_Clause(f"w.names[{f.ref!r}].keys() >= {{*x}}", f".{key}",   # lists of names
+                    f"unknown {f.ref} {{name!r}}", "name in _chain(v.values())"),)
+
+
+# An action's tick is one (its kind), at least the tick of the action
+# before it, and at most the tick limit; the next action follows it.
+_TICK = _field("at", _tick(), then=(
+    _Clause("v >= w.last", ".at", "ticks must be non-decreasing ({v} < {w.last})",
+            keep="w.last = e['at']", then=(_Clause("limit is None or v <= limit", ".at",
+                                                   "tick {v} exceeds tick_limit {limit}"),)),))
+# An action of no declared kind, whose layout is ("script", None).
+_UNKNOWN_ACTION = _Clause("False", ".action", "unknown action {e.get('action')!r}")
+# A member id is new in its cooperative, whatever else is wrong with the
+# member.  A member that passes has a text id, so the check keeps it unguarded.
+_NEW_MEMBER = _Clause("isinstance(m := e.get('member_id'), str)", "", None, then=(
+    _Clause("m not in ids", ".member_id", "duplicate member {m!r}", keep="ids[m] = e"),))
+
+# The fields each form of register reads: a sender onboarding at a
+# provider, then a beneficiary's name and a customer's attestation
+# registered at an exchange.
+_REGISTER_FORMS = tuple(map(frozenset, (("provider", "handle", "attestation"),
+                                         ("exchange", "account", "name"),
+                                         ("exchange", "account", "attestation"))))
+_SCOPE.update(_REGISTER=SCHEMA["script"]["register"], _REGISTER_FORMS=_REGISTER_FORMS)
+
+# The rules across fields, each tested only where the entry's own fields
+# pass, so that it may rely on their kinds.
+_ACROSS = {
+    "providers": (
+        _Clause("e['name'] not in _chain((f := e.get('followers', {})).values())", ".followers",
+                "a provider cannot forward to itself"),
+        _Clause("{*map(type, x)} <= {str} and all(map(str.startswith, x, _repeat('@')))",
+                ".followers", "{h!r} is not a handle", "h in f"),
+        _Clause("sum(map(len, map(f.get, x))) == sum(map(len, map(set, map(f.get, x))))",
+                ".followers", "the followers of {h!r} name a provider twice", "h in f"),
+    ),
+    "issue": (
+        _Clause("(m := w.members[id(w.names['cooperative'][e['coop']])].get(e['member'])) "
+                "is not None", ".member", "unknown member {e['member']!r}", then=(
+                    _Clause("e['mode'] != MODE_HANDLE or m.get('handle')", ".mode",
+                            "member {e['member']!r} has no handle"),)),
+    ),
+    "register": (
+        _Clause("('exchange' in e) != ('provider' in e)", "",
+                "register needs exactly one of 'exchange' or 'provider'", then=(
+                    # No key is in one but not the other of the entry and the form r it picks.
+                    _Clause("(r := _REGISTER_FORMS[0 if 'provider' in e else 1 if 'name' in e "
+                            "else 2]).symmetric_difference(e).isdisjoint(x)", ".{k}",
+                            "{_REGISTER[k].problem if k in r else 'not read by a register of ' "
+                            "+ ', '.join(filter(r.__contains__, _REGISTER))}", "k in _REGISTER"),)),
+    ),
+    "transfer": (_Clause("e['origin'] != e['beneficiary_exchange']", ".beneficiary_exchange",
+                         "transfer from an exchange to itself"),),
+    "port": (_Clause("e['provider'] != e['origin']", ".origin",
+                     "porting from a provider onto itself"),),
+}
+
+
+def _clauses(layout: str, kind: str | None, words: bool) -> _Clause:
+    """The clauses of one layout, all under the one that its entry is a map:
+    of an entry of an actor section or of "members", of a "script" action
+    of *kind* (None: of no declared kind), or of an "action" line of
+    *kind*, whose values need name nothing.  The wording names each key the
+    layout does not declare, first; the check counts the keys instead."""
+    if layout == "script" and kind is None:
+        return _Clause("isinstance(e, dict)", "", "must be a map", then=(*_TICK, _UNKNOWN_ACTION))
+    if layout == "action":
+        fields, also, across = _LOGGED_ACTIONS[kind], ("action",), ()
+    else:
+        fields = SCHEMA[layout] if kind is None else SCHEMA["script"][kind]
+        also, across = ("at", "action") if kind else (), _ACROSS.get(kind or layout, ())
+    body = [clause for key, f in fields.items()
+            for clause in _field(key, f, () if layout == "action" else _refers(key, f))]
+    if words:   # the rules across fields are tested only where no field failed
+        body = ["before = len(w.problems)",
+                _Clause(f"all(map({(*fields, *also)!r}.__contains__, x))", ".{k}",
+                        "unknown field", "k in e"), *body]
+        if across:
+            body.append(_Clause("len(w.problems) == before", "", None, then=across))
+    else:   # every required key was read, so the entry has no other key if it has as many
+        count = " + ".join((str(len(also) + sum(f.required for f in fields.values())),
+                            *(f"({key!r} in e)" for key, f in fields.items() if not f.required)))
+        body += [_Clause(f"len(e) == {count}", "", "unknown field"), *across]
+    if layout == "members":
+        body.append(_NEW_MEMBER)
+    return _Clause("isinstance(e, dict)", "", "must be a map",
+                   then=(*(_TICK if layout == "script" else ()), *body))
+
+
+@functools.cache
+def _checker(layout: str, kind: str | None = None, words: bool = False) -> Callable:
+    """The check of one layout's entries (see _clauses), or with *words* its
+    wording, generated on first use.  A check is called with the entry and
+    the walk (an action line's with the entry alone), a wording with the
+    entry, the walk and the entry's path; a member's with its cooperative's
+    members before it too, and a script action's with the tick limit (None
+    if that is not valid).  A check is false as soon as a clause fails;
+    else it runs the keeps and is true.  The wording adds each problem to
+    the walk.  The source is kept in ``linecache`` under a name like
+    ``<coopattest check script/issue>``, so a traceback shows the line."""
+    form = "words" if words else "check"
+    args = "e, w, p" if words else "e" if layout == "action" else "e, w"
+    args += {"members": ", ids", "script": ", limit"}.get(layout, "")
+    lines, keeps = [f"def {form}({args}):"], []
+
+    def emit(items, indent: str) -> None:
+        for each, group in groupby(items, lambda item: getattr(item, "each", None)):
+            inner = indent
+            if each:
+                item, _, whole = each.partition(" in ")
+                lines.append(f"{indent}x = {whole}" if not words else
+                             f"{indent}for {item} in {whole}:\n{indent}    x = ({item},)")
+                inner += "    " * words
+            for c in group:
+                if isinstance(c, str):
+                    lines.append(inner + c)
+                elif c.problem is None:
+                    lines.append(f"{inner}if {c.test}:")
+                    emit(c.then, inner + "    ")
+                elif not words:
+                    lines.append(f"{inner}if not ({c.test}):\n{inner}    return False")
+                    keeps.extend([c.keep] if c.keep else ())
+                    emit(c.then, inner)
+                else:
+                    lines.append(f"{inner}if not ({c.test}):\n"
+                                 f'{inner}    w.problems.append(f"""{{p}}{c.path}: {c.problem}""")')
+                    if c.keep or c.then:
+                        lines.append(f"{inner}else:")
+                        emit(((c.keep,) if c.keep else ()) + c.then, inner + "    ")
+
+    emit((_clauses(layout, kind, words),), "    ")
+    if not words:   # the entry passed: record what it declares
+        lines += [f"    {keep}" for keep in (*keeps, "return True")]
+    source = "\n".join(lines) + "\n"
+    filename = f"<coopattest {form} {layout if kind is None else f'{layout}/{kind}'}>"
+    namespace = dict(_SCOPE)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[form]
+
+
 # --- validation ---------------------------------------------------------------------
 
 class _Walk:
-    """One pass over a config against the table, collecting problems."""
+    """What one pass over a config has found: its problems, and what the
+    entries before the current one declared, which a clause may read."""
 
     def __init__(self) -> None:
         self.problems: list[str] = []
         self.names: dict[str, dict[str, dict]] = {ref: {} for ref in _ACTORS.values()}
         self.members: dict[int, dict[str, dict]] = {}  # id of a coop entry -> its members by id
         self.labels: set[str] = set()
-        # Where each reference is found.  A new label never is: resolve records it.
-        self.known = {**self.names, "issued label": self.labels, "new label": ()}
+        self.last = 0   # the tick of the action before
 
-    def problem(self, path: str, message: str) -> None:
-        self.problems.append(f"{path}: {message}")
 
-    def fields(self, fields: dict[str, _Field], entry, section: str, index,
-               also: tuple = (), refs: bool = True) -> bool:
-        """Check entry *index* of *section* against *fields*; True if it is
-        a map whose fields all pass and that has no other key but *also*.
-        Without *refs*, a value need not name anything."""
-        if not isinstance(entry, dict):
-            self.problem(f"{section}[{index}]", "must be a map")
-            return False
-        before = len(self.problems)
-        for key in entry:
-            if key not in fields and key not in also:
-                self.problem(f"{section}[{index}].{key}", "unknown field")
-        for key, f in fields.items():
-            path, value = f"{section}[{index}].{key}", entry.get(key, _REQUIRED)
-            if value is _REQUIRED:
-                if f.required:
-                    self.problem(path, f.problem)
-            elif not f.check(value):
-                # Text that UTF-8 cannot encode, or a map with such text
-                # values, has its kind's own problem.
-                texts = value.values() if isinstance(value, dict) else (value,)
-                self.problem(path, f.unencodable if f.unencodable and any(
-                    _lone_surrogate(text) for text in texts if isinstance(text, str)) else f.problem)
-            elif refs and f.ref is not None and (type(value) is not str
-                                                 or value not in self.known[f.ref]):
-                self.resolve(f.ref, value, path)
-        return len(self.problems) == before
-
-    def resolve(self, ref: str, value, path: str) -> None:
-        if ref == "new label":
-            if value in self.labels:
-                self.problem(path, f"duplicate label {value!r}")
-            self.labels.add(value)
-        elif ref == "issued label":
-            self.problem(path, f"label {value!r} not issued earlier in the script")
-        else:   # an actor name, or follower lists of them
-            names = [value] if isinstance(value, str) else chain.from_iterable(value.values())
-            for name in names:
-                if name not in self.names[ref]:
-                    self.problem(path, f"unknown {ref} {name!r}")
-
-    def check_action(self, index: int, action, last_tick: int, tick_limit: int | None) -> int:
-        """Check script action *index*, which follows one at *last_tick*; the
-        tick that the next action follows."""
-        if not isinstance(action, dict):
-            self.problem(f"script[{index}]", "must be a map")
-            return last_tick
-        tick = action.get("at")
-        if type(tick) is not int or tick < 0:
-            self.problem(f"script[{index}].at", "must be a non-negative integer")
-        elif tick < last_tick:
-            self.problem(f"script[{index}].at",
-                         f"ticks must be non-decreasing ({tick} < {last_tick})")
-        else:
-            last_tick = tick
-            if tick_limit is not None and tick > tick_limit:
-                self.problem(f"script[{index}].at", f"tick {tick} exceeds tick_limit {tick_limit}")
-        kind = action.get("action")
-        fields = SCHEMA["script"].get(kind) if isinstance(kind, str) else None
-        if fields is None:
-            self.problem(f"script[{index}].action", f"unknown action {kind!r}")
-        elif self.fields(fields, action, "script", index, ("at", "action")) \
-                and kind in _CROSS_CHECKS:
-            _CROSS_CHECKS[kind][0](self, f"script[{index}]", action)
-        return last_tick
-
-    def actors(self, config: ScenarioConfig) -> None:
-        # Names first: an entry may name any other, later ones included.
-        for section, ref in _ACTORS.items():
-            for i, entry in enumerate(getattr(config, section)):
-                name = entry.get("name") if isinstance(entry, dict) else None
-                if isinstance(name, str) and name in self.names[ref]:
-                    self.problem(f"{section}[{i}].name", f"duplicate name {name!r}")
-                elif isinstance(name, str) and name:
-                    self.names[ref][name] = entry
-        for section in _ACTORS:
-            for i, entry in enumerate(getattr(config, section)):
-                if not _checker(section)(entry, self) \
-                        and self.fields(SCHEMA[section], entry, section, i) \
-                        and section in _CROSS_CHECKS:
-                    _CROSS_CHECKS[section][0](self, f"{section}[{i}]", entry)
-        # Members, whatever else is wrong with their cooperative, so that an
-        # issue names a member that is really missing.
-        for i, coop in enumerate(config.cooperatives):
-            members = _setting("cooperatives", coop, "members") if isinstance(coop, dict) else ()
-            by_id = self.members[id(coop)] = {}
-            section = f"cooperatives[{i}].members"
-            for j, member in enumerate(members if isinstance(members, list) else ()):
-                if _checker("members")(member, self) and member["member_id"] not in by_id:
-                    by_id[member["member_id"]] = member
-                    continue
-                self.fields(SCHEMA["members"], member, section, j)
-                member_id = member.get("member_id") if isinstance(member, dict) else None
-                if isinstance(member_id, str) and member_id in by_id:
-                    self.problem(f"{section}[{j}].member_id", f"duplicate member {member_id!r}")
-                elif isinstance(member_id, str):
-                    by_id[member_id] = member
-
-    def script(self, script, tick_limit: int | None) -> None:
-        last_tick, actions = 0, SCHEMA["script"]
-        for i, action in enumerate(script):
-            kind = action.get("action") if isinstance(action, dict) else None
-            if isinstance(kind, str) and kind in actions \
-                    and _checker("script", kind)(action, self, last_tick, tick_limit):
-                last_tick = action["at"]
-            else:
-                last_tick = self.check_action(i, action, last_tick, tick_limit)
+def validate_config(config: ScenarioConfig) -> list[str]:
+    """Empty list iff run_scenario's preconditions hold; each problem names
+    the offending field path."""
+    walk, limit = _Walk(), config.tick_limit
+    for key, f in _CONFIG.items():
+        if not f.check(getattr(config, key)):
+            walk.problems.append(f"{key}: {f.problem}")
+            limit = None if key == "tick_limit" else limit
+    # Names first: an entry may name any other, later ones included.
+    for section, ref in _ACTORS.items():
+        for i, entry in enumerate(getattr(config, section)):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if isinstance(name, str) and name in walk.names[ref]:
+                walk.problems.append(f"{section}[{i}].name: duplicate name {name!r}")
+            elif isinstance(name, str) and name:
+                walk.names[ref][name] = entry
+    for section in _ACTORS:
+        for i, entry in enumerate(getattr(config, section)):
+            if not _checker(section)(entry, walk):
+                _checker(section, None, True)(entry, walk, f"{section}[{i}]")
+    # Members, whatever else is wrong with their cooperative, so that an
+    # issue names a member that is really missing.
+    default = SCHEMA["cooperatives"]["members"].default
+    for i, coop in enumerate(config.cooperatives):
+        members = coop.get("members", default) if isinstance(coop, dict) else ()
+        ids = walk.members[id(coop)] = {}
+        for j, member in enumerate(members if isinstance(members, list) else ()):
+            if not _checker("members")(member, walk, ids):
+                _checker("members", None, True)(member, walk, f"cooperatives[{i}].members[{j}]",
+                                                ids)
+    actions = SCHEMA["script"]
+    for i, action in enumerate(config.script):
+        kind = action.get("action") if isinstance(action, dict) else None
+        known = isinstance(kind, str) and kind in actions
+        if not (known and _checker("script", kind)(action, walk, limit)):
+            _checker("script", kind if known else None, True)(action, walk, f"script[{i}]", limit)
+    return walk.problems
 
 
 def _read_action(payload: dict) -> None:
@@ -502,152 +639,8 @@ def _read_action(payload: dict) -> None:
         raise DecodeError(f"unknown action {kind!r}")
     if not _checker("action", kind)(payload):
         walk = _Walk()
-        walk.fields(_LOGGED_ACTIONS[kind], payload, "script", payload.get("index"), ("action",),
-                    refs=False)
+        _checker("action", kind, True)(payload, walk, f"script[{payload.get('index')}]")
         raise DecodeError("; ".join(walk.problems))
-
-
-# Rules that span fields.  Each runs only once the entry's or action's
-# own fields have passed, so it may rely on their kinds.
-
-def _check_provider(walk: _Walk, path: str, provider: dict) -> None:
-    followers = _setting("providers", provider, "followers")
-    if any(provider["name"] in targets for targets in followers.values()):
-        walk.problem(f"{path}.followers", "a provider cannot forward to itself")
-    for handle, targets in followers.items():
-        if type(handle) is not str or not handle.startswith("@"):
-            walk.problem(f"{path}.followers", f"{handle!r} is not a handle")
-        if len(set(targets)) < len(targets):
-            walk.problem(f"{path}.followers", f"the followers of {handle!r} name a provider twice")
-
-
-def _check_issue(walk: _Walk, path: str, action: dict) -> None:
-    coop_name, member_id = action["coop"], action["member"]
-    coop = walk.names["cooperative"][coop_name]
-    member = walk.members[id(coop)].get(member_id)
-    if member is None:
-        walk.problem(f"{path}.member", f"unknown member {member_id!r}")
-    elif action["mode"] == MODE_HANDLE and not member.get("handle"):
-        walk.problem(f"{path}.mode", f"member {member_id!r} has no handle")
-
-
-# The fields each form of register reads: a sender onboarding at a
-# provider, then a beneficiary's name and a customer's attestation
-# registered at an exchange.
-_REGISTER_FORMS = (("provider", "handle", "attestation"), ("exchange", "account", "name"),
-                   ("exchange", "account", "attestation"))
-
-
-def _check_register(walk: _Walk, path: str, action: dict) -> None:
-    if ("exchange" in action) == ("provider" in action):
-        walk.problem(path, "register needs exactly one of 'exchange' or 'provider'")
-        return
-    reads = _REGISTER_FORMS[0 if "provider" in action else 1 if "name" in action else 2]
-    for key, f in SCHEMA["script"]["register"].items():
-        if key in reads and key not in action:
-            walk.problem(f"{path}.{key}", f.problem)
-        elif key not in reads and key in action:
-            walk.problem(f"{path}.{key}", f"not read by a register of {', '.join(reads)}")
-
-
-def _check_transfer(walk: _Walk, path: str, action: dict) -> None:
-    if action["origin"] == action["beneficiary_exchange"]:
-        walk.problem(f"{path}.beneficiary_exchange", "transfer from an exchange to itself")
-
-
-def _check_port(walk: _Walk, path: str, action: dict) -> None:
-    if action["provider"] == action["origin"]:
-        walk.problem(f"{path}.origin", "porting from a provider onto itself")
-
-
-# Each rule: the function that words its problems, and a Python expression
-# over the entry e and the walk w, true exactly when it would report none,
-# which a generated check tests.
-_CROSS_CHECKS = {
-    "providers": (_check_provider, "(f := e.get('followers', {})) == {} or "
-                  "e['name'] not in _chain(f.values()) and {*map(type, f)} <= {str} "
-                  "and all(map(str.startswith, f, _repeat('@'))) "
-                  "and sum(map(len, f.values())) == sum(map(len, map(set, f.values())))"),
-    "issue": (_check_issue, "(m := w.members[id(w.names['cooperative'][e['coop']])]"
-              ".get(e['member'])) is not None and (e['mode'] != MODE_HANDLE or m.get('handle'))"),
-    "register": (_check_register, "frozenset(e) in _REGISTER_KEYS"),
-    "transfer": (_check_transfer, "e['origin'] != e['beneficiary_exchange']"),
-    "port": (_check_port, "e['provider'] != e['origin']"),
-}
-_SCOPE["_REGISTER_KEYS"] = {frozenset(("at", "action", *form)) for form in _REGISTER_FORMS}
-# How a generated check finds that a value v names what its field's ref
-# says; any other ref is an actor's, and its value a name or follower lists.
-_RESOLVES = {"new label": "v not in w.labels", "issued label": "v in w.labels"}
-
-
-@functools.cache
-def _checker(layout: str, kind: str | None = None) -> Callable[..., bool]:
-    """The check of one layout, generated on first use from SCHEMA and the
-    rules across fields: of an entry of an actor section or of "members",
-    called with the entry and the walk; of a "script" action of *kind*,
-    called with the action, the walk, the tick of the action before it
-    and the tick limit (None if it is not valid); of an "action" line of
-    *kind*, called with its payload alone.  It is true only when the walk
-    would find no problem in the entry (for an action line, in its fields
-    alone), and then records the label an issue gives.  The source is kept
-    in ``linecache`` under a name like ``<coopattest check script/issue>``,
-    so a traceback shows the line."""
-    if layout == "script":
-        fields, args, also = SCHEMA["script"][kind], "e, w, last, limit", ("at", "action")
-    elif layout == "action":
-        fields, args, also = _LOGGED_ACTIONS[kind], "e", ("action",)
-    else:
-        fields, args, also = SCHEMA[layout], "e, w", ()
-    resolves, rule = layout != "action", _CROSS_CHECKS.get(kind or layout)
-    # A required key that is missing reads as None, which no kind takes; and
-    # then the entry holds no other key only if it has as many as it read.
-    lines = [f"def check({args}):", "    if not isinstance(e, dict):", "        return False"]
-    if layout == "script":
-        lines += ["    v = e.get('at')",
-                  "    if type(v) is not int or v < last or limit is not None and v > limit:",
-                  "        return False"]
-    count, optional, new_label = len(also), [], None
-    for key, f in fields.items():
-        if f.required:
-            count, indent = count + 1, "    "
-            lines.append(f"    v = e.get({key!r})")
-        else:
-            optional.append(f"({key!r} in e)")
-            indent = "        "
-            lines += [f"    if {key!r} in e:", f"        v = e[{key!r}]"]
-        tests = [f.source]
-        if resolves and f.ref is not None:
-            tests.append(_RESOLVES.get(f.ref) or (f"v in w.names[{f.ref!r}]" if f.tp is str else
-                         f"w.names[{f.ref!r}].keys() >= {{*_chain(v.values())}}"))
-            new_label = key if f.ref == "new label" else new_label
-        lines += [f"{indent}if not ({test}):\n{indent}    return False" for test in tests]
-    lines += [f"    if len(e) != {' + '.join((str(count), *optional))}:", "        return False"]
-    if resolves and rule is not None:
-        lines += [f"    if not ({rule[1]}):", "        return False"]
-    if new_label is not None:
-        lines.append(f"    w.labels.add(e[{new_label!r}])")
-    lines.append("    return True\n")
-    source = "\n".join(lines)
-    filename = f"<coopattest check {layout if kind is None else f'{layout}/{kind}'}>"
-    namespace = dict(_SCOPE)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["check"]
-
-
-def validate_config(config: ScenarioConfig) -> list[str]:
-    """Empty list iff run_scenario's preconditions hold; each problem names
-    the offending field path."""
-    walk = _Walk()
-    if not isinstance(config.seed, bytes) or not config.seed:
-        walk.problem("seed", "must be a non-empty byte-string")
-    tick_limit = config.tick_limit
-    if type(tick_limit) is not int or tick_limit < 0:
-        walk.problem("tick_limit", "must be a non-negative integer")
-        tick_limit = None
-    walk.actors(config)
-    walk.script(config.script, tick_limit)
-    return walk.problems
 
 
 # --- execution ---------------------------------------------------------------------

@@ -148,10 +148,10 @@ def test_signing_a_record_runs_no_more_frames_than_counted():
 
 # The most frames validate_config runs on each workload's config, its
 # checks generated: one a checked entry (an actor, a member or an action,
-# 137 and 72 of them), one a cooperative for its members' default, and
-# five for the walk itself.  Walking every entry, as before the checks
-# were generated, took 1,564 and 798.
-MOST_CHECK_FRAMES = {"travel_churn": 143, "dsn_attested": 78}
+# 137 and 72 of them), one for each of the config's own two fields, checked
+# by their kinds, and three for the walk itself.  Walking every entry, as
+# before the checks were generated, took 1,564 and 798.
+MOST_CHECK_FRAMES = {"travel_churn": 142, "dsn_attested": 77}
 
 
 @pytest.mark.parametrize("workload", sorted(MOST_CHECK_FRAMES))

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import gc
 import importlib.util
+import linecache
 import os
 import re
 import subprocess
@@ -351,6 +352,225 @@ class TestValidateConfig:
             f"script[2].{unread}: not read by a register of {form}"]
         with pytest.raises(ConfigInvalid):
             run_scenario(config)
+
+
+# A valid config with an entry of every section and the actions the rules
+# across fields read; each row of WORDED edits it and pins every problem.
+WORDED_BASE = {
+    "seed": b"worded", "tick_limit": 20,
+    "notaries": [{"name": "N1", "jurisdiction": "US", "compatible": ["US"]}],
+    "cooperatives": [{"name": "C1", "legal_rep": "N1", "members": [
+        {"member_id": "alice", "legal_identity": "alice-0001",
+         "personal_data": {"residence": "NL"}, "handle": "@alice"},
+        {"member_id": "bob", "legal_identity": "bob-0002", "personal_data": {"residence": "US"}},
+    ]}],
+    "exchanges": [{"name": "E1", "jurisdiction": "US", "threshold": 1000},
+                  {"name": "E2", "jurisdiction": "US", "threshold": 1000}],
+    "providers": [{"name": "P1", "jurisdiction": "US", "followers": {"@alice": ["P2"]}},
+                  {"name": "P2", "jurisdiction": "US"}],
+    "script": [
+        {"at": 1, "action": "issue", "coop": "C1", "member": "alice", "queries": ["age-over-18"],
+         "mode": "handle", "ttl": 15, "label": "a1"},
+        {"at": 2, "action": "register", "provider": "P1", "handle": "@alice", "attestation": "a1"},
+        {"at": 2, "action": "register", "exchange": "E1", "account": "acct-a", "attestation": "a1"},
+        {"at": 3, "action": "post", "provider": "P1", "handle": "@alice", "body": "hello"},
+        {**TRANSFER, "at": 3},
+        {"at": 4, "action": "port", "provider": "P2", "origin": "P1", "handle": "@alice"},
+    ],
+}
+MEMBER = ("cooperatives", 0, "members", 0)
+FOLLOWERS = ("providers", 0, "followers")
+
+# One edit of WORDED_BASE per rule (each kind's problem, and its problem for
+# text UTF-8 cannot encode, counted as a rule), a few that break several
+# rules at once, and every problem validate_config words, in order.  An edit
+# sets the value at a path; None drops it, and an index one past a list's
+# end appends.
+WORDED = {
+    "seed": ({("seed",): b""}, ["seed: must be a non-empty byte-string"]),
+    "seed-type": ({("seed",): "worded"}, ["seed: must be a non-empty byte-string"]),
+    "tick_limit": ({("tick_limit",): -1}, ["tick_limit: must be a non-negative integer"]),
+    "not-a-map": ({("exchanges", 1): 7}, [
+        "exchanges[1]: must be a map", "script[4].beneficiary_exchange: unknown exchange 'E2'"]),
+    "unknown-field": ({("notaries", 0, "nickname"): "n"}, ["notaries[0].nickname: unknown field"]),
+    "text": ({("notaries", 0, "jurisdiction"): ""},
+             ["notaries[0].jurisdiction: must be a non-empty string"]),
+    "text-unencodable": ({("exchanges", 0, "jurisdiction"): "U\ud800"},
+                         ["exchanges[0].jurisdiction: must be a string that UTF-8 can encode"]),
+    "count": ({("exchanges", 0, "threshold"): 0},
+              ["exchanges[0].threshold: must be a positive integer"]),
+    "tick": ({("script", 0, "at"): -1}, ["script[0].at: must be a non-negative integer"]),
+    "body": ({("script", 3, "body"): b""}, ["script[3].body: must be non-empty text or bytes"]),
+    "body-unencodable": ({("script", 3, "body"): "x\ud800"},
+                         ["script[3].body: must be bytes or text that UTF-8 can encode"]),
+    "handle": ({(*MEMBER, "handle"): "alice"},
+               ["cooperatives[0].members[0].handle: must begin with '@'"]),
+    "handle-unencodable": ({(*MEMBER, "handle"): "@\ud800"},
+                           ["cooperatives[0].members[0].handle: must be a handle that UTF-8 can "
+                            "encode"]),
+    "mode": ({("script", 0, "mode"): "both"}, ["script[0].mode: must be 'absent' or 'handle'"]),
+    "data": ({(*MEMBER, "personal_data"): ["NL"]},
+             ["cooperatives[0].members[0].personal_data: must be a map"]),
+    "data-unencodable": ({(*MEMBER, "personal_data", "residence"): "N\ud800"},
+                         ["cooperatives[0].members[0].personal_data: must be a map whose text "
+                          "values UTF-8 can encode"]),
+    "entries": ({("cooperatives", 0, "members"): {"alice": 1}}, [
+        "cooperatives[0].members: must be a list", "script[0].member: unknown member 'alice'"]),
+    "codes": ({("notaries", 0, "compatible"): "US"},
+              ["notaries[0].compatible: must be a list of jurisdiction codes"]),
+    "rules": ({("script", 0, "queries"): []},
+              ["script[0].queries: must be a non-empty list of rule names"]),
+    "follower-lists": ({FOLLOWERS: {"@alice": "P2"}},
+                       ["providers[0].followers: must map handles to lists of provider names"]),
+    "unknown-notary": ({("cooperatives", 0, "legal_rep"): "N9"},
+                       ["cooperatives[0].legal_rep: unknown notary 'N9'"]),
+    "unknown-cooperative": ({("script", 0, "coop"): "C9"},
+                            ["script[0].coop: unknown cooperative 'C9'"]),
+    "unknown-exchange": ({("script", 4, "origin"): "E9"}, ["script[4].origin: unknown exchange 'E9'"]),
+    "unknown-provider": ({("script", 3, "provider"): "P9"},
+                         ["script[3].provider: unknown provider 'P9'"]),
+    "unknown-follower": ({FOLLOWERS: {"@alice": ["P9", "P2", "P8"]}}, [
+        "providers[0].followers: unknown provider 'P9'",
+        "providers[0].followers: unknown provider 'P8'"]),
+    "duplicate-label": ({("script", 6): {"at": 5, "action": "issue", "coop": "C1",
+                                         "member": "bob", "queries": ["age-over-18"],
+                                         "mode": "absent", "ttl": 5, "label": "a1"}},
+                        ["script[6].label: duplicate label 'a1'"]),
+    "unissued-label": ({("script", 2, "attestation"): "a9"},
+                       ["script[2].attestation: label 'a9' not issued earlier in the script"]),
+    "decreasing-tick": ({("script", 5, "at"): 1},
+                        ["script[5].at: ticks must be non-decreasing (1 < 3)"]),
+    "tick-beyond-limit": ({("tick_limit",): 3}, ["script[5].at: tick 4 exceeds tick_limit 3"]),
+    "unknown-action": ({("script", 3, "action"): "teleport"},
+                       ["script[3].action: unknown action 'teleport'"]),
+    "duplicate-name": ({("exchanges", 1, "name"): "E1"}, [
+        "exchanges[1].name: duplicate name 'E1'",
+        "script[4].beneficiary_exchange: unknown exchange 'E2'"]),
+    "duplicate-member": ({("cooperatives", 0, "members", 1, "member_id"): "alice"},
+                         ["cooperatives[0].members[1].member_id: duplicate member 'alice'"]),
+    "forwarding-to-itself": ({FOLLOWERS: {"@alice": ["P2", "P1"]}},
+                             ["providers[0].followers: a provider cannot forward to itself"]),
+    "not-a-handle": ({FOLLOWERS: {"alice": ["P2"]}},
+                     ["providers[0].followers: 'alice' is not a handle"]),
+    "named-twice": ({FOLLOWERS: {"@alice": ["P2", "P2"]}},
+                    ["providers[0].followers: the followers of '@alice' name a provider twice"]),
+    "unknown-member": ({("script", 0, "member"): "carol"},
+                       ["script[0].member: unknown member 'carol'"]),
+    "member-without-handle": ({("script", 0, "member"): "bob"},
+                              ["script[0].mode: member 'bob' has no handle"]),
+    "register-target": ({("script", 2, "provider"): "P1"},
+                        ["script[2]: register needs exactly one of 'exchange' or 'provider'"]),
+    "register-missing": ({("script", 2, "account"): None},
+                         ["script[2].account: must be a non-empty string"]),
+    "register-unread": ({("script", 1, "name"): "Alice"},
+                        ["script[1].name: not read by a register of provider, handle, attestation"]),
+    "transfer-to-itself": ({("script", 4, "beneficiary_exchange"): "E1"},
+                           ["script[4].beneficiary_exchange: transfer from an exchange to itself"]),
+    "port-onto-itself": ({("script", 5, "origin"): "P2"},
+                         ["script[5].origin: porting from a provider onto itself"]),
+    # Several rules at once: the order within an entry, and between entries.
+    "one-entry": ({("providers", 0, "jurisdiction"): 5, ("providers", 0, "memo"): 1,
+                   FOLLOWERS: {"@alice": ["P9"]}, ("providers", 0, "name"): ""}, [
+        "providers[0].memo: unknown field", "providers[0].name: must be a non-empty string",
+        "providers[0].jurisdiction: must be a non-empty string",
+        "providers[0].followers: unknown provider 'P9'",
+        "script[1].provider: unknown provider 'P1'", "script[3].provider: unknown provider 'P1'",
+        "script[5].origin: unknown provider 'P1'"]),
+    "follower-rules-per-handle": ({FOLLOWERS: {"x": ["P2", "P2"], "@y": ["P1"], 3: ["P2", "P2"]}}, [
+        "providers[0].followers: a provider cannot forward to itself",
+        "providers[0].followers: 'x' is not a handle",
+        "providers[0].followers: the followers of 'x' name a provider twice",
+        "providers[0].followers: 3 is not a handle",
+        "providers[0].followers: the followers of 3 name a provider twice"]),
+    "register-keys-in-order": ({("script", 2, "account"): None, ("script", 2, "handle"): "@a",
+                                ("script", 2, "name"): "A"}, [
+        "script[2].account: must be a non-empty string",
+        "script[2].handle: not read by a register of exchange, account, name",
+        "script[2].attestation: not read by a register of exchange, account, name"]),
+    "tick-and-fields": ({("script", 3, "at"): 2, ("script", 3, "body"): 5,
+                         ("script", 3, "via"): "x", ("script", 4, "at"): 1}, [
+        "script[3].via: unknown field", "script[3].body: must be non-empty text or bytes",
+        "script[4].at: ticks must be non-decreasing (1 < 2)"]),
+    "unknown-action-tick": ({("script", 3, "action"): 5, ("script", 3, "at"): 0}, [
+        "script[3].at: ticks must be non-decreasing (0 < 2)", "script[3].action: unknown action 5"]),
+    "member-problems-then-duplicate": ({("cooperatives", 0, "members", 1, "member_id"): "alice",
+                                        ("cooperatives", 0, "members", 1, "handle"): "bob",
+                                        ("cooperatives", 0, "members", 1, "age"): 3}, [
+        "cooperatives[0].members[1].age: unknown field",
+        "cooperatives[0].members[1].handle: must begin with '@'",
+        "cooperatives[0].members[1].member_id: duplicate member 'alice'"]),
+    "names-before-entries": ({("notaries", 0, "jurisdiction"): "", ("providers", 1, "name"): "P1",
+                              ("exchanges", 1, "name"): "E1"}, [
+        "exchanges[1].name: duplicate name 'E1'", "providers[1].name: duplicate name 'P1'",
+        "notaries[0].jurisdiction: must be a non-empty string",
+        "providers[0].followers: unknown provider 'P2'",
+        "script[4].beneficiary_exchange: unknown exchange 'E2'",
+        "script[5].provider: unknown provider 'P2'"]),
+    "label-of-an-invalid-issue": ({("script", 0, "ttl"): 0, ("script", 6): {
+        "at": 5, "action": "revoke", "coop": "C1", "attestation": "a1"}},
+        ["script[0].ttl: must be a positive integer"]),
+}
+
+
+def worded_config(edits):
+    raw = copy.deepcopy(WORDED_BASE)
+    for (*parents, last), value in edits.items():
+        node = functools.reduce(lambda node, key: node[key], parents, raw)
+        if isinstance(node, list) and last == len(node):
+            node.append(value)
+        else:
+            mutate(raw, (*parents, last), value)
+    return ScenarioConfig.from_map(raw)
+
+
+class TestProblemWords:
+    """Each rule's problem, pinned: its path, its words, and its place in
+    the list validate_config returns."""
+
+    def test_the_base_is_valid(self):
+        assert validate_config(worded_config({})) == []
+
+    @pytest.mark.parametrize("name", sorted(WORDED))
+    def test_each_rule_words_its_problem(self, name):
+        edits, problems = WORDED[name]
+        assert validate_config(worded_config(edits)) == problems
+
+    def test_every_clause_is_worded_by_a_row(self):
+        """Each clause that validate_config's wordings read (a kind's counted
+        once, whatever field it is of) fails in some row, and each kind's
+        words, for text UTF-8 cannot encode too, are in some row's problems."""
+        layouts = [*((section, None) for section in (*harness._ACTORS, "members")),
+                   *(("script", kind) for kind in (*SCHEMA["script"], None))]
+        clauses, fields = set(), [*harness._CONFIG.values()]
+
+        def collect(item):
+            if isinstance(item, harness._Clause):
+                clauses.update([item.problem] if item.problem is not None else ())
+                for then in item.then:
+                    collect(then)
+
+        for layout, kind in layouts:
+            collect(harness._clauses(layout, kind, True))
+            fields += (SCHEMA["script"].get(kind, {}) if layout == "script" else SCHEMA[layout]).values()
+        ran = set()
+
+        def lines(frame, event, arg):
+            if event == "line":
+                ran.add(linecache.getline(frame.f_code.co_filename, frame.f_lineno))
+            return lines
+
+        sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_filename.startswith(
+            "<coopattest words ") else None)
+        try:
+            for edits, _ in WORDED.values():
+                validate_config(worded_config(edits))
+        finally:
+            sys.settrace(None)
+        assert sorted(problem for problem in clauses
+                      if not any(f': {problem}"""' in line for line in ran)) == []
+        worded = {problem.split(": ", 1)[1] for _, problems in WORDED.values() for problem in problems}
+        words = {text for f in fields for text in (f.problem, f.unencodable) if text is not None}
+        assert sorted(words - worded) == []
 
 
 class TestSchemaReference:
@@ -767,7 +987,7 @@ def scenario_config(name):
     return tiny_benchmark_workload(name)
 
 
-# --- the generated checks against the walk -------------------------------------------
+# --- the generated checks against their wording -----------------------------------------
 
 CHECKED_CONFIGS = [*bundled_scenario_names(), *sorted(benchmark_workloads().TINY_SHAPES)]
 ACTOR_REFS = set(harness._ACTORS.values())
@@ -778,16 +998,24 @@ CHECKED_LAYOUTS = [*((section, None) for section in (*harness._ACTORS, "members"
 
 @functools.cache
 def checked_entries(name):
-    """The walk of config *name* once its actors are known, and the entries
-    of each layout, (layout, kind), with what a check of one is called
-    with: (index, entry, the labels issued before it, the tick it follows)."""
+    """A walk that knows the actors and members of config *name*, and the
+    entries of each layout, (layout, kind), with what a check of one is
+    called with: (index, entry, what the entries before it declared, the
+    tick it follows).  What an action's entries before it declared is the
+    labels they issued, a member's is its cooperative's members by id."""
     config = scenario_config(name)
     walk = harness._Walk()
-    walk.actors(config)
-    entries = {(section, None): [(i, entry, (), 0) for i, entry in enumerate(
-        getattr(config, section))] for section in harness._ACTORS}
-    entries["members", None] = [(j, member, (), 0) for coop in config.cooperatives
-                                for j, member in enumerate(coop["members"])]
+    entries = {}
+    for section, ref in harness._ACTORS.items():
+        entries[section, None] = [(i, entry, (), 0) for i, entry in enumerate(
+            getattr(config, section))]
+        walk.names[ref].update((entry["name"], entry) for entry in getattr(config, section))
+    entries["members", None] = []
+    for coop in config.cooperatives:
+        ids = walk.members[id(coop)] = {}
+        for j, member in enumerate(coop["members"]):
+            entries["members", None].append((j, member, dict(ids), 0))
+            ids[member["member_id"]] = member
     labels, last_tick = [], 0
     for i, action in enumerate(config.script):
         kind = action["action"]
@@ -798,24 +1026,25 @@ def checked_entries(name):
     return walk, entries, sorted(set(texts(config_map(config)))), config.tick_limit
 
 
-def walk_from(base, labels):
-    """A walk that knows what *base* knows, and *labels* as issued."""
+def walk_from(base, labels, last_tick):
+    """A walk that knows what *base* knows, *labels* as issued and
+    *last_tick* as the tick of the action before."""
     walk = harness._Walk()
     walk.names, walk.members, walk.labels = base.names, base.members, set(labels)
-    walk.known = {**walk.names, "issued label": walk.labels, "new label": ()}
+    walk.last = last_tick
     return walk
 
 
-def walk_entry(walk, layout, kind, index, entry, last_tick, tick_limit):
-    """What validate_config (or, for an "action" line, _read_action) walks
-    for an entry whose generated check fails."""
-    if layout == "script":
-        walk.check_action(index, entry, last_tick, tick_limit)
-    elif layout == "action":
-        walk.fields(harness._LOGGED_ACTIONS[kind], entry, "script", index, ("action",),
-                    refs=False)
-    elif walk.fields(SCHEMA[layout], entry, layout, index) and layout in harness._CROSS_CHECKS:
-        harness._CROSS_CHECKS[layout][0](walk, f"{layout}[{index}]", entry)
+def run_checked(walk, case, words, ids):
+    """The check of *case*'s layout called on its entry, or with *words* its
+    wording, as validate_config (or, for an action line, _read_action)
+    calls it; a member's with *ids*, its cooperative's members before it."""
+    _, layout, kind, index, entry, _, _, tick_limit = case
+    form = harness._checker(layout, kind, words)
+    args = {"script": (tick_limit,), "members": (ids,)}.get(layout, ())
+    if words:
+        return form(entry, walk, f"{'script' if kind else layout}[{index}]", *args)
+    return form(entry) if layout == "action" else form(entry, walk, *args)
 
 
 @st.composite
@@ -827,7 +1056,7 @@ def checked_cases(draw):
     layout, kind = draw(st.sampled_from(CHECKED_LAYOUTS))
     base, entries, names, tick_limit = checked_entries(draw(st.sampled_from(
         [name for name in CHECKED_CONFIGS if checked_entries(name)[1].get((layout, kind))])))
-    index, entry, labels, last_tick = draw(st.sampled_from(entries[layout, kind]))
+    index, entry, before, last_tick = draw(st.sampled_from(entries[layout, kind]))
     entry = copy.deepcopy(entry)
     fields = (SCHEMA[layout] if kind is None else
               SCHEMA["script"][kind] if layout == "script" else harness._LOGGED_ACTIONS[kind])
@@ -844,9 +1073,10 @@ def checked_cases(draw):
     applies = {"none": True, "drop": keys, "add": True, "retype": keys, "empty": keys,
                "actor": refs and layout != "action", "member": kind == "issue",
                "alias": layout != "action" and len(refs) > 1, "followers": layout == "providers",
-               "surrogate": texts_at, "duplicate label": kind == "issue" and labels,
+               "surrogate": texts_at, "duplicate label": kind == "issue" and before,
                "unissued label": "attestation" in entry, "other action": kind is not None,
-               "not a map": kind is None, "tick": layout == "script"}
+               "not a map": kind is None, "tick": layout == "script",
+               "duplicate member": layout == "members" and before}
     how = draw(st.sampled_from([how for how, applies in applies.items() if applies]))
     if how == "drop":
         del entry[draw(st.sampled_from(keys))]
@@ -881,7 +1111,7 @@ def checked_cases(draw):
         else:
             entry[key][draw(st.sampled_from(sorted(entry[key]) or ["x"]))] = "N\udc80"
     elif how == "duplicate label":
-        entry["label"] = draw(st.sampled_from(labels))
+        entry["label"] = draw(st.sampled_from(before))
     elif how == "unissued label":
         entry["attestation"] = "never-issued"
     elif how == "other action":
@@ -891,23 +1121,27 @@ def checked_cases(draw):
     elif how == "tick":
         last_tick = draw(st.sampled_from([0, last_tick, entry["at"], entry["at"] + 1]))
         tick_limit = draw(st.sampled_from([None, tick_limit, entry["at"], entry["at"] - 1]))
-    return base, layout, kind, index, entry, labels, last_tick, tick_limit
+    elif how == "duplicate member":
+        entry["member_id"] = draw(st.sampled_from(sorted(before)))
+    return base, layout, kind, index, entry, before, last_tick, tick_limit
 
 
 def checked_case(name, layout, kind, position, drop=(), **changes):
     """The case of entry *position* of (layout, kind) in config *name*, its
     keys *drop* dropped and *changes* made."""
     base, entries, _, tick_limit = checked_entries(name)
-    index, entry, labels, last_tick = entries[layout, kind][position]
+    index, entry, before, last_tick = entries[layout, kind][position]
     entry = {**{key: value for key, value in entry.items() if key not in drop}, **changes}
-    return base, layout, kind, index, entry, labels, last_tick, tick_limit
+    return base, layout, kind, index, entry, before, last_tick, tick_limit
 
 
 class TestGeneratedChecks:
-    """Each layout's generated check passes an entry exactly when the walk,
-    the reference, finds no problem in it, and the two leave the same
-    labels issued; so validate_config, which walks only an entry whose
-    check fails, words the same problems as a walk of every entry."""
+    """Each layout's generated check passes an entry exactly when its
+    wording, generated from the same clauses, finds no problem in it, and
+    the two leave the same labels issued, the same members known and the
+    same tick for the next action; so validate_config, which words only an
+    entry whose check fails, words the same problems as a wording of every
+    entry."""
 
     @settings(max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=checked_cases())
@@ -924,22 +1158,21 @@ class TestGeneratedChecks:
     @example(case=checked_case("travel_rule_basic", "script", "transfer", 0,
                                beneficiary_exchange="E1"))
     @example(case=checked_case("dsn_port", "script", "port", 0, origin="P3"))
+    @example(case=checked_case("dsn_bot_flood", "members", None, 2, member_id="m0"))
     def test_a_generated_check_agrees_with_the_walk(self, case):
-        base, layout, kind, index, entry, labels, last_tick, tick_limit = case
-        walked, checked = walk_from(base, labels), walk_from(base, labels)
-        walk_entry(walked, layout, kind, index, entry, last_tick, tick_limit)
-        check = harness._checker(layout, kind)
-        if layout == "script":
-            passed = check(entry, checked, last_tick, tick_limit)
-        elif layout == "action":
-            passed = check(entry)
-        else:
-            passed = check(entry, checked)
+        base, layout, _, _, _, before, last_tick, _ = case
+        labels, ids = (before, None) if layout == "script" else ((), before)
+        walked, checked = walk_from(base, labels, last_tick), walk_from(base, labels, last_tick)
+        walked_ids, checked_ids = (dict(ids), dict(ids)) if layout == "members" else (None, None)
+        run_checked(walked, case, True, walked_ids)
+        passed = run_checked(checked, case, False, checked_ids)
         assert passed == (walked.problems == []), walked.problems
         if not passed:   # as validate_config does
-            walk_entry(checked, layout, kind, index, entry, last_tick, tick_limit)
-        assert checked.labels == walked.labels
+            run_checked(checked, case, True, checked_ids)
         assert checked.problems == walked.problems
+        assert checked.labels == walked.labels
+        assert checked_ids == walked_ids
+        assert checked.last == walked.last   # the tick the next action follows
 
     def test_the_source_of_each_check_is_the_same_under_every_hash_seed(self):
         program = (
@@ -955,7 +1188,7 @@ class TestGeneratedChecks:
             for seed in ("0", "1", "2")}
         assert len(sources) == 1
         source = sources.pop()
-        assert source.count("def check(e, w, last, limit):\n") == len(SCHEMA["script"])
+        assert source.count("def check(e, w, limit):\n") == len(SCHEMA["script"])
         assert source.count("def check(e):\n") == len(SCHEMA["script"])   # an action line
         assert source.count("w.labels.add(e['label'])") == 1   # an issue's
 
