@@ -685,16 +685,22 @@ def _expression(tp: Any, value: str, namespace: dict) -> str:
 # with an escape, and any input such a match does not take whole, is read a
 # token at a time, and malformed input fails there.
 #
-# A list of maps that share a layout, as a config's script does, reads each
-# later one with a single match too.  From a list's third item on, the token
-# path counts the key sequence of each map it reads there; a map of scalars
-# whose key sequence it has read once before teaches the list its layout, at
-# most _MOST_LAYOUTS of them: a regex of the keys' canonical text, each
-# followed by the lexeme of its value's type, with no whitespace.  An item
-# that no layout takes whole, or whose integer int() refuses, goes down the
-# token path, which finds and words every error.  A list of one or two items
-# keeps no count, and nothing outlives a parse but the bounded cache of
-# compiled layouts.
+# A list of maps that share a form, as a config's members and script
+# actions do, reads each later one with a single match too.  A form is a map
+# whose values are scalars, non-empty lists of scalars of one type, or maps
+# of such values, to any depth.  From a list's third item on, the token path
+# finds the form of each map it reads there: each key, in order, with its
+# value's type, a list's item type, or a map's form.  A form it has read
+# once before teaches the list its layout, at most _MOST_LAYOUTS of them: a
+# regex of the form's canonical text with no whitespace, a group for each
+# scalar and for each list, whose items one findall of their lexeme splits,
+# and a reader generated from the form that builds the map from the groups.
+# A list tries first the layout that read its last item.  An item that no
+# layout takes whole, or whose integer int() refuses, goes down the token
+# path, which finds and words every error.  An item a layout reads nests as
+# deep as the two the token path read, so never past MAX_DEPTH.  A list of
+# one or two items keeps no count, and nothing outlives a parse but the
+# bounded cache of compiled layouts.
 #
 # Input that is not UTF-8 is decoded again, its bad bytes to the surrogates
 # U+DC80..U+DCFF ("surrogateescape"), which no valid input holds.  No text
@@ -734,25 +740,79 @@ _RAW_RUN = re.compile(_UTF8_RUN_LEXEME)
 # The encoder escapes the quote, the backslash and the C0 controls only.
 _ESCAPE = re.compile(r'\\(?:(["\\])|u(00[01][0-9a-f]))')
 
-# In a layout, the group of each scalar type's lexeme, and how a group
-# becomes its value if it is not text: text is escape-free and hex of even
-# length.
+# In a form, the group of each scalar type's lexeme, its value's text, and
+# how that text becomes the value if it is not text: text is escape-free and
+# hex of even length.  A list's group holds its items' lexemes, which one
+# findall of the lexeme splits.
 _LEXEMES = {str: '"(' + _UTF8_RUN_LEXEME + ')"', int: r"(-?[1-9][0-9]*|0)", bool: "(true|false)",
             bytes: "0x((?:[0-9a-f]{2})*)"}
 _CONVERT = {int: int, bool: "true".__eq__, bytes: bytes.fromhex}
-_SCALAR_TYPES = frozenset(_LEXEMES)
+# What a form's reader calls: _int, _bool and _bytes convert, _str_items
+# and the like split a list.
+_READER_SCOPE = {**{f"_{tp.__name__}": convert for tp, convert in _CONVERT.items()},
+                 **{f"_{tp.__name__}_items": re.compile(lexeme).findall
+                    for tp, lexeme in _LEXEMES.items()}}
 _MOST_LAYOUTS = 8    # that one list learns
 
 
+def _form(value: dict) -> tuple | None:
+    """The form of the parsed map *value*: each key, in order, with the type
+    of its value if that is a scalar, ``list[X]`` if it is a non-empty list
+    of scalars of one type X, and the form of its value if that is a map of
+    such values; None if any value is another list or map."""
+    form = []
+    for key, item in value.items():
+        tp = type(item)
+        if tp is dict:
+            tp = _form(item)
+            if tp is None:
+                return None
+        elif tp is list:
+            kinds = set(map(type, item))
+            if len(kinds) != 1 or not kinds <= _LEXEMES.keys():
+                return None
+            tp = list[kinds.pop()]
+        form.append((key, tp))
+    return tuple(form)
+
+
 @functools.lru_cache(maxsize=64)
-def _layout(keys: tuple, types: tuple) -> tuple:
-    """The layout of a map of scalars with *keys*, in order, of *types*:
-    the match of its whitespace-free canonical text, its keys, and the
-    conversion of each value that is not text."""
-    pattern = re.compile(r"\{" + ",".join(re.escape(_encode_key(key)) + _LEXEMES[tp]
-                                          for key, tp in zip(keys, types)) + r"\}")
-    return pattern.match, keys, tuple((key, _CONVERT[tp]) for key, tp in zip(keys, types)
-                                      if tp is not str)
+def _layout(form: tuple) -> tuple:
+    """The layout of the maps of *form*: the match of their whitespace-free
+    canonical text, with a group for each scalar and each list in it, and
+    the reader that makes the map from those groups.  A reader is generated
+    Python, into whose source a key enters only through ``repr``; it raises
+    ValueError for an integer ``int()`` refuses."""
+    names: list[str] = []
+    pattern, value = _form_source(form, names)
+    namespace = dict(_READER_SCOPE)
+    exec(compile(f"def read({', '.join(names)}):\n    return {value}\n", "<coopattest form>",
+                 "exec"), namespace)
+    return re.compile(pattern).match, namespace["read"]
+
+
+def _form_source(form: tuple, names: list[str]) -> tuple[str, str]:
+    """The pattern of the maps of *form* and the source of their value,
+    each scalar and list in it read from a parameter added to *names*."""
+    patterns, values = [], []
+    for key, tp in form:
+        if type(tp) is tuple:
+            pattern, value = _form_source(tp, names)
+        else:
+            value = f"v{len(names)}"
+            names.append(value)
+            item = typing.get_args(tp)[0] if typing.get_origin(tp) is list else None
+            if item is None:
+                pattern = _LEXEMES[tp]
+                value = value if tp is str else f"_{tp.__name__}({value})"
+            else:
+                lexeme = _LEXEMES[item].replace("(", "(?:", 1)   # its group, not captured
+                pattern = rf"\[({lexeme}(?:,{lexeme})*)\]"
+                value = f"_{item.__name__}_items({value})"
+                value = value if item is str else f"list(map(_{item.__name__}, {value}))"
+        patterns.append(re.escape(_encode_key(key)) + pattern)
+        values.append(f"{key!r}: {value}")
+    return r"\{" + ",".join(patterns) + r"\}", "{" + ", ".join(values) + "}"
 
 
 class _Malformed(Exception):
@@ -810,32 +870,31 @@ def _value(text: str, pos: int, depth: int, most: int) -> tuple[Any, int]:
         items: list[Any] = []
         if text.startswith("]", pos):
             return items, pos + 1
-        layouts: tuple = ()   # this list's, each (match, keys, conversions)
-        sightings: dict[tuple, int] = {}   # key sequences the token path read, from item 3 on
+        layouts: list = []   # this list's, each (match, read), the last one read first
+        sightings: dict[tuple, int] = {}   # forms of the maps the token path read, from item 3 on
         while True:
             item = None
             if layouts and text.startswith("{", pos):
-                for match, keys, conversions in layouts:
+                for i, (match, read) in enumerate(layouts):
                     m = match(text, pos)
                     if m is not None:
-                        item = dict(zip(keys, m.groups()))
+                        if i:   # maps of one form come in runs
+                            layouts.insert(0, layouts.pop(i))
                         try:
-                            for key, convert in conversions:
-                                item[key] = convert(item[key])
+                            item = read(*m.groups())
                         except ValueError:  # past the digit limit: the token path words it
-                            item = None
+                            pass
                         break
             if item is not None:
                 pos = m.end()
             else:
                 item, pos = _value(text, pos, depth, most)
                 if type(item) is dict and len(items) > 1 and len(layouts) < most:
-                    keys = tuple(item)
-                    seen = sightings[keys] = sightings.get(keys, 0) + 1
-                    if seen == 2:
-                        types = tuple(map(type, item.values()))
-                        if _SCALAR_TYPES.issuperset(types):
-                            layouts += (_layout(keys, types),)
+                    form = _form(item)
+                    if form is not None:
+                        seen = sightings[form] = sightings.get(form, 0) + 1
+                        if seen == 2:
+                            layouts.append(_layout(form))
             items.append(item)
             m = _LIST_SEP.match(text, pos)
             if m is None:

@@ -294,7 +294,7 @@ class _Field(NamedTuple):
     source: str              # its check, a Python expression true of a value v of its kind
     check: Callable[[object], bool]   # compiled from source
     problem: str
-    unencodable: str | None  # the problem instead, for text UTF-8 cannot encode
+    instead: tuple           # (a test of v, the problem instead): the first that holds
     default: object = _REQUIRED
     ref: str | None = None   # what the value must name; see _refers
 
@@ -303,31 +303,37 @@ class _Field(NamedTuple):
         return self.default is _REQUIRED
 
 
-def _kind(tp: Any, source: str, problem: str, unencodable: str | None = None):
-    """A field constructor for one kind: kind(default=..., ref=...)."""
+def _kind(tp: Any, source: str, problem: str, *instead: tuple[str, str]):
+    """A field constructor for one kind: kind(default=..., ref=...).  A value
+    that fails *source* is worded by the first of *instead* whose test
+    holds of it, else by *problem*."""
     check = eval(f"lambda v: {source}", _SCOPE)
-    return lambda default=_REQUIRED, ref=None: _Field(tp, source, check, problem, unencodable,
+    return lambda default=_REQUIRED, ref=None: _Field(tp, source, check, problem, instead,
                                                       default, ref)
 
 
 _ENCODES = "(v.isascii() or _lone_surrogate(v) is None)"
+_UNENCODABLE = "_unencodable(v)"
 _STRINGS = "type(v) is list and {*map(type, v)} <= {str}"
 
-_text = _kind(str, f"type(v) is str and v != '' and {_ENCODES}",
-              "must be a non-empty string", "must be a string that UTF-8 can encode")
+_text = _kind(str, f"type(v) is str and v != '' and {_ENCODES}", "must be a non-empty string",
+              (_UNENCODABLE, "must be a string that UTF-8 can encode"))
 _count = _kind(int, "type(v) is int and v > 0", "must be a positive integer")
 _tick = _kind(int, "type(v) is int and v >= 0", "must be a non-negative integer")
 _seed = _kind(bytes, "isinstance(v, bytes) and v != b''", "must be a non-empty byte-string")
 _body = _kind(str | bytes, f"type(v) is bytes and v != b'' or type(v) is str and v != '' "
               f"and {_ENCODES}", "must be non-empty text or bytes",
-              "must be bytes or text that UTF-8 can encode")
-_handle = _kind(str, f"type(v) is str and v.startswith('@') and {_ENCODES}",
-                "must begin with '@'", "must be a handle that UTF-8 can encode")
+              (_UNENCODABLE, "must be bytes or text that UTF-8 can encode"))
+_handle = _kind(str, f"type(v) is str and v.startswith('@') and {_ENCODES}", "must begin with '@'",
+                (_UNENCODABLE, "must be a handle that UTF-8 can encode"))
 _mode = _kind(str, f"type(v) is str and v in {(MODE_ABSENT, MODE_HANDLE)!r}",
               f"must be {MODE_ABSENT!r} or {MODE_HANDLE!r}")
-# Derivation reads only a member's top-level fields, so only their text must encode.
-_data = _kind(dict, "type(v) is dict and _lone_surrogate(''.join(filter(_is_str, v.values()))) "
-              "is None", "must be a map", "must be a map whose text values UTF-8 can encode")
+# Derivation reads only a member's top-level fields, so only their text must
+# encode, and be exactly str, as a claim's value is.
+_data = _kind(dict, "type(v) is dict and _lone_surrogate(''.join(t := [*filter(_is_str, "
+              "v.values())])) is None and {*map(type, t)} <= {str}", "must be a map",
+              (_UNENCODABLE, "must be a map whose text values UTF-8 can encode"),
+              ("type(v) is dict", "must be a map whose text values are exactly str"))
 _entries = _kind(list, "type(v) is list", "must be a list")
 _codes = _kind(list[str], _STRINGS, "must be a list of jurisdiction codes")
 _rules = _kind(list[str], f"{_STRINGS} and v != [] and _RULES.issuperset(v)",
@@ -417,8 +423,8 @@ def _field(key: str, f: _Field, then: tuple = ()) -> tuple:
     """The clauses of an entry's field *key*: its value bound to v, its kind,
     and *then* where the kind holds.  A required key that is missing reads
     as None, which no kind takes."""
-    words = f.problem if f.unencodable is None else \
-        f"{{{f.unencodable!r} if _unencodable(v) else {f.problem!r}}}"
+    words = "{" + "".join(f"{problem!r} if {test} else " for test, problem in f.instead) + \
+        f"{f.problem!r}}}"
     kind = _Clause(f.source, f".{key}", words, then=then)
     if f.required:
         return (f"v = e.get({key!r})", kind)
@@ -447,8 +453,11 @@ _TICK = _field("at", _tick(), then=(
     _Clause("v >= w.last", ".at", "ticks must be non-decreasing ({v} < {w.last})",
             keep="w.last = e['at']", then=(_Clause("limit is None or v <= limit", ".at",
                                                    "tick {v} exceeds tick_limit {limit}"),)),))
-# An action of no declared kind, whose layout is ("script", None).
-_UNKNOWN_ACTION = _Clause("False", ".action", "unknown action {e.get('action')!r}")
+# An action of no declared kind, whose layout is ("script", None): its name
+# is text, but not exactly str, as its log line's must be, or no action's.
+_UNKNOWN_ACTION = _Clause("type(a := e.get('action')) is str or not isinstance(a, str)", ".action",
+                          "must be str, not {type(a).__name__}", then=(
+                              _Clause("False", ".action", "unknown action {a!r}"),))
 # A member id is new in its cooperative, whatever else is wrong with the
 # member.  A member that passes has a text id, so the check keeps it unguarded.
 _NEW_MEMBER = _Clause("isinstance(m := e.get('member_id'), str)", "", None, then=(
@@ -625,7 +634,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     actions = SCHEMA["script"]
     for i, action in enumerate(config.script):
         kind = action.get("action") if isinstance(action, dict) else None
-        known = isinstance(kind, str) and kind in actions
+        known = type(kind) is str and kind in actions
         if not (known and _checker("script", kind)(action, walk, limit)):
             _checker("script", kind if known else None, True)(action, walk, f"script[{i}]", limit)
     return walk.problems

@@ -780,24 +780,44 @@ def test_parser_agrees_with_reference_on_any_input(data):
     assert strictly_equal(parse_outcome(canonical_parse, data), parse_outcome(reference_parse, data))
 
 
-# A value of each type a layout reads: text with escapes now and then.
-_LAYOUT_VALUES = [st.booleans(), st.integers(), text_values, st.binary(max_size=12)]
+# A value of each scalar type a layout reads: text with escapes now and then.
+_SCALAR_VALUES = [st.booleans(), st.integers(), text_values, st.binary(max_size=12)]
 
 
 @st.composite
-def records_of_one_layout(draw, min_size=3):
+def layout_values(draw, maps=1):
+    """The strategy of the values under one key of records of one layout: of
+    a scalar type, a list of one (empty now and then), or, *maps* deep, a
+    map of such values."""
+    how = draw(st.sampled_from(["scalar", "list", "map"][:3 if maps else 2]))
+    if how == "scalar":
+        return draw(st.sampled_from(_SCALAR_VALUES))
+    if how == "list":
+        return st.lists(draw(st.sampled_from(_SCALAR_VALUES)), max_size=3)
+    keys = draw(st.lists(text_values, max_size=3, unique=True))
+    return st.fixed_dictionaries({key: draw(layout_values(maps - 1)) for key in keys})
+
+
+@st.composite
+def records_of_one_layout(draw, min_size=3, nested=False):
     """*min_size* or more maps of one drawn layout, keys that need escapes
-    among them."""
-    keys = draw(st.lists(text_values, min_size=1, max_size=5, unique=True))
-    record = st.fixed_dictionaries({key: draw(st.sampled_from(_LAYOUT_VALUES)) for key in keys})
-    return draw(st.lists(record, min_size=min_size, max_size=12))
+    among them; with *nested*, it holds a map of scalars and a list of one
+    scalar type, else each value may be one."""
+    keys = draw(st.lists(text_values, min_size=2 if nested else 1, max_size=5, unique=True))
+    values = {key: draw(layout_values()) for key in keys}
+    if nested:
+        inner = draw(st.lists(text_values, min_size=1, max_size=3, unique=True))
+        values[keys[0]] = st.fixed_dictionaries(
+            {key: draw(st.sampled_from(_SCALAR_VALUES)) for key in inner})
+        values[keys[1]] = st.lists(draw(st.sampled_from(_SCALAR_VALUES)), max_size=3)
+    return draw(st.lists(st.fixed_dictionaries(values), min_size=min_size, max_size=12))
 
 
 @st.composite
-def same_layout_lists(draw):
+def same_layout_lists(draw, nested=False):
     """A list of records of one layout, now and then with an item of another
     shape among them, nested inside other values."""
-    value = draw(records_of_one_layout())
+    value = draw(records_of_one_layout(nested=nested))
     if draw(st.booleans()):
         value.insert(draw(st.integers(0, len(value))), draw(domain_values))
     for _ in range(draw(st.integers(0, 2))):
@@ -815,22 +835,56 @@ _NEAR_LEXEMES = {str: [b'"\\""', b'"\\u0041"', b'"\x01"', b'"\xff"'],
                  bytes: [b"0xAB", b"0xabc", b"0x0"]}
 
 
+def _paths(value, path=()):
+    """The path of *value* and of each value inside it, map values and list
+    items alike."""
+    yield path
+    for key, item in (value.items() if isinstance(value, dict) else
+                      enumerate(value) if isinstance(value, list) else ()):
+        yield from _paths(item, (*path, key))
+
+
+def _written(value, path, data):
+    """The canonical bytes of *value* with *data* in place of the value at *path*."""
+    if not path:
+        return data
+
+    def written(key, item):
+        return _written(item, path[1:], data) if key == path[0] else canonical_serialize(item)
+
+    if isinstance(value, dict):
+        return b"{" + b",".join(canonical_serialize(key) + b":" + written(key, value[key])
+                                for key in sorted(value)) + b"}"
+    return b"[" + b",".join(written(i, item) for i, item in enumerate(value)) + b"]"
+
+
+def _at(value, path):
+    """The value at *path* inside *value*."""
+    for key in path:
+        value = value[key]
+    return value
+
+
 @st.composite
-def edited_later_records(draw):
+def edited_later_records(draw, nested=False):
     """The canonical bytes of a list of records of one layout, one of them
-    changed where the list has learned that layout, from the fifth on: a
-    few of its bytes edited, or a value written as a near lexeme of its type."""
-    records = draw(records_of_one_layout(5))
+    changed where the list has learned that layout, from the fifth on, at
+    a value inside it, nested or not: a few of its bytes edited, whitespace
+    around it, or, for a scalar, a near lexeme of its type."""
+    records = draw(records_of_one_layout(5, nested))
     texts = [canonical_serialize(record) for record in records]
     at = draw(st.integers(4, len(records) - 1))
-    if draw(st.booleans()):
-        texts[at] = draw(edited(st.just(texts[at])))
+    path = draw(st.sampled_from(list(_paths(records[at]))))
+    value = _at(records[at], path)
+    hows = ["edit", "whitespace"] + (["near"] if type(value) in _NEAR_LEXEMES else [])
+    how = draw(st.sampled_from(hows))
+    if how == "edit":
+        data = draw(edited(st.just(canonical_serialize(value))))
+    elif how == "whitespace":
+        data = draw(_WHITESPACE_RUNS) + canonical_serialize(value) + draw(_WHITESPACE_RUNS)
     else:
-        record = records[at]
-        near = draw(st.sampled_from(sorted(record)))
-        lexeme = draw(st.sampled_from(_NEAR_LEXEMES[type(record[near])]))
-        texts[at] = b"{" + b",".join(canonical_serialize(key) + b":" + (
-            lexeme if key == near else canonical_serialize(record[key])) for key in sorted(record)) + b"}"
+        data = draw(st.sampled_from(_NEAR_LEXEMES[type(value)]))
+    texts[at] = _written(records[at], path, data)
     return b"[" + b",".join(texts) + b"]"
 
 
@@ -840,6 +894,14 @@ def edited_later_records(draw):
                  edited_later_records()))
 @settings(max_examples=300)
 def test_same_layout_lists_parse_as_the_reference(data):
+    assert strictly_equal(parse_outcome(canonical_parse, data), parse_outcome(reference_parse, data))
+
+
+@given(st.one_of(same_layout_lists(nested=True).map(canonical_serialize),
+                 padded_canonical_bytes(same_layout_lists(nested=True)),
+                 edited_later_records(nested=True)))
+@settings(max_examples=300)
+def test_records_of_a_nested_form_parse_as_the_reference(data):
     assert strictly_equal(parse_outcome(canonical_parse, data), parse_outcome(reference_parse, data))
 
 
@@ -895,12 +957,21 @@ def test_integer_past_the_digit_limit_is_a_decode_error():
 # Five records of one layout, so that their list has learned it by the sixth,
 # the later record that each case below puts there.
 _RECORDS = [b'{"a":"x%d","b":%d,"c":true,"d":0x0a}' % (i, i) for i in range(5)]
+# Five members of one form, with a list of integers, a nested map and a list of text.
+_MEMBERS = [b'{"codes":[%d,0],"data":{"born":-%d,"home":"NL","ok":true},"id":"m%d",'
+            b'"tags":["a","b%d"]}' % (i, i + 1, i, i) for i in range(5)]
 
 
-def _with_later_record(record, depth=0):
-    """A list of the records of _RECORDS, *record*, and the first of them
-    again, inside *depth* more lists."""
-    return b"[" * depth + b"[" + b",".join([*_RECORDS, record, _RECORDS[0]]) + b"]" + b"]" * depth
+def _with_later_record(record, depth=0, records=_RECORDS):
+    """A list of *records*, *record*, and the first of them again, inside
+    *depth* more lists."""
+    return b"[" * depth + b"[" + b",".join([*records, record, records[0]]) + b"]" + b"]" * depth
+
+
+def _member(codes=b"[1,0]", born=b"-1", tags=b'["a"]', data=None):
+    """A member of the form of _MEMBERS with these lexemes."""
+    data = data or b'{"born":' + born + b',"home":"NL","ok":true}'
+    return b'{"codes":' + codes + b',"data":' + data + b',"id":"m","tags":' + tags + b"}"
 
 
 @pytest.mark.parametrize("record, value", [
@@ -930,6 +1001,18 @@ def test_a_later_record_of_another_form_parses_by_tokens(record, value):
                  "in position 1: invalid start byte", id="non-UTF-8 byte"),
     pytest.param(_with_later_record(b'{"a":"x","b":[5],"c":true,"d":0x0a}', MAX_DEPTH - 2),
                  "nesting too deep at byte 251", id="list at MAX_DEPTH"),
+    pytest.param(_with_later_record(_member(codes=b"[1," + b"9" * 5000 + b"]"), 0, _MEMBERS),
+                 "integer too long at byte 438", id="5,000-digit integer in a list",
+                 marks=pytest.mark.skipif(not 0 < INT_DIGIT_LIMIT < 5000,
+                                          reason="this interpreter converts 5,000 digits")),
+    pytest.param(_with_later_record(_member(tags=b'["a",]'), 0, _MEMBERS),
+                 "unexpected b']' at byte 503", id="trailing comma in a list"),
+    pytest.param(_with_later_record(_member(data=b'{"home":"NL","born":-1,"ok":true}'), 0,
+                                    _MEMBERS),
+                 "map key 'born' at byte 461 does not come after 'home' in code-point order",
+                 id="swapped keys in a nested map"),
+    pytest.param(_with_later_record(_member(born=b"[5]"), MAX_DEPTH - 3, _MEMBERS),
+                 "nesting too deep at byte 517", id="nested map at MAX_DEPTH"),
 ])
 def test_a_later_record_that_is_malformed_fails_as_by_tokens(data, error):
     with pytest.raises(DecodeError, match=f"^{re.escape(error)}$"):
@@ -937,22 +1020,22 @@ def test_a_later_record_that_is_malformed_fails_as_by_tokens(data, error):
 
 
 def _spied_layouts(monkeypatch):
-    """What lists do with layouts from now on: the key sequence of each
-    layout learned, with the layout cache's size after it, and that of each
-    map a layout reads."""
+    """What lists do with layouts from now on: the form of each layout
+    learned, with the layout cache's size after it, and that of each map a
+    layout reads."""
     learned, read, layout = [], [], canonical._layout
 
-    def learn(keys, types):
-        match, keys, conversions = layout(keys, types)
-        learned.append((keys, layout.cache_info().currsize))
+    def learn(form):
+        match, reader = layout(form)
+        learned.append((form, layout.cache_info().currsize))
 
         def read_by_layout(text, pos):
             found = match(text, pos)
             if found is not None:
-                read.append(keys)
+                read.append(form)
             return found
 
-        return read_by_layout, keys, conversions
+        return read_by_layout, reader
 
     monkeypatch.setattr(canonical, "_layout", learn)
     return learned, read
@@ -962,9 +1045,21 @@ def test_a_later_record_of_a_learned_layout_is_read_by_it(monkeypatch):
     learned, read = _spied_layouts(monkeypatch)
     data = _with_later_record(_RECORDS[1])
     assert strictly_equal(canonical_parse(data), reference_parse(data))
-    # Learned at the fourth record, the second of its keys from the third on.
-    assert [keys for keys, _ in learned] == [("a", "b", "c", "d")]
-    assert read == [("a", "b", "c", "d")] * 3
+    # Learned at the fourth record, the second of its form from the third on.
+    form = (("a", str), ("b", int), ("c", bool), ("d", bytes))
+    assert [form for form, _ in learned] == [form]
+    assert read == [form] * 3
+
+
+def test_a_later_record_of_a_nested_form_is_read_by_it(monkeypatch):
+    learned, read = _spied_layouts(monkeypatch)
+    data = _with_later_record(_member(codes=b"[-7]", born=b"0", tags=b'["x","","y"]'), 0,
+                              _MEMBERS)
+    assert strictly_equal(canonical_parse(data), reference_parse(data))
+    form = (("codes", list[int]), ("data", (("born", int), ("home", str), ("ok", bool))),
+            ("id", str), ("tags", list[str]))
+    assert [form for form, _ in learned] == [form]
+    assert read == [form] * 3
 
 
 @pytest.mark.parametrize("data, learns", [
@@ -977,7 +1072,20 @@ def test_a_later_record_of_a_learned_layout_is_read_by_it(monkeypatch):
     # past the size of the cache.
     (b"[" + b",".join(b"[" + b",".join([b'{"k%04d":0x00}' % i] * 4) + b"]"
                       for i in range(500)) + b"]", 500),
-], ids=["distinct", "in pairs", "list by list"])
+    # 2,000 maps of 1,000 nested forms, each read twice: one list, up to its cap.
+    (b"[" + b",".join(b'{"k":{"k%04d":[%d,0]},"l":[true]}' % (i // 2, i) for i in range(2000))
+     + b"]", canonical._MOST_LAYOUTS),
+    # 2,000 maps of one form but for a list whose item type changes after
+    # the first item: the form of the first two is learned and reads none
+    # of the others, which are no form.
+    (b"[" + b",".join([b'{"k":[1,2]}'] * 4 + [b'{"k":[%d,"x"]}' % i for i in range(1996)])
+     + b"]", 1),
+    # Four maps of maps whose list of integers nests MAX_DEPTH deep: a form
+    # of maps to that depth.
+    (b"[" + b",".join([b'{"k":' * (MAX_DEPTH - 2) + b"[1]" + b"}" * (MAX_DEPTH - 2)] * 4) + b"]",
+     1),
+], ids=["distinct", "in pairs", "list by list", "nested in pairs", "item type changes",
+        "at MAX_DEPTH"])
 def test_hostile_lists_learn_no_more_layouts_than_the_bounds(data, learns, monkeypatch):
     cache_size = canonical._layout.cache_info().maxsize
     learned, _ = _spied_layouts(monkeypatch)

@@ -285,7 +285,11 @@ class TestValidateConfig:
          "script[0].queries: must be a non-empty list of rule names"),
         (("script", 3, "body"), Bytes(b"resolved"),
          "script[3].body: must be non-empty text or bytes"),
-    ], ids=["mode", "queries", "query", "body"])
+        (("script", 3, "action"), Text("post"), "script[3].action: must be str, not Text"),
+        (("cooperatives", 0, "members", 0, "personal_data", "residence"), Text("NL"),
+         "cooperatives[0].members[0].personal_data: must be a map whose text values are "
+         "exactly str"),
+    ], ids=["mode", "queries", "query", "body", "action", "personal_data"])
     def test_a_subclass_of_the_written_type_is_a_problem(self, path, value, problem):
         """The log writer takes a value of exactly its declared type, and so
         does the validator."""
@@ -381,11 +385,11 @@ WORDED_BASE = {
 MEMBER = ("cooperatives", 0, "members", 0)
 FOLLOWERS = ("providers", 0, "followers")
 
-# One edit of WORDED_BASE per rule (each kind's problem, and its problem for
-# text UTF-8 cannot encode, counted as a rule), a few that break several
-# rules at once, and every problem validate_config words, in order.  An edit
-# sets the value at a path; None drops it, and an index one past a list's
-# end appends.
+# One edit of WORDED_BASE per rule (each kind's problem, and each problem it
+# words instead, as for text UTF-8 cannot encode, counted as a rule), a few
+# that break several rules at once, and every problem validate_config
+# words, in order.  An edit sets the value at a path; None drops it, and an
+# index one past a list's end appends.
 WORDED = {
     "seed": ({("seed",): b""}, ["seed: must be a non-empty byte-string"]),
     "seed-type": ({("seed",): "worded"}, ["seed: must be a non-empty byte-string"]),
@@ -414,6 +418,9 @@ WORDED = {
     "data-unencodable": ({(*MEMBER, "personal_data", "residence"): "N\ud800"},
                          ["cooperatives[0].members[0].personal_data: must be a map whose text "
                           "values UTF-8 can encode"]),
+    "data-subclass": ({(*MEMBER, "personal_data", "residence"): Text("NL")},
+                      ["cooperatives[0].members[0].personal_data: must be a map whose text "
+                       "values are exactly str"]),
     "entries": ({("cooperatives", 0, "members"): {"alice": 1}}, [
         "cooperatives[0].members: must be a list", "script[0].member: unknown member 'alice'"]),
     "codes": ({("notaries", 0, "compatible"): "US"},
@@ -443,6 +450,8 @@ WORDED = {
     "tick-beyond-limit": ({("tick_limit",): 3}, ["script[5].at: tick 4 exceeds tick_limit 3"]),
     "unknown-action": ({("script", 3, "action"): "teleport"},
                        ["script[3].action: unknown action 'teleport'"]),
+    "action-subclass": ({("script", 3, "action"): Text("post")},
+                        ["script[3].action: must be str, not Text"]),
     "duplicate-name": ({("exchanges", 1, "name"): "E1"}, [
         "exchanges[1].name: duplicate name 'E1'",
         "script[4].beneficiary_exchange: unknown exchange 'E2'"]),
@@ -538,7 +547,7 @@ class TestProblemWords:
     def test_every_clause_is_worded_by_a_row(self):
         """Each clause that validate_config's wordings read (a kind's counted
         once, whatever field it is of) fails in some row, and each kind's
-        words, for text UTF-8 cannot encode too, are in some row's problems."""
+        words, those it words instead too, are in some row's problems."""
         layouts = [*((section, None) for section in (*harness._ACTORS, "members")),
                    *(("script", kind) for kind in (*SCHEMA["script"], None))]
         clauses, fields = set(), [*harness._CONFIG.values()]
@@ -569,7 +578,7 @@ class TestProblemWords:
         assert sorted(problem for problem in clauses
                       if not any(f': {problem}"""' in line for line in ran)) == []
         worded = {problem.split(": ", 1)[1] for _, problems in WORDED.values() for problem in problems}
-        words = {text for f in fields for text in (f.problem, f.unencodable) if text is not None}
+        words = {text for f in fields for text in (f.problem, *(words for _, words in f.instead))}
         assert sorted(words - worded) == []
 
 
@@ -907,7 +916,8 @@ def mutated_configs(draw):
             break
         path = draw(st.sampled_from(paths))
         names = st.sampled_from(sorted(set(texts(raw))) or [""])
-        mutate(raw, path, draw(st.none() | names | st.integers(0, 3) | OTHER_VALUES))
+        mutate(raw, path, draw(st.none() | names | names.map(Text) | st.integers(0, 3)
+                               | OTHER_VALUES))
     return raw
 
 
@@ -955,6 +965,8 @@ class TestValidateRunContract:
             del scenario
             # Freed by reference counting alone, with no call of gc.collect.
             assert [ref for ref in refs if ref() is not None] == []
+        if any(type(text) is Text for text in texts(raw)):
+            return   # no config file holds a str subclass, so the CLI never reads one
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.scn"
             path.write_bytes(canonical_serialize(raw))
